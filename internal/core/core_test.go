@@ -96,6 +96,29 @@ func TestFrameProducesAnnotations(t *testing.T) {
 	}
 }
 
+// A MaxAnnotations of 1 halves to 0 under degradation: the frame must ask
+// the store for nothing (a query limit of 0 would mean "no limit") and come
+// out empty.
+func TestDegradedSingleAnnotationFrameIsEmpty(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxAnnotations = 1
+	p := newTestPlatform(t, cfg)
+	s := p.NewSession()
+	s.OnIMU(sensor.IMUSample{Time: sim.Epoch, CompassDeg: 0})
+	if err := s.OnGPS(sensor.GPSFix{Time: sim.Epoch, Position: center, AccuracyM: 3}); err != nil {
+		t.Fatal(err)
+	}
+	s.level = DegradeRadius
+	f, err := s.Frame(sim.Epoch.Add(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Annotations) != 0 || len(f.TagsFor) != 0 || len(s.scratch.pois) != 0 {
+		t.Fatalf("degraded 1-annotation frame: %d annotations, %d tags, %d POIs queried",
+			len(f.Annotations), len(f.TagsFor), len(s.scratch.pois))
+	}
+}
+
 func TestAnalyticsPlaneTagsCrowdedPOIs(t *testing.T) {
 	p := newTestPlatform(t, testConfig())
 	if err := p.Start(); err != nil {

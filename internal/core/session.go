@@ -323,12 +323,15 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 		maxAnn /= 2
 	}
 
-	// 1. Geospatial context.
-	pois := s.platform.pois.QueryRadiusInto(sc.pois[:0], pose.Position, radius, 0)
-	sc.pois = pois
-	if len(pois) > maxAnn*3 {
-		pois = pois[:maxAnn*3] // nearest first; cap the working set
+	// 1. Geospatial context: the nearest 3×maxAnn POIs in radius. The cap
+	// is the query's limit, so a dense city costs what the frame keeps, not
+	// what the radius holds. A frame with no room for annotations (a
+	// MaxAnnotations of 1 halved by degradation) asks for nothing.
+	pois := sc.pois[:0]
+	if maxAnn > 0 {
+		pois = s.platform.pois.QueryRadiusLimitInto(pois, pose.Position, radius, 0, maxAnn*3)
 	}
+	sc.pois = pois
 
 	// 2. Interpretation: analytics → semantic tags (skipped at the deepest
 	// degradation level).

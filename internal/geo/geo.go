@@ -79,14 +79,19 @@ type Rect struct {
 }
 
 // RectAround returns the bounding box covering a circle of radiusMeters
-// centred at p (clamped at the poles).
+// centred at p (clamped at the poles). The box truly covers the circle —
+// the longitude half-width is asin(sin δ / cos φ), not δ / cos φ, which falls
+// short by δ³/6 away from the equator — with a 1e-9 relative margin over
+// rounding, so filtering by the box before a haversine test never loses a
+// point the haversine test would keep.
 func RectAround(p Point, radiusMeters float64) Rect {
-	dLat := degrees(radiusMeters / EarthRadiusMeters)
-	cos := math.Cos(radians(p.Lat))
-	if cos < 1e-12 {
-		cos = 1e-12
+	const margin = 1 + 1e-9
+	d := radiusMeters / EarthRadiusMeters
+	dLat := degrees(d) * margin
+	dLon := 180.0 // the circle reaches a pole: every longitude
+	if sinD, cos := math.Sin(d), math.Cos(radians(p.Lat)); d < math.Pi/2 && sinD < cos {
+		dLon = degrees(math.Asin(sinD/cos)) * margin
 	}
-	dLon := degrees(radiusMeters / (EarthRadiusMeters * cos))
 	return Rect{
 		MinLat: math.Max(-90, p.Lat-dLat),
 		MaxLat: math.Min(90, p.Lat+dLat),
@@ -138,10 +143,31 @@ func rectOf(p Point) Rect {
 	return Rect{MinLat: p.Lat, MaxLat: p.Lat, MinLon: p.Lon, MaxLon: p.Lon}
 }
 
-// minDistMeters lower-bounds the distance from p to anywhere in r using the
-// closest point of the box; exact enough for best-first kNN pruning.
+// minDistMeters lower-bounds the haversine distance from p to anywhere in r;
+// it is the key best-first searches order index nodes by.
 func minDistMeters(p Point, r Rect) float64 {
-	lat := math.Max(r.MinLat, math.Min(r.MaxLat, p.Lat))
-	lon := math.Max(r.MinLon, math.Min(r.MaxLon, p.Lon))
-	return DistanceMeters(p, Point{Lat: lat, Lon: lon})
+	return boxLowerBoundMeters(p, math.Cos(radians(p.Lat)), r)
+}
+
+// boxLowerBoundMeters is minDistMeters with cos(p.Lat) supplied by a caller
+// that evaluates many boxes against one p. The bound is a true one: inside
+// the box's longitude span the nearest point lies on p's own meridian, so
+// the latitude gap is exact; outside it, any path into the box crosses the
+// great circle through the nearer bounding meridian, whose distance from p
+// is asin(cos φ · sin Δλ), and the latitude gap bounds the distance too.
+// (Clamping p into the box and taking the haversine to that corner is NOT a
+// lower bound away from the equator: the nearest point of a meridian lies
+// poleward of p's latitude.) The result is shaved by more than haversine's
+// rounding error so it never exceeds the computed distance of a point on the
+// box's edge (a point at distance 0 ties with its box: searches break that
+// tie by expanding boxes before emitting points).
+//
+//arbd:hotpath
+func boxLowerBoundMeters(p Point, cosLat float64, r Rect) float64 {
+	dLat := math.Max(0, math.Max(r.MinLat-p.Lat, p.Lat-r.MaxLat))
+	lb := radians(dLat)
+	if dLon := math.Max(r.MinLon-p.Lon, p.Lon-r.MaxLon); dLon > 0 && dLon < 90 {
+		lb = math.Max(lb, math.Asin(cosLat*math.Sin(radians(dLon))))
+	}
+	return math.Max(0, lb*EarthRadiusMeters*(1-1e-9)-1e-6)
 }

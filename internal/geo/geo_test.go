@@ -91,7 +91,7 @@ func TestRectAroundContainsCircle(t *testing.T) {
 		radius := rng.Uniform(10, 20000)
 		bbox := RectAround(c, radius)
 		for brg := 0.0; brg < 360; brg += 45 {
-			edge := Destination(c, brg, radius*0.999)
+			edge := Destination(c, brg, radius)
 			if !bbox.Contains(edge) {
 				t.Fatalf("bbox %v misses circle edge %v (c=%v r=%.0f)", bbox, edge, c, radius)
 			}

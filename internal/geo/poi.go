@@ -3,6 +3,7 @@ package geo
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -186,38 +187,13 @@ func (s *Store) Get(id uint64) (POI, error) {
 	return *p, nil
 }
 
-// QueryRadius returns POIs within radiusMeters of center, nearest first,
-// optionally filtered by category (0 = all categories). The returned slice
-// is freshly allocated; hot paths that reuse a buffer across queries should
-// call QueryRadiusInto.
+// QueryRadius returns POIs within radiusMeters of center, nearest first
+// (ties by ascending ID), optionally filtered by category (0 = all
+// categories). The returned slice is freshly allocated; hot paths that reuse
+// a buffer across queries should call QueryRadiusInto.
 func (s *Store) QueryRadius(center Point, radiusMeters float64, cat Category) []POI {
-	return s.QueryRadiusInto(nil, center, radiusMeters, cat)
+	return s.QueryRadiusLimitInto(nil, center, radiusMeters, cat, 0)
 }
-
-// scoredPOI pairs a candidate with its distance for the nearest-first sort.
-type scoredPOI struct {
-	poi  *POI
-	dist float64
-}
-
-// radiusScratch holds the intermediate buffers one radius query needs. The
-// buffers are pooled so steady-state queries allocate nothing beyond the
-// caller's destination slice.
-type radiusScratch struct {
-	items []Item
-	hits  []scoredPOI
-}
-
-func (rs *radiusScratch) Len() int { return len(rs.hits) }
-func (rs *radiusScratch) Less(i, j int) bool {
-	if rs.hits[i].dist != rs.hits[j].dist {
-		return rs.hits[i].dist < rs.hits[j].dist
-	}
-	return rs.hits[i].poi.ID < rs.hits[j].poi.ID
-}
-func (rs *radiusScratch) Swap(i, j int) { rs.hits[i], rs.hits[j] = rs.hits[j], rs.hits[i] }
-
-var radiusScratchPool = sync.Pool{New: func() any { return new(radiusScratch) }}
 
 // QueryRadiusInto is QueryRadius appending into dst (which may be nil or a
 // previous result truncated to zero length). Results overwrite dst's
@@ -225,60 +201,194 @@ var radiusScratchPool = sync.Pool{New: func() any { return new(radiusScratch) }}
 // so callers reusing a buffer must consume the results before the next
 // query into the same buffer.
 func (s *Store) QueryRadiusInto(dst []POI, center Point, radiusMeters float64, cat Category) []POI {
+	return s.QueryRadiusLimitInto(dst, center, radiusMeters, cat, 0)
+}
+
+// nearEntry is one pending step of a radius query: a candidate POI keyed by
+// its exact distance or, on the R-tree, an index node keyed by a lower bound
+// on the distance of everything beneath it. It is pointer-free so the heap
+// sifts without write barriers: nodes sit in radiusScratch.nodes and are
+// named by index.
+type nearEntry struct {
+	dist float64
+	id   uint64 // POI ID, or index into radiusScratch.nodes when node is set
+	node bool
+}
+
+// before orders the heap: nearer first, then nodes before POIs — a node may
+// still hold a POI at exactly its bound with a lower ID — then ascending ID,
+// which is the (dist, ID) order results are returned in.
+func (a nearEntry) before(b nearEntry) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.node != b.node {
+		return a.node
+	}
+	return a.id < b.id
+}
+
+// radiusScratch holds the intermediate buffers one radius query needs. The
+// buffers are pooled so steady-state queries allocate nothing beyond the
+// caller's destination slice.
+type radiusScratch struct {
+	items []Item      // bbox candidates of the scan, geohash and quadtree kinds
+	heap  []nearEntry // binary min-heap under nearEntry.before
+	nodes []*rnode    // R-tree nodes the heap refers to
+}
+
+//arbd:hotpath
+func (rs *radiusScratch) push(e nearEntry) {
+	rs.heap = append(rs.heap, e)
+	siftUp(rs.heap, len(rs.heap)-1, e)
+}
+
+// pop removes the minimum. The vacated root sinks to the bottom along the
+// smaller children — one comparison a level, not two — and the displaced
+// last entry, which belongs near the bottom anyway, rises from there.
+//
+//arbd:hotpath
+func (rs *radiusScratch) pop() nearEntry {
+	h := rs.heap
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	rs.heap = h
+	if len(h) == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		h[i] = h[c]
+		i = c
+	}
+	siftUp(h, i, last)
+	return top
+}
+
+// siftUp places e at or above slot i of h.
+//
+//arbd:hotpath
+func siftUp(h []nearEntry, i int, e nearEntry) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// radiusQuery is what every step of one query tests against.
+type radiusQuery struct {
+	center Point
+	cosLat float64 // cos(center.Lat), for the node bounds
+	radius float64
+	bbox   Rect // RectAround(center, radius): the cheap test before a haversine
+}
+
+// expand replaces R-tree node n on the heap by what it holds: a leaf's POIs
+// in radius at their distance, an interior node's children that can reach
+// into the radius at their lower bound.
+//
+//arbd:hotpath
+func (rs *radiusScratch) expand(n *rnode, q *radiusQuery) {
+	if n.leaf {
+		for _, it := range n.items {
+			if !q.bbox.Contains(it.Point) {
+				continue
+			}
+			if d := DistanceMeters(q.center, it.Point); d <= q.radius {
+				rs.push(nearEntry{dist: d, id: it.ID})
+			}
+		}
+		return
+	}
+	for _, c := range n.children {
+		if !c.bounds.Intersects(q.bbox) {
+			continue
+		}
+		if lb := boxLowerBoundMeters(q.center, q.cosLat, c.bounds); lb <= q.radius {
+			rs.nodes = append(rs.nodes, c)
+			rs.push(nearEntry{dist: lb, id: uint64(len(rs.nodes) - 1), node: true})
+		}
+	}
+}
+
+var radiusScratchPool = sync.Pool{New: func() any { return new(radiusScratch) }}
+
+// QueryRadiusLimitInto is QueryRadiusInto stopping after the limit nearest
+// POIs (limit <= 0: no limit): exactly the first limit elements of the
+// unlimited result, at a cost that follows limit, not the number of POIs in
+// radius. Candidates go on a min-heap and come off in (distance, ID) order
+// until limit have passed the category filter; only those are resolved and
+// copied. The R-tree feeds the heap best-first from the centre, opening a
+// node only when nothing nearer is pending, so a small limit touches a few
+// leaves. The other kinds heap every candidate in the bounding box, which
+// still spares a limited query the full sort.
+//
+//arbd:hotpath
+func (s *Store) QueryRadiusLimitInto(dst []POI, center Point, radiusMeters float64, cat Category, limit int) []POI {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	rs := radiusScratchPool.Get().(*radiusScratch)
-	bbox := RectAround(center, radiusMeters)
-	candidates := rs.items[:0]
-	switch s.kind {
-	case IndexScan:
-		for _, p := range s.all {
-			if bbox.Contains(p.Location) {
-				candidates = append(candidates, Item{ID: p.ID, Point: p.Location})
-			}
-		}
-	case IndexGeohash:
-		prec := s.ghPrec
-		for _, cell := range CoverRadius(center, radiusMeters, prec) {
-			for _, id := range s.geocells[cell] {
-				p := s.byID[id]
-				if bbox.Contains(p.Location) {
-					candidates = append(candidates, Item{ID: id, Point: p.Location})
+	q := radiusQuery{
+		center: center,
+		cosLat: math.Cos(radians(center.Lat)),
+		radius: radiusMeters,
+		bbox:   RectAround(center, radiusMeters),
+	}
+	if s.kind == IndexRTree {
+		rs.expand(s.rt.root, &q)
+	} else {
+		candidates := rs.items[:0]
+		switch s.kind {
+		case IndexScan:
+			for _, p := range s.all {
+				if q.bbox.Contains(p.Location) {
+					candidates = append(candidates, Item{ID: p.ID, Point: p.Location})
 				}
 			}
+		case IndexGeohash:
+			for _, cell := range CoverRadius(center, radiusMeters, s.ghPrec) {
+				for _, id := range s.geocells[cell] {
+					if p := s.byID[id]; q.bbox.Contains(p.Location) {
+						candidates = append(candidates, Item{ID: id, Point: p.Location})
+					}
+				}
+			}
+		case IndexQuadtree:
+			candidates = s.qt.Search(q.bbox, candidates)
 		}
-	case IndexQuadtree:
-		candidates = s.qt.Search(bbox, candidates)
-	case IndexRTree:
-		candidates = s.rt.Search(bbox, candidates)
+		rs.items = candidates
+		for _, c := range candidates {
+			if d := DistanceMeters(center, c.Point); d <= radiusMeters {
+				rs.push(nearEntry{dist: d, id: c.ID})
+			}
+		}
 	}
-	rs.items = candidates
 
-	hits := rs.hits[:0]
-	for _, c := range candidates {
-		d := DistanceMeters(center, c.Point)
-		if d > radiusMeters {
-			continue
-		}
-		p := s.byID[c.ID]
-		if cat != 0 && p.Category != cat {
-			continue
-		}
-		hits = append(hits, scoredPOI{poi: p, dist: d})
-	}
-	rs.hits = hits
-	sort.Sort(rs)
 	out := dst[:0]
-	for _, h := range hits {
-		out = append(out, *h.poi)
+	for len(rs.heap) > 0 && (limit <= 0 || len(out) < limit) {
+		e := rs.pop()
+		if e.node {
+			rs.expand(rs.nodes[e.id], &q)
+			continue
+		}
+		if p := s.byID[e.id]; cat == 0 || p.Category == cat {
+			out = append(out, *p)
+		}
 	}
-	// Drop the stale POI pointers before pooling so the scratch does not
-	// pin a replaced store's objects (Item holds no pointers).
-	for i := range hits {
-		hits[i].poi = nil
-	}
+	// Drop the node pointers before pooling so the scratch does not pin a
+	// replaced store's tree (the heap and the items hold no pointers).
+	clear(rs.nodes)
+	rs.nodes = rs.nodes[:0]
+	rs.heap = rs.heap[:0]
 	rs.items = rs.items[:0]
-	rs.hits = rs.hits[:0]
 	radiusScratchPool.Put(rs)
 	return out
 }

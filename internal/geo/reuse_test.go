@@ -1,7 +1,11 @@
 package geo
 
 import (
+	"math"
+	"sort"
 	"testing"
+
+	"arbd/internal/sim"
 )
 
 // TestQueryRadiusIntoEquivalence checks the buffer-reusing query returns
@@ -47,8 +51,8 @@ func TestQueryRadiusIntoEquivalence(t *testing.T) {
 }
 
 // TestQueryRadiusIntoSteadyStateAllocs checks the hot-path promise: with a
-// warmed destination buffer and pooled scratch, a radius query allocates
-// nothing.
+// warmed destination buffer and pooled scratch, a radius query — unlimited
+// or bounded — allocates nothing.
 func TestQueryRadiusIntoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
@@ -57,15 +61,156 @@ func TestQueryRadiusIntoSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dst []POI
-	// Warm the destination and the pooled scratch.
-	for i := 0; i < 4; i++ {
-		dst = s.QueryRadiusInto(dst, hkust, 800, 0)
+	for _, limit := range []int{0, 60} {
+		var dst []POI
+		// Warm the destination and the pooled scratch.
+		for i := 0; i < 4; i++ {
+			dst = s.QueryRadiusLimitInto(dst, hkust, 800, 0, limit)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			dst = s.QueryRadiusLimitInto(dst, hkust, 800, 0, limit)
+		})
+		if allocs > 0 {
+			t.Fatalf("limit %d: radius query allocates %.1f objects/op in steady state, want 0", limit, allocs)
+		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		dst = s.QueryRadiusInto(dst, hkust, 800, 0)
+}
+
+// radiusReference is the radius query by definition: every POI, one
+// haversine each, a full sort by (distance, ID), then the limit.
+func radiusReference(pois []POI, center Point, radiusMeters float64, cat Category, limit int) []POI {
+	type scored struct {
+		poi  POI
+		dist float64
+	}
+	var hits []scored
+	for _, p := range pois {
+		if d := DistanceMeters(center, p.Location); d <= radiusMeters && (cat == 0 || p.Category == cat) {
+			hits = append(hits, scored{p, d})
+		}
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		if hits[i].dist != hits[j].dist {
+			return hits[i].dist < hits[j].dist
+		}
+		return hits[i].poi.ID < hits[j].poi.ID
 	})
-	if allocs > 0 {
-		t.Fatalf("QueryRadiusInto allocates %.1f objects/op in steady state, want 0", allocs)
+	if limit > 0 && len(hits) > limit {
+		hits = hits[:limit]
+	}
+	out := make([]POI, len(hits))
+	for i, h := range hits {
+		out[i] = h.poi
+	}
+	return out
+}
+
+// tieCity is a fixture of distance ties around c: stacks of coincident POIs
+// (one stack on c itself, at distance 0) on mirror points due north/south and
+// east/west of c, whose distances agree to the last few bits. IDs are
+// assigned against insertion order so the ID tie-break is not the index's
+// own order.
+func tieCity(c Point) []POI {
+	var pois []POI
+	add := func(loc Point) {
+		pois = append(pois, POI{Category: Category(1 + len(pois)%3), Location: loc, HeightMeters: 10})
+	}
+	for i := 0; i < 20; i++ {
+		add(c)
+	}
+	for ring := 1; ring <= 12; ring++ {
+		dLat, dLon := 0.0002*float64(ring), 0.0003*float64(ring)
+		for rep := 0; rep < 3; rep++ {
+			add(Point{Lat: c.Lat + dLat, Lon: c.Lon})
+			add(Point{Lat: c.Lat - dLat, Lon: c.Lon})
+			add(Point{Lat: c.Lat, Lon: c.Lon + dLon})
+			add(Point{Lat: c.Lat, Lon: c.Lon - dLon})
+		}
+	}
+	for i := range pois {
+		pois[i].ID = uint64(len(pois) - i)
+	}
+	return pois
+}
+
+// TestQueryRadiusLimitMatchesReference is the differential test of the
+// bounded query: on every index kind, for random centres, radii and
+// categories, each limit returns exactly the reference's prefix — same POIs,
+// same order, through the ID tie-break and the d > radius cut — near the
+// equator and at 60°N, where a degree of longitude is half as long.
+func TestQueryRadiusLimitMatchesReference(t *testing.T) {
+	north := Point{Lat: 60.17, Lon: 24.94}
+	fixtures := []struct {
+		name   string
+		center Point
+		spread float64 // query centres fall within this many metres of center
+		pois   []POI
+	}{
+		{"city", hkust, 3000, testCity(3000)},
+		{"city60N", north, 3000, GenerateCity(CityConfig{Center: north, RadiusM: 4000, NumPOIs: 3000, TallRatio: 0.2, Seed: 9})},
+		{"ties", hkust, 0, tieCity(hkust)},
+		{"ties60N", north, 0, tieCity(north)},
+	}
+	for _, fx := range fixtures {
+		for _, kind := range []IndexKind{IndexScan, IndexGeohash, IndexQuadtree, IndexRTree} {
+			s, err := LoadStore(fx.pois, kind)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", fx.name, kind, err)
+			}
+			rng := sim.NewRand(11).Child(fx.name)
+			var dst []POI
+			for q := 0; q < 40; q++ {
+				center := Destination(fx.center, rng.Uniform(0, 360), rng.Uniform(0, fx.spread))
+				radius := math.Exp(rng.Uniform(math.Log(15), math.Log(2500)))
+				cat := Category(0)
+				if rng.Bool(0.3) {
+					cat = Category(1 + rng.Intn(3))
+				}
+				full := radiusReference(fx.pois, center, radius, cat, 0)
+				for _, limit := range []int{0, 1, 7, 60, len(full) + 5} {
+					want := full
+					if limit > 0 && len(want) > limit {
+						want = want[:limit]
+					}
+					dst = s.QueryRadiusLimitInto(dst, center, radius, cat, limit)
+					if len(dst) != len(want) {
+						t.Fatalf("%s/%v query %d (r=%.0f cat=%d limit=%d): %d POIs, want %d",
+							fx.name, kind, q, radius, cat, limit, len(dst), len(want))
+					}
+					for i := range want {
+						if dst[i].ID != want[i].ID || dst[i].Name != want[i].Name || dst[i].Location != want[i].Location {
+							t.Fatalf("%s/%v query %d (r=%.0f cat=%d limit=%d): result %d is POI %d at %.3f m, want POI %d at %.3f m",
+								fx.name, kind, q, radius, cat, limit, i,
+								dst[i].ID, DistanceMeters(center, dst[i].Location),
+								want[i].ID, DistanceMeters(center, want[i].Location))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBoxLowerBoundIsOne checks the R-tree's node key against what it
+// bounds: no point of a box is nearer than the box's key, at any latitude.
+// The haversine to the box's clamped corner, which the key replaces, fails
+// this away from the equator (by millimetres at city scale: enough to emit
+// two POIs out of order, too little for a query test to hit reliably).
+func TestBoxLowerBoundIsOne(t *testing.T) {
+	rng := sim.NewRand(5)
+	for i := 0; i < 2000; i++ {
+		p := Point{Lat: rng.Uniform(-75, 75), Lon: rng.Uniform(-170, 170)}
+		lat, lon := p.Lat+rng.Uniform(-0.05, 0.05), p.Lon+rng.Uniform(-0.1, 0.1)
+		r := Rect{MinLat: lat, MaxLat: lat + rng.Uniform(0, 0.05), MinLon: lon, MaxLon: lon + rng.Uniform(0, 0.1)}
+		lb := minDistMeters(p, r)
+		for k := 0; k < 40; k++ {
+			in := Point{Lat: rng.Uniform(r.MinLat, r.MaxLat), Lon: rng.Uniform(r.MinLon, r.MaxLon)}
+			if k < 4 { // the corners, where the minimum usually sits
+				in = Point{Lat: []float64{r.MinLat, r.MaxLat}[k%2], Lon: []float64{r.MinLon, r.MaxLon}[k/2]}
+			}
+			if d := DistanceMeters(p, in); d < lb {
+				t.Fatalf("box %+v from %v: key %.9f m exceeds the distance %.9f m to %v inside it", r, p, lb, d, in)
+			}
+		}
 	}
 }

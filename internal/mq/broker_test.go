@@ -149,6 +149,52 @@ func TestSegmentBoundaries(t *testing.T) {
 	}
 }
 
+// TestBatchStraddlesSegments pins segment bases under batch appends: a
+// segment rolled mid-batch once took the batch's first offset as its base,
+// so readers skipped as many records as the batch had already placed in the
+// previous segment, and re-read them under shifted offsets.
+func TestBatchStraddlesSegments(t *testing.T) {
+	b := newTestBroker(t, 1)
+	// 300 never divides segmentSize, so batches straddle every boundary at
+	// a different split; the last batch spans two whole segments.
+	sizes := []int{300, 300, 300, 300, 300, 300, 300, 7, 2*segmentSize + 11}
+	produced := 0
+	for _, n := range sizes {
+		values := make([][]byte, n)
+		for i := range values {
+			values[i] = []byte(fmt.Sprintf("r%d", produced+i))
+		}
+		first, err := b.ProduceBatch("events", nil, values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != int64(produced) {
+			t.Fatalf("batch first offset = %d, want %d", first, produced)
+		}
+		produced += n
+	}
+	// Read in odd-sized pages so fetches also start mid-segment.
+	consumed := 0
+	for {
+		recs, err := b.Fetch("events", 0, int64(consumed), 97)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			break
+		}
+		for _, r := range recs {
+			if r.Offset != int64(consumed) || string(r.Value) != fmt.Sprintf("r%d", consumed) {
+				t.Fatalf("record %d read back as offset %d value %q", consumed, r.Offset, r.Value)
+			}
+			consumed++
+		}
+	}
+	if consumed != produced {
+		t.Fatalf("consumed %d of %d produced records", consumed, produced)
+	}
+}
+
 func TestRetentionTruncatesOldSegments(t *testing.T) {
 	b := NewBroker(WithClock(sim.NewVirtualClock(time.Time{})))
 	// Each record costs ~33 bytes (1 value byte + 32 overhead); budget for

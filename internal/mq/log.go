@@ -236,9 +236,11 @@ func (p *partition) appendBatch(now time.Time, key []byte, values [][]byte, rete
 			seg.data = data
 			seg.bytes += cost
 			p.bytes += cost
+			// Advance per chunk: a segment rolled by the next iteration
+			// takes its base from p.next.
+			p.next += int64(chunk)
 			i += chunk
 		}
-		p.next = first + int64(len(values))
 	}
 	if retention > 0 {
 		p.truncateLocked(retention)

@@ -8,6 +8,7 @@ package render
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"arbd/internal/geo"
@@ -124,7 +125,8 @@ func OccludersFromPOIsInto(dst []Occluder, pois []geo.POI, minHeightM float64) [
 }
 
 // IsOccluded reports whether the sight line from the pose to the target
-// (top at heightM) passes behind any occluder.
+// (top at heightM) passes behind any occluder. It is the per-target
+// reference; LayoutAnchoredInto runs the same test occluder-first.
 func IsOccluded(pose sensor.Pose, target geo.Point, heightM float64, occluders []Occluder) bool {
 	dT := geo.DistanceMeters(pose.Position, target)
 	if dT < 1 {
@@ -136,21 +138,52 @@ func IsOccluded(pose sensor.Pose, target geo.Point, heightM float64, occluders [
 		if dO < 1 || dO >= dT-1 {
 			continue
 		}
-		w := o.WidthM
-		if w <= 0 {
-			w = 20
-		}
-		halfAngle := math.Atan2(w/2, dO) * 180 / math.Pi
-		if math.Abs(wrap180(geo.BearingDegrees(pose.Position, o.Location)-bT)) > halfAngle {
-			continue
-		}
-		// Sight-line height where it crosses the occluder's distance.
-		lineH := pose.AltitudeM + (heightM-pose.AltitudeM)*(dO/dT)
-		if lineH < o.HeightM {
+		if o.seenFrom(pose.Position, dO).hides(pose.AltitudeM, dT, bT, heightM) {
 			return true
 		}
 	}
 	return false
+}
+
+// sightOccluder is an occluder as one pose sees it. None of it depends on
+// the target, which is what lets a layout compute it once per frame instead
+// of once per label.
+type sightOccluder struct {
+	dist      float64 // metres from the pose
+	bearing   float64 // degrees clockwise from north
+	halfAngle float64 // half the slab's angular width, degrees
+	heightM   float64
+}
+
+// seenFrom places o relative to pos, dist metres away.
+//
+//arbd:hotpath
+func (o Occluder) seenFrom(pos geo.Point, dist float64) sightOccluder {
+	w := o.WidthM
+	if w <= 0 {
+		w = 20
+	}
+	return sightOccluder{
+		dist:      dist,
+		bearing:   geo.BearingDegrees(pos, o.Location),
+		halfAngle: math.Atan2(w/2, dist) * 180 / math.Pi,
+		heightM:   o.HeightM,
+	}
+}
+
+// hides reports whether the occluder, already known to stand between the
+// pose and the target (1 <= dist < dT-1), blocks the sight line from
+// altitudeM at the pose to the target's top at heightM, dT metres away on
+// bearing bT.
+//
+//arbd:hotpath
+func (s sightOccluder) hides(altitudeM, dT, bT, heightM float64) bool {
+	if math.Abs(wrap180(s.bearing-bT)) > s.halfAngle {
+		return false
+	}
+	// Sight-line height where it crosses the occluder's distance.
+	lineH := altitudeM + (heightM-altitudeM)*(s.dist/dT)
+	return lineH < s.heightM
 }
 
 // LayoutOptions configures the anchored layout engine.
@@ -199,11 +232,13 @@ var candidateOffsets = [][2]float64{
 }
 
 // LayoutScratch holds the intermediate buffers LayoutAnchoredInto reuses
-// across frames: the projected-and-visible working set and the placed-box
-// pointer list. The zero value is ready to use; a scratch must not be shared
-// between concurrent layout calls.
+// across frames: the projected-and-visible working set, the occluders that
+// can hide any of it as the pose sees them, and the placed-box pointer list.
+// The zero value is ready to use; a scratch must not be shared between
+// concurrent layout calls.
 type LayoutScratch struct {
 	visible []Annotation
+	sight   []sightOccluder
 	placed  []*Annotation
 }
 
@@ -236,8 +271,10 @@ func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose se
 	if sc == nil {
 		sc = &LayoutScratch{}
 	}
-	// Project and occlusion-test everything first.
+	// Project everything first; the deepest label on screen bounds which
+	// occluders can matter.
 	visible := sc.visible[:0]
+	maxDepth := 0.0
 	for _, a := range anns {
 		pos, ok := cam.Project(pose, a.Anchor, a.AnchorHM)
 		if !ok {
@@ -245,15 +282,10 @@ func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose se
 		}
 		a.Pos = pos
 		a.W, a.H = opts.BoxW, opts.BoxH
-		a.Occluded = IsOccluded(pose, a.Anchor, a.AnchorHM, occluders)
-		if a.Occluded {
-			if opts.CullOccluded {
-				continue
-			}
-			a.XRay = true
-		}
+		maxDepth = math.Max(maxDepth, pos.Depth)
 		visible = append(visible, a)
 	}
+	visible = sc.occlude(pose, visible, maxDepth, occluders, opts.CullOccluded)
 	sc.visible = visible
 	sort.Stable(sc)
 
@@ -280,6 +312,53 @@ func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose se
 	}
 	sc.placed = placed[:0]
 	return out
+}
+
+// occlude runs the occlusion test over visible — labels on screen, none
+// deeper than maxDepth — and marks the hidden ones X-ray or, with cull, drops
+// them; it filters visible in place. An occluder hides a label only from
+// strictly in front of it, so one at or beyond maxDepth-1 hides nothing this
+// frame; the rest are placed relative to the pose once, not once per label.
+//
+//arbd:hotpath
+func (sc *LayoutScratch) occlude(pose sensor.Pose, visible []Annotation, maxDepth float64, occluders []Occluder, cull bool) []Annotation {
+	if len(visible) == 0 {
+		return visible
+	}
+	// Room for a street's worth up front: a cold scratch then grows once,
+	// not once per doubling; a warm one already has it.
+	sight := slices.Grow(sc.sight[:0], 16)
+	near := geo.RectAround(pose.Position, maxDepth)
+	for _, o := range occluders {
+		if !near.Contains(o.Location) {
+			continue
+		}
+		if dO := geo.DistanceMeters(pose.Position, o.Location); dO >= 1 && dO < maxDepth-1 {
+			sight = append(sight, o.seenFrom(pose.Position, dO))
+		}
+	}
+	sc.sight = sight
+	kept := visible[:0]
+	for _, a := range visible {
+		// Project measured the distance IsOccluded would measure again.
+		if dT := a.Pos.Depth; dT >= 1 {
+			bT := geo.BearingDegrees(pose.Position, a.Anchor)
+			for i := range sight {
+				if sight[i].dist < dT-1 && sight[i].hides(pose.AltitudeM, dT, bT, a.AnchorHM) {
+					a.Occluded = true
+					break
+				}
+			}
+		}
+		if a.Occluded {
+			if cull {
+				continue
+			}
+			a.XRay = true
+		}
+		kept = append(kept, a)
+	}
+	return kept
 }
 
 func tryPlace(cam Camera, a *Annotation, placed []*Annotation, opts LayoutOptions) bool {
