@@ -217,26 +217,34 @@ type HeavyHitter struct {
 // TopK returns up to k tracked keys sorted by estimated count descending
 // (ties by key for determinism).
 func (ss *SpaceSaving) TopK(k int) []HeavyHitter {
-	return ss.TopKInto(make([]HeavyHitter, 0, len(ss.counts)), k)
+	return ss.TopKInto(make([]HeavyHitter, 0, max(0, min(k, len(ss.counts)))), k)
 }
 
 // TopKInto is TopK appending into dst (overwriting its contents), so a
-// caller snapshotting the sketch every frame can reuse one slice. It sorts
-// by insertion rather than sort.Slice: the monitored set is small (the
-// sketch capacity, ~64) and the closure-free sort keeps the snapshot
-// allocation-free once dst has warmed to capacity.
+// caller snapshotting the sketch every frame can reuse one slice. It selects
+// in one pass over the sketch, keeping the k heaviest seen so far in order:
+// a key lighter than the current k-th costs one comparison, so the frame's
+// k = 1 read is a max scan, and k at or above the tracked set is the plain
+// insertion sort — closure-free, and allocation-free once dst has warmed to
+// capacity.
 func (ss *SpaceSaving) TopKInto(dst []HeavyHitter, k int) []HeavyHitter {
 	out := dst[:0]
-	for key, e := range ss.counts {
-		out = append(out, HeavyHitter{Key: key, Count: e.count, Err: e.err})
+	if k <= 0 {
+		return out
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && heavierHitter(out[j], out[j-1]); j-- {
+	for key, e := range ss.counts {
+		h := HeavyHitter{Key: key, Count: e.count, Err: e.err}
+		switch {
+		case len(out) < k:
+			out = append(out, h)
+		case heavierHitter(h, out[k-1]):
+			out[k-1] = h
+		default:
+			continue
+		}
+		for j := len(out) - 1; j > 0 && heavierHitter(out[j], out[j-1]); j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
-	}
-	if len(out) > k {
-		out = out[:k]
 	}
 	return out
 }

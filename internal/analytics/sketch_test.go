@@ -3,6 +3,8 @@ package analytics
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"arbd/internal/sim"
@@ -285,5 +287,39 @@ func TestTopKIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("TopKInto allocates %.1f objects/op in steady state, want 0", allocs)
+	}
+}
+
+// TestTopKIntoIsHeadOfFullSort checks the one-pass selection against a full
+// sort of the sketch, on counts full of ties (the tie-break by key decides
+// most positions) and for k below, at and above the tracked set.
+func TestTopKIntoIsHeadOfFullSort(t *testing.T) {
+	ss := NewSpaceSaving(64)
+	for i := 0; i < 40; i++ {
+		// Counts 1..5, eight keys each, added in an order unrelated to either
+		// sort key.
+		key := fmt.Sprintf("key-%02d", (i*17)%40)
+		for j := 0; j <= i%5; j++ {
+			ss.Add(key)
+		}
+	}
+	var full []HeavyHitter
+	for key, e := range ss.counts {
+		full = append(full, HeavyHitter{Key: key, Count: e.count, Err: e.err})
+	}
+	sort.Slice(full, func(i, j int) bool { return heavierHitter(full[i], full[j]) })
+	dst := make([]HeavyHitter, 0, 4)
+	for _, k := range []int{1, 3, len(full), len(full) + 7} {
+		want := full[:min(k, len(full))]
+		dst = ss.TopKInto(dst, k)
+		if !slices.Equal(dst, want) {
+			t.Fatalf("k=%d:\n got %v\nwant %v", k, dst, want)
+		}
+		if got := ss.TopK(k); !slices.Equal(got, want) {
+			t.Fatalf("TopK(%d):\n got %v\nwant %v", k, got, want)
+		}
+	}
+	if got := ss.TopKInto(dst, 0); len(got) != 0 {
+		t.Fatalf("k=0 returned %v", got)
 	}
 }

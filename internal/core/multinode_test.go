@@ -186,9 +186,9 @@ func TestP2QuantileMatchesExactOnUniform(t *testing.T) {
 func TestFlushLatencySignalPrefersP99(t *testing.T) {
 	lt := newLoadTracker(32, 128)
 	// Cold: two samples are below the P² warm-up, so the EWMA answers.
-	lt.observeFlush(8 * time.Millisecond)
-	lt.observeFlush(8 * time.Millisecond)
-	if got := lt.flushLatency(); got == 0 {
+	lt.observeFlush(8*time.Millisecond, time.Now())
+	lt.observeFlush(8*time.Millisecond, time.Now())
+	if got := lt.flushLatency(time.Now()); got == 0 {
 		t.Fatal("cold tracker lost the EWMA fallback")
 	}
 	// Warm, bimodal: mostly 1 ms with a 1-in-50 tail of 100 ms. The EWMA
@@ -198,13 +198,13 @@ func TestFlushLatencySignalPrefersP99(t *testing.T) {
 		if i%50 == 49 {
 			d = 100 * time.Millisecond
 		}
-		lt.observeFlush(d)
+		lt.observeFlush(d, time.Now())
 	}
-	sig := lt.flushLatency()
+	sig := lt.flushLatency(time.Now())
 	if sig < 10*time.Millisecond {
 		t.Fatalf("flush signal %v ignores the tail (EWMA-like), want p99-driven ≥10ms", sig)
 	}
-	if ew := lt.ewma(); sig <= ew {
+	if ew := lt.ewma(time.Now()); sig <= ew {
 		t.Fatalf("p99 signal %v not above EWMA %v for a tailed stream", sig, ew)
 	}
 }

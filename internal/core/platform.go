@@ -418,7 +418,7 @@ type LoadSignal struct {
 
 // LoadSignal reports the platform's current backend pressure.
 func (p *Platform) LoadSignal() LoadSignal {
-	sig := LoadSignal{FlushLatency: p.load.flushLatency()}
+	sig := LoadSignal{FlushLatency: p.load.flushLatency(time.Now())}
 	p.mu.Lock()
 	g := p.group
 	p.mu.Unlock()

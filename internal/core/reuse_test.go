@@ -128,28 +128,28 @@ func TestPoiKeyMatchesSprintf(t *testing.T) {
 // size with flush latency and respects the ceiling.
 func TestAdaptiveBatchSize(t *testing.T) {
 	lt := newLoadTracker(32, 128)
-	if got := lt.batchSize(); got != 32 {
+	if got := lt.batchSize(time.Now()); got != 32 {
 		t.Fatalf("cold batch size = %d, want base 32", got)
 	}
 	// Fast flushes: stay at base.
 	for i := 0; i < 20; i++ {
-		lt.observeFlush(100 * time.Microsecond)
+		lt.observeFlush(100*time.Microsecond, time.Now())
 	}
-	if got := lt.batchSize(); got != 32 {
+	if got := lt.batchSize(time.Now()); got != 32 {
 		t.Fatalf("fast-flush batch size = %d, want base 32", got)
 	}
 	// Slow flushes: the EWMA converges upward and the size grows…
 	for i := 0; i < 50; i++ {
-		lt.observeFlush(5 * time.Millisecond)
+		lt.observeFlush(5*time.Millisecond, time.Now())
 	}
-	if got := lt.batchSize(); got <= 32 {
+	if got := lt.batchSize(time.Now()); got <= 32 {
 		t.Fatalf("slow-flush batch size = %d, want > base", got)
 	}
 	// …but never past the ceiling.
 	for i := 0; i < 50; i++ {
-		lt.observeFlush(5 * time.Second)
+		lt.observeFlush(5*time.Second, time.Now())
 	}
-	if got := lt.batchSize(); got != 128 {
+	if got := lt.batchSize(time.Now()); got != 128 {
 		t.Fatalf("saturated batch size = %d, want ceiling 128", got)
 	}
 }
@@ -161,7 +161,7 @@ func TestLoadSignalReportsPressure(t *testing.T) {
 	if sig := p.LoadSignal(); sig.FlushLatency < 0 || sig.Backlog != 0 {
 		t.Fatalf("idle signal = %+v", sig)
 	}
-	p.load.observeFlush(10 * time.Millisecond)
+	p.load.observeFlush(10*time.Millisecond, time.Now())
 	if sig := p.LoadSignal(); sig.FlushLatency == 0 {
 		t.Fatal("flush latency not surfaced")
 	}

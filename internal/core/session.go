@@ -74,6 +74,7 @@ type Session struct {
 // against the new one before the old buffer can be recycled.
 type frameScratch struct {
 	pois    []geo.POI
+	dists   []float64 // dists[i]: pois[i]'s distance from the pose, as the query measured it
 	anns    []render.Annotation
 	laid    [2][]render.Annotation
 	cur     int // index into laid holding the most recent layout
@@ -310,6 +311,9 @@ func (s *Session) FrameVisit(now time.Time, visit func(*Frame)) error {
 func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 	start := s.platform.cfg.Clock.Now()
 	pose := s.fuser.Pose()
+	// Everything the frame measures, it measures from here: the query's
+	// distances ride with the POIs into the annotations and the layout.
+	from := geo.OriginAt(pose.Position)
 
 	sc := s.scratch
 	if sc == nil {
@@ -327,11 +331,11 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 	// is the query's limit, so a dense city costs what the frame keeps, not
 	// what the radius holds. A frame with no room for annotations (a
 	// MaxAnnotations of 1 halved by degradation) asks for nothing.
-	pois := sc.pois[:0]
+	pois, dists := sc.pois[:0], sc.dists[:0]
 	if maxAnn > 0 {
-		pois = s.platform.pois.QueryRadiusLimitInto(pois, pose.Position, radius, 0, maxAnn*3)
+		pois, dists = s.platform.pois.QueryNearestInto(pois, dists, &from, radius, 0, maxAnn*3)
 	}
-	sc.pois = pois
+	sc.pois, sc.dists = pois, dists
 
 	// 2. Interpretation: analytics → semantic tags (skipped at the deepest
 	// degradation level).
@@ -370,7 +374,7 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 	// 4. Layout, double-buffered: the new layout lands in the buffer the
 	// frame before last used, leaving lastLayout intact for the jitter
 	// comparison.
-	anns := render.AnnotationsFromPOIsInto(sc.anns[:0], pose, pois)
+	anns := render.AnnotationsMeasuredInto(sc.anns[:0], &from, pois, dists)
 	sc.anns = anns
 	for i := range anns {
 		if t, ok := tags[anns[i].ID]; ok {

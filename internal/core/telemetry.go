@@ -68,11 +68,13 @@ func newLoadTracker(base, maxSize int) *loadTracker {
 // first healthy flush after a quiet spell must not resurrect stale
 // pressure — and the P² markers reset entirely after a long idle gap for
 // the same reason. Concurrent observers may drop each other's EWMA sample;
-// harmless for an EWMA.
-func (lt *loadTracker) observeFlush(d time.Duration) {
-	old := int64(lt.ewma())
-	idle := time.Now().UnixNano() - lt.lastNs.Load()
-	lt.lastNs.Store(time.Now().UnixNano())
+// harmless for an EWMA. now is the wall time the flush ended at; like every
+// reader below, the tracker takes the time from its caller, who has already
+// read the clock, instead of reading it again.
+func (lt *loadTracker) observeFlush(d time.Duration, now time.Time) {
+	old := int64(lt.ewma(now))
+	idle := now.UnixNano() - lt.lastNs.Load()
+	lt.lastNs.Store(now.UnixNano())
 	next := int64(d)
 	if old != 0 {
 		next = old + (int64(d)-old)/8
@@ -96,27 +98,27 @@ func (lt *loadTracker) observeFlush(d time.Duration) {
 }
 
 // ewma returns the flush-latency EWMA, idle-decayed.
-func (lt *loadTracker) ewma() time.Duration {
-	return lt.decayed(lt.flushNs.Load())
+func (lt *loadTracker) ewma(now time.Time) time.Duration {
+	return lt.decayed(lt.flushNs.Load(), now)
 }
 
 // flushLatency returns the admission/batching signal: the streaming p99 of
 // flush latency once the estimator is warm (≥5 samples), the EWMA before
 // that. Either is decayed by half per flushDecayHalfLife since the last
 // observation so idle periods read as recovery rather than frozen pressure.
-func (lt *loadTracker) flushLatency() time.Duration {
+func (lt *loadTracker) flushLatency(now time.Time) time.Duration {
 	if lat := lt.p99Ns.Load(); lat != 0 {
-		return lt.decayed(lat)
+		return lt.decayed(lat, now)
 	}
-	return lt.ewma()
+	return lt.ewma(now)
 }
 
-// decayed halves lat once per flushDecayHalfLife of idle time.
-func (lt *loadTracker) decayed(lat int64) time.Duration {
+// decayed halves lat once per flushDecayHalfLife of idle time up to now.
+func (lt *loadTracker) decayed(lat int64, now time.Time) time.Duration {
 	if lat == 0 {
 		return 0
 	}
-	idle := time.Now().UnixNano() - lt.lastNs.Load()
+	idle := now.UnixNano() - lt.lastNs.Load()
 	if idle > int64(flushDecayHalfLife) {
 		halvings := idle / int64(flushDecayHalfLife)
 		if halvings > 62 {
@@ -131,8 +133,8 @@ func (lt *loadTracker) decayed(lat int64) time.Duration {
 // flush latency: the configured base while the broker keeps up, growing
 // proportionally to flush latency (so each round-trip amortises better)
 // up to the ceiling when it falls behind.
-func (lt *loadTracker) batchSize() int {
-	lat := lt.flushLatency()
+func (lt *loadTracker) batchSize(now time.Time) int {
+	lat := lt.flushLatency(now)
 	if lat <= adaptiveFlushRef {
 		return lt.base
 	}
@@ -190,8 +192,8 @@ func (tb *telemetryBatcher) enqueue(topic int, value []byte) error {
 	// background sweeper): any later enqueue — on any topic — drains every
 	// overdue buffer, so a quiet topic cannot strand a record behind a
 	// busy one.
-	if len(buf.values) >= tb.load.batchSize() {
-		if err := tb.flushLocked(topic); err != nil {
+	if len(buf.values) >= tb.load.batchSize(now) {
+		if err := tb.flushLocked(topic, now); err != nil {
 			return err
 		}
 	}
@@ -200,7 +202,7 @@ func (tb *telemetryBatcher) enqueue(topic int, value []byte) error {
 		if len(b.values) == 0 || now.Sub(b.oldestAt) < tb.maxDelay {
 			continue
 		}
-		if err := tb.flushLocked(t); err != nil {
+		if err := tb.flushLocked(t, now); err != nil {
 			return err
 		}
 	}
@@ -216,7 +218,7 @@ func (tb *telemetryBatcher) flushOlderThan(cutoff time.Time) error {
 		if len(tb.buffers[topic].values) == 0 || tb.buffers[topic].oldestAt.After(cutoff) {
 			continue
 		}
-		if err := tb.flushLocked(topic); err != nil {
+		if err := tb.flushLocked(topic, time.Now()); err != nil {
 			return err
 		}
 	}
@@ -231,22 +233,24 @@ func (tb *telemetryBatcher) flushAll() error {
 		if len(tb.buffers[topic].values) == 0 {
 			continue
 		}
-		if err := tb.flushLocked(topic); err != nil {
+		if err := tb.flushLocked(topic, time.Now()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (tb *telemetryBatcher) flushLocked(topic int) error {
+// flushLocked publishes the topic's buffer; start is the wall time the caller
+// just read, which the publish latency is measured from.
+func (tb *telemetryBatcher) flushLocked(topic int, start time.Time) error {
 	buf := &tb.buffers[topic]
 	values := buf.values
 	buf.values = nil
-	start := time.Now()
 	_, err := tb.topics[topic].ProduceBatch(tb.key, values)
 	// A slow failure is still backend pressure: observe the latency either
 	// way so admission and batch sizing see a struggling broker.
-	tb.load.observeFlush(time.Since(start))
+	end := time.Now()
+	tb.load.observeFlush(end.Sub(start), end)
 	if err != nil {
 		// Keep the records for the next flush attempt rather than
 		// silently dropping accepted telemetry.

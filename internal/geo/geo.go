@@ -36,22 +36,86 @@ func degrees(rad float64) float64 { return rad * 180 / math.Pi }
 // DistanceMeters returns the haversine great-circle distance between a and b.
 func DistanceMeters(a, b Point) float64 {
 	lat1, lat2 := radians(a.Lat), radians(b.Lat)
-	dLat := lat2 - lat1
-	dLon := radians(b.Lon - a.Lon)
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1)*math.Cos(lat2)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
+	return haversineMeters(lat2-lat1, math.Cos(lat1), math.Cos(lat2), radians(b.Lon-a.Lon))
 }
 
 // BearingDegrees returns the initial great-circle bearing from a to b in
 // degrees clockwise from north, in [0, 360).
 func BearingDegrees(a, b Point) float64 {
 	lat1, lat2 := radians(a.Lat), radians(b.Lat)
-	dLon := radians(b.Lon - a.Lon)
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
+	return bearingDegrees(math.Cos(lat1), math.Sin(lat1), math.Cos(lat2), math.Sin(lat2), radians(b.Lon-a.Lon))
+}
+
+// haversineMeters is the one haversine formula: the distance between two
+// points dLat and dLon radians apart whose latitudes have the given cosines.
+// Every distance in the package goes through it, so a caller that already
+// holds a cosine (Origin) gets the bits DistanceMeters would give.
+//
+//arbd:hotpath
+func haversineMeters(dLat, cosLat1, cosLat2, dLon float64) float64 {
+	sLat, sLon := math.Sin(dLat/2), math.Sin(dLon/2)
+	h := sLat*sLat + cosLat1*cosLat2*sLon*sLon
+	return 2 * EarthRadiusMeters * math.Asin(math.Min(1, math.Sqrt(h)))
+}
+
+// bearingDegrees is the one initial-bearing formula, from a point whose
+// latitude has cosLat1/sinLat1 to one dLon radians east with cosLat2/sinLat2.
+//
+//arbd:hotpath
+func bearingDegrees(cosLat1, sinLat1, cosLat2, sinLat2, dLon float64) float64 {
+	y := math.Sin(dLon) * cosLat2
+	x := cosLat1*sinLat2 - sinLat1*cosLat2*math.Cos(dLon)
 	brg := degrees(math.Atan2(y, x))
 	return math.Mod(brg+360, 360)
+}
+
+// Origin is an observer fixed at one point — a frame's pose — from which many
+// targets are measured. It holds the point's latitude in radians with its
+// cosine and sine, the part of the spherical trigonometry that does not
+// depend on the target, so that part is paid once per Origin instead of once
+// per call. Its results are bit-identical to DistanceMeters and
+// BearingDegrees from the same point. Build one with OriginAt; an Origin is
+// immutable and safe for concurrent use.
+type Origin struct {
+	p              Point
+	lat            float64 // radians
+	cosLat, sinLat float64
+}
+
+// OriginAt returns the Origin at p.
+func OriginAt(p Point) Origin {
+	lat := radians(p.Lat)
+	return Origin{p: p, lat: lat, cosLat: math.Cos(lat), sinLat: math.Sin(lat)}
+}
+
+// Point returns the point the origin stands at.
+func (o *Origin) Point() Point { return o.p }
+
+// Distance is DistanceMeters(o.Point(), b).
+//
+//arbd:hotpath
+func (o *Origin) Distance(b Point) float64 {
+	lat2 := radians(b.Lat)
+	return haversineMeters(lat2-o.lat, o.cosLat, math.Cos(lat2), radians(b.Lon-o.p.Lon))
+}
+
+// Bearing is BearingDegrees(o.Point(), b).
+//
+//arbd:hotpath
+func (o *Origin) Bearing(b Point) float64 {
+	lat2 := radians(b.Lat)
+	return bearingDegrees(o.cosLat, o.sinLat, math.Cos(lat2), math.Sin(lat2), radians(b.Lon-o.p.Lon))
+}
+
+// Polar returns Distance(b) and Bearing(b) together, sharing the target's
+// own trigonometry between the two.
+//
+//arbd:hotpath
+func (o *Origin) Polar(b Point) (dist, bearing float64) {
+	lat2 := radians(b.Lat)
+	cosLat2, dLon := math.Cos(lat2), radians(b.Lon-o.p.Lon)
+	return haversineMeters(lat2-o.lat, o.cosLat, cosLat2, dLon),
+		bearingDegrees(o.cosLat, o.sinLat, cosLat2, math.Sin(lat2), dLon)
 }
 
 // Destination returns the point reached travelling distanceMeters from p on

@@ -3,7 +3,7 @@ package geo
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -285,10 +285,9 @@ func siftUp(h []nearEntry, i int, e nearEntry) {
 
 // radiusQuery is what every step of one query tests against.
 type radiusQuery struct {
-	center Point
-	cosLat float64 // cos(center.Lat), for the node bounds
+	from   *Origin // the centre
 	radius float64
-	bbox   Rect // RectAround(center, radius): the cheap test before a haversine
+	bbox   Rect // RectAround(centre, radius): the cheap test before a haversine
 }
 
 // expand replaces R-tree node n on the heap by what it holds: a leaf's POIs
@@ -302,7 +301,7 @@ func (rs *radiusScratch) expand(n *rnode, q *radiusQuery) {
 			if !q.bbox.Contains(it.Point) {
 				continue
 			}
-			if d := DistanceMeters(q.center, it.Point); d <= q.radius {
+			if d := q.from.Distance(it.Point); d <= q.radius {
 				rs.push(nearEntry{dist: d, id: it.ID})
 			}
 		}
@@ -312,7 +311,7 @@ func (rs *radiusScratch) expand(n *rnode, q *radiusQuery) {
 		if !c.bounds.Intersects(q.bbox) {
 			continue
 		}
-		if lb := boxLowerBoundMeters(q.center, q.cosLat, c.bounds); lb <= q.radius {
+		if lb := boxLowerBoundMeters(q.from.p, q.from.cosLat, c.bounds); lb <= q.radius {
 			rs.nodes = append(rs.nodes, c)
 			rs.push(nearEntry{dist: lb, id: uint64(len(rs.nodes) - 1), node: true})
 		}
@@ -324,23 +323,42 @@ var radiusScratchPool = sync.Pool{New: func() any { return new(radiusScratch) }}
 // QueryRadiusLimitInto is QueryRadiusInto stopping after the limit nearest
 // POIs (limit <= 0: no limit): exactly the first limit elements of the
 // unlimited result, at a cost that follows limit, not the number of POIs in
-// radius. Candidates go on a min-heap and come off in (distance, ID) order
-// until limit have passed the category filter; only those are resolved and
-// copied. The R-tree feeds the heap best-first from the centre, opening a
-// node only when nothing nearer is pending, so a small limit touches a few
-// leaves. The other kinds heap every candidate in the bounding box, which
-// still spares a limited query the full sort.
+// radius.
+func (s *Store) QueryRadiusLimitInto(dst []POI, center Point, radiusMeters float64, cat Category, limit int) []POI {
+	from := OriginAt(center)
+	return s.queryRadius(dst, nil, &from, radiusMeters, cat, limit)
+}
+
+// QueryNearestInto is QueryRadiusLimitInto around an Origin the caller
+// already holds, also handing back what the query measured: dists[i] is the
+// distance of the i-th returned POI, bit for bit from.Distance of its
+// location. A frame builds its annotations from these instead of measuring
+// every POI again. dists is reused like dst.
 //
 //arbd:hotpath
-func (s *Store) QueryRadiusLimitInto(dst []POI, center Point, radiusMeters float64, cat Category, limit int) []POI {
+func (s *Store) QueryNearestInto(dst []POI, dists []float64, from *Origin, radiusMeters float64, cat Category, limit int) ([]POI, []float64) {
+	dists = dists[:0]
+	dst = s.queryRadius(dst, &dists, from, radiusMeters, cat, limit)
+	return dst, dists
+}
+
+// queryRadius is the one radius query. Candidates go on a min-heap and come
+// off in (distance, ID) order until limit have passed the category filter;
+// only those are resolved and copied, their distances appended to *dists
+// when the caller wants them (nil: not). The R-tree feeds the heap best-first
+// from the centre, opening a node only when nothing nearer is pending, so a
+// small limit touches a few leaves. The other kinds heap every candidate in
+// the bounding box, which still spares a limited query the full sort.
+//
+//arbd:hotpath
+func (s *Store) queryRadius(dst []POI, dists *[]float64, from *Origin, radiusMeters float64, cat Category, limit int) []POI {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	rs := radiusScratchPool.Get().(*radiusScratch)
 	q := radiusQuery{
-		center: center,
-		cosLat: math.Cos(radians(center.Lat)),
+		from:   from,
 		radius: radiusMeters,
-		bbox:   RectAround(center, radiusMeters),
+		bbox:   RectAround(from.p, radiusMeters),
 	}
 	if s.kind == IndexRTree {
 		rs.expand(s.rt.root, &q)
@@ -354,7 +372,7 @@ func (s *Store) QueryRadiusLimitInto(dst []POI, center Point, radiusMeters float
 				}
 			}
 		case IndexGeohash:
-			for _, cell := range CoverRadius(center, radiusMeters, s.ghPrec) {
+			for _, cell := range CoverRadius(from.p, radiusMeters, s.ghPrec) {
 				for _, id := range s.geocells[cell] {
 					if p := s.byID[id]; q.bbox.Contains(p.Location) {
 						candidates = append(candidates, Item{ID: id, Point: p.Location})
@@ -366,13 +384,18 @@ func (s *Store) QueryRadiusLimitInto(dst []POI, center Point, radiusMeters float
 		}
 		rs.items = candidates
 		for _, c := range candidates {
-			if d := DistanceMeters(center, c.Point); d <= radiusMeters {
+			if d := from.Distance(c.Point); d <= radiusMeters {
 				rs.push(nearEntry{dist: d, id: c.ID})
 			}
 		}
 	}
 
 	out := dst[:0]
+	if dists != nil && limit > 0 {
+		// A float per result is cheap to reserve: a cold buffer then grows
+		// once, not once per doubling; a warm one already has the room.
+		*dists = slices.Grow(*dists, limit)
+	}
 	for len(rs.heap) > 0 && (limit <= 0 || len(out) < limit) {
 		e := rs.pop()
 		if e.node {
@@ -381,6 +404,9 @@ func (s *Store) QueryRadiusLimitInto(dst []POI, center Point, radiusMeters float
 		}
 		if p := s.byID[e.id]; cat == 0 || p.Category == cat {
 			out = append(out, *p)
+			if dists != nil {
+				*dists = append(*dists, e.dist)
+			}
 		}
 	}
 	// Drop the node pointers before pooling so the scratch does not pin a

@@ -41,21 +41,34 @@ func (c Camera) VFOVDeg() float64 {
 // for the given pose. ok is false when the point is outside the view
 // frustum.
 func (c Camera) Project(pose sensor.Pose, target geo.Point, heightM float64) (ScreenPos, bool) {
-	dist := geo.DistanceMeters(pose.Position, target)
+	from := geo.OriginAt(pose.Position)
+	pos, _, ok := c.project(pose, &from, &Annotation{Anchor: target, AnchorHM: heightM})
+	return pos, ok
+}
+
+// project is Project for an annotation's anchor seen from the pose's
+// position, which from stands at: an annotation already measured from there
+// pays for the bearing only. The bearing is returned for the occlusion test,
+// which would otherwise measure it again.
+//
+//arbd:hotpath
+func (c Camera) project(pose sensor.Pose, from *geo.Origin, a *Annotation) (pos ScreenPos, bearing float64, ok bool) {
+	dist := a.distanceFrom(from)
 	if dist < 0.5 {
-		return ScreenPos{}, false
+		return ScreenPos{}, 0, false
 	}
-	rel := wrap180(geo.BearingDegrees(pose.Position, target) - pose.HeadingDeg)
+	bearing = from.Bearing(a.Anchor)
+	rel := wrap180(bearing - pose.HeadingDeg)
 	if math.Abs(rel) > c.FOVDeg/2 {
-		return ScreenPos{}, false
+		return ScreenPos{}, 0, false
 	}
-	elev := math.Atan2(heightM-pose.AltitudeM, dist)*180/math.Pi - pose.PitchDeg
+	elev := math.Atan2(a.AnchorHM-pose.AltitudeM, dist)*180/math.Pi - pose.PitchDeg
 	if math.Abs(elev) > c.VFOVDeg()/2 {
-		return ScreenPos{}, false
+		return ScreenPos{}, 0, false
 	}
 	x := float64(c.Width)/2 + rel/c.FOVDeg*float64(c.Width)
 	y := float64(c.Height)/2 - elev/c.VFOVDeg()*float64(c.Height)
-	return ScreenPos{X: x, Y: y, Depth: dist}, true
+	return ScreenPos{X: x, Y: y, Depth: dist}, bearing, true
 }
 
 func wrap180(d float64) float64 {
@@ -82,11 +95,40 @@ type Annotation struct {
 	Occluded bool    // anchor hidden behind geometry
 	XRay     bool    // drawn despite occlusion, in see-through style
 	LeaderPx float64 // distance from box centre to anchor
+
+	// measured is the anchor's distance from a viewer, carried from whoever
+	// measured it first (the geo query, through AnnotationsMeasuredInto) so a
+	// layout from the same position does not measure it again. Zero on
+	// hand-built annotations. An annotation that carries one must not have
+	// its Anchor changed.
+	measured sighting
 }
 
-// boxesOverlap reports whether two placed boxes intersect.
-func boxesOverlap(a, b *Annotation) bool {
-	return a.X < b.X+b.W && b.X < a.X+a.W && a.Y < b.Y+b.H && b.Y < a.Y+a.H
+// sighting is a distance together with the point it was measured from. It
+// holds only for a viewer standing exactly there: an annotation built at one
+// pose and laid out at another is measured afresh. The zero value carries
+// nothing (a carried distance of exactly zero reads as none and is measured
+// again, to the same zero).
+type sighting struct {
+	from geo.Point
+	dist float64
+}
+
+// distanceFrom returns the anchor's distance from the origin: the carried
+// one when it was measured from there, a fresh one otherwise.
+//
+//arbd:hotpath
+func (a *Annotation) distanceFrom(from *geo.Origin) float64 {
+	if a.measured.dist != 0 && a.measured.from == from.Point() {
+		return a.measured.dist
+	}
+	return from.Distance(a.Anchor)
+}
+
+// overlapsAt reports whether a's box, its top-left at (x, y), intersects the
+// placed box b.
+func overlapsAt(a *Annotation, x, y float64, b *Annotation) bool {
+	return x < b.X+b.W && b.X < x+a.W && y < b.Y+b.H && b.Y < y+a.H
 }
 
 // overlapArea returns the intersection area of two boxes.
@@ -128,17 +170,18 @@ func OccludersFromPOIsInto(dst []Occluder, pois []geo.POI, minHeightM float64) [
 // (top at heightM) passes behind any occluder. It is the per-target
 // reference; LayoutAnchoredInto runs the same test occluder-first.
 func IsOccluded(pose sensor.Pose, target geo.Point, heightM float64, occluders []Occluder) bool {
-	dT := geo.DistanceMeters(pose.Position, target)
+	from := geo.OriginAt(pose.Position)
+	dT := from.Distance(target)
 	if dT < 1 {
 		return false
 	}
-	bT := geo.BearingDegrees(pose.Position, target)
+	bT := from.Bearing(target)
 	for _, o := range occluders {
-		dO := geo.DistanceMeters(pose.Position, o.Location)
+		dO := from.Distance(o.Location)
 		if dO < 1 || dO >= dT-1 {
 			continue
 		}
-		if o.seenFrom(pose.Position, dO).hides(pose.AltitudeM, dT, bT, heightM) {
+		if o.seenAt(dO, from.Bearing(o.Location)).hides(pose.AltitudeM, dT, bT, heightM) {
 			return true
 		}
 	}
@@ -155,17 +198,17 @@ type sightOccluder struct {
 	heightM   float64
 }
 
-// seenFrom places o relative to pos, dist metres away.
+// seenAt places o as a viewer sees it dist metres away on the given bearing.
 //
 //arbd:hotpath
-func (o Occluder) seenFrom(pos geo.Point, dist float64) sightOccluder {
+func (o Occluder) seenAt(dist, bearing float64) sightOccluder {
 	w := o.WidthM
 	if w <= 0 {
 		w = 20
 	}
 	return sightOccluder{
 		dist:      dist,
-		bearing:   geo.BearingDegrees(pos, o.Location),
+		bearing:   bearing,
 		halfAngle: math.Atan2(w/2, dist) * 180 / math.Pi,
 		heightM:   o.HeightM,
 	}
@@ -210,8 +253,9 @@ func (o *LayoutOptions) defaults() {
 // the floating-bubble AR browsers of the paper's era.
 func LayoutBubbles(cam Camera, pose sensor.Pose, anns []Annotation) []Annotation {
 	out := make([]Annotation, 0, len(anns))
+	from := geo.OriginAt(pose.Position)
 	for _, a := range anns {
-		pos, ok := cam.Project(pose, a.Anchor, a.AnchorHM)
+		pos, _, ok := cam.project(pose, &from, &a)
 		if !ok {
 			continue
 		}
@@ -232,14 +276,19 @@ var candidateOffsets = [][2]float64{
 }
 
 // LayoutScratch holds the intermediate buffers LayoutAnchoredInto reuses
-// across frames: the projected-and-visible working set, the occluders that
-// can hide any of it as the pose sees them, and the placed-box pointer list.
-// The zero value is ready to use; a scratch must not be shared between
-// concurrent layout calls.
+// across frames: the projected-and-visible working set and the occluders that
+// can hide any of it as the pose sees them. The zero value is ready to use; a
+// scratch must not be shared between concurrent layout calls.
 type LayoutScratch struct {
-	visible []Annotation
+	visible []visibleAnnotation
 	sight   []sightOccluder
-	placed  []*Annotation
+}
+
+// visibleAnnotation is an annotation on screen together with the bearing its
+// projection measured, which the occlusion test needs again.
+type visibleAnnotation struct {
+	Annotation
+	bearing float64 // of the anchor from the pose, degrees clockwise from north
 }
 
 // sort.Interface over the visible working set: nearer and higher-priority
@@ -273,55 +322,47 @@ func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose se
 	}
 	// Project everything first; the deepest label on screen bounds which
 	// occluders can matter.
+	from := geo.OriginAt(pose.Position)
 	visible := sc.visible[:0]
 	maxDepth := 0.0
 	for _, a := range anns {
-		pos, ok := cam.Project(pose, a.Anchor, a.AnchorHM)
+		pos, bearing, ok := cam.project(pose, &from, &a)
 		if !ok {
 			continue
 		}
 		a.Pos = pos
 		a.W, a.H = opts.BoxW, opts.BoxH
 		maxDepth = math.Max(maxDepth, pos.Depth)
-		visible = append(visible, a)
+		visible = append(visible, visibleAnnotation{Annotation: a, bearing: bearing})
 	}
-	visible = sc.occlude(pose, visible, maxDepth, occluders, opts.CullOccluded)
+	visible = sc.occlude(pose, &from, visible, maxDepth, occluders, opts.CullOccluded)
 	sc.visible = visible
 	sort.Stable(sc)
 
-	// The placement loop keeps pointers into out, so out must never grow
-	// once placement starts: reserve full capacity up front.
 	out := dst
 	if cap(out) < len(visible) {
 		out = make([]Annotation, 0, len(visible))
 	}
 	out = out[:0]
-	placed := sc.placed[:0]
 	for i := range visible {
-		a := visible[i]
-		if tryPlace(cam, &a, placed, opts) {
+		a := visible[i].Annotation
+		if tryPlace(cam, &a, out, opts) {
 			a.Placed = true
 			out = append(out, a)
-			placed = append(placed, &out[len(out)-1])
 		}
 	}
-	// Drop the stale annotation pointers so the pooled scratch does not pin
-	// a previous frame's buffer.
-	for i := range placed {
-		placed[i] = nil
-	}
-	sc.placed = placed[:0]
 	return out
 }
 
 // occlude runs the occlusion test over visible — labels on screen, none
-// deeper than maxDepth — and marks the hidden ones X-ray or, with cull, drops
-// them; it filters visible in place. An occluder hides a label only from
-// strictly in front of it, so one at or beyond maxDepth-1 hides nothing this
-// frame; the rest are placed relative to the pose once, not once per label.
+// deeper than maxDepth, seen from the pose's position, which from stands at —
+// and marks the hidden ones X-ray or, with cull, drops them; it filters
+// visible in place. An occluder hides a label only from strictly in front of
+// it, so one at or beyond maxDepth-1 hides nothing this frame; the rest are
+// placed relative to the pose once, not once per label.
 //
 //arbd:hotpath
-func (sc *LayoutScratch) occlude(pose sensor.Pose, visible []Annotation, maxDepth float64, occluders []Occluder, cull bool) []Annotation {
+func (sc *LayoutScratch) occlude(pose sensor.Pose, from *geo.Origin, visible []visibleAnnotation, maxDepth float64, occluders []Occluder, cull bool) []visibleAnnotation {
 	if len(visible) == 0 {
 		return visible
 	}
@@ -333,18 +374,17 @@ func (sc *LayoutScratch) occlude(pose sensor.Pose, visible []Annotation, maxDept
 		if !near.Contains(o.Location) {
 			continue
 		}
-		if dO := geo.DistanceMeters(pose.Position, o.Location); dO >= 1 && dO < maxDepth-1 {
-			sight = append(sight, o.seenFrom(pose.Position, dO))
+		if dO, bO := from.Polar(o.Location); dO >= 1 && dO < maxDepth-1 {
+			sight = append(sight, o.seenAt(dO, bO))
 		}
 	}
 	sc.sight = sight
 	kept := visible[:0]
 	for _, a := range visible {
-		// Project measured the distance IsOccluded would measure again.
+		// The projection measured what IsOccluded would measure again.
 		if dT := a.Pos.Depth; dT >= 1 {
-			bT := geo.BearingDegrees(pose.Position, a.Anchor)
 			for i := range sight {
-				if sight[i].dist < dT-1 && sight[i].hides(pose.AltitudeM, dT, bT, a.AnchorHM) {
+				if sight[i].dist < dT-1 && sight[i].hides(pose.AltitudeM, dT, a.bearing, a.AnchorHM) {
 					a.Occluded = true
 					break
 				}
@@ -361,7 +401,9 @@ func (sc *LayoutScratch) occlude(pose sensor.Pose, visible []Annotation, maxDept
 	return kept
 }
 
-func tryPlace(cam Camera, a *Annotation, placed []*Annotation, opts LayoutOptions) bool {
+// tryPlace finds a's label a box clear of the screen edges and of placed,
+// the labels placed before it.
+func tryPlace(cam Camera, a *Annotation, placed []Annotation, opts LayoutOptions) bool {
 	for _, off := range candidateOffsets {
 		x := a.Pos.X + off[0] - a.W/2
 		y := a.Pos.Y + off[1] - a.H/2
@@ -372,11 +414,9 @@ func tryPlace(cam Camera, a *Annotation, placed []*Annotation, opts LayoutOption
 		if x < 0 || y < 0 || x+a.W > float64(cam.Width) || y+a.H > float64(cam.Height) {
 			continue
 		}
-		cand := *a
-		cand.X, cand.Y = x, y
 		collides := false
-		for _, p := range placed {
-			if boxesOverlap(&cand, p) {
+		for i := range placed {
+			if overlapsAt(a, x, y, &placed[i]) {
 				collides = true
 				break
 			}
@@ -480,9 +520,28 @@ func AnnotationsFromPOIs(pose sensor.Pose, pois []geo.POI) []Annotation {
 // overwrite dst's contents from length zero; the returned slice shares dst's
 // storage when capacity allows.
 func AnnotationsFromPOIsInto(dst []Annotation, pose sensor.Pose, pois []geo.POI) []Annotation {
+	from := geo.OriginAt(pose.Position)
+	return AnnotationsMeasuredInto(dst, &from, pois, nil)
+}
+
+// AnnotationsMeasuredInto is AnnotationsFromPOIsInto for a viewer standing at
+// from whose POIs came out of geo.Store.QueryNearestInto around the same
+// origin: dists[i] is the distance of pois[i] as the query measured it, and is
+// not measured again (nil dists: measured here). Either way each annotation
+// carries its distance with the point it was measured from, so laying it out
+// from the same position measures only the bearing.
+//
+//arbd:hotpath
+func AnnotationsMeasuredInto(dst []Annotation, from *geo.Origin, pois []geo.POI, dists []float64) []Annotation {
 	out := dst[:0]
-	for _, p := range pois {
-		d := geo.DistanceMeters(pose.Position, p.Location)
+	for i := range pois {
+		p := &pois[i]
+		var d float64
+		if dists != nil {
+			d = dists[i]
+		} else {
+			d = from.Distance(p.Location)
+		}
 		anchorH := math.Max(2, math.Min(p.HeightMeters*0.4, 8))
 		out = append(out, Annotation{
 			ID:       p.ID,
@@ -490,6 +549,7 @@ func AnnotationsFromPOIsInto(dst []Annotation, pose sensor.Pose, pois []geo.POI)
 			Anchor:   p.Location,
 			AnchorHM: anchorH,
 			Priority: 1000 / (d + 10),
+			measured: sighting{from: from.Point(), dist: d},
 		})
 	}
 	return out

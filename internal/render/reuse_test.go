@@ -1,6 +1,7 @@
 package render
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -101,12 +102,10 @@ func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, oc
 		return visible[i].Pos.Depth < visible[j].Pos.Depth
 	})
 	out := make([]Annotation, 0, len(visible))
-	var placed []*Annotation
 	for _, a := range visible {
-		if tryPlace(cam, &a, placed, opts) {
+		if tryPlace(cam, &a, out, opts) {
 			a.Placed = true
 			out = append(out, a)
-			placed = append(placed, &out[len(out)-1])
 		}
 	}
 	return out
@@ -145,18 +144,17 @@ func TestLayoutMatchesPerLabelOcclusion(t *testing.T) {
 		case i%8 == 1:
 			radius, limit = 2000, 0
 		}
-		anns := AnnotationsFromPOIs(p, store.QueryRadiusLimitInto(nil, p.Position, radius, 0, limit))
+		// The frame's own path: the query's distances carried on the
+		// annotations, against a reference that measures everything itself.
+		from := geo.OriginAt(p.Position)
+		pois, dists := store.QueryNearestInto(nil, nil, &from, radius, 0, limit)
+		anns := AnnotationsMeasuredInto(nil, &from, pois, dists)
 		for _, cull := range []bool{false, true} {
 			opts := LayoutOptions{CullOccluded: cull}
 			want := layoutAnchoredReference(cam, p, anns, occl, opts)
 			laid = LayoutAnchoredInto(laid, &scratch, cam, p, anns, occl, opts)
-			if len(laid) != len(want) {
-				t.Fatalf("pose %d cull=%v: placed %d, reference places %d", i, cull, len(laid), len(want))
-			}
+			requireSameLayout(t, fmt.Sprintf("pose %d cull=%v", i, cull), laid, want)
 			for k := range want {
-				if !annEqual(laid[k], want[k]) || laid[k].Pos != want[k].Pos {
-					t.Fatalf("pose %d cull=%v: annotation %d differs:\n got %+v\nwant %+v", i, cull, k, laid[k], want[k])
-				}
 				if want[k].Occluded {
 					seen.occluded++
 				}
@@ -217,5 +215,105 @@ func TestJitterSmallAndLargePathsAgree(t *testing.T) {
 	}
 	if got := Jitter(prev[:40], cur[:40]); got < 2.99 || got > 3.01 {
 		t.Fatalf("quadratic-path jitter = %v, want 3", got)
+	}
+}
+
+// stripSightings returns anns as hand-built annotations have them: nothing
+// carried, everything measured by the layout itself.
+func stripSightings(anns []Annotation) []Annotation {
+	out := append([]Annotation(nil), anns...)
+	for i := range out {
+		out[i].measured = sighting{}
+	}
+	return out
+}
+
+func requireSameLayout(t *testing.T, what string, got, want []Annotation) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: placed %d, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if !annEqual(got[k], want[k]) || got[k].Pos != want[k].Pos {
+			t.Fatalf("%s: annotation %d differs:\n got %+v\nwant %+v", what, k, got[k], want[k])
+		}
+	}
+}
+
+// TestLayoutCarriedSightingsEquivalence pins the carry rule on the dense
+// city: a layout over annotations carrying the query's distances equals the
+// layout over the same annotations carrying nothing, field for field; and a
+// carried distance is trusted only from the point it was measured
+// from — annotations built at pose A and laid out at pose B lay out as if
+// built fresh.
+func TestLayoutCarriedSightingsEquivalence(t *testing.T) {
+	city := geo.GenerateCity(geo.CityConfig{Center: origin, RadiusM: 3000, NumPOIs: 5000, TallRatio: 0.2, Seed: 1})
+	store, err := geo.LoadStore(city, geo.IndexRTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	occl := OccludersFromPOIs(city, 30)
+	rng := sim.NewRand(33)
+	var (
+		scratch LayoutScratch
+		placed  int
+	)
+	for i := 0; i < 60; i++ {
+		poseA := sensor.Pose{
+			Position:   geo.Destination(origin, rng.Uniform(0, 360), rng.Uniform(0, 1500)),
+			HeadingDeg: rng.Uniform(0, 360),
+			PitchDeg:   rng.Uniform(-5, 10),
+			AltitudeM:  1.6,
+		}
+		from := geo.OriginAt(poseA.Position)
+		pois, dists := store.QueryNearestInto(nil, nil, &from, 250, 0, 60)
+		carrying := AnnotationsMeasuredInto(nil, &from, pois, dists)
+		for k := range carrying {
+			if got := carrying[k].measured; got.from != poseA.Position || got.dist != dists[k] {
+				t.Fatalf("pose %d: annotation %d carries %+v, want the query's %v from the pose", i, k, got, dists[k])
+			}
+		}
+		opts := LayoutOptions{CullOccluded: i%2 == 1}
+
+		want := LayoutAnchored(cam, poseA, stripSightings(carrying), occl, opts)
+		got := LayoutAnchoredInto(nil, &scratch, cam, poseA, carrying, occl, opts)
+		requireSameLayout(t, "carried vs stripped", got, want)
+		placed += len(want)
+		// The measured-here builder carries too, and must agree as well.
+		requireSameLayout(t, "AnnotationsFromPOIs", LayoutAnchored(cam, poseA, AnnotationsFromPOIs(poseA, pois), occl, opts), want)
+
+		// Stale carry: same annotations, viewer a few metres on and turned.
+		poseB := poseA
+		poseB.Position = geo.Destination(poseA.Position, rng.Uniform(0, 360), rng.Uniform(0.5, 40))
+		poseB.HeadingDeg = rng.Uniform(0, 360)
+		wantB := LayoutAnchored(cam, poseB, stripSightings(carrying), occl, opts)
+		requireSameLayout(t, "built at A, laid out at B", LayoutAnchoredInto(nil, &scratch, cam, poseB, carrying, occl, opts), wantB)
+		// Laid-out annotations still carry pose A's distance; feeding them back
+		// in at B must not reuse it either.
+		requireSameLayout(t, "laid out at A, then at B", LayoutAnchored(cam, poseB, got, occl, opts), LayoutAnchored(cam, poseB, stripSightings(got), occl, opts))
+	}
+	if placed == 0 {
+		t.Fatal("degenerate scene set: nothing placed")
+	}
+}
+
+// TestProjectMatchesCarriedProjection: the public per-point Project and the
+// layout's projection of a carrying annotation give the same screen position,
+// anchors closer than the half-metre cut-off included.
+func TestProjectMatchesCarriedProjection(t *testing.T) {
+	var pois []geo.POI
+	for i := 0; i < 120; i++ {
+		pois = append(pois, poiAt(uint64(i+1), float64(i*3%360), 0.2+float64(i*7%300), 5+float64(i%35)))
+	}
+	from := geo.OriginAt(pose.Position)
+	for _, a := range AnnotationsFromPOIs(pose, pois) {
+		wantPos, wantOK := cam.Project(pose, a.Anchor, a.AnchorHM)
+		pos, bearing, ok := cam.project(pose, &from, &a)
+		if ok != wantOK || pos != wantPos {
+			t.Fatalf("annotation %d: projected to %+v %v, Project gives %+v %v", a.ID, pos, ok, wantPos, wantOK)
+		}
+		if ok && bearing != geo.BearingDegrees(pose.Position, a.Anchor) {
+			t.Fatalf("annotation %d: projection reports bearing %v, BearingDegrees %v", a.ID, bearing, geo.BearingDegrees(pose.Position, a.Anchor))
+		}
 	}
 }

@@ -300,7 +300,11 @@ func (sh *Shard) serveConn(conn net.Conn) {
 			continue
 		}
 		sess := sh.eng.platform.SessionOrNew(in.Session)
-		owned[in.Session] = struct{}{}
+		// This runs per envelope: write the map only the first time the
+		// connection sees the session.
+		if _, seen := owned[in.Session]; !seen {
+			owned[in.Session] = struct{}{}
+		}
 		switch in.Type {
 		case wire.MsgSensorEvent:
 			if err := applySensor(sess, in.Payload); err != nil {

@@ -57,10 +57,8 @@ func (js *joinState) add(e Event) []Event {
 		keyBufs = make(map[int64]*joinWindowBuf)
 		js.bufs[e.Key] = keyBufs
 	}
-	for _, win := range js.spec.assign(e.Time) {
-		if !win.End.After(js.watermark) {
-			continue // late for this window
-		}
+	// Newest window first: once one is late, so is every earlier one.
+	for win, n := js.spec.assign(e.Time); n > 0 && win.End.After(js.watermark); win, n = win.earlier(js.spec.slide), n-1 {
 		id := win.Start.UnixNano()
 		buf, ok := keyBufs[id]
 		if !ok {

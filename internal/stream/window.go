@@ -59,24 +59,30 @@ func (w WindowSpec) valid() bool {
 	}
 }
 
-// assign returns the windows an event at t belongs to (session windows are
-// handled separately by the session operator).
-func (w WindowSpec) assign(t time.Time) []Window {
+// assign returns the newest window an event at t belongs to and how many it
+// belongs to in all: one for tumbling windows, size/slide (rounded up) for
+// sliding ones, each starting one slide before the one after it — see
+// Window.earlier. Session windows are handled separately by the session
+// operator and get none.
+func (w WindowSpec) assign(t time.Time) (newest Window, n int) {
 	switch w.kind {
 	case windowTumbling:
 		start := t.Truncate(w.size)
-		return []Window{{Start: start, End: start.Add(w.size)}}
+		return Window{Start: start, End: start.Add(w.size)}, 1
 	case windowSliding:
-		var out []Window
-		// Latest window starting at or before t.
-		last := t.Truncate(w.slide)
-		for s := last; t.Sub(s) < w.size; s = s.Add(-w.slide) {
-			out = append(out, Window{Start: s, End: s.Add(w.size)})
-		}
-		return out
+		// The newest window is the latest starting at or before t; earlier
+		// ones still cover t while they start less than size before it.
+		start := t.Truncate(w.slide)
+		n = int((w.size-t.Sub(start)-1)/w.slide) + 1
+		return Window{Start: start, End: start.Add(w.size)}, n
 	default:
-		return nil
+		return Window{}, 0
 	}
+}
+
+// earlier returns the window one slide before win.
+func (win Window) earlier(slide time.Duration) Window {
+	return Window{Start: win.Start.Add(-slide), End: win.End.Add(-slide)}
 }
 
 // windowState is the per-worker state of a window operator: accumulators
@@ -88,7 +94,13 @@ type windowState struct {
 	accs      map[string]map[int64]*windowAcc
 	watermark time.Time
 	maxSeen   time.Time
-	firedWM   time.Time // watermark at last fire scan, to avoid per-event scans
+	// nextClose is the earliest End among live tumbling/sliding windows (zero:
+	// none live). Until the watermark reaches it no window can fire, so fire
+	// does not look: with zero lateness the watermark moves on every new
+	// timestamp, and a scan per event is a walk over every live key.
+	nextClose time.Time
+	firedWM   time.Time // session windows: watermark at the last fire scan
+	scans     int       // full walks of accs by fire
 	lateDrops int
 }
 
@@ -115,35 +127,31 @@ func (ws *windowState) add(e Event) []Event {
 
 	if ws.spec.kind == windowSession {
 		ws.addSession(e)
-	} else {
-		if !e.Time.After(ws.watermark) && len(ws.spec.assign(e.Time)) > 0 {
-			// Event entirely behind the watermark: may target already-fired
-			// windows. Conservatively count it dropped if its newest window
-			// has closed.
-			wins := ws.spec.assign(e.Time)
-			if !wins[0].End.After(ws.watermark) {
-				ws.lateDrops++
-				return ws.fire()
-			}
-		}
-		keyAccs, ok := ws.accs[e.Key]
+		return ws.fire()
+	}
+	win, n := ws.spec.assign(e.Time)
+	if !win.End.After(ws.watermark) {
+		// Even the newest window the event belongs to has closed: dropped.
+		ws.lateDrops++
+		return ws.fire()
+	}
+	keyAccs, ok := ws.accs[e.Key]
+	if !ok {
+		keyAccs = make(map[int64]*windowAcc)
+		ws.accs[e.Key] = keyAccs
+	}
+	for ; n > 0 && win.End.After(ws.watermark); win, n = win.earlier(ws.spec.slide), n-1 {
+		id := win.Start.UnixNano()
+		wa, ok := keyAccs[id]
 		if !ok {
-			keyAccs = make(map[int64]*windowAcc)
-			ws.accs[e.Key] = keyAccs
-		}
-		for _, win := range ws.spec.assign(e.Time) {
-			if !win.End.After(ws.watermark) {
-				continue // window already fired
+			wa = &windowAcc{win: win, acc: ws.agg.New()}
+			keyAccs[id] = wa
+			if ws.nextClose.IsZero() || win.End.Before(ws.nextClose) {
+				ws.nextClose = win.End
 			}
-			id := win.Start.UnixNano()
-			wa, ok := keyAccs[id]
-			if !ok {
-				wa = &windowAcc{win: win, acc: ws.agg.New()}
-				keyAccs[id] = wa
-			}
-			wa.acc = ws.agg.Add(wa.acc, e)
-			wa.count++
 		}
+		wa.acc = ws.agg.Add(wa.acc, e)
+		wa.count++
 	}
 	return ws.fire()
 }
@@ -199,27 +207,36 @@ type sessionBuffer struct {
 }
 
 // fire emits results for every window whose end is at or before the
-// watermark, in (window end, key) order for determinism. The scan only runs
-// when the watermark has advanced since the last scan.
+// watermark, in (window end, key) order for determinism. Tumbling and sliding
+// windows are scanned only once the watermark has reached the earliest live
+// End; session windows, whose close time moves as they merge, whenever the
+// watermark has advanced since the last scan.
 func (ws *windowState) fire() []Event {
-	if !ws.watermark.After(ws.firedWM) {
+	session := ws.spec.kind == windowSession
+	if session {
+		if !ws.watermark.After(ws.firedWM) {
+			return nil
+		}
+		ws.firedWM = ws.watermark
+	} else if ws.nextClose.IsZero() || ws.nextClose.After(ws.watermark) {
 		return nil
 	}
-	ws.firedWM = ws.watermark
+	ws.scans++
+	ws.nextClose = time.Time{}
 	var ready []*windowAcc
 	var keys []string
 	for key, keyAccs := range ws.accs {
 		for id, wa := range keyAccs {
-			var closes time.Time
-			if ws.spec.kind == windowSession {
+			closes := wa.win.End
+			if session {
 				closes = wa.last.Add(ws.spec.gap)
-			} else {
-				closes = wa.win.End
 			}
 			if !closes.After(ws.watermark) {
 				ready = append(ready, wa)
 				keys = append(keys, key)
 				delete(keyAccs, id)
+			} else if !session && (ws.nextClose.IsZero() || closes.Before(ws.nextClose)) {
+				ws.nextClose = closes
 			}
 		}
 		if len(keyAccs) == 0 {
@@ -242,6 +259,7 @@ func (ws *windowState) flush() []Event {
 		}
 		delete(ws.accs, key)
 	}
+	ws.nextClose = time.Time{}
 	return ws.emit(ready, keys)
 }
 

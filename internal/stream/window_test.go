@@ -12,9 +12,18 @@ func ev(key string, offset time.Duration, v float64) Event {
 	return Event{Key: key, Time: w0.Add(offset), Value: v}
 }
 
+// assigned expands assign's (newest, n) into the windows it stands for.
+func assigned(spec WindowSpec, t time.Time) []Window {
+	var wins []Window
+	for win, n := spec.assign(t); n > 0; win, n = win.earlier(spec.slide), n-1 {
+		wins = append(wins, win)
+	}
+	return wins
+}
+
 func TestTumblingAssign(t *testing.T) {
 	spec := Tumbling(10 * time.Second)
-	wins := spec.assign(w0.Add(13 * time.Second))
+	wins := assigned(spec, w0.Add(13*time.Second))
 	if len(wins) != 1 {
 		t.Fatalf("assigned %d windows", len(wins))
 	}
@@ -25,7 +34,7 @@ func TestTumblingAssign(t *testing.T) {
 
 func TestSlidingAssign(t *testing.T) {
 	spec := Sliding(30*time.Second, 10*time.Second)
-	wins := spec.assign(w0.Add(25 * time.Second))
+	wins := assigned(spec, w0.Add(25*time.Second))
 	if len(wins) != 3 {
 		t.Fatalf("assigned %d windows, want 3", len(wins))
 	}
