@@ -97,7 +97,7 @@ type (
 // arbd-server (standalone or router) over TCP.
 type (
 	// Client is the concurrency-safe protocol client: seq-matched
-	// request/reply plus server-pushed frame subscriptions (protocol v2).
+	// request/reply plus server-pushed frame subscriptions.
 	Client = server.Client
 	// DialOptions tunes the protocol handshake.
 	DialOptions = server.DialOptions
@@ -108,13 +108,6 @@ type (
 	// VersionError is the typed protocol-handshake failure: the two sides
 	// share no usable protocol version. Detect with errors.As.
 	VersionError = wire.VersionError
-)
-
-// Wire protocol versions (see PROTOCOL.md). Pass ProtoV2 as
-// DialOptions.MinProto to require streaming support at dial time.
-const (
-	ProtoV1 = wire.ProtoV1
-	ProtoV2 = wire.ProtoV2
 )
 
 // Dial connects to an arbd server at the default options and runs the

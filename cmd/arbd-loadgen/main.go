@@ -1,7 +1,7 @@
 // Command arbd-loadgen drives an arbd-server with simulated devices:
 // each client walks the city, streams GPS/IMU at device rates, and pulls
 // overlay frames either by polling (request/reply, the default) or by a
-// protocol-v2 subscription (-stream: the server owns the frame clock and
+// subscription (-stream: the server owns the frame clock and
 // pushes at the target FPS). The target may be a standalone server or a
 // router fronting shard nodes — the client protocol is identical, so
 // pointing -addr at a router exercises the full multi-node forward path
@@ -74,7 +74,7 @@ func run() error {
 		lat        = flag.Float64("lat", 22.3364, "city center latitude")
 		lon        = flag.Float64("lon", 114.2655, "city center longitude")
 		sweep      = flag.String("sweep", "", "comma-separated client counts to sweep (e.g. 1,8,64,512)")
-		stream     = flag.Bool("stream", false, "subscribe to pushed frames (protocol v2) instead of polling")
+		stream     = flag.Bool("stream", false, "subscribe to pushed frames instead of polling")
 		churn      = flag.Duration("churn", 0, "drain/rejoin the -churn-shard on this interval while driving load (needs -admin)")
 		adminAddr  = flag.String("admin", "", "router admin endpoint for -churn")
 		churnShard = flag.String("churn-shard", "", "shard to cycle during -churn, as id=host:port")

@@ -1,13 +1,19 @@
 // Command arbd-server runs the ARBD platform behind a TCP endpoint speaking
-// the wire protocol (PROTOCOL.md): clients stream sensor envelopes and pull
-// overlay frames by request/reply (v1) or by server-pushed subscription
-// streams (v2, negotiated in the hello handshake). See cmd/arbd-loadgen for
-// a matching client (-stream drives the v2 path).
+// the wire protocol (PROTOCOL.md): every connection opens with the hello
+// handshake, then clients stream sensor envelopes and receive overlay frames
+// by request/reply or by server-pushed subscription streams. See
+// cmd/arbd-loadgen for a matching client (-stream drives the subscription
+// path).
 //
-// Four roles share one frame-serving engine (internal/server.Engine):
+// Two session-serving roles run the same connection loop over one
+// frame-serving engine (internal/server.Engine):
 //
-//	standalone — one process, one session per client connection (default)
-//	shard      — owns a partition of the session ID space; serves routers
+//	standalone — client-facing: one session per client connection (default)
+//	shard      — backend: owns a partition of the session ID space; a
+//	             router's connection multiplexes many sessions
+//
+// and two more sit in front of them:
+//
 //	router     — owns client connections; places sessions on shards by a
 //	             rendezvous ring and forwards envelopes, shedding frames
 //	             early when a shard's pushed LoadSignal reports pressure

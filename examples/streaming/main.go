@@ -1,7 +1,7 @@
-// Streaming: the protocol-v2 session in one file. A standalone server
+// Streaming: the subscription session in one file. A standalone server
 // comes up over loopback (in production this is `arbd-server`), a client
-// dials it, negotiates v2 in the hello handshake, feeds one GPS fix, and
-// subscribes — from then on the server owns the frame clock and pushes
+// dials it, settles the protocol version in the hello handshake, feeds one
+// GPS fix, and subscribes — from then on the server owns the frame clock and pushes
 // the overlay at the requested cadence; the client just drains a channel.
 // Compare examples/quickstart, which polls the in-process API frame by
 // frame.
@@ -45,10 +45,10 @@ func main() {
 	}
 	defer srv.Close()
 
-	// Require v2 at dial time: against an old server this fails with a
-	// typed *arbd.VersionError instead of a mid-session surprise.
-	client, err := arbd.DialContext(context.Background(), addr,
-		arbd.DialOptions{MinProto: arbd.ProtoV2})
+	// Every connection opens with a hello: against a server that speaks no
+	// version this client can, Dial fails with a typed *arbd.VersionError
+	// instead of a mid-session surprise.
+	client, err := arbd.Dial(addr)
 	if err != nil {
 		log.Fatal(err)
 	}

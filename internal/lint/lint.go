@@ -11,7 +11,9 @@
 //   - wirepin: every exported wire.MsgType constant is pinned (value and
 //     all) in the package's pin test, values are unique, proto-version
 //     constants are exercised by tests, and switches over MsgType inside
-//     the declaring package are exhaustive.
+//     the declaring package are exhaustive — as is, in any package, every
+//     MsgType switch of a function annotated //arbd:dispatch (the serving
+//     loop: each message type is decided on every role).
 //   - lockorder: no net.Conn calls, unbuffered channel sends, or
 //     time.Sleep while a sync.Mutex/RWMutex locked in the same function
 //     is held, and every Lock has a matching Unlock in the function.

@@ -139,6 +139,17 @@ func TestWirepinQuiet(t *testing.T) {
 	expectQuiet(t, "wire_clean")
 }
 
+func TestDispatchFires(t *testing.T) {
+	expectFindings(t, "dispatch_bad", "wirepin", []string{
+		"dispatch switch in serve misses MsgBeta",
+		"//arbd:dispatch function chain has no switch over MsgType",
+	})
+}
+
+func TestDispatchQuiet(t *testing.T) {
+	expectQuiet(t, "dispatch_clean")
+}
+
 func TestFindingString(t *testing.T) {
 	f := Finding{
 		Pos:      token.Position{Filename: "internal/wire/codec.go", Line: 42},

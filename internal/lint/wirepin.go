@@ -21,23 +21,16 @@ import (
 //     exhaustive over the exported constants (String(), codec dispatch)
 //   - every exported Proto* version constant must be exercised by the
 //     package's tests
+//
+// and, on every package, the dispatch contract: a function annotated
+// //arbd:dispatch must switch over a MsgType (wherever it is declared) and
+// name every exported constant in each such switch — the serving loop
+// decides every message type on every role, so a new type cannot be
+// handled on one and forgotten on the other.
 func analyzeWirepin(fset *token.FileSet, p *pkgInfo) []Finding {
 	if p.pkg == nil {
 		return nil
 	}
-	scope := p.pkg.Scope()
-	tn, ok := scope.Lookup("MsgType").(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return nil
-	}
-	if b, ok := named.Underlying().(*types.Basic); !ok || b.Info()&types.IsInteger == 0 {
-		return nil
-	}
-
 	var out []Finding
 	report := func(pos token.Pos, format string, args ...any) {
 		out = append(out, Finding{
@@ -45,6 +38,16 @@ func analyzeWirepin(fset *token.FileSet, p *pkgInfo) []Finding {
 			Analyzer: "wirepin",
 			Message:  fmt.Sprintf(format, args...),
 		})
+	}
+	checkDispatch(p, report)
+	scope := p.pkg.Scope()
+	tn, ok := scope.Lookup("MsgType").(*types.TypeName)
+	if !ok {
+		return out
+	}
+	named, ok := tn.Type().(*types.Named)
+	if !ok || !isMsgType(named) {
+		return out
 	}
 
 	// Declared exported constants of type MsgType, with compiled values.
@@ -112,18 +115,7 @@ func analyzeWirepin(fset *token.FileSet, p *pkgInfo) []Finding {
 			if tagT == nil || !types.Identical(tagT, named) {
 				return true
 			}
-			covered := make(map[string]bool)
-			for _, stmt := range sw.Body.List {
-				cc, ok := stmt.(*ast.CaseClause)
-				if !ok {
-					continue
-				}
-				for _, e := range cc.List {
-					if id, ok := e.(*ast.Ident); ok {
-						covered[id.Name] = true
-					}
-				}
-			}
+			covered := casesNamed(sw)
 			for name := range declared {
 				if !covered[name] {
 					report(sw.Pos(), "switch over MsgType misses %s; codec switches must be exhaustive", name)
@@ -159,6 +151,71 @@ func analyzeWirepin(fset *token.FileSet, p *pkgInfo) []Finding {
 	}
 
 	return out
+}
+
+// isMsgType reports whether named is a defined integer type called MsgType.
+func isMsgType(named *types.Named) bool {
+	b, ok := named.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsInteger != 0 && named.Obj().Name() == "MsgType"
+}
+
+// casesNamed collects the constant names a switch's case clauses list,
+// bare (MsgX) or qualified (wire.MsgX).
+func casesNamed(sw *ast.SwitchStmt) map[string]bool {
+	covered := make(map[string]bool)
+	for _, stmt := range sw.Body.List {
+		cc, ok := stmt.(*ast.CaseClause)
+		if !ok {
+			continue
+		}
+		for _, e := range cc.List {
+			switch e := e.(type) {
+			case *ast.Ident:
+				covered[e.Name] = true
+			case *ast.SelectorExpr:
+				covered[e.Sel.Name] = true
+			}
+		}
+	}
+	return covered
+}
+
+// checkDispatch checks //arbd:dispatch functions: each must contain a
+// switch over a MsgType, and every such switch must name every exported
+// constant of that type.
+func checkDispatch(p *pkgInfo, report func(pos token.Pos, format string, args ...any)) {
+	for _, file := range p.files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !funcHasDirective(fd, "dispatch") {
+				continue
+			}
+			switches := 0
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				sw, ok := n.(*ast.SwitchStmt)
+				if !ok || sw.Tag == nil {
+					return true
+				}
+				named, ok := p.info.TypeOf(sw.Tag).(*types.Named)
+				if !ok || !isMsgType(named) || named.Obj().Pkg() == nil {
+					return true
+				}
+				switches++
+				covered := casesNamed(sw)
+				scope := named.Obj().Pkg().Scope()
+				for _, name := range scope.Names() {
+					c, ok := scope.Lookup(name).(*types.Const)
+					if ok && c.Exported() && types.Identical(c.Type(), named) && !covered[name] {
+						report(sw.Pos(), "dispatch switch in %s misses %s; every MsgType must be decided on every role", fd.Name.Name, name)
+					}
+				}
+				return true
+			})
+			if switches == 0 {
+				report(fd.Pos(), "//arbd:dispatch function %s has no switch over MsgType", fd.Name.Name)
+			}
+		}
+	}
 }
 
 // pinTable extracts {constName: pinnedValue} from the first composite

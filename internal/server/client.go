@@ -32,11 +32,6 @@ func corePoint(lat, lon float64) geo.Point { return geo.Point{Lat: lat, Lon: lon
 
 // DialOptions tunes the connection handshake.
 type DialOptions struct {
-	// MinProto is the lowest protocol version the client accepts (default
-	// wire.ProtoV1). A streaming-only caller passes wire.ProtoV2: dialing
-	// a v1 server then fails the handshake with a *wire.VersionError
-	// instead of failing later, mid-session, on the first Subscribe.
-	MinProto uint32
 	// MaxProto caps the version the client announces (default
 	// wire.ProtoMax). Benchmarks pin older versions here to compare wire
 	// formats — a v3-capped client subscribes without the delta flag and
@@ -79,8 +74,7 @@ type Client struct {
 	seq atomic.Uint64
 
 	proto      uint32 // negotiated protocol version
-	serverVer  uint32 // version the server announced
-	sessionID  uint64 // session the server assigned (0 on legacy servers)
+	sessionID  uint64 // session the server assigned
 	pushesDrop atomic.Int64
 
 	mu      sync.Mutex
@@ -203,9 +197,6 @@ func DialContext(ctx context.Context, addr string, opts DialOptions) (*Client, e
 // byte-counting conns here), runs the hello handshake, and starts the
 // reader. The client owns conn from this point, success or failure.
 func NewClient(ctx context.Context, conn net.Conn, opts DialOptions) (*Client, error) {
-	if opts.MinProto == 0 {
-		opts.MinProto = wire.ProtoV1
-	}
 	if opts.MaxProto == 0 {
 		opts.MaxProto = wire.ProtoMax
 	}
@@ -219,51 +210,21 @@ func NewClient(ctx context.Context, conn net.Conn, opts DialOptions) (*Client, e
 		pending: make(map[uint64]chan *wire.Envelope),
 		done:    make(chan struct{}),
 	}
-	if err := c.handshake(ctx, opts); err != nil {
-		_ = conn.Close()
-		return nil, err
+	// The dialer's hello, under the context's deadline. It runs before the
+	// reader goroutine exists, so it reads the connection directly; a server
+	// speaking no version this client can fails it with a *wire.VersionError.
+	if dl, ok := ctx.Deadline(); ok {
+		_ = conn.SetDeadline(dl)
 	}
+	peer, proto, err := dialHello(c.fr, c.fw, opts.Name, opts.MaxProto)
+	if err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("client: handshake: %w", err)
+	}
+	_ = conn.SetDeadline(time.Time{})
+	c.proto, c.sessionID = proto, peer.ID
 	go c.readLoop()
 	return c, nil
-}
-
-// handshake sends the client hello and settles the protocol version with
-// the server's reply. It runs before the reader goroutine exists, so it
-// reads the connection directly.
-func (c *Client) handshake(ctx context.Context, opts DialOptions) error {
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(dl)
-		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-	}
-	var hello wire.Buffer
-	wire.EncodeHelloInto(&hello, wire.Hello{Name: opts.Name, Version: opts.MaxProto})
-	seq := c.seq.Add(1)
-	if err := c.writeEnvelope(&wire.Envelope{Type: wire.MsgHello, Seq: seq, Payload: hello.Bytes()}); err != nil {
-		return fmt.Errorf("client: handshake: %w", err)
-	}
-	env, err := c.fr.ReadEnvelope()
-	if err != nil {
-		return fmt.Errorf("client: handshake: %w", err)
-	}
-	switch env.Type {
-	case wire.MsgHello:
-	case wire.MsgError:
-		return fmt.Errorf("client: handshake rejected: %s", env.Payload)
-	default:
-		return fmt.Errorf("client: handshake: server answered hello with %v", env.Type)
-	}
-	peer, err := wire.DecodeHello(env.Payload)
-	if err != nil {
-		return fmt.Errorf("client: handshake: %w", err)
-	}
-	proto, err := wire.Negotiate(opts.MaxProto, peer.Version, opts.MinProto)
-	if err != nil {
-		return err // *wire.VersionError: typed, fails closed
-	}
-	c.proto = proto
-	c.serverVer = peer.Version
-	c.sessionID = peer.ID
-	return nil
 }
 
 // Proto returns the negotiated protocol version.
@@ -553,7 +514,8 @@ func (c *Client) SendGaze(s sensor.GazeSample) error {
 }
 
 // RequestFrame asks for the current overlay and blocks for the reply —
-// the legacy polling path, kept for v1 servers and one-shot uses.
+// the polling path, for one-shot uses and clients that own their frame
+// clock.
 func (c *Client) RequestFrame() (*core.DecodedFrame, time.Duration, error) {
 	return c.RequestFrameContext(context.Background())
 }
@@ -587,16 +549,11 @@ func (c *Client) PingContext(ctx context.Context) error {
 	return nil
 }
 
-// Subscribe switches the session to server-pushed frames (protocol v2):
-// the server owns the frame clock from here and the returned channel
-// yields decoded frames until Unsubscribe, context cancellation, or
-// connection close — after which StreamErr reports why. Requires a
-// v2-negotiated connection; against a v1 server it fails closed with a
-// *wire.VersionError without touching the wire.
+// Subscribe switches the session to server-pushed frames: the server owns
+// the frame clock from here and the returned channel yields decoded frames
+// until Unsubscribe, context cancellation, or connection close — after
+// which StreamErr reports why.
 func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (<-chan *core.DecodedFrame, error) {
-	if c.proto < wire.ProtoV2 {
-		return nil, &wire.VersionError{Local: wire.ProtoMax, Remote: c.serverVer, Need: wire.ProtoV2}
-	}
 	// Reject out-of-range options instead of truncating them into a
 	// different cadence — the codec enforces the same rule on decode.
 	const maxU32 = 1<<32 - 1

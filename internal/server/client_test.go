@@ -3,10 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +14,7 @@ import (
 	"arbd/internal/core"
 	"arbd/internal/geo"
 	"arbd/internal/metrics"
+	"arbd/internal/render"
 	"arbd/internal/sensor"
 	"arbd/internal/wire"
 )
@@ -67,7 +68,7 @@ func encodeTaggedFrame(tag uint64) []byte {
 // annotations envelope (wrong seq) first, then the real reply; the client
 // must return the frame whose envelope carried the request's seq.
 func TestRequestFrameMatchesSeq(t *testing.T) {
-	addr := fakeServer(t, wire.ProtoV2, func(fr *wire.FrameReader, fw *wire.FrameWriter) {
+	addr := fakeServer(t, wire.ProtoMin, func(fr *wire.FrameReader, fw *wire.FrameWriter) {
 		for {
 			env, err := fr.ReadEnvelope()
 			if err != nil {
@@ -105,7 +106,7 @@ func TestRequestFrameMatchesSeq(t *testing.T) {
 // still get its own reply.
 func TestPipelinedRequestsMatchOutOfOrderReplies(t *testing.T) {
 	const batch = 4
-	addr := fakeServer(t, wire.ProtoV2, func(fr *wire.FrameReader, fw *wire.FrameWriter) {
+	addr := fakeServer(t, wire.ProtoMin, func(fr *wire.FrameReader, fw *wire.FrameWriter) {
 		for {
 			var pend []*wire.Envelope
 			for len(pend) < batch {
@@ -161,110 +162,204 @@ func TestPipelinedRequestsMatchOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// TestDialVersionMismatchTyped pins the fail-closed handshake: a client
-// requiring v2 against a v1-only server gets a *wire.VersionError from
-// Dial — typed, immediate, no hang — and a default client that settled on
-// v1 gets the same typed error from Subscribe without touching the wire.
+// TestDialVersionMismatchTyped pins the fail-closed handshake from the
+// dialer's side: a server announcing a version below the floor fails the
+// dial itself with a *wire.VersionError — typed, immediate, no hang, no
+// client left half-open.
 func TestDialVersionMismatchTyped(t *testing.T) {
-	_, addr := startServerV1(t)
-
-	// Requiring v2 fails the dial itself.
-	_, err := DialContext(context.Background(), addr, DialOptions{MinProto: wire.ProtoV2})
+	addr := fakeServer(t, wire.ProtoMin-1, nil)
+	_, err := Dial(addr)
 	var ve *wire.VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("dial error = %v, want *wire.VersionError", err)
 	}
-	if ve.Remote != wire.ProtoV1 || ve.Need != wire.ProtoV2 {
+	if ve.Remote != wire.ProtoMin-1 || ve.Need != wire.ProtoMin {
 		t.Fatalf("version error fields: %+v", ve)
 	}
-
-	// A tolerant client connects at v1, but Subscribe fails typed.
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Proto() != wire.ProtoV1 {
-		t.Fatalf("negotiated %d, want v1", cl.Proto())
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := cl.Subscribe(context.Background(), SubscribeOptions{})
-		done <- err
-	}()
-	select {
-	case err = <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Subscribe against v1 server hung")
-	}
-	if !errors.As(err, &ve) {
-		t.Fatalf("subscribe error = %v, want *wire.VersionError", err)
-	}
-	// Request/reply still works on the negotiated v1 connection.
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// startServerV1 is startServer pinned to protocol v1.
-func startServerV1(t *testing.T) (*Server, string) {
-	t.Helper()
-	p := newTestPlatform(t)
-	srv := NewWithOptions(p, discardLogger(),
-		Options{Scheduler: SchedulerConfig{Deadline: -1}, MaxProto: wire.ProtoV1})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// overlayKey is the wire-visible content of an overlay, for comparing a
+// frame that crossed the wire with a reference render.
+func overlayKey(anns []render.Annotation) string {
+	var b wire.Buffer
+	for _, a := range anns {
+		b.Uvarint(a.ID)
+		b.String(a.Label)
+		for _, v := range []float64{a.X, a.Y, a.W, a.H, a.Anchor.Lat, a.Anchor.Lon} {
+			b.Float64(v)
+		}
+		b.Bool(a.XRay)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
-	return srv, addr
+	return string(b.Bytes())
 }
 
-// TestSubscribeStandalone is the v2 streaming happy path on a standalone
+// TestSubscribeStandalone is the streaming happy path on a standalone
 // server: subscribe once, then pushed frames arrive at a steady cadence
 // with strictly increasing stream seqs and no further requests from the
-// client; unsubscribe closes the channel cleanly.
+// client; unsubscribe closes the channel cleanly. In between it is the
+// regression test for the encode race the standalone role used to have: with
+// the subscription ticking at the minimum interval, the same connection
+// polls RequestFrame in a loop while sensors move the pose, so two renders
+// of one session are always in flight — and every frame, polled or pushed,
+// must be one a mirror session fed the same sensor samples rendered alone.
 func TestSubscribeStandalone(t *testing.T) {
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Proto() < wire.ProtoV2 {
-		t.Fatalf("negotiated %d, want >= v2", cl.Proto())
+	if cl.Proto() != wire.ProtoMax {
+		t.Fatalf("negotiated v%d, want v%d", cl.Proto(), wire.ProtoMax)
 	}
 	if cl.SessionID() == 0 {
 		t.Fatal("handshake did not carry the session ID")
 	}
-	if err := cl.SendGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
+
+	// The mirror: an in-process session on the same platform, stepped
+	// through the same samples just before the server's is. Sample times
+	// are built from integers so both fusers see identical intervals. Each
+	// step's overlay is recorded before the step is sent, so whichever
+	// state the server renders at, its reference is already there.
+	platform := srv.Engine().Platform()
+	mirror := platform.NewSession()
+	defer func() { _ = platform.EndSession(mirror.ID) }()
+	var refMu sync.Mutex
+	refs := make(map[string]bool)
+	base := time.Now().UnixNano()
+	step := func(i int) error {
+		at := time.Unix(0, base+int64(i)*int64(10*time.Millisecond))
+		fix := sensor.GPSFix{Time: at, Position: geo.Destination(center, 90, float64(i)), AccuracyM: 3}
+		imu := sensor.IMUSample{Time: at, CompassDeg: float64(i % 360)}
+		record := func() error {
+			for {
+				f, err := mirror.Frame(at)
+				if err != nil {
+					return err
+				}
+				if f.Level == core.DegradeNone { // a slow reference render degrades the next; redo
+					refMu.Lock()
+					refs[overlayKey(f.Annotations)] = true
+					refMu.Unlock()
+					return nil
+				}
+			}
+		}
+		if err := mirror.OnGPS(fix); err != nil {
+			return err
+		}
+		if err := record(); err != nil {
+			return err
+		}
+		if err := cl.SendGPS(fix); err != nil {
+			return err
+		}
+		mirror.OnIMU(imu)
+		if err := record(); err != nil {
+			return err
+		}
+		return cl.SendIMU(imu)
+	}
+	// check holds a frame that crossed the wire against the references. A
+	// frame the server rendered degraded (a stall blew its frame budget) has
+	// no reference and only has to decode, which it already did.
+	check := func(kind string, f *core.DecodedFrame) error {
+		refMu.Lock()
+		defer refMu.Unlock()
+		if f.Level == core.DegradeNone && !refs[overlayKey(f.Annotations)] {
+			return fmt.Errorf("%s frame (seq %d) matches no reference render: %+v", kind, f.Seq, f.Annotations)
+		}
+		return nil
+	}
+
+	if err := step(0); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := cl.Subscribe(context.Background(), SubscribeOptions{Interval: 2 * time.Millisecond})
+	frames, err := cl.Subscribe(context.Background(), SubscribeOptions{Interval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lastSeq uint64
-	var got int
-	deadline := time.After(10 * time.Second)
-	for got < 10 {
+	nextPush := func() *core.DecodedFrame {
+		t.Helper()
 		select {
 		case f, ok := <-frames:
 			if !ok {
-				t.Fatalf("stream closed after %d frames: %v", got, cl.StreamErr())
+				t.Fatalf("stream closed at seq %d: %v", lastSeq, cl.StreamErr())
 			}
 			if f.Seq <= lastSeq {
 				t.Fatalf("push seq went %d -> %d: not strictly increasing", lastSeq, f.Seq)
 			}
 			lastSeq = f.Seq
-			if len(f.Annotations) == 0 {
-				t.Fatal("pushed frame carries no annotations")
+			if err := check("pushed", f); err != nil {
+				t.Fatal(err)
 			}
-			got++
-		case <-deadline:
-			t.Fatalf("only %d pushed frames arrived", got)
+			return f
+		case <-time.After(10 * time.Second):
+			t.Fatalf("stream stalled at seq %d", lastSeq)
+			return nil
 		}
 	}
+	for got := 0; got < 10; got++ {
+		if f := nextPush(); len(f.Annotations) == 0 {
+			t.Fatal("pushed frame carries no annotations")
+		}
+	}
+
+	// Pollers and the sensor walk run beside the stream until enough of
+	// each kind of frame has been checked.
+	const wantPolled, wantSteps = 100, 100
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := step(i); err != nil {
+				errs <- err
+				return
+			}
+			if i == wantSteps {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for n := 0; n < wantPolled; n++ {
+			f, _, err := cl.RequestFrame()
+			if err == nil {
+				err = check("polled", f)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			nextPush()
+		}
+	}
+	close(stop)
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+
 	if err := cl.Unsubscribe(); err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +426,7 @@ func TestSubscribeContextCancelUnsubscribes(t *testing.T) {
 func TestCloseUnblocksSubscribersAndWaiters(t *testing.T) {
 	// A server that acks subscribes but then goes silent, so the client
 	// has a live stream and a hanging request.
-	addr := fakeServer(t, wire.ProtoV2, func(fr *wire.FrameReader, fw *wire.FrameWriter) {
+	addr := fakeServer(t, wire.ProtoMin, func(fr *wire.FrameReader, fw *wire.FrameWriter) {
 		for {
 			env, err := fr.ReadEnvelope()
 			if err != nil {
@@ -585,35 +680,13 @@ func TestSubscribeTwiceFails(t *testing.T) {
 	}
 }
 
-// TestLegacyRawClientStillServed pins v1 compatibility on the standalone
-// server: a connection that never says hello speaks the old protocol
-// unchanged, and a subscribe attempt on it is rejected with a version
-// error rather than honoured or hung.
-func TestLegacyRawClientStillServed(t *testing.T) {
-	_, addr := startServer(t)
-	rc := dialRaw(t, addr)
-	rc.sendGPS(t, 0, center)
-	seq := rc.send(t, wire.MsgFrameRequest, 0, nil)
-	env := rc.read(t)
-	if env.Type != wire.MsgAnnotations || env.Seq != seq {
-		t.Fatalf("legacy frame reply = %v seq %d, want annotations seq %d", env.Type, env.Seq, seq)
-	}
-	var sb wire.Buffer
-	wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: 1})
-	rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
-	env = rc.read(t)
-	if env.Type != wire.MsgError || !strings.Contains(string(env.Payload), "version mismatch") {
-		t.Fatalf("v1 subscribe reply = %v %q, want version-mismatch error", env.Type, env.Payload)
-	}
-}
-
-// TestRawV2SubscribePushesWithoutRequests is the wire-level acceptance
+// TestRawSubscribePushesWithoutRequests is the wire-level acceptance
 // check: after hello and subscribe, pushed frames arrive with strictly
 // increasing seqs while the client sends nothing at all.
-func TestRawV2SubscribePushesWithoutRequests(t *testing.T) {
+func TestRawSubscribePushesWithoutRequests(t *testing.T) {
 	_, addr := startServer(t)
 	rc := dialRaw(t, addr)
-	peer := rc.hello(t, "raw-v2", wire.ProtoMax)
+	peer := rc.hello(t, "raw", wire.ProtoMax)
 	if peer.Version != wire.ProtoMax {
 		t.Fatalf("server announced v%d", peer.Version)
 	}

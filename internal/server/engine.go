@@ -1,10 +1,5 @@
-// The frame-serving engine and the shared listener plumbing. Three roles
-// are built on the Engine: the standalone Server (one session per client
-// connection), the Shard (a partition of the session ID space, sessions
-// resolved per envelope), and the Router (no engine of its own — it owns
-// client connections and forwards to shards). Extracting the engine from
-// the TCP listener is what lets one process serve any role with identical
-// frame semantics.
+// The frame-serving engine and the listener plumbing the session-serving
+// connection loop (conn.go) and the Router share.
 package server
 
 import (
@@ -16,6 +11,7 @@ import (
 	"time"
 
 	"arbd/internal/core"
+	"arbd/internal/metrics"
 	"arbd/internal/obs"
 	"arbd/internal/sensor"
 	"arbd/internal/wire"
@@ -23,18 +19,20 @@ import (
 
 // Engine bundles what every frame-serving role shares: the platform, the
 // bounded frame scheduler, and the pooled response-encode buffers. It has
-// no listener — roles own their connections and call into the engine per
-// envelope.
+// no listener — the connection loop calls into the engine per envelope.
 type Engine struct {
 	platform *core.Platform
 	sched    *FrameScheduler
 	// wheel is the shared pacing clock for every subscription stream the
 	// engine serves: one goroutine regardless of subscriber count.
 	wheel *pacerWheel
-	// rec is the frame flight recorder: every streamed frame's stage spans
-	// (admission, queue, render, encode, outbox, write) land in its ring,
-	// always on. Its instruments live in the platform registry.
+	// rec is the frame flight recorder: every frame's stage spans — polled
+	// or streamed (admission, queue, render, encode, outbox, write) — land
+	// in its ring, always on. Its instruments live in the platform registry.
 	rec *obs.Recorder
+	// streamDropped counts pushes shed by connection outboxes, resolved
+	// here so no connection pays a registry lookup.
+	streamDropped *metrics.Counter
 	// live tracks the engine's running subscription streams for the
 	// introspection plane's /debug/arbd/streams summary.
 	liveMu sync.Mutex
@@ -43,6 +41,8 @@ type Engine struct {
 	// into a pooled wire.Buffer handed to the framed writer, then the
 	// buffer returns to the pool — no per-response allocations.
 	bufs sync.Pool
+	// polls pools the per-request state of polled frames (pollJob).
+	polls sync.Pool
 }
 
 // NewEngine builds an engine over the platform with the server's scheduler
@@ -65,9 +65,12 @@ func NewEngine(p *core.Platform, opts Options) *Engine {
 		sched:    NewFrameScheduler(opts.Scheduler, p.Metrics()),
 		rec:      obs.NewRecorder(p.Metrics(), obs.Options{}),
 		live:     make(map[*frameStream]struct{}),
+
+		streamDropped: p.Metrics().Counter("server.stream.dropped"),
 	}
 	e.wheel = newPacerWheel(p.Metrics().Gauge("server.stream.pacers"))
 	e.bufs.New = func() any { return wire.NewBuffer(1024) }
+	e.polls.New = newPollJob
 	return e
 }
 
@@ -87,89 +90,34 @@ func (e *Engine) Close() {
 	e.sched.Close()
 }
 
-// handle applies one inbound envelope against sess. When hasReply is true,
-// reply has been filled in; pooled (when non-nil) backs reply.Payload and
-// must be released only after the reply has been written.
-func (e *Engine) handle(sess *core.Session, env, reply *wire.Envelope) (hasReply bool, pooled *wire.Buffer, err error) {
-	switch env.Type {
-	case wire.MsgSensorEvent:
-		return false, nil, applySensor(sess, env.Payload) // sensor stream is one-way
-	case wire.MsgFrameRequest:
-		f, err := e.sched.Frame(sess)
-		if err != nil {
-			return false, nil, err
-		}
-		pooled = e.encodeFrameReply(reply, sess.ID, env.Seq, f)
-		return true, pooled, nil
-	case wire.MsgControl:
-		*reply = wire.Envelope{Type: wire.MsgAck, Seq: env.Seq, Session: sess.ID}
-		return true, nil, nil
-	default:
-		return false, nil, fmt.Errorf("server: unsupported message %v", env.Type)
-	}
-}
-
-// encodeFrameReply encodes f into a pooled buffer and fills reply as the
-// annotations response for (session, seq). The returned buffer backs
+// encodeFrame is the visit half every delivered frame shares, run under the
+// session lock right after the render: the window since the flight's last
+// mark spans queue wait plus render and is split by the render's own
+// duration (f.Elapsed); then f is encoded into a pooled buffer and reply
+// filled as a t envelope for (session, seq) — the full frame for
+// MsgAnnotations and MsgFramePush; for MsgFrameDelta a diff against the
+// session's previous frame, or a full keyframe body when keyframe is set
+// (or the frame has no previous layout). The returned buffer backs
 // reply.Payload; release it after the write.
 //
 //arbd:hotpath
-func (e *Engine) encodeFrameReply(reply *wire.Envelope, session, seq uint64, f *core.Frame) *wire.Buffer {
+func (e *Engine) encodeFrame(fl *obs.Flight, reply *wire.Envelope, t wire.MsgType, session, seq uint64, f *core.Frame, keyframe bool) *wire.Buffer {
+	fl.SetSeq(seq)
+	fl.MarkSplit(obs.StageQueue, obs.StageRender, f.Elapsed)
 	buf := e.bufs.Get().(*wire.Buffer)
 	buf.Reset()
-	core.EncodeFrameInto(buf, f)
-	*reply = wire.Envelope{
-		Type: wire.MsgAnnotations, Seq: seq, Session: session,
-		Payload: buf.Bytes(),
+	if t == wire.MsgFrameDelta {
+		core.EncodeFrameDeltaInto(buf, f, keyframe)
+	} else {
+		core.EncodeFrameInto(buf, f)
 	}
-	return buf
-}
-
-// encodeFrameDeltaReply encodes f into a pooled buffer as a MsgFrameDelta
-// push for (session, seq) — a full keyframe body when keyframe is set (or
-// the frame has no previous layout), a diff against the session's previous
-// frame otherwise. The returned buffer backs reply.Payload; release it
-// after the write.
-//
-//arbd:hotpath
-func (e *Engine) encodeFrameDeltaReply(reply *wire.Envelope, session, seq uint64, f *core.Frame, keyframe bool) *wire.Buffer {
-	buf := e.bufs.Get().(*wire.Buffer)
-	buf.Reset()
-	core.EncodeFrameDeltaInto(buf, f, keyframe)
-	*reply = wire.Envelope{
-		Type: wire.MsgFrameDelta, Seq: seq, Session: session,
-		Payload: buf.Bytes(),
-	}
+	*reply = wire.Envelope{Type: t, Seq: seq, Session: session, Payload: buf.Bytes()}
+	fl.Mark(obs.StageEncode)
 	return buf
 }
 
 // release returns a pooled response buffer.
 func (e *Engine) release(buf *wire.Buffer) { e.bufs.Put(buf) }
-
-// answerHello handles an inbound MsgHello on a listener-side connection:
-// it decodes the peer's announced version, writes this node's hello reply
-// (identity chosen by the role; localMax is the highest protocol version
-// the role speaks, normally wire.ProtoMax), and returns the version both
-// sides settled on. Mismatches fail closed: a MsgError carrying the typed
-// error's text goes back and the connection should be dropped.
-func answerHello(w *lockedWriter, env *wire.Envelope, id uint64, name string, localMax uint32) (peer wire.Hello, proto uint32, err error) {
-	peer, err = wire.DecodeHello(env.Payload)
-	if err != nil {
-		_ = w.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())})
-		return peer, 0, err
-	}
-	proto, err = wire.Negotiate(localMax, peer.Version, wire.ProtoMin)
-	if err != nil {
-		_ = w.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())})
-		return peer, 0, err
-	}
-	var buf wire.Buffer
-	wire.EncodeHelloInto(&buf, wire.Hello{ID: id, Name: name, Version: localMax})
-	if err := w.write(&wire.Envelope{Type: wire.MsgHello, Seq: env.Seq, Session: id, Payload: buf.Bytes()}); err != nil {
-		return peer, 0, err
-	}
-	return peer, proto, nil
-}
 
 // lockedWriter serialises envelope writes to one connection shared by
 // several goroutines — scheduler callbacks, load pushers, stream outboxes,

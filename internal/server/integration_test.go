@@ -69,6 +69,16 @@ func runSeqClient(addr string, id, rounds int, sessionCh chan<- uint64) error {
 		return fw.Flush()
 	}
 
+	// The mandatory hello; its reply names the connection's session.
+	var hb wire.Buffer
+	wire.EncodeHelloInto(&hb, wire.Hello{Name: "seq-client", Version: wire.ProtoMax})
+	if err := send(wire.MsgHello, hb.Bytes()); err != nil {
+		return fmt.Errorf("hello: %w", err)
+	}
+	if env, err := fr.ReadEnvelope(); err != nil || env.Type != wire.MsgHello {
+		return fmt.Errorf("hello reply: %v, %v", env, err)
+	}
+
 	var session uint64
 	for r := 0; r < rounds; r++ {
 		// GPS fix: one-way, no reply — the next reply on the wire must

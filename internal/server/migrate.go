@@ -220,12 +220,6 @@ func (r *Router) runMoves(moves []move, gates map[uint64]gateHandle) {
 // the new one, resume its subscription. The caller holds the session's
 // gate, so no client envelope races the move.
 func (r *Router) migrateSession(id uint64, from, to *routerShard) error {
-	if p := from.proto(); p < wire.ProtoV3 {
-		return fmt.Errorf("source shard %d speaks v%d; live migration needs v%d", from.member.ID, p, wire.ProtoV3)
-	}
-	if p := to.proto(); p < wire.ProtoV3 {
-		return fmt.Errorf("destination shard %d speaks v%d; live migration needs v%d", to.member.ID, p, wire.ProtoV3)
-	}
 	m := &migration{resp: make(chan migResult, 2)}
 	r.migMu.Lock()
 	r.migrations[id] = m
@@ -347,16 +341,7 @@ func (r *Router) Join(m Member) (*membership.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bc.proto < wire.ProtoV3 {
-		_ = bc.conn.Close()
-		return nil, fmt.Errorf("server: shard %d speaks v%d; live join needs v%d", m.ID, bc.proto, wire.ProtoV3)
-	}
-	ss := &routerShard{member: m, bc: bc}
-	ss.pend.init()
-	r.shardsMu.Lock()
-	r.shards[m.ID] = ss
-	r.shardsMu.Unlock()
-	go r.shardReader(ss, bc)
+	ss := r.attachShard(m, bc)
 
 	// Plan, gate, and publish under the change lock (writer side): no
 	// forward happens in between, so a session connecting mid-change
@@ -486,7 +471,7 @@ func (r *Router) serveAdmin(conn net.Conn) {
 		}
 		switch env.Type {
 		case wire.MsgHello:
-			if _, _, err := answerHello(w, &env, 0, "router-admin", wire.ProtoMax); err != nil {
+			if _, err := checkHello(w, &env); err != nil || writeHello(w, env.Seq, 0, "router-admin") != nil {
 				return
 			}
 		case wire.MsgJoinShard:

@@ -1,7 +1,7 @@
-// Introspection-plane wiring: each role builds an obs.Plane over its own
-// registry, flight recorder, and live session/stream state. The plane is
-// pull-only — handlers snapshot state on request — so wiring it costs the
-// serving path nothing.
+// Introspection-plane wiring: a node or a router builds an obs.Plane over
+// its own registry, flight recorder, and live session/stream state. The
+// plane is pull-only — handlers snapshot state on request — so wiring it
+// costs the serving path nothing.
 package server
 
 import (
@@ -63,37 +63,24 @@ func sessionSummaries(p *core.Platform) []obs.SessionSummary {
 	return out
 }
 
-// loadFn adapts a core.LoadSignal source to the plane's Load callback.
-func loadFn(sig func() core.LoadSignal) func() (time.Duration, int64) {
-	return func() (time.Duration, int64) {
-		s := sig()
-		return s.FlushLatency, s.Backlog
+// ObsPlane builds the node's introspection plane. On a shard, Node carries
+// the ring member ID so scraped traces attribute to the right partition.
+func (n *node) ObsPlane() *obs.Plane {
+	role := "standalone"
+	if n.backend {
+		role = "shard"
 	}
-}
-
-// ObsPlane builds the standalone server's introspection plane.
-func (s *Server) ObsPlane() *obs.Plane {
 	return obs.NewPlane(obs.PlaneConfig{
-		Role:     "standalone",
-		Registry: s.eng.platform.Metrics(),
-		Recorder: s.eng.rec,
-		Sessions: func() []obs.SessionSummary { return sessionSummaries(s.eng.platform) },
-		Streams:  s.eng.StreamSummaries,
-		Load:     loadFn(s.eng.platform.LoadSignal),
-	})
-}
-
-// ObsPlane builds the shard's introspection plane. Node carries the shard's
-// ring member ID so scraped traces attribute to the right partition.
-func (sh *Shard) ObsPlane() *obs.Plane {
-	return obs.NewPlane(obs.PlaneConfig{
-		Role:     "shard",
-		Node:     sh.id,
-		Registry: sh.eng.platform.Metrics(),
-		Recorder: sh.eng.rec,
-		Sessions: func() []obs.SessionSummary { return sessionSummaries(sh.eng.platform) },
-		Streams:  sh.eng.StreamSummaries,
-		Load:     loadFn(sh.load),
+		Role:     role,
+		Node:     n.id,
+		Registry: n.eng.platform.Metrics(),
+		Recorder: n.eng.rec,
+		Sessions: func() []obs.SessionSummary { return sessionSummaries(n.eng.platform) },
+		Streams:  n.eng.StreamSummaries,
+		Load: func() (time.Duration, int64) {
+			s := n.load()
+			return s.FlushLatency, s.Backlog
+		},
 	})
 }
 

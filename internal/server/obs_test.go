@@ -226,3 +226,62 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 	_ = cl.Close()
 	<-drained
 }
+
+// TestObsPolledFramesRecorded pins that request/reply frames fly like
+// streamed ones: on both session-serving roles every polled frame leaves one
+// delivered flight record keyed by (session, request seq) whose spans
+// account for its total — so a poll-only deployment is as visible to
+// /debug/arbd/slow and the arbd_obs_* instruments as a streaming one.
+func TestObsPolledFramesRecorded(t *testing.T) {
+	srv, standalone := startServer(t)
+	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
+	for _, role := range []struct {
+		name string
+		addr string
+		rec  *obs.Recorder
+	}{
+		{"standalone", standalone, srv.Engine().Recorder()},
+		{"router→shard", tc.addr, tc.shards[0].Engine().Recorder()},
+	} {
+		t.Run(role.name, func(t *testing.T) {
+			cl, err := Dial(role.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if err := cl.SendGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
+				t.Fatal(err)
+			}
+			const polls = 5
+			for i := 0; i < polls; i++ {
+				if _, _, err := cl.RequestFrame(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A reply is written before its flight settles: poll for the last.
+			var mine []obs.FrameRecord
+			waitFor(t, "the polled frames' flight records", func() bool {
+				mine = mine[:0]
+				for _, r := range role.rec.Records(nil) {
+					if r.Session == cl.SessionID() {
+						mine = append(mine, r)
+					}
+				}
+				return len(mine) == polls
+			})
+			seqs := make(map[uint64]bool)
+			for _, r := range mine {
+				if r.Seq == 0 || seqs[r.Seq] {
+					t.Fatalf("record seq %d: want each request's own seq", r.Seq)
+				}
+				seqs[r.Seq] = true
+				if r.Err || r.Dropped || r.Shed || r.Spans[obs.StageRender] <= 0 || r.Spans[obs.StageOutbox] != 0 {
+					t.Fatalf("polled frame record = %+v, want delivered, rendered, never queued on an outbox", r)
+				}
+				if d := r.SpanSum() - r.Total; d > r.Total/100+1000 || d < -(r.Total/100+1000) {
+					t.Fatalf("span sum %dns vs total %dns — stages do not account for the latency", r.SpanSum(), r.Total)
+				}
+			}
+		})
+	}
+}

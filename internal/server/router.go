@@ -98,10 +98,6 @@ type RouterOptions struct {
 	DialTimeout time.Duration
 	// Retry is the backend reconnect budget (see RetryPolicy).
 	Retry RetryPolicy
-	// MaxProto caps the protocol version negotiated with clients (default
-	// wire.ProtoMax). Shard connections always negotiate the router's full
-	// range — capping the client side is what turns streaming off.
-	MaxProto uint32
 	// MigrateTimeout bounds each phase (export, import) of one session's
 	// live migration; a shard that stops answering mid-drain costs that
 	// session its state, not the drain its liveness (default 5 s).
@@ -130,9 +126,6 @@ func (o *RouterOptions) defaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	if o.MaxProto == 0 {
-		o.MaxProto = wire.ProtoMax
-	}
 	if o.MigrateTimeout <= 0 {
 		o.MigrateTimeout = 5 * time.Second
 	}
@@ -151,8 +144,8 @@ func (o *RouterOptions) defaults() {
 // forwards envelopes over persistent backend connections. Shards push
 // MsgLoad; the router runs the standalone server's lag-aware admission
 // against that remote pressure and sheds frame requests before wasting a
-// forward hop on an overlay that would arrive stale. Protocol-v2 frame
-// subscriptions forward with session affinity, the shard's MsgFramePush
+// forward hop on an overlay that would arrive stale. Frame subscriptions
+// forward with session affinity, the shard's MsgFramePush
 // replies traverse the hop back, and each client connection buffers pushes
 // on a drop-oldest outbox so one stalled reader cannot stall a shard
 // reader serving every other client.
@@ -264,10 +257,9 @@ func (e *subEntry) rebase() {
 
 // backendConn is one dialled-and-handshaken shard connection.
 type backendConn struct {
-	conn  net.Conn
-	w     *lockedWriter
-	fr    *wire.FrameReader
-	proto uint32
+	conn net.Conn
+	w    *lockedWriter
+	fr   *wire.FrameReader
 }
 
 // routerShard is one shard's slot: the current backend connection (swapped
@@ -312,14 +304,6 @@ func (ss *routerShard) backend() *backendConn {
 	return ss.bc
 }
 
-// proto returns the protocol version negotiated with the shard.
-func (ss *routerShard) proto() uint32 {
-	if bc := ss.backend(); bc != nil {
-		return bc.proto
-	}
-	return 0
-}
-
 // forward writes one envelope to the shard.
 func (ss *routerShard) forward(env *wire.Envelope) error {
 	if ss.down.Load() {
@@ -348,6 +332,9 @@ type routerClient struct {
 	fwdMu     sync.Mutex
 	migrating chan struct{}
 }
+
+// Member is one shard node in the membership NewRouter starts from.
+type Member = membership.Member
 
 // NewRouter returns a router over the membership (not yet connected or
 // listening). reg may be nil.
@@ -392,7 +379,7 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 func (r *Router) Metrics() *metrics.Registry { return r.reg }
 
 // Ring exposes the current epoch's placement ring.
-func (r *Router) Ring() *Ring { return r.dir.View().Ring() }
+func (r *Router) Ring() *membership.Ring { return r.dir.View().Ring() }
 
 // Directory exposes the membership control plane (epoch, watch API).
 func (r *Router) Directory() *membership.Directory { return r.dir }
@@ -429,20 +416,26 @@ func (r *Router) Connect() error {
 			r.shardsMu.Unlock()
 			return err
 		}
-		ss := &routerShard{member: m, bc: bc}
-		ss.pend.init()
-		r.shardsMu.Lock()
-		r.shards[m.ID] = ss
-		r.shardsMu.Unlock()
-		go r.shardReader(ss, bc)
+		r.attachShard(m, bc)
 	}
 	r.connected = true
 	return nil
 }
 
-// dialBackend dials one shard and runs the hello handshake: announce
-// ourselves, verify the peer announces the member ID the config claims,
-// and settle the protocol version.
+// attachShard installs a handshaken backend connection as the member's
+// slot and starts its reader.
+func (r *Router) attachShard(m Member, bc *backendConn) *routerShard {
+	ss := &routerShard{member: m, bc: bc}
+	ss.pend.init()
+	r.shardsMu.Lock()
+	r.shards[m.ID] = ss
+	r.shardsMu.Unlock()
+	go r.shardReader(ss, bc)
+	return ss
+}
+
+// dialBackend dials one shard and runs the hello handshake, verifying the
+// peer announces the member ID the config claims.
 func (r *Router) dialBackend(m Member) (*backendConn, error) {
 	conn, err := net.DialTimeout("tcp", m.Addr, r.opts.DialTimeout)
 	if err != nil {
@@ -450,44 +443,17 @@ func (r *Router) dialBackend(m Member) (*backendConn, error) {
 	}
 	fr := wire.NewFrameReader(conn)
 	fw := wire.NewFrameWriter(conn)
-
 	_ = conn.SetDeadline(time.Now().Add(r.opts.DialTimeout))
-	var buf wire.Buffer
-	wire.EncodeHelloInto(&buf, wire.Hello{Name: "router", Version: wire.ProtoMax})
-	if err := fw.WriteEnvelope(&wire.Envelope{Type: wire.MsgHello, Payload: buf.Bytes()}); err == nil {
-		err = fw.Flush()
+	hello, _, err := dialHello(fr, fw, "router", wire.ProtoMax)
+	if err == nil && hello.ID != m.ID {
+		err = fmt.Errorf("announced ID %d, config says %d — membership miswired", hello.ID, m.ID)
 	}
 	if err != nil {
 		_ = conn.Close()
-		return nil, fmt.Errorf("server: hello to shard %d: %w", m.ID, err)
-	}
-	env, err := fr.ReadEnvelope()
-	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("server: hello from shard %d: %w", m.ID, err)
-	}
-	if env.Type != wire.MsgHello {
-		_ = conn.Close()
-		return nil, fmt.Errorf("server: shard %d answered hello with %v: %s", m.ID, env.Type, env.Payload)
-	}
-	hello, err := wire.DecodeHello(env.Payload)
-	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("server: shard %d hello: %w", m.ID, err)
-	}
-	if hello.ID != m.ID {
-		_ = conn.Close()
-		return nil, fmt.Errorf("server: shard at %s announced ID %d, config says %d — membership miswired",
-			m.Addr, hello.ID, m.ID)
-	}
-	proto, err := wire.Negotiate(wire.ProtoMax, hello.Version, wire.ProtoMin)
-	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("server: shard %d handshake: %w", m.ID, err)
+		return nil, fmt.Errorf("server: shard %d at %s: %w", m.ID, m.Addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return &backendConn{conn: conn, w: &lockedWriter{fw: fw, conn: conn, timeout: r.opts.WriteTimeout},
-		fr: fr, proto: proto}, nil
+	return &backendConn{conn: conn, w: &lockedWriter{fw: fw, conn: conn, timeout: r.opts.WriteTimeout}, fr: fr}, nil
 }
 
 // shardReader drains one backend connection: load reports update admission,
@@ -803,8 +769,16 @@ func (r *Router) untrackSub(session uint64) {
 // export→import→replay window rather than racing its own state across
 // nodes.
 func (r *Router) serveClient(conn net.Conn) {
-	id := r.nextSess.Add(1)
+	fr := wire.NewFrameReader(conn)
 	cl := &routerClient{lockedWriter: lockedWriter{fw: wire.NewFrameWriter(conn), conn: conn}}
+	// The version the client settles on needs no tracking here: what it may
+	// send is decided end to end, by the shard its envelopes reach.
+	_, helloSeq, err := acceptHello(conn, fr, &cl.lockedWriter)
+	if err != nil {
+		r.logger.Printf("router: handshake with %v: %v", conn.RemoteAddr(), err)
+		return
+	}
+	id := r.nextSess.Add(1)
 	// No onDrop hook on this hop: a dropped delta reaches the client as a
 	// seq gap, and its keyframe-request ack forwards to the shard like any
 	// other envelope.
@@ -825,45 +799,33 @@ func (r *Router) serveClient(conn net.Conn) {
 		// grow for the life of the backend connection. Gated: a migration
 		// in flight finishes first, so the end lands on the new owner.
 		end := wire.Envelope{Type: wire.MsgControl, Session: id, Payload: []byte{CtrlEndSession}}
-		r.routeClientEnvelope(cl, id, &end, wire.ProtoMax)
+		r.routeClientEnvelope(cl, id, &end)
 	}()
+	if writeHello(&cl.lockedWriter, helloSeq, id, "router") != nil {
+		return
+	}
 
-	proto := wire.ProtoV1
-	fr := wire.NewFrameReader(conn)
 	var env wire.Envelope
-	first := true
 	for {
 		if err := fr.ReadEnvelopeReuse(&env); err != nil {
 			return // EOF or broken pipe: session over
 		}
 		env.Session = id // the router owns placement; clients cannot choose
-		// Handshake: a v2 client's first envelope is a hello the router
-		// answers itself — never forwarded. A legacy first envelope pins v1.
-		if env.Type == wire.MsgHello {
-			if !first {
-				if cl.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Session: id,
-					Payload: []byte("server: hello after traffic")}) != nil {
-					return
-				}
-				continue
-			}
-			first = false
-			_, p, err := answerHello(&cl.lockedWriter, &env, id, "router", r.opts.MaxProto)
-			if err != nil {
-				return
-			}
-			proto = p
-			continue
-		}
-		first = false
-		if env.Type == wire.MsgControl {
+		switch env.Type {
+		case wire.MsgHello:
+			// Answered here, never forwarded — and only once: the connection
+			// does not survive a second one.
+			_ = cl.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Session: id,
+				Payload: []byte("server: hello after handshake")})
+			return
+		case wire.MsgControl:
 			// Control payloads are router↔shard vocabulary (CtrlEndSession
 			// tears a session down, silently). The client-facing protocol
 			// treats any control as a ping, so strip the payload rather
 			// than let a client envelope collide with an internal verb.
 			env.Payload = nil
 		}
-		if fatal := r.routeClientEnvelope(cl, id, &env, proto); fatal {
+		if fatal := r.routeClientEnvelope(cl, id, &env); fatal {
 			return
 		}
 	}
@@ -872,8 +834,8 @@ func (r *Router) serveClient(conn net.Conn) {
 // routeClientEnvelope forwards one client envelope to the session's
 // current owner and writes any resulting reply. It reports fatal (tear
 // the connection down) when the reply write to the client fails.
-func (r *Router) routeClientEnvelope(cl *routerClient, id uint64, env *wire.Envelope, proto uint32) (fatal bool) {
-	reply, ok := r.forwardGated(cl, id, env, proto)
+func (r *Router) routeClientEnvelope(cl *routerClient, id uint64, env *wire.Envelope) (fatal bool) {
+	reply, ok := r.forwardGated(cl, id, env)
 	if !ok {
 		return true // router shutting down; nothing can be forwarded
 	}
@@ -895,7 +857,7 @@ func (r *Router) routeClientEnvelope(cl *routerClient, id uint64, env *wire.Enve
 // consulted for admission is the shard the envelope reaches: without
 // that, a migration between the pend-FIFO add and the forward would
 // strand an entry on the old shard's FIFO and poison its admission clock.
-func (r *Router) forwardGated(cl *routerClient, id uint64, env *wire.Envelope, proto uint32) (reply *wire.Envelope, ok bool) {
+func (r *Router) forwardGated(cl *routerClient, id uint64, env *wire.Envelope) (reply *wire.Envelope, ok bool) {
 	for {
 		r.changeMu.RLock()
 		cl.fwdMu.Lock()
@@ -923,14 +885,6 @@ func (r *Router) forwardGated(cl *routerClient, id uint64, env *wire.Envelope, p
 		// Epoch names an owner with no live slot: only reachable in the
 		// router's own shutdown window.
 		return r.shardDownReply(id, env), true
-	}
-	if env.Type == wire.MsgSubscribe || env.Type == wire.MsgUnsubscribe {
-		// Version gate on both hops: the client must have negotiated
-		// v2, and so must the shard the stream would live on.
-		if need := wire.ProtoV2; proto < need || ss.proto() < need {
-			verr := &wire.VersionError{Local: proto, Remote: ss.proto(), Need: need}
-			return errReply(verr.Error()), true
-		}
 	}
 	if env.Type == wire.MsgSubscribe {
 		// Track before the forward: a shard bounce in the gap would

@@ -451,7 +451,7 @@ func TestRouterEndToEndBurst(t *testing.T) {
 }
 
 // TestRouterStreamE2E is the subscribe path through the full topology:
-// v2 clients against a router over two shards, each subscribing once and
+// clients against a router over two shards, each subscribing once and
 // then receiving seq-ordered pushed frames with zero request round-trips,
 // the pushes anchored near the client's own reported position (session
 // affinity through the forward hop), ending with a clean unsubscribe.
@@ -471,7 +471,7 @@ func TestRouterStreamE2E(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			if cl.Proto() < wire.ProtoV2 {
+			if cl.Proto() != wire.ProtoMax {
 				errs <- fmt.Errorf("client %d negotiated v%d", c, cl.Proto())
 				return
 			}
@@ -632,7 +632,9 @@ func TestRouterReconnectsShardAndReplaysStreams(t *testing.T) {
 				t.Fatalf("push seq went %d -> %d across the bounce", lastSeq, f.Seq)
 			}
 			lastSeq = f.Seq
-			if len(f.Annotations) > 0 {
+			// A push the old shard got out before it closed may still be
+			// buffered here; the stream has resumed once the new shard pushes.
+			if len(f.Annotations) > 0 && p.Metrics().Counter("server.stream.pushes").Value() > 0 {
 				if tc.router.Metrics().Counter("router.shard.reconnects").Value() == 0 {
 					t.Fatal("frames resumed without a recorded reconnect")
 				}
@@ -836,6 +838,7 @@ func TestRouterReportsShardDownNotShed(t *testing.T) {
 func TestRouterStripsControlPayloads(t *testing.T) {
 	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
 	rc := dialRaw(t, tc.addr)
+	rc.hello(t, "raw", wire.ProtoMax)
 	rc.sendGPS(t, 0, center)
 	frameSeq := rc.send(t, wire.MsgFrameRequest, 0, nil)
 	env := rc.read(t)

@@ -364,9 +364,10 @@ func (fs *FrameScheduler) submit(job frameJob) error {
 	}
 }
 
-// Frame schedules one frame for the session and blocks for the result —
-// the synchronous path the per-connection loop uses. Every enqueued job is
-// answered (worker or close drain), so the wait cannot leak.
+// Frame schedules one frame for the session and blocks for the result. No
+// serving path uses it (connections submit with SubmitVisit and reply from
+// the worker); it is the synchronous entry for in-process callers. Every
+// enqueued job is answered (worker or close drain), so the wait cannot leak.
 func (fs *FrameScheduler) Frame(sess *core.Session) (*core.Frame, error) {
 	reply := make(chan frameResult, 1)
 	if err := fs.Submit(sess, func(f *core.Frame, err error) {

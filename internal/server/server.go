@@ -1,19 +1,18 @@
 // Package server exposes the platform over TCP using the wire protocol:
-// clients stream sensor envelopes and request frames. The frame-serving
-// Engine (platform + scheduler + pooled response encoding) is shared by
-// three roles: the standalone Server here (one core.Session per client
-// connection), the Shard (owns a partition of the session ID space behind
-// a Router), and the Router (owns client connections and forwards to
-// shards over a consistent-hash ring). cmd/arbd-server selects the role;
-// cmd/arbd-loadgen drives a standalone server or a router identically.
+// clients stream sensor envelopes and receive frames, polled or pushed.
+// One connection loop (conn.go) over the frame-serving Engine (platform +
+// scheduler + pooled response encoding) serves both session-serving roles:
+// the standalone Server here (one core.Session per client connection) and
+// the Shard (a partition of the session ID space behind a Router). The
+// Router owns client connections and forwards to shards over a rendezvous
+// ring. cmd/arbd-server selects the role; cmd/arbd-loadgen drives a
+// standalone server or a router identically.
 package server
 
 import (
 	"log"
-	"net"
 
 	"arbd/internal/core"
-	"arbd/internal/wire"
 )
 
 // Sensor payload kinds inside MsgSensorEvent envelopes. Enums start at 1.
@@ -23,17 +22,8 @@ const (
 	SensorGaze
 )
 
-// Server serves the platform over TCP, one session per client connection.
-// Sensor envelopes are applied inline on the connection goroutine (cheap
-// state updates); frame requests are executed by the engine's shared
-// FrameScheduler so render work is bounded by the worker pool, not by the
-// connection count.
-type Server struct {
-	eng      *Engine
-	cs       *connServer
-	maxProto uint32
-	logger   *log.Logger
-}
+// Server is the client-facing node: one session per client connection.
+type Server struct{ *node }
 
 // Options tunes the server beyond its defaults.
 type Options struct {
@@ -42,10 +32,6 @@ type Options struct {
 	// its own 250 ms default — pass a negative Deadline to disable
 	// shedding entirely (render late frames rather than drop them).
 	Scheduler SchedulerConfig
-	// MaxProto caps the protocol version this server negotiates (default
-	// wire.ProtoMax). Tests pin wire.ProtoV1 here to exercise the
-	// version-mismatch path against v2 clients.
-	MaxProto uint32
 }
 
 // New returns a server for the platform (not yet listening) with default
@@ -56,158 +42,8 @@ func New(p *core.Platform, logger *log.Logger) *Server {
 
 // NewWithOptions returns a server with explicit scheduler tuning.
 func NewWithOptions(p *core.Platform, logger *log.Logger, opts Options) *Server {
-	if logger == nil {
-		logger = log.Default()
-	}
-	if opts.MaxProto == 0 {
-		opts.MaxProto = wire.ProtoMax
-	}
-	s := &Server{eng: NewEngine(p, opts), maxProto: opts.MaxProto, logger: logger}
-	s.cs = newConnServer(logger, s.serveConn)
-	return s
+	return &Server{newNode(p, logger, opts)}
 }
-
-// Engine exposes the server's frame-serving engine.
-func (s *Server) Engine() *Engine { return s.eng }
 
 // Scheduler exposes the server's frame scheduler (for stats).
 func (s *Server) Scheduler() *FrameScheduler { return s.eng.sched }
-
-// Listen binds addr and starts accepting connections. It returns the bound
-// address (useful with ":0").
-func (s *Server) Listen(addr string) (string, error) {
-	return s.cs.listen(addr)
-}
-
-// Close stops accepting, closes live connections, and waits for handlers.
-// It is idempotent.
-func (s *Server) Close() error {
-	err := s.cs.close()
-	s.eng.Close()
-	return err
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	sess := s.eng.platform.NewSession()
-	fr := wire.NewFrameReader(conn)
-	w := &lockedWriter{fw: wire.NewFrameWriter(conn), conn: conn}
-
-	// Streaming state (protocol v2): at most one subscription for the
-	// connection's single session, its pushes queued on a drop-oldest
-	// outbox so a slow reader costs itself frames, not a scheduler worker.
-	proto := wire.ProtoV1
-	var streams streamSet
-	var ob *outbox
-	defer func() {
-		// Close the conn first so an outbox writer blocked on a stalled
-		// peer fails out instead of wedging this teardown; then stop the
-		// ticker and wait out in-flight frames before the session ends.
-		_ = conn.Close()
-		streams.stopAll()
-		if ob != nil {
-			ob.close()
-		}
-		if err := s.eng.platform.EndSession(sess.ID); err != nil {
-			s.logger.Printf("server: ending session %d: %v", sess.ID, err)
-		}
-	}()
-
-	// One envelope pair per connection, reused across messages: inbound
-	// payloads alias the frame reader's buffer and are fully applied before
-	// the next read; outbound payloads alias pooled encode buffers released
-	// after the write. The steady-state request/response loop allocates
-	// nothing.
-	var env, reply wire.Envelope
-	first := true
-	// Resolved before the read loop: the lazily-built outbox must not pay
-	// a registry lookup inside the per-envelope path.
-	droppedCtr := s.eng.sched.Metrics().Counter("server.stream.dropped")
-	for {
-		if err := fr.ReadEnvelopeReuse(&env); err != nil {
-			return // EOF or broken pipe: session over
-		}
-		// The protocol handshake: a v2 client's first envelope is a hello;
-		// a legacy client's first envelope is ordinary traffic, which pins
-		// the connection at v1. Late hellos are a protocol error.
-		if env.Type == wire.MsgHello {
-			if !first {
-				if w.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Session: sess.ID,
-					Payload: []byte("server: hello after traffic")}) != nil {
-					return
-				}
-				continue
-			}
-			first = false
-			_, p, err := answerHello(w, &env, sess.ID, "server", s.maxProto)
-			if err != nil {
-				return // mismatch fails closed; the typed error went back
-			}
-			proto = p
-			continue
-		}
-		first = false
-		// v2-only messages on a v1-pinned connection fail identically on
-		// every role (the shard applies the same gate).
-		if (env.Type == wire.MsgSubscribe || env.Type == wire.MsgUnsubscribe) && proto < wire.ProtoV2 {
-			verr := &wire.VersionError{Local: proto, Remote: proto, Need: wire.ProtoV2}
-			if w.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Session: sess.ID,
-				Payload: []byte(verr.Error())}) != nil {
-				return
-			}
-			continue
-		}
-		switch env.Type {
-		case wire.MsgSubscribe:
-			sub, err := wire.DecodeSubscribe(env.Payload)
-			if err != nil {
-				if w.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Session: sess.ID,
-					Payload: []byte(err.Error())}) != nil {
-					return
-				}
-				continue
-			}
-			if ob == nil {
-				// Outbox drops feed back into the stream: a delta subscriber
-				// whose push was dropped needs its next push keyed.
-				ob = newOutbox(w, pushBudget(sub), droppedCtr, streams.forceKeyframe)
-			}
-			// Ack before the first push so the subscribe round-trip
-			// completes ahead of the stream on the wire.
-			if w.write(&wire.Envelope{Type: wire.MsgAck, Seq: env.Seq, Session: sess.ID}) != nil {
-				return
-			}
-			// Delta pushes only for v4 subscribers that asked: older clients
-			// (and older servers ignoring the flag) keep full MsgFramePush.
-			delta := proto >= wire.ProtoV4 && sub.Flags&wire.SubFlagDelta != 0
-			streams.add(sess.ID, s.eng.startStream(sess, sub, ob, delta))
-			continue
-		case wire.MsgAck:
-			// Client frame-ack (protocol v4): fire-and-forget progress +
-			// resync requests; never answered, no-op when the stream is gone.
-			if a, err := wire.DecodeFrameAck(env.Payload); err == nil {
-				streams.ack(sess.ID, a)
-			}
-			continue
-		case wire.MsgUnsubscribe:
-			streams.remove(sess.ID) // idempotent: unsubscribing twice acks twice
-			if w.write(&wire.Envelope{Type: wire.MsgAck, Seq: env.Seq, Session: sess.ID}) != nil {
-				return
-			}
-			continue
-		}
-		hasReply, pooled, err := s.eng.handle(sess, &env, &reply)
-		if err != nil {
-			reply = wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())}
-			hasReply = true
-		}
-		if hasReply {
-			werr := w.write(&reply)
-			if pooled != nil {
-				s.eng.release(pooled)
-			}
-			if werr != nil {
-				return
-			}
-		}
-	}
-}

@@ -1,4 +1,4 @@
-// Subscription streaming: the protocol-v2 push path. A client subscribes
+// Subscription streaming: the push path. A client subscribes
 // once with a target cadence and the server owns the frame clock — the
 // engine's shared pacing wheel drives frames through the FrameScheduler,
 // the reply is encoded under the session lock via the pooled encode path
@@ -730,34 +730,23 @@ func (st *frameStream) scheduleNext(tickAt time.Time) {
 //arbd:hotpath
 func (st *frameStream) visit(f *core.Frame) {
 	seq := st.pushSeq.Add(1)
-	if st.fl != nil {
-		// visit runs right after the render, so the window since the last
-		// mark spans queue wait plus render; the render's own duration
-		// (f.Elapsed) splits it.
-		st.fl.SetSeq(seq)
-		st.fl.MarkSplit(obs.StageQueue, obs.StageRender, f.Elapsed)
-	}
+	t, key := wire.MsgFramePush, false
 	if st.delta {
 		// Keyframe on the first push, on request (ack resync, outbox
 		// drop), every Nth push, and whenever the session rendered for
 		// someone else in between — f.PrevAnnotations is then not the
 		// frame this stream last pushed, so a diff would corrupt.
-		key := st.forceKey.Swap(false) || seq == 1 ||
+		t = wire.MsgFrameDelta
+		key = st.forceKey.Swap(false) || seq == 1 ||
 			st.sinceKey >= keyframeEvery-1 || f.Index != st.lastIndex+1
-		st.pooled = st.eng.encodeFrameDeltaReply(&st.reply, st.session, seq, f, key)
 		if key {
 			st.sinceKey = 0
 			st.keyframes.Inc()
 		} else {
 			st.sinceKey++
 		}
-	} else {
-		st.pooled = st.eng.encodeFrameReply(&st.reply, st.session, seq, f)
-		st.reply.Type = wire.MsgFramePush
 	}
-	if st.fl != nil {
-		st.fl.Mark(obs.StageEncode)
-	}
+	st.pooled = st.eng.encodeFrame(st.fl, &st.reply, t, st.session, seq, f, key)
 	st.lastIndex = f.Index
 }
 
@@ -767,32 +756,37 @@ func (st *frameStream) visit(f *core.Frame) {
 //
 //arbd:hotpath
 func (st *frameStream) done(err error) {
-	switch {
-	case err == nil:
+	if err == nil {
 		st.pushes.Inc()
 		// The flight travels with the push; the outbox write loop closes it
 		// at write completion (or as dropped if the push never writes).
 		st.out.enqueue(outMsg{env: st.reply, buf: st.pooled, pool: &st.eng.bufs, flight: st.fl})
 		st.pooled = nil
-		st.fl = nil
-	case errors.Is(err, ErrFrameShed) || errors.Is(err, ErrSchedulerClosed):
+	} else if settleUnsent(st.fl, err) {
 		st.sheds.Inc()
-		if st.fl != nil {
-			st.fl.FinishShed()
-			st.fl = nil
-		}
-	default:
+	} else {
 		// Render errors (no pose yet, session ended) are not pushed: an
 		// AR stream with nothing to show stays silent until the
 		// device's sensors give it something. Counted so a persistently
 		// failing stream is visible in metrics.
 		st.renderErrs.Inc()
-		if st.fl != nil {
-			st.fl.FinishError()
-			st.fl = nil
-		}
 	}
+	st.fl = nil
 	st.complete()
+}
+
+// settleUnsent closes the flight of a frame that produced nothing to send
+// and reports how: shed by the scheduler (or by its closing), or a render
+// error.
+//
+//arbd:hotpath
+func settleUnsent(fl *obs.Flight, err error) (shed bool) {
+	if errors.Is(err, ErrFrameShed) || errors.Is(err, ErrSchedulerClosed) {
+		fl.FinishShed()
+		return true
+	}
+	fl.FinishError()
+	return false
 }
 
 // submit hands one frame job to the scheduler. The caller holds the
@@ -805,10 +799,8 @@ func (st *frameStream) submit() {
 	if err != nil {
 		// Scheduler closed (QueueVisit admits everything else): the server
 		// is going down; stop pacing. done will not fire for this job.
-		if st.fl != nil {
-			st.fl.FinishError()
-			st.fl = nil
-		}
+		st.fl.FinishError()
+		st.fl = nil
 		st.mu.Lock()
 		st.stopped = true
 		st.inFlight = false

@@ -202,7 +202,7 @@ func TestProtoVersionsPinned(t *testing.T) {
 		{ProtoV2, 2, "ProtoV2"},
 		{ProtoV3, 3, "ProtoV3"},
 		{ProtoV4, 4, "ProtoV4"},
-		{ProtoMin, 1, "ProtoMin"},
+		{ProtoMin, 3, "ProtoMin"},
 		{ProtoMax, 4, "ProtoMax"},
 	}
 	for _, p := range pins {
@@ -295,26 +295,21 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloVersionCompat pins the compatibility rules around the version
-// field: a pre-versioning hello (no version bytes) decodes as ProtoV1, a
-// zero version never goes on the wire, and an explicit version 0 is
-// rejected rather than guessed at.
-func TestHelloVersionCompat(t *testing.T) {
-	// Pre-versioning layout: id + name only.
-	var legacy Buffer
-	legacy.Uvarint(3)
-	legacy.String("shard-3")
-	h, err := DecodeHello(legacy.Bytes())
-	if err != nil {
-		t.Fatal(err)
+// TestHelloVersionRequired pins the rules around the version field: it is
+// mandatory (the pre-versioning id+name layout is a truncated hello, not a
+// down-level peer), a zero version never goes on the wire, and an explicit
+// version 0 is rejected rather than guessed at.
+func TestHelloVersionRequired(t *testing.T) {
+	var short Buffer
+	short.Uvarint(3)
+	short.String("shard-3")
+	if h, err := DecodeHello(short.Bytes()); err == nil {
+		t.Fatalf("hello without a version decoded as %+v", h)
 	}
-	if h.Version != ProtoV1 {
-		t.Fatalf("legacy hello version = %d, want ProtoV1", h.Version)
-	}
-	// A zero Version encodes as ProtoV1.
+	// A zero Version encodes as the floor.
 	var b Buffer
 	EncodeHelloInto(&b, Hello{ID: 1, Name: "x"})
-	if h, err = DecodeHello(b.Bytes()); err != nil || h.Version != ProtoV1 {
+	if h, err := DecodeHello(b.Bytes()); err != nil || h.Version != ProtoMin {
 		t.Fatalf("zero-version hello decoded as %+v, %v", h, err)
 	}
 	// Explicit version 0 on the wire is invalid.
@@ -329,20 +324,23 @@ func TestHelloVersionCompat(t *testing.T) {
 
 // TestNegotiate covers the version negotiation table: both sides settle on
 // the lower announced version, and the typed VersionError fails closed when
-// that is below what the caller needs.
+// that is below what the caller needs or below the ProtoMin floor.
 func TestNegotiate(t *testing.T) {
 	cases := []struct {
 		local, remote, need uint32
 		want                uint32
 		fail                bool
+		wantNeed            uint32
 	}{
-		{ProtoV2, ProtoV2, ProtoV1, ProtoV2, false},
-		{ProtoV2, ProtoV1, ProtoV1, ProtoV1, false},
-		{ProtoV1, ProtoV2, ProtoV1, ProtoV1, false},
-		{ProtoV2, ProtoV2 + 5, ProtoV2, ProtoV2, false}, // newer peer: we cap at ours
-		{ProtoV2, ProtoV1, ProtoV2, 0, true},            // streaming client, v1 server
-		{ProtoV1, ProtoV2, ProtoV2, 0, true},
-		{ProtoV2, 0, ProtoV1, 0, true}, // below ProtoMin always fails
+		{ProtoV4, ProtoV4, ProtoMin, ProtoV4, false, 0},
+		{ProtoV4, ProtoV3, ProtoMin, ProtoV3, false, 0},
+		{ProtoV3, ProtoV4, ProtoMin, ProtoV3, false, 0},
+		{ProtoV4, ProtoV4 + 5, ProtoV4, ProtoV4, false, 0}, // newer peer: we cap at ours
+		{ProtoV4, ProtoV3, ProtoV4, 0, true, ProtoV4},      // delta-only caller, v3 peer
+		{ProtoV3, ProtoV4, ProtoV4, 0, true, ProtoV4},
+		{ProtoV4, ProtoV2, ProtoV1, 0, true, ProtoMin}, // below the floor always fails
+		{ProtoV4, ProtoV1, ProtoMin, 0, true, ProtoMin},
+		{ProtoV4, 0, ProtoMin, 0, true, ProtoMin},
 	}
 	for _, c := range cases {
 		got, err := Negotiate(c.local, c.remote, c.need)
@@ -354,8 +352,8 @@ func TestNegotiate(t *testing.T) {
 			var ve *VersionError
 			if !errors.As(err, &ve) {
 				t.Errorf("Negotiate(%d,%d,%d) error %v is not a *VersionError", c.local, c.remote, c.need, err)
-			} else if ve.Local != c.local || ve.Remote != c.remote || ve.Need != c.need {
-				t.Errorf("VersionError fields = %+v, want {%d %d %d}", ve, c.local, c.remote, c.need)
+			} else if ve.Local != c.local || ve.Remote != c.remote || ve.Need != c.wantNeed {
+				t.Errorf("VersionError fields = %+v, want {%d %d %d}", ve, c.local, c.remote, c.wantNeed)
 			}
 			continue
 		}

@@ -6,13 +6,14 @@ import "fmt"
 // client→standalone, client→router, router→shard — opens with a MsgHello
 // from the dialer announcing the highest version it speaks; the listener
 // answers with its own and both sides independently settle on the lower of
-// the two (Negotiate). Versions are additive: v2 keeps every v1 message.
+// the two (Negotiate). Versions are additive: vN+1 keeps every vN message.
 const (
-	// ProtoV1 is the original request/reply protocol: sensor streams in,
-	// MsgFrameRequest/MsgAnnotations round-trips out.
+	// ProtoV1 was the original request/reply protocol (sensor streams in,
+	// MsgFrameRequest/MsgAnnotations round-trips out, hello optional).
+	// Below ProtoMin: the number stays pinned so it is never reused.
 	ProtoV1 uint32 = 1
-	// ProtoV2 adds subscription streaming: MsgSubscribe/MsgUnsubscribe/
-	// MsgFramePush, with the server owning the frame clock.
+	// ProtoV2 added subscription streaming: MsgSubscribe/MsgUnsubscribe/
+	// MsgFramePush, with the server owning the frame clock. Below ProtoMin.
 	ProtoV2 uint32 = 2
 	// ProtoV3 adds the membership control plane: MsgJoinShard/MsgLeaveShard/
 	// MsgMembership on admin connections and MsgMigrateSession on
@@ -22,11 +23,12 @@ const (
 	// ProtoV4 adds delta frame pushes: a subscriber may set SubFlagDelta in
 	// MsgSubscribe, after which the server interleaves MsgFrameDelta diffs
 	// between MsgFramePush-style keyframes and the client acks applied
-	// frames with MsgAck (see PROTOCOL.md §8). Fail-soft: a v2/v3 peer never
+	// frames with MsgAck (see PROTOCOL.md §8). Fail-soft: a v3 peer never
 	// sets the flag and keeps receiving full MsgFramePush frames.
 	ProtoV4 uint32 = 4
-	// ProtoMin and ProtoMax bound what this build speaks.
-	ProtoMin = ProtoV1
+	// ProtoMin and ProtoMax bound what this build speaks: a peer announcing
+	// less than ProtoMin fails the handshake.
+	ProtoMin = ProtoV3
 	ProtoMax = ProtoV4
 )
 
@@ -48,14 +50,17 @@ func (e *VersionError) Error() string {
 // Negotiate settles the protocol for a connection whose sides announced
 // local and remote as their highest supported versions: the lower of the
 // two. It fails closed with a *VersionError when that shared version is
-// below need — the minimum the caller can operate at (a streaming client
-// passes ProtoV2; plain request/reply passes ProtoV1).
+// below need — the minimum the caller can operate at — or below ProtoMin,
+// the floor nobody can operate under.
 func Negotiate(local, remote, need uint32) (uint32, error) {
 	v := local
 	if remote < v {
 		v = remote
 	}
-	if v < need || v < ProtoMin {
+	if need < ProtoMin {
+		need = ProtoMin
+	}
+	if v < need {
 		return 0, &VersionError{Local: local, Remote: remote, Need: need}
 	}
 	return v, nil
@@ -75,27 +80,24 @@ type Hello struct {
 	// Name is a human-readable role label for logs ("router", "shard-2",
 	// "client").
 	Name string
-	// Version is the highest protocol version the sender speaks. Hellos
-	// encoded before versioning existed lack the field; DecodeHello maps
-	// its absence to ProtoV1.
+	// Version is the highest protocol version the sender speaks.
 	Version uint32
 }
 
 // EncodeHelloInto appends h's wire form to buf. A zero Version is encoded
-// as ProtoV1 so a half-initialised Hello can never announce the invalid
+// as ProtoMin so a half-initialised Hello can never announce the invalid
 // version 0.
 func EncodeHelloInto(buf *Buffer, h Hello) {
 	buf.Uvarint(h.ID)
 	buf.String(h.Name)
 	if h.Version == 0 {
-		h.Version = ProtoV1
+		h.Version = ProtoMin
 	}
 	buf.Uvarint(uint64(h.Version))
 }
 
-// DecodeHello parses a hello payload. A payload ending after the name —
-// the pre-versioning layout — decodes as Version ProtoV1, which is exactly
-// what such peers speak.
+// DecodeHello parses a hello payload. All three fields are mandatory: a
+// payload ending after the name is truncated, not a down-level peer.
 func DecodeHello(p []byte) (Hello, error) {
 	r := NewReader(p)
 	var h Hello
@@ -105,10 +107,6 @@ func DecodeHello(p []byte) (Hello, error) {
 	}
 	if h.Name, err = r.String(); err != nil {
 		return h, r.Err(err, "hello name")
-	}
-	if r.Remaining() == 0 {
-		h.Version = ProtoV1
-		return h, nil
 	}
 	v, err := r.Uvarint()
 	if err != nil {
