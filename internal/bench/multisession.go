@@ -114,7 +114,7 @@ func runMultiSession(sessions, totalFrames, numPOIs int) multiSessionResult {
 	// matching how independent connections arrive.
 	for f := 0; f < framesEach; f++ {
 		for i := range sess {
-			if err := fs.Submit(sess[i], func(_ *core.Frame, err error) {
+			if err := fs.SubmitVisit(sess[i], func(*core.Frame) {}, func(err error) {
 				defer wg.Done()
 				if err != nil && err != server.ErrFrameShed {
 					panic(err)

@@ -33,7 +33,7 @@ const (
 	StageEncode
 	// StageOutbox is time queued on the connection's push outbox.
 	StageOutbox
-	// StageWrite is the vectored connection write (shared across a batch).
+	// StageWrite is the connection write (shared across a batch).
 	StageWrite
 
 	// NumStages sizes per-record span arrays.

@@ -100,13 +100,6 @@ type clientSub struct {
 	closed bool
 	// stop closes when the subscription ends, releasing its ctx watcher.
 	stop chan struct{}
-	// lastRaw/base/lastOut rebase server push counters: a router that
-	// replays the subscription onto a reconnected shard starts a fresh
-	// server-side stream whose counter restarts at 1, but the channel's
-	// DecodedFrame.Seq contract is strictly increasing — so a counter
-	// that moves backwards shifts base up to where the old epoch ended.
-	// Touched only by the demux goroutine.
-	lastRaw, base, lastOut uint64
 
 	// Delta reconstruction state (protocol v4; demux goroutine only).
 	// prev is the last reconstructed frame — it doubles as the consumer's
@@ -126,16 +119,6 @@ type clientSub struct {
 // many applied pushes keeps the server's view of the stream fresh without
 // measurable upstream traffic.
 const ackEvery = 8
-
-// rebase maps a raw wire push counter onto the channel's monotonic Seq.
-func (s *clientSub) rebase(raw uint64) uint64 {
-	if raw <= s.lastRaw {
-		s.base = s.lastOut // new server-side epoch (shard bounce + replay)
-	}
-	s.lastRaw = raw
-	s.lastOut = s.base + raw
-	return s.lastOut
-}
 
 func (s *clientSub) finish() {
 	s.mu.Lock()
@@ -343,7 +326,10 @@ func (c *Client) deliverPush(env *wire.Envelope) {
 			c.sendAck(wire.FrameAck{AppliedSeq: env.Seq})
 		}
 	}
-	f.Seq = sub.rebase(env.Seq)
+	// The wire seq is the channel's Seq: strictly increasing for the life of
+	// the subscription, through shard bounces and migrations too — a router
+	// rebases the restarted server-side counter before the push gets here.
+	f.Seq = env.Seq
 	if !sub.deliver(f) {
 		c.pushesDrop.Add(1)
 	}
@@ -417,10 +403,7 @@ func (c *Client) StreamErr() error {
 func (c *Client) writeEnvelope(env *wire.Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.fw.WriteEnvelope(env); err != nil {
-		return err
-	}
-	return c.fw.Flush()
+	return sendEnvelope(c.fw, env)
 }
 
 // send writes a fire-and-forget envelope built by fill (which encodes the
@@ -432,11 +415,7 @@ func (c *Client) send(t wire.MsgType, fill func(b *wire.Buffer)) error {
 	if fill != nil {
 		fill(&c.buf)
 	}
-	env := wire.Envelope{Type: t, Seq: c.seq.Add(1), Payload: c.buf.Bytes()}
-	if err := c.fw.WriteEnvelope(&env); err != nil {
-		return err
-	}
-	return c.fw.Flush()
+	return sendEnvelope(c.fw, &wire.Envelope{Type: t, Seq: c.seq.Add(1), Payload: c.buf.Bytes()})
 }
 
 // roundTrip sends one request and blocks for the reply carrying its exact

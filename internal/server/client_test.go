@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -498,7 +499,7 @@ func TestOutboxDropsOldestWhenFull(t *testing.T) {
 	bw := &blockingWriter{release: make(chan struct{})}
 	var reg metrics.Registry
 	dropped := reg.Counter("dropped")
-	ob := newOutbox(&lockedWriter{fw: wire.NewFrameWriter(bw)}, 4, dropped, nil)
+	ob := newOutbox(bw, 4, dropped, nil)
 
 	released := make(map[uint64]bool)
 	var mu sync.Mutex
@@ -561,6 +562,44 @@ func TestOutboxDropsOldestWhenFull(t *testing.T) {
 	}
 }
 
+// TestReplyWindowBoundsNonReadingPeer pins the reply class's bound: replies
+// are never dropped, so what stops a peer that sends requests and never
+// reads from queueing without limit is its own read loop, which takes no
+// further envelope while replyWindow replies are unwritten. Nothing is lost
+// either: once the peer reads, every request is answered, in order.
+func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
+	srv := New(newTestPlatform(t), discardLogger())
+	t.Cleanup(func() { _ = srv.Close() })
+	rc, _ := rawPipe(t, srv.serveConn)
+	rc.hello(t, "pipeliner", wire.ProtoMax)
+
+	const pings = 10000
+	base := rc.seq         // the hello's; the pings carry the seqs after it
+	var taken atomic.Int64 // pings the server's read loop has consumed
+	go func() {
+		for i := 0; i < pings; i++ {
+			// The pipe completes a write only when the server has read it.
+			if rc.trySend(wire.MsgControl, 0, nil) != nil {
+				return
+			}
+			taken.Add(1)
+		}
+	}()
+	waitFor(t, "the read loop to park", func() bool {
+		before := taken.Load()
+		time.Sleep(100 * time.Millisecond)
+		return before > 0 && taken.Load() == before
+	})
+	if n := taken.Load(); n != replyWindow {
+		t.Fatalf("the server took %d pings from a peer that reads nothing, want exactly replyWindow = %d", n, replyWindow)
+	}
+	for seq := base + 1; seq <= base+pings; seq++ {
+		if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != seq {
+			t.Fatalf("reply = %v seq %d, want the ack of ping %d", env.Type, env.Seq, seq)
+		}
+	}
+}
+
 // TestStreamSkipsTicksWhenBehind pins cadence degradation: with the only
 // scheduler worker wedged, a fast subscription's ticks are skipped (at
 // most one frame in flight) instead of piling jobs into the queue.
@@ -582,7 +621,7 @@ func TestStreamSkipsTicksWhenBehind(t *testing.T) {
 	release := make(chan struct{})
 	var blocked sync.WaitGroup
 	blocked.Add(1)
-	if err := srv.Scheduler().Submit(blocker, func(_ *core.Frame, err error) {
+	if err := srv.Scheduler().SubmitVisit(blocker, func(*core.Frame) {}, func(err error) {
 		defer blocked.Done()
 		<-release
 	}); err != nil {

@@ -13,10 +13,18 @@
 //
 // The role is the loop's only parameter. On both, sensor envelopes are
 // applied inline on the connection goroutine (cheap state updates) and
-// frame requests go to the engine's shared scheduler and are answered from
-// its workers — render work is bounded by the worker pool, not by the
-// connection count, and one slow frame does not head-of-line-block the
-// connection.
+// frame requests go to the engine's shared scheduler — render work is
+// bounded by the worker pool, not by the connection count, and one slow
+// frame does not head-of-line-block the connection.
+//
+// The loop only reads. Once the handshake has succeeded, everything the
+// connection is sent — the hello reply, acks, errors, polled frames,
+// pushed frames, migrate replies, load reports — is enqueued on the
+// connection's outbox (stream.go), whose writer goroutine is the only
+// writer; what the loop, the scheduler workers and the load ticker enqueue
+// reaches the wire in queue order. A peer that stops reading costs itself:
+// its pushes drop oldest-first, and its own read loop parks once
+// replyWindow replies are unwritten.
 package server
 
 import (
@@ -27,7 +35,6 @@ import (
 	"time"
 
 	"arbd/internal/core"
-	"arbd/internal/obs"
 	"arbd/internal/wire"
 )
 
@@ -35,9 +42,14 @@ import (
 // before its hello. A variable so tests can shorten it.
 var helloTimeout = 5 * time.Second
 
-// backendPushQueue is the minimum outbox capacity on a backend connection,
-// which multiplexes many sessions' streams toward one router.
+// backendPushQueue is the minimum push capacity of a backend connection's
+// outbox, which multiplexes many sessions' streams toward one router.
 const backendPushQueue = 64
+
+// replyWindow is how many replies an accepted connection may have unwritten
+// before its own read loop stops taking envelopes: the bound on what a peer
+// that sends requests and never reads can make a node queue for it.
+const replyWindow = 64
 
 // node is a session-serving listener: what Server and Shard both are.
 type node struct {
@@ -75,47 +87,57 @@ func (n *node) Close() error {
 	return err
 }
 
+// sendEnvelope frames, writes and flushes one envelope on a writer the
+// caller has to itself: a dialler's side of a connection, or an accepted
+// connection whose handshake is being refused.
+func sendEnvelope(fw *wire.FrameWriter, env *wire.Envelope) error {
+	if err := fw.WriteEnvelope(env); err != nil {
+		return err
+	}
+	return fw.Flush()
+}
+
 // acceptHello reads the mandatory first envelope of an accepted connection
 // and settles the protocol version: every session-serving, backend and
 // router client connection opens with the dialer's hello. Anything else —
 // silence past helloTimeout, another message type, an undecodable hello, a
 // version below wire.ProtoMin — fails closed: the typed error goes back as
-// a MsgError and the caller drops the connection. On success the caller
-// answers with writeHello at the returned seq.
-func acceptHello(conn net.Conn, fr *wire.FrameReader, w *lockedWriter) (proto uint32, seq uint64, err error) {
+// a MsgError, the one envelope an accepted connection is ever written
+// outside its outbox, and the caller drops the connection. On success the
+// caller starts the outbox and answers with helloReply at the returned seq.
+func acceptHello(conn net.Conn, fr *wire.FrameReader) (proto uint32, seq uint64, err error) {
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	env, err := fr.ReadEnvelope()
 	if err != nil {
 		return 0, 0, fmt.Errorf("server: reading hello: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	proto, err = checkHello(w, env)
+	if proto, err = checkHello(env); err != nil {
+		_ = sendEnvelope(wire.NewFrameWriter(conn), &wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())})
+	}
 	return proto, env.Seq, err
 }
 
-// checkHello holds one received envelope to being a usable hello — the
-// type, a payload that decodes, a version this build speaks — and writes
-// the typed error back when it is not.
-func checkHello(w *lockedWriter, env *wire.Envelope) (proto uint32, err error) {
+// checkHello holds one received envelope to being a usable hello: the
+// type, a payload that decodes, a version this build speaks.
+func checkHello(env *wire.Envelope) (proto uint32, err error) {
 	if env.Type != wire.MsgHello {
-		err = fmt.Errorf("server: connection opened with %v, want hello", env.Type)
-	} else if peer, derr := wire.DecodeHello(env.Payload); derr != nil {
-		err = derr
-	} else {
-		proto, err = wire.Negotiate(wire.ProtoMax, peer.Version, wire.ProtoMin)
+		return 0, fmt.Errorf("server: connection opened with %v, want hello", env.Type)
 	}
+	peer, err := wire.DecodeHello(env.Payload)
 	if err != nil {
-		_ = w.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())})
+		return 0, err
 	}
-	return proto, err
+	return wire.Negotiate(wire.ProtoMax, peer.Version, wire.ProtoMin)
 }
 
-// writeHello answers an accepted hello with this side's identity; in a
-// server→client reply id is the session the connection was assigned.
-func writeHello(w *lockedWriter, seq, id uint64, name string) error {
+// helloReply answers an accepted hello with this side's identity; in a
+// server→client reply id is the session the connection was assigned. It is
+// the first message on the connection's outbox.
+func helloReply(seq, id uint64, name string) outMsg {
 	var buf wire.Buffer
 	wire.EncodeHelloInto(&buf, wire.Hello{ID: id, Name: name, Version: wire.ProtoMax})
-	return w.write(&wire.Envelope{Type: wire.MsgHello, Seq: seq, Session: id, Payload: buf.Bytes()})
+	return outMsg{env: wire.Envelope{Type: wire.MsgHello, Seq: seq, Session: id, Payload: buf.Bytes()}, reply: true}
 }
 
 // dialHello runs the dialer's half of the handshake on a fresh connection:
@@ -125,10 +147,7 @@ func writeHello(w *lockedWriter, seq, id uint64, name string) error {
 func dialHello(fr *wire.FrameReader, fw *wire.FrameWriter, name string, maxProto uint32) (peer wire.Hello, proto uint32, err error) {
 	var buf wire.Buffer
 	wire.EncodeHelloInto(&buf, wire.Hello{Name: name, Version: maxProto})
-	if err = fw.WriteEnvelope(&wire.Envelope{Type: wire.MsgHello, Payload: buf.Bytes()}); err == nil {
-		err = fw.Flush()
-	}
-	if err != nil {
+	if err = sendEnvelope(fw, &wire.Envelope{Type: wire.MsgHello, Payload: buf.Bytes()}); err != nil {
 		return peer, 0, fmt.Errorf("sending hello: %w", err)
 	}
 	env, err := fr.ReadEnvelope()
@@ -153,7 +172,9 @@ func dialHello(fr *wire.FrameReader, fw *wire.FrameWriter, name string, maxProto
 // the frame workers answering it and its streams all reach.
 type sessConn struct {
 	n *node
-	w *lockedWriter
+	// out is the connection's write side; every reply and every push is
+	// enqueued here.
+	out *outbox
 	// own is the client-facing role's single session (nil on a backend
 	// connection); owned is every session this connection materialised, so
 	// a dropped connection ends them instead of stranding them in the
@@ -163,10 +184,8 @@ type sessConn struct {
 	// inflight lets teardown wait for outstanding frame callbacks before
 	// the owned sessions end.
 	inflight sync.WaitGroup
-	// One stream per subscribed session, all multiplexed onto this
-	// connection's drop-oldest outbox (built on the first subscribe).
+	// One stream per subscribed session, all multiplexed onto out.
 	streams streamSet
-	ob      *outbox
 }
 
 // session resolves the session an envelope addresses, materialising it on a
@@ -181,14 +200,6 @@ func (c *sessConn) session(id uint64) *core.Session {
 		c.owned[id] = struct{}{}
 	}
 	return sess
-}
-
-func (c *sessConn) ack(in *wire.Envelope) {
-	_ = c.w.write(&wire.Envelope{Type: wire.MsgAck, Seq: in.Seq, Session: in.Session})
-}
-
-func (c *sessConn) fail(session, seq uint64, text string) {
-	_ = c.w.write(&wire.Envelope{Type: wire.MsgError, Seq: seq, Session: session, Payload: []byte(text)})
 }
 
 // endSession ends one owned session, stream first.
@@ -208,23 +219,32 @@ func (c *sessConn) endSession(id uint64) {
 //arbd:dispatch
 func (n *node) serveConn(conn net.Conn) {
 	fr := wire.NewFrameReader(conn)
-	c := &sessConn{n: n, w: &lockedWriter{fw: wire.NewFrameWriter(conn), conn: conn}, owned: make(map[uint64]struct{})}
-	proto, helloSeq, err := acceptHello(conn, fr, c.w)
+	proto, helloSeq, err := acceptHello(conn, fr)
 	if err != nil {
 		n.cs.logger.Printf("%s: handshake with %v: %v", n.name, conn.RemoteAddr(), err)
 		return
 	}
-	helloID := n.id
-	if !n.backend {
+	c := &sessConn{n: n, owned: make(map[uint64]struct{})}
+	// The push capacity starts at one slot and follows the live
+	// subscriptions' budgets (addReserve). A backend connection multiplexes
+	// many sessions' streams and carries the load reports: its floor keeps
+	// one session's tiny budget from bounding everyone. Outbox drops feed
+	// back into the stream: a delta subscriber whose push was dropped needs
+	// its next push keyed.
+	capacity, helloID := 1, n.id
+	if n.backend {
+		capacity = backendPushQueue
+	} else {
 		c.own = n.eng.platform.NewSession()
 		c.owned[c.own.ID] = struct{}{}
 		helloID = c.own.ID
 	}
+	c.out = newOutbox(conn, capacity, n.eng.streamDropped, c.streams.forceKeyframe)
 
-	// Teardown, in reverse: close the conn first so an outbox writer or a
-	// reply blocked on a stalled peer fails out instead of wedging what
-	// follows; stop the streams and wait out their frames and the polled
-	// ones; only then end the sessions they rendered.
+	// Teardown, in reverse: close the conn first so the outbox writer
+	// blocked on a stalled peer fails out instead of wedging what follows;
+	// stop the streams and wait out their frames and the polled ones; only
+	// then end the sessions they rendered.
 	stopLoad := make(chan struct{})
 	defer close(stopLoad)
 	defer func() {
@@ -236,71 +256,58 @@ func (n *node) serveConn(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
 		c.streams.stopAll()
-		if c.ob != nil {
-			c.ob.close()
-		}
+		c.out.close()
 	}()
 
-	if writeHello(c.w, helloSeq, helloID, n.name) != nil {
-		return
-	}
+	c.out.enqueue(helloReply(helloSeq, helloID, n.name))
 	if n.loadEvery > 0 {
-		go n.loadLoop(c.w, stopLoad)
+		go n.loadLoop(c.out, stopLoad)
 	}
 
 	// One inbound envelope, reused across messages: its payload aliases the
 	// frame reader's buffer and is fully applied before the next read.
 	var in wire.Envelope
 	for {
+		// The reply bound: no further envelope is taken while replyWindow
+		// replies to this connection are unwritten.
+		c.out.awaitReplies(replyWindow - 1)
 		if err := fr.ReadEnvelopeReuse(&in); err != nil {
 			return
 		}
 		if c.own != nil {
 			in.Session = c.own.ID // the connection's session; clients cannot choose
 		} else if in.Session == 0 && in.Type != wire.MsgHello { // a hello addresses the connection
-			c.fail(0, in.Seq, "server: shard envelope without session")
+			c.out.fail(0, in.Seq, "server: shard envelope without session")
 			continue
 		}
 		switch in.Type {
 		case wire.MsgSensorEvent:
 			// Applied inline, in arrival order; one-way unless malformed.
 			if err := applySensor(c.session(in.Session), in.Payload); err != nil {
-				c.fail(in.Session, in.Seq, err.Error())
+				c.out.fail(in.Session, in.Seq, err.Error())
 			}
 		case wire.MsgFrameRequest:
 			c.submitFrame(c.session(in.Session), in.Seq)
 		case wire.MsgSubscribe:
 			sub, err := wire.DecodeSubscribe(in.Payload)
 			if err != nil {
-				c.fail(in.Session, in.Seq, err.Error())
+				c.out.fail(in.Session, in.Seq, err.Error())
 				continue
 			}
-			if c.ob == nil {
-				// A backend connection multiplexes many sessions' streams:
-				// the floor keeps one session's tiny budget from bounding
-				// everyone; per-subscription budgets only ever raise it.
-				capacity := pushBudget(sub)
-				if n.backend && capacity < backendPushQueue {
-					capacity = backendPushQueue
-				}
-				// Outbox drops feed back into the stream: a delta subscriber
-				// whose push was dropped needs its next push keyed.
-				c.ob = newOutbox(c.w, capacity, n.eng.streamDropped, c.streams.forceKeyframe)
-			}
-			// Ack before the first push so the subscribe round-trip
-			// completes ahead of the stream on the wire.
-			c.ack(&in)
+			// The ack is queued before the stream exists, so it precedes the
+			// first push on the wire.
+			c.out.ack(&in)
 			// Delta pushes only when the subscriber asked and this
 			// connection negotiated v4 (through a router: the flag rides the
 			// forwarded payload, and the router↔shard link must speak v4 for
 			// MsgFrameDelta to be legal on it).
 			delta := proto >= wire.ProtoV4 && sub.Flags&wire.SubFlagDelta != 0
-			c.streams.add(in.Session, n.eng.startStream(c.session(in.Session), sub, c.ob, delta))
+			c.streams.add(in.Session, n.eng.startStream(c.session(in.Session), sub, c.out, delta))
 		case wire.MsgUnsubscribe:
 			// Never resolves the session: unsubscribing one that never
 			// subscribed must not materialise it. Idempotent.
 			c.streams.remove(in.Session)
-			c.ack(&in)
+			c.out.ack(&in)
 		case wire.MsgAck:
 			// Client frame-ack (protocol v4): fire-and-forget progress and
 			// resync requests. Never answered, and never resolves the
@@ -318,11 +325,12 @@ func (n *node) serveConn(conn net.Conn) {
 				}
 				continue
 			}
-			c.ack(&in) // ping
+			c.out.ack(&in) // ping
 		case wire.MsgHello:
 			// The handshake is over; the connection does not survive a
-			// second one.
-			c.fail(in.Session, in.Seq, "server: hello after handshake")
+			// second one. The refusal is written before the hang-up.
+			c.out.fail(in.Session, in.Seq, "server: hello after handshake")
+			c.out.awaitReplies(0)
 			return
 		case wire.MsgMigrateSession:
 			if n.backend {
@@ -332,7 +340,7 @@ func (n *node) serveConn(conn net.Conn) {
 			fallthrough // router↔shard vocabulary is not spoken to clients
 		case wire.MsgAnnotations, wire.MsgQuery, wire.MsgQueryResult, wire.MsgError, wire.MsgLoad,
 			wire.MsgFramePush, wire.MsgJoinShard, wire.MsgLeaveShard, wire.MsgMembership, wire.MsgFrameDelta:
-			c.fail(in.Session, in.Seq, fmt.Sprintf("server: unsupported message %v", in.Type))
+			c.out.fail(in.Session, in.Seq, fmt.Sprintf("server: unsupported message %v", in.Type))
 		}
 	}
 }
@@ -345,7 +353,7 @@ func (c *sessConn) migrate(in *wire.Envelope) {
 	platform := c.n.eng.platform
 	var buf wire.Buffer // the reply payload: a status byte, then its body
 	reply := func() {
-		_ = c.w.write(&wire.Envelope{Type: wire.MsgMigrateSession, Seq: in.Seq, Session: in.Session, Payload: buf.Bytes()})
+		c.out.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgMigrateSession, Seq: in.Seq, Session: in.Session, Payload: buf.Bytes()}, reply: true})
 	}
 	if len(in.Payload) > 0 {
 		if _, err := platform.RestoreSession(in.Payload); err != nil {
@@ -371,7 +379,8 @@ func (c *sessConn) migrate(in *wire.Envelope) {
 		return
 	}
 	// Stop the stream first: stopStream waits out the in-flight frame, so
-	// its push is enqueued (and then purged) before the snapshot is taken.
+	// its push is enqueued (and then purged) before the snapshot is taken,
+	// and the reply, queued last, cannot be overtaken by one.
 	// Pipelined MsgFrameRequests still queued on the scheduler are NOT
 	// waited for: they hold no sensor state (that was applied inline, in
 	// arrival order), and EncodeSnapshotInto serialises with a running
@@ -380,100 +389,46 @@ func (c *sessConn) migrate(in *wire.Envelope) {
 	// Waiting would couple the export to every other session's queue depth
 	// for a cosmetic counter.
 	c.streams.remove(in.Session)
-	if c.ob != nil {
-		c.ob.purge(in.Session)
-	}
+	c.out.purge(in.Session)
 	sess.EncodeSnapshotInto(&buf)
 	delete(c.owned, in.Session)
 	platform.DetachSession(in.Session)
 	reply()
 }
 
-// pollJob is one polled frame between the read loop that submitted it, the
-// scheduler worker that renders it and the reply write. Pooled per engine
-// with visitFn/doneFn bound once, so a frame request allocates nothing.
-type pollJob struct {
-	c            *sessConn
-	session, seq uint64
-	reply        wire.Envelope
-	pooled       *wire.Buffer
-	fl           *obs.Flight
-	visitFn      func(*core.Frame)
-	doneFn       func(error)
-}
-
-func newPollJob() any {
-	j := new(pollJob)
-	j.visitFn, j.doneFn = j.visit, j.done
-	return j
-}
-
-// submitFrame schedules one polled frame and replies from the worker, so
-// the read loop keeps draining envelopes while the frame renders; replies
-// carry the request's seq and may overtake one another. The frame's flight
-// opens here, at the request's read.
+// submitFrame schedules one polled frame. Its reply is staged and queued
+// from the worker (delivery), so the read loop keeps draining envelopes
+// while the frame renders; replies carry the request's seq and may overtake
+// one another. The frame's flight opens here, at the request's read.
 //
 //arbd:hotpath
 func (c *sessConn) submitFrame(sess *core.Session, seq uint64) {
 	eng := c.n.eng
-	j := eng.polls.Get().(*pollJob)
-	j.c, j.session, j.seq = c, sess.ID, seq
-	j.fl = eng.rec.Begin(sess.ID, time.Now())
+	d := eng.deliveries.Get().(*delivery)
+	d.eng, d.out, d.inflight, d.session, d.seq = eng, c.out, &c.inflight, sess.ID, seq
+	d.fl = eng.rec.Begin(sess.ID, time.Now())
 	c.inflight.Add(1)
-	if err := eng.sched.SubmitVisit(sess, j.visitFn, j.doneFn); err != nil {
-		j.done(err) // scheduler closed: the callbacks will not fire
+	if err := eng.sched.SubmitVisit(sess, d.visitFn, d.doneFn); err != nil {
+		d.done(err) // scheduler closed: the callbacks will not fire
 	}
-}
-
-// visit encodes the reply under the session lock: a client pipelining a
-// second request for the same session — or the session's own stream —
-// re-enters the frame on another worker, and without the lock that would
-// overwrite the scratch the encoder is reading.
-//
-//arbd:hotpath
-func (j *pollJob) visit(f *core.Frame) {
-	j.pooled = j.c.n.eng.encodeFrame(j.fl, &j.reply, wire.MsgAnnotations, j.session, j.seq, f, false)
-}
-
-// done writes the reply (or the error) and settles the flight. visit and
-// done run sequentially on one goroutine, so the job needs no lock.
-//
-//arbd:hotpath
-func (j *pollJob) done(err error) {
-	c := j.c
-	if err != nil {
-		settleUnsent(j.fl, err)
-		c.fail(j.session, j.seq, err.Error())
-	} else {
-		err = c.w.write(&j.reply)
-		c.n.eng.release(j.pooled)
-		if err != nil {
-			j.fl.FinishDropped()
-		} else {
-			now := time.Now()
-			j.fl.MarkAt(obs.StageWrite, now)
-			j.fl.FinishAt(now)
-		}
-	}
-	*j = pollJob{visitFn: j.visitFn, doneFn: j.doneFn}
-	c.n.eng.polls.Put(j)
-	c.inflight.Done()
 }
 
 // loadLoop pushes the node's LoadSignal on the connection until it closes,
-// so the router's view of this shard's pressure stays fresh.
-func (n *node) loadLoop(w *lockedWriter, stop <-chan struct{}) {
+// so the router's view of this shard's pressure stays fresh. A report is a
+// push: one the router has not read by the time newer ones queue behind it
+// is the first to go.
+func (n *node) loadLoop(out *outbox, stop <-chan struct{}) {
 	ticker := time.NewTicker(n.loadEvery)
 	defer ticker.Stop()
-	var buf wire.Buffer
 	for {
 		select {
 		case <-stop:
 			return
 		case <-ticker.C:
+			buf := n.eng.bufs.Get().(*wire.Buffer)
 			buf.Reset()
-			core.EncodeLoadSignalInto(&buf, n.load())
-			if err := w.write(&wire.Envelope{Type: wire.MsgLoad, Payload: buf.Bytes()}); err != nil {
+			core.EncodeLoadSignalInto(buf, n.load())
+			if !out.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgLoad, Payload: buf.Bytes()}, buf: buf, pool: &n.eng.bufs}) {
 				return
 			}
 		}

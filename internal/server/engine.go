@@ -41,8 +41,8 @@ type Engine struct {
 	// into a pooled wire.Buffer handed to the framed writer, then the
 	// buffer returns to the pool — no per-response allocations.
 	bufs sync.Pool
-	// polls pools the per-request state of polled frames (pollJob).
-	polls sync.Pool
+	// deliveries pools the staging state polled frames borrow (delivery).
+	deliveries sync.Pool
 }
 
 // NewEngine builds an engine over the platform with the server's scheduler
@@ -70,7 +70,7 @@ func NewEngine(p *core.Platform, opts Options) *Engine {
 	}
 	e.wheel = newPacerWheel(p.Metrics().Gauge("server.stream.pacers"))
 	e.bufs.New = func() any { return wire.NewBuffer(1024) }
-	e.polls.New = newPollJob
+	e.deliveries.New = newDelivery
 	return e
 }
 
@@ -98,7 +98,7 @@ func (e *Engine) Close() {
 // MsgAnnotations and MsgFramePush; for MsgFrameDelta a diff against the
 // session's previous frame, or a full keyframe body when keyframe is set
 // (or the frame has no previous layout). The returned buffer backs
-// reply.Payload; release it after the write.
+// reply.Payload and goes back to e.bufs once the outbox is done with it.
 //
 //arbd:hotpath
 func (e *Engine) encodeFrame(fl *obs.Flight, reply *wire.Envelope, t wire.MsgType, session, seq uint64, f *core.Frame, keyframe bool) *wire.Buffer {
@@ -114,74 +114,6 @@ func (e *Engine) encodeFrame(fl *obs.Flight, reply *wire.Envelope, t wire.MsgTyp
 	*reply = wire.Envelope{Type: t, Seq: seq, Session: session, Payload: buf.Bytes()}
 	fl.Mark(obs.StageEncode)
 	return buf
-}
-
-// release returns a pooled response buffer.
-func (e *Engine) release(buf *wire.Buffer) { e.bufs.Put(buf) }
-
-// lockedWriter serialises envelope writes to one connection shared by
-// several goroutines — scheduler callbacks, load pushers, stream outboxes,
-// and read loops all reply on the same wire. Each write is framed and
-// flushed atomically. When conn and timeout are set, every write carries a
-// deadline: writers that hold shared locks (the router's forward path
-// holds the membership-change lock across backend writes) must never block
-// on a peer's full TCP buffer indefinitely — a partitioned peer turns into
-// a timeout error, not a wedged lock.
-type lockedWriter struct {
-	mu      sync.Mutex
-	fw      *wire.FrameWriter
-	conn    net.Conn      // optional: deadline target and writev sink
-	timeout time.Duration // optional: per-write deadline
-	batch   wire.EnvelopeBatch
-}
-
-func (w *lockedWriter) write(env *wire.Envelope) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.conn != nil && w.timeout > 0 {
-		// Refreshed per write, never cleared: the next write resets it, and
-		// an idle connection has nothing in flight to time out.
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
-	if err := w.fw.WriteEnvelope(env); err != nil {
-		return err
-	}
-	return w.fw.Flush()
-}
-
-// writeBatch frames and writes a backlog of queued pushes as one vectored
-// write straight to the connection — one syscall for the whole batch
-// instead of an encode+flush round per envelope. The buffered writer is
-// flushed first so any partially-staged reply precedes the batch on the
-// wire. Single-message batches (and writers without a raw conn, as in
-// tests over in-memory pipes) take the ordinary buffered path.
-func (w *lockedWriter) writeBatch(msgs []outMsg) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.conn != nil && w.timeout > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
-	if w.conn == nil || len(msgs) == 1 {
-		for i := range msgs {
-			if err := w.fw.WriteEnvelope(&msgs[i].env); err != nil {
-				return err
-			}
-		}
-		return w.fw.Flush()
-	}
-	w.batch.Reset()
-	for i := range msgs {
-		if err := w.batch.Add(&msgs[i].env); err != nil {
-			return err
-		}
-	}
-	if err := w.fw.Flush(); err != nil {
-		return err
-	}
-	bufs := net.Buffers(w.batch.Buffers())
-	//arbd:lock-ok mu only serializes this writer, and the write carries a deadline set above
-	_, err := bufs.WriteTo(w.conn)
-	return err
 }
 
 // connServer owns a role's accept loop and connection lifecycle; roles plug

@@ -91,7 +91,7 @@ func TestSchedulerShedsEarlierUnderBrokerLag(t *testing.T) {
 		release := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
-		if err := fs.Submit(s, func(_ *core.Frame, err error) {
+		if err := fs.SubmitVisit(s, func(*core.Frame) {}, func(err error) {
 			defer wg.Done()
 			if err != nil {
 				t.Errorf("stall frame: %v", err)
@@ -102,7 +102,7 @@ func TestSchedulerShedsEarlierUnderBrokerLag(t *testing.T) {
 		}
 		wg.Add(burst)
 		for i := 0; i < burst; i++ {
-			if err := fs.Submit(s, func(_ *core.Frame, err error) {
+			if err := fs.SubmitVisit(s, func(*core.Frame) {}, func(err error) {
 				defer wg.Done()
 				if err != nil && !errors.Is(err, ErrFrameShed) {
 					t.Errorf("frame: %v", err)

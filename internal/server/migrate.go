@@ -63,7 +63,7 @@ func (r *Router) migrateReply(ss *routerShard, env *wire.Envelope) {
 	m := r.migrations[env.Session]
 	r.migMu.Unlock()
 	if m == nil {
-		r.reg.Counter("router.replies.orphaned").Inc()
+		r.orphaned.Inc()
 		return
 	}
 	res := migResult{from: ss.member.ID}
@@ -443,16 +443,19 @@ func (r *Router) ListenAdmin(addr string) (string, error) {
 	return r.admin.listen(addr)
 }
 
-// writeMembership writes one MsgMembership envelope carrying the view.
-func writeMembership(w *lockedWriter, seq uint64, v *membership.View) error {
+// membershipMsg builds one MsgMembership envelope carrying the view: the
+// reply to the admin request seq, or (seq 0) a watch push.
+func membershipMsg(seq uint64, v *membership.View) outMsg {
 	var buf wire.Buffer
 	membership.EncodeViewInto(&buf, v)
-	return w.write(&wire.Envelope{Type: wire.MsgMembership, Seq: seq, Payload: buf.Bytes()})
+	return outMsg{env: wire.Envelope{Type: wire.MsgMembership, Seq: seq, Payload: buf.Bytes()}, reply: seq != 0}
 }
 
+// serveAdmin is the admin endpoint's connection loop. Like every accepted
+// connection it only reads: replies and watch pushes go through an outbox.
 func (r *Router) serveAdmin(conn net.Conn) {
 	fr := wire.NewFrameReader(conn)
-	w := &lockedWriter{fw: wire.NewFrameWriter(conn)}
+	out := newOutbox(conn, routerPushQueue, nil, nil)
 	var watchCancel func()
 	var watchDone chan struct{}
 	defer func() {
@@ -460,50 +463,45 @@ func (r *Router) serveAdmin(conn net.Conn) {
 			watchCancel()
 			<-watchDone
 		}
+		_ = conn.Close()
+		out.close()
 	}()
-	fail := func(seq uint64, err error) bool {
-		return w.write(&wire.Envelope{Type: wire.MsgError, Seq: seq, Payload: []byte(err.Error())}) != nil
+	// answer queues the outcome of one membership change or query.
+	answer := func(seq uint64, view *membership.View, err error) {
+		if err != nil {
+			out.fail(0, seq, err.Error())
+			return
+		}
+		out.enqueue(membershipMsg(seq, view))
 	}
 	var env wire.Envelope
 	for {
+		out.awaitReplies(replyWindow - 1)
 		if err := fr.ReadEnvelopeReuse(&env); err != nil {
 			return
 		}
 		switch env.Type {
 		case wire.MsgHello:
-			if _, err := checkHello(w, &env); err != nil || writeHello(w, env.Seq, 0, "router-admin") != nil {
+			if _, err := checkHello(&env); err != nil {
+				out.fail(0, env.Seq, err.Error())
+				out.awaitReplies(0)
 				return
 			}
+			out.enqueue(helloReply(env.Seq, 0, "router-admin"))
 		case wire.MsgJoinShard:
 			m, err := membership.DecodeMember(env.Payload)
 			var view *membership.View
 			if err == nil {
 				view, err = r.Join(m)
 			}
-			if err != nil {
-				if fail(env.Seq, err) {
-					return
-				}
-				continue
-			}
-			if writeMembership(w, env.Seq, view) != nil {
-				return
-			}
+			answer(env.Seq, view, err)
 		case wire.MsgLeaveShard:
 			id, err := wire.NewReader(env.Payload).Uvarint()
 			var view *membership.View
 			if err == nil {
 				view, err = r.Drain(id)
 			}
-			if err != nil {
-				if fail(env.Seq, err) {
-					return
-				}
-				continue
-			}
-			if writeMembership(w, env.Seq, view) != nil {
-				return
-			}
+			answer(env.Seq, view, err)
 		case wire.MsgControl:
 			if len(env.Payload) > 0 && env.Payload[0] == CtrlWatchMembership {
 				if watchCancel == nil {
@@ -513,25 +511,19 @@ func (r *Router) serveAdmin(conn net.Conn) {
 					go func() {
 						defer close(watchDone)
 						for v := range views {
-							if writeMembership(w, 0, v) != nil {
+							if !out.enqueue(membershipMsg(0, v)) {
 								_ = conn.Close() // writer dead: end the admin loop too
 								return
 							}
 						}
 					}()
 				}
-				if w.write(&wire.Envelope{Type: wire.MsgAck, Seq: env.Seq}) != nil {
-					return
-				}
+				out.ack(&env)
 				continue
 			}
-			if writeMembership(w, env.Seq, r.dir.View()) != nil {
-				return
-			}
+			answer(env.Seq, r.dir.View(), nil)
 		default:
-			if fail(env.Seq, fmt.Errorf("server: unsupported admin message %v", env.Type)) {
-				return
-			}
+			out.fail(0, env.Seq, fmt.Sprintf("server: unsupported admin message %v", env.Type))
 		}
 	}
 }
@@ -543,7 +535,7 @@ func (r *Router) serveAdmin(conn net.Conn) {
 type AdminClient struct {
 	conn net.Conn
 	fr   *wire.FrameReader
-	w    *lockedWriter
+	fw   *wire.FrameWriter
 	seq  uint64
 }
 
@@ -556,7 +548,7 @@ func DialAdmin(addr string, timeout time.Duration) (*AdminClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("admin: dial %s: %w", addr, err)
 	}
-	return &AdminClient{conn: conn, fr: wire.NewFrameReader(conn), w: &lockedWriter{fw: wire.NewFrameWriter(conn)}}, nil
+	return &AdminClient{conn: conn, fr: wire.NewFrameReader(conn), fw: wire.NewFrameWriter(conn)}, nil
 }
 
 // Close tears the admin connection down.
@@ -567,7 +559,7 @@ func (a *AdminClient) Close() error { return a.conn.Close() }
 func (a *AdminClient) roundTrip(env *wire.Envelope) (membership.DecodedView, error) {
 	a.seq++
 	env.Seq = a.seq
-	if err := a.w.write(env); err != nil {
+	if err := sendEnvelope(a.fw, env); err != nil {
 		return membership.DecodedView{}, err
 	}
 	for {

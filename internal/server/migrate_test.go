@@ -507,8 +507,7 @@ func TestDeliverRebaseDropsStragglers(t *testing.T) {
 	defer client.Close()
 	defer srv.Close()
 	go func() { _, _ = io.Copy(io.Discard, client) }()
-	cl := &routerClient{lockedWriter: lockedWriter{fw: wire.NewFrameWriter(srv)}}
-	cl.out = newOutbox(&cl.lockedWriter, 8, nil, nil)
+	cl := &routerClient{out: newOutbox(srv, 8, nil, nil)}
 	defer cl.out.close()
 	const session = 7
 	r.sessions[session] = cl

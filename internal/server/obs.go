@@ -33,7 +33,7 @@ func (e *Engine) StreamSummaries() []obs.StreamSummary {
 	out := make([]obs.StreamSummary, 0, len(e.live))
 	for st := range e.live {
 		out = append(out, obs.StreamSummary{
-			Session:    st.session,
+			Session:    st.d.session,
 			IntervalMS: float64(st.interval) / float64(time.Millisecond),
 			Delta:      st.delta,
 			Pushes:     st.pushSeq.Load(),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -228,20 +229,23 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 }
 
 // TestObsPolledFramesRecorded pins that request/reply frames fly like
-// streamed ones: on both session-serving roles every polled frame leaves one
-// delivered flight record keyed by (session, request seq) whose spans
-// account for its total — so a poll-only deployment is as visible to
-// /debug/arbd/slow and the arbd_obs_* instruments as a streaming one.
+// streamed ones, down the same delivery path: on both session-serving roles
+// every polled frame leaves one delivered flight record keyed by (session,
+// request seq) whose spans — a real outbox wait among them — account for
+// its total, and through a router every forwarded reply leaves a second
+// record on the router, joining the shard's on (session, seq). A poll-only
+// deployment is as visible to /debug/arbd/slow and the arbd_obs_*
+// instruments as a streaming one.
 func TestObsPolledFramesRecorded(t *testing.T) {
 	srv, standalone := startServer(t)
 	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
 	for _, role := range []struct {
 		name string
 		addr string
-		rec  *obs.Recorder
+		recs []*obs.Recorder // every node a reply crosses, rendering node first
 	}{
-		{"standalone", standalone, srv.Engine().Recorder()},
-		{"router→shard", tc.addr, tc.shards[0].Engine().Recorder()},
+		{"standalone", standalone, []*obs.Recorder{srv.Engine().Recorder()}},
+		{"router→shard", tc.addr, []*obs.Recorder{tc.shards[0].Engine().Recorder(), tc.router.rec}},
 	} {
 		t.Run(role.name, func(t *testing.T) {
 			cl, err := Dial(role.addr)
@@ -258,28 +262,39 @@ func TestObsPolledFramesRecorded(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// A reply is written before its flight settles: poll for the last.
-			var mine []obs.FrameRecord
-			waitFor(t, "the polled frames' flight records", func() bool {
-				mine = mine[:0]
-				for _, r := range role.rec.Records(nil) {
-					if r.Session == cl.SessionID() {
-						mine = append(mine, r)
+			var seqs map[uint64]bool // the rendering node's; every later hop must match
+			for hop, rec := range role.recs {
+				// A reply is written before its flight settles: poll for the last.
+				var mine []obs.FrameRecord
+				waitFor(t, "the polled frames' flight records", func() bool {
+					mine = mine[:0]
+					for _, r := range rec.Records(nil) {
+						if r.Session == cl.SessionID() {
+							mine = append(mine, r)
+						}
+					}
+					return len(mine) == polls
+				})
+				got := make(map[uint64]bool)
+				for _, r := range mine {
+					if r.Seq == 0 || got[r.Seq] {
+						t.Fatalf("hop %d: record seq %d: want each request's own seq", hop, r.Seq)
+					}
+					got[r.Seq] = true
+					if r.Err || r.Dropped || r.Shed || r.Spans[obs.StageOutbox] <= 0 || r.Spans[obs.StageWrite] <= 0 {
+						t.Fatalf("hop %d: polled frame record = %+v, want delivered through the outbox", hop, r)
+					}
+					if rendered := r.Spans[obs.StageRender] > 0; rendered != (hop == 0) {
+						t.Fatalf("hop %d: polled frame record = %+v, want a render span on the rendering node only", hop, r)
+					}
+					if d := r.SpanSum() - r.Total; d > r.Total/100+1000 || d < -(r.Total/100+1000) {
+						t.Fatalf("hop %d: span sum %dns vs total %dns — stages do not account for the latency", hop, r.SpanSum(), r.Total)
 					}
 				}
-				return len(mine) == polls
-			})
-			seqs := make(map[uint64]bool)
-			for _, r := range mine {
-				if r.Seq == 0 || seqs[r.Seq] {
-					t.Fatalf("record seq %d: want each request's own seq", r.Seq)
-				}
-				seqs[r.Seq] = true
-				if r.Err || r.Dropped || r.Shed || r.Spans[obs.StageRender] <= 0 || r.Spans[obs.StageOutbox] != 0 {
-					t.Fatalf("polled frame record = %+v, want delivered, rendered, never queued on an outbox", r)
-				}
-				if d := r.SpanSum() - r.Total; d > r.Total/100+1000 || d < -(r.Total/100+1000) {
-					t.Fatalf("span sum %dns vs total %dns — stages do not account for the latency", r.SpanSum(), r.Total)
+				if hop == 0 {
+					seqs = got
+				} else if !reflect.DeepEqual(got, seqs) {
+					t.Fatalf("hop %d recorded seqs %v, the rendering node %v: records do not join on (session, seq)", hop, got, seqs)
 				}
 			}
 		})

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
 
 	"arbd/internal/geo"
 	"arbd/internal/sensor"
+	"arbd/internal/wire"
 )
 
 // TestPooledFrameBuffersNoCrossTalk drives many concurrent connections
@@ -63,5 +66,44 @@ func TestPooledFrameBuffersNoCrossTalk(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestPolledReplyAllocatesNothing extends the pooled-frame discipline to the
+// whole delivery path: in steady state one polled frame — read, scheduled,
+// rendered, encoded, staged, queued on the outbox, written — allocates
+// nothing on the server.
+func TestPolledReplyAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	srv := NewWithOptions(newTestPlatform(t), discardLogger(), Options{Scheduler: SchedulerConfig{Workers: 1, Deadline: -1}})
+	t.Cleanup(func() { _ = srv.Close() })
+	rc, _ := rawPipe(t, srv.serveConn)
+	rc.hello(t, "poller", wire.ProtoMax)
+	rc.sendGPS(t, 0, center)
+
+	// The test's own half must not allocate either: one pre-framed request,
+	// and replies read into a fixed buffer (8-byte frame header, body).
+	var batch wire.EnvelopeBatch
+	_ = batch.Add(&wire.Envelope{Type: wire.MsgFrameRequest, Seq: 7})
+	request := batch.Bytes()
+	reply := make([]byte, 1<<20)
+	poll := func() {
+		if _, err := rc.c.Write(request); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(rc.c, reply[:8]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(rc.c, reply[:binary.LittleEndian.Uint32(reply)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		poll() // warm the pools, the scratch and the batch arenas
+	}
+	if allocs := testing.AllocsPerRun(200, poll); allocs > 0 {
+		t.Fatalf("a polled frame allocated %.0f times, want 0", allocs)
 	}
 }

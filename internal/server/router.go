@@ -31,9 +31,10 @@ var (
 	ErrShardDown = errors.New("server: shard connection down")
 )
 
-// routerPushQueue is the drop-oldest bound on each client connection's push
-// outbox: a client that stops reading loses its oldest frames, never stalls
-// the shard reader that delivers everyone else's.
+// routerPushQueue is the drop-oldest bound on the pushes queued for each
+// client connection: a client that stops reading loses its oldest frames,
+// never stalls the shard reader that delivers everyone else's. (Its replies
+// are bounded by replyWindow, like any accepted connection's.)
 const routerPushQueue = 32
 
 // RetryPolicy is the router's backend-reconnect budget: when a shard
@@ -145,10 +146,11 @@ func (o *RouterOptions) defaults() {
 // MsgLoad; the router runs the standalone server's lag-aware admission
 // against that remote pressure and sheds frame requests before wasting a
 // forward hop on an overlay that would arrive stale. Frame subscriptions
-// forward with session affinity, the shard's MsgFramePush
-// replies traverse the hop back, and each client connection buffers pushes
-// on a drop-oldest outbox so one stalled reader cannot stall a shard
-// reader serving every other client.
+// forward with session affinity. Everything bound for a client — a shard's
+// replies and pushes traversing the hop back, the router's own sheds and
+// errors — is enqueued on that client connection's outbox, the same one
+// delivery path the session-serving roles use (stream.go), so one stalled
+// reader cannot stall a shard reader serving every other client.
 type Router struct {
 	cs     *connServer
 	logger *log.Logger
@@ -163,9 +165,11 @@ type Router struct {
 
 	// Per-message instruments, resolved once at construction: the forward
 	// and push hot paths must not pay a registry map lookup per envelope.
-	framesShed  *metrics.Counter
-	forwardErrs *metrics.Counter
-	pushesStale *metrics.Counter
+	framesShed    *metrics.Counter
+	forwardErrs   *metrics.Counter
+	pushesStale   *metrics.Counter
+	pushesDropped *metrics.Counter
+	orphaned      *metrics.Counter
 
 	// shards maps member ID → slot. Mutable since membership went dynamic:
 	// Join installs, Drain removes.
@@ -201,12 +205,13 @@ type Router struct {
 	migMu      sync.Mutex
 	migrations map[uint64]*migration
 
-	// bufs stages forwarded push payloads while they sit in client
-	// outboxes (the shard reader's frame buffer cannot outlive one read).
+	// bufs stages forwarded payloads while they sit in client outboxes
+	// (the shard reader's frame buffer cannot outlive one read).
 	bufs sync.Pool
 
-	// rec records the router-side half of every push's flight (outbox wait
-	// and client write); shard-side traces join on (session, seq).
+	// rec records the router-side half of every frame's flight, polled or
+	// pushed (outbox wait and client write); shard-side traces join on
+	// (session, seq).
 	rec *obs.Recorder
 
 	connected bool
@@ -260,6 +265,30 @@ type backendConn struct {
 	conn net.Conn
 	w    *lockedWriter
 	fr   *wire.FrameReader
+}
+
+// lockedWriter serialises envelope writes on a backend connection, the
+// forward direction, which every client's read loop shares. Each write is
+// framed and flushed atomically, and carries a deadline when timeout is
+// set: forwards hold the membership-change lock across these writes, so
+// they must never block on a shard's full TCP buffer indefinitely — a
+// partitioned shard turns into a timeout error, not a wedged lock.
+type lockedWriter struct {
+	mu      sync.Mutex
+	fw      *wire.FrameWriter
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (w *lockedWriter) write(env *wire.Envelope) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.timeout > 0 {
+		// Refreshed per write, never cleared: the next write resets it, and
+		// an idle connection has nothing in flight to time out.
+		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+	return sendEnvelope(w.fw, env)
 }
 
 // routerShard is one shard's slot: the current backend connection (swapped
@@ -316,12 +345,10 @@ func (ss *routerShard) forward(env *wire.Envelope) error {
 	return bc.w.write(env)
 }
 
-// routerClient is one client connection's write side; replies arrive from
-// shard reader goroutines while local sheds come from the client's own
-// read loop, so synchronous writes are serialised — and pushed frames go
-// through the drop-oldest outbox sharing the same lock.
+// routerClient is what the router holds per client connection: its outbox
+// — shard readers enqueue the shard's replies and pushes, the client's own
+// read loop enqueues local sheds and errors — and its migration gate.
 type routerClient struct {
-	lockedWriter
 	out *outbox
 
 	// fwdMu serialises this session's forwards against its migration: the
@@ -361,9 +388,11 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 		subs:       make(map[uint64]*subEntry),
 		migrations: make(map[uint64]*migration),
 
-		framesShed:  reg.Counter("router.frames.shed"),
-		forwardErrs: reg.Counter("router.forward.errors"),
-		pushesStale: reg.Counter("router.pushes.stale"),
+		framesShed:    reg.Counter("router.frames.shed"),
+		forwardErrs:   reg.Counter("router.forward.errors"),
+		pushesStale:   reg.Counter("router.pushes.stale"),
+		pushesDropped: reg.Counter("router.pushes.dropped"),
+		orphaned:      reg.Counter("router.replies.orphaned"),
 
 		rec: obs.NewRecorder(reg, obs.Options{}),
 	}
@@ -634,72 +663,81 @@ func (r *Router) failStreams(ss *routerShard) {
 	}
 }
 
-// deliver routes one shard reply to its client. Request/reply traffic is
-// written synchronously (the payload aliases the shard reader's buffer, so
-// the write happens before the next shard read — exactly the calling
-// sequence); pushed frames are copied into a pooled buffer and queued on
-// the client's drop-oldest outbox, because a slow client must cost itself
-// frames, not stall the shard reader.
+// deliver routes one shard envelope to its client's outbox: copied into a
+// pooled buffer (the payload aliases the shard reader's buffer, which the
+// next read reuses) and queued, never written here — a slow client must
+// cost itself, not stall the shard reader. Pushed frames are pushes; every
+// other envelope answers a request the client made and is a reply. Frames,
+// polled or pushed, fly: the router-side flight opens here, at arrival, and
+// its spans cover the client outbox wait and the client write.
 func (r *Router) deliver(env *wire.Envelope) {
 	r.sessMu.RLock()
 	cl := r.sessions[env.Session]
 	r.sessMu.RUnlock()
 	if cl == nil {
 		// Client went away while the reply was in flight.
-		r.reg.Counter("router.replies.orphaned").Inc()
+		r.orphaned.Inc()
 		return
 	}
-	if env.Type == wire.MsgFramePush || env.Type == wire.MsgFrameDelta {
-		// Delta pushes ride the same path as full pushes, payload opaque:
-		// rebasing shifts every seq by the same constant within an epoch,
-		// so the seq-contiguity rule delta application depends on is
-		// preserved, and an epoch restart's first push is always a
-		// keyframe (a fresh server-side stream keys its push 1).
-		// Rebase the stream's push counter: a migrated (or replayed)
-		// server-side stream restarts at 1, but the wire contract toward
-		// the client is a strictly increasing seq. Two stale cases drop
-		// here: after a rebase, a raw seq above lastRaw is a straggler of
-		// the replaced stream (the real replacement announces itself by
-		// restarting at or below lastRaw — raw counters are per-stream
-		// contiguous, so only a restart can move backwards); and a rebased
-		// value at or below `last` is a duplicate.
-		seq := env.Seq
-		r.subsMu.Lock()
-		if e := r.subs[env.Session]; e != nil {
-			if e.restart && e.lastRaw > 0 && env.Seq > e.lastRaw &&
-				time.Since(e.rebasedAt) < stragglerWindow {
-				r.subsMu.Unlock()
-				r.pushesStale.Inc()
-				return
-			}
-			seq = e.base + env.Seq
-			if seq <= e.last {
-				r.subsMu.Unlock()
-				r.pushesStale.Inc()
-				return
-			}
-			e.restart = false
-			e.lastRaw = env.Seq
-			e.last = seq
+	push := env.Type == wire.MsgFramePush || env.Type == wire.MsgFrameDelta
+	seq := env.Seq
+	if push {
+		var fresh bool
+		if seq, fresh = r.rebasePush(env.Session, env.Seq); !fresh {
+			r.pushesStale.Inc()
+			return
 		}
-		r.subsMu.Unlock()
-		buf := r.bufs.Get().(*wire.Buffer)
-		buf.Reset()
-		buf.Append(env.Payload)
-		// Open the router-side flight here, at push arrival: its spans cover
-		// the client outbox wait and the client write, and it carries the
-		// rebased seq so it joins the shard's trace on (session, seq).
-		fl := r.rec.Begin(env.Session, time.Now())
-		fl.SetSeq(seq)
-		cl.out.enqueue(outMsg{
-			env:    wire.Envelope{Type: env.Type, Seq: seq, Session: env.Session, Payload: buf.Bytes()},
-			buf:    buf,
-			pool:   &r.bufs,
-			flight: fl,
-		})
-		return
 	}
-	_ = cl.write(env)
+	buf := r.bufs.Get().(*wire.Buffer)
+	buf.Reset()
+	buf.Append(env.Payload)
+	var fl *obs.Flight
+	if push || env.Type == wire.MsgAnnotations {
+		// The flight carries the seq the client sees (rebased, for a push),
+		// so it joins the shard's trace on (session, seq).
+		fl = r.rec.Begin(env.Session, time.Now())
+		fl.SetSeq(seq)
+	}
+	cl.out.enqueue(outMsg{
+		env:    wire.Envelope{Type: env.Type, Seq: seq, Session: env.Session, Payload: buf.Bytes()},
+		reply:  !push,
+		buf:    buf,
+		pool:   &r.bufs,
+		flight: fl,
+	})
+}
+
+// rebasePush maps a stream's raw push counter onto the wire seq its client
+// sees, reporting false for a push that must not be delivered. A migrated
+// (or replayed) server-side stream restarts at 1, but the wire contract
+// toward the client is a strictly increasing seq. Delta pushes ride the
+// same path as full pushes, payload opaque: rebasing shifts every seq by
+// the same constant within an epoch, so the seq-contiguity rule delta
+// application depends on is preserved, and an epoch restart's first push is
+// always a keyframe (a fresh server-side stream keys its push 1). Two stale
+// cases drop: after a rebase, a raw seq above lastRaw is a straggler of the
+// replaced stream (the real replacement announces itself by restarting at
+// or below lastRaw — raw counters are per-stream contiguous, so only a
+// restart can move backwards); and a rebased value at or below `last` is a
+// duplicate.
+func (r *Router) rebasePush(session, raw uint64) (seq uint64, fresh bool) {
+	r.subsMu.Lock()
+	defer r.subsMu.Unlock()
+	e := r.subs[session]
+	if e == nil {
+		return raw, true
+	}
+	if e.restart && e.lastRaw > 0 && raw > e.lastRaw && time.Since(e.rebasedAt) < stragglerWindow {
+		return 0, false
+	}
+	seq = e.base + raw
+	if seq <= e.last {
+		return 0, false
+	}
+	e.restart = false
+	e.lastRaw = raw
+	e.last = seq
+	return seq, true
 }
 
 // Listen binds addr and starts accepting client connections. Connect must
@@ -767,13 +805,14 @@ func (r *Router) untrackSub(session uint64) {
 // against the current membership epoch, and forwards serialise against the
 // session's migration gate — a session mid-migration pauses here for the
 // export→import→replay window rather than racing its own state across
-// nodes.
+// nodes. Like the session-serving loop (conn.go) it only reads: whatever
+// the client is owed goes through its outbox, and the loop parks while
+// replyWindow replies are unwritten.
 func (r *Router) serveClient(conn net.Conn) {
 	fr := wire.NewFrameReader(conn)
-	cl := &routerClient{lockedWriter: lockedWriter{fw: wire.NewFrameWriter(conn), conn: conn}}
 	// The version the client settles on needs no tracking here: what it may
 	// send is decided end to end, by the shard its envelopes reach.
-	_, helloSeq, err := acceptHello(conn, fr, &cl.lockedWriter)
+	_, helloSeq, err := acceptHello(conn, fr)
 	if err != nil {
 		r.logger.Printf("router: handshake with %v: %v", conn.RemoteAddr(), err)
 		return
@@ -782,7 +821,7 @@ func (r *Router) serveClient(conn net.Conn) {
 	// No onDrop hook on this hop: a dropped delta reaches the client as a
 	// seq gap, and its keyframe-request ack forwards to the shard like any
 	// other envelope.
-	cl.out = newOutbox(&cl.lockedWriter, routerPushQueue, r.reg.Counter("router.pushes.dropped"), nil)
+	cl := &routerClient{out: newOutbox(conn, routerPushQueue, r.pushesDropped, nil)}
 	r.sessMu.Lock()
 	r.sessions[id] = cl
 	r.sessMu.Unlock()
@@ -798,15 +837,13 @@ func (r *Router) serveClient(conn net.Conn) {
 		// Tell the owning shard the session is over so its registry doesn't
 		// grow for the life of the backend connection. Gated: a migration
 		// in flight finishes first, so the end lands on the new owner.
-		end := wire.Envelope{Type: wire.MsgControl, Session: id, Payload: []byte{CtrlEndSession}}
-		r.routeClientEnvelope(cl, id, &end)
+		r.route(cl, id, &wire.Envelope{Type: wire.MsgControl, Session: id, Payload: []byte{CtrlEndSession}})
 	}()
-	if writeHello(&cl.lockedWriter, helloSeq, id, "router") != nil {
-		return
-	}
+	cl.out.enqueue(helloReply(helloSeq, id, "router"))
 
 	var env wire.Envelope
 	for {
+		cl.out.awaitReplies(replyWindow - 1)
 		if err := fr.ReadEnvelopeReuse(&env); err != nil {
 			return // EOF or broken pipe: session over
 		}
@@ -815,8 +852,8 @@ func (r *Router) serveClient(conn net.Conn) {
 		case wire.MsgHello:
 			// Answered here, never forwarded — and only once: the connection
 			// does not survive a second one.
-			_ = cl.write(&wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Session: id,
-				Payload: []byte("server: hello after handshake")})
+			cl.out.fail(id, env.Seq, "server: hello after handshake")
+			cl.out.awaitReplies(0)
 			return
 		case wire.MsgControl:
 			// Control payloads are router↔shard vocabulary (CtrlEndSession
@@ -825,39 +862,25 @@ func (r *Router) serveClient(conn net.Conn) {
 			// than let a client envelope collide with an internal verb.
 			env.Payload = nil
 		}
-		if fatal := r.routeClientEnvelope(cl, id, &env); fatal {
-			return
+		if !r.route(cl, id, &env) {
+			return // router shutting down; nothing can be forwarded
 		}
 	}
 }
 
-// routeClientEnvelope forwards one client envelope to the session's
-// current owner and writes any resulting reply. It reports fatal (tear
-// the connection down) when the reply write to the client fails.
-func (r *Router) routeClientEnvelope(cl *routerClient, id uint64, env *wire.Envelope) (fatal bool) {
-	reply, ok := r.forwardGated(cl, id, env)
-	if !ok {
-		return true // router shutting down; nothing can be forwarded
-	}
-	if reply != nil {
-		return cl.write(reply) != nil
-	}
-	return false
-}
-
-// forwardGated makes the admission decision and performs the shard
-// forward under the session's migration gate and the membership-change
-// read lock, returning the reply to send (nil for one-way traffic) rather
-// than writing it: client writes can block on a reader that went away,
-// and blocking while holding these locks would let one stalled client
-// wedge every membership change (gateAll waits on fwdMu) and, through the
-// change lock, the whole data plane.
+// route makes the admission decision for one client envelope and forwards
+// it to the session's current owner under the session's migration gate and
+// the membership-change read lock; an envelope the router answers itself (a
+// shed, an unreachable owner) gets its reply queued on the client's outbox,
+// which never blocks — a client that went away cannot hold these locks, and
+// through them every membership change (gateAll waits on fwdMu) and the
+// whole data plane. It reports false only when the router is shutting down.
 //
 // The locks span the whole decide-and-forward sequence so the shard
 // consulted for admission is the shard the envelope reaches: without
 // that, a migration between the pend-FIFO add and the forward would
 // strand an entry on the old shard's FIFO and poison its admission clock.
-func (r *Router) forwardGated(cl *routerClient, id uint64, env *wire.Envelope) (reply *wire.Envelope, ok bool) {
+func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) (ok bool) {
 	for {
 		r.changeMu.RLock()
 		cl.fwdMu.Lock()
@@ -870,21 +893,19 @@ func (r *Router) forwardGated(cl *routerClient, id uint64, env *wire.Envelope) (
 		select {
 		case <-ch:
 		case <-r.cs.done:
-			return nil, false
+			return false
 		}
 	}
 	defer func() {
 		cl.fwdMu.Unlock()
 		r.changeMu.RUnlock()
 	}()
-	errReply := func(text string) *wire.Envelope {
-		return &wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Session: id, Payload: []byte(text)}
-	}
 	ss := r.shardFor(id)
 	if ss == nil {
 		// Epoch names an owner with no live slot: only reachable in the
 		// router's own shutdown window.
-		return r.shardDownReply(id, env), true
+		r.replyShardDown(cl, id, env)
+		return true
 	}
 	if env.Type == wire.MsgSubscribe {
 		// Track before the forward: a shard bounce in the gap would
@@ -904,7 +925,8 @@ func (r *Router) forwardGated(cl *routerClient, id uint64, env *wire.Envelope) (
 	if env.Type == wire.MsgFrameRequest {
 		if r.shedNow(ss) {
 			r.framesShed.Inc()
-			return errReply(ErrRouterShed.Error()), true
+			cl.out.fail(id, env.Seq, ErrRouterShed.Error())
+			return true
 		}
 		ss.pend.add(id, env.Seq, time.Now())
 	}
@@ -920,24 +942,22 @@ func (r *Router) forwardGated(cl *routerClient, id uint64, env *wire.Envelope) (
 		if env.Type == wire.MsgSubscribe || env.Type == wire.MsgUnsubscribe {
 			r.untrackSub(id)
 		}
-		return r.shardDownReply(id, env), true
+		r.replyShardDown(cl, id, env)
+		return true
 	}
 	if env.Type == wire.MsgUnsubscribe {
 		r.untrackSub(id)
 	}
-	return nil, true
+	return true
 }
 
-// shardDownReply builds the unreachable-owner error for request/reply
-// traffic; sensor streams are one-way (nil reply) so the client finds out
-// on its next request.
-func (r *Router) shardDownReply(id uint64, env *wire.Envelope) *wire.Envelope {
+// replyShardDown answers request/reply traffic whose owner is unreachable;
+// sensor streams are one-way, so the client finds out on its next request.
+func (r *Router) replyShardDown(cl *routerClient, id uint64, env *wire.Envelope) {
 	switch env.Type {
 	case wire.MsgFrameRequest, wire.MsgControl, wire.MsgSubscribe, wire.MsgUnsubscribe:
-		return &wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Session: id,
-			Payload: []byte(ErrShardDown.Error())}
+		cl.out.fail(id, env.Seq, ErrShardDown.Error())
 	}
-	return nil
 }
 
 // shedNow applies lag-aware admission for one shard: the base deadline is

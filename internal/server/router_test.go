@@ -40,14 +40,17 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 // send writes one envelope with the next sequence number and returns it.
 func (rc *rawConn) send(t *testing.T, typ wire.MsgType, session uint64, payload []byte) uint64 {
 	t.Helper()
-	rc.seq++
-	if err := rc.fw.WriteEnvelope(&wire.Envelope{Type: typ, Seq: rc.seq, Session: session, Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.fw.Flush(); err != nil {
+	if err := rc.trySend(typ, session, payload); err != nil {
 		t.Fatal(err)
 	}
 	return rc.seq
+}
+
+// trySend is send for goroutines other than the test's: it reports the
+// error instead of failing the test.
+func (rc *rawConn) trySend(typ wire.MsgType, session uint64, payload []byte) error {
+	rc.seq++
+	return sendEnvelope(rc.fw, &wire.Envelope{Type: typ, Seq: rc.seq, Session: session, Payload: payload})
 }
 
 func (rc *rawConn) read(t *testing.T) *wire.Envelope {
@@ -322,7 +325,7 @@ func TestRouterShedsOnRemoteLoad(t *testing.T) {
 		rel := func() { releaseOnce.Do(func() { close(release) }) }
 		var blocked sync.WaitGroup
 		blocked.Add(1)
-		if err := sh.Engine().Scheduler().Submit(blocker, func(_ *core.Frame, err error) {
+		if err := sh.Engine().Scheduler().SubmitVisit(blocker, func(*core.Frame) {}, func(err error) {
 			defer blocked.Done()
 			<-release
 		}); err != nil {
@@ -625,9 +628,10 @@ func TestRouterReconnectsShardAndReplaysStreams(t *testing.T) {
 			if !ok {
 				t.Fatalf("stream died across the bounce: %v", cl.StreamErr())
 			}
-			// The replayed server-side stream restarts its wire counter,
-			// but the channel's Seq contract survives the bounce: the
-			// client rebases, so it stays strictly increasing.
+			// The replayed server-side stream restarts its push counter,
+			// but the router rebases it: f.Seq is the seq read off the
+			// wire, untouched by the client, and it stays strictly
+			// increasing across the bounce.
 			if f.Seq <= lastSeq {
 				t.Fatalf("push seq went %d -> %d across the bounce", lastSeq, f.Seq)
 			}

@@ -27,7 +27,7 @@ type SchedulerConfig struct {
 	// CPU-bound, so more workers than cores only adds contention.
 	Workers int
 	// QueueDepth bounds in-flight frame requests (default Workers*16).
-	// When the queue is full, Submit blocks — backpressure reaches the
+	// When the queue is full, SubmitVisit blocks — backpressure reaches the
 	// connection instead of growing an unbounded goroutine pile.
 	QueueDepth int
 	// Deadline is the maximum time a request may wait for a worker before
@@ -110,42 +110,23 @@ type FrameScheduler struct {
 	wg        sync.WaitGroup
 	quit      chan struct{}
 	closeOnce sync.Once
-	// closeMu orders Submit's enqueue against Close: any job that made it
-	// into the channel is guaranteed an answer (worker or close drain).
+	// closeMu orders a submitter's enqueue against Close: any job that made
+	// it into the channel is guaranteed an answer (worker or close drain).
 	closeMu sync.RWMutex
 	closed  bool
 }
 
+// frameJob is the scheduler's one job shape: visit runs under the session
+// lock with the rendered frame (Session.FrameVisit) — reply paths encode
+// there, so a concurrent frame for the same session cannot clobber the
+// scratch the encoder is reading — and done then fires exactly once with
+// the outcome, from the worker (or the close drain) that settled the job.
+// A shed or unanswered job skips visit.
 type frameJob struct {
-	sess *core.Session
-	enq  time.Time
-	// visit, when set, runs under the session lock with the rendered frame
-	// (Session.FrameVisit) before done; async reply paths encode there so
-	// a concurrent frame for the same session cannot clobber the scratch
-	// the encoder is reading. done then receives a nil *Frame.
+	sess  *core.Session
+	enq   time.Time
 	visit func(*core.Frame)
-	done  func(*core.Frame, error)
-	// doneErr is the streaming path's completion callback: QueueVisit
-	// callers never see a frame, and carrying the narrower signature
-	// directly spares wrapping it in a per-job adapter closure.
-	doneErr func(error)
-}
-
-// finish invokes whichever completion callback the job carries, exactly
-// once, from the worker (or close drain) that settled it.
-//
-//arbd:hotpath
-func (j *frameJob) finish(f *core.Frame, err error) {
-	if j.done != nil {
-		j.done(f, err)
-		return
-	}
-	j.doneErr(err)
-}
-
-type frameResult struct {
-	frame *core.Frame
-	err   error
+	done  func(error)
 }
 
 // NewFrameScheduler starts the worker pool. reg may be nil.
@@ -253,42 +234,37 @@ func (fs *FrameScheduler) run(job frameJob) {
 			// backend pressure tightened admission.
 			fs.framesShedL.Inc()
 		}
-		job.finish(nil, ErrFrameShed)
+		job.done(ErrFrameShed)
 		return
 	}
 	start := time.Now()
-	var f *core.Frame
-	var err error
-	if job.visit != nil {
-		err = job.sess.FrameVisit(start, job.visit)
-	} else {
-		f, err = job.sess.Frame(start)
-	}
+	err := job.sess.FrameVisit(start, job.visit)
 	fs.frameLat.Observe(time.Since(start))
 	fs.framesDone.Inc()
-	job.finish(f, err)
-}
-
-// Submit enqueues a frame job; done is invoked exactly once, from a worker
-// goroutine (or the close drain) — no per-job goroutine is spawned. Submit
-// blocks while the queue is full and fails with ErrSchedulerClosed after
-// Close.
-func (fs *FrameScheduler) Submit(sess *core.Session, done func(*core.Frame, error)) error {
-	return fs.submit(frameJob{sess: sess, enq: time.Now(), done: done})
+	job.done(err)
 }
 
 // SubmitVisit enqueues a frame job whose visit callback runs under the
 // session lock with the rendered frame (see Session.FrameVisit); done then
-// fires with the render error only. Shed and closed-scheduler outcomes
-// skip visit and surface through done. Both callbacks run on the worker
-// goroutine, visit strictly before done.
+// fires exactly once with the render error. Shed and closed-scheduler
+// outcomes skip visit and surface through done. Both callbacks run on the
+// worker goroutine (or the close drain), visit strictly before done — no
+// per-job goroutine is spawned. SubmitVisit blocks while the queue is full
+// — backpressure reaches the submitting connection's read loop — and fails
+// with ErrSchedulerClosed after Close.
 func (fs *FrameScheduler) SubmitVisit(sess *core.Session, visit func(*core.Frame), done func(error)) error {
-	return fs.submit(frameJob{
-		sess:    sess,
-		enq:     time.Now(),
-		visit:   visit,
-		doneErr: done,
-	})
+	job := frameJob{sess: sess, enq: time.Now(), visit: visit, done: done}
+	fs.closeMu.RLock()
+	defer fs.closeMu.RUnlock()
+	if fs.closed {
+		return ErrSchedulerClosed
+	}
+	select {
+	case fs.jobs <- job:
+		return nil
+	case <-fs.quit:
+		return ErrSchedulerClosed
+	}
 }
 
 // QueueVisit is SubmitVisit without the blocking admission: the streaming
@@ -307,12 +283,7 @@ func (fs *FrameScheduler) QueueVisit(sess *core.Session, visit func(*core.Frame)
 	if fs.closed {
 		return ErrSchedulerClosed
 	}
-	job := frameJob{
-		sess:    sess,
-		enq:     time.Now(),
-		visit:   visit,
-		doneErr: done,
-	}
+	job := frameJob{sess: sess, enq: time.Now(), visit: visit, done: done}
 	// A non-empty overflow means jobs are already waiting behind the
 	// channel: park behind them rather than jumping the line, so a
 	// saturated scheduler stays globally FIFO across every stream.
@@ -350,33 +321,20 @@ func (fs *FrameScheduler) parkOverflow(job frameJob) {
 	}
 }
 
-func (fs *FrameScheduler) submit(job frameJob) error {
-	fs.closeMu.RLock()
-	defer fs.closeMu.RUnlock()
-	if fs.closed {
-		return ErrSchedulerClosed
-	}
-	select {
-	case fs.jobs <- job:
-		return nil
-	case <-fs.quit:
-		return ErrSchedulerClosed
-	}
-}
-
 // Frame schedules one frame for the session and blocks for the result. No
 // serving path uses it (connections submit with SubmitVisit and reply from
-// the worker); it is the synchronous entry for in-process callers. Every
-// enqueued job is answered (worker or close drain), so the wait cannot leak.
+// the worker); it is the synchronous entry for in-process callers, who get
+// the frame Session.Frame would have returned: valid until the session's
+// next frame. Every enqueued job is answered (worker or close drain), so
+// the wait cannot leak.
 func (fs *FrameScheduler) Frame(sess *core.Session) (*core.Frame, error) {
-	reply := make(chan frameResult, 1)
-	if err := fs.Submit(sess, func(f *core.Frame, err error) {
-		reply <- frameResult{frame: f, err: err}
-	}); err != nil {
+	var frame *core.Frame
+	reply := make(chan error, 1)
+	if err := fs.SubmitVisit(sess, func(f *core.Frame) { frame = f }, func(err error) { reply <- err }); err != nil {
 		return nil, err
 	}
-	res := <-reply
-	return res.frame, res.err
+	err := <-reply
+	return frame, err
 }
 
 // Close stops the workers, then answers any still-queued jobs with
@@ -392,14 +350,14 @@ func (fs *FrameScheduler) Close() {
 		for {
 			select {
 			case job := <-fs.jobs:
-				job.finish(nil, ErrSchedulerClosed)
+				job.done(ErrSchedulerClosed)
 			default:
 				fs.ovMu.Lock()
 				ov := fs.ov
 				fs.ov = nil
 				fs.ovMu.Unlock()
 				for _, job := range ov {
-					job.finish(nil, ErrSchedulerClosed)
+					job.done(ErrSchedulerClosed)
 				}
 				return
 			}

@@ -58,7 +58,7 @@ func TestSchedulerFanOut(t *testing.T) {
 		}
 		for f := 0; f < framesEach; f++ {
 			wg.Add(1)
-			if err := fs.Submit(s, func(fr *core.Frame, err error) {
+			if err := fs.SubmitVisit(s, func(*core.Frame) {}, func(err error) {
 				defer wg.Done()
 				if err != nil {
 					errs <- err

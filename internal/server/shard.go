@@ -38,8 +38,6 @@ type ShardOptions struct {
 	// ID is the shard's ring member identity, announced in the hello
 	// handshake so a router can detect a miswired address.
 	ID uint64
-	// Name labels the shard in handshakes and logs (default "shard-<ID>").
-	Name string
 	// LoadEvery is how often the shard pushes a MsgLoad envelope on every
 	// backend connection (default 25 ms). Zero takes the default; negative
 	// disables pushing (tests drive load reports by hand).
@@ -58,10 +56,8 @@ type Shard struct{ *node }
 // NewShard returns a shard node over the platform (not yet listening).
 func NewShard(p *core.Platform, logger *log.Logger, opts ShardOptions) *Shard {
 	n := newNode(p, logger, opts.Options)
-	n.backend, n.id, n.name, n.loadEvery = true, opts.ID, opts.Name, opts.LoadEvery
-	if n.name == "" {
-		n.name = fmt.Sprintf("shard-%d", opts.ID)
-	}
+	n.backend, n.id, n.loadEvery = true, opts.ID, opts.LoadEvery
+	n.name = fmt.Sprintf("shard-%d", opts.ID) // its label in handshakes and logs
 	if n.loadEvery == 0 {
 		n.loadEvery = 25 * time.Millisecond
 	}

@@ -1,16 +1,20 @@
-// Subscription streaming: the push path. A client subscribes
-// once with a target cadence and the server owns the frame clock — the
-// engine's shared pacing wheel drives frames through the FrameScheduler,
-// the reply is encoded under the session lock via the pooled encode path
-// (a full MsgFramePush, or a MsgFrameDelta diff for v4 subscribers), and
-// finished pushes queue on a per-connection drop-oldest outbox whose
-// writer coalesces each wakeup's backlog into one vectored write. Load
-// degrades cadence before it sheds: a tick that fires while the previous
-// frame is still in flight is skipped outright.
+// Frame delivery and subscription streaming. Everything an accepted
+// connection is sent after its handshake — polled replies, pushed frames,
+// acks, errors, migrate replies, load reports — is enqueued on the
+// connection's outbox, whose writer goroutine is the connection's only
+// writer and coalesces each wakeup's backlog into one write; a delivery
+// stages a rendered frame between the scheduler worker and that enqueue,
+// for polls and streams alike. A subscribing client hands the
+// frame clock to the server: the engine's shared pacing wheel drives frames
+// through the FrameScheduler, each encoded under the session lock via the
+// pooled encode path (a full MsgFramePush, or a MsgFrameDelta diff for v4
+// subscribers). Load degrades cadence before it sheds: a tick that fires
+// while the previous frame is still in flight is skipped outright.
 package server
 
 import (
 	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,14 +62,18 @@ func pushBudget(s wire.Subscribe) int {
 	return int(s.Budget)
 }
 
-// outMsg is one queued push: an envelope whose payload may alias a pooled
+// outMsg is one queued message: an envelope whose payload may alias a pooled
 // encode buffer, released after the write (or on drop).
 type outMsg struct {
 	env wire.Envelope
+	// reply selects the class. A push (false) is subject to the drop-oldest
+	// capacity; a reply (true) is never dropped and never counted against
+	// it — replies are bounded by replyWindow instead.
+	reply bool
 	// buf is the pooled buffer backing env.Payload; it returns to pool
 	// when the message leaves the outbox. A (buf, pool) pair instead of a
-	// per-push closure: enqueue runs once per pushed frame, and binding a
-	// closure there is a heap allocation the hot path must not pay.
+	// per-message closure: enqueue runs once per delivered frame, and binding
+	// a closure there is a heap allocation the hot path must not pay.
 	buf  *wire.Buffer
 	pool *sync.Pool
 	// flight is the frame's flight-recorder handle; it rides the outbox with
@@ -96,16 +104,24 @@ func (m *outMsg) releaseBuf() {
 	}
 }
 
-// outbox is the per-connection push queue: enqueue never blocks, a writer
-// goroutine drains to the connection through the shared lockedWriter (so
-// pushes and request/reply traffic interleave at envelope granularity),
-// and when the queue is full the oldest push is dropped. It exists so that
-// scheduler workers — which enqueue from frame callbacks — are never
-// coupled to a client's read speed. Each writer wakeup drains the whole
-// backlog into a single vectored write: a burst of pushes costs one
-// syscall, not one per message.
+// outbox is an accepted connection's write side. Once the handshake is over
+// its writer goroutine is the only goroutine that writes to the connection:
+// read loops, scheduler workers, shard readers and load tickers all enqueue,
+// enqueue never blocks, and wire order is queue order. It exists so that no
+// goroutine shared between clients — a scheduler worker, a router's shard
+// reader — is ever coupled to one client's read speed. Each writer wakeup
+// drains the whole backlog into a single write: a burst costs one syscall,
+// not one per message.
+//
+// The queue carries two classes. Pushes (streamed frames, load reports,
+// stream obituaries) are bounded by dropping the oldest queued push when
+// the capacity is reached. Replies are never dropped; they are bounded
+// because the connection's read loop calls awaitReplies before taking each
+// envelope and parks while replyWindow of them are unwritten — a peer that
+// does not read stalls itself through TCP, and nothing else.
 type outbox struct {
-	w       *lockedWriter
+	w       io.Writer          // the connection
+	batch   wire.EnvelopeBatch // writer goroutine only
 	dropped *metrics.Counter
 	// onDrop, when set, is told the session whose oldest push was just
 	// dropped under backpressure. Delta streams use it to key their next
@@ -116,19 +132,22 @@ type outbox struct {
 	mu      sync.Mutex
 	q       []outMsg // FIFO; live entries are q[head:]
 	head    int      // index of the oldest entry: pops are O(1), not a memmove
+	pushes  int      // queued push-class entries: what the capacity bounds
+	replies int      // reply-class entries queued or in the batch being written
 	cap     int
-	reserve int // sum of live streams' budgets (addReserve); capacity floor
+	reserve int       // sum of live streams' budgets (addReserve); capacity floor
+	room    sync.Cond // on mu: replies fell, or the outbox closed; the read loop waits
 	closed  bool
 	wake    chan struct{} // 1-buffered: writer nudge
 
 	done chan struct{} // closed when the writer goroutine exits
 }
 
-// queueLenLocked returns the number of queued pushes; callers hold mu.
+// queueLenLocked returns the number of queued messages; callers hold mu.
 func (ob *outbox) queueLenLocked() int { return len(ob.q) - ob.head }
 
-// popLocked removes and returns the oldest push; callers hold mu and have
-// checked the queue is non-empty. The vacated slot is zeroed so the
+// popLocked removes and returns the oldest message; callers hold mu and
+// have checked the queue is non-empty. The vacated slot is zeroed so the
 // release closure isn't retained.
 //
 //arbd:hotpath
@@ -143,7 +162,24 @@ func (ob *outbox) popLocked() outMsg {
 	return msg
 }
 
-// pushLocked appends one push, compacting the consumed prefix only when
+// dropOldestPushLocked removes and returns the oldest queued push; callers
+// hold mu and have checked pushes > 0. Replies queued ahead of it keep their
+// order: they shift back one slot (at most replyWindow of them, and none on
+// a connection that only streams).
+//
+//arbd:hotpath
+func (ob *outbox) dropOldestPushLocked() outMsg {
+	i := ob.head
+	for ob.q[i].reply {
+		i++
+	}
+	old := ob.q[i]
+	copy(ob.q[ob.head+1:i+1], ob.q[ob.head:i])
+	ob.q[ob.head] = old
+	return ob.popLocked()
+}
+
+// pushLocked appends one message, compacting the consumed prefix only when
 // append would otherwise grow the array — amortised O(1).
 //
 //arbd:hotpath
@@ -159,9 +195,10 @@ func (ob *outbox) pushLocked(msg outMsg) {
 	ob.q = append(ob.q, msg)
 }
 
-// newOutbox starts the writer goroutine. capacity is the drop-oldest
-// bound; onDrop (optional) observes backpressure drops per session.
-func newOutbox(w *lockedWriter, capacity int, dropped *metrics.Counter, onDrop func(session uint64)) *outbox {
+// newOutbox starts the writer goroutine over an accepted connection whose
+// handshake is done. capacity is the drop-oldest bound on pushes; onDrop
+// (optional) observes backpressure drops per session.
+func newOutbox(w io.Writer, capacity int, dropped *metrics.Counter, onDrop func(session uint64)) *outbox {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -173,11 +210,12 @@ func newOutbox(w *lockedWriter, capacity int, dropped *metrics.Counter, onDrop f
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
+	ob.room.L = &ob.mu
 	go ob.writeLoop()
 	return ob
 }
 
-// grow raises the outbox capacity (never shrinks below an earlier
+// grow raises the push capacity (never shrinks below an earlier
 // subscription's budget — connections multiplexing several streams keep
 // the largest requested bound).
 func (ob *outbox) grow(capacity int) {
@@ -208,9 +246,9 @@ func (ob *outbox) capLocked() int {
 	return ob.cap
 }
 
-// enqueue queues one push, dropping the oldest queued push when full.
-// Safe from any goroutine; never blocks. After close it releases msg
-// immediately and reports false.
+// enqueue queues one message; a push that finds the push capacity reached
+// drops the oldest queued push first. Safe from any goroutine; never
+// blocks. After close it releases msg immediately and reports false.
 //
 //arbd:hotpath
 func (ob *outbox) enqueue(msg outMsg) bool {
@@ -222,13 +260,18 @@ func (ob *outbox) enqueue(msg outMsg) bool {
 	}
 	var droppedSession uint64
 	droppedOne := false
-	if ob.queueLenLocked() >= ob.capLocked() {
-		old := ob.popLocked()
+	switch {
+	case msg.reply:
+		ob.replies++
+	case ob.pushes >= ob.capLocked():
+		old := ob.dropOldestPushLocked()
 		if ob.dropped != nil {
 			ob.dropped.Inc()
 		}
 		old.releaseBuf()
 		droppedSession, droppedOne = old.env.Session, true
+	default:
+		ob.pushes++
 	}
 	wasEmpty := ob.queueLenLocked() == 0
 	ob.pushLocked(msg)
@@ -247,6 +290,29 @@ func (ob *outbox) enqueue(msg outMsg) bool {
 	return true
 }
 
+// ack queues the empty reply to the request envelope in.
+func (ob *outbox) ack(in *wire.Envelope) {
+	ob.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgAck, Seq: in.Seq, Session: in.Session}, reply: true})
+}
+
+// fail queues an error reply to the request (session, seq).
+func (ob *outbox) fail(session, seq uint64, text string) {
+	ob.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgError, Seq: seq, Session: session, Payload: []byte(text)}, reply: true})
+}
+
+// awaitReplies parks the caller until at most n replies are unwritten, or
+// the outbox has closed. A connection's read loop calls it with
+// replyWindow-1 before taking each envelope, which is what bounds the reply
+// class; a loop about to hang up on its peer calls it with 0 so its last
+// words reach the wire before the connection closes.
+func (ob *outbox) awaitReplies(n int) {
+	ob.mu.Lock()
+	for ob.replies > n && !ob.closed {
+		ob.room.Wait()
+	}
+	ob.mu.Unlock()
+}
+
 //arbd:hotpath
 func (ob *outbox) writeLoop() {
 	defer close(ob.done)
@@ -254,8 +320,14 @@ func (ob *outbox) writeLoop() {
 	// growth past the floor amortises against the connection's lifetime.
 	//arbd:alloc-ok one-time per-connection setup
 	batch := make([]outMsg, 0, defaultPushBudget)
+	written := 0 // replies in the batch just written
 	for {
 		ob.mu.Lock()
+		if written > 0 {
+			ob.replies -= written
+			written = 0
+			ob.room.Signal()
+		}
 		n := ob.queueLenLocked()
 		if n == 0 {
 			closed := ob.closed
@@ -268,22 +340,23 @@ func (ob *outbox) writeLoop() {
 		}
 		// Drain the whole backlog under one lock hold and write it as one
 		// batch: everything queued since the last write goes out in a
-		// single writev instead of one write+flush per message.
+		// single write instead of one per message.
 		batch = batch[:0]
 		for i := 0; i < n; i++ {
 			batch = append(batch, ob.popLocked())
 		}
+		ob.pushes = 0
 		ob.mu.Unlock()
 		// One timestamp pair bounds the whole batch: outbox wait ends and the
-		// vectored write begins for every message at writeStart, and the
-		// write's cost lands on each flight at end.
+		// write begins for every message at writeStart, and the write's cost
+		// lands on each flight at end.
 		writeStart := time.Now()
 		for i := range batch {
 			if fl := batch[i].flight; fl != nil {
 				fl.MarkAt(obs.StageOutbox, writeStart)
 			}
 		}
-		err := ob.w.writeBatch(batch)
+		err := ob.writeBatch(batch)
 		end := time.Now()
 		for i := range batch {
 			if fl := batch[i].flight; fl != nil {
@@ -294,6 +367,9 @@ func (ob *outbox) writeLoop() {
 					fl.FinishDropped()
 				}
 				batch[i].flight = nil
+			}
+			if batch[i].reply {
+				written++
 			}
 			batch[i].releaseBuf()
 			batch[i] = outMsg{}
@@ -307,16 +383,33 @@ func (ob *outbox) writeLoop() {
 	}
 }
 
+// writeBatch frames a drained backlog and writes it straight to the
+// connection — one syscall for the whole batch.
+//
+//arbd:hotpath
+func (ob *outbox) writeBatch(msgs []outMsg) error {
+	ob.batch.Reset()
+	for i := range msgs {
+		if err := ob.batch.Add(&msgs[i].env); err != nil {
+			return err
+		}
+	}
+	_, err := ob.w.Write(ob.batch.Bytes())
+	return err
+}
+
 // purge drops every queued push for one session, releasing their buffers.
 // Session migration uses it after stopping the session's stream: pushes
 // already queued behind other sessions' traffic must not trail onto the
-// wire after the export reply that hands the session away.
+// wire after the export reply that hands the session away — which, queued
+// after the purge, follows whatever the writer already took. Replies owed
+// to the session stay.
 func (ob *outbox) purge(session uint64) {
 	ob.mu.Lock()
 	var dropped []outMsg
 	w := ob.head
 	for i := ob.head; i < len(ob.q); i++ {
-		if ob.q[i].env.Session == session {
+		if !ob.q[i].reply && ob.q[i].env.Session == session {
 			dropped = append(dropped, ob.q[i])
 			continue
 		}
@@ -327,19 +420,22 @@ func (ob *outbox) purge(session uint64) {
 		ob.q[i] = outMsg{}
 	}
 	ob.q = ob.q[:w]
+	ob.pushes -= len(dropped)
 	ob.mu.Unlock()
 	for _, m := range dropped {
 		m.releaseBuf()
 	}
 }
 
-// drain marks the outbox closed and releases everything queued.
+// drain marks the outbox closed, releases everything queued and frees a
+// parked read loop.
 func (ob *outbox) drain() {
 	ob.mu.Lock()
 	ob.closed = true
 	q := ob.q[ob.head:]
 	ob.q = nil
 	ob.head = 0
+	ob.room.Broadcast()
 	ob.mu.Unlock()
 	for _, m := range q {
 		m.releaseBuf()
@@ -350,8 +446,8 @@ func (ob *outbox) drain() {
 	}
 }
 
-// close stops the writer after the queue empties naturally (or immediately
-// when the writer already died) and releases anything still queued.
+// close stops the writer (the caller has closed the connection, so a write
+// in progress fails out) and releases anything still queued.
 func (ob *outbox) close() {
 	ob.drain()
 	<-ob.done
@@ -582,11 +678,12 @@ func (w *pacerWheel) nextDelayLocked(now time.Time) (time.Duration, bool) {
 // load gaps stretch smoothly with render time rather than snapping to
 // interval multiples.
 type frameStream struct {
-	eng      *Engine
+	// d stages the stream's in-flight frame and names its engine, outbox
+	// and session; the single in-flight token orders access to it (at most
+	// one frame of this stream is ever inside the scheduler).
+	d        delivery
 	sess     *core.Session
-	session  uint64 // wire session ID (equals sess.ID today; kept explicit)
 	interval time.Duration
-	out      *outbox
 	budget   int  // outbox slots reserved for this stream (released on stop)
 	delta    bool // v4 subscriber: push MsgFrameDelta instead of MsgFramePush
 
@@ -611,18 +708,88 @@ type frameStream struct {
 	pushSeq   atomic.Uint64
 	lastIndex uint64 // core frame index of the last pushed frame
 	sinceKey  int    // delta pushes since the last keyframe
+}
 
-	// reply, pooled, and fl stage the in-flight frame between the tick,
-	// visit, and done callbacks; the single in-flight token orders access
-	// (at most one frame of this stream is ever inside the scheduler).
-	// visitFn/doneFn are bound once at startStream so submit hands the
-	// scheduler the same two values every frame instead of allocating fresh
-	// closures.
-	reply   wire.Envelope
-	pooled  *wire.Buffer
-	fl      *obs.Flight
-	visitFn func(*core.Frame)
-	doneFn  func(error)
+// delivery stages one frame between the scheduler worker that renders it
+// and the outbox that writes it: the one path a delivered frame takes,
+// polled or pushed. A stream owns one for its lifetime; a polled request
+// borrows one from the engine's pool. visit and done run sequentially on
+// one worker goroutine, so a delivery needs no lock. visitFn/doneFn are
+// bound once, so submitting hands the scheduler the same two values every
+// frame instead of allocating fresh closures.
+type delivery struct {
+	eng *Engine
+	out *outbox
+	// st is the stream a pushed frame belongs to. nil marks a polled frame:
+	// it is a reply, answers (session, seq) even when it fails, and settles
+	// its connection's inflight count.
+	st           *frameStream
+	inflight     *sync.WaitGroup
+	session, seq uint64
+	reply        wire.Envelope
+	pooled       *wire.Buffer
+	fl           *obs.Flight
+	visitFn      func(*core.Frame)
+	doneFn       func(error)
+}
+
+func newDelivery() any {
+	d := new(delivery)
+	d.visitFn, d.doneFn = d.visit, d.done
+	return d
+}
+
+// visit encodes the rendered frame into the staged reply. It runs under the
+// session lock: a client pipelining a second request for the same session —
+// or the session's own stream — re-enters the frame on another worker, and
+// without the lock that would overwrite the scratch the encoder is reading.
+//
+//arbd:hotpath
+func (d *delivery) visit(f *core.Frame) {
+	t, key := wire.MsgAnnotations, false
+	if d.st != nil {
+		d.seq, t, key = d.st.nextPush(f)
+	}
+	d.pooled = d.eng.encodeFrame(d.fl, &d.reply, t, d.session, d.seq, f, key)
+}
+
+// done settles one frame job on the worker that ran it. A rendered frame
+// moves to the outbox — buffer and flight travel with it, and the write
+// loop closes the flight at write completion (or as dropped if the frame
+// never writes). A frame that was shed or failed to render settles its
+// flight here; a poll still owes its requester an answer, a stream only
+// counts.
+//
+//arbd:hotpath
+func (d *delivery) done(err error) {
+	st := d.st
+	shed := err != nil && settleUnsent(d.fl, err)
+	switch {
+	case err == nil:
+		if st != nil {
+			st.pushes.Inc()
+		}
+		d.out.enqueue(outMsg{env: d.reply, reply: st == nil, buf: d.pooled, pool: &d.eng.bufs, flight: d.fl})
+	case st == nil:
+		d.out.fail(d.session, d.seq, err.Error())
+	case shed:
+		st.sheds.Inc()
+	default:
+		// Render errors (no pose yet, session ended) are not pushed: an
+		// AR stream with nothing to show stays silent until the
+		// device's sensors give it something. Counted so a persistently
+		// failing stream is visible in metrics.
+		st.renderErrs.Inc()
+	}
+	if st != nil {
+		d.pooled, d.fl = nil, nil
+		st.complete()
+		return
+	}
+	eng, inflight := d.eng, d.inflight
+	*d = delivery{visitFn: d.visitFn, doneFn: d.doneFn}
+	eng.deliveries.Put(d)
+	inflight.Done()
 }
 
 // startStream begins pushing frames for sess on out at the subscription's
@@ -633,11 +800,8 @@ type frameStream struct {
 func (e *Engine) startStream(sess *core.Session, sub wire.Subscribe, out *outbox, delta bool) *frameStream {
 	reg := e.sched.Metrics()
 	st := &frameStream{
-		eng:        e,
 		sess:       sess,
-		session:    sess.ID,
 		interval:   pushInterval(sub),
-		out:        out,
 		budget:     pushBudget(sub),
 		delta:      delta,
 		pushes:     reg.Counter("server.stream.pushes"),
@@ -646,7 +810,8 @@ func (e *Engine) startStream(sess *core.Session, sub wire.Subscribe, out *outbox
 		renderErrs: reg.Counter("server.stream.render_errors"),
 		keyframes:  reg.Counter("server.stream.keyframes"),
 	}
-	st.visitFn, st.doneFn = st.visit, st.done
+	st.d = delivery{eng: e, out: out, st: st, session: sess.ID}
+	st.d.visitFn, st.d.doneFn = st.d.visit, st.d.done
 	out.addReserve(st.budget)
 	e.registerStream(st)
 	e.wheel.schedule(st, st.interval)
@@ -664,8 +829,8 @@ func (st *frameStream) stopStream() {
 	st.stopped = true
 	st.mu.Unlock()
 	if !already {
-		st.out.addReserve(-st.budget)
-		st.eng.unregisterStream(st)
+		st.d.out.addReserve(-st.budget)
+		st.d.eng.unregisterStream(st)
 	}
 	st.jobs.Wait()
 }
@@ -707,7 +872,7 @@ func (st *frameStream) tick(now time.Time) {
 	st.mu.Unlock()
 	// The flight opens at the tick: admission is the gap between the wheel
 	// firing and the scheduler accepting the job.
-	st.fl = st.eng.rec.Begin(st.session, now)
+	st.d.fl = st.d.eng.rec.Begin(st.d.session, now)
 	st.submit()
 	st.scheduleNext(now)
 }
@@ -719,18 +884,17 @@ func (st *frameStream) scheduleNext(tickAt time.Time) {
 	if d < minPushInterval {
 		d = minPushInterval
 	}
-	st.eng.wheel.schedule(st, d)
+	st.d.eng.wheel.schedule(st, d)
 }
 
-// visit encodes one frame into the stream's staged reply. It runs under
-// the session lock — the scratch-backed frame cannot be clobbered by a
-// concurrent Frame call mid-encode — and only while this stream holds its
-// in-flight token, which is what makes the staging fields safe.
+// nextPush assigns the frame its push seq and decides how it is encoded.
+// It runs inside the delivery's visit, under the session lock and the
+// stream's in-flight token.
 //
 //arbd:hotpath
-func (st *frameStream) visit(f *core.Frame) {
-	seq := st.pushSeq.Add(1)
-	t, key := wire.MsgFramePush, false
+func (st *frameStream) nextPush(f *core.Frame) (seq uint64, t wire.MsgType, key bool) {
+	seq = st.pushSeq.Add(1)
+	t = wire.MsgFramePush
 	if st.delta {
 		// Keyframe on the first push, on request (ack resync, outbox
 		// drop), every Nth push, and whenever the session rendered for
@@ -746,33 +910,8 @@ func (st *frameStream) visit(f *core.Frame) {
 			st.sinceKey++
 		}
 	}
-	st.pooled = st.eng.encodeFrame(st.fl, &st.reply, t, st.session, seq, f, key)
 	st.lastIndex = f.Index
-}
-
-// done settles one frame job: a successful render's staged reply moves to
-// the outbox (buffer ownership travels with it), sheds and render errors
-// only count. Runs on a scheduler worker, still under the in-flight token.
-//
-//arbd:hotpath
-func (st *frameStream) done(err error) {
-	if err == nil {
-		st.pushes.Inc()
-		// The flight travels with the push; the outbox write loop closes it
-		// at write completion (or as dropped if the push never writes).
-		st.out.enqueue(outMsg{env: st.reply, buf: st.pooled, pool: &st.eng.bufs, flight: st.fl})
-		st.pooled = nil
-	} else if settleUnsent(st.fl, err) {
-		st.sheds.Inc()
-	} else {
-		// Render errors (no pose yet, session ended) are not pushed: an
-		// AR stream with nothing to show stays silent until the
-		// device's sensors give it something. Counted so a persistently
-		// failing stream is visible in metrics.
-		st.renderErrs.Inc()
-	}
-	st.fl = nil
-	st.complete()
+	return seq, t, key
 }
 
 // settleUnsent closes the flight of a frame that produced nothing to send
@@ -795,12 +934,12 @@ func settleUnsent(fl *obs.Flight, err error) (shed bool) {
 //
 //arbd:hotpath
 func (st *frameStream) submit() {
-	err := st.eng.sched.QueueVisit(st.sess, st.visitFn, st.doneFn)
+	err := st.d.eng.sched.QueueVisit(st.sess, st.d.visitFn, st.d.doneFn)
 	if err != nil {
 		// Scheduler closed (QueueVisit admits everything else): the server
 		// is going down; stop pacing. done will not fire for this job.
-		st.fl.FinishError()
-		st.fl = nil
+		st.d.fl.FinishError()
+		st.d.fl = nil
 		st.mu.Lock()
 		st.stopped = true
 		st.inFlight = false
@@ -825,7 +964,7 @@ func (st *frameStream) complete() {
 		st.mu.Unlock()
 		// The owed frame's flight opens at the starved tick, so its
 		// admission span is the full completion-pacing wait.
-		st.fl = st.eng.rec.Begin(st.session, tickAt)
+		st.d.fl = st.d.eng.rec.Begin(st.d.session, tickAt)
 		st.submit()
 		st.scheduleNext(tickAt)
 		st.jobs.Done()

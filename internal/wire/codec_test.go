@@ -476,6 +476,36 @@ func TestWriteReadEnvelopeOverFrames(t *testing.T) {
 	}
 }
 
+// TestEnvelopeBatchMatchesFrameWriter pins the batch to the framing layer:
+// what it stages is byte for byte what a FrameWriter would have written, an
+// oversized envelope is refused without disturbing what is already staged,
+// and Reset starts over.
+func TestEnvelopeBatchMatchesFrameWriter(t *testing.T) {
+	var want bytes.Buffer
+	fw := NewFrameWriter(&want)
+	var batch EnvelopeBatch
+	_ = batch.Add(&Envelope{Type: MsgError, Seq: 99}) // dropped by the Reset
+	batch.Reset()
+	for i := uint64(1); i <= 5; i++ {
+		env := &Envelope{Type: MsgFramePush, Seq: i, Session: 9, Payload: bytes.Repeat([]byte{byte(i)}, int(i)*100)}
+		if err := fw.WriteEnvelope(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := batch.Add(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Add(&Envelope{Type: MsgFramePush, Payload: make([]byte, MaxFrameSize)}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized envelope: err = %v, want ErrTooLarge", err)
+	}
+	if !bytes.Equal(batch.Bytes(), want.Bytes()) {
+		t.Fatalf("batch staged %d bytes that differ from the FrameWriter's %d", len(batch.Bytes()), want.Len())
+	}
+}
+
 func TestEnvelopePayloadCopiedOnRead(t *testing.T) {
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)

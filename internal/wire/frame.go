@@ -280,65 +280,38 @@ func (fw *FrameWriter) WriteEnvelope(env *Envelope) error {
 	return fw.WriteFrame(fw.env)
 }
 
-// EnvelopeBatch stages many envelopes for one vectored write: each Add
-// encodes an envelope into an internal arena and its 8-byte frame header
-// into another, and Buffers lays the pair sequence out as alternating
-// header/body slices — ready to hand to net.Buffers for a single writev
-// syscall. The batch keeps no per-envelope allocations alive across Reset,
-// so a writer loop can reuse one batch for its lifetime. Not safe for
+// EnvelopeBatch stages many envelopes as one contiguous run of frames —
+// each an 8-byte frame header followed by its encoded envelope — so a
+// writer that drained a backlog puts all of it on the wire with a single
+// Write. The batch keeps no per-envelope allocations alive across Reset, so
+// a writer loop can reuse one batch for its lifetime. Not safe for
 // concurrent use.
 type EnvelopeBatch struct {
-	hdrs  []byte // 8-byte frame headers, one per staged envelope
-	body  []byte // concatenated encoded envelope bytes
-	spans []int  // body end offset per staged envelope
-	vecs  [][]byte
+	buf []byte
 }
-
-// Len returns the number of staged envelopes.
-func (b *EnvelopeBatch) Len() int { return len(b.spans) }
 
 // Reset drops staged envelopes, retaining capacity.
-func (b *EnvelopeBatch) Reset() {
-	b.hdrs = b.hdrs[:0]
-	b.body = b.body[:0]
-	b.spans = b.spans[:0]
-}
+func (b *EnvelopeBatch) Reset() { b.buf = b.buf[:0] }
 
-// Add encodes env and stages it for the next Buffers call.
+// Add frames env behind what is already staged.
 //
 //arbd:hotpath
 func (b *EnvelopeBatch) Add(env *Envelope) error {
-	start := len(b.body)
-	b.body = EncodeEnvelope(b.body, env)
-	n := len(b.body) - start
-	if n > MaxFrameSize {
-		b.body = b.body[:start]
+	start := len(b.buf)
+	b.buf = append(b.buf, 0, 0, 0, 0, 0, 0, 0, 0) // the header, filled in below
+	b.buf = EncodeEnvelope(b.buf, env)
+	body := b.buf[start+8:]
+	if len(body) > MaxFrameSize {
+		b.buf = b.buf[:start]
 		return ErrTooLarge
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(b.body[start:], castagnoli))
-	b.hdrs = append(b.hdrs, hdr[:]...)
-	b.spans = append(b.spans, len(b.body))
+	binary.LittleEndian.PutUint32(b.buf[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b.buf[start+4:], crc32.Checksum(body, castagnoli))
 	return nil
 }
 
-// Buffers returns the staged frames as alternating header/body byte slices.
-// The slices alias the batch's arenas (built only here, after all Adds, so
-// arena growth can never invalidate them) and are valid until the next Add
-// or Reset. Callers on a net.Conn typically wrap the result in net.Buffers
-// and WriteTo it for one writev.
-//
-//arbd:hotpath
-func (b *EnvelopeBatch) Buffers() [][]byte {
-	b.vecs = b.vecs[:0]
-	start := 0
-	for i, end := range b.spans {
-		b.vecs = append(b.vecs, b.hdrs[i*8:i*8+8], b.body[start:end])
-		start = end
-	}
-	return b.vecs
-}
+// Bytes returns the staged frames, valid until the next Add or Reset.
+func (b *EnvelopeBatch) Bytes() []byte { return b.buf }
 
 // ReadEnvelope reads one frame and decodes it as an envelope. The envelope's
 // payload is copied so callers may retain it.
