@@ -1,5 +1,5 @@
 // Package arbd's root benchmarks wrap the experiment harness (DESIGN.md §3):
-// one testing.B benchmark per derived experiment E1-E20, so
+// one testing.B benchmark per derived experiment E1-E13, so
 // `go test -bench=. -benchmem` regenerates every table in EXPERIMENTS.md.
 // The rendered tables themselves come from `go run ./cmd/arbd-bench`.
 // TestExperimentsSmoke additionally runs every experiment at tiny scale in
@@ -24,7 +24,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rep := e.Run(); rep.Table.NumRows() == 0 {
+		if tbl := e.Run(); tbl.NumRows() == 0 {
 			b.Fatalf("%s produced an empty table", id)
 		}
 	}
@@ -44,75 +44,14 @@ func BenchmarkE11Interpret(b *testing.B)         { runExperiment(b, "E11") }
 func BenchmarkE12Sketches(b *testing.B)          { runExperiment(b, "E12") }
 func BenchmarkE13Influence(b *testing.B)         { runExperiment(b, "E13") }
 
-// BenchmarkE14MultiSessionThroughput sweeps concurrent session counts
-// (1/8/64/512) through the bounded frame scheduler.
-func BenchmarkE14MultiSessionThroughput(b *testing.B) { runExperiment(b, "E14") }
-
-// BenchmarkE15GCPressure compares frame hot-path allocations and latency
-// with the per-session scratch enabled (pooled) and disabled (alloc).
-func BenchmarkE15GCPressure(b *testing.B) { runExperiment(b, "E15") }
-
-// BenchmarkE16ScaleOut sweeps shard counts behind one router (1/2/4 shard
-// nodes over loopback TCP) — the multi-node frontend's aggregate frames/s
-// against the E14 single-process baseline.
-func BenchmarkE16ScaleOut(b *testing.B) { runExperiment(b, "E16") }
-
-// BenchmarkE18ShardChurn runs a 4→3→4 shard churn cycle under 512 live
-// subscription streams: frames/s dip, inter-frame gap percentiles, remap
-// fraction against the rendezvous 1.5/N bound, and migration pause p99.
-func BenchmarkE18ShardChurn(b *testing.B) { runExperiment(b, "E18") }
-
-// BenchmarkE17StreamVsPoll compares subscription streaming (protocol v2,
-// server-pushed frames) against request/reply polling at 1/64/512
-// sessions: frames/s, p99 inter-frame jitter, and wire cost per frame.
-func BenchmarkE17StreamVsPoll(b *testing.B) { runExperiment(b, "E17") }
-
-// BenchmarkE19DeltaStream compares protocol v4 delta-frame streaming
-// against full-frame pushes: bytes per push and encode cost.
-func BenchmarkE19DeltaStream(b *testing.B) { runExperiment(b, "E19") }
-
-// BenchmarkE20IngestThroughput drives the zero-copy ingest plane at
-// 512-session telemetry shape (24-byte values, batch 256, 8 producers over
-// 4 partitions): produce/consume records per second, allocs and bytes per
-// record, partition skew, and end-to-end consumer lag percentiles.
-func BenchmarkE20IngestThroughput(b *testing.B) { runExperiment(b, "E20") }
-
 // TestExperimentsSmoke runs every registered experiment once at smoke scale:
 // a broken experiment fails plain `go test` instead of hiding until the next
-// -bench run. Beyond a non-empty table, every experiment must produce a
-// non-empty typed record set — the BENCH_*.json trajectory covers the whole
-// suite, not just the natively-instrumented experiments.
+// -bench run.
 func TestExperimentsSmoke(t *testing.T) {
-	exps := bench.All()
-	if len(exps) < 14 {
-		t.Fatalf("only %d experiments registered, want >= 14", len(exps))
-	}
-	for _, e := range exps {
+	for _, e := range bench.All() {
 		t.Run(e.ID, func(t *testing.T) {
-			rep := e.SmokeRun()
-			if rep == nil || rep.Table == nil || rep.Table.NumRows() == 0 {
+			if e.SmokeRun().NumRows() == 0 {
 				t.Fatalf("%s smoke run produced an empty table", e.ID)
-			}
-			res := rep.Result
-			if res == nil || len(res.Rows) == 0 {
-				t.Fatalf("%s smoke run produced no typed records", e.ID)
-			}
-			if res.Experiment != e.ID {
-				t.Fatalf("record experiment = %q, want %q", res.Experiment, e.ID)
-			}
-			if res.SchemaVersion != bench.SchemaVersion || res.Config == "" ||
-				res.GoVersion == "" || res.Timestamp == "" {
-				t.Fatalf("%s record missing provenance fields: %+v", e.ID, res)
-			}
-			metricsTotal := 0
-			for _, row := range res.Rows {
-				if row.Name == "" {
-					t.Fatalf("%s has an unnamed record row", e.ID)
-				}
-				metricsTotal += len(row.Metrics)
-			}
-			if metricsTotal == 0 {
-				t.Fatalf("%s records carry no metrics", e.ID)
 			}
 		})
 	}

@@ -1,9 +1,8 @@
-// Command arbd-bench runs the derived experiment suite E1-E19 (DESIGN.md §3)
+// Command arbd-bench runs the derived experiment suite E1-E13 (DESIGN.md §3)
 // and prints each experiment's result table — the source of the numbers in
-// EXPERIMENTS.md. Alongside the tables it can emit the machine-readable
-// BENCH_<exp>.json records the perf trajectory is built from, diff a fresh
-// run against a committed baseline (the CI regression gate), and print the
-// committed trajectory of a baseline across git history (-trend).
+// EXPERIMENTS.md. Serving-path performance is not measured here: the
+// multi-process benchmark in benchmark/ (see benchmark/README.md) is the
+// repository's one perf harness.
 //
 // Usage:
 //
@@ -11,32 +10,15 @@
 //	arbd-bench -exp E5          # one experiment
 //	arbd-bench -smoke           # tiny-parameter pass over every experiment
 //	arbd-bench -list            # list experiments
-//	arbd-bench -exp E15 -smoke -json
-//	                            # also write BENCH_E15.json (schema-versioned
-//	                            # typed records: allocs/op, p99, frames/s, …)
-//	arbd-bench -exp E15 -smoke -out path.json
-//	                            # write the record file to a specific path
-//	arbd-bench -exp E15 -smoke -baseline BENCH_E15.json
-//	                            # diff against a baseline; exit 1 on any
-//	                            # >threshold regression of a gated metric
-//	                            # (frames/s, allocs/op, bytes/op)
-//	arbd-bench -exp E15 -smoke -baseline BENCH_E15.json -threshold 0.05
-//	arbd-bench -trend E15        # per-metric trajectory of the committed
-//	                             # BENCH_E15.json across git history
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"strconv"
-	"strings"
 	"time"
 
 	"arbd/internal/bench"
-	"arbd/internal/metrics"
 )
 
 func main() {
@@ -48,14 +30,9 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "", "run a single experiment (E1..E19)")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		smoke     = flag.Bool("smoke", false, "run tiny-parameter smoke variants")
-		jsonOut   = flag.Bool("json", false, "write BENCH_<exp>.json typed records for each experiment run")
-		outPath   = flag.String("out", "", "write the experiment's record file to this path (requires -exp; implies -json)")
-		baseline  = flag.String("baseline", "", "compare the run against this BENCH_*.json baseline and fail on regression (requires -exp)")
-		threshold = flag.Float64("threshold", 0.10, "relative regression threshold for -baseline (0.10 = 10%)")
-		trend     = flag.String("trend", "", "print the per-metric trajectory of an experiment's committed BENCH_*.json across git history, then exit")
+		exp   = flag.String("exp", "", "run a single experiment (E1..E13)")
+		list  = flag.Bool("list", false, "list experiments and exit")
+		smoke = flag.Bool("smoke", false, "run tiny-parameter smoke variants")
 	)
 	flag.Parse()
 
@@ -65,9 +42,6 @@ func run() error {
 		}
 		return nil
 	}
-	if *trend != "" {
-		return printTrend(*trend)
-	}
 	exps := bench.All()
 	if *exp != "" {
 		e, ok := bench.ByID(*exp)
@@ -76,154 +50,15 @@ func run() error {
 		}
 		exps = []bench.Experiment{e}
 	}
-	if (*outPath != "" || *baseline != "") && len(exps) != 1 {
-		return fmt.Errorf("-out and -baseline require a single experiment (-exp)")
-	}
 
-	sha := gitSHA()
 	for _, e := range exps {
 		start := time.Now()
-		var rep *bench.Report
+		tbl := e.Run
 		if *smoke {
-			rep = e.SmokeRun()
-		} else {
-			rep = e.Run()
+			tbl = e.SmokeRun
 		}
-		fmt.Println(rep.Table.String())
+		fmt.Println(tbl().String())
 		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-
-		res := rep.Result
-		res.GitSHA = sha
-		if *jsonOut || *outPath != "" {
-			path := *outPath
-			if path == "" {
-				path = bench.BenchFileName(e.ID)
-			}
-			if err := res.WriteFile(path); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n\n", path)
-		}
-		if *baseline != "" {
-			base, err := bench.ReadResultFile(*baseline)
-			if err != nil {
-				return err
-			}
-			cmp, err := bench.Compare(base, res, *threshold)
-			if err != nil {
-				return err
-			}
-			fmt.Println(cmp.Table().String())
-			if regs := cmp.Regressions(); len(regs) > 0 {
-				return fmt.Errorf("%s: %d metric(s) regressed more than %.0f%% against %s",
-					e.ID, len(regs), *threshold*100, *baseline)
-			}
-			fmt.Printf("%s: no regression beyond %.0f%% against %s\n", e.ID, *threshold*100, *baseline)
-		}
 	}
 	return nil
-}
-
-// printTrend walks the git history of an experiment's committed baseline
-// (BENCH_<exp>.json) and prints each metric's value at every revision that
-// touched the file, oldest first — the perf trajectory the per-commit CI gate
-// can't show. Revisions whose record predates the current schema version are
-// skipped; an uncommitted working-tree copy is appended as a final point.
-func printTrend(expID string) error {
-	if _, ok := bench.ByID(expID); !ok {
-		return fmt.Errorf("unknown experiment %q (try -list)", expID)
-	}
-	path := bench.BenchFileName(expID)
-	out, err := exec.Command("git", "log", "--format=%H", "--reverse", "--", path).Output()
-	if err != nil {
-		return fmt.Errorf("git log %s: %w", path, err)
-	}
-	type point struct {
-		label string
-		res   *bench.Result
-	}
-	var (
-		points   []point
-		lastBlob []byte
-		skipped  int
-	)
-	for _, sha := range strings.Fields(string(out)) {
-		blob, err := exec.Command("git", "show", sha+":"+path).Output()
-		if err != nil {
-			continue // e.g. the commit deleted the file
-		}
-		lastBlob = blob
-		res, err := bench.DecodeResult(blob)
-		if err != nil {
-			skipped++
-			continue
-		}
-		points = append(points, point{label: sha[:12], res: res})
-	}
-	if cur, err := os.ReadFile(path); err == nil && !bytes.Equal(cur, lastBlob) {
-		if res, err := bench.DecodeResult(cur); err == nil {
-			points = append(points, point{label: "worktree", res: res})
-		}
-	}
-	if len(points) == 0 {
-		return fmt.Errorf("no decodable history for %s (never committed, or all revisions predate schema v%d)",
-			path, bench.SchemaVersion)
-	}
-	if skipped > 0 {
-		fmt.Printf("(%d revision(s) skipped: older record schema)\n", skipped)
-	}
-
-	// The newest record defines the metric set; older points that lack a
-	// metric print as "—" so added metrics don't hide history.
-	latest := points[len(points)-1].res
-	headers := []string{"row", "metric", "unit"}
-	for _, p := range points {
-		headers = append(headers, p.label)
-	}
-	headers = append(headers, "first→last")
-	t := metrics.NewTable(fmt.Sprintf("%s trajectory: %s across %d revision(s)", expID, path, len(points)), headers...)
-	for _, row := range latest.Rows {
-		for _, m := range row.Metrics {
-			cells := []any{row.Name, m.Name, m.Unit}
-			var series []float64
-			for _, p := range points {
-				prow, ok := p.res.Row(row.Name)
-				if !ok {
-					cells = append(cells, "—")
-					continue
-				}
-				pm, ok := prow.Metric(m.Name)
-				if !ok {
-					cells = append(cells, "—")
-					continue
-				}
-				cells = append(cells, strconv.FormatFloat(pm.Value, 'g', 6, 64))
-				series = append(series, pm.Value)
-			}
-			change := "—"
-			if len(series) > 1 && series[0] != 0 {
-				change = fmt.Sprintf("%+.1f%%", (series[len(series)-1]-series[0])/series[0]*100)
-			}
-			cells = append(cells, change)
-			t.AddRow(cells...)
-		}
-	}
-	fmt.Println(t.String())
-	return nil
-}
-
-// gitSHA stamps records with the commit they measured: CI's checkout SHA
-// when present, otherwise the local HEAD, otherwise empty.
-func gitSHA() string {
-	if sha := os.Getenv("GITHUB_SHA"); sha != "" {
-		if len(sha) > 12 {
-			sha = sha[:12]
-		}
-		return sha
-	}
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }

@@ -22,9 +22,9 @@
 // clients observed — the quickest way to see whether a throughput gap is
 // loss in flight (outbox drops, shed pushes) or the server not producing.
 //
-// With -sweep, the E14 multi-session scenario runs against a live server:
-// each listed client count runs for -duration and the end-to-end frame
-// throughput and latency percentiles are reported per count. In -stream
+// With -sweep, each listed client count runs against the live server for
+// -duration and the end-to-end frame throughput and latency percentiles
+// are reported per count. In -stream
 // mode the latency columns report inter-frame gaps (the cadence the
 // device actually experienced) instead of request round-trips, plus the
 // received wire bytes per pushed frame — the number protocol v4's delta

@@ -1,29 +1,20 @@
 // Package bench implements the experiment harness: one function per derived
-// experiment E1-E20 (see DESIGN.md §3 — the paper is a vision paper with no
+// experiment E1-E13 (see DESIGN.md §3 — the paper is a vision paper with no
 // measured evaluation, so each experiment quantifies one of its qualitative
-// claims). Each run produces a Report: a rendered table for humans plus a
-// typed Result record for the BENCH_*.json perf trajectory. cmd/arbd-bench
-// prints the tables (and emits/diffs the JSON records); the root
-// bench_test.go wraps the runs in testing.B benchmarks.
+// claims) rendering one result table. cmd/arbd-bench prints the tables; the
+// root bench_test.go wraps the runs in testing.B benchmarks. Serving-path
+// performance is measured by the multi-process benchmark in benchmark/.
 package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"arbd/internal/metrics"
 )
 
-// Report is the outcome of one experiment run: the human-readable table and
-// the machine-readable record set behind it.
-type Report struct {
-	Table  *metrics.Table
-	Result *Result
-}
-
 // RunFunc executes an experiment at one scale.
-type RunFunc func() *Report
+type RunFunc func() *metrics.Table
 
 // Experiment is one runnable experiment.
 type Experiment struct {
@@ -31,71 +22,38 @@ type Experiment struct {
 	Title string
 	Run   RunFunc
 	// Smoke is a tiny-parameter variant of Run used by plain `go test`
-	// (TestExperimentsSmoke) and the CI perf gate to catch regressions
-	// without benchmark-scale runtimes. Experiments cheap enough to run at
-	// full size leave it nil, and Smoke falls back to Run.
+	// (TestExperimentsSmoke) to catch breakage without benchmark-scale
+	// runtimes. Experiments cheap enough to run at full size leave it nil,
+	// and SmokeRun falls back to Run.
 	Smoke RunFunc
 }
 
 // SmokeRun executes the experiment at smoke scale (or full scale when no
 // smoke variant exists).
-func (e Experiment) SmokeRun() *Report {
+func (e Experiment) SmokeRun() *metrics.Table {
 	if e.Smoke != nil {
 		return e.Smoke()
 	}
 	return e.Run()
 }
 
-// tableOnly adapts a legacy table-returning experiment: the Result is
-// derived from the table's typed cells (see DeriveResult).
-func tableOnly(id, config string, f func() *metrics.Table) RunFunc {
-	return func() *Report {
-		t := f()
-		return &Report{Table: t, Result: DeriveResult(id, config, t)}
-	}
-}
-
-// legacy registers a table-returning experiment pair.
-func legacy(id, title string, run, smoke func() *metrics.Table) Experiment {
-	e := Experiment{ID: id, Title: title, Run: tableOnly(id, "full", run)}
-	if smoke != nil {
-		e.Smoke = tableOnly(id, "smoke", smoke)
-	}
-	return e
-}
-
 // All returns every experiment in ID order.
 func All() []Experiment {
-	exps := []Experiment{
-		legacy("E1", "ingest throughput (mq)", E1LogIngest, e1LogIngestSmoke),
-		legacy("E2", "stream window throughput", E2StreamWindows, e2StreamWindowsSmoke),
-		legacy("E3", "incremental vs batch views", E3IncrementalVsBatch, e3IncrementalVsBatchSmoke),
-		legacy("E4", "offloading latency/energy", E4Offload, nil),
-		legacy("E5", "geo index query latency", E5GeoIndex, e5GeoIndexSmoke),
-		legacy("E6", "annotation layout quality", E6Layout, nil),
-		legacy("E7", "recommendation lift", E7Recommend, e7RecommendSmoke),
-		legacy("E8", "health alert latency", E8HealthAlerts, e8HealthAlertsSmoke),
-		legacy("E9", "collision warning recall", E9Traffic, e9TrafficSmoke),
-		legacy("E10", "privacy/utility trade-off", E10Privacy, nil),
-		legacy("E11", "ARML interpretation cost", E11Interpret, nil),
-		legacy("E12", "sketch accuracy vs memory", E12Sketches, e12SketchesSmoke),
-		legacy("E13", "Figure 5 influence matrix", E13Influence, nil),
-		{ID: "E14", Title: "multi-session throughput", Run: E14MultiSession, Smoke: e14MultiSessionSmoke},
-		{ID: "E15", Title: "frame hot path GC pressure", Run: E15GCPressure, Smoke: e15GCPressureSmoke},
-		{ID: "E16", Title: "multi-node scale-out", Run: E16ScaleOut, Smoke: e16ScaleOutSmoke},
-		{ID: "E17", Title: "stream vs poll frame delivery", Run: E17StreamVsPoll, Smoke: e17StreamVsPollSmoke},
-		{ID: "E18", Title: "shard churn under streaming", Run: E18ShardChurn, Smoke: e18ShardChurnSmoke},
-		{ID: "E19", Title: "delta vs full streaming", Run: E19DeltaStream, Smoke: e19DeltaStreamSmoke},
-		{ID: "E20", Title: "ingest plane throughput", Run: E20IngestThroughput, Smoke: e20IngestSmoke},
+	return []Experiment{
+		{"E1", "ingest throughput (mq)", E1LogIngest, e1LogIngestSmoke},
+		{"E2", "stream window throughput", E2StreamWindows, e2StreamWindowsSmoke},
+		{"E3", "incremental vs batch views", E3IncrementalVsBatch, e3IncrementalVsBatchSmoke},
+		{"E4", "offloading latency/energy", E4Offload, nil},
+		{"E5", "geo index query latency", E5GeoIndex, e5GeoIndexSmoke},
+		{"E6", "annotation layout quality", E6Layout, nil},
+		{"E7", "recommendation lift", E7Recommend, e7RecommendSmoke},
+		{"E8", "health alert latency", E8HealthAlerts, e8HealthAlertsSmoke},
+		{"E9", "collision warning recall", E9Traffic, e9TrafficSmoke},
+		{"E10", "privacy/utility trade-off", E10Privacy, nil},
+		{"E11", "ARML interpretation cost", E11Interpret, nil},
+		{"E12", "sketch accuracy vs memory", E12Sketches, e12SketchesSmoke},
+		{"E13", "Figure 5 influence matrix", E13Influence, nil},
 	}
-	sort.Slice(exps, func(i, j int) bool { return idNum(exps[i].ID) < idNum(exps[j].ID) })
-	return exps
-}
-
-func idNum(id string) int {
-	var n int
-	_, _ = fmt.Sscanf(id, "E%d", &n)
-	return n
 }
 
 // ByID returns the experiment with the given ID.

@@ -51,7 +51,7 @@ func TestLoadSignalRoundTrip(t *testing.T) {
 // honoured, lookups converge on one session, and platform-assigned IDs
 // never collide with externally minted ones.
 func TestSessionOrNew(t *testing.T) {
-	p := newReusePlatform(t, false)
+	p := newReusePlatform(t)
 	s1 := p.SessionOrNew(100)
 	if s1.ID != 100 {
 		t.Fatalf("SessionOrNew(100).ID = %d", s1.ID)

@@ -74,14 +74,6 @@ type Config struct {
 	// round-trip amortises better, never beyond this ceiling (default
 	// 8× TelemetryBatchSize). The age bound above still applies.
 	TelemetryMaxBatchSize int
-	// DisableFrameScratch turns off per-session buffer reuse on the frame
-	// hot path, restoring the pre-pooling behaviour: each frame's buffers
-	// are freshly allocated, so later frames never overwrite an earlier
-	// frame's results. (The session still keeps a reference to the latest
-	// layout for jitter, so returned annotations must not be mutated in
-	// either mode.) Benchmarks use it to quantify GC pressure (E15);
-	// production leaves it false.
-	DisableFrameScratch bool
 	// SessionShards is the session-registry shard count, rounded up to a
 	// power of two (default 32).
 	SessionShards int

@@ -13,14 +13,13 @@ import (
 )
 
 // newReusePlatform builds a deterministic platform for scratch-equivalence
-// tests; disable toggles the per-session frame scratch.
-func newReusePlatform(t *testing.T, disable bool) *Platform {
+// tests.
+func newReusePlatform(t *testing.T) *Platform {
 	t.Helper()
 	p, err := NewPlatform(Config{
-		Seed:                1,
-		City:                geo.CityConfig{Center: center, RadiusM: 1500, NumPOIs: 800, TallRatio: 0.2},
-		Clock:               sim.NewVirtualClock(sim.Epoch),
-		DisableFrameScratch: disable,
+		Seed:  1,
+		City:  geo.CityConfig{Center: center, RadiusM: 1500, NumPOIs: 800, TallRatio: 0.2},
+		Clock: sim.NewVirtualClock(sim.Epoch),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +33,10 @@ func newReusePlatform(t *testing.T, disable bool) *Platform {
 // the round-trip guarantee that buffer reuse changes performance, not
 // output.
 func TestFrameScratchEquivalence(t *testing.T) {
-	pooled := newReusePlatform(t, false)
-	alloc := newReusePlatform(t, true)
+	pooled := newReusePlatform(t)
+	alloc := newReusePlatform(t)
 	sp, sa := pooled.NewSession(), alloc.NewSession()
+	sa.scratch = nil // the reference path: every frame freshly allocated
 
 	for step := 0; step < 12; step++ {
 		at := sim.Epoch.Add(time.Duration(step) * time.Second)
@@ -79,7 +79,7 @@ func TestFrameScratchEquivalence(t *testing.T) {
 // allocating form produce identical bytes, that the Into form appends (so
 // pooled buffers can front-run a header), and that the result round-trips.
 func TestEncodeFrameIntoMatchesEncodeFrame(t *testing.T) {
-	p := newReusePlatform(t, false)
+	p := newReusePlatform(t)
 	s := p.NewSession()
 	if err := s.OnGPS(sensor.GPSFix{Time: sim.Epoch, Position: center, AccuracyM: 4}); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestAdaptiveBatchSize(t *testing.T) {
 // TestLoadSignalReportsPressure checks the platform surfaces flush latency
 // and analytics backlog to admission control.
 func TestLoadSignalReportsPressure(t *testing.T) {
-	p := newReusePlatform(t, false)
+	p := newReusePlatform(t)
 	if sig := p.LoadSignal(); sig.FlushLatency < 0 || sig.Backlog != 0 {
 		t.Fatalf("idle signal = %+v", sig)
 	}

@@ -64,7 +64,9 @@ type Session struct {
 	frames     uint64
 	overruns   uint64
 	principal  string
-	scratch    *frameScratch // nil when Config.DisableFrameScratch
+	// scratch is nil only on the fully allocating reference path that
+	// TestFrameScratchEquivalence compares the pooled frames against.
+	scratch *frameScratch
 }
 
 // frameScratch holds the per-session reusable buffers of the frame hot
@@ -128,7 +130,7 @@ func (p *Platform) SessionOrNew(id uint64) *Session {
 // buildSession constructs (but does not register) a session with the ID.
 func (p *Platform) buildSession(id uint64) *Session {
 	principal := fmt.Sprintf("session-%d", id)
-	s := &Session{
+	return &Session{
 		ID:        id,
 		platform:  p,
 		rng:       p.rng.Child(principal),
@@ -138,11 +140,8 @@ func (p *Platform) buildSession(id uint64) *Session {
 		camera:    render.DefaultCamera,
 		occl:      p.occluders,
 		principal: principal,
+		scratch:   newFrameScratch(),
 	}
-	if !p.cfg.DisableFrameScratch {
-		s.scratch = newFrameScratch()
-	}
-	return s
 }
 
 // OnGPS feeds a position fix: it updates tracking and publishes a
@@ -276,7 +275,7 @@ type Frame struct {
 // The returned *Frame — the struct itself as well as its slices and maps —
 // aliases per-session buffers that subsequent Frame calls on the same
 // session reuse: consume (or deep-copy) a frame before requesting the next
-// one. Config.DisableFrameScratch restores fully allocating frames.
+// one.
 //
 //arbd:hotpath
 func (s *Session) Frame(now time.Time) (*Frame, error) {
@@ -317,7 +316,7 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 
 	sc := s.scratch
 	if sc == nil {
-		sc = newFrameScratch() // DisableFrameScratch: fresh buffers per frame
+		sc = newFrameScratch() // the reference path: fresh buffers per frame
 	}
 
 	radius := s.platform.cfg.AnnotationRadiusM
@@ -400,8 +399,8 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 	s.platform.frameLat.Observe(elapsed)
 
 	// The Frame struct itself lives in scratch too: with the scratch
-	// enabled the same *Frame is returned every call (fresh per call when
-	// DisableFrameScratch allocated sc above), which removes the last
+	// enabled the same *Frame is returned every call (fresh per call on the
+	// reference path that allocated sc above), which removes the last
 	// steady-state heap allocation of the hot path.
 	f := &sc.frame
 	*f = Frame{

@@ -8,8 +8,8 @@ import (
 // Table accumulates rows and renders an aligned plain-text table. The
 // benchmark harness uses it to print the per-experiment result tables
 // recorded in EXPERIMENTS.md. Alongside the formatted strings it keeps the
-// raw values passed to AddRow, so machine consumers (the BENCH_*.json record
-// layer) can read typed cells instead of re-parsing rendered text.
+// raw values passed to AddRow, so callers can read typed cells instead of
+// re-parsing rendered text.
 type Table struct {
 	title   string
 	headers []string

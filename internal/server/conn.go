@@ -259,10 +259,13 @@ func (n *node) serveConn(conn net.Conn) {
 		c.out.close()
 	}()
 
-	c.out.enqueue(helloReply(helloSeq, helloID, n.name))
+	// The load reporter starts before the hello reply is queued: once the
+	// dialer has read the reply, every goroutine serving this connection
+	// exists. Its first report is a full loadEvery away, behind the reply.
 	if n.loadEvery > 0 {
 		go n.loadLoop(c.out, stopLoad)
 	}
+	c.out.enqueue(helloReply(helloSeq, helloID, n.name))
 
 	// One inbound envelope, reused across messages: its payload aliases the
 	// frame reader's buffer and is fully applied before the next read.

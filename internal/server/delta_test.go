@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"arbd/internal/core"
+	"arbd/internal/geo"
 	"arbd/internal/sensor"
 	"arbd/internal/wire"
 )
@@ -122,5 +124,113 @@ func TestV3PinnedClientStreamsFullFrames(t *testing.T) {
 			t.Fatalf("frame seq went %d -> %d", last, f.Seq)
 		}
 		last = f.Seq
+	}
+}
+
+// subscribeRaw hellos at version, subscribes with flags and consumes the
+// subscribe ack, leaving the connection at its first push.
+func subscribeRaw(t *testing.T, addr string, version, flags uint32, pos geo.Point) *rawConn {
+	t.Helper()
+	rc := dialRaw(t, addr)
+	rc.hello(t, "cohort", version)
+	rc.sendGPS(t, 0, pos)
+	var sb wire.Buffer
+	wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: 5, Budget: 16, Flags: flags})
+	subSeq := rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
+	if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != subSeq {
+		t.Fatalf("subscribe reply = %v seq %d", env.Type, env.Seq)
+	}
+	return rc
+}
+
+// TestSubscribePacersShareOneWheel pins the engine's pacing to one
+// goroutine however many streams it paces: 64 live subscriptions read the
+// server.stream.pacers gauge at 1 and add no goroutine per stream.
+func TestSubscribePacersShareOneWheel(t *testing.T) {
+	const streams = 64
+	srv, addr := startServer(t)
+	conns := make([]*rawConn, streams)
+	for i := range conns {
+		conns[i] = dialRaw(t, addr)
+		conns[i].hello(t, "pacer", wire.ProtoMax)
+		conns[i].sendGPS(t, 0, geo.Destination(center, float64(i*360/streams), 300))
+	}
+	before := runtime.NumGoroutine()
+	var sb wire.Buffer
+	wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: 5, Budget: 16})
+	for _, rc := range conns {
+		rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
+	}
+	for i, rc := range conns {
+		if env := rc.read(t); env.Type != wire.MsgAck {
+			t.Fatalf("stream %d: subscribe reply = %v", i, env.Type)
+		}
+		if env := rc.read(t); env.Type != wire.MsgFramePush {
+			t.Fatalf("stream %d: first push = %v", i, env.Type)
+		}
+	}
+	// Every stream has pushed, so every stream is armed on the wheel.
+	if got := srv.Engine().Platform().Metrics().Gauge("server.stream.pacers").Value(); got != 1 {
+		t.Fatalf("server.stream.pacers = %v with %d live streams, want 1", got, streams)
+	}
+	// A stream is a wheel entry, not a goroutine: a few runtime goroutines
+	// may come and go, one per stream may not.
+	if grew := runtime.NumGoroutine() - before; grew >= streams/4 {
+		t.Fatalf("%d subscriptions added %d goroutines", streams, grew)
+	}
+}
+
+// TestSubscribeDeltaCohortSendsFewerBytes pins what protocol v4 buys the
+// streaming fan-out: two servers on the same seed each serve a cohort of
+// walking sessions created in the same order (so session seeds match), one
+// cohort capped at v3 full pushes and one on v4 deltas. Past each stream's
+// first push (the delta keyframe), the delta cohort's wire bytes per push
+// are strictly below the full cohort's.
+func TestSubscribeDeltaCohortSendsFewerBytes(t *testing.T) {
+	const sessions, pushes = 4, 16
+	_, fullAddr := startServer(t)
+	_, deltaAddr := startServer(t)
+	pos := make([]geo.Point, sessions)
+	full := make([]*rawConn, sessions)
+	delta := make([]*rawConn, sessions)
+	for i := range pos {
+		pos[i] = geo.Destination(center, float64(i*90), 200)
+		full[i] = subscribeRaw(t, fullAddr, wire.ProtoV3, 0, pos[i])
+		delta[i] = subscribeRaw(t, deltaAddr, wire.ProtoMax, wire.SubFlagDelta, pos[i])
+	}
+	// wireBytes reads one push of the wanted type and returns what it cost
+	// on the wire: the frame header plus the encoded envelope.
+	wireBytes := func(rc *rawConn, want wire.MsgType) int {
+		t.Helper()
+		env := rc.read(t)
+		if env.Type != want {
+			t.Fatalf("push type = %v, want %v", env.Type, want)
+		}
+		return 8 + len(wire.EncodeEnvelope(nil, env))
+	}
+	for i := 0; i < sessions; i++ {
+		wireBytes(full[i], wire.MsgFramePush)
+		first := delta[i].read(t)
+		if first.Type != wire.MsgFrameDelta || !core.FrameDeltaIsKeyframe(first.Payload) {
+			t.Fatalf("session %d: first delta-stream push is not a keyframe", i)
+		}
+	}
+	var fullBytes, deltaBytes int
+	for step := 1; step <= pushes; step++ {
+		for i := 0; i < sessions; i++ {
+			fullBytes += wireBytes(full[i], wire.MsgFramePush)
+			deltaBytes += wireBytes(delta[i], wire.MsgFrameDelta)
+			// A pedestrian step: the overlay moves, so diffs carry real
+			// field updates rather than empty pushes.
+			p := geo.Destination(pos[i], float64(i*90+45), float64(step))
+			full[i].sendGPS(t, 0, p)
+			delta[i].sendGPS(t, 0, p)
+		}
+	}
+	n := sessions * pushes
+	t.Logf("wire bytes per push: full %d, delta %d", fullBytes/n, deltaBytes/n)
+	if deltaBytes >= fullBytes {
+		t.Fatalf("delta cohort sent %d B over %d pushes, full cohort %d B: deltas must be strictly cheaper",
+			deltaBytes, n, fullBytes)
 	}
 }

@@ -355,7 +355,7 @@ type routerClient struct {
 	// migration sets migrating under the lock, so once set, no forward is
 	// in flight and none will start until the channel closes. The read
 	// loop blocking here — for exactly the export→import→replay window —
-	// IS the client-visible migration pause E18 measures.
+	// IS the client-visible migration pause (router.migration.pause).
 	fwdMu     sync.Mutex
 	migrating chan struct{}
 }

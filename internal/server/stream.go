@@ -475,10 +475,11 @@ type wheelEntry struct {
 // pacer wakeups per interval; the wheel batches every stream due in the
 // same 500µs bucket into one wakeup, and the engine's pacer-goroutine
 // count stays O(1) regardless of subscription count (the
-// server.stream.pacers gauge, which E19 asserts on). Streams are armed
-// one tick at a time — relative pacing, as before: each tick schedules
-// the next relative to when it actually ran, so a late tick stretches the
-// gap instead of snapping back and pairing over/under gaps.
+// server.stream.pacers gauge, which TestSubscribePacersShareOneWheel
+// asserts on). Streams are armed one tick at a time — relative pacing, as
+// before: each tick schedules the next relative to when it actually ran,
+// so a late tick stretches the gap instead of snapping back and pairing
+// over/under gaps.
 type pacerWheel struct {
 	mu     sync.Mutex
 	slots  [][]wheelEntry
