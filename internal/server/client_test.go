@@ -499,7 +499,7 @@ func TestOutboxDropsOldestWhenFull(t *testing.T) {
 	bw := &blockingWriter{release: make(chan struct{})}
 	var reg metrics.Registry
 	dropped := reg.Counter("dropped")
-	ob := newOutbox(bw, 4, dropped, nil)
+	ob := newOutbox(bw, 4, func(wire.MsgType, uint64) { dropped.Inc() })
 
 	released := make(map[uint64]bool)
 	var mu sync.Mutex
@@ -565,38 +565,71 @@ func TestOutboxDropsOldestWhenFull(t *testing.T) {
 // TestReplyWindowBoundsNonReadingPeer pins the reply class's bound: replies
 // are never dropped, so what stops a peer that sends requests and never
 // reads from queueing without limit is its own read loop, which takes no
-// further envelope while replyWindow replies are unwritten. Nothing is lost
-// either: once the peer reads, every request is answered, in order.
+// further envelope while replyWindow replies are unwritten. Through a
+// router the replies a shard still owes count too, so frame requests are
+// held to the window as exactly as pings. Nothing is lost either: once the
+// peer reads, every request is answered, pings in order.
 func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
 	srv := New(newTestPlatform(t), discardLogger())
 	t.Cleanup(func() { _ = srv.Close() })
-	rc, _ := rawPipe(t, srv.serveConn)
-	rc.hello(t, "pipeliner", wire.ProtoMax)
-
-	const pings = 10000
-	base := rc.seq         // the hello's; the pings carry the seqs after it
-	var taken atomic.Int64 // pings the server's read loop has consumed
-	go func() {
-		for i := 0; i < pings; i++ {
-			// The pipe completes a write only when the server has read it.
-			if rc.trySend(wire.MsgControl, 0, nil) != nil {
-				return
-			}
-			taken.Add(1)
-		}
-	}()
-	waitFor(t, "the read loop to park", func() bool {
-		before := taken.Load()
-		time.Sleep(100 * time.Millisecond)
-		return before > 0 && taken.Load() == before
-	})
-	if n := taken.Load(); n != replyWindow {
-		t.Fatalf("the server took %d pings from a peer that reads nothing, want exactly replyWindow = %d", n, replyWindow)
+	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
+	acceptors := []struct {
+		name   string
+		serve  func(net.Conn)
+		frames bool // every other request a frame request
+	}{
+		{"standalone", srv.cs.serve, false},
+		{"router", tc.router.cs.serve, true},
 	}
-	for seq := base + 1; seq <= base+pings; seq++ {
-		if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != seq {
-			t.Fatalf("reply = %v seq %d, want the ack of ping %d", env.Type, env.Seq, seq)
-		}
+	for _, a := range acceptors {
+		t.Run(a.name, func(t *testing.T) {
+			rc, _ := rawPipe(t, a.serve)
+			rc.hello(t, "pipeliner", wire.ProtoMax)
+			rc.sendGPS(t, 0, center)
+
+			const requests = 10000
+			base := rc.seq         // the requests carry the seqs after it
+			var taken atomic.Int64 // requests the read loop has consumed
+			isPing := func(seq uint64) bool { return !a.frames || (seq-base)%2 == 1 }
+			go func() {
+				for seq := base + 1; seq <= base+requests; seq++ {
+					typ := wire.MsgFrameRequest
+					if isPing(seq) {
+						typ = wire.MsgControl
+					}
+					// The pipe completes a write only when the peer has read it.
+					if rc.trySend(typ, 0, nil) != nil {
+						return
+					}
+					taken.Add(1)
+				}
+			}()
+			waitFor(t, "the read loop to park", func() bool {
+				before := taken.Load()
+				time.Sleep(100 * time.Millisecond)
+				return before > 0 && taken.Load() == before
+			})
+			if n := taken.Load(); n != replyWindow {
+				t.Fatalf("%d requests taken from a peer that reads nothing, want exactly replyWindow = %d", n, replyWindow)
+			}
+			lastAck := base
+			answered := make(map[uint64]bool, requests)
+			for i := 0; i < requests; i++ {
+				env := rc.read(t)
+				want := wire.MsgAnnotations
+				if isPing(env.Seq) {
+					want = wire.MsgAck
+					if env.Seq <= lastAck {
+						t.Fatalf("ack of ping %d after the ack of ping %d", env.Seq, lastAck)
+					}
+					lastAck = env.Seq
+				}
+				if env.Type != want || env.Seq <= base || env.Seq > base+requests || answered[env.Seq] {
+					t.Fatalf("reply %d = %v seq %d, want one %v per request", i, env.Type, env.Seq, want)
+				}
+				answered[env.Seq] = true
+			}
+		})
 	}
 }
 

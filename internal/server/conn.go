@@ -1,6 +1,7 @@
-// The one session-serving connection loop. A node is an Engine behind a
-// listener; every connection it accepts runs node.serveConn, in the role
-// the node was built for:
+// The one accept-side connection loop (connServer.serve), which every
+// listener runs — standalone server, shard, router clients, router admin —
+// and the session-serving handler a node plugs into it. A node is an Engine
+// behind a listener; its handler serves in the role the node was built for:
 //
 //   - client-facing (the standalone Server): the connection owns exactly one
 //     session, created once the handshake succeeded. The envelope Session
@@ -11,7 +12,7 @@
 //     it materialised, understands CtrlEndSession and MsgMigrateSession,
 //     and pushes the node's load signal.
 //
-// The role is the loop's only parameter. On both, sensor envelopes are
+// The role is the handler's only parameter. On both, sensor envelopes are
 // applied inline on the connection goroutine (cheap state updates) and
 // frame requests go to the engine's shared scheduler — render work is
 // bounded by the worker pool, not by the connection count, and one slow
@@ -51,24 +52,30 @@ const backendPushQueue = 64
 // that sends requests and never reads can make a node queue for it.
 const replyWindow = 64
 
+// Bounds on a router's backend connections: each dial plus hello, and each
+// batch of forwards (backendWriter).
+const (
+	backendDialTimeout  = 5 * time.Second
+	backendWriteTimeout = 10 * time.Second
+)
+
 // node is a session-serving listener: what Server and Shard both are.
 type node struct {
 	eng *Engine
 	cs  *connServer
-	// backend selects the role (see the file comment); id and name are the
-	// identity a backend node announces in its hello (a client-facing node
-	// announces the connection's session ID instead).
+	// backend selects the role (see the file comment); id and cs.name are
+	// the identity a backend node announces in its hello (a client-facing
+	// node announces the connection's session ID instead).
 	backend bool
 	id      uint64
-	name    string
 	// loadEvery > 0 pushes load() on every connection at that interval.
 	loadEvery time.Duration
 	load      func() core.LoadSignal
 }
 
-func newNode(p *core.Platform, logger *log.Logger, opts Options) *node {
-	n := &node{eng: NewEngine(p, opts), name: "server", load: p.LoadSignal}
-	n.cs = newConnServer(logger, n.serveConn)
+func newNode(p *core.Platform, logger *log.Logger, opts Options, name string) *node {
+	n := &node{eng: NewEngine(p, opts), load: p.LoadSignal}
+	n.cs = newConnServer(logger, name, n.open)
 	return n
 }
 
@@ -98,13 +105,12 @@ func sendEnvelope(fw *wire.FrameWriter, env *wire.Envelope) error {
 }
 
 // acceptHello reads the mandatory first envelope of an accepted connection
-// and settles the protocol version: every session-serving, backend and
-// router client connection opens with the dialer's hello. Anything else —
-// silence past helloTimeout, another message type, an undecodable hello, a
-// version below wire.ProtoMin — fails closed: the typed error goes back as
-// a MsgError, the one envelope an accepted connection is ever written
-// outside its outbox, and the caller drops the connection. On success the
-// caller starts the outbox and answers with helloReply at the returned seq.
+// and settles the protocol version: every accepted connection opens with
+// the dialer's hello. Anything else — silence past helloTimeout, another
+// message type, an undecodable hello, a version below wire.ProtoMin — fails
+// closed: the typed error goes back as a MsgError, the one envelope an
+// accepted connection is ever written outside its outbox, and the caller
+// drops the connection.
 func acceptHello(conn net.Conn, fr *wire.FrameReader) (proto uint32, seq uint64, err error) {
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	env, err := fr.ReadEnvelope()
@@ -112,32 +118,16 @@ func acceptHello(conn net.Conn, fr *wire.FrameReader) (proto uint32, seq uint64,
 		return 0, 0, fmt.Errorf("server: reading hello: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	if proto, err = checkHello(env); err != nil {
+	var peer wire.Hello
+	if env.Type != wire.MsgHello {
+		err = fmt.Errorf("server: connection opened with %v, want hello", env.Type)
+	} else if peer, err = wire.DecodeHello(env.Payload); err == nil {
+		proto, err = wire.Negotiate(wire.ProtoMax, peer.Version, wire.ProtoMin)
+	}
+	if err != nil {
 		_ = sendEnvelope(wire.NewFrameWriter(conn), &wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())})
 	}
 	return proto, env.Seq, err
-}
-
-// checkHello holds one received envelope to being a usable hello: the
-// type, a payload that decodes, a version this build speaks.
-func checkHello(env *wire.Envelope) (proto uint32, err error) {
-	if env.Type != wire.MsgHello {
-		return 0, fmt.Errorf("server: connection opened with %v, want hello", env.Type)
-	}
-	peer, err := wire.DecodeHello(env.Payload)
-	if err != nil {
-		return 0, err
-	}
-	return wire.Negotiate(wire.ProtoMax, peer.Version, wire.ProtoMin)
-}
-
-// helloReply answers an accepted hello with this side's identity; in a
-// server→client reply id is the session the connection was assigned. It is
-// the first message on the connection's outbox.
-func helloReply(seq, id uint64, name string) outMsg {
-	var buf wire.Buffer
-	wire.EncodeHelloInto(&buf, wire.Hello{ID: id, Name: name, Version: wire.ProtoMax})
-	return outMsg{env: wire.Envelope{Type: wire.MsgHello, Seq: seq, Session: id, Payload: buf.Bytes()}, reply: true}
 }
 
 // dialHello runs the dialer's half of the handshake on a fresh connection:
@@ -168,10 +158,66 @@ func dialHello(fr *wire.FrameReader, fw *wire.FrameWriter, name string, maxProto
 	return peer, proto, err
 }
 
-// sessConn is one session-serving connection's state: what its read loop,
+// accepted is a role's side of one connection, built once its hello
+// succeeded: its outbox, the ID its hello reply announces, its envelope
+// handler, and its teardown, run once the conn and outbox have closed.
+type accepted struct {
+	out    *outbox
+	id     uint64
+	handle func(in *wire.Envelope)
+	closed func()
+}
+
+// serve is the connection loop of every listener: the handshake, then one
+// envelope at a time until the peer goes away or hellos again. Write errors
+// are not acted on — a dead connection fails the next read, and the
+// teardown runs once, from here.
+func (cs *connServer) serve(conn net.Conn) {
+	fr := wire.NewFrameReader(conn)
+	proto, helloSeq, err := acceptHello(conn, fr)
+	if err != nil {
+		cs.logger.Printf("%s: handshake with %v: %v", cs.name, conn.RemoteAddr(), err)
+		return
+	}
+	a := cs.open(conn, proto)
+	defer func() {
+		// Close the conn first so an outbox writer blocked on a stalled peer
+		// fails out instead of wedging the role's teardown.
+		_ = conn.Close()
+		a.out.close()
+		a.closed()
+	}()
+	// In a server→client hello the ID is the connection's session.
+	var hello wire.Buffer
+	wire.EncodeHelloInto(&hello, wire.Hello{ID: a.id, Name: cs.name, Version: wire.ProtoMax})
+	a.out.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgHello, Seq: helloSeq, Session: a.id, Payload: hello.Bytes()}, reply: true})
+
+	// One inbound envelope, reused across messages: its payload aliases the
+	// frame reader's buffer and is fully handled before the next read.
+	var in wire.Envelope
+	for {
+		// The reply bound: no further envelope is taken while replyWindow
+		// replies to this connection are unwritten.
+		a.out.awaitReplies(replyWindow - 1)
+		if err := fr.ReadEnvelopeReuse(&in); err != nil {
+			return
+		}
+		if in.Type == wire.MsgHello {
+			// The handshake is over; the connection does not survive a
+			// second one. The refusal is written before the hang-up.
+			a.out.fail(in.Session, in.Seq, "server: hello after handshake")
+			a.out.awaitReplies(0)
+			return
+		}
+		a.handle(&in)
+	}
+}
+
+// sessConn is one session-serving connection's state: what its handler,
 // the frame workers answering it and its streams all reach.
 type sessConn struct {
-	n *node
+	n     *node
+	proto uint32 // the version the handshake settled
 	// out is the connection's write side; every reply and every push is
 	// enqueued here.
 	out *outbox
@@ -207,30 +253,17 @@ func (c *sessConn) endSession(id uint64) {
 	delete(c.owned, id)
 	c.streams.remove(id) // the stream must not outlive its session
 	if err := c.n.eng.platform.EndSession(id); err != nil {
-		c.n.cs.logger.Printf("%s: ending session %d: %v", c.n.name, id, err)
+		c.n.cs.logger.Printf("%s: ending session %d: %v", c.n.cs.name, id, err)
 	}
 }
 
-// serveConn is the connection loop of both session-serving roles: the
-// handshake, then one envelope at a time until the peer goes away. Write
-// errors are not acted on — a dead connection fails the next read, and the
-// deferred teardown runs once, from here.
-//
-//arbd:dispatch
-func (n *node) serveConn(conn net.Conn) {
-	fr := wire.NewFrameReader(conn)
-	proto, helloSeq, err := acceptHello(conn, fr)
-	if err != nil {
-		n.cs.logger.Printf("%s: handshake with %v: %v", n.name, conn.RemoteAddr(), err)
-		return
-	}
-	c := &sessConn{n: n, owned: make(map[uint64]struct{})}
+// open builds a session-serving connection once its hello succeeded.
+func (n *node) open(conn net.Conn, proto uint32) accepted {
+	c := &sessConn{n: n, proto: proto, owned: make(map[uint64]struct{})}
 	// The push capacity starts at one slot and follows the live
 	// subscriptions' budgets (addReserve). A backend connection multiplexes
 	// many sessions' streams and carries the load reports: its floor keeps
-	// one session's tiny budget from bounding everyone. Outbox drops feed
-	// back into the stream: a delta subscriber whose push was dropped needs
-	// its next push keyed.
+	// one session's tiny budget from bounding everyone.
 	capacity, helloID := 1, n.id
 	if n.backend {
 		capacity = backendPushQueue
@@ -239,112 +272,102 @@ func (n *node) serveConn(conn net.Conn) {
 		c.owned[c.own.ID] = struct{}{}
 		helloID = c.own.ID
 	}
-	c.out = newOutbox(conn, capacity, n.eng.streamDropped, c.streams.forceKeyframe)
-
-	// Teardown, in reverse: close the conn first so the outbox writer
-	// blocked on a stalled peer fails out instead of wedging what follows;
-	// stop the streams and wait out their frames and the polled ones; only
-	// then end the sessions they rendered.
-	stopLoad := make(chan struct{})
-	defer close(stopLoad)
-	defer func() {
-		for id := range c.owned {
-			c.endSession(id)
-		}
-	}()
-	defer c.inflight.Wait()
-	defer func() {
-		_ = conn.Close()
-		c.streams.stopAll()
-		c.out.close()
-	}()
-
+	c.out = newOutbox(conn, capacity, c.dropped)
 	// The load reporter starts before the hello reply is queued: once the
 	// dialer has read the reply, every goroutine serving this connection
 	// exists. Its first report is a full loadEvery away, behind the reply.
 	if n.loadEvery > 0 {
-		go n.loadLoop(c.out, stopLoad)
+		go n.loadLoop(c.out)
 	}
-	c.out.enqueue(helloReply(helloSeq, helloID, n.name))
+	return accepted{out: c.out, id: helloID, handle: c.handle, closed: c.closed}
+}
 
-	// One inbound envelope, reused across messages: its payload aliases the
-	// frame reader's buffer and is fully applied before the next read.
-	var in wire.Envelope
-	for {
-		// The reply bound: no further envelope is taken while replyWindow
-		// replies to this connection are unwritten.
-		c.out.awaitReplies(replyWindow - 1)
-		if err := fr.ReadEnvelopeReuse(&in); err != nil {
+// dropped is the outbox's drop hook: a dropped frame push counts as a stream
+// drop and keys the session's next push; a dropped load report is neither.
+func (c *sessConn) dropped(t wire.MsgType, session uint64) {
+	if t == wire.MsgFramePush || t == wire.MsgFrameDelta {
+		c.n.eng.streamDropped.Inc()
+		c.streams.forceKeyframe(session)
+	}
+}
+
+// closed stops the streams and waits out their frames and the polled ones;
+// only then does it end the sessions they rendered.
+func (c *sessConn) closed() {
+	c.streams.stopAll()
+	c.inflight.Wait()
+	for id := range c.owned {
+		c.endSession(id)
+	}
+}
+
+// handle serves one envelope.
+//
+//arbd:dispatch
+func (c *sessConn) handle(in *wire.Envelope) {
+	n := c.n
+	if c.own != nil {
+		in.Session = c.own.ID // the connection's session; clients cannot choose
+	} else if in.Session == 0 {
+		c.out.fail(0, in.Seq, "server: shard envelope without session")
+		return
+	}
+	switch in.Type {
+	case wire.MsgSensorEvent:
+		// Applied inline, in arrival order; one-way unless malformed.
+		if err := applySensor(c.session(in.Session), in.Payload); err != nil {
+			c.out.fail(in.Session, in.Seq, err.Error())
+		}
+	case wire.MsgFrameRequest:
+		c.submitFrame(c.session(in.Session), in.Seq)
+	case wire.MsgSubscribe:
+		sub, err := wire.DecodeSubscribe(in.Payload)
+		if err != nil {
+			c.out.fail(in.Session, in.Seq, err.Error())
 			return
 		}
-		if c.own != nil {
-			in.Session = c.own.ID // the connection's session; clients cannot choose
-		} else if in.Session == 0 && in.Type != wire.MsgHello { // a hello addresses the connection
-			c.out.fail(0, in.Seq, "server: shard envelope without session")
-			continue
+		// The ack is queued before the stream exists, so it precedes the
+		// first push on the wire.
+		c.out.ack(in)
+		// Delta pushes only when the subscriber asked and this
+		// connection negotiated v4 (through a router: the flag rides the
+		// forwarded payload, and the router↔shard link must speak v4 for
+		// MsgFrameDelta to be legal on it).
+		delta := c.proto >= wire.ProtoV4 && sub.Flags&wire.SubFlagDelta != 0
+		c.streams.add(in.Session, n.eng.startStream(c.session(in.Session), sub, c.out, delta))
+	case wire.MsgUnsubscribe:
+		// Never resolves the session: unsubscribing one that never
+		// subscribed must not materialise it. Idempotent.
+		c.streams.remove(in.Session)
+		c.out.ack(in)
+	case wire.MsgAck:
+		// Client frame-ack (protocol v4): fire-and-forget progress and
+		// resync requests. Never answered, and never resolves the
+		// session — an ack racing its stream's teardown is a no-op.
+		if a, err := wire.DecodeFrameAck(in.Payload); err == nil {
+			c.streams.ack(in.Session, a)
 		}
-		switch in.Type {
-		case wire.MsgSensorEvent:
-			// Applied inline, in arrival order; one-way unless malformed.
-			if err := applySensor(c.session(in.Session), in.Payload); err != nil {
-				c.out.fail(in.Session, in.Seq, err.Error())
+	case wire.MsgControl:
+		if n.backend && len(in.Payload) > 0 && in.Payload[0] == CtrlEndSession {
+			// One-way (the client is already gone), and a no-op for a
+			// session that never sent traffic: it must not be built
+			// just to be torn down.
+			if _, live := c.owned[in.Session]; live {
+				c.endSession(in.Session)
 			}
-		case wire.MsgFrameRequest:
-			c.submitFrame(c.session(in.Session), in.Seq)
-		case wire.MsgSubscribe:
-			sub, err := wire.DecodeSubscribe(in.Payload)
-			if err != nil {
-				c.out.fail(in.Session, in.Seq, err.Error())
-				continue
-			}
-			// The ack is queued before the stream exists, so it precedes the
-			// first push on the wire.
-			c.out.ack(&in)
-			// Delta pushes only when the subscriber asked and this
-			// connection negotiated v4 (through a router: the flag rides the
-			// forwarded payload, and the router↔shard link must speak v4 for
-			// MsgFrameDelta to be legal on it).
-			delta := proto >= wire.ProtoV4 && sub.Flags&wire.SubFlagDelta != 0
-			c.streams.add(in.Session, n.eng.startStream(c.session(in.Session), sub, c.out, delta))
-		case wire.MsgUnsubscribe:
-			// Never resolves the session: unsubscribing one that never
-			// subscribed must not materialise it. Idempotent.
-			c.streams.remove(in.Session)
-			c.out.ack(&in)
-		case wire.MsgAck:
-			// Client frame-ack (protocol v4): fire-and-forget progress and
-			// resync requests. Never answered, and never resolves the
-			// session — an ack racing its stream's teardown is a no-op.
-			if a, err := wire.DecodeFrameAck(in.Payload); err == nil {
-				c.streams.ack(in.Session, a)
-			}
-		case wire.MsgControl:
-			if n.backend && len(in.Payload) > 0 && in.Payload[0] == CtrlEndSession {
-				// One-way (the client is already gone), and a no-op for a
-				// session that never sent traffic: it must not be built
-				// just to be torn down.
-				if _, live := c.owned[in.Session]; live {
-					c.endSession(in.Session)
-				}
-				continue
-			}
-			c.out.ack(&in) // ping
-		case wire.MsgHello:
-			// The handshake is over; the connection does not survive a
-			// second one. The refusal is written before the hang-up.
-			c.out.fail(in.Session, in.Seq, "server: hello after handshake")
-			c.out.awaitReplies(0)
 			return
-		case wire.MsgMigrateSession:
-			if n.backend {
-				c.migrate(&in)
-				continue
-			}
-			fallthrough // router↔shard vocabulary is not spoken to clients
-		case wire.MsgAnnotations, wire.MsgQuery, wire.MsgQueryResult, wire.MsgError, wire.MsgLoad,
-			wire.MsgFramePush, wire.MsgJoinShard, wire.MsgLeaveShard, wire.MsgMembership, wire.MsgFrameDelta:
-			c.out.fail(in.Session, in.Seq, fmt.Sprintf("server: unsupported message %v", in.Type))
 		}
+		c.out.ack(in) // ping
+	case wire.MsgMigrateSession:
+		if n.backend {
+			c.migrate(in)
+			return
+		}
+		fallthrough // router↔shard vocabulary is not spoken to clients
+	case wire.MsgHello, // refused by connServer.serve before it gets here
+		wire.MsgAnnotations, wire.MsgQuery, wire.MsgQueryResult, wire.MsgError, wire.MsgLoad,
+		wire.MsgFramePush, wire.MsgJoinShard, wire.MsgLeaveShard, wire.MsgMembership, wire.MsgFrameDelta:
+		c.out.fail(in.Session, in.Seq, fmt.Sprintf("server: unsupported message %v", in.Type))
 	}
 }
 
@@ -416,16 +439,16 @@ func (c *sessConn) submitFrame(sess *core.Session, seq uint64) {
 	}
 }
 
-// loadLoop pushes the node's LoadSignal on the connection until it closes,
-// so the router's view of this shard's pressure stays fresh. A report is a
-// push: one the router has not read by the time newer ones queue behind it
-// is the first to go.
-func (n *node) loadLoop(out *outbox, stop <-chan struct{}) {
+// loadLoop pushes the node's LoadSignal on the connection until its outbox
+// closes, so the router's view of this shard's pressure stays fresh. A
+// report is a push: one the router has not read by the time newer ones
+// queue behind it is the first to go.
+func (n *node) loadLoop(out *outbox) {
 	ticker := time.NewTicker(n.loadEvery)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-out.done:
 			return
 		case <-ticker.C:
 			buf := n.eng.bufs.Get().(*wire.Buffer)

@@ -116,13 +116,15 @@ func (e *Engine) encodeFrame(fl *obs.Flight, reply *wire.Envelope, t wire.MsgTyp
 	return buf
 }
 
-// connServer owns a role's accept loop and connection lifecycle; roles plug
-// in their per-connection handler. Close is idempotent: it stops accepting,
+// connServer owns a role's accept loop and connection lifecycle; every
+// connection runs serve (conn.go), and roles plug in open. name labels this
+// side in hello replies and logs. Close is idempotent: it stops accepting,
 // closes live connections, and waits for handlers to drain.
 type connServer struct {
 	ln     net.Listener
 	logger *log.Logger
-	serve  func(net.Conn)
+	name   string
+	open   func(conn net.Conn, proto uint32) accepted
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
@@ -131,13 +133,14 @@ type connServer struct {
 	wg        sync.WaitGroup
 }
 
-func newConnServer(logger *log.Logger, serve func(net.Conn)) *connServer {
+func newConnServer(logger *log.Logger, name string, open func(conn net.Conn, proto uint32) accepted) *connServer {
 	if logger == nil {
 		logger = log.Default()
 	}
 	return &connServer{
 		logger: logger,
-		serve:  serve,
+		name:   name,
+		open:   open,
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
 	}

@@ -13,11 +13,12 @@ import (
 )
 
 // TestHostileHandshakes drives every way of not opening a connection with
-// a usable hello against all three acceptors — the standalone server, a
-// shard's backend listener and a router's client listener. Each gets the
-// typed error back (or, for a dialer that never completes an envelope, the
-// hello deadline) and then a closed connection; nothing is served, no
-// session outlives the connection and no goroutine is left behind.
+// a usable hello against all four acceptors — the standalone server, a
+// shard's backend listener, a router's client listener and its admin
+// listener. Each gets the typed error back (or, for a dialer that never
+// completes an envelope, the hello deadline) and then a closed connection;
+// nothing is served, no session outlives the connection and no goroutine is
+// left behind.
 func TestHostileHandshakes(t *testing.T) {
 	old := helloTimeout
 	helloTimeout = 150 * time.Millisecond
@@ -26,6 +27,10 @@ func TestHostileHandshakes(t *testing.T) {
 	srv, standalone := startServer(t)
 	shard, backend := newExtraShard(t, 7)
 	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
+	admin, err := tc.router.ListenAdmin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	routerSessions := func() int {
 		tc.router.sessMu.RLock()
 		defer tc.router.sessMu.RUnlock()
@@ -39,6 +44,7 @@ func TestHostileHandshakes(t *testing.T) {
 		{"standalone", standalone, srv.Engine().Platform().NumSessions},
 		{"shard", backend, shard.Engine().Platform().NumSessions},
 		{"router", tc.addr, routerSessions},
+		{"admin", admin, routerSessions},
 	}
 
 	hello := func(version uint32) []byte {

@@ -186,7 +186,7 @@ func (r *Router) runMoves(moves []move, gates map[uint64]gateHandle) {
 			r.sessMu.RUnlock()
 			if !connected {
 				if from != nil {
-					_ = from.forward(&wire.Envelope{Type: wire.MsgControl, Session: mv.session,
+					_ = r.forward(from, &wire.Envelope{Type: wire.MsgControl, Session: mv.session,
 						Payload: []byte{CtrlEndSession}})
 				}
 				r.ungate(gates[mv.session])
@@ -231,15 +231,16 @@ func (r *Router) migrateSession(id uint64, from, to *routerShard) error {
 	}()
 
 	// Export: the old owner freezes the stream, snapshots, detaches. The
-	// request rides the same connection as all previously forwarded
-	// envelopes for this session, and the shard applies sensor traffic
+	// request is queued on the same backend outbox as all previously
+	// forwarded envelopes for this session — behind them, since the gate
+	// closed after their enqueue — and the shard applies sensor traffic
 	// inline on that connection's read loop — so every sensor update sent
 	// before the gate closed is in the snapshot. (A frame REQUEST still
 	// queued on the shard's scheduler is the one exception: it renders
 	// and replies after the snapshot, so its reply reaches the client but
 	// its pacing-counter bump stays behind — cosmetic, and documented at
 	// the shard's export handler.)
-	if err := from.forward(&wire.Envelope{Type: wire.MsgMigrateSession, Session: id}); err != nil {
+	if err := r.forward(from, &wire.Envelope{Type: wire.MsgMigrateSession, Session: id}); err != nil {
 		return fmt.Errorf("export request: %w", err)
 	}
 	res, err := r.awaitMigrate(m, from.member.ID)
@@ -268,7 +269,7 @@ func (r *Router) migrateSession(id uint64, from, to *routerShard) error {
 	}
 	r.subsMu.Unlock()
 
-	if err := to.forward(&wire.Envelope{Type: wire.MsgMigrateSession, Session: id, Payload: res.payload}); err != nil {
+	if err := r.forward(to, &wire.Envelope{Type: wire.MsgMigrateSession, Session: id, Payload: res.payload}); err != nil {
 		return fmt.Errorf("import request: %w", err)
 	}
 	res, err = r.awaitMigrate(m, to.member.ID)
@@ -290,18 +291,12 @@ func (r *Router) resumeStream(id uint64, to *routerShard) {
 		return
 	}
 	r.subsMu.Lock()
-	e := r.subs[id]
-	var payload []byte
-	if e != nil {
+	defer r.subsMu.Unlock()
+	if e := r.subs[id]; e != nil {
 		e.rebase()
-		payload = e.payload
-	}
-	r.subsMu.Unlock()
-	if e == nil {
-		return
-	}
-	if err := to.forward(&wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: payload}); err != nil {
-		r.logger.Printf("router: resuming subscription for session %d on shard %d: %v", id, to.member.ID, err)
+		if err := r.forward(to, &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload}); err != nil {
+			r.logger.Printf("router: resuming subscription for session %d on shard %d: %v", id, to.member.ID, err)
+		}
 	}
 }
 
@@ -319,7 +314,7 @@ func (r *Router) awaitMigrate(m *migration, from uint64) (migResult, error) {
 			return res, nil
 		case <-timeout.C:
 			return migResult{}, fmt.Errorf("timed out after %v", r.opts.MigrateTimeout)
-		case <-r.cs.done:
+		case <-r.done:
 			return migResult{}, errors.New("router closed")
 		}
 	}
@@ -423,9 +418,7 @@ func (r *Router) detachShard(ss *routerShard) {
 	r.shardsMu.Lock()
 	delete(r.shards, ss.member.ID)
 	r.shardsMu.Unlock()
-	if bc := ss.backend(); bc != nil {
-		_ = bc.conn.Close()
-	}
+	_ = ss.backend().conn.Close()
 }
 
 // ListenAdmin binds the router's admin endpoint: MsgJoinShard /
@@ -438,7 +431,7 @@ func (r *Router) ListenAdmin(addr string) (string, error) {
 		return "", errors.New("server: admin listener before Connect")
 	}
 	if r.admin == nil {
-		r.admin = newConnServer(r.logger, r.serveAdmin)
+		r.admin = newConnServer(r.logger, "router-admin", r.openAdmin)
 	}
 	return r.admin.listen(addr)
 }
@@ -451,21 +444,13 @@ func membershipMsg(seq uint64, v *membership.View) outMsg {
 	return outMsg{env: wire.Envelope{Type: wire.MsgMembership, Seq: seq, Payload: buf.Bytes()}, reply: seq != 0}
 }
 
-// serveAdmin is the admin endpoint's connection loop. Like every accepted
-// connection it only reads: replies and watch pushes go through an outbox.
-func (r *Router) serveAdmin(conn net.Conn) {
-	fr := wire.NewFrameReader(conn)
-	out := newOutbox(conn, routerPushQueue, nil, nil)
+// openAdmin builds an admin connection's handler once its hello succeeded:
+// membership changes and queries are answered through its outbox, and a
+// watch pushes every epoch there.
+func (r *Router) openAdmin(conn net.Conn, _ uint32) accepted {
+	out := newOutbox(conn, routerPushQueue, nil)
 	var watchCancel func()
 	var watchDone chan struct{}
-	defer func() {
-		if watchCancel != nil {
-			watchCancel()
-			<-watchDone
-		}
-		_ = conn.Close()
-		out.close()
-	}()
 	// answer queues the outcome of one membership change or query.
 	answer := func(seq uint64, view *membership.View, err error) {
 		if err != nil {
@@ -474,20 +459,8 @@ func (r *Router) serveAdmin(conn net.Conn) {
 		}
 		out.enqueue(membershipMsg(seq, view))
 	}
-	var env wire.Envelope
-	for {
-		out.awaitReplies(replyWindow - 1)
-		if err := fr.ReadEnvelopeReuse(&env); err != nil {
-			return
-		}
+	handle := func(env *wire.Envelope) {
 		switch env.Type {
-		case wire.MsgHello:
-			if _, err := checkHello(&env); err != nil {
-				out.fail(0, env.Seq, err.Error())
-				out.awaitReplies(0)
-				return
-			}
-			out.enqueue(helloReply(env.Seq, 0, "router-admin"))
 		case wire.MsgJoinShard:
 			m, err := membership.DecodeMember(env.Payload)
 			var view *membership.View
@@ -518,14 +491,21 @@ func (r *Router) serveAdmin(conn net.Conn) {
 						}
 					}()
 				}
-				out.ack(&env)
-				continue
+				out.ack(env)
+				return
 			}
 			answer(env.Seq, r.dir.View(), nil)
 		default:
 			out.fail(0, env.Seq, fmt.Sprintf("server: unsupported admin message %v", env.Type))
 		}
 	}
+	closed := func() {
+		if watchCancel != nil {
+			watchCancel()
+			<-watchDone
+		}
+	}
+	return accepted{out: out, handle: handle, closed: closed}
 }
 
 // AdminClient speaks the router's admin protocol — the client side of
@@ -539,7 +519,8 @@ type AdminClient struct {
 	seq  uint64
 }
 
-// DialAdmin connects to a router's admin endpoint.
+// DialAdmin connects to a router's admin endpoint and runs the hello
+// handshake; timeout bounds both.
 func DialAdmin(addr string, timeout time.Duration) (*AdminClient, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -548,7 +529,14 @@ func DialAdmin(addr string, timeout time.Duration) (*AdminClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("admin: dial %s: %w", addr, err)
 	}
-	return &AdminClient{conn: conn, fr: wire.NewFrameReader(conn), fw: wire.NewFrameWriter(conn)}, nil
+	a := &AdminClient{conn: conn, fr: wire.NewFrameReader(conn), fw: wire.NewFrameWriter(conn)}
+	_ = conn.SetDeadline(time.Now().Add(timeout))
+	if _, _, err := dialHello(a.fr, a.fw, "admin", wire.ProtoMax); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("admin: %s: %w", addr, err)
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return a, nil
 }
 
 // Close tears the admin connection down.

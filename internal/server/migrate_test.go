@@ -345,6 +345,7 @@ func TestAdminEndToEnd(t *testing.T) {
 
 	// A watcher sees the current epoch immediately.
 	wc := dialRaw(t, adminAddr)
+	wc.hello(t, "watcher", wire.ProtoMax)
 	watchSeq := wc.send(t, wire.MsgControl, 0, []byte{CtrlWatchMembership})
 	sawAck := false
 	var first *wire.Envelope
@@ -507,14 +508,14 @@ func TestDeliverRebaseDropsStragglers(t *testing.T) {
 	defer client.Close()
 	defer srv.Close()
 	go func() { _, _ = io.Copy(io.Discard, client) }()
-	cl := &routerClient{out: newOutbox(srv, 8, nil, nil)}
+	cl := &routerClient{out: newOutbox(srv, 8, nil)}
 	defer cl.out.close()
 	const session = 7
 	r.sessions[session] = cl
 	r.subs[session] = &subEntry{payload: []byte{0, 0}}
 
 	push := func(raw uint64) {
-		r.deliver(&wire.Envelope{Type: wire.MsgFramePush, Seq: raw, Session: session, Payload: []byte{1}})
+		r.deliver(&wire.Envelope{Type: wire.MsgFramePush, Seq: raw, Session: session, Payload: []byte{1}}, false)
 	}
 	entry := func() subEntry {
 		r.subsMu.Lock()

@@ -79,7 +79,7 @@ func TestPolledReplyAllocatesNothing(t *testing.T) {
 	}
 	srv := NewWithOptions(newTestPlatform(t), discardLogger(), Options{Scheduler: SchedulerConfig{Workers: 1, Deadline: -1}})
 	t.Cleanup(func() { _ = srv.Close() })
-	rc, _ := rawPipe(t, srv.serveConn)
+	rc, _ := rawPipe(t, srv.cs.serve)
 	rc.hello(t, "poller", wire.ProtoMax)
 	rc.sendGPS(t, 0, center)
 

@@ -91,24 +91,12 @@ type RouterOptions struct {
 	// its own (see loadGate). Zero takes the 250 ms server default;
 	// negative disables router-side shedding.
 	Deadline time.Duration
-	// FlushLatencyRef and BacklogRef normalise remote pressure (defaults
-	// 5 ms and 4096 records, matching SchedulerConfig).
-	FlushLatencyRef time.Duration
-	BacklogRef      int64
-	// DialTimeout bounds each backend dial + hello handshake (default 5 s).
-	DialTimeout time.Duration
 	// Retry is the backend reconnect budget (see RetryPolicy).
 	Retry RetryPolicy
 	// MigrateTimeout bounds each phase (export, import) of one session's
 	// live migration; a shard that stops answering mid-drain costs that
 	// session its state, not the drain its liveness (default 5 s).
 	MigrateTimeout time.Duration
-	// WriteTimeout bounds every write to a backend (shard) connection
-	// (default 10 s; negative disables). Forwards hold shared locks across
-	// these writes, so a partitioned shard must become a timeout error —
-	// routed to the reconnect machinery — rather than an indefinitely
-	// wedged lock stalling every client.
-	WriteTimeout time.Duration
 }
 
 func (o *RouterOptions) defaults() {
@@ -118,23 +106,8 @@ func (o *RouterOptions) defaults() {
 	case o.Deadline == 0:
 		o.Deadline = defaultFrameDeadline
 	}
-	if o.FlushLatencyRef <= 0 {
-		o.FlushLatencyRef = defaultFlushLatencyRef
-	}
-	if o.BacklogRef <= 0 {
-		o.BacklogRef = defaultBacklogRef
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.MigrateTimeout <= 0 {
 		o.MigrateTimeout = 5 * time.Second
-	}
-	switch {
-	case o.WriteTimeout < 0:
-		o.WriteTimeout = 0
-	case o.WriteTimeout == 0:
-		o.WriteTimeout = 10 * time.Second
 	}
 	o.Retry.defaults()
 }
@@ -147,13 +120,17 @@ func (o *RouterOptions) defaults() {
 // against that remote pressure and sheds frame requests before wasting a
 // forward hop on an overlay that would arrive stale. Frame subscriptions
 // forward with session affinity. Everything bound for a client — a shard's
-// replies and pushes traversing the hop back, the router's own sheds and
-// errors — is enqueued on that client connection's outbox, the same one
-// delivery path the session-serving roles use (stream.go), so one stalled
-// reader cannot stall a shard reader serving every other client.
+// replies and pushes, the router's own sheds and errors — is enqueued on
+// that client connection's outbox, and everything bound for a shard on that
+// backend connection's outbox (stream.go): a stalled client cannot stall the
+// shard reader serving everyone else, and a stalled shard parks only the
+// clients forwarding to it, never a lock.
 type Router struct {
 	cs     *connServer
 	logger *log.Logger
+	// done closes when Close begins; wg counts the shard readers Close waits.
+	done chan struct{}
+	wg   sync.WaitGroup
 	// dir is the membership control plane: the current epoch's member set
 	// and ring. Routing decisions load the current view atomically; Join
 	// and Drain publish new epochs, and the router swaps rings by placing
@@ -205,8 +182,8 @@ type Router struct {
 	migMu      sync.Mutex
 	migrations map[uint64]*migration
 
-	// bufs stages forwarded payloads while they sit in client outboxes
-	// (the shard reader's frame buffer cannot outlive one read).
+	// bufs stages payloads while they sit in outboxes: a client's frame
+	// buffer and a shard reader's cannot outlive one read.
 	bufs sync.Pool
 
 	// rec records the router-side half of every frame's flight, polled or
@@ -263,37 +240,35 @@ func (e *subEntry) rebase() {
 // backendConn is one dialled-and-handshaken shard connection.
 type backendConn struct {
 	conn net.Conn
-	w    *lockedWriter
+	out  *outbox
 	fr   *wire.FrameReader
 }
 
-// lockedWriter serialises envelope writes on a backend connection, the
-// forward direction, which every client's read loop shares. Each write is
-// framed and flushed atomically, and carries a deadline when timeout is
-// set: forwards hold the membership-change lock across these writes, so
-// they must never block on a shard's full TCP buffer indefinitely — a
-// partitioned shard turns into a timeout error, not a wedged lock.
-type lockedWriter struct {
-	mu      sync.Mutex
-	fw      *wire.FrameWriter
-	conn    net.Conn
-	timeout time.Duration
+// close closes the connection, then waits out its outbox writer.
+func (bc *backendConn) close() {
+	_ = bc.conn.Close()
+	bc.out.close()
 }
 
-func (w *lockedWriter) write(env *wire.Envelope) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timeout > 0 {
-		// Refreshed per write, never cleared: the next write resets it, and
-		// an idle connection has nothing in flight to time out.
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+// backendWriter is a backend outbox's writer: a batch that cannot reach a
+// partitioned shard in backendWriteTimeout closes the connection, so its
+// reader fails into the reconnect machinery.
+type backendWriter struct{ conn net.Conn }
+
+func (w backendWriter) Write(p []byte) (int, error) {
+	// Refreshed per batch, never cleared: an idle connection has nothing in
+	// flight to time out.
+	_ = w.conn.SetWriteDeadline(time.Now().Add(backendWriteTimeout))
+	n, err := w.conn.Write(p)
+	if err != nil {
+		_ = w.conn.Close()
 	}
-	return sendEnvelope(w.fw, env)
+	return n, err
 }
 
 // routerShard is one shard's slot: the current backend connection (swapped
-// on reconnect) plus the state admission needs — the shard's last reported
-// load and the FIFO of outstanding frame requests.
+// on reconnect), the shard's last reported load, and the ledger of replies
+// it owes.
 type routerShard struct {
 	member Member
 
@@ -303,14 +278,12 @@ type routerShard struct {
 	loadMu sync.RWMutex
 	load   core.LoadSignal
 
-	pend pendingFrames
+	owed ledger
 
-	// down flips while the backend connection is lost; dead flips once the
-	// retry budget is spent and the shard's streams have been failed;
-	// removed flips when a drain detaches the shard on purpose, telling the
-	// reader not to reconnect and not to write obituaries.
+	// down flips while the backend connection is lost; removed flips when a
+	// drain detaches the shard on purpose, telling the reader not to
+	// reconnect and not to write obituaries.
 	down    atomic.Bool
-	dead    atomic.Bool
 	removed atomic.Bool
 }
 
@@ -333,16 +306,24 @@ func (ss *routerShard) backend() *backendConn {
 	return ss.bc
 }
 
-// forward writes one envelope to the shard.
-func (ss *routerShard) forward(env *wire.Envelope) error {
+// forward queues one envelope on the shard's backend outbox, its payload
+// copied (it may alias a frame reader's buffer). Forwards are replies:
+// never dropped.
+func (r *Router) forward(ss *routerShard, env *wire.Envelope) error {
 	if ss.down.Load() {
 		return ErrShardDown
 	}
-	bc := ss.backend()
-	if bc == nil {
+	msg := outMsg{env: *env, reply: true}
+	if len(env.Payload) > 0 {
+		buf := r.bufs.Get().(*wire.Buffer)
+		buf.Reset()
+		buf.Append(env.Payload)
+		msg.env.Payload, msg.buf, msg.pool = buf.Bytes(), buf, &r.bufs
+	}
+	if !ss.backend().out.enqueue(msg) {
 		return ErrShardDown
 	}
-	return bc.w.write(env)
+	return nil
 }
 
 // routerClient is what the router holds per client connection: its outbox
@@ -379,9 +360,10 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 	opts.defaults()
 	r := &Router{
 		logger:     logger,
+		done:       make(chan struct{}),
 		dir:        dir,
 		opts:       opts,
-		gate:       loadGate{deadline: opts.Deadline, flushLatencyRef: opts.FlushLatencyRef, backlogRef: opts.BacklogRef},
+		gate:       loadGate{deadline: opts.Deadline, flushLatencyRef: defaultFlushLatencyRef, backlogRef: defaultBacklogRef},
 		reg:        reg,
 		shards:     make(map[uint64]*routerShard),
 		sessions:   make(map[uint64]*routerClient),
@@ -397,7 +379,7 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 		rec: obs.NewRecorder(reg, obs.Options{}),
 	}
 	r.bufs.New = func() any { return wire.NewBuffer(1024) }
-	r.cs = newConnServer(logger, r.serveClient)
+	r.cs = newConnServer(logger, "router", r.openClient)
 	return r, nil
 }
 
@@ -432,20 +414,17 @@ func (r *Router) shardFor(session uint64) *routerShard {
 // each peer announces the member ID the config claims and negotiating the
 // protocol version. It must succeed before Listen.
 func (r *Router) Connect() error {
+	var attached []*routerShard
 	for _, m := range r.dir.View().Members() {
 		bc, err := r.dialBackend(m)
 		if err != nil {
-			// Close what already connected; Connect is all-or-nothing.
-			r.shardsMu.Lock()
-			for _, ss := range r.shards {
-				if prev := ss.backend(); prev != nil {
-					_ = prev.conn.Close()
-				}
+			// Detach what already connected; Connect is all-or-nothing.
+			for _, ss := range attached {
+				r.detachShard(ss)
 			}
-			r.shardsMu.Unlock()
 			return err
 		}
-		r.attachShard(m, bc)
+		attached = append(attached, r.attachShard(m, bc))
 	}
 	r.connected = true
 	return nil
@@ -454,25 +433,35 @@ func (r *Router) Connect() error {
 // attachShard installs a handshaken backend connection as the member's
 // slot and starts its reader.
 func (r *Router) attachShard(m Member, bc *backendConn) *routerShard {
-	ss := &routerShard{member: m, bc: bc}
-	ss.pend.init()
+	ss := &routerShard{member: m, bc: bc, owed: ledger{owed: make(map[pendKey]struct{})}}
 	r.shardsMu.Lock()
 	r.shards[m.ID] = ss
+	closing := r.closing() // Close swept the slots before this one joined
 	r.shardsMu.Unlock()
+	if closing {
+		_ = bc.conn.Close()
+	}
+	r.wg.Add(1)
 	go r.shardReader(ss, bc)
 	return ss
+}
+
+// dialShard dials one backend. A variable so tests can hand the router a
+// shard end that never reads.
+var dialShard = func(addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, backendDialTimeout)
 }
 
 // dialBackend dials one shard and runs the hello handshake, verifying the
 // peer announces the member ID the config claims.
 func (r *Router) dialBackend(m Member) (*backendConn, error) {
-	conn, err := net.DialTimeout("tcp", m.Addr, r.opts.DialTimeout)
+	conn, err := dialShard(m.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: dialing shard %d at %s: %w", m.ID, m.Addr, err)
 	}
 	fr := wire.NewFrameReader(conn)
 	fw := wire.NewFrameWriter(conn)
-	_ = conn.SetDeadline(time.Now().Add(r.opts.DialTimeout))
+	_ = conn.SetDeadline(time.Now().Add(backendDialTimeout))
 	hello, _, err := dialHello(fr, fw, "router", wire.ProtoMax)
 	if err == nil && hello.ID != m.ID {
 		err = fmt.Errorf("announced ID %d, config says %d — membership miswired", hello.ID, m.ID)
@@ -482,33 +471,39 @@ func (r *Router) dialBackend(m Member) (*backendConn, error) {
 		return nil, fmt.Errorf("server: shard %d at %s: %w", m.ID, m.Addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return &backendConn{conn: conn, w: &lockedWriter{fw: fw, conn: conn, timeout: r.opts.WriteTimeout}, fr: fr}, nil
+	return &backendConn{conn: conn, out: newOutbox(backendWriter{conn}, 1, nil), fr: fr}, nil
 }
 
-// shardReader drains one backend connection: load reports update admission,
-// everything else routes back to the owning client by session ID. When the
-// connection dies the reader kicks off the reconnect loop.
+// shardReader drains a shard slot's backend connection: load reports update
+// admission, everything else routes back to the owning client by session
+// ID. When the connection dies the reader closes it, answers every request
+// the shard still owed, and redials.
 func (r *Router) shardReader(ss *routerShard, bc *backendConn) {
-	fr := bc.fr
+	defer r.wg.Done()
 	var env wire.Envelope
 	for {
-		if err := fr.ReadEnvelopeReuse(&env); err != nil {
+		if err := bc.fr.ReadEnvelopeReuse(&env); err != nil {
+			// The outbox closes before the ledger drains: a forward either
+			// fails to enqueue (its route answers it) or is answered here.
 			ss.down.Store(true)
-			// Outstanding frames will never be answered: drop them so a
-			// stale head cannot keep admission shedding (the down flag
-			// routes new requests to ErrShardDown, which names the real
-			// failure, instead of a misleading overload shed).
-			ss.pend.reset()
-			select {
-			case <-r.cs.done:
-			default:
-				if ss.removed.Load() {
-					return // drained on purpose: no reconnect, no obituaries
+			bc.close()
+			for _, k := range ss.owed.drain() {
+				r.sessMu.RLock()
+				cl := r.sessions[k.session]
+				r.sessMu.RUnlock()
+				if cl != nil {
+					cl.out.fail(k.session, k.seq, ErrShardDown.Error())
+					cl.out.expect(-1)
 				}
-				r.logger.Printf("router: shard %d connection lost: %v", ss.member.ID, err)
-				go r.reconnectShard(ss)
 			}
-			return
+			if r.closing() || ss.removed.Load() {
+				return // closing, or drained on purpose: no reconnect, no obituaries
+			}
+			r.logger.Printf("router: shard %d connection lost: %v", ss.member.ID, err)
+			if bc = r.reconnectShard(ss); bc == nil {
+				return
+			}
+			continue
 		}
 		switch env.Type {
 		case wire.MsgLoad:
@@ -519,29 +514,30 @@ func (r *Router) shardReader(ss *routerShard, bc *backendConn) {
 			// Control plane, never client-bound: route to the in-flight
 			// migration waiting on this session.
 			r.migrateReply(ss, &env)
-		case wire.MsgAnnotations, wire.MsgError:
-			ss.pend.done(env.Session, env.Seq)
-			r.deliver(&env)
+		case wire.MsgAnnotations, wire.MsgError, wire.MsgAck:
+			r.deliver(&env, ss.owed.done(env.Session, env.Seq))
 		default:
-			r.deliver(&env)
+			r.deliver(&env, false)
 		}
 	}
 }
 
-// reconnectShard redials a lost backend with capped exponential backoff.
-// While it runs, requests for the shard fail fast with ErrShardDown but
-// subscriptions stay tracked; on success the streams are replayed on the
-// new connection, and only once the budget is spent are they failed.
-func (r *Router) reconnectShard(ss *routerShard) {
+// reconnectShard redials a lost backend with capped exponential backoff,
+// returning the installed connection (nil: closed, drained or out of
+// budget). While it runs, requests for the shard fail fast with
+// ErrShardDown but subscriptions stay tracked; on success the streams are
+// replayed on the new connection, and only once the budget is spent are
+// they failed.
+func (r *Router) reconnectShard(ss *routerShard) *backendConn {
 	reconnects := r.reg.Counter("router.shard.reconnects")
 	for attempt := 1; attempt <= r.opts.Retry.Attempts; attempt++ {
 		select {
-		case <-r.cs.done:
-			return
+		case <-r.done:
+			return nil
 		case <-time.After(r.opts.Retry.delay(attempt)):
 		}
 		if ss.removed.Load() {
-			return // drained while we backed off: the slot is gone for good
+			return nil // drained while we backed off: the slot is gone for good
 		}
 		bc, err := r.dialBackend(ss.member)
 		if err != nil {
@@ -554,84 +550,48 @@ func (r *Router) reconnectShard(ss *routerShard) {
 		// one while we were dialling — the fresh conn must be torn down
 		// here, because neither will come back for it.
 		ss.connMu.Lock()
-		if ss.removed.Load() {
+		if ss.removed.Load() || r.closing() {
 			ss.connMu.Unlock()
-			_ = bc.conn.Close()
-			return
-		}
-		select {
-		case <-r.cs.done:
-			ss.connMu.Unlock()
-			_ = bc.conn.Close()
-			return
-		default:
+			bc.close()
+			return nil
 		}
 		ss.bc = bc
 		ss.connMu.Unlock()
 		ss.down.Store(false)
 		reconnects.Inc()
-		go r.shardReader(ss, bc)
 		r.replaySubscriptions(ss)
 		r.logger.Printf("router: shard %d reconnected (attempt %d)", ss.member.ID, attempt)
-		return
+		return bc
 	}
 	// Budget spent: the shard is gone as far as this router is concerned.
 	// In-flight streams placed there now — and only now — surface
 	// ErrShardDown.
-	ss.dead.Store(true)
 	r.failStreams(ss)
 	r.logger.Printf("router: shard %d reconnect budget (%d attempts) spent; failing its streams",
 		ss.member.ID, r.opts.Retry.Attempts)
+	return nil
 }
 
 // replaySubscriptions re-forwards MsgSubscribe for every tracked stream
 // the ring places on the shard, rebuilding server-side streams a backend
 // bounce destroyed. Replayed subscribes carry Seq 0: the shard's acks are
 // delivered to clients, which ignore acks for requests they never made.
+// They are queued under subsMu, which an unsubscribe or a session's end
+// takes to untrack the stream before its own forward: a stream that ends
+// concurrently is either not replayed or replayed ahead of its end, never
+// resurrected behind it.
 func (r *Router) replaySubscriptions(ss *routerShard) {
 	ring := r.dir.View().Ring()
 	r.subsMu.Lock()
-	replay := make(map[uint64][]byte, len(r.subs))
+	defer r.subsMu.Unlock()
 	for id, e := range r.subs {
 		if ring.Pick(id).ID == ss.member.ID {
 			// The replayed server-side stream restarts its push counter at
 			// 1; shift the rebase base so the wire seq stays strictly
-			// increasing through the bounce.
+			// increasing through the bounce. A failed forward lost the
+			// connection again, whose reconnect replays anew.
 			e.rebase()
-			replay[id] = e.payload
-		}
-	}
-	r.subsMu.Unlock()
-	for id, payload := range replay {
-		if err := ss.forward(&wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: payload}); err != nil {
-			r.logger.Printf("router: replaying subscription for session %d: %v", id, err)
-		}
-	}
-	// Sweep for subscriptions that ended between the snapshot and the
-	// forward: their unsubscribe or CtrlEndSession raced the replay (a
-	// no-op on the new connection, which didn't know the session yet), so
-	// the subscribe above would otherwise resurrect a zombie stream
-	// nobody ends. The shard knows the session now via the replayed
-	// subscribe, so the corrective message lands — an unsubscribe for a
-	// still-connected client (only its stream ended), a full end-session
-	// for a client that is gone.
-	r.subsMu.Lock()
-	var stale []uint64
-	for id := range replay {
-		if _, ok := r.subs[id]; !ok {
-			stale = append(stale, id)
-		}
-	}
-	r.subsMu.Unlock()
-	for _, id := range stale {
-		r.sessMu.RLock()
-		connected := r.sessions[id] != nil
-		r.sessMu.RUnlock()
-		if connected {
-			_ = ss.forward(&wire.Envelope{Type: wire.MsgUnsubscribe, Session: id})
-		} else {
-			_ = ss.forward(&wire.Envelope{Type: wire.MsgControl, Session: id,
-				Payload: []byte{CtrlEndSession}})
+			_ = r.forward(ss, &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload})
 		}
 	}
 }
@@ -667,10 +627,11 @@ func (r *Router) failStreams(ss *routerShard) {
 // pooled buffer (the payload aliases the shard reader's buffer, which the
 // next read reuses) and queued, never written here — a slow client must
 // cost itself, not stall the shard reader. Pushed frames are pushes; every
-// other envelope answers a request the client made and is a reply. Frames,
-// polled or pushed, fly: the router-side flight opens here, at arrival, and
-// its spans cover the client outbox wait and the client write.
-func (r *Router) deliver(env *wire.Envelope) {
+// other envelope answers a request the client made and is a reply, owed if
+// the ledger held it. Frames, polled or pushed, fly: the router-side flight
+// opens here, at arrival, and its spans cover the client outbox wait and
+// the client write.
+func (r *Router) deliver(env *wire.Envelope, owed bool) {
 	r.sessMu.RLock()
 	cl := r.sessions[env.Session]
 	r.sessMu.RUnlock()
@@ -705,6 +666,9 @@ func (r *Router) deliver(env *wire.Envelope) {
 		pool:   &r.bufs,
 		flight: fl,
 	})
+	if owed {
+		cl.out.expect(-1) // after the enqueue: the count never dips
+	}
 }
 
 // rebasePush maps a stream's raw push counter onto the wire seq its client
@@ -749,23 +713,34 @@ func (r *Router) Listen(addr string) (string, error) {
 	return r.cs.listen(addr)
 }
 
-// Close stops accepting clients, closes admin, client and backend
-// connections, and waits for handlers. Idempotent.
+// closing reports whether Close has begun.
+func (r *Router) closing() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// Close closes backend, client and admin connections, and waits for every
+// goroutine the router started. Idempotent. Backends close first: a client
+// read loop parked on a stalled shard's outbox wakes when it closes.
 func (r *Router) Close() error {
 	r.closeOnce.Do(func() {
+		close(r.done)
+		r.shardsMu.Lock()
+		for _, ss := range r.shards {
+			_ = ss.backend().conn.Close()
+		}
+		r.shardsMu.Unlock()
 		r.closeErr = r.cs.close()
 		if r.admin != nil {
 			if err := r.admin.close(); err != nil && r.closeErr == nil {
 				r.closeErr = err
 			}
 		}
-		r.shardsMu.Lock()
-		for _, ss := range r.shards {
-			if bc := ss.backend(); bc != nil {
-				_ = bc.conn.Close()
-			}
-		}
-		r.shardsMu.Unlock()
+		r.wg.Wait()
 	})
 	return r.closeErr
 }
@@ -800,87 +775,72 @@ func (r *Router) untrackSub(session uint64) {
 	r.subsMu.Unlock()
 }
 
-// serveClient speaks the standalone server's client protocol, with the
-// frame work a forward hop away. The owning shard is resolved per envelope
-// against the current membership epoch, and forwards serialise against the
-// session's migration gate — a session mid-migration pauses here for the
-// export→import→replay window rather than racing its own state across
-// nodes. Like the session-serving loop (conn.go) it only reads: whatever
-// the client is owed goes through its outbox, and the loop parks while
-// replyWindow replies are unwritten.
-func (r *Router) serveClient(conn net.Conn) {
-	fr := wire.NewFrameReader(conn)
-	// The version the client settles on needs no tracking here: what it may
-	// send is decided end to end, by the shard its envelopes reach.
-	_, helloSeq, err := acceptHello(conn, fr)
-	if err != nil {
-		r.logger.Printf("router: handshake with %v: %v", conn.RemoteAddr(), err)
-		return
-	}
+// openClient registers a client connection once its hello succeeded. The
+// version the client settles on needs no tracking here: what it may send is
+// decided end to end, by the shard its envelopes reach.
+func (r *Router) openClient(conn net.Conn, _ uint32) accepted {
 	id := r.nextSess.Add(1)
-	// No onDrop hook on this hop: a dropped delta reaches the client as a
+	// No keyframe hook on this hop: a dropped delta reaches the client as a
 	// seq gap, and its keyframe-request ack forwards to the shard like any
 	// other envelope.
-	cl := &routerClient{out: newOutbox(conn, routerPushQueue, r.pushesDropped, nil)}
+	cl := &routerClient{out: newOutbox(conn, routerPushQueue, func(wire.MsgType, uint64) { r.pushesDropped.Inc() })}
 	r.sessMu.Lock()
 	r.sessions[id] = cl
 	r.sessMu.Unlock()
-	defer func() {
-		r.sessMu.Lock()
-		delete(r.sessions, id)
-		r.sessMu.Unlock()
-		r.untrackSub(id)
-		// Close the conn before waiting out the outbox writer, which may
-		// be mid-write to a stalled client.
-		_ = conn.Close()
-		cl.out.close()
-		// Tell the owning shard the session is over so its registry doesn't
-		// grow for the life of the backend connection. Gated: a migration
-		// in flight finishes first, so the end lands on the new owner.
-		r.route(cl, id, &wire.Envelope{Type: wire.MsgControl, Session: id, Payload: []byte{CtrlEndSession}})
-	}()
-	cl.out.enqueue(helloReply(helloSeq, id, "router"))
-
-	var env wire.Envelope
-	for {
-		cl.out.awaitReplies(replyWindow - 1)
-		if err := fr.ReadEnvelopeReuse(&env); err != nil {
-			return // EOF or broken pipe: session over
-		}
-		env.Session = id // the router owns placement; clients cannot choose
-		switch env.Type {
-		case wire.MsgHello:
-			// Answered here, never forwarded — and only once: the connection
-			// does not survive a second one.
-			cl.out.fail(id, env.Seq, "server: hello after handshake")
-			cl.out.awaitReplies(0)
-			return
-		case wire.MsgControl:
-			// Control payloads are router↔shard vocabulary (CtrlEndSession
-			// tears a session down, silently). The client-facing protocol
-			// treats any control as a ping, so strip the payload rather
-			// than let a client envelope collide with an internal verb.
-			env.Payload = nil
-		}
-		if !r.route(cl, id, &env) {
-			return // router shutting down; nothing can be forwarded
-		}
+	return accepted{
+		out:    cl.out,
+		id:     id,
+		handle: func(env *wire.Envelope) { r.fromClient(cl, id, env) },
+		closed: func() {
+			r.sessMu.Lock()
+			delete(r.sessions, id)
+			r.sessMu.Unlock()
+			r.untrackSub(id)
+			// Tell the owning shard the session is over so its registry
+			// doesn't grow for the life of the backend connection. Gated: a
+			// migration in flight finishes first, so the end lands on the
+			// new owner.
+			r.route(cl, id, &wire.Envelope{Type: wire.MsgControl, Session: id, Payload: []byte{CtrlEndSession}})
+		},
 	}
+}
+
+// fromClient takes one client envelope; the router↔shard and admin
+// vocabularies are refused, as a standalone server refuses them. Before
+// route takes any lock, the read loop parks while replyWindow forwards to
+// the session's shard are unwritten.
+func (r *Router) fromClient(cl *routerClient, id uint64, env *wire.Envelope) {
+	env.Session = id // the router owns placement; clients cannot choose
+	switch env.Type {
+	case wire.MsgControl:
+		// Control payloads are router↔shard vocabulary (CtrlEndSession
+		// tears a session down, silently). The client-facing protocol
+		// treats any control as a ping, so strip the payload rather than
+		// let a client envelope collide with an internal verb.
+		env.Payload = nil
+	case wire.MsgSensorEvent, wire.MsgFrameRequest, wire.MsgSubscribe, wire.MsgUnsubscribe, wire.MsgAck:
+	default:
+		cl.out.fail(id, env.Seq, fmt.Sprintf("server: unsupported message %v", env.Type))
+		return
+	}
+	if ss := r.shardFor(id); ss != nil {
+		ss.backend().out.awaitReplies(replyWindow - 1)
+	}
+	r.route(cl, id, env)
 }
 
 // route makes the admission decision for one client envelope and forwards
 // it to the session's current owner under the session's migration gate and
-// the membership-change read lock; an envelope the router answers itself (a
-// shed, an unreachable owner) gets its reply queued on the client's outbox,
-// which never blocks — a client that went away cannot hold these locks, and
-// through them every membership change (gateAll waits on fwdMu) and the
-// whole data plane. It reports false only when the router is shutting down.
+// the membership-change read lock. Nothing under those locks blocks: the
+// forward, and any reply the router makes itself (a shed, an unreachable
+// owner), is an enqueue. A forward the shard answers is entered in its
+// ledger, holding a slot in the client's outbox, first.
 //
 // The locks span the whole decide-and-forward sequence so the shard
 // consulted for admission is the shard the envelope reaches: without
-// that, a migration between the pend-FIFO add and the forward would
-// strand an entry on the old shard's FIFO and poison its admission clock.
-func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) (ok bool) {
+// that, a migration between the ledger entry and the forward would strand
+// the entry on the old shard's ledger and poison its admission clock.
+func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) {
 	for {
 		r.changeMu.RLock()
 		cl.fwdMu.Lock()
@@ -892,27 +852,33 @@ func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) (ok bool
 		r.changeMu.RUnlock()
 		select {
 		case <-ch:
-		case <-r.cs.done:
-			return false
+		case <-r.done:
+			return
 		}
 	}
 	defer func() {
 		cl.fwdMu.Unlock()
 		r.changeMu.RUnlock()
 	}()
+	// Sensor events, frame acks and CtrlEndSession are one-way.
+	owes := env.Type == wire.MsgFrameRequest || env.Type == wire.MsgSubscribe ||
+		env.Type == wire.MsgUnsubscribe || env.Type == wire.MsgControl && len(env.Payload) == 0
 	ss := r.shardFor(id)
 	if ss == nil {
 		// Epoch names an owner with no live slot: only reachable in the
 		// router's own shutdown window.
-		r.replyShardDown(cl, id, env)
-		return true
+		if owes {
+			cl.out.fail(id, env.Seq, ErrShardDown.Error())
+		}
+		return
 	}
-	if env.Type == wire.MsgSubscribe {
+	switch env.Type {
+	case wire.MsgSubscribe:
 		// Track before the forward: a shard bounce in the gap would
 		// otherwise snapshot r.subs without this stream — never
 		// replayed, never given an obituary, a silently dead channel.
-		// The forward-failure path below and the reconnect sweep both
-		// clean up if the subscribe never actually took.
+		// The forward-failure path below cleans up if the subscribe never
+		// actually took.
 		r.trackSub(id, env.Payload)
 		if sub, err := wire.DecodeSubscribe(env.Payload); err == nil {
 			// Honour the subscription's queue budget on this hop too —
@@ -921,42 +887,30 @@ func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) (ok bool
 			// topology streaming was built for.
 			cl.out.grow(pushBudget(sub))
 		}
-	}
-	if env.Type == wire.MsgFrameRequest {
-		if r.shedNow(ss) {
-			r.framesShed.Inc()
-			cl.out.fail(id, env.Seq, ErrRouterShed.Error())
-			return true
-		}
-		ss.pend.add(id, env.Seq, time.Now())
-	}
-	if err := ss.forward(env); err != nil {
-		r.forwardErrs.Inc()
-		if env.Type == wire.MsgFrameRequest {
-			ss.pend.done(id, env.Seq)
-		}
-		// The stream intent didn't reach the shard: an unsent
-		// subscribe must not be replayed onto a reconnected shard,
-		// and a failed unsubscribe still records the client's intent
-		// so the reconnect replay can't resurrect the stream.
-		if env.Type == wire.MsgSubscribe || env.Type == wire.MsgUnsubscribe {
-			r.untrackSub(id)
-		}
-		r.replyShardDown(cl, id, env)
-		return true
-	}
-	if env.Type == wire.MsgUnsubscribe {
+	case wire.MsgUnsubscribe:
+		// Untrack before the forward, sent or not: the client's intent
+		// stands, and a replay can only queue ahead of it (see
+		// replaySubscriptions).
 		r.untrackSub(id)
 	}
-	return true
-}
-
-// replyShardDown answers request/reply traffic whose owner is unreachable;
-// sensor streams are one-way, so the client finds out on its next request.
-func (r *Router) replyShardDown(cl *routerClient, id uint64, env *wire.Envelope) {
-	switch env.Type {
-	case wire.MsgFrameRequest, wire.MsgControl, wire.MsgSubscribe, wire.MsgUnsubscribe:
-		cl.out.fail(id, env.Seq, ErrShardDown.Error())
+	if env.Type == wire.MsgFrameRequest && r.shedNow(ss) {
+		r.framesShed.Inc()
+		cl.out.fail(id, env.Seq, ErrRouterShed.Error())
+		return
+	}
+	if owes = owes && ss.owed.add(id, env.Seq, env.Type == wire.MsgFrameRequest, time.Now()); owes {
+		cl.out.expect(1)
+	}
+	if err := r.forward(ss, env); err != nil {
+		r.forwardErrs.Inc()
+		if env.Type == wire.MsgSubscribe {
+			r.untrackSub(id) // an unsent subscribe must not be replayed
+		}
+		// Answer it, unless the dying connection's reader already did.
+		if owes && ss.owed.done(id, env.Seq) {
+			cl.out.fail(id, env.Seq, ErrShardDown.Error())
+			cl.out.expect(-1)
+		}
 	}
 }
 
@@ -973,22 +927,12 @@ func (r *Router) shedNow(ss *routerShard) bool {
 	if d <= 0 {
 		return false // shedding disabled
 	}
-	return ss.pend.headAge(time.Now()) > d
+	return ss.owed.headAge(time.Now()) > d
 }
 
-// pendKey identifies one outstanding frame request.
+// pendKey identifies one forwarded request.
 type pendKey struct {
 	session, seq uint64
-}
-
-// pendingFrames tracks a shard's outstanding (forwarded, unanswered) frame
-// requests so admission can measure how far behind the shard is: a FIFO of
-// enqueue times plus a liveness map, with answered entries popped lazily
-// from the head.
-type pendingFrames struct {
-	mu   sync.Mutex
-	fifo []pendEntry
-	live map[pendKey]struct{}
 }
 
 type pendEntry struct {
@@ -996,60 +940,86 @@ type pendEntry struct {
 	at  time.Time
 }
 
-func (p *pendingFrames) init() {
-	p.live = make(map[pendKey]struct{})
+// ledger is one shard's record of the forwarded requests it owes a reply.
+// Admission reads the age of its oldest frame request; each entry holds a
+// slot in its client's outbox (outbox.expect); and when the backend
+// connection dies, every entry is answered ErrShardDown.
+type ledger struct {
+	mu   sync.Mutex
+	owed map[pendKey]struct{}
+	// frames is the frame requests in forward order; answered ones are
+	// popped lazily from the head.
+	frames []pendEntry
 }
 
-func (p *pendingFrames) add(session, seq uint64, at time.Time) {
+// add enters one forwarded request, reporting false for a (session, seq)
+// already owed: a reused seq's second reply arrives outside the ledger.
+func (l *ledger) add(session, seq uint64, frame bool, at time.Time) bool {
 	k := pendKey{session, seq}
-	p.mu.Lock()
-	p.live[k] = struct{}{}
-	p.fifo = append(p.fifo, pendEntry{key: k, at: at})
-	p.mu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, dup := l.owed[k]; dup {
+		return false
+	}
+	l.owed[k] = struct{}{}
+	if frame {
+		l.frames = append(l.frames, pendEntry{key: k, at: at})
+	}
+	return true
 }
 
-// done marks a reply received. Unknown keys (error replies to sensor
-// envelopes, duplicate replies) are ignored. Compaction happens here as
-// well as in headAge so the FIFO stays bounded by the outstanding count
+// done settles one request, reporting whether it was owed (a sensor error
+// or a replayed subscribe's ack was not). Compaction happens here as well
+// as in headAge so the frame FIFO stays bounded by the outstanding count
 // even when admission never reads it (shedding disabled, shard down).
-func (p *pendingFrames) done(session, seq uint64) {
-	p.mu.Lock()
-	delete(p.live, pendKey{session, seq})
-	p.compactLocked()
-	p.mu.Unlock()
+func (l *ledger) done(session, seq uint64) bool {
+	k := pendKey{session, seq}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, ok := l.owed[k]; !ok {
+		return false
+	}
+	delete(l.owed, k)
+	l.compactLocked()
+	return true
 }
 
-// reset discards all outstanding entries (the backing connection died; no
-// reply is coming).
-func (p *pendingFrames) reset() {
-	p.mu.Lock()
-	p.fifo = p.fifo[:0]
-	clear(p.live)
-	p.mu.Unlock()
+// drain empties the ledger — the connection died — returning what it owed.
+func (l *ledger) drain() []pendKey {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	keys := make([]pendKey, 0, len(l.owed))
+	for k := range l.owed {
+		keys = append(keys, k)
+	}
+	clear(l.owed)
+	l.frames = l.frames[:0]
+	return keys
 }
 
-// compactLocked pops answered entries off the FIFO head; callers hold mu.
-func (p *pendingFrames) compactLocked() {
+// compactLocked pops answered entries off the frame FIFO head; callers
+// hold mu.
+func (l *ledger) compactLocked() {
 	i := 0
-	for ; i < len(p.fifo); i++ {
-		if _, ok := p.live[p.fifo[i].key]; ok {
+	for ; i < len(l.frames); i++ {
+		if _, ok := l.owed[l.frames[i].key]; ok {
 			break
 		}
 	}
 	if i > 0 {
-		n := copy(p.fifo, p.fifo[i:])
-		p.fifo = p.fifo[:n]
+		n := copy(l.frames, l.frames[i:])
+		l.frames = l.frames[:n]
 	}
 }
 
 // headAge returns how long the oldest still-outstanding frame request has
 // waited (zero when nothing is outstanding).
-func (p *pendingFrames) headAge(now time.Time) time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.compactLocked()
-	if len(p.fifo) == 0 {
+func (l *ledger) headAge(now time.Time) time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.compactLocked()
+	if len(l.frames) == 0 {
 		return 0
 	}
-	return now.Sub(p.fifo[0].at)
+	return now.Sub(l.frames[0].at)
 }

@@ -225,11 +225,11 @@ func TestRouterSessionAffinity(t *testing.T) {
 	// fully compacted even though shedding is disabled here and admission
 	// never reads it — the leak case for a long-running router.
 	for id, ss := range tc.router.shards {
-		ss.pend.mu.Lock()
-		n := len(ss.pend.fifo)
-		ss.pend.mu.Unlock()
-		if n != 0 {
-			t.Fatalf("shard %d: %d pending-frame entries left after all replies", id, n)
+		ss.owed.mu.Lock()
+		n, owed := len(ss.owed.frames), len(ss.owed.owed)
+		ss.owed.mu.Unlock()
+		if n != 0 || owed != 0 {
+			t.Fatalf("shard %d: %d pending-frame entries, %d owed replies left after all replies", id, n, owed)
 		}
 	}
 
@@ -807,18 +807,9 @@ func TestRouterReportsShardDownNotShed(t *testing.T) {
 	if err := tc.shards[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the router's shard reader has observed the dead backend —
-	// a request racing the detection would be forwarded into the void and
-	// never answered, which is the pre-existing reconnect gap (ROADMAP),
-	// not what this test pins.
-	ss := tc.router.shards[tc.shards[0].ID()]
-	deadline := time.Now().Add(5 * time.Second)
-	for !ss.down.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("router never observed the dead shard")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// No wait for the router to notice: a request racing the detection is
+	// in the shard's ledger, and answered ErrShardDown when the reader sees
+	// the connection die.
 	_, _, err = cl.RequestFrame()
 	if err == nil {
 		t.Fatal("frame request succeeded against a dead shard")
@@ -834,14 +825,65 @@ func TestRouterReportsShardDownNotShed(t *testing.T) {
 	}
 }
 
+// TestShardLossAnswersInFlightRequests pins the ledger's last job: requests
+// already forwarded when the backend connection dies are answered
+// ErrShardDown, each once, instead of waiting forever for a shard that will
+// never answer them.
+func TestShardLossAnswersInFlightRequests(t *testing.T) {
+	tc := startCluster(t, 1, func(i int, o *ShardOptions) { o.Scheduler.Workers = 1 }, RouterOptions{Deadline: -1})
+	// Wedge the shard's only worker: every frame forwarded now stays owed.
+	sh := tc.shards[0]
+	blocker := sh.Engine().Platform().SessionOrNew(1 << 60)
+	if err := blocker.OnGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var blocked sync.WaitGroup
+	blocked.Add(1)
+	if err := sh.Engine().Scheduler().SubmitVisit(blocker, func(*core.Frame) {}, func(error) {
+		defer blocked.Done()
+		<-release
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer blocked.Wait()
+	defer close(release)
+
+	rc := dialRaw(t, tc.addr)
+	_ = rc.c.SetDeadline(time.Now().Add(10 * time.Second))
+	rc.hello(t, "raw", wire.ProtoMax)
+	rc.sendGPS(t, 0, center)
+	const inFlight = 3
+	owed := make(map[uint64]bool)
+	for i := 0; i < inFlight; i++ {
+		owed[rc.send(t, wire.MsgFrameRequest, 0, nil)] = true
+	}
+	ss := tc.router.shard(sh.ID())
+	waitFor(t, "the frame requests to be forwarded", func() bool {
+		ss.owed.mu.Lock()
+		defer ss.owed.mu.Unlock()
+		return len(ss.owed.frames) == inFlight
+	})
+	_ = ss.backend().conn.Close() // the backend connection dies under them
+	for i := 0; i < inFlight; i++ {
+		env := rc.read(t)
+		if env.Type != wire.MsgError || !owed[env.Seq] || !strings.Contains(string(env.Payload), ErrShardDown.Error()) {
+			t.Fatalf("reply %d = %v seq %d %q, want ErrShardDown for one of %v", i, env.Type, env.Seq, env.Payload, owed)
+		}
+		delete(owed, env.Seq)
+	}
+}
+
 // TestRouterStripsControlPayloads pins the discriminator isolation: a
 // client control envelope whose payload collides with the router↔shard
 // CtrlEndSession verb must still behave as a ping (Ack) and must not tear
-// the session down. Spoken raw, since the Client API never sends control
-// payloads.
+// the session down, and a client's migrate_session is refused by the router
+// rather than forwarded. Spoken raw, since the Client API never sends
+// either.
 func TestRouterStripsControlPayloads(t *testing.T) {
 	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
 	rc := dialRaw(t, tc.addr)
+	_ = rc.c.SetDeadline(time.Now().Add(10 * time.Second))
 	rc.hello(t, "raw", wire.ProtoMax)
 	rc.sendGPS(t, 0, center)
 	frameSeq := rc.send(t, wire.MsgFrameRequest, 0, nil)
@@ -862,9 +904,18 @@ func TestRouterStripsControlPayloads(t *testing.T) {
 	if got := tc.shards[0].Engine().Platform().NumSessions(); got != 1 {
 		t.Fatalf("client control payload ended the session (live = %d)", got)
 	}
+	// An export request from a client would detach its session on the shard.
+	migSeq := rc.send(t, wire.MsgMigrateSession, 0, nil)
+	env = rc.read(t)
+	if env.Type != wire.MsgError || env.Seq != migSeq || !strings.Contains(string(env.Payload), "unsupported") {
+		t.Fatalf("migrate_session reply = %v seq %d %q, want the router's refusal", env.Type, env.Seq, env.Payload)
+	}
 	// The session still frames.
 	rc.send(t, wire.MsgFrameRequest, 0, nil)
 	if env = rc.read(t); env.Type != wire.MsgAnnotations {
 		t.Fatalf("post-control frame reply = %v", env.Type)
+	}
+	if got := tc.shards[0].Engine().Platform().NumSessions(); got != 1 {
+		t.Fatalf("live sessions = %d after the refused export, want 1", got)
 	}
 }

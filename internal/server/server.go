@@ -42,7 +42,7 @@ func New(p *core.Platform, logger *log.Logger) *Server {
 
 // NewWithOptions returns a server with explicit scheduler tuning.
 func NewWithOptions(p *core.Platform, logger *log.Logger, opts Options) *Server {
-	return &Server{newNode(p, logger, opts)}
+	return &Server{newNode(p, logger, opts, "server")}
 }
 
 // Scheduler exposes the server's frame scheduler (for stats).

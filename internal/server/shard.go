@@ -55,9 +55,8 @@ type Shard struct{ *node }
 
 // NewShard returns a shard node over the platform (not yet listening).
 func NewShard(p *core.Platform, logger *log.Logger, opts ShardOptions) *Shard {
-	n := newNode(p, logger, opts.Options)
+	n := newNode(p, logger, opts.Options, fmt.Sprintf("shard-%d", opts.ID))
 	n.backend, n.id, n.loadEvery = true, opts.ID, opts.LoadEvery
-	n.name = fmt.Sprintf("shard-%d", opts.ID) // its label in handshakes and logs
 	if n.loadEvery == 0 {
 		n.loadEvery = 25 * time.Millisecond
 	}

@@ -3,10 +3,14 @@ package server
 import (
 	"net"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"arbd/internal/core"
 	"arbd/internal/sensor"
+	"arbd/internal/server/membership"
 	"arbd/internal/wire"
 )
 
@@ -62,7 +66,7 @@ func TestStalledPollerCostsOnlyItself(t *testing.T) {
 	t.Cleanup(func() { _ = srv.Close() })
 	goroutines, sessions := runtime.NumGoroutine(), p.NumSessions()
 
-	stalled, served := rawPipe(t, srv.serveConn)
+	stalled, served := rawPipe(t, srv.cs.serve)
 	stalled.hello(t, "stalled", wire.ProtoMax)
 	stalled.sendGPS(t, 0, center)
 	stalled.send(t, wire.MsgFrameRequest, 0, nil)
@@ -99,7 +103,7 @@ func TestStalledPollerCostsOnlyItself(t *testing.T) {
 // socket fills — at once, on a pipe.
 func TestStalledRoutedClientCostsOnlyItself(t *testing.T) {
 	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
-	stalled, _ := rawPipe(t, tc.router.serveClient)
+	stalled, _ := rawPipe(t, tc.router.cs.serve)
 	stalled.hello(t, "stalled", wire.ProtoMax)
 	stalled.sendGPS(t, 0, center)
 	go func() { // the router may stop reading a peer that never does: this write then blocks
@@ -130,4 +134,142 @@ func TestStalledRoutedClientCostsOnlyItself(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollWithin(t, cl, time.Second, "the stalled client's unread replies are holding the shard reader")
+}
+
+// TestStalledShardCostsOnlyItsOwnClients is the forward direction's
+// promise: a shard that completes its hello and then never reads stalls
+// only the clients forwarding to it. While one client's forward to it is
+// pending, a client on the other shard polls inside a second and a third
+// shard joins inside a second — no router goroutine holds a lock across a
+// write to a shard. Close then leaves nothing of the router running: no
+// client loop, shard reader or backend writer outlives it.
+func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
+	_, healthyAddr := newExtraShard(t, 1)
+	_, joinAddr := newExtraShard(t, 3)
+	stalledEnd, routerEnd := net.Pipe()
+	t.Cleanup(func() { _ = stalledEnd.Close() })
+	go func() { // the stalled shard answers the router's hello, then reads nothing
+		hello, err := wire.NewFrameReader(stalledEnd).ReadEnvelope()
+		if err != nil {
+			return
+		}
+		var hb wire.Buffer
+		wire.EncodeHelloInto(&hb, wire.Hello{ID: 2, Name: "stalled", Version: wire.ProtoMax})
+		_ = sendEnvelope(wire.NewFrameWriter(stalledEnd), &wire.Envelope{Type: wire.MsgHello, Seq: hello.Seq, Payload: hb.Bytes()})
+	}()
+	dial := dialShard
+	dialShard = func(addr string) (net.Conn, error) {
+		if addr == "stalled" {
+			return routerEnd, nil
+		}
+		return dial(addr)
+	}
+	t.Cleanup(func() { dialShard = dial })
+
+	goroutines := runtime.NumGoroutine()
+	members := []Member{{ID: 1, Addr: healthyAddr}, {ID: 2, Addr: "stalled"}}
+	rt, err := NewRouter(members, discardLogger(), nil, RouterOptions{Deadline: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Close() })
+	if err := rt.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := rt.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One client on each shard, both staying put when shard 3 joins: the
+	// join must not wait on a migration off the stalled shard.
+	grown, err := membership.NewRing(append(members, Member{ID: 3, Addr: joinAddr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := func(shard uint64) *Client {
+		id := rt.nextSess.Load() + 1
+		for rt.Ring().Pick(id).ID != shard || grown.Pick(id).ID != shard {
+			id++
+		}
+		rt.nextSess.Store(id - 1)
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cl.Close() })
+		if err := cl.SendGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	stalled, healthy := place(2), place(1)
+	pending := make(chan error, 1)
+	go func() {
+		_, _, err := stalled.RequestFrame()
+		pending <- err
+	}()
+	ss := rt.shard(2)
+	waitFor(t, "the stalled client's frame request to be forwarded", func() bool {
+		ss.owed.mu.Lock()
+		defer ss.owed.mu.Unlock()
+		return len(ss.owed.frames) == 1
+	})
+
+	pollWithin(t, healthy, time.Second, "a forward to the stalled shard is holding the router")
+	joined := make(chan error, 1)
+	go func() {
+		_, err := rt.Join(Member{ID: 3, Addr: joinAddr})
+		joined <- err
+	}()
+	select {
+	case err := <-joined:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a shard join took over a second: a forward to the stalled shard holds the membership lock")
+	}
+	pollWithin(t, healthy, time.Second, "after the join")
+	select {
+	case err := <-pending:
+		t.Fatalf("the stalled shard's client was answered: %v", err)
+	default:
+	}
+
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	for _, fn := range []string{"(*Router)", "backendWriter"} {
+		if strings.Contains(stacks, fn) {
+			t.Fatalf("%s is still running after Router.Close:\n%s", fn, stacks)
+		}
+	}
+	if err := <-pending; err == nil {
+		t.Fatal("the stalled shard's client got a frame")
+	}
+	_ = stalled.Close()
+	_ = healthy.Close()
+	waitFor(t, "connection goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+}
+
+// TestLoadReportDropsAreNotFrameDrops pins what server.stream.dropped counts:
+// frame pushes a peer never received. A router that stops reading a backend
+// connection with no subscriptions loses only load reports, each superseded
+// by the next, and the shard must not report them as lost frames.
+func TestLoadReportDropsAreNotFrameDrops(t *testing.T) {
+	p := newTestPlatform(t)
+	var reports atomic.Int64
+	sh := NewShard(p, discardLogger(), ShardOptions{ID: 1, LoadEvery: time.Millisecond,
+		Load: func() core.LoadSignal { reports.Add(1); return core.LoadSignal{} }})
+	t.Cleanup(func() { _ = sh.Close() })
+	rc, _ := rawPipe(t, sh.cs.serve)
+	rc.hello(t, "stalled-router", wire.ProtoMax)
+	// Twice the backend outbox's push capacity, none of it read.
+	waitFor(t, "the load reports to overflow the outbox", func() bool { return reports.Load() > 2*backendPushQueue })
+	if n := p.Metrics().Counter("server.stream.dropped").Value(); n != 0 {
+		t.Fatalf("server.stream.dropped = %d with no stream on the connection: load reports counted as frames", n)
+	}
 }

@@ -1,6 +1,6 @@
-// Frame delivery and subscription streaming. Everything an accepted
-// connection is sent after its handshake — polled replies, pushed frames,
-// acks, errors, migrate replies, load reports — is enqueued on the
+// Frame delivery and subscription streaming. Everything a connection is
+// sent after its handshake — polled replies, pushed frames, acks, errors,
+// migrate replies, load reports, a router's forwards — is enqueued on the
 // connection's outbox, whose writer goroutine is the connection's only
 // writer and coalesces each wakeup's backlog into one write; a delivery
 // stages a rendered frame between the scheduler worker and that enqueue,
@@ -104,39 +104,40 @@ func (m *outMsg) releaseBuf() {
 	}
 }
 
-// outbox is an accepted connection's write side. Once the handshake is over
-// its writer goroutine is the only goroutine that writes to the connection:
-// read loops, scheduler workers, shard readers and load tickers all enqueue,
+// outbox is a connection's write side: an accepted connection's, or a
+// router's backend connection's. Once the handshake is over its writer
+// goroutine is the only goroutine that writes to the connection: read
+// loops, scheduler workers, shard readers and load tickers all enqueue,
 // enqueue never blocks, and wire order is queue order. It exists so that no
-// goroutine shared between clients — a scheduler worker, a router's shard
-// reader — is ever coupled to one client's read speed. Each writer wakeup
-// drains the whole backlog into a single write: a burst costs one syscall,
-// not one per message.
+// goroutine shared between peers — a scheduler worker, a router's shard
+// reader or client read loop — is ever coupled to one peer's read speed.
+// Each writer wakeup drains the whole backlog into a single write: a burst
+// costs one syscall, not one per message.
 //
 // The queue carries two classes. Pushes (streamed frames, load reports,
 // stream obituaries) are bounded by dropping the oldest queued push when
-// the capacity is reached. Replies are never dropped; they are bounded
-// because the connection's read loop calls awaitReplies before taking each
-// envelope and parks while replyWindow of them are unwritten — a peer that
-// does not read stalls itself through TCP, and nothing else.
+// the capacity is reached. Replies (and forwards) are never dropped; they
+// are bounded because the read loop producing them calls awaitReplies
+// before taking each envelope and parks while replyWindow of them are
+// unwritten — a peer that does not read stalls itself through TCP, and
+// nothing else.
 type outbox struct {
-	w       io.Writer          // the connection
-	batch   wire.EnvelopeBatch // writer goroutine only
-	dropped *metrics.Counter
-	// onDrop, when set, is told the session whose oldest push was just
-	// dropped under backpressure. Delta streams use it to key their next
-	// push: the client never saw the dropped seq, so the next diff would
-	// apply against a base the client doesn't hold.
-	onDrop func(session uint64)
+	w     io.Writer          // the connection
+	batch wire.EnvelopeBatch // writer goroutine only
+	// onDrop, when set, is told each push dropped under backpressure. Delta
+	// streams use it to key their next push: the client never saw the
+	// dropped seq, so the next diff would apply against a base the client
+	// doesn't hold.
+	onDrop func(t wire.MsgType, session uint64)
 
 	mu      sync.Mutex
 	q       []outMsg // FIFO; live entries are q[head:]
 	head    int      // index of the oldest entry: pops are O(1), not a memmove
 	pushes  int      // queued push-class entries: what the capacity bounds
-	replies int      // reply-class entries queued or in the batch being written
+	replies int      // reply-class entries queued or being written, plus expected ones
 	cap     int
 	reserve int       // sum of live streams' budgets (addReserve); capacity floor
-	room    sync.Cond // on mu: replies fell, or the outbox closed; the read loop waits
+	room    sync.Cond // on mu: replies fell, or the outbox closed; read loops wait
 	closed  bool
 	wake    chan struct{} // 1-buffered: writer nudge
 
@@ -195,20 +196,19 @@ func (ob *outbox) pushLocked(msg outMsg) {
 	ob.q = append(ob.q, msg)
 }
 
-// newOutbox starts the writer goroutine over an accepted connection whose
-// handshake is done. capacity is the drop-oldest bound on pushes; onDrop
-// (optional) observes backpressure drops per session.
-func newOutbox(w io.Writer, capacity int, dropped *metrics.Counter, onDrop func(session uint64)) *outbox {
+// newOutbox starts the writer goroutine over a connection whose handshake
+// is done. capacity is the drop-oldest bound on pushes; onDrop (optional)
+// observes each backpressure drop.
+func newOutbox(w io.Writer, capacity int, onDrop func(t wire.MsgType, session uint64)) *outbox {
 	if capacity < 1 {
 		capacity = 1
 	}
 	ob := &outbox{
-		w:       w,
-		dropped: dropped,
-		onDrop:  onDrop,
-		cap:     capacity,
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		w:      w,
+		onDrop: onDrop,
+		cap:    capacity,
+		wake:   make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	ob.room.L = &ob.mu
 	go ob.writeLoop()
@@ -258,18 +258,15 @@ func (ob *outbox) enqueue(msg outMsg) bool {
 		msg.releaseBuf()
 		return false
 	}
-	var droppedSession uint64
+	var dropped wire.Envelope
 	droppedOne := false
 	switch {
 	case msg.reply:
 		ob.replies++
 	case ob.pushes >= ob.capLocked():
 		old := ob.dropOldestPushLocked()
-		if ob.dropped != nil {
-			ob.dropped.Inc()
-		}
 		old.releaseBuf()
-		droppedSession, droppedOne = old.env.Session, true
+		dropped, droppedOne = old.env, true
 	default:
 		ob.pushes++
 	}
@@ -277,7 +274,7 @@ func (ob *outbox) enqueue(msg outMsg) bool {
 	ob.pushLocked(msg)
 	ob.mu.Unlock()
 	if droppedOne && ob.onDrop != nil {
-		ob.onDrop(droppedSession)
+		ob.onDrop(dropped.Type, dropped.Session)
 	}
 	// The writer only parks on an empty queue, so only the empty→nonempty
 	// transition needs a nudge: a burst of enqueues costs one wakeup.
@@ -300,11 +297,21 @@ func (ob *outbox) fail(session, seq uint64, text string) {
 	ob.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgError, Seq: seq, Session: session, Payload: []byte(text)}, reply: true})
 }
 
-// awaitReplies parks the caller until at most n replies are unwritten, or
-// the outbox has closed. A connection's read loop calls it with
-// replyWindow-1 before taking each envelope, which is what bounds the reply
-// class; a loop about to hang up on its peer calls it with 0 so its last
-// words reach the wire before the connection closes.
+// expect counts n replies owed to the connection but not queued yet, or
+// settles them (n < 0): a router expects each reply a shard owes its client,
+// so the client's read loop parks on its queued and owed replies together.
+func (ob *outbox) expect(n int) {
+	ob.mu.Lock()
+	ob.replies += n
+	ob.room.Broadcast()
+	ob.mu.Unlock()
+}
+
+// awaitReplies parks the caller until at most n replies are unwritten (or
+// expected), or the outbox has closed. A connection's read loop calls it
+// with replyWindow-1 before taking each envelope, which is what bounds the
+// reply class; a loop about to hang up on its peer calls it with 0 so its
+// last words reach the wire before the connection closes.
 func (ob *outbox) awaitReplies(n int) {
 	ob.mu.Lock()
 	for ob.replies > n && !ob.closed {
@@ -326,7 +333,7 @@ func (ob *outbox) writeLoop() {
 		if written > 0 {
 			ob.replies -= written
 			written = 0
-			ob.room.Signal()
+			ob.room.Broadcast()
 		}
 		n := ob.queueLenLocked()
 		if n == 0 {
