@@ -1,8 +1,8 @@
 // Package arbd is the public API of the AR⊕big-data convergence platform —
 // a Go reproduction of "When Augmented Reality Meets Big Data" (Huang, Hui,
 // Peylo). It re-exports the platform core and the domain types downstream
-// applications need; the substrates live under internal/ (see DESIGN.md for
-// the full inventory).
+// applications need; the substrates live under internal/ (see README
+// §Architecture map for the inventory).
 //
 // Quickstart:
 //

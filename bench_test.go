@@ -1,6 +1,6 @@
-// Package arbd's root benchmarks wrap the experiment harness (DESIGN.md §3):
-// one testing.B benchmark per derived experiment E1-E13, so
-// `go test -bench=. -benchmem` regenerates every table in EXPERIMENTS.md.
+// Package arbd's root benchmarks wrap the experiment harness: one testing.B
+// benchmark per derived experiment E1-E13, so `go test -bench=. -benchmem`
+// regenerates every experiment's table (README §Running).
 // The rendered tables themselves come from `go run ./cmd/arbd-bench`.
 // TestExperimentsSmoke additionally runs every experiment at tiny scale in
 // plain `go test`, so experiment regressions surface without -bench.

@@ -1,8 +1,7 @@
-// Command arbd-bench runs the derived experiment suite E1-E13 (DESIGN.md §3)
-// and prints each experiment's result table — the source of the numbers in
-// EXPERIMENTS.md. Serving-path performance is not measured here: the
-// multi-process benchmark in benchmark/ (see benchmark/README.md) is the
-// repository's one perf harness.
+// Command arbd-bench runs the derived experiment suite E1-E13 and prints
+// each experiment's result table. Serving-path performance is not measured
+// here: the multi-process benchmark in benchmark/ (see benchmark/README.md)
+// is the repository's one perf harness.
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
 // Package bench implements the experiment harness: one function per derived
-// experiment E1-E13 (see DESIGN.md §3 — the paper is a vision paper with no
-// measured evaluation, so each experiment quantifies one of its qualitative
-// claims) rendering one result table. cmd/arbd-bench prints the tables; the
+// experiment E1-E13 (the paper is a vision paper with no measured
+// evaluation, so each experiment quantifies one of its qualitative claims) rendering one result table. cmd/arbd-bench prints the tables; the
 // root bench_test.go wraps the runs in testing.B benchmarks. Serving-path
 // performance is measured by the multi-process benchmark in benchmark/.
 package bench

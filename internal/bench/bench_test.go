@@ -106,3 +106,30 @@ func TestE7ContextBeatsPopularity(t *testing.T) {
 			hr["item-cf+context"], hr["popularity"], out)
 	}
 }
+
+// TestE10RecallRisesWithEpsilon pins the paper's privacy/utility trade-off
+// (§4.3): under planar-Laplace perturbation, the recall of the true 10
+// nearest POIs rises strictly as ε grows (weaker privacy). The run is
+// seeded, so the recall column is fixed.
+func TestE10RecallRisesWithEpsilon(t *testing.T) {
+	out := E10Privacy().String()
+	var eps, recall []float64
+	for _, l := range strings.Split(out, "\n") {
+		fields := strings.Fields(l)
+		if len(fields) < 3 || fields[0] != "planar-laplace" {
+			continue
+		}
+		e, err1 := strconv.ParseFloat(fields[1], 64)
+		r, err2 := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsable row %q", l)
+		}
+		eps, recall = append(eps, e), append(recall, r)
+	}
+	if len(eps) != 3 || eps[0] != 0.005 || eps[1] != 0.02 || eps[2] != 0.1 {
+		t.Fatalf("planar-laplace ε column = %v, want [0.005 0.02 0.1]\n%s", eps, out)
+	}
+	if !(recall[0] < recall[1] && recall[1] < recall[2]) {
+		t.Fatalf("10-NN recall %v does not rise strictly with ε %v\n%s", recall, eps, out)
+	}
+}

@@ -42,7 +42,7 @@ func E10Privacy() *metrics.Table {
 	// Planar Laplace: recall of the true 10 nearest POIs when querying from
 	// the perturbed location.
 	city := geo.GenerateCity(geo.CityConfig{Center: benchCenter, RadiusM: 2000, NumPOIs: 5000, Seed: 10})
-	store, err := geo.LoadStore(city, geo.IndexRTree)
+	store, err := geo.LoadStore(city)
 	if err != nil {
 		panic(err)
 	}
@@ -298,11 +298,7 @@ func analyticsShoppers() shopperScores {
 // the influence score.
 func geoSpeedup() float64 {
 	city := geo.GenerateCity(geo.CityConfig{Center: benchCenter, RadiusM: 5000, NumPOIs: 50_000, Seed: 13})
-	scan, err := geo.LoadStore(city, geo.IndexScan)
-	if err != nil {
-		panic(err)
-	}
-	rt, err := geo.LoadStore(city, geo.IndexRTree)
+	rt, err := geo.LoadStore(city)
 	if err != nil {
 		panic(err)
 	}
@@ -314,7 +310,7 @@ func geoSpeedup() float64 {
 	}
 	start := time.Now()
 	for _, c := range centers {
-		_ = scan.Nearest(c, 10)
+		_ = scanQuery(city, c, math.Inf(1), 10)
 	}
 	scanT := time.Since(start)
 	start = time.Now()

@@ -3,7 +3,7 @@
 // (mobile, edge, cloud), parameterised network links (LAN/WiFi/LTE/3G), a
 // message-passing RPC layer over a discrete-event scheduler, and failure
 // injection. Latency and energy are modelled deterministically from seeded
-// randomness so experiments are reproducible (DESIGN.md substitution table).
+// randomness so experiments are reproducible.
 package cluster
 
 import (

@@ -19,12 +19,10 @@ func deltaAnn(id uint64, label string, x, y float64) render.Annotation {
 	}
 }
 
-// TestFrameDeltaApplyReproducesFullEncoding pins the interchangeability
-// contract EncodeFrameDeltaInto documents: applying a diff payload to the
-// base frame and re-encoding the result reproduces the full encoding byte
-// for byte — across moved fields, a label rewrite, annotation churn
-// (one added, one dropped), and reordering between frames.
-func TestFrameDeltaApplyReproducesFullEncoding(t *testing.T) {
+// deltaFixture is a frame and the annotations of the frame before it,
+// differing by moved fields, a label rewrite, annotation churn (one added,
+// one dropped) and reordering.
+func deltaFixture() ([]render.Annotation, *Frame) {
 	prevAnns := []render.Annotation{
 		deltaAnn(1, "cafe", 10, 10),
 		deltaAnn(2, "atm", 50, 20),
@@ -33,7 +31,7 @@ func TestFrameDeltaApplyReproducesFullEncoding(t *testing.T) {
 	moved := deltaAnn(2, "atm 24h", 55, 20) // X moved, label rewritten
 	tower := deltaAnn(4, "tower", 120, 5)   // new this frame
 	tower.XRay = true
-	cur := &Frame{
+	return prevAnns, &Frame{
 		// Annotation 3 dropped; 2 now leads — order and membership both
 		// changed, so the diff walk's cursor has to handle a reorder.
 		Annotations:     []render.Annotation{moved, prevAnns[0], tower},
@@ -41,7 +39,15 @@ func TestFrameDeltaApplyReproducesFullEncoding(t *testing.T) {
 		Level:           1,
 		Elapsed:         7 * time.Millisecond,
 	}
+}
 
+// TestFrameDeltaApplyReproducesFullEncoding pins the interchangeability
+// contract EncodeFrameDeltaInto documents: applying a diff payload to the
+// base frame and re-encoding the result reproduces the full encoding byte
+// for byte — across moved fields, a label rewrite, annotation churn
+// (one added, one dropped), and reordering between frames.
+func TestFrameDeltaApplyReproducesFullEncoding(t *testing.T) {
+	prevAnns, cur := deltaFixture()
 	var full, delta wire.Buffer
 	EncodeFrameInto(&full, cur)
 	EncodeFrameDeltaInto(&delta, cur, false)
@@ -115,4 +121,29 @@ func TestFrameDeltaKeyframeAndBaseErrors(t *testing.T) {
 	if !FrameDeltaIsKeyframe(forced.Bytes()) {
 		t.Fatal("frame without a base must encode as a keyframe")
 	}
+}
+
+// FuzzApplyFrameDelta runs the client's apply path — DecodeFrame of the
+// base, then ApplyFrameDelta — on hostile bytes: it must never panic, and
+// whatever it does not accept it refuses with an error. Seeds are the base,
+// diff and keyframe payloads of TestFrameDeltaApplyReproducesFullEncoding.
+func FuzzApplyFrameDelta(f *testing.F) {
+	prevAnns, cur := deltaFixture()
+	base := EncodeFrame(&Frame{Annotations: prevAnns, Elapsed: 5 * time.Millisecond})
+	var diff, key wire.Buffer
+	EncodeFrameDeltaInto(&diff, cur, false)
+	EncodeFrameDeltaInto(&key, cur, true)
+	f.Add(base, diff.Bytes())
+	f.Add(base, key.Bytes())
+	f.Add([]byte(nil), key.Bytes())
+	f.Fuzz(func(t *testing.T, basePayload, delta []byte) {
+		prev, err := DecodeFrame(basePayload)
+		if err != nil {
+			prev = nil
+		}
+		applied, err := ApplyFrameDelta(prev, delta)
+		if err == nil && applied == nil {
+			t.Fatal("ApplyFrameDelta returned neither a frame nor an error")
+		}
+	})
 }

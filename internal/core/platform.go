@@ -44,8 +44,6 @@ type Config struct {
 	Seed int64
 	// City describes the synthetic world; Center must be set.
 	City geo.CityConfig
-	// POIIndex selects the spatial index (default R-tree).
-	POIIndex geo.IndexKind
 	// FrameDeadline is the per-frame latency budget (default 33 ms — 30 fps).
 	FrameDeadline time.Duration
 	// AnnotationRadiusM bounds the context query around the user
@@ -105,9 +103,6 @@ func (c *Config) defaults() {
 	}
 	if c.SessionShards <= 0 {
 		c.SessionShards = defaultRegistryShards
-	}
-	if c.POIIndex == 0 {
-		c.POIIndex = geo.IndexRTree
 	}
 	if c.Clock == nil {
 		c.Clock = sim.RealClock{}
@@ -187,7 +182,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("core: city center %v invalid or unset", cfg.City.Center)
 	}
 	cfg.City.Seed = cfg.Seed
-	pois, err := geo.LoadStore(geo.GenerateCity(cfg.City), cfg.POIIndex)
+	pois, err := geo.LoadStore(geo.GenerateCity(cfg.City))
 	if err != nil {
 		return nil, fmt.Errorf("core: loading city: %w", err)
 	}

@@ -15,7 +15,7 @@ import (
 // snapshotTestPlatform builds a platform with a big enough telemetry batch
 // that records stay buffered (so the snapshot has something to move) and
 // no background flusher (Start never called).
-func snapshotTestPlatform(t *testing.T) *Platform {
+func snapshotTestPlatform(t testing.TB) *Platform {
 	t.Helper()
 	p, err := NewPlatform(Config{
 		Seed: 7,
@@ -33,7 +33,7 @@ func snapshotTestPlatform(t *testing.T) *Platform {
 
 // driveSession feeds a session a deterministic sensor history and some
 // frames, leaving non-trivial state in every snapshot field.
-func driveSession(t *testing.T, s *Session) {
+func driveSession(t testing.TB, s *Session) {
 	t.Helper()
 	base := time.Unix(1700000000, 0)
 	for i := 0; i < 10; i++ {
@@ -299,4 +299,28 @@ func TestSessionSnapshotRejectsCorruptPayloads(t *testing.T) {
 	if _, err := dst.RestoreSession(forged.Bytes()); err == nil || !strings.Contains(err.Error(), "RNG draw count") {
 		t.Fatalf("implausible RNG draw count not rejected: %v", err)
 	}
+}
+
+// FuzzRestoreSession feeds hostile bytes to RestoreSession, the shard's
+// session import path: it must never panic, and whatever it does not accept
+// it refuses with an error.
+func FuzzRestoreSession(f *testing.F) {
+	p := snapshotTestPlatform(f)
+	s := p.NewSession()
+	driveSession(f, s)
+	var buf wire.Buffer
+	s.EncodeSnapshotInto(&buf)
+	p.DetachSession(s.ID)
+	f.Add(append([]byte(nil), buf.Bytes()...))
+	f.Add([]byte{sessionSnapshotV1})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s, err := p.RestoreSession(payload)
+		if err != nil {
+			return
+		}
+		if s == nil {
+			t.Fatal("RestoreSession returned neither a session nor an error")
+		}
+		p.DetachSession(s.ID) // free the ID for the next input
+	})
 }

@@ -1,8 +1,8 @@
 // Package geo implements the geospatial substrate the paper's AR scenarios
-// query against: geodesy primitives, a geohash codec, quadtree and R-tree
-// spatial indexes, and a point-of-interest (POI) store with a synthetic city
-// generator. Tourism guides, retail product location, and "x-ray vision"
-// overlays all resolve their spatial context through this package.
+// query against: geodesy primitives and an immutable point-of-interest (POI)
+// store over an STR-packed R-tree, with a synthetic city generator. Tourism
+// guides, retail product location, and "x-ray vision" overlays all resolve
+// their spatial context through this package.
 package geo
 
 import (
@@ -143,25 +143,27 @@ type Rect struct {
 }
 
 // RectAround returns the bounding box covering a circle of radiusMeters
-// centred at p (clamped at the poles). The box truly covers the circle —
-// the longitude half-width is asin(sin δ / cos φ), not δ / cos φ, which falls
-// short by δ³/6 away from the equator — with a 1e-9 relative margin over
-// rounding, so filtering by the box before a haversine test never loses a
-// point the haversine test would keep.
+// centred at p (clamped at the poles; every longitude once the circle
+// reaches a pole, as an infinite radius does). The box truly covers the
+// circle — the longitude half-width is asin(sin δ / cos φ), not δ / cos φ,
+// which falls short by δ³/6 away from the equator — with a 1e-9 relative
+// margin over rounding, so filtering by the box before a haversine test never
+// loses a point the haversine test would keep.
 func RectAround(p Point, radiusMeters float64) Rect {
 	const margin = 1 + 1e-9
 	d := radiusMeters / EarthRadiusMeters
 	dLat := degrees(d) * margin
-	dLon := 180.0 // the circle reaches a pole: every longitude
-	if sinD, cos := math.Sin(d), math.Cos(radians(p.Lat)); d < math.Pi/2 && sinD < cos {
-		dLon = degrees(math.Asin(sinD/cos)) * margin
-	}
-	return Rect{
+	r := Rect{
 		MinLat: math.Max(-90, p.Lat-dLat),
 		MaxLat: math.Min(90, p.Lat+dLat),
-		MinLon: p.Lon - dLon,
-		MaxLon: p.Lon + dLon,
+		MinLon: -180, // the circle reaches a pole: every longitude
+		MaxLon: 180,
 	}
+	if sinD, cos := math.Sin(d), math.Cos(radians(p.Lat)); d < math.Pi/2 && sinD < cos {
+		dLon := degrees(math.Asin(sinD/cos)) * margin
+		r.MinLon, r.MaxLon = p.Lon-dLon, p.Lon+dLon
+	}
+	return r
 }
 
 // Contains reports whether p lies inside r (inclusive).
@@ -191,39 +193,23 @@ func (r Rect) Center() Point {
 	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lon: (r.MinLon + r.MaxLon) / 2}
 }
 
-// Area returns the rect's area in squared degrees (an ordering heuristic for
-// index balancing, not a physical area).
-func (r Rect) Area() float64 {
-	return math.Max(0, r.MaxLat-r.MinLat) * math.Max(0, r.MaxLon-r.MinLon)
-}
-
-// Empty reports whether the rect has no extent.
-func (r Rect) Empty() bool {
-	return r.MaxLat < r.MinLat || r.MaxLon < r.MinLon
-}
-
 // rectOf returns the degenerate rect at p.
 func rectOf(p Point) Rect {
 	return Rect{MinLat: p.Lat, MaxLat: p.Lat, MinLon: p.Lon, MaxLon: p.Lon}
 }
 
-// minDistMeters lower-bounds the haversine distance from p to anywhere in r;
-// it is the key best-first searches order index nodes by.
-func minDistMeters(p Point, r Rect) float64 {
-	return boxLowerBoundMeters(p, math.Cos(radians(p.Lat)), r)
-}
-
-// boxLowerBoundMeters is minDistMeters with cos(p.Lat) supplied by a caller
-// that evaluates many boxes against one p. The bound is a true one: inside
-// the box's longitude span the nearest point lies on p's own meridian, so
-// the latitude gap is exact; outside it, any path into the box crosses the
-// great circle through the nearer bounding meridian, whose distance from p
-// is asin(cos φ · sin Δλ), and the latitude gap bounds the distance too.
+// boxLowerBoundMeters lower-bounds the haversine distance from p to anywhere
+// in r, given cos(p.Lat); it is the key the Store's walk orders R-tree nodes
+// by. The bound is a true one: inside the box's longitude span the nearest
+// point lies on p's own meridian, so the latitude gap is exact; outside it,
+// any path into the box crosses the great circle through the nearer bounding
+// meridian, whose distance from p is asin(cos φ · sin Δλ), and the latitude
+// gap bounds the distance too.
 // (Clamping p into the box and taking the haversine to that corner is NOT a
 // lower bound away from the equator: the nearest point of a meridian lies
 // poleward of p's latitude.) The result is shaved by more than haversine's
 // rounding error so it never exceeds the computed distance of a point on the
-// box's edge (a point at distance 0 ties with its box: searches break that
+// box's edge (a point at distance 0 ties with its box: the walk breaks that
 // tie by expanding boxes before emitting points).
 //
 //arbd:hotpath

@@ -3,7 +3,6 @@ package geo
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"arbd/internal/sim"
 )
@@ -97,6 +96,15 @@ func TestRectAroundContainsCircle(t *testing.T) {
 			}
 		}
 	}
+	// A circle that reaches a pole covers every longitude: from 60°N, 114°E
+	// a 5,000 km circle holds 80°N, 76°W (4,435 km away) on the far side of
+	// the pole.
+	far := Point{Lat: 80, Lon: -76}
+	for _, radius := range []float64{5_000_000, math.Inf(1)} {
+		if bbox := RectAround(Point{Lat: 60, Lon: 114}, radius); !bbox.Contains(far) {
+			t.Fatalf("r=%.0f: bbox %v misses %v across the pole", radius, bbox, far)
+		}
+	}
 }
 
 func TestRectOps(t *testing.T) {
@@ -113,15 +121,14 @@ func TestRectOps(t *testing.T) {
 	if u.MinLat != 0 || u.MaxLat != 15 || u.MinLon != 0 || u.MaxLon != 15 {
 		t.Fatalf("union = %v", u)
 	}
-	if a.Area() != 100 {
-		t.Fatalf("area = %v", a.Area())
-	}
 	if c := a.Center(); c.Lat != 5 || c.Lon != 5 {
 		t.Fatalf("center = %v", c)
 	}
-	if (Rect{MinLat: 1, MaxLat: 0}).Empty() != true {
-		t.Fatal("inverted rect not empty")
-	}
+}
+
+// minDistMeters is the R-tree's node key from p to r.
+func minDistMeters(p Point, r Rect) float64 {
+	return boxLowerBoundMeters(p, math.Cos(radians(p.Lat)), r)
 }
 
 func TestMinDistMeters(t *testing.T) {
@@ -134,105 +141,5 @@ func TestMinDistMeters(t *testing.T) {
 	want := DistanceMeters(outside, Point{Lat: 20, Lon: 15})
 	if d := minDistMeters(outside, r); math.Abs(d-want) > 1 {
 		t.Fatalf("minDist = %v, want %v", d, want)
-	}
-}
-
-func TestGeohashKnownVector(t *testing.T) {
-	// Well-known test vector: 57.64911,10.40744 -> u4pruydqqvj
-	p := Point{Lat: 57.64911, Lon: 10.40744}
-	if got := EncodeGeohash(p, 11); got != "u4pruydqqvj" {
-		t.Fatalf("EncodeGeohash = %q, want u4pruydqqvj", got)
-	}
-}
-
-func TestGeohashRoundTrip(t *testing.T) {
-	if err := quick.Check(func(latSeed, lonSeed uint16) bool {
-		p := Point{
-			Lat: float64(latSeed)/65535*170 - 85,
-			Lon: float64(lonSeed)/65535*358 - 179,
-		}
-		for prec := 1; prec <= 12; prec++ {
-			h := EncodeGeohash(p, prec)
-			cell, err := DecodeGeohash(h)
-			if err != nil || !cell.Contains(p) {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGeohashDecodeRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{"", "abc!", "ilo"} { // i, l, o not in alphabet
-		if _, err := DecodeGeohash(bad); err == nil {
-			t.Errorf("DecodeGeohash(%q) succeeded", bad)
-		}
-	}
-}
-
-func TestGeohashNeighborsAdjacent(t *testing.T) {
-	h := EncodeGeohash(hkust, 6)
-	cell, _ := DecodeGeohash(h)
-	neighbors, err := GeohashNeighbors(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(neighbors) != 8 {
-		t.Fatalf("got %d neighbors, want 8", len(neighbors))
-	}
-	seen := map[string]bool{h: true}
-	for _, nb := range neighbors {
-		if seen[nb] {
-			t.Fatalf("duplicate/self neighbor %q", nb)
-		}
-		seen[nb] = true
-		nbCell, err := DecodeGeohash(nb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Neighbour cells must touch the home cell (expand slightly for
-		// float fuzz).
-		ex := Rect{
-			MinLat: cell.MinLat - 1e-9, MinLon: cell.MinLon - 1e-9,
-			MaxLat: cell.MaxLat + 1e-9, MaxLon: cell.MaxLon + 1e-9,
-		}
-		if !ex.Intersects(nbCell) {
-			t.Fatalf("neighbor %q does not touch %q", nb, h)
-		}
-	}
-}
-
-func TestCoverRadiusCoversCircle(t *testing.T) {
-	rng := sim.NewRand(4)
-	center := hkust
-	radius := 800.0
-	prec := PrecisionForRadius(radius)
-	cells := CoverRadius(center, radius, prec)
-	cellSet := map[string]bool{}
-	for _, c := range cells {
-		cellSet[c] = true
-	}
-	// Any point in the circle must fall in a covered cell.
-	for i := 0; i < 500; i++ {
-		p := Destination(center, rng.Uniform(0, 360), rng.Float64()*radius)
-		if !cellSet[EncodeGeohash(p, prec)] {
-			t.Fatalf("point %v in circle not covered (cells=%d)", p, len(cells))
-		}
-	}
-	if len(cells) > 64 {
-		t.Fatalf("cover used %d cells; precision choice too fine", len(cells))
-	}
-}
-
-func TestPrecisionForRadiusMonotonic(t *testing.T) {
-	prev := 13
-	for _, r := range []float64{0.01, 1, 10, 100, 1000, 10000, 100000, 1e7} {
-		p := PrecisionForRadius(r)
-		if p > prev {
-			t.Fatalf("precision increased with radius at %v", r)
-		}
-		prev = p
 	}
 }

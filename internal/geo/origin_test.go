@@ -106,42 +106,35 @@ func FuzzOriginMatchesFree(f *testing.F) {
 }
 
 // TestQueryNearestIntoDistances: the distances the query hands back are the
-// ones it ordered by — bit for bit DistanceMeters from the centre — for every
-// index kind, limited and not, with and without a category filter, and the
-// POIs are exactly QueryRadiusLimitInto's.
+// ones it ordered by — bit for bit DistanceMeters from the centre — limited
+// and not, with and without a category filter. (Which POIs come back is
+// TestQueryRadiusLimitMatchesReference's.)
 func TestQueryNearestIntoDistances(t *testing.T) {
-	city := testCity(2000)
+	s, err := LoadStore(testCity(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := sim.NewRand(5)
-	for _, kind := range []IndexKind{IndexScan, IndexGeohash, IndexQuadtree, IndexRTree} {
-		s, err := LoadStore(city, kind)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+	var (
+		pois  []POI
+		dists []float64
+	)
+	for q := 0; q < 40; q++ {
+		center := Destination(hkust, rng.Uniform(0, 360), rng.Uniform(0, 2500))
+		radius := rng.Uniform(30, 1200)
+		limit := []int{0, 1, 7, 60}[q%4]
+		cat := Category(0)
+		if q%5 == 4 {
+			cat = CatShop
 		}
-		var (
-			pois  []POI
-			dists []float64
-		)
-		for q := 0; q < 40; q++ {
-			center := Destination(hkust, rng.Uniform(0, 360), rng.Uniform(0, 2500))
-			radius := rng.Uniform(30, 1200)
-			limit := []int{0, 1, 7, 60}[q%4]
-			cat := Category(0)
-			if q%5 == 4 {
-				cat = CatShop
-			}
-			from := OriginAt(center)
-			pois, dists = s.QueryNearestInto(pois, dists, &from, radius, cat, limit)
-			want := s.QueryRadiusLimitInto(nil, center, radius, cat, limit)
-			if len(pois) != len(want) || len(dists) != len(want) {
-				t.Fatalf("%v query %d: %d POIs and %d distances, want %d", kind, q, len(pois), len(dists), len(want))
-			}
-			for i := range want {
-				if pois[i].ID != want[i].ID {
-					t.Fatalf("%v query %d: result %d is POI %d, want %d", kind, q, i, pois[i].ID, want[i].ID)
-				}
-				if d := DistanceMeters(center, pois[i].Location); math.Float64bits(dists[i]) != math.Float64bits(d) {
-					t.Fatalf("%v query %d: distance %d = %v, DistanceMeters gives %v", kind, q, i, dists[i], d)
-				}
+		from := OriginAt(center)
+		pois, dists = s.QueryNearestInto(pois, dists, &from, radius, cat, limit)
+		if len(dists) != len(pois) {
+			t.Fatalf("query %d: %d POIs and %d distances", q, len(pois), len(dists))
+		}
+		for i := range pois {
+			if d := DistanceMeters(center, pois[i].Location); math.Float64bits(dists[i]) != math.Float64bits(d) {
+				t.Fatalf("query %d: distance %d = %v, DistanceMeters gives %v", q, i, dists[i], d)
 			}
 		}
 	}

@@ -3,8 +3,8 @@ package geo
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"arbd/internal/sim"
@@ -57,129 +57,41 @@ type POI struct {
 	HeightMeters float64
 }
 
-// IndexKind selects the spatial index backing a Store. Enums start at 1.
-type IndexKind int
-
-// Index strategies. IndexScan is the baseline the paper-era AR browsers
-// effectively used (filter the whole catalogue per query).
-const (
-	IndexScan IndexKind = iota + 1
-	IndexGeohash
-	IndexQuadtree
-	IndexRTree
-)
-
-// String returns the index kind's name.
-func (k IndexKind) String() string {
-	switch k {
-	case IndexScan:
-		return "scan"
-	case IndexGeohash:
-		return "geohash"
-	case IndexQuadtree:
-		return "quadtree"
-	case IndexRTree:
-		return "rtree"
-	default:
-		return fmt.Sprintf("index(%d)", int(k))
-	}
-}
-
-// Store is a POI database with a pluggable spatial index. Safe for
-// concurrent use.
+// Store is an immutable POI database over an STR-packed R-tree, built once
+// by LoadStore. Safe for concurrent use.
 type Store struct {
-	mu       sync.RWMutex
-	kind     IndexKind
-	byID     map[uint64]*POI
-	all      []*POI // scan baseline and source of truth order
-	geocells map[string][]uint64
-	ghPrec   int
-	qt       *Quadtree
-	rt       *RTree
-	nextID   uint64
+	all  []POI // load order
+	byID map[uint64]*POI
+	root *rnode
 }
 
-// StoreOption configures a Store.
-type StoreOption func(*Store)
-
-// WithIndex selects the spatial index (default IndexRTree).
-func WithIndex(kind IndexKind) StoreOption {
-	return func(s *Store) { s.kind = kind }
-}
-
-// WithGeohashPrecision sets the bucket precision for IndexGeohash
-// (default 6, ~1.2 km cells).
-func WithGeohashPrecision(p int) StoreOption {
-	return func(s *Store) {
-		if p >= 1 && p <= 12 {
-			s.ghPrec = p
+// LoadStore validates pois and builds a Store over copies of them. A POI
+// with ID 0 is assigned the ID after the highest seen so far; explicit IDs
+// are kept.
+func LoadStore(pois []POI) (*Store, error) {
+	s := &Store{all: make([]POI, len(pois)), byID: make(map[uint64]*POI, len(pois))}
+	items := make([]item, len(pois))
+	var lastID uint64
+	for i, p := range pois {
+		if !p.Location.Valid() {
+			return nil, fmt.Errorf("%w: %v", ErrBadPoint, p.Location)
 		}
+		if p.ID == 0 {
+			lastID++
+			p.ID = lastID
+		} else if p.ID > lastID {
+			lastID = p.ID
+		}
+		s.all[i] = p
+		s.byID[p.ID] = &s.all[i]
+		items[i] = item{ID: p.ID, Point: p.Location}
 	}
-}
-
-// NewStore returns an empty POI store.
-func NewStore(opts ...StoreOption) *Store {
-	s := &Store{
-		kind:     IndexRTree,
-		byID:     make(map[uint64]*POI),
-		geocells: make(map[string][]uint64),
-		ghPrec:   6,
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	switch s.kind {
-	case IndexQuadtree:
-		s.qt = NewQuadtree(Rect{MinLat: -90, MinLon: -180, MaxLat: 90, MaxLon: 180})
-	case IndexRTree:
-		s.rt = NewRTree()
-	}
-	return s
-}
-
-// Kind returns the store's index kind.
-func (s *Store) Kind() IndexKind { return s.kind }
-
-// Len returns the number of stored POIs.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.all)
-}
-
-// Add inserts a POI, assigning an ID if the POI has none. The POI value is
-// copied.
-func (s *Store) Add(p POI) (uint64, error) {
-	if !p.Location.Valid() {
-		return 0, fmt.Errorf("%w: %v", ErrBadPoint, p.Location)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p.ID == 0 {
-		s.nextID++
-		p.ID = s.nextID
-	} else if p.ID > s.nextID {
-		s.nextID = p.ID
-	}
-	cp := p
-	s.byID[cp.ID] = &cp
-	s.all = append(s.all, &cp)
-	switch s.kind {
-	case IndexGeohash:
-		h := EncodeGeohash(cp.Location, s.ghPrec)
-		s.geocells[h] = append(s.geocells[h], cp.ID)
-	case IndexQuadtree:
-		s.qt.Insert(Item{ID: cp.ID, Point: cp.Location})
-	case IndexRTree:
-		s.rt.Insert(Item{ID: cp.ID, Point: cp.Location})
-	}
-	return cp.ID, nil
+	s.root = packRTree(items)
+	return s, nil
 }
 
 // Get returns the POI with the given ID.
 func (s *Store) Get(id uint64) (POI, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	p, ok := s.byID[id]
 	if !ok {
 		return POI{}, fmt.Errorf("%w: id %d", ErrPOINotFound, id)
@@ -192,7 +104,7 @@ func (s *Store) Get(id uint64) (POI, error) {
 // categories). The returned slice is freshly allocated; hot paths that reuse
 // a buffer across queries should call QueryRadiusInto.
 func (s *Store) QueryRadius(center Point, radiusMeters float64, cat Category) []POI {
-	return s.QueryRadiusLimitInto(nil, center, radiusMeters, cat, 0)
+	return s.QueryRadiusInto(nil, center, radiusMeters, cat)
 }
 
 // QueryRadiusInto is QueryRadius appending into dst (which may be nil or a
@@ -201,14 +113,42 @@ func (s *Store) QueryRadius(center Point, radiusMeters float64, cat Category) []
 // so callers reusing a buffer must consume the results before the next
 // query into the same buffer.
 func (s *Store) QueryRadiusInto(dst []POI, center Point, radiusMeters float64, cat Category) []POI {
-	return s.QueryRadiusLimitInto(dst, center, radiusMeters, cat, 0)
+	from := OriginAt(center)
+	return s.walk(dst, nil, &from, radiusMeters, cat, 0)
 }
 
-// nearEntry is one pending step of a radius query: a candidate POI keyed by
-// its exact distance or, on the R-tree, an index node keyed by a lower bound
-// on the distance of everything beneath it. It is pointer-free so the heap
-// sifts without write barriers: nodes sit in radiusScratch.nodes and are
-// named by index.
+// QueryNearestInto is QueryRadiusInto around an Origin the caller already
+// holds, stopping after the limit nearest POIs (limit <= 0: no limit) —
+// exactly the first limit elements of the unlimited result, at a cost that
+// follows limit, not the number of POIs in radius. It also hands back what
+// the query measured: dists[i] is the distance of the i-th returned POI, bit
+// for bit from.Distance of its location. A frame builds its annotations from
+// these instead of measuring every POI again. dists is reused like dst.
+//
+//arbd:hotpath
+func (s *Store) QueryNearestInto(dst []POI, dists []float64, from *Origin, radiusMeters float64, cat Category, limit int) ([]POI, []float64) {
+	dists = dists[:0]
+	dst = s.walk(dst, &dists, from, radiusMeters, cat, limit)
+	return dst, dists
+}
+
+// Nearest returns up to k POIs closest to p, nearest first (ties by
+// ascending ID).
+func (s *Store) Nearest(p Point, k int) []POI {
+	if k <= 0 {
+		return nil
+	}
+	from := OriginAt(p)
+	return s.walk(nil, nil, &from, math.Inf(1), 0, k)
+}
+
+// All returns a snapshot of every POI (copied), in load order.
+func (s *Store) All() []POI { return slices.Clone(s.all) }
+
+// nearEntry is one pending step of the walk: a candidate POI keyed by its
+// exact distance or an R-tree node keyed by a lower bound on the distance of
+// everything beneath it. It is pointer-free so the heap sifts without write
+// barriers: nodes sit in radiusScratch.nodes and are named by index.
 type nearEntry struct {
 	dist float64
 	id   uint64 // POI ID, or index into radiusScratch.nodes when node is set
@@ -228,11 +168,10 @@ func (a nearEntry) before(b nearEntry) bool {
 	return a.id < b.id
 }
 
-// radiusScratch holds the intermediate buffers one radius query needs. The
-// buffers are pooled so steady-state queries allocate nothing beyond the
-// caller's destination slice.
+// radiusScratch holds the intermediate buffers one walk needs. The buffers
+// are pooled so steady-state queries allocate nothing beyond the caller's
+// destination slice.
 type radiusScratch struct {
-	items []Item      // bbox candidates of the scan, geohash and quadtree kinds
 	heap  []nearEntry // binary min-heap under nearEntry.before
 	nodes []*rnode    // R-tree nodes the heap refers to
 }
@@ -283,7 +222,7 @@ func siftUp(h []nearEntry, i int, e nearEntry) {
 	h[i] = e
 }
 
-// radiusQuery is what every step of one query tests against.
+// radiusQuery is what every step of one walk tests against.
 type radiusQuery struct {
 	from   *Origin // the centre
 	radius float64
@@ -320,75 +259,22 @@ func (rs *radiusScratch) expand(n *rnode, q *radiusQuery) {
 
 var radiusScratchPool = sync.Pool{New: func() any { return new(radiusScratch) }}
 
-// QueryRadiusLimitInto is QueryRadiusInto stopping after the limit nearest
-// POIs (limit <= 0: no limit): exactly the first limit elements of the
-// unlimited result, at a cost that follows limit, not the number of POIs in
-// radius.
-func (s *Store) QueryRadiusLimitInto(dst []POI, center Point, radiusMeters float64, cat Category, limit int) []POI {
-	from := OriginAt(center)
-	return s.queryRadius(dst, nil, &from, radiusMeters, cat, limit)
-}
-
-// QueryNearestInto is QueryRadiusLimitInto around an Origin the caller
-// already holds, also handing back what the query measured: dists[i] is the
-// distance of the i-th returned POI, bit for bit from.Distance of its
-// location. A frame builds its annotations from these instead of measuring
-// every POI again. dists is reused like dst.
-//
-//arbd:hotpath
-func (s *Store) QueryNearestInto(dst []POI, dists []float64, from *Origin, radiusMeters float64, cat Category, limit int) ([]POI, []float64) {
-	dists = dists[:0]
-	dst = s.queryRadius(dst, &dists, from, radiusMeters, cat, limit)
-	return dst, dists
-}
-
-// queryRadius is the one radius query. Candidates go on a min-heap and come
-// off in (distance, ID) order until limit have passed the category filter;
+// walk is the one query. It feeds a min-heap best-first from the centre,
+// opening a node only when nothing nearer is pending, so candidates come off
+// in (distance, ID) order and a small limit touches a few leaves. It stops
+// once limit POIs (limit <= 0: no limit) have passed the category filter;
 // only those are resolved and copied, their distances appended to *dists
-// when the caller wants them (nil: not). The R-tree feeds the heap best-first
-// from the centre, opening a node only when nothing nearer is pending, so a
-// small limit touches a few leaves. The other kinds heap every candidate in
-// the bounding box, which still spares a limited query the full sort.
+// when the caller wants them (nil: not).
 //
 //arbd:hotpath
-func (s *Store) queryRadius(dst []POI, dists *[]float64, from *Origin, radiusMeters float64, cat Category, limit int) []POI {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (s *Store) walk(dst []POI, dists *[]float64, from *Origin, radiusMeters float64, cat Category, limit int) []POI {
 	rs := radiusScratchPool.Get().(*radiusScratch)
 	q := radiusQuery{
 		from:   from,
 		radius: radiusMeters,
 		bbox:   RectAround(from.p, radiusMeters),
 	}
-	if s.kind == IndexRTree {
-		rs.expand(s.rt.root, &q)
-	} else {
-		candidates := rs.items[:0]
-		switch s.kind {
-		case IndexScan:
-			for _, p := range s.all {
-				if q.bbox.Contains(p.Location) {
-					candidates = append(candidates, Item{ID: p.ID, Point: p.Location})
-				}
-			}
-		case IndexGeohash:
-			for _, cell := range CoverRadius(from.p, radiusMeters, s.ghPrec) {
-				for _, id := range s.geocells[cell] {
-					if p := s.byID[id]; q.bbox.Contains(p.Location) {
-						candidates = append(candidates, Item{ID: id, Point: p.Location})
-					}
-				}
-			}
-		case IndexQuadtree:
-			candidates = s.qt.Search(q.bbox, candidates)
-		}
-		rs.items = candidates
-		for _, c := range candidates {
-			if d := from.Distance(c.Point); d <= radiusMeters {
-				rs.push(nearEntry{dist: d, id: c.ID})
-			}
-		}
-	}
+	rs.expand(s.root, &q)
 
 	out := dst[:0]
 	if dists != nil && limit > 0 {
@@ -410,63 +296,11 @@ func (s *Store) queryRadius(dst []POI, dists *[]float64, from *Origin, radiusMet
 		}
 	}
 	// Drop the node pointers before pooling so the scratch does not pin a
-	// replaced store's tree (the heap and the items hold no pointers).
+	// replaced store's tree (the heap holds no pointers).
 	clear(rs.nodes)
 	rs.nodes = rs.nodes[:0]
 	rs.heap = rs.heap[:0]
-	rs.items = rs.items[:0]
 	radiusScratchPool.Put(rs)
-	return out
-}
-
-// Nearest returns up to k POIs closest to p, nearest first.
-func (s *Store) Nearest(p Point, k int) []POI {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var items []Item
-	switch s.kind {
-	case IndexQuadtree:
-		items = s.qt.Nearest(p, k)
-	case IndexRTree:
-		items = s.rt.Nearest(p, k)
-	default:
-		// Scan & geohash: honest brute force — compute each distance once,
-		// then select the k smallest.
-		type scored struct {
-			item Item
-			dist float64
-		}
-		all := make([]scored, 0, len(s.all))
-		for _, poi := range s.all {
-			all = append(all, scored{
-				item: Item{ID: poi.ID, Point: poi.Location},
-				dist: DistanceMeters(p, poi.Location),
-			})
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].dist < all[j].dist })
-		if len(all) > k {
-			all = all[:k]
-		}
-		items = make([]Item, len(all))
-		for i, sc := range all {
-			items[i] = sc.item
-		}
-	}
-	out := make([]POI, 0, len(items))
-	for _, it := range items {
-		out = append(out, *s.byID[it.ID])
-	}
-	return out
-}
-
-// All returns a snapshot of every POI (copyied), in insertion order.
-func (s *Store) All() []POI {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]POI, len(s.all))
-	for i, p := range s.all {
-		out[i] = *p
-	}
 	return out
 }
 
@@ -483,7 +317,7 @@ type CityConfig struct {
 // GenerateCity returns a deterministic synthetic city: POIs scattered with a
 // density gradient toward the centre (like real cities), with names, tags,
 // and building heights. It is the data substitute for the proprietary POI
-// databases the paper's scenarios assume (see DESIGN.md).
+// databases the paper's scenarios assume.
 func GenerateCity(cfg CityConfig) []POI {
 	if cfg.NumPOIs <= 0 {
 		return nil
@@ -521,15 +355,4 @@ func GenerateCity(cfg CityConfig) []POI {
 		})
 	}
 	return pois
-}
-
-// LoadStore builds a Store of the given kind from pois.
-func LoadStore(pois []POI, kind IndexKind) (*Store, error) {
-	s := NewStore(WithIndex(kind))
-	for _, p := range pois {
-		if _, err := s.Add(p); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }

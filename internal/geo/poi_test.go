@@ -2,6 +2,7 @@ package geo
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -48,13 +49,12 @@ func TestGenerateCityEmpty(t *testing.T) {
 	}
 }
 
-func TestStoreAddGet(t *testing.T) {
-	s := NewStore()
-	id, err := s.Add(POI{Name: "cafe", Category: CatRestaurant, Location: hkust})
+func TestLoadStoreGet(t *testing.T) {
+	s, err := LoadStore([]POI{{Name: "cafe", Category: CatRestaurant, Location: hkust}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(id)
+	got, err := s.Get(1)
 	if err != nil || got.Name != "cafe" {
 		t.Fatalf("Get = %+v, %v", got, err)
 	}
@@ -64,74 +64,28 @@ func TestStoreAddGet(t *testing.T) {
 }
 
 func TestStoreRejectsInvalidPoint(t *testing.T) {
-	s := NewStore()
-	if _, err := s.Add(POI{Location: Point{Lat: 200}}); !errors.Is(err, ErrBadPoint) {
+	if _, err := LoadStore([]POI{{Location: hkust}, {Location: Point{Lat: 200}}}); !errors.Is(err, ErrBadPoint) {
 		t.Fatalf("err = %v, want ErrBadPoint", err)
 	}
 }
 
 func TestStoreAssignsIDs(t *testing.T) {
-	s := NewStore()
-	id1, _ := s.Add(POI{Location: hkust})
-	id2, _ := s.Add(POI{Location: central})
-	if id1 == id2 || id1 == 0 || id2 == 0 {
-		t.Fatalf("ids = %d, %d", id1, id2)
-	}
 	// Explicit IDs are preserved and advance the counter.
-	id3, _ := s.Add(POI{ID: 100, Location: hkust})
-	if id3 != 100 {
-		t.Fatalf("explicit id = %d", id3)
+	s, err := LoadStore([]POI{{Location: hkust}, {Location: central}, {ID: 100, Location: hkust}, {Location: hkust}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	id4, _ := s.Add(POI{Location: hkust})
-	if id4 <= 100 {
-		t.Fatalf("counter did not advance past explicit id: %d", id4)
+	var ids []uint64
+	for _, p := range s.All() {
+		ids = append(ids, p.ID)
 	}
-}
-
-func TestAllIndexKindsAgreeOnRadiusQuery(t *testing.T) {
-	city := testCity(3000)
-	kinds := []IndexKind{IndexScan, IndexGeohash, IndexQuadtree, IndexRTree}
-	stores := make(map[IndexKind]*Store, len(kinds))
-	for _, k := range kinds {
-		s, err := LoadStore(city, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Len() != len(city) {
-			t.Fatalf("%v store has %d pois", k, s.Len())
-		}
-		stores[k] = s
-	}
-	queries := []struct {
-		center Point
-		radius float64
-		cat    Category
-	}{
-		{hkust, 500, 0},
-		{hkust, 2000, 0},
-		{hkust, 2000, CatRestaurant},
-		{Destination(hkust, 90, 1500), 800, 0},
-		{Destination(hkust, 225, 3000), 1200, CatShop},
-	}
-	for qi, q := range queries {
-		want := stores[IndexScan].QueryRadius(q.center, q.radius, q.cat)
-		for _, k := range kinds[1:] {
-			got := stores[k].QueryRadius(q.center, q.radius, q.cat)
-			if len(got) != len(want) {
-				t.Fatalf("query %d: %v returned %d, scan %d", qi, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].ID != want[i].ID {
-					t.Fatalf("query %d: %v order diverges at %d (%d vs %d)",
-						qi, k, i, got[i].ID, want[i].ID)
-				}
-			}
-		}
+	if want := []uint64{1, 2, 100, 101}; !slices.Equal(ids, want) {
+		t.Fatalf("ids = %v, want %v", ids, want)
 	}
 }
 
 func TestQueryRadiusSortedAndFiltered(t *testing.T) {
-	s, err := LoadStore(testCity(2000), IndexRTree)
+	s, err := LoadStore(testCity(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,29 +106,8 @@ func TestQueryRadiusSortedAndFiltered(t *testing.T) {
 	}
 }
 
-func TestStoreNearestAgreesAcrossIndexes(t *testing.T) {
-	city := testCity(1500)
-	scan, _ := LoadStore(city, IndexScan)
-	rt, _ := LoadStore(city, IndexRTree)
-	qt, _ := LoadStore(city, IndexQuadtree)
-	want := scan.Nearest(central, 10)
-	for name, s := range map[string]*Store{"rtree": rt, "quadtree": qt} {
-		got := s.Nearest(central, 10)
-		if len(got) != len(want) {
-			t.Fatalf("%s Nearest returned %d, want %d", name, len(got), len(want))
-		}
-		for i := range got {
-			dw := DistanceMeters(central, want[i].Location)
-			dg := DistanceMeters(central, got[i].Location)
-			if abs(dw-dg) > 1e-6 {
-				t.Fatalf("%s kNN #%d distance %.4f, want %.4f", name, i, dg, dw)
-			}
-		}
-	}
-}
-
 func TestStoreAllSnapshot(t *testing.T) {
-	s, _ := LoadStore(testCity(10), IndexScan)
+	s, _ := LoadStore(testCity(10))
 	all := s.All()
 	if len(all) != 10 {
 		t.Fatalf("All = %d", len(all))
@@ -185,12 +118,7 @@ func TestStoreAllSnapshot(t *testing.T) {
 	}
 }
 
-func TestIndexKindStrings(t *testing.T) {
-	for _, k := range []IndexKind{IndexScan, IndexGeohash, IndexQuadtree, IndexRTree} {
-		if k.String() == "" {
-			t.Errorf("kind %d has empty name", k)
-		}
-	}
+func TestCategoryStrings(t *testing.T) {
 	if got := CatRestaurant.String(); got != "restaurant" {
 		t.Fatalf("category name = %q", got)
 	}

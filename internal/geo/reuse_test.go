@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -9,8 +10,8 @@ import (
 )
 
 // TestQueryRadiusIntoEquivalence checks the buffer-reusing query returns
-// exactly what the allocating form returns — across every index kind, with
-// the destination buffer reused (dirty) between queries of different sizes.
+// exactly what the allocating form returns, with the destination buffer
+// reused (dirty) between queries of different sizes.
 func TestQueryRadiusIntoEquivalence(t *testing.T) {
 	city := testCity(2000)
 	queries := []struct {
@@ -23,27 +24,24 @@ func TestQueryRadiusIntoEquivalence(t *testing.T) {
 		{5000, 0},
 		{40, 0},
 	}
-	for _, kind := range []IndexKind{IndexScan, IndexGeohash, IndexQuadtree, IndexRTree} {
-		s, err := LoadStore(city, kind)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		var dst []POI
-		for qi, q := range queries {
-			for step := 0; step < 3; step++ {
-				center := Destination(hkust, float64(step*110), float64(step)*400)
-				want := s.QueryRadius(center, q.radius, q.cat)
-				dst = s.QueryRadiusInto(dst, center, q.radius, q.cat)
-				if len(dst) != len(want) {
-					t.Fatalf("%v query %d step %d: got %d POIs, want %d",
-						kind, qi, step, len(dst), len(want))
-				}
-				for i := range want {
-					if dst[i].ID != want[i].ID || dst[i].Location != want[i].Location ||
-						dst[i].Name != want[i].Name || dst[i].Category != want[i].Category {
-						t.Fatalf("%v query %d step %d: result %d differs: got %+v want %+v",
-							kind, qi, step, i, dst[i], want[i])
-					}
+	s, err := LoadStore(city)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dst []POI
+	for qi, q := range queries {
+		for step := 0; step < 3; step++ {
+			center := Destination(hkust, float64(step*110), float64(step)*400)
+			want := s.QueryRadius(center, q.radius, q.cat)
+			dst = s.QueryRadiusInto(dst, center, q.radius, q.cat)
+			if len(dst) != len(want) {
+				t.Fatalf("query %d step %d: got %d POIs, want %d", qi, step, len(dst), len(want))
+			}
+			for i := range want {
+				if dst[i].ID != want[i].ID || dst[i].Location != want[i].Location ||
+					dst[i].Name != want[i].Name || dst[i].Category != want[i].Category {
+					t.Fatalf("query %d step %d: result %d differs: got %+v want %+v",
+						qi, step, i, dst[i], want[i])
 				}
 			}
 		}
@@ -57,18 +55,22 @@ func TestQueryRadiusIntoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
 	}
-	s, err := LoadStore(testCity(2000), IndexRTree)
+	s, err := LoadStore(testCity(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
+	from := OriginAt(hkust)
 	for _, limit := range []int{0, 60} {
-		var dst []POI
-		// Warm the destination and the pooled scratch.
+		var (
+			dst   []POI
+			dists []float64
+		)
+		// Warm the destinations and the pooled scratch.
 		for i := 0; i < 4; i++ {
-			dst = s.QueryRadiusLimitInto(dst, hkust, 800, 0, limit)
+			dst, dists = s.QueryNearestInto(dst, dists, &from, 800, 0, limit)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			dst = s.QueryRadiusLimitInto(dst, hkust, 800, 0, limit)
+			dst, dists = s.QueryNearestInto(dst, dists, &from, 800, 0, limit)
 		})
 		if allocs > 0 {
 			t.Fatalf("limit %d: radius query allocates %.1f objects/op in steady state, want 0", limit, allocs)
@@ -134,61 +136,82 @@ func tieCity(c Point) []POI {
 }
 
 // TestQueryRadiusLimitMatchesReference is the differential test of the
-// bounded query: on every index kind, for random centres, radii and
-// categories, each limit returns exactly the reference's prefix — same POIs,
-// same order, through the ID tie-break and the d > radius cut — near the
-// equator and at 60°N, where a degree of longitude is half as long.
+// walk: for random centres, radii and categories, each limit returns exactly
+// the reference's prefix — same POIs, same order, through the ID tie-break
+// and the d > radius cut — near the equator, at 60°N, where a degree of
+// longitude is half as long, and on circles of thousands of kilometres that
+// reach over the pole. Every query also asks for the k nearest at radius
+// +Inf, through Nearest and through QueryNearestInto.
 func TestQueryRadiusLimitMatchesReference(t *testing.T) {
 	north := Point{Lat: 60.17, Lon: 24.94}
+	// From within 100 km of 60°N, 114°E every circle of 3,500 km or more
+	// reaches the pole; the POIs spread 3,000 km around 80°N, 76°W, across
+	// the pole and the antimeridian.
+	polar := Point{Lat: 60, Lon: 114}
 	fixtures := []struct {
-		name   string
-		center Point
-		spread float64 // query centres fall within this many metres of center
-		pois   []POI
+		name       string
+		center     Point
+		spread     float64 // query centres fall within this many metres of center
+		minR, maxR float64 // radii are log-uniform in [minR, maxR]
+		pois       []POI
 	}{
-		{"city", hkust, 3000, testCity(3000)},
-		{"city60N", north, 3000, GenerateCity(CityConfig{Center: north, RadiusM: 4000, NumPOIs: 3000, TallRatio: 0.2, Seed: 9})},
-		{"ties", hkust, 0, tieCity(hkust)},
-		{"ties60N", north, 0, tieCity(north)},
+		{"city", hkust, 3000, 15, 2500, testCity(3000)},
+		{"city60N", north, 3000, 15, 2500, GenerateCity(CityConfig{Center: north, RadiusM: 4000, NumPOIs: 3000, TallRatio: 0.2, Seed: 9})},
+		{"ties", hkust, 0, 15, 2500, tieCity(hkust)},
+		{"ties60N", north, 0, 15, 2500, tieCity(north)},
+		{"polar", polar, 100_000, 3_500_000, 20_000_000, GenerateCity(CityConfig{Center: Point{Lat: 80, Lon: -76}, RadiusM: 3_000_000, NumPOIs: 2000, Seed: 9})},
 	}
 	for _, fx := range fixtures {
-		for _, kind := range []IndexKind{IndexScan, IndexGeohash, IndexQuadtree, IndexRTree} {
-			s, err := LoadStore(fx.pois, kind)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", fx.name, kind, err)
+		s, err := LoadStore(fx.pois)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		rng := sim.NewRand(11).Child(fx.name)
+		var (
+			dst   []POI
+			dists []float64
+		)
+		check := func(what string, got, want []POI) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d POIs, want %d", fx.name, what, len(got), len(want))
 			}
-			rng := sim.NewRand(11).Child(fx.name)
-			var dst []POI
-			for q := 0; q < 40; q++ {
-				center := Destination(fx.center, rng.Uniform(0, 360), rng.Uniform(0, fx.spread))
-				radius := math.Exp(rng.Uniform(math.Log(15), math.Log(2500)))
-				cat := Category(0)
-				if rng.Bool(0.3) {
-					cat = Category(1 + rng.Intn(3))
-				}
-				full := radiusReference(fx.pois, center, radius, cat, 0)
-				for _, limit := range []int{0, 1, 7, 60, len(full) + 5} {
-					want := full
-					if limit > 0 && len(want) > limit {
-						want = want[:limit]
-					}
-					dst = s.QueryRadiusLimitInto(dst, center, radius, cat, limit)
-					if len(dst) != len(want) {
-						t.Fatalf("%s/%v query %d (r=%.0f cat=%d limit=%d): %d POIs, want %d",
-							fx.name, kind, q, radius, cat, limit, len(dst), len(want))
-					}
-					for i := range want {
-						if dst[i].ID != want[i].ID || dst[i].Name != want[i].Name || dst[i].Location != want[i].Location {
-							t.Fatalf("%s/%v query %d (r=%.0f cat=%d limit=%d): result %d is POI %d at %.3f m, want POI %d at %.3f m",
-								fx.name, kind, q, radius, cat, limit, i,
-								dst[i].ID, DistanceMeters(center, dst[i].Location),
-								want[i].ID, DistanceMeters(center, want[i].Location))
-						}
-					}
+			for i := range want {
+				if got[i].ID != want[i].ID || got[i].Name != want[i].Name || got[i].Location != want[i].Location {
+					t.Fatalf("%s %s: result %d is POI %d, want POI %d", fx.name, what, i, got[i].ID, want[i].ID)
 				}
 			}
 		}
+		for q := 0; q < 40; q++ {
+			center := Destination(fx.center, rng.Uniform(0, 360), rng.Uniform(0, fx.spread))
+			from := OriginAt(center)
+			radius := math.Exp(rng.Uniform(math.Log(fx.minR), math.Log(fx.maxR)))
+			cat := Category(0)
+			if rng.Bool(0.3) {
+				cat = Category(1 + rng.Intn(3))
+			}
+			full := radiusReference(fx.pois, center, radius, cat, 0)
+			for _, limit := range []int{0, 1, 7, 60, len(full) + 5} {
+				dst, dists = s.QueryNearestInto(dst, dists, &from, radius, cat, limit)
+				check(fmt.Sprintf("query %d (r=%.0f cat=%d limit=%d)", q, radius, cat, limit), dst, prefix(full, limit))
+			}
+			all := radiusReference(fx.pois, center, math.Inf(1), 0, 0)
+			for _, k := range []int{1, 7, 60} {
+				what := fmt.Sprintf("query %d (r=+Inf k=%d)", q, k)
+				check("Nearest "+what, s.Nearest(center, k), prefix(all, k))
+				dst, dists = s.QueryNearestInto(dst, dists, &from, math.Inf(1), 0, k)
+				check("QueryNearestInto "+what, dst, prefix(all, k))
+			}
+		}
 	}
+}
+
+// prefix returns the first limit elements of pois (limit <= 0: all).
+func prefix(pois []POI, limit int) []POI {
+	if limit > 0 && len(pois) > limit {
+		return pois[:limit]
+	}
+	return pois
 }
 
 // TestBoxLowerBoundIsOne checks the R-tree's node key against what it

@@ -1,71 +1,54 @@
 package geo
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
-// RTree is an R-tree over point items with quadratic-split insertion and an
-// STR (sort-tile-recursive) bulk loader. Not safe for concurrent mutation.
-type RTree struct {
-	root *rnode
-	size int
+// item is an identified point stored in the R-tree.
+type item struct {
+	ID    uint64
+	Point Point
 }
 
-const (
-	rtMaxEntries = 16
-	rtMinEntries = rtMaxEntries / 4
-)
-
+// rnode is one node of the Store's R-tree: a leaf holds points, an interior
+// node holds children, and bounds covers everything beneath it.
 type rnode struct {
 	bounds   Rect
 	leaf     bool
-	items    []Item   // when leaf
+	items    []item   // when leaf
 	children []*rnode // when interior
 }
 
-// NewRTree returns an empty tree.
-func NewRTree() *RTree {
-	return &RTree{root: &rnode{leaf: true}}
-}
+const rtMaxEntries = 16
 
-// BulkLoadRTree builds a tree from items using STR packing, which yields
-// near-optimal leaves for static datasets.
-func BulkLoadRTree(items []Item) *RTree {
-	t := &RTree{size: len(items)}
+// packRTree builds an R-tree over items by STR (sort-tile-recursive)
+// packing, which yields near-optimal leaves for a static set. It sorts items
+// in place and the leaves share its storage.
+func packRTree(items []item) *rnode {
 	if len(items) == 0 {
-		t.root = &rnode{leaf: true}
-		return t
+		return &rnode{leaf: true}
 	}
-	leaves := packLeaves(items)
-	t.root = packUp(leaves)
-	return t
+	return packUp(packLeaves(items))
 }
 
-func packLeaves(items []Item) []*rnode {
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Point.Lon < sorted[j].Point.Lon })
+// packLeaves cuts items into vertical slices by longitude, sorts each slice
+// by latitude and fills leaves from it.
+func packLeaves(items []item) []*rnode {
+	slices.SortFunc(items, func(a, b item) int { return cmp.Compare(a.Point.Lon, b.Point.Lon) })
 
-	numLeaves := (len(sorted) + rtMaxEntries - 1) / rtMaxEntries
+	numLeaves := (len(items) + rtMaxEntries - 1) / rtMaxEntries
 	numSlices := int(math.Ceil(math.Sqrt(float64(numLeaves))))
 	sliceSize := numSlices * rtMaxEntries
 
-	var leaves []*rnode
-	for s := 0; s < len(sorted); s += sliceSize {
-		end := s + sliceSize
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		slice := sorted[s:end]
-		sort.Slice(slice, func(i, j int) bool { return slice[i].Point.Lat < slice[j].Point.Lat })
+	leaves := make([]*rnode, 0, numLeaves)
+	for s := 0; s < len(items); s += sliceSize {
+		slice := items[s:min(s+sliceSize, len(items))]
+		slices.SortFunc(slice, func(a, b item) int { return cmp.Compare(a.Point.Lat, b.Point.Lat) })
 		for l := 0; l < len(slice); l += rtMaxEntries {
-			lend := l + rtMaxEntries
-			if lend > len(slice) {
-				lend = len(slice)
-			}
-			leaf := &rnode{leaf: true, items: append([]Item(nil), slice[l:lend]...)}
+			end := min(l+rtMaxEntries, len(slice))
+			leaf := &rnode{leaf: true, items: slice[l:end:end]}
 			leaf.recalcBounds()
 			leaves = append(leaves, leaf)
 		}
@@ -73,22 +56,21 @@ func packLeaves(items []Item) []*rnode {
 	return leaves
 }
 
+// packUp groups nodes rtMaxEntries to a parent, level by level, until one
+// root is left.
 func packUp(nodes []*rnode) *rnode {
 	for len(nodes) > 1 {
-		sort.Slice(nodes, func(i, j int) bool {
-			ci, cj := nodes[i].bounds.Center(), nodes[j].bounds.Center()
-			if ci.Lon != cj.Lon {
-				return ci.Lon < cj.Lon
+		slices.SortFunc(nodes, func(a, b *rnode) int {
+			ca, cb := a.bounds.Center(), b.bounds.Center()
+			if c := cmp.Compare(ca.Lon, cb.Lon); c != 0 {
+				return c
 			}
-			return ci.Lat < cj.Lat
+			return cmp.Compare(ca.Lat, cb.Lat)
 		})
-		var parents []*rnode
+		parents := make([]*rnode, 0, (len(nodes)+rtMaxEntries-1)/rtMaxEntries)
 		for s := 0; s < len(nodes); s += rtMaxEntries {
-			end := s + rtMaxEntries
-			if end > len(nodes) {
-				end = len(nodes)
-			}
-			parent := &rnode{children: append([]*rnode(nil), nodes[s:end]...)}
+			end := min(s+rtMaxEntries, len(nodes))
+			parent := &rnode{children: nodes[s:end:end]}
 			parent.recalcBounds()
 			parents = append(parents, parent)
 		}
@@ -97,12 +79,10 @@ func packUp(nodes []*rnode) *rnode {
 	return nodes[0]
 }
 
+// recalcBounds sets n.bounds to cover its items or children; packing never
+// builds an empty node.
 func (n *rnode) recalcBounds() {
 	if n.leaf {
-		if len(n.items) == 0 {
-			n.bounds = Rect{MinLat: 1, MaxLat: 0} // empty
-			return
-		}
 		b := rectOf(n.items[0].Point)
 		for _, it := range n.items[1:] {
 			b = b.Union(rectOf(it.Point))
@@ -110,223 +90,9 @@ func (n *rnode) recalcBounds() {
 		n.bounds = b
 		return
 	}
-	if len(n.children) == 0 {
-		n.bounds = Rect{MinLat: 1, MaxLat: 0}
-		return
-	}
 	b := n.children[0].bounds
 	for _, c := range n.children[1:] {
 		b = b.Union(c.bounds)
 	}
 	n.bounds = b
-}
-
-// Len returns the number of stored items.
-func (t *RTree) Len() int { return t.size }
-
-// Insert adds an item using least-enlargement descent and quadratic split.
-func (t *RTree) Insert(it Item) {
-	t.size++
-	split := t.root.insert(it)
-	if split != nil {
-		newRoot := &rnode{children: []*rnode{t.root, split}}
-		newRoot.recalcBounds()
-		t.root = newRoot
-	}
-}
-
-// insert returns a new sibling if the node split.
-func (n *rnode) insert(it Item) *rnode {
-	if n.leaf {
-		n.items = append(n.items, it)
-		n.bounds = n.boundsWith(rectOf(it.Point))
-		if len(n.items) > rtMaxEntries {
-			return n.splitLeaf()
-		}
-		return nil
-	}
-	best := n.chooseChild(rectOf(it.Point))
-	split := best.insert(it)
-	n.bounds = n.boundsWith(rectOf(it.Point))
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > rtMaxEntries {
-			return n.splitInterior()
-		}
-	}
-	return nil
-}
-
-func (n *rnode) boundsWith(r Rect) Rect {
-	if n.bounds.Empty() {
-		return r
-	}
-	return n.bounds.Union(r)
-}
-
-func (n *rnode) chooseChild(r Rect) *rnode {
-	var best *rnode
-	bestEnl, bestArea := math.Inf(1), math.Inf(1)
-	for _, c := range n.children {
-		area := c.bounds.Area()
-		enl := c.bounds.Union(r).Area() - area
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = c, enl, area
-		}
-	}
-	return best
-}
-
-// splitLeaf performs a quadratic split of an overfull leaf, leaving half the
-// items in n and returning the new sibling.
-func (n *rnode) splitLeaf() *rnode {
-	seedA, seedB := quadraticSeeds(len(n.items), func(i int) Rect { return rectOf(n.items[i].Point) })
-	itemsA := []Item{n.items[seedA]}
-	itemsB := []Item{n.items[seedB]}
-	boundsA := rectOf(n.items[seedA].Point)
-	boundsB := rectOf(n.items[seedB].Point)
-	for i, it := range n.items {
-		if i == seedA || i == seedB {
-			continue
-		}
-		r := rectOf(it.Point)
-		// Honour minimum fill.
-		if len(itemsA) >= rtMaxEntries+1-rtMinEntries {
-			itemsB = append(itemsB, it)
-			boundsB = boundsB.Union(r)
-			continue
-		}
-		if len(itemsB) >= rtMaxEntries+1-rtMinEntries {
-			itemsA = append(itemsA, it)
-			boundsA = boundsA.Union(r)
-			continue
-		}
-		enlA := boundsA.Union(r).Area() - boundsA.Area()
-		enlB := boundsB.Union(r).Area() - boundsB.Area()
-		if enlA <= enlB {
-			itemsA = append(itemsA, it)
-			boundsA = boundsA.Union(r)
-		} else {
-			itemsB = append(itemsB, it)
-			boundsB = boundsB.Union(r)
-		}
-	}
-	n.items = itemsA
-	n.bounds = boundsA
-	return &rnode{leaf: true, items: itemsB, bounds: boundsB}
-}
-
-func (n *rnode) splitInterior() *rnode {
-	seedA, seedB := quadraticSeeds(len(n.children), func(i int) Rect { return n.children[i].bounds })
-	childA := []*rnode{n.children[seedA]}
-	childB := []*rnode{n.children[seedB]}
-	boundsA := n.children[seedA].bounds
-	boundsB := n.children[seedB].bounds
-	for i, c := range n.children {
-		if i == seedA || i == seedB {
-			continue
-		}
-		if len(childA) >= rtMaxEntries+1-rtMinEntries {
-			childB = append(childB, c)
-			boundsB = boundsB.Union(c.bounds)
-			continue
-		}
-		if len(childB) >= rtMaxEntries+1-rtMinEntries {
-			childA = append(childA, c)
-			boundsA = boundsA.Union(c.bounds)
-			continue
-		}
-		enlA := boundsA.Union(c.bounds).Area() - boundsA.Area()
-		enlB := boundsB.Union(c.bounds).Area() - boundsB.Area()
-		if enlA <= enlB {
-			childA = append(childA, c)
-			boundsA = boundsA.Union(c.bounds)
-		} else {
-			childB = append(childB, c)
-			boundsB = boundsB.Union(c.bounds)
-		}
-	}
-	n.children = childA
-	n.bounds = boundsA
-	return &rnode{children: childB, bounds: boundsB}
-}
-
-// quadraticSeeds picks the pair whose combined box wastes the most area.
-func quadraticSeeds(n int, rect func(int) Rect) (int, int) {
-	seedA, seedB := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ri, rj := rect(i), rect(j)
-			waste := ri.Union(rj).Area() - ri.Area() - rj.Area()
-			if waste > worst {
-				worst, seedA, seedB = waste, i, j
-			}
-		}
-	}
-	return seedA, seedB
-}
-
-// Search appends all items inside r to out and returns it.
-func (t *RTree) Search(r Rect, out []Item) []Item {
-	return t.root.searchR(r, out)
-}
-
-func (n *rnode) searchR(r Rect, out []Item) []Item {
-	if n.bounds.Empty() || !n.bounds.Intersects(r) {
-		return out
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			if r.Contains(it.Point) {
-				out = append(out, it)
-			}
-		}
-		return out
-	}
-	for _, c := range n.children {
-		out = c.searchR(r, out)
-	}
-	return out
-}
-
-// Nearest returns up to k items closest to p, nearest first.
-func (t *RTree) Nearest(p Point, k int) []Item {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	pq := &nnQueue{}
-	heap.Init(pq)
-	heap.Push(pq, nnEntry{rnode: t.root, dist: 0})
-	var result []Item
-	for pq.Len() > 0 && len(result) < k {
-		e := heap.Pop(pq).(nnEntry)
-		if e.rnode != nil {
-			n := e.rnode
-			if n.leaf {
-				for _, it := range n.items {
-					heap.Push(pq, nnEntry{item: it, hasItem: true, dist: DistanceMeters(p, it.Point)})
-				}
-			} else {
-				for _, c := range n.children {
-					heap.Push(pq, nnEntry{rnode: c, dist: minDistMeters(p, c.bounds)})
-				}
-			}
-			continue
-		}
-		if e.hasItem {
-			result = append(result, e.item)
-		}
-	}
-	return result
-}
-
-// Height returns the tree height (1 for a lone leaf); used by tests to check
-// balance.
-func (t *RTree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
 }

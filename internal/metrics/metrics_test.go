@@ -278,24 +278,10 @@ func TestTableTypedCells(t *testing.T) {
 	if tb.Title() != "t" {
 		t.Fatalf("Title = %q", tb.Title())
 	}
-	v, ok := tb.Value(0, 1)
-	if !ok || v != 5*time.Millisecond {
-		t.Fatalf("Value(0,1) = %v, %v", v, ok)
-	}
-	if _, ok := tb.Value(0, 3); ok {
-		t.Fatal("out-of-range column reported ok")
-	}
-	if _, ok := tb.Value(1, 0); ok {
-		t.Fatal("out-of-range row reported ok")
-	}
-	row := tb.RowValues(0)
-	if len(row) != 3 || row[2] != 12.5 {
-		t.Fatalf("RowValues = %v", row)
-	}
-	// Mutating the returned copies must not affect the table.
-	row[0] = "mutated"
-	if v, _ := tb.Value(0, 0); v != "row0" {
-		t.Fatalf("RowValues aliases table storage: %v", v)
+	// Mutating the returned headers must not affect the table.
+	tb.Headers()[0] = "mutated"
+	if got := tb.Headers()[0]; got != "name" {
+		t.Fatalf("Headers aliases table storage: %q", got)
 	}
 }
 

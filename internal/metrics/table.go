@@ -6,15 +6,12 @@ import (
 )
 
 // Table accumulates rows and renders an aligned plain-text table. The
-// benchmark harness uses it to print the per-experiment result tables
-// recorded in EXPERIMENTS.md. Alongside the formatted strings it keeps the
-// raw values passed to AddRow, so callers can read typed cells instead of
-// re-parsing rendered text.
+// experiment harness (internal/bench, cmd/arbd-bench) prints each
+// experiment's result as one.
 type Table struct {
 	title   string
 	headers []string
 	rows    [][]string
-	values  [][]any
 }
 
 // NewTable returns a table with the given title and column headers.
@@ -22,8 +19,7 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{title: title, headers: headers}
 }
 
-// AddRow appends a row; cells are formatted with %v and the raw values are
-// retained for typed access via Value/RowValues.
+// AddRow appends a row; cells are formatted with %v (floats trimmed).
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
@@ -37,7 +33,6 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.rows = append(t.rows, row)
-	t.values = append(t.values, append([]any(nil), cells...))
 }
 
 // trimFloat renders a float compactly: integers without decimals, otherwise
@@ -59,24 +54,6 @@ func (t *Table) Title() string { return t.title }
 
 // Headers returns a copy of the column headers.
 func (t *Table) Headers() []string { return append([]string(nil), t.headers...) }
-
-// Value returns the raw value passed to AddRow for the given row and column,
-// or (nil, false) when either index is out of range.
-func (t *Table) Value(row, col int) (any, bool) {
-	if row < 0 || row >= len(t.values) || col < 0 || col >= len(t.values[row]) {
-		return nil, false
-	}
-	return t.values[row][col], true
-}
-
-// RowValues returns a copy of the raw values of one row, or nil when the
-// index is out of range.
-func (t *Table) RowValues(row int) []any {
-	if row < 0 || row >= len(t.values) {
-		return nil
-	}
-	return append([]any(nil), t.values[row]...)
-}
 
 // String renders the table with a title line, a header row, a separator, and
 // aligned columns. Rows wider than the header row render their extra cells

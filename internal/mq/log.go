@@ -3,7 +3,7 @@
 // at-least-once delivery — the role Kafka plays in the stream architectures
 // the paper assumes. Records are durable for the life of the process and
 // subject to size-based retention, which is sufficient for the simulated
-// deployments this repository targets (see DESIGN.md substitution table).
+// deployments this repository targets.
 //
 // Storage layout: each partition is a sequence of fixed-record-count
 // segments, and each segment owns a byte arena — one backing array holding

@@ -119,7 +119,7 @@ func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, oc
 // Poses pitched at the sky cover the frame with no label on screen.
 func TestLayoutMatchesPerLabelOcclusion(t *testing.T) {
 	city := geo.GenerateCity(geo.CityConfig{Center: origin, RadiusM: 3000, NumPOIs: 5000, TallRatio: 0.2, Seed: 1})
-	store, err := geo.LoadStore(city, geo.IndexRTree)
+	store, err := geo.LoadStore(city)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func requireSameLayout(t *testing.T, what string, got, want []Annotation) {
 // built fresh.
 func TestLayoutCarriedSightingsEquivalence(t *testing.T) {
 	city := geo.GenerateCity(geo.CityConfig{Center: origin, RadiusM: 3000, NumPOIs: 5000, TallRatio: 0.2, Seed: 1})
-	store, err := geo.LoadStore(city, geo.IndexRTree)
+	store, err := geo.LoadStore(city)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package sensor simulates the mobile/wearable device side of the platform:
 // pedestrian motion, GPS fixes, inertial samples, camera landmark
 // observations, eye gaze, health vitals, and battery state. Real AR hardware
-// is a repro gate (DESIGN.md); these simulators emit the same event streams
+// is a repro gate; these simulators emit the same event streams
 // with controllable noise AND expose ground truth, which lets experiments
 // measure registration and alerting accuracy that physical devices cannot
 // provide offline.

@@ -3,7 +3,7 @@
 // sliding, and session windows, incremental aggregation, windowed joins, and
 // a pipeline DAG executed by parallel workers with bounded-channel
 // backpressure. It plays the role Flink-class systems play in the big-data
-// architectures the paper assumes (DESIGN.md substitution table).
+// architectures the paper assumes.
 package stream
 
 import (

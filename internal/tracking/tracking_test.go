@@ -149,7 +149,7 @@ func buildWorld(seed int64) (*sensor.Walker, *geo.Store) {
 	city := geo.GenerateCity(geo.CityConfig{
 		Center: origin, RadiusM: 800, NumPOIs: 300, TallRatio: 0.2, Seed: seed,
 	})
-	store, err := geo.LoadStore(city, geo.IndexRTree)
+	store, err := geo.LoadStore(city)
 	if err != nil {
 		panic(err)
 	}
