@@ -195,7 +195,9 @@ func (ss *SpaceSaving) Add(key string) {
 		ss.counts[key] = &ssEntry{count: 1}
 		return
 	}
-	// Evict the minimum and inherit its count as error bound.
+	// Evict the minimum and inherit its count as error bound. The evicted
+	// entry is reused for the newcomer, so a sketch at capacity observes
+	// without allocating.
 	var minKey string
 	var minEntry *ssEntry
 	for k, e := range ss.counts {
@@ -204,7 +206,9 @@ func (ss *SpaceSaving) Add(key string) {
 		}
 	}
 	delete(ss.counts, minKey)
-	ss.counts[key] = &ssEntry{count: minEntry.count + 1, err: minEntry.count}
+	minEntry.err = minEntry.count
+	minEntry.count++
+	ss.counts[key] = minEntry
 }
 
 // HeavyHitter is one tracked key with its estimated count and error bound.

@@ -11,6 +11,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +40,14 @@ const (
 	TopicLocations    = "telemetry.locations"
 	TopicInteractions = "telemetry.interactions"
 )
+
+// locationRetentionBytes bounds each partition of the location topic.
+// Nothing in the platform consumes locations, so no commit ever releases
+// them: the topic keeps the newest ~1 MiB per partition (about 15k fixes)
+// for whoever fetches it. The interaction topic has no such budget — its
+// consumer releases what it commits, and a budget would turn a stalled
+// consumer into silently lost records.
+const locationRetentionBytes = 1 << 20
 
 // Config parameterises a Platform.
 type Config struct {
@@ -204,7 +214,11 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	p.frameLat = p.reg.Histogram("core.frame.latency")
 	p.occluders = render.OccludersFromPOIs(p.pois.All(), 30)
 	for i, topic := range telemetryTopicNames {
-		if err := p.broker.CreateTopic(topic, mq.TopicConfig{Partitions: 4}); err != nil {
+		cfg := mq.TopicConfig{Partitions: 4}
+		if i == telemetryLocations {
+			cfg.RetentionBytes = locationRetentionBytes
+		}
+		if err := p.broker.CreateTopic(topic, cfg); err != nil {
 			return nil, err
 		}
 		tp, err := p.broker.Topic(topic)
@@ -278,48 +292,15 @@ func (p *Platform) Start() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	p.cancel = cancel
 	p.done = make(chan struct{})
-	consumedCtr := p.reg.Counter("core.interactions.consumed")
-	badCtr := p.reg.Counter("core.interactions.bad")
+	c := &crowdConsumer{
+		p:        p,
+		keys:     make(map[string]string),
+		consumed: p.reg.Counter("core.interactions.consumed"),
+		bad:      p.reg.Counter("core.interactions.bad"),
+	}
 	go func() {
 		defer close(p.done)
-		// Decoded events accumulate in a scratch slice reused across polls so
-		// the sketch updates take ONE hotMu acquisition per batch — under
-		// sustained ingest, per-record lock traffic on hotMu was contending
-		// directly with every frame's TopK reads.
-		type decoded struct {
-			evt interaction
-			at  time.Time
-		}
-		var scratch []decoded
-		_ = group.Consume(ctx, 256, func(recs []mq.Record) error {
-			scratch = scratch[:0]
-			for _, r := range recs {
-				evt, err := decodeInteraction(r.Value)
-				if err != nil {
-					badCtr.Inc()
-					continue
-				}
-				scratch = append(scratch, decoded{evt: evt, at: r.Time})
-			}
-			if len(scratch) > 0 {
-				p.hotMu.Lock()
-				for i := range scratch {
-					p.hot.Add(scratch[i].evt.POIKey)
-				}
-				p.hotMu.Unlock()
-			}
-			for i := range scratch {
-				if err := p.pipe.Push("interactions", stream.Event{
-					Key:   scratch[i].evt.POIKey,
-					Time:  scratch[i].at,
-					Value: scratch[i].evt.Weight,
-				}); err != nil {
-					return err
-				}
-			}
-			consumedCtr.Add(int64(len(recs)))
-			return nil
-		})
+		_ = group.Consume(ctx, 256, c.handle)
 	}()
 
 	p.flushStop = make(chan struct{})
@@ -329,6 +310,87 @@ func (p *Platform) Start() error {
 		p.flushLoop(p.flushStop)
 	}()
 	return nil
+}
+
+// crowdConsumer is the analytics plane's reader of the interaction topic.
+// It runs on the one consumer goroutine, so its key table and scratch need
+// no lock.
+type crowdConsumer struct {
+	p *Platform
+	// keys interns poi-<id> keys, filled the first time a record names the
+	// POI. Only keys of POIs in the store enter it, so it never outgrows
+	// the store.
+	keys map[string]string
+	// batch is the decoded poll, reused across polls so the sketch updates
+	// take ONE hotMu acquisition per batch — under sustained ingest,
+	// per-record lock traffic on hotMu was contending directly with every
+	// frame's TopK reads.
+	batch    []decodedInteraction
+	consumed *metrics.Counter
+	bad      *metrics.Counter
+}
+
+type decodedInteraction struct {
+	key    string
+	weight float64
+	at     time.Time
+}
+
+// handle folds one polled batch into the trending sketch and the crowd
+// pipeline.
+//
+//arbd:hotpath
+func (c *crowdConsumer) handle(recs []mq.Record) error {
+	c.batch = c.batch[:0]
+	for i := range recs {
+		key, weight, err := decodeInteraction(recs[i].Value)
+		if err != nil {
+			c.bad.Inc()
+			continue
+		}
+		c.batch = append(c.batch, decodedInteraction{key: c.intern(key), weight: weight, at: recs[i].Time})
+	}
+	p := c.p
+	if len(c.batch) > 0 {
+		p.hotMu.Lock()
+		for i := range c.batch {
+			p.hot.Add(c.batch[i].key)
+		}
+		p.hotMu.Unlock()
+	}
+	for i := range c.batch {
+		d := &c.batch[i]
+		if err := p.pipe.Push("interactions", stream.Event{Key: d.key, Time: d.at, Value: d.weight}); err != nil {
+			return err
+		}
+	}
+	c.consumed.Add(int64(len(recs)))
+	return nil
+}
+
+// intern returns the string form of a record's key, from the key table when
+// the key names a POI it has seen.
+//
+//arbd:hotpath
+func (c *crowdConsumer) intern(key []byte) string {
+	//arbd:alloc-ok a map index by string(bytes) is compiled to a lookup that copies nothing
+	if s, ok := c.keys[string(key)]; ok {
+		return s
+	}
+	return c.internMiss(key)
+}
+
+// internMiss copies a key the table does not hold, and enters it when it
+// is the poi-<id> key of a POI of the store. Any other key — a record
+// imported with a session snapshot from a node that did not check its
+// targets — is copied and forgotten.
+func (c *crowdConsumer) internMiss(key []byte) string {
+	s := string(key)
+	id, err := strconv.ParseUint(strings.TrimPrefix(s, poiKeyPrefix), 10, 64)
+	if err == nil && string(appendPOIKey(nil, id)) == s && c.p.checkTarget(id) == nil {
+		c.keys[s] = s
+	}
+	return s
 }
 
 // Stop drains the analytics plane. Safe to call once after Start.

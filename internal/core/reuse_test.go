@@ -114,6 +114,9 @@ func TestEncodeFrameIntoMatchesEncodeFrame(t *testing.T) {
 	}
 }
 
+// poiKey is the analytics key of a POI as a string.
+func poiKey(id uint64) string { return string(appendPOIKey(nil, id)) }
+
 // TestPoiKeyMatchesSprintf pins the strconv fast path to the old format.
 func TestPoiKeyMatchesSprintf(t *testing.T) {
 	for _, id := range []uint64{0, 1, 9, 10, 99, 12345, 18446744073709551615} {

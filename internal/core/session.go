@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -165,13 +167,9 @@ func (s *Session) OnGPS(fix sensor.GPSFix) error {
 		}
 		reported = noisy
 	}
-	// The buffer is function-local and the batcher owns the bytes until
-	// flush, so handing its storage over directly is safe — no tail copy.
-	var buf wire.Buffer
-	buf.Uvarint(s.ID)
-	buf.Float64(reported.Lat)
-	buf.Float64(reported.Lon)
-	return s.telem.enqueue(telemetryLocations, buf.Bytes())
+	// Encoded on the stack: the batcher copies the record.
+	var b [locationRecordMax]byte
+	return s.telem.enqueue(telemetryLocations, appendLocation(b[:0], s.ID, reported))
 }
 
 // OnIMU feeds an inertial sample into tracking.
@@ -189,10 +187,15 @@ func (s *Session) OnVision(now time.Time, obs []sensor.LandmarkObservation) {
 }
 
 // OnGaze accumulates dwell on an annotation and records it as an implicit
-// interaction (gazing at a shop is a signal, §3.1).
+// interaction (gazing at a shop is a signal, §3.1). A target that names no
+// POI is refused with an error wrapping geo.ErrPOINotFound, before it
+// touches any state.
 func (s *Session) OnGaze(sample sensor.GazeSample) error {
 	if sample.TargetID == 0 {
 		return nil
+	}
+	if err := s.platform.checkTarget(sample.TargetID); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.gaze[sample.TargetID] += sample.DwellMS
@@ -200,18 +203,39 @@ func (s *Session) OnGaze(sample sensor.GazeSample) error {
 	if sample.DwellMS < 1500 {
 		return nil // only sustained attention becomes telemetry
 	}
-	return s.RecordInteraction(sample.TargetID, 0.3)
+	return s.recordInteraction(sample.TargetID, 0.3)
 }
 
 // RecordInteraction publishes an explicit user-POI interaction (purchase,
-// check-in, tap) to the analytics plane.
+// check-in, tap) to the analytics plane. A poiID that names no POI is
+// refused with an error wrapping geo.ErrPOINotFound.
+//
+//arbd:hotpath
 func (s *Session) RecordInteraction(poiID uint64, weight float64) error {
-	payload := encodeInteraction(interaction{
-		POIKey: poiKey(poiID),
-		User:   s.ID,
-		Weight: weight,
-	})
-	return s.telem.enqueue(telemetryInteractions, payload)
+	if err := s.platform.checkTarget(poiID); err != nil {
+		return err
+	}
+	return s.recordInteraction(poiID, weight)
+}
+
+// recordInteraction publishes an interaction with a checked target. The
+// record is encoded on the stack: the batcher copies it.
+//
+//arbd:hotpath
+func (s *Session) recordInteraction(poiID uint64, weight float64) error {
+	var b [interactionRecordMax]byte
+	return s.telem.enqueue(telemetryInteractions, appendInteraction(b[:0], poiID, s.ID, weight))
+}
+
+// checkTarget reports whether id names a POI of the store. Every gaze and
+// interaction target is checked, so nothing keyed by target — a session's
+// gaze map, the interaction topic, the window state, the crowd view, the
+// consumer's key table — grows past the store.
+func (p *Platform) checkTarget(id uint64) error {
+	if _, err := p.pois.Get(id); err != nil {
+		return fmt.Errorf("core: interaction target: %w", err)
+	}
+	return nil
 }
 
 // Pose returns the fused pose estimate.
@@ -467,52 +491,67 @@ func (s *Session) GazeTargets() []uint64 {
 	return out
 }
 
-// poiKey renders a POI ID as the string key the analytics plane groups by.
-// It formats on a stack buffer with strconv instead of fmt.Sprintf: the key
-// is minted on every interaction, so format-string parsing and interface
-// boxing were pure overhead.
-func poiKey(id uint64) string {
-	var b [24]byte
-	return string(appendPOIKey(b[:0], id))
-}
+// poiKeyPrefix starts every analytics key: POI 42 groups as "poi-42".
+const poiKeyPrefix = "poi-"
+
+// poiKeyMax is the longest poi-<id> key: the prefix and 20 digits.
+const poiKeyMax = len(poiKeyPrefix) + 20
 
 // appendPOIKey appends the poi-<id> analytics key to dst.
 //
 //arbd:hotpath
 func appendPOIKey(dst []byte, id uint64) []byte {
-	dst = append(dst, "poi-"...)
+	dst = append(dst, poiKeyPrefix...)
 	return strconv.AppendUint(dst, id, 10)
 }
 
-// interaction is the wire-level telemetry record for user-POI events.
-type interaction struct {
-	POIKey string
-	User   uint64
-	Weight float64
+// Telemetry records. Both are encoded field by field as a wire.Buffer
+// would encode them — uvarints, little-endian float64 bits, a
+// length-prefixed key — so the bytes on the broker do not depend on which
+// encoder wrote them. The Max constants size the stack buffers they are
+// encoded into.
+const (
+	// location: session ID, latitude, longitude.
+	locationRecordMax = binary.MaxVarintLen64 + 2*8
+	// interaction: poi-<id> key (one length byte: the key is under 128
+	// bytes), user ID, weight.
+	interactionRecordMax = 1 + poiKeyMax + binary.MaxVarintLen64 + 8
+)
+
+// appendLocation appends a location telemetry record to dst.
+//
+//arbd:hotpath
+func appendLocation(dst []byte, session uint64, at geo.Point) []byte {
+	dst = binary.AppendUvarint(dst, session)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(at.Lat))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(at.Lon))
 }
 
-func encodeInteraction(ev interaction) []byte {
-	// The buffer is function-local, so its storage can be returned without
-	// the defensive tail copy.
-	var b wire.Buffer
-	b.String(ev.POIKey)
-	b.Uvarint(ev.User)
-	b.Float64(ev.Weight)
-	return b.Bytes()
+// appendInteraction appends an interaction telemetry record to dst.
+//
+//arbd:hotpath
+func appendInteraction(dst []byte, poiID, user uint64, weight float64) []byte {
+	lenAt := len(dst)
+	dst = appendPOIKey(append(dst, 0), poiID)
+	dst[lenAt] = byte(len(dst) - lenAt - 1)
+	dst = binary.AppendUvarint(dst, user)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(weight))
 }
 
-func decodeInteraction(p []byte) (interaction, error) {
+// decodeInteraction reads an interaction record's key and weight. The key
+// aliases p.
+//
+//arbd:hotpath
+func decodeInteraction(p []byte) (key []byte, weight float64, err error) {
 	r := wire.NewReader(p)
-	var ev interaction
-	var err error
-	if ev.POIKey, err = r.String(); err != nil {
-		return ev, r.Err(err, "poi key")
+	if key, err = r.Bytes8(); err != nil {
+		return nil, 0, r.Err(err, "poi key")
 	}
-	if ev.User, err = r.Uvarint(); err != nil {
-		return ev, r.Err(err, "user")
+	if _, err = r.Uvarint(); err != nil {
+		return nil, 0, r.Err(err, "user")
 	}
-	if ev.Weight, err = r.Float64(); err != nil {
-		return ev, r.Err(err, "weight")
+	if weight, err = r.Float64(); err != nil {
+		return nil, 0, r.Err(err, "weight")
 	}
-	return ev, nil
+	return key, weight, nil
 }

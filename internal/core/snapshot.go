@@ -85,25 +85,26 @@ func (tb *telemetryBatcher) takeInto(buf *wire.Buffer) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	for topic := range tb.buffers {
-		values := tb.buffers[topic].values
-		tb.buffers[topic].values = nil
-		buf.Uvarint(uint64(len(values)))
-		for _, v := range values {
-			buf.Bytes8(v)
+		b := &tb.buffers[topic]
+		buf.Uvarint(uint64(b.records()))
+		for i := 0; i < b.records(); i++ {
+			buf.Bytes8(b.record(i))
 		}
+		b.reset()
 	}
 }
 
 // restore installs imported records as the batcher's buffered tail. Ages
 // restart at the import time: the max-delay bound is about how long a
 // record waits on *this* node.
-func (tb *telemetryBatcher) restore(topics [numTelemetryTopics][][]byte) {
+func (tb *telemetryBatcher) restore(topics *[numTelemetryTopics]topicBuffer) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	now := time.Now()
 	for topic := range tb.buffers {
-		tb.buffers[topic].values = topics[topic]
+		tb.buffers[topic] = topics[topic]
 		tb.buffers[topic].oldestAt = now
+		tb.buffers[topic].lastAt = now
 	}
 }
 
@@ -213,7 +214,7 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 	}
 	st.GPSUpdates, st.VisionUpdates = int(gps), int(vision)
 
-	var topics [numTelemetryTopics][][]byte
+	var topics [numTelemetryTopics]topicBuffer
 	for topic := range topics {
 		n, err := r.Uvarint()
 		if err != nil {
@@ -222,20 +223,15 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 		if n > maxSnapshotBatchRecords {
 			return nil, fmt.Errorf("core: implausible telemetry record count %d", n)
 		}
-		if n == 0 {
-			continue
-		}
-		values := make([][]byte, 0, n)
 		for i := uint64(0); i < n; i++ {
 			v, err := r.Bytes8()
 			if err != nil {
 				return fail(err, "telemetry record")
 			}
 			// The reader aliases the caller's payload buffer; the batcher
-			// retains records until flush, so copy.
-			values = append(values, append([]byte(nil), v...))
+			// retains records until flush, so add copies.
+			topics[topic].add(v)
 		}
-		topics[topic] = values
 	}
 
 	// Keep platform-assigned IDs ahead of imported ones, exactly as
@@ -254,7 +250,7 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 	s.overruns = overruns
 	s.gaze = gaze
 	s.fuser.RestoreState(st)
-	s.telem.restore(topics)
+	s.telem.restore(&topics)
 
 	if _, existed := p.sessions.addIfAbsent(s); existed {
 		return nil, fmt.Errorf("core: session %d already live; refusing snapshot import", id)

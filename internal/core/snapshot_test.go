@@ -76,6 +76,15 @@ func seedAnalytics(p *Platform, ids []uint64) {
 	}
 }
 
+// bufferedRecords copies a topic buffer's records out (nil when empty).
+func bufferedRecords(b *topicBuffer) [][]byte {
+	var out [][]byte
+	for i := 0; i < b.records(); i++ {
+		out = append(out, append([]byte(nil), b.record(i)...))
+	}
+	return out
+}
+
 // TestSessionSnapshotRoundTrip pins the migration serialization contract:
 // export → import preserves the telemetry batch (moved, byte-identical),
 // the RNG stream position, gaze dwell, tracking state, and counters — and
@@ -111,10 +120,8 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	var wantTelem [numTelemetryTopics][][]byte
 	telemRecords := 0
 	for topic := range s.telem.buffers {
-		for _, v := range s.telem.buffers[topic].values {
-			wantTelem[topic] = append(wantTelem[topic], append([]byte(nil), v...))
-			telemRecords++
-		}
+		wantTelem[topic] = bufferedRecords(&s.telem.buffers[topic])
+		telemRecords += len(wantTelem[topic])
 	}
 	s.telem.mu.Unlock()
 	if telemRecords == 0 {
@@ -134,7 +141,7 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	// source to double-publish.
 	s.telem.mu.Lock()
 	for topic := range s.telem.buffers {
-		if n := len(s.telem.buffers[topic].values); n != 0 {
+		if n := s.telem.buffers[topic].records(); n != 0 {
 			t.Fatalf("topic %d kept %d records after snapshot; export must move, not copy", topic, n)
 		}
 	}
@@ -165,7 +172,7 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	}
 	r.telem.mu.Lock()
 	for topic := range r.telem.buffers {
-		if !reflect.DeepEqual(r.telem.buffers[topic].values, wantTelem[topic]) {
+		if !reflect.DeepEqual(bufferedRecords(&r.telem.buffers[topic]), wantTelem[topic]) {
 			r.telem.mu.Unlock()
 			t.Fatalf("topic %d telemetry records differ after restore", topic)
 		}

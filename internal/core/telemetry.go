@@ -164,42 +164,84 @@ type telemetryBatcher struct {
 	buffers [numTelemetryTopics]topicBuffer
 }
 
+// topicBuffer holds one topic's buffered records back to back in data:
+// record i is data[ends[i-1]:ends[i]]. Both slices are reused across
+// flushes, so a busy session buffers without allocating; the sweeper
+// drops them once the topic has been idle for idleBufferRelease.
 type topicBuffer struct {
-	values   [][]byte
-	oldestAt time.Time // enqueue time of values[0]
+	data     []byte
+	ends     []int
+	oldestAt time.Time // enqueue time of record 0
+	lastAt   time.Time // enqueue time of the newest record
 }
+
+// idleBufferRelease is how long a topic buffer may sit empty before the
+// sweeper frees its storage: a session that goes quiet holds no buffer,
+// and one that is busy keeps reusing its own.
+const idleBufferRelease = 500 * time.Millisecond
+
+// records returns the number of buffered records.
+func (b *topicBuffer) records() int { return len(b.ends) }
+
+// record returns buffered record i, aliasing data.
+func (b *topicBuffer) record(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.data[start:b.ends[i]]
+}
+
+// add copies one record into the buffer.
+func (b *topicBuffer) add(value []byte) {
+	b.data = append(b.data, value...)
+	b.ends = append(b.ends, len(b.data))
+}
+
+// reset empties the buffer, keeping its storage.
+func (b *topicBuffer) reset() {
+	b.data, b.ends = b.data[:0], b.ends[:0]
+}
+
+// batchScratch holds the [][]byte views a flush hands to ProduceBatch. It
+// is pooled rather than kept per session: the views live only for the
+// call, and a session that is idle between flushes holds none.
+var batchScratch = sync.Pool{New: func() any { return new([][]byte) }}
 
 func newTelemetryBatcher(principal string, load *loadTracker, maxDelay time.Duration, topics *[numTelemetryTopics]*mq.Topic) *telemetryBatcher {
 	return &telemetryBatcher{key: []byte(principal), load: load, maxDelay: maxDelay, topics: topics}
 }
 
-// enqueue buffers one record for the topic, flushing the buffer to the
-// broker if it reached the batch size. Ages are stamped with the wall
-// clock, not the platform clock: the flush-delay bound is about real
-// elapsed time, and the sweeper's ticker is wall-clock anyway — a virtual
-// platform clock must not freeze age-based flushing.
+// enqueue copies one record into the topic's buffer, flushing the buffer
+// to the broker if it reached the batch size; value is not retained. Ages
+// are stamped with the wall clock, not the platform clock: the flush-delay
+// bound is about real elapsed time, and the sweeper's ticker is wall-clock
+// anyway — a virtual platform clock must not freeze age-based flushing.
+//
+//arbd:hotpath
 func (tb *telemetryBatcher) enqueue(topic int, value []byte) error {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	now := time.Now()
 	buf := &tb.buffers[topic]
-	if len(buf.values) == 0 {
+	if buf.records() == 0 {
 		buf.oldestAt = now
 	}
-	buf.values = append(buf.values, value)
+	buf.lastAt = now
+	buf.add(value)
 	// Size or age, whichever trips first. The age check here makes the
 	// delay bound hold even on platforms that never called Start (no
 	// background sweeper): any later enqueue — on any topic — drains every
 	// overdue buffer, so a quiet topic cannot strand a record behind a
 	// busy one.
-	if len(buf.values) >= tb.load.batchSize(now) {
+	if buf.records() >= tb.load.batchSize(now) {
 		if err := tb.flushLocked(topic, now); err != nil {
 			return err
 		}
 	}
 	for t := range tb.buffers {
 		b := &tb.buffers[t]
-		if len(b.values) == 0 || now.Sub(b.oldestAt) < tb.maxDelay {
+		if b.records() == 0 || now.Sub(b.oldestAt) < tb.maxDelay {
 			continue
 		}
 		if err := tb.flushLocked(t, now); err != nil {
@@ -210,12 +252,20 @@ func (tb *telemetryBatcher) enqueue(topic int, value []byte) error {
 }
 
 // flushOlderThan publishes any buffer whose oldest record was enqueued at or
-// before cutoff. The background flusher calls it on every sweep.
-func (tb *telemetryBatcher) flushOlderThan(cutoff time.Time) error {
+// before cutoff, and frees the storage of buffers idle since before
+// idleCutoff. The background flusher calls it on every sweep.
+func (tb *telemetryBatcher) flushOlderThan(cutoff, idleCutoff time.Time) error {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	for topic := range tb.buffers {
-		if len(tb.buffers[topic].values) == 0 || tb.buffers[topic].oldestAt.After(cutoff) {
+		b := &tb.buffers[topic]
+		if b.records() == 0 {
+			if b.data != nil && b.lastAt.Before(idleCutoff) {
+				b.data, b.ends = nil, nil
+			}
+			continue
+		}
+		if b.oldestAt.After(cutoff) {
 			continue
 		}
 		if err := tb.flushLocked(topic, time.Now()); err != nil {
@@ -230,7 +280,7 @@ func (tb *telemetryBatcher) flushAll() error {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	for topic := range tb.buffers {
-		if len(tb.buffers[topic].values) == 0 {
+		if tb.buffers[topic].records() == 0 {
 			continue
 		}
 		if err := tb.flushLocked(topic, time.Now()); err != nil {
@@ -241,12 +291,19 @@ func (tb *telemetryBatcher) flushAll() error {
 }
 
 // flushLocked publishes the topic's buffer; start is the wall time the caller
-// just read, which the publish latency is measured from.
+// just read, which the publish latency is measured from. The broker copies
+// the records, so the buffer is reused as soon as the publish returns.
 func (tb *telemetryBatcher) flushLocked(topic int, start time.Time) error {
 	buf := &tb.buffers[topic]
-	values := buf.values
-	buf.values = nil
+	scratch := batchScratch.Get().(*[][]byte)
+	values := (*scratch)[:0]
+	for i := 0; i < buf.records(); i++ {
+		values = append(values, buf.record(i))
+	}
 	_, err := tb.topics[topic].ProduceBatch(tb.key, values)
+	clear(values) // the pool must not pin this session's buffer
+	*scratch = values[:0]
+	batchScratch.Put(scratch)
 	// A slow failure is still backend pressure: observe the latency either
 	// way so admission and batch sizing see a struggling broker.
 	end := time.Now()
@@ -254,9 +311,10 @@ func (tb *telemetryBatcher) flushLocked(topic int, start time.Time) error {
 	if err != nil {
 		// Keep the records for the next flush attempt rather than
 		// silently dropping accepted telemetry.
-		buf.values = values
+		return err
 	}
-	return err
+	buf.reset()
+	return nil
 }
 
 // FlushTelemetry publishes any telemetry buffered on this session. Callers
@@ -293,9 +351,10 @@ func (p *Platform) flushLoop(stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-ticker.C:
-			cutoff := time.Now().Add(-p.cfg.TelemetryMaxDelay)
+			now := time.Now()
+			cutoff, idleCutoff := now.Add(-p.cfg.TelemetryMaxDelay), now.Add(-idleBufferRelease)
 			p.sessions.forEach(func(s *Session) bool {
-				if err := s.telem.flushOlderThan(cutoff); err != nil {
+				if err := s.telem.flushOlderThan(cutoff, idleCutoff); err != nil {
 					p.flushErrs.Inc()
 				}
 				return true

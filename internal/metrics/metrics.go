@@ -5,8 +5,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -315,45 +317,49 @@ type Instrument struct {
 // parsing strings. Instrument handles are captured under one registry lock,
 // then values are read without it, so a snapshot never blocks writers for
 // longer than the map copy.
+//
+// A snapshot costs two allocations whatever the registry holds: the result
+// and the captured handles.
 func (r *Registry) Snapshot() []Instrument {
+	// handle is one captured instrument; exactly one field is set.
+	type handle struct {
+		c *Counter
+		g *Gauge
+		h *Histogram
+	}
 	r.mu.Lock()
-	out := make([]Instrument, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	counters := make([]*Counter, 0, len(r.counters))
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	hists := make([]*Histogram, 0, len(r.histograms))
-	for n, c := range r.counters {
-		out = append(out, Instrument{Name: n, Kind: KindCounter})
-		counters = append(counters, c)
+	n := len(r.counters) + len(r.gauges) + len(r.histograms)
+	out := make([]Instrument, 0, n)
+	handles := make([]handle, 0, n)
+	for name, c := range r.counters {
+		out = append(out, Instrument{Name: name, Kind: KindCounter})
+		handles = append(handles, handle{c: c})
 	}
-	for n, g := range r.gauges {
-		out = append(out, Instrument{Name: n, Kind: KindGauge})
-		gauges = append(gauges, g)
+	for name, g := range r.gauges {
+		out = append(out, Instrument{Name: name, Kind: KindGauge})
+		handles = append(handles, handle{g: g})
 	}
-	for n, h := range r.histograms {
-		out = append(out, Instrument{Name: n, Kind: KindHistogram})
-		hists = append(hists, h)
+	for name, h := range r.histograms {
+		out = append(out, Instrument{Name: name, Kind: KindHistogram})
+		handles = append(handles, handle{h: h})
 	}
 	r.mu.Unlock()
 
-	ci, gi, hi := 0, 0, 0
-	for i := range out {
-		switch out[i].Kind {
-		case KindCounter:
-			out[i].Counter = counters[ci].Value()
-			ci++
-		case KindGauge:
-			out[i].Gauge = gauges[gi].Value()
-			gi++
-		case KindHistogram:
-			out[i].Hist = hists[hi].Snapshot()
-			hi++
+	for i, hd := range handles {
+		switch {
+		case hd.c != nil:
+			out[i].Counter = hd.c.Value()
+		case hd.g != nil:
+			out[i].Gauge = hd.g.Value()
+		default:
+			out[i].Hist = hd.h.Snapshot()
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+	slices.SortFunc(out, func(a, b Instrument) int {
+		if c := cmp.Compare(a.Name, b.Name); c != 0 {
+			return c
 		}
-		return out[i].Kind < out[j].Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
 	return out
 }

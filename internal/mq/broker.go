@@ -21,6 +21,7 @@ type Broker struct {
 	// closed is also readable without b.mu so Topic handles and consumer
 	// groups — which skip the topic map entirely — can fail fast after Close.
 	closed atomic.Bool
+	done   chan struct{} // closed by Close: releases every waiting poller
 }
 
 // topic holds a topic's partitions plus everything the produce/fetch hot
@@ -36,29 +37,51 @@ type topic struct {
 	fetched  *metrics.Counter
 	rr       atomic.Uint64 // next unkeyed partition assignment
 
-	// notify is armed lazily: nil until a consumer subscribes, closed (and
-	// reset to nil) by the next produce. Producers with no waiters pay a
-	// mutex round-trip and a nil check — no channel allocation per produce.
-	notify chan struct{}
-	mu     sync.Mutex
+	// groups lists the topic's consumer groups, copied on write under
+	// groupsMu so produce and commit read it without a lock. Every group
+	// pins what it has not committed, and is woken by every produce.
+	groups   atomic.Pointer[[]*Group]
+	groupsMu sync.Mutex
 }
 
+// addGroup registers g; from here on g pins retention and is woken.
+func (t *topic) addGroup(g *Group) {
+	t.groupsMu.Lock()
+	defer t.groupsMu.Unlock()
+	var gs []*Group
+	if old := t.groups.Load(); old != nil {
+		gs = append(gs, *old...)
+	}
+	gs = append(gs, g)
+	t.groups.Store(&gs)
+}
+
+// wake signals every group that the topic has new records.
 func (t *topic) wake() {
-	t.mu.Lock()
-	if t.notify != nil {
-		close(t.notify)
-		t.notify = nil
+	if gs := t.groups.Load(); gs != nil {
+		for _, g := range *gs {
+			g.signal()
+		}
 	}
-	t.mu.Unlock()
 }
 
-func (t *topic) waitCh() <-chan struct{} {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.notify == nil {
-		t.notify = make(chan struct{})
+// committed runs when a group moves its committed offset on partition pi
+// from old to offset. It is one atomic load unless the move passes the
+// partition's releaseAt; then the partition releases what every group has
+// committed. Whichever group's commit brings the lowest committed offset
+// past releaseAt passes it too, so no release is missed.
+func (t *topic) committed(pi int, old, offset int64) {
+	p := t.parts[pi]
+	if r := p.releaseAt.Load(); old >= r || offset < r {
+		return
 	}
-	return t.notify
+	low := offset
+	for _, g := range *t.groups.Load() {
+		if c := g.committed[pi].Load(); c < low {
+			low = c
+		}
+	}
+	p.release(low)
 }
 
 // partitionFor routes one record or batch: keyed records hash for stable
@@ -96,6 +119,7 @@ func NewBroker(opts ...Option) *Broker {
 		clock:  sim.RealClock{},
 		reg:    metrics.NewRegistry(),
 		topics: make(map[string]*topic),
+		done:   make(chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -127,7 +151,7 @@ func (b *Broker) CreateTopic(name string, cfg TopicConfig) error {
 		fetched:  b.reg.Counter("mq.fetched." + name),
 	}
 	for i := range t.parts {
-		t.parts[i] = &partition{}
+		t.parts[i] = newPartition()
 	}
 	b.topics[name] = t
 	return nil
@@ -240,21 +264,6 @@ func (tp *Topic) Offsets(partitionIdx int) (oldest, newest int64, err error) {
 	return tp.t.parts[partitionIdx].oldest(), tp.t.parts[partitionIdx].newest(), nil
 }
 
-// WaitProduce returns a channel closed on the topic's next produce.
-func (tp *Topic) WaitProduce() (<-chan struct{}, error) {
-	if tp.b.closed.Load() {
-		return nil, ErrClosed
-	}
-	ch := tp.t.waitCh()
-	// Re-check after arming: Close's wake can run between the check above
-	// and waitCh, and a lazily-armed channel it never saw would block its
-	// waiter forever.
-	if tp.b.closed.Load() {
-		tp.t.wake()
-	}
-	return ch, nil
-}
-
 // Produce appends a record to the topic: keyed records route by key hash,
 // unkeyed records round-robin across partitions. It returns the assigned
 // partition and offset.
@@ -351,20 +360,6 @@ func (b *Broker) Offsets(topicName string, partitionIdx int) (oldest, newest int
 	return t.parts[partitionIdx].oldest(), t.parts[partitionIdx].newest(), nil
 }
 
-// WaitProduce returns a channel that is closed the next time any record is
-// produced to the topic. Consumers use it to block without polling.
-func (b *Broker) WaitProduce(topicName string) (<-chan struct{}, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	ch := t.waitCh()
-	if b.closed.Load() {
-		t.wake() // see Topic.WaitProduce
-	}
-	return ch, nil
-}
-
 // Close shuts the broker; subsequent operations fail with ErrClosed.
 func (b *Broker) Close() {
 	b.mu.Lock()
@@ -372,9 +367,7 @@ func (b *Broker) Close() {
 	if b.closed.Swap(true) {
 		return
 	}
-	for _, t := range b.topics {
-		t.wake() // release blocked consumers
-	}
+	close(b.done)
 }
 
 // Lag returns the total number of records between committed group offsets

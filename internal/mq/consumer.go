@@ -2,33 +2,51 @@ package mq
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 )
 
 // Group tracks committed offsets per partition for one consumer group on one
 // topic, giving at-least-once delivery: a record is redelivered until its
-// offset is committed. The group holds a resolved Topic handle, so polling
-// never pays the per-call topic-map lookup.
+// offset is committed. A group pins what it has not committed: the topic
+// releases a segment once every group has committed past it. The group
+// holds a resolved Topic handle, so polling never pays the per-call
+// topic-map lookup.
 type Group struct {
 	tp *Topic
 
-	mu        sync.Mutex
-	committed []int64
-	next      int // Poll's round-robin starting partition
+	committed []atomic.Int64
+	next      atomic.Uint64 // Poll's round-robin starting partition
+	// wake holds at most one pending "records produced" signal, so a
+	// waiting poller blocks on a channel made once, not one per wait.
+	wake chan struct{}
 }
 
 // NewGroup returns a consumer group positioned at the oldest retained offset
-// of every partition.
+// of every partition, registered with the topic: from here on the topic
+// keeps every record the group has not committed.
 func (b *Broker) NewGroup(topicName string) (*Group, error) {
 	tp, err := b.Topic(topicName)
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{tp: tp, committed: make([]int64, len(tp.t.parts))}
-	for pi := range g.committed {
-		g.committed[pi] = tp.t.parts[pi].oldest()
+	g := &Group{
+		tp:        tp,
+		committed: make([]atomic.Int64, len(tp.t.parts)),
+		wake:      make(chan struct{}, 1),
 	}
+	for pi := range g.committed {
+		g.committed[pi].Store(tp.t.parts[pi].oldest())
+	}
+	tp.t.addGroup(g)
 	return g, nil
+}
+
+// signal records that the topic has news for the group's next wait.
+func (g *Group) signal() {
+	select {
+	case g.wake <- struct{}{}:
+	default: // a signal is already pending
+	}
 }
 
 // Committed returns the committed offset for a partition (records below it
@@ -37,21 +55,26 @@ func (g *Group) Committed(partitionIdx int) int64 {
 	if partitionIdx < 0 || partitionIdx >= len(g.committed) {
 		return 0
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.committed[partitionIdx]
+	return g.committed[partitionIdx].Load()
 }
 
 // Commit marks all records below offset in the partition as consumed.
-// Offsets only move forward.
+// Offsets only move forward. It costs one atomic compare-and-swap plus one
+// load, except when it lets the topic release a segment.
 func (g *Group) Commit(partitionIdx int, offset int64) {
 	if partitionIdx < 0 || partitionIdx >= len(g.committed) {
 		return
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if offset > g.committed[partitionIdx] {
-		g.committed[partitionIdx] = offset
+	c := &g.committed[partitionIdx]
+	for {
+		old := c.Load()
+		if offset <= old {
+			return
+		}
+		if c.CompareAndSwap(old, offset) {
+			g.tp.t.committed(partitionIdx, old, offset)
+			return
+		}
 	}
 }
 
@@ -82,16 +105,14 @@ func (g *Group) Poll(max int) ([]Record, error) {
 
 // PollInto is Poll appending into dst — the reuse variant for consumer loops
 // that would otherwise allocate a fresh []Record per poll. Appended records'
-// Key/Value bytes alias the log's segment arenas and are read-only.
+// Key/Value bytes alias the log's segment arenas and are read-only. Each
+// partition's records are appended as one ascending run.
 func (g *Group) PollInto(dst []Record, max int) ([]Record, error) {
 	if g.tp.b.closed.Load() {
 		return dst, ErrClosed
 	}
 	n := len(g.committed)
-	g.mu.Lock()
-	start := g.next % n
-	g.next = (start + 1) % n
-	g.mu.Unlock()
+	start := int((g.next.Add(1) - 1) % uint64(n))
 	base := len(dst)
 	for k := 0; k < n && len(dst)-base < max; k++ {
 		pi := (start + k) % n
@@ -119,16 +140,14 @@ func (g *Group) PollWait(ctx context.Context, max int) ([]Record, error) {
 	return g.PollWaitInto(ctx, nil, max)
 }
 
-// PollWaitInto is PollWait appending into dst.
+// PollWaitInto is PollWait appending into dst. A produce wakes one waiter
+// per group: a group is meant to be polled by one goroutine.
 func (g *Group) PollWaitInto(ctx context.Context, dst []Record, max int) ([]Record, error) {
 	base := len(dst)
 	for {
-		// Subscribe before polling so a produce between poll and wait is not
-		// lost.
-		ch, err := g.tp.WaitProduce()
-		if err != nil {
-			return dst, err
-		}
+		// A produce after this poll leaves a signal pending, so the wait
+		// below cannot miss it; a stale signal costs one empty poll.
+		var err error
 		dst, err = g.PollInto(dst, max)
 		if err != nil || len(dst) > base {
 			return dst, err
@@ -136,14 +155,16 @@ func (g *Group) PollWaitInto(ctx context.Context, dst []Record, max int) ([]Reco
 		select {
 		case <-ctx.Done():
 			return dst, ctx.Err()
-		case <-ch:
+		case <-g.wake:
+		case <-g.tp.b.done:
 		}
 	}
 }
 
 // Consume runs fn over batches of records until ctx is cancelled or the
-// broker closes, committing after each successful batch. If fn returns an
-// error the batch is not committed and Consume returns the error.
+// broker closes, committing after each successful batch — once per
+// partition the batch touched. If fn returns an error the batch is not
+// committed and Consume returns the error.
 //
 // The batch slice is reused across iterations: fn must finish with it (or
 // copy what it keeps) before returning.
@@ -161,8 +182,12 @@ func (g *Group) Consume(ctx context.Context, batch int, fn func([]Record) error)
 		if err := fn(recs); err != nil {
 			return err
 		}
+		// PollInto appends each partition as one ascending run: commit
+		// past the last record of every run.
 		for i := range recs {
-			g.Commit(recs[i].Partition, recs[i].Offset+1)
+			if i+1 == len(recs) || recs[i+1].Partition != recs[i].Partition {
+				g.Commit(recs[i].Partition, recs[i].Offset+1)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package mq
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -177,9 +178,6 @@ func TestTopicHandleFailsAfterClose(t *testing.T) {
 	if _, _, err := tp.Offsets(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("offsets err = %v, want ErrClosed", err)
 	}
-	if _, err := tp.WaitProduce(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("wait err = %v, want ErrClosed", err)
-	}
 }
 
 // TestPollIntoReusesBuffer: PollInto appends to dst without reallocating
@@ -343,24 +341,155 @@ func TestRecordTimeSurvivesStorage(t *testing.T) {
 	}
 }
 
-// TestWaitProduceAfterCloseDoesNotBlock covers the lazily-armed notify
-// channel: a waiter that subscribes while Close runs must still be released.
-func TestWaitProduceAfterCloseDoesNotBlock(t *testing.T) {
+// TestPollWaitAfterCloseDoesNotBlock: every poller waiting on a group —
+// not only the one a produce would wake — is released by Close, and a wait
+// that starts after Close returns at once.
+func TestPollWaitAfterCloseDoesNotBlock(t *testing.T) {
 	b := newTestBroker(t, 1)
-	tp, err := b.Topic("events")
+	g, err := b.NewGroup("events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := tp.WaitProduce()
-	if err != nil {
-		t.Fatal(err)
+	const waiters = 3
+	errs := make(chan error, waiters+1)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := g.PollWait(context.Background(), 1)
+			errs <- err
+		}()
 	}
+	time.Sleep(10 * time.Millisecond)
 	b.Close()
-	select {
-	case <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("armed waiter not released by Close")
+	go func() {
+		_, err := g.PollWait(context.Background(), 1)
+		errs <- err
+	}()
+	for i := 0; i < waiters+1; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("waiter err = %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("waiter not released by Close")
+		}
 	}
+}
+
+// produceSegments appends segs full segments to every partition of the
+// events topic, in unkeyed batches that rotate across partitions.
+func produceSegments(t *testing.T, b *Broker, partitions, segs int) {
+	t.Helper()
+	values := make([][]byte, 64)
+	for i := range values {
+		values[i] = []byte("interaction-record")
+	}
+	for i := 0; i < partitions*segs*segmentSize/len(values); i++ {
+		if _, err := b.ProduceBatch("events", nil, values); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// drain polls g until it is caught up, committing every record, and returns
+// how many records it read.
+func drain(t *testing.T, g *Group) int {
+	t.Helper()
+	n := 0
+	buf := make([]Record, 0, 256)
+	for {
+		recs, err := g.PollInto(buf[:0], 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			return n
+		}
+		n += len(recs)
+		for i := range recs {
+			g.Commit(recs[i].Partition, recs[i].Offset+1)
+		}
+	}
+}
+
+// TestConsumedSegmentsReleased pins release on commit: once every group of
+// a topic has committed a partition's records, only the partition's newest
+// segment stays — and a group that has consumed nothing pins everything.
+func TestConsumedSegmentsReleased(t *testing.T) {
+	const partitions, segs = 4, 6
+	total := partitions * segs * segmentSize
+
+	t.Run("idle group pins", func(t *testing.T) {
+		b := newTestBroker(t, partitions)
+		defer b.Close()
+		fast, _ := b.NewGroup("events")
+		if _, err := b.NewGroup("events"); err != nil { // never polls
+			t.Fatal(err)
+		}
+		produceSegments(t, b, partitions, segs)
+		if got := drain(t, fast); got != total {
+			t.Fatalf("drained %d records, want %d", got, total)
+		}
+		for pi := 0; pi < partitions; pi++ {
+			if oldest, _, _ := b.Offsets("events", pi); oldest != 0 {
+				t.Fatalf("partition %d released up to %d under a group that read nothing", pi, oldest)
+			}
+		}
+	})
+
+	t.Run("all groups committed", func(t *testing.T) {
+		b := newTestBroker(t, partitions)
+		defer b.Close()
+		groups := make([]*Group, 2)
+		for i := range groups {
+			groups[i], _ = b.NewGroup("events")
+		}
+		// Both groups consume while the producer runs, the way the
+		// platform's consumer trails its sessions.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		consumed := make([]int, len(groups))
+		for i, g := range groups {
+			wg.Add(1)
+			go func(i int, g *Group) {
+				defer wg.Done()
+				_ = g.Consume(ctx, 128, func(recs []Record) error {
+					mu.Lock()
+					consumed[i] += len(recs)
+					mu.Unlock()
+					return nil
+				})
+			}(i, g)
+		}
+		produceSegments(t, b, partitions, segs)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			lagA, _ := groups[0].Lag()
+			lagB, _ := groups[1].Lag()
+			if lagA == 0 && lagB == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("groups still %d and %d behind", lagA, lagB)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		wg.Wait()
+		for i, n := range consumed {
+			if n != total {
+				t.Fatalf("group %d consumed %d records, want %d", i, n, total)
+			}
+		}
+		for pi := 0; pi < partitions; pi++ {
+			oldest, newest, _ := b.Offsets("events", pi)
+			if tail := (newest - 1) / segmentSize * segmentSize; oldest != tail {
+				t.Fatalf("partition %d keeps offsets %d..%d, want only the newest segment from %d", pi, oldest, newest, tail)
+			}
+		}
+	})
 }
 
 func TestGroupLagAfterClose(t *testing.T) {

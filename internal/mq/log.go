@@ -1,9 +1,10 @@
 // Package mq implements the platform's ingestion substrate: an in-memory,
 // partitioned, segmented commit log with topics, consumer groups, and
 // at-least-once delivery — the role Kafka plays in the stream architectures
-// the paper assumes. Records are durable for the life of the process and
-// subject to size-based retention, which is sufficient for the simulated
-// deployments this repository targets.
+// the paper assumes. A log holds only what it still owes a reader: once
+// every consumer group of a topic has committed past a partition's oldest
+// segments, those segments are released; a topic nobody consumes keeps its
+// size-based retention budget instead.
 //
 // Storage layout: each partition is a sequence of fixed-record-count
 // segments, and each segment owns a byte arena — one backing array holding
@@ -14,14 +15,15 @@
 // mark work regardless of how many records it holds. Record structs are
 // materialized at read time, with Key/Value subslicing the arena. A
 // segment's arena lives exactly as long as the segment (the unit of
-// retention), and fetched records keep the arena reachable, so records
-// handed to consumers stay valid even after retention drops their segment
-// from the log.
+// release and retention), and fetched records keep the arena reachable, so
+// records handed to consumers stay valid after their segment leaves the
+// log.
 package mq
 
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -36,8 +38,9 @@ var (
 )
 
 // Record is one message in a partition log. Key and Value alias the log's
-// per-segment arena: they stay valid indefinitely (retention keeps the arena
-// alive through the record), but consumers must treat them as read-only.
+// per-segment arena: they stay valid indefinitely (the record keeps the
+// arena alive after its segment is released), but consumers must treat
+// them as read-only.
 type Record struct {
 	Offset    int64
 	Time      time.Time
@@ -47,8 +50,9 @@ type Record struct {
 }
 
 // segmentSize is the number of records per log segment. Segments are the
-// unit of retention: the oldest whole segments are dropped when a partition
-// exceeds its retention budget.
+// unit of release and retention: the oldest whole segments are dropped once
+// every consumer group has committed past them, or when a partition exceeds
+// its retention budget.
 const segmentSize = 1024
 
 // recordOverhead is the per-record bookkeeping cost charged against the
@@ -112,6 +116,19 @@ type partition struct {
 	segments []*segment
 	next     int64
 	bytes    int64
+
+	// releaseAt is the commit offset past which the oldest segment may be
+	// fully consumed: its base + segmentSize + 1. A commit above that offset
+	// consumed a record of the next segment, so the next segment exists.
+	// Commits compare against it without a lock; it moves only when the
+	// oldest segment is dropped, under mu.
+	releaseAt atomic.Int64
+}
+
+func newPartition() *partition {
+	p := &partition{}
+	p.releaseAt.Store(segmentSize + 1)
+	return p
 }
 
 // tailLocked returns the segment the next payload-byte append lands in,
@@ -308,15 +325,36 @@ func (p *partition) readInto(dst []Record, offset int64, max int) ([]Record, err
 // segments), not O(dropped records). p.mu must be held.
 func (p *partition) truncateLocked(budget int64) {
 	for len(p.segments) > 1 && p.bytes > budget {
-		p.bytes -= p.segments[0].bytes
-		p.segments[0] = nil // release the segment (and its arena) promptly
-		p.segments = p.segments[1:]
+		p.dropOldestLocked()
 	}
+}
+
+// release drops every segment all of whose records lie below committed —
+// the lowest offset every consumer group has committed — always keeping
+// the newest segment.
+func (p *partition) release(committed int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.segments) > 1 && p.segments[1].base <= committed {
+		p.dropOldestLocked()
+	}
+}
+
+// dropOldestLocked removes the oldest segment; there must be at least two.
+// p.mu must be held.
+func (p *partition) dropOldestLocked() {
+	p.bytes -= p.segments[0].bytes
+	p.segments[0] = nil // release the segment (and its arena) promptly
+	p.segments = p.segments[1:]
+	p.releaseAt.Store(p.segments[0].base + segmentSize + 1)
 }
 
 // TopicConfig configures a topic at creation.
 type TopicConfig struct {
-	Partitions     int   // number of partitions; default 1
-	RetentionBytes int64 // per-partition retention budget; <=0 means unlimited
-	Keyed          bool  // if true, Produce requires a non-empty key
+	Partitions int // number of partitions; default 1
+	// RetentionBytes is the per-partition retention budget; <=0 means
+	// unlimited. It is what bounds a topic no consumer group reads; a
+	// consumed topic also releases what every group has committed.
+	RetentionBytes int64
+	Keyed          bool // if true, Produce requires a non-empty key
 }

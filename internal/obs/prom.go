@@ -3,7 +3,7 @@ package obs
 import (
 	"io"
 	"strconv"
-	"strings"
+	"sync"
 	"time"
 
 	"arbd/internal/metrics"
@@ -12,13 +12,12 @@ import (
 // promPrefix namespaces every exported metric.
 const promPrefix = "arbd_"
 
-// promName sanitizes a registry name into a Prometheus metric name: every
-// character outside [a-zA-Z0-9_] becomes '_', and the arbd_ namespace is
-// prepended ("server.frame.queue_wait" → "arbd_server_frame_queue_wait").
-func promName(name string) string {
-	var b strings.Builder
-	b.Grow(len(promPrefix) + len(name))
-	b.WriteString(promPrefix)
+// appendPromName appends the Prometheus metric name of a registry name to
+// dst: every character outside [a-zA-Z0-9_] becomes '_', and the arbd_
+// namespace is prepended ("server.frame.queue_wait" →
+// "arbd_server_frame_queue_wait").
+func appendPromName(dst []byte, name string) []byte {
+	dst = append(dst, promPrefix...)
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		switch {
@@ -26,18 +25,27 @@ func promName(name string) string {
 		// name never starts with one.
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
 			c >= '0' && c <= '9', c == '_':
-			b.WriteByte(c)
+			dst = append(dst, c)
 		default:
-			b.WriteByte('_')
+			dst = append(dst, '_')
 		}
 	}
-	return b.String()
+	return dst
 }
 
-// seconds renders a duration as a float64 second count.
-func seconds(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
+// appendSeconds appends a duration as a float64 second count.
+func appendSeconds(dst []byte, d time.Duration) []byte {
+	return strconv.AppendFloat(dst, d.Seconds(), 'g', -1, 64)
 }
+
+// promScratch is one scrape's output buffer plus the sanitized name of the
+// instrument being written. Scrapes reuse them through promBuffers, so a
+// scrape allocates only the registry snapshot.
+type promScratch struct {
+	out, name []byte
+}
+
+var promBuffers = sync.Pool{New: func() any { return new(promScratch) }}
 
 // WritePrometheus renders every instrument in reg in Prometheus text
 // exposition format (version 0.0.4): counters and gauges as single
@@ -46,30 +54,57 @@ func seconds(d time.Duration) string {
 // seconds with a _seconds name suffix. Instruments come from the typed
 // Registry.Snapshot — nothing here parses Dump output.
 func WritePrometheus(w io.Writer, reg *metrics.Registry) error {
-	var b strings.Builder
+	sc := promBuffers.Get().(*promScratch)
+	defer promBuffers.Put(sc)
+	b := sc.out[:0]
 	for _, in := range reg.Snapshot() {
-		name := promName(in.Name)
+		// Each name is sanitized once and copied into every line it heads.
+		sc.name = appendPromName(sc.name[:0], in.Name)
+		if in.Kind == metrics.KindHistogram {
+			sc.name = append(sc.name, "_seconds"...)
+		}
+		name := sc.name
 		switch in.Kind {
 		case metrics.KindCounter:
-			b.WriteString("# HELP " + name + " Counter " + in.Name + "\n")
-			b.WriteString("# TYPE " + name + " counter\n")
-			b.WriteString(name + " " + strconv.FormatInt(in.Counter, 10) + "\n")
+			b = promHeader(b, name, "Counter ", in.Name, "counter")
+			b = strconv.AppendInt(promSample(b, name, " "), in.Counter, 10)
+			b = append(b, '\n')
 		case metrics.KindGauge:
-			b.WriteString("# HELP " + name + " Gauge " + in.Name + "\n")
-			b.WriteString("# TYPE " + name + " gauge\n")
-			b.WriteString(name + " " + strconv.FormatFloat(in.Gauge, 'g', -1, 64) + "\n")
+			b = promHeader(b, name, "Gauge ", in.Name, "gauge")
+			b = strconv.AppendFloat(promSample(b, name, " "), in.Gauge, 'g', -1, 64)
+			b = append(b, '\n')
 		case metrics.KindHistogram:
-			name += "_seconds"
-			s := in.Hist
-			b.WriteString("# HELP " + name + " Latency summary " + in.Name + "\n")
-			b.WriteString("# TYPE " + name + " summary\n")
-			b.WriteString(name + `{quantile="0.5"} ` + seconds(s.P50) + "\n")
-			b.WriteString(name + `{quantile="0.95"} ` + seconds(s.P95) + "\n")
-			b.WriteString(name + `{quantile="0.99"} ` + seconds(s.P99) + "\n")
-			b.WriteString(name + "_sum " + seconds(s.Sum) + "\n")
-			b.WriteString(name + "_count " + strconv.FormatUint(s.Count, 10) + "\n")
+			s := &in.Hist
+			b = promHeader(b, name, "Latency summary ", in.Name, "summary")
+			b = append(appendSeconds(promSample(b, name, `{quantile="0.5"} `), s.P50), '\n')
+			b = append(appendSeconds(promSample(b, name, `{quantile="0.95"} `), s.P95), '\n')
+			b = append(appendSeconds(promSample(b, name, `{quantile="0.99"} `), s.P99), '\n')
+			b = append(appendSeconds(promSample(b, name, "_sum "), s.Sum), '\n')
+			b = strconv.AppendUint(promSample(b, name, "_count "), s.Count, 10)
+			b = append(b, '\n')
 		}
 	}
-	_, err := io.WriteString(w, b.String())
+	sc.out = b
+	_, err := w.Write(b)
 	return err
+}
+
+// promHeader appends an instrument's HELP and TYPE lines.
+func promHeader(b, name []byte, help, registryName, kind string) []byte {
+	b = append(b, "# HELP "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, help...)
+	b = append(b, registryName...)
+	b = append(b, "\n# TYPE "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, kind...)
+	return append(b, '\n')
+}
+
+// promSample appends the start of a sample line: the name, then suffix
+// (labels and the separating space).
+func promSample(b, name []byte, suffix string) []byte {
+	return append(append(b, name...), suffix...)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"regexp"
 	"strconv"
 	"strings"
@@ -9,6 +10,9 @@ import (
 
 	"arbd/internal/metrics"
 )
+
+// promName is the sanitized Prometheus name of a registry name.
+func promName(name string) string { return string(appendPromName(nil, name)) }
 
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
@@ -117,6 +121,90 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	p99 := samples[`arbd_server_frame_latency_seconds{quantile="0.99"}`]
 	if p50 > p99 {
 		t.Fatalf("p50 %v > p99 %v", p50, p99)
+	}
+}
+
+// scrapeRegistry is a registry shaped like a shard's: 25 instruments of all
+// three kinds, with names that need sanitizing.
+func scrapeRegistry() *metrics.Registry {
+	reg := metrics.NewRegistry()
+	for i := 0; i < 15; i++ {
+		reg.Counter("server.frames.done-" + strconv.Itoa(i)).Add(int64(i * 1000))
+	}
+	for i := 0; i < 5; i++ {
+		reg.Gauge("core.load/backlog." + strconv.Itoa(i)).Set(float64(i) + 0.25)
+	}
+	for i := 0; i < 5; i++ {
+		h := reg.Histogram("server.frame.latency." + strconv.Itoa(i))
+		for k := 1; k <= 100; k++ {
+			h.Observe(time.Duration(k*(i+1)) * time.Microsecond)
+		}
+	}
+	return reg
+}
+
+// writePrometheusReference is the exposition as it was first written, line
+// by line with string concatenation; WritePrometheus must match it byte for
+// byte.
+func writePrometheusReference(reg *metrics.Registry) string {
+	seconds := func(d time.Duration) string { return strconv.FormatFloat(d.Seconds(), 'g', -1, 64) }
+	var b strings.Builder
+	for _, in := range reg.Snapshot() {
+		name := promName(in.Name)
+		switch in.Kind {
+		case metrics.KindCounter:
+			b.WriteString("# HELP " + name + " Counter " + in.Name + "\n")
+			b.WriteString("# TYPE " + name + " counter\n")
+			b.WriteString(name + " " + strconv.FormatInt(in.Counter, 10) + "\n")
+		case metrics.KindGauge:
+			b.WriteString("# HELP " + name + " Gauge " + in.Name + "\n")
+			b.WriteString("# TYPE " + name + " gauge\n")
+			b.WriteString(name + " " + strconv.FormatFloat(in.Gauge, 'g', -1, 64) + "\n")
+		case metrics.KindHistogram:
+			name += "_seconds"
+			s := in.Hist
+			b.WriteString("# HELP " + name + " Latency summary " + in.Name + "\n")
+			b.WriteString("# TYPE " + name + " summary\n")
+			b.WriteString(name + `{quantile="0.5"} ` + seconds(s.P50) + "\n")
+			b.WriteString(name + `{quantile="0.95"} ` + seconds(s.P95) + "\n")
+			b.WriteString(name + `{quantile="0.99"} ` + seconds(s.P99) + "\n")
+			b.WriteString(name + "_sum " + seconds(s.Sum) + "\n")
+			b.WriteString(name + "_count " + strconv.FormatUint(s.Count, 10) + "\n")
+		}
+	}
+	return b.String()
+}
+
+// TestWritePrometheusMatchesReference compares the exposition byte for byte
+// with the reference encoder, twice, so a reused buffer is covered.
+func TestWritePrometheusMatchesReference(t *testing.T) {
+	reg := scrapeRegistry()
+	want := writePrometheusReference(reg)
+	for i := 0; i < 2; i++ {
+		var sb strings.Builder
+		if err := WritePrometheus(&sb, reg); err != nil {
+			t.Fatal(err)
+		}
+		if got := sb.String(); got != want {
+			t.Fatalf("scrape %d differs from the reference:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}
+
+// TestWritePrometheusAllocs holds a scrape of a 25-instrument registry to a
+// handful of allocations: the registry snapshot, nothing per line.
+func TestWritePrometheusAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	reg := scrapeRegistry()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := WritePrometheus(io.Discard, reg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Fatalf("a scrape allocates %.1f objects, want <= 10", allocs)
 	}
 }
 

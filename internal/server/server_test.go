@@ -3,6 +3,7 @@ package server
 import (
 	"io"
 	"log"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"arbd/internal/core"
 	"arbd/internal/geo"
 	"arbd/internal/sensor"
+	"arbd/internal/wire"
 )
 
 var center = geo.Point{Lat: 22.3364, Lon: 114.2655}
@@ -77,6 +79,33 @@ func TestSensorThenFrame(t *testing.T) {
 	}
 	if err := c.SendGaze(sensor.GazeSample{Time: now, TargetID: f.Annotations[0].ID, DwellMS: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnknownGazeTargetAnswered: a gaze at an ID that names no POI is a
+// bad sensor payload — answered with an error carrying its seq, the
+// connection kept — while a gaze at a real POI stays unanswered.
+func TestUnknownGazeTargetAnswered(t *testing.T) {
+	_, addr := startServer(t)
+	rc := dialRaw(t, addr)
+	rc.hello(t, "probe", wire.ProtoMax)
+	gaze := func(target uint64) uint64 {
+		var b wire.Buffer
+		b.Byte(SensorGaze)
+		b.Uvarint(uint64(time.Now().UnixNano()))
+		b.Uvarint(target)
+		b.Float64(2000)
+		return rc.send(t, wire.MsgSensorEvent, 0, b.Bytes())
+	}
+	gaze(1)
+	bad := gaze(1 << 40)
+	ping := rc.send(t, wire.MsgControl, 0, nil)
+	env := rc.read(t)
+	if env.Type != wire.MsgError || env.Seq != bad || !strings.Contains(string(env.Payload), "poi not found") {
+		t.Fatalf("unknown gaze target answered %v seq %d %q, want error for seq %d", env.Type, env.Seq, env.Payload, bad)
+	}
+	if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != ping {
+		t.Fatalf("after the refused gaze: %v seq %d, want the ping's ack for seq %d", env.Type, env.Seq, ping)
 	}
 }
 

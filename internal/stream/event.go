@@ -56,7 +56,9 @@ type WindowResult struct {
 // Aggregator builds incremental window aggregates: New creates an
 // accumulator, Add folds one event in, Result extracts the output value.
 // Accumulators never cross goroutines concurrently; the engine confines each
-// (key, window) accumulator to one worker.
+// (key, window) accumulator to one worker. The built-in aggregators keep a
+// pointer and fold in place, so Add allocates nothing: returning a changed
+// number as an any would box it on every event.
 type Aggregator struct {
 	Name   string
 	New    func() any
@@ -77,20 +79,26 @@ type minMaxAcc struct {
 // Count returns an aggregator counting events.
 func Count() Aggregator {
 	return Aggregator{
-		Name:   "count",
-		New:    func() any { return 0 },
-		Add:    func(acc any, _ Event) any { return acc.(int) + 1 },
-		Result: func(acc any) float64 { return float64(acc.(int)) },
+		Name: "count",
+		New:  func() any { return new(int) },
+		Add: func(acc any, _ Event) any {
+			*acc.(*int)++
+			return acc
+		},
+		Result: func(acc any) float64 { return float64(*acc.(*int)) },
 	}
 }
 
 // Sum returns an aggregator summing event values.
 func Sum() Aggregator {
 	return Aggregator{
-		Name:   "sum",
-		New:    func() any { return 0.0 },
-		Add:    func(acc any, e Event) any { return acc.(float64) + e.Value },
-		Result: func(acc any) float64 { return acc.(float64) },
+		Name: "sum",
+		New:  func() any { return new(float64) },
+		Add: func(acc any, e Event) any {
+			*acc.(*float64) += e.Value
+			return acc
+		},
+		Result: func(acc any) float64 { return *acc.(*float64) },
 	}
 }
 

@@ -36,6 +36,9 @@ type Pipeline struct {
 	mu      sync.Mutex
 	started bool
 	closed  bool
+	// pushing counts pushes past the closed check whose send may not have
+	// landed; Drain waits for it to reach zero before any source closes.
+	pushing sync.WaitGroup
 }
 
 // PipelineOption configures a pipeline.
@@ -289,7 +292,8 @@ func (p *Pipeline) Start() error {
 }
 
 // Push delivers an event into the named source, blocking under
-// backpressure.
+// backpressure. A push racing Drain either lands before the sources close
+// or returns ErrClosed.
 func (p *Pipeline) Push(source string, e Event) error {
 	p.mu.Lock()
 	if !p.started {
@@ -301,11 +305,15 @@ func (p *Pipeline) Push(source string, e Event) error {
 		return ErrClosed
 	}
 	st, ok := p.sources[source]
+	if ok {
+		p.pushing.Add(1)
+	}
 	p.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("stream: unknown source %q", source)
 	}
 	st.in[0] <- e
+	p.pushing.Done()
 	return nil
 }
 
@@ -323,6 +331,8 @@ func (p *Pipeline) Drain() error {
 	}
 	p.closed = true
 	p.mu.Unlock()
+	// No push starts after closed is set; wait out those already sending.
+	p.pushing.Wait()
 	for _, st := range p.sources {
 		st.inWG.Done() // release the Push producer slot
 	}

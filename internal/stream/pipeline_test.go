@@ -221,6 +221,61 @@ func TestPipelineLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestPushRacingDrainNeverPanics races pushers against Drain: a push either
+// lands before the source closes (and reaches the sink) or returns
+// ErrClosed — it never sends on a closed channel.
+func TestPushRacingDrainNeverPanics(t *testing.T) {
+	const rounds, pushers = 300, 4
+	for round := 0; round < rounds; round++ {
+		p := NewPipeline("t", WithChannelSize(1))
+		var pushing sync.WaitGroup
+		var delivered, accepted int64
+		var mu sync.Mutex
+		p.Source("in").Sink("out", func(Event) {
+			mu.Lock()
+			delivered++
+			mu.Unlock()
+		})
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// Drain starts once every pusher is under way, so pushes are in
+		// flight — some blocked on the one-slot source channel — as it runs.
+		var running sync.WaitGroup
+		for w := 0; w < pushers; w++ {
+			pushing.Add(1)
+			running.Add(1)
+			go func() {
+				defer pushing.Done()
+				for i := 0; ; i++ {
+					err := p.Push("in", ev("k", time.Duration(i), 1))
+					if i == 0 {
+						running.Done()
+					}
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("push: %v", err)
+						return
+					}
+					mu.Lock()
+					accepted++
+					mu.Unlock()
+				}
+			}()
+		}
+		running.Wait()
+		if err := p.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		pushing.Wait()
+		if delivered != accepted {
+			t.Fatalf("round %d: %d pushes accepted, %d reached the sink", round, accepted, delivered)
+		}
+	}
+}
+
 func TestPipelineInvalidWindowPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
