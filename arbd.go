@@ -101,7 +101,9 @@ type (
 	Client = server.Client
 	// DialOptions tunes the protocol handshake.
 	DialOptions = server.DialOptions
-	// SubscribeOptions tunes a frame subscription (cadence, push budget).
+	// SubscribeOptions sets a frame subscription's push cadence; the
+	// server's push queue and the local channel hold 8 frames, oldest
+	// dropped first.
 	SubscribeOptions = server.SubscribeOptions
 	// DecodedFrame is a frame received over the wire.
 	DecodedFrame = core.DecodedFrame

@@ -26,9 +26,7 @@ func main() {
 		{ID: 3, Name: "S. Ng", Age: 72, Conditions: []string{"COPD"}, Medications: []string{"salbutamol"}},
 	}
 	for _, p := range patients {
-		if err := store.PutPatient(p); err != nil {
-			log.Fatal(err)
-		}
+		store.PutPatient(p)
 	}
 
 	// Patient 3 deteriorates 2 minutes in.
@@ -68,10 +66,7 @@ func main() {
 	for _, tag := range tags {
 		fmt.Printf("  ⚠ %s: %s\n", tag.Key, tag.Value)
 	}
-	hist, err := store.VitalsWindow(3, sensor.VitalHeartRate, sim.Epoch, sim.Epoch.Add(time.Hour))
-	if err != nil {
-		log.Fatal(err)
-	}
+	hist := store.VitalsWindow(3, sensor.VitalHeartRate, sim.Epoch, sim.Epoch.Add(time.Hour))
 	fmt.Printf("  heart-rate history: %d samples recorded\n", len(hist))
 	fmt.Printf("\ntotal alerts fired: %d\n", len(engine.Alerts()))
 }

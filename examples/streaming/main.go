@@ -65,10 +65,8 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	frames, err := client.Subscribe(ctx, arbd.SubscribeOptions{
-		Interval: 100 * time.Millisecond, // 10 Hz
-		Budget:   8,                      // drop-oldest bound if we fall behind
-	})
+	// 10 Hz; if we fall behind, the server drops our oldest queued frame.
+	frames, err := client.Subscribe(ctx, arbd.SubscribeOptions{Interval: 100 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func e8HealthAlerts(patientCounts []int, duration int) *metrics.Table {
 		episodeAt := make([]time.Time, patients)
 		for i := range vitals {
 			vitals[i] = sensor.NewVitals(int64(1000 + i))
-			_ = store.PutPatient(ehr.Patient{ID: uint64(i + 1), Name: fmt.Sprintf("p%d", i+1)})
+			store.PutPatient(ehr.Patient{ID: uint64(i + 1), Name: fmt.Sprintf("p%d", i+1)})
 		}
 		// A third of patients get an episode at a random minute.
 		episodes := 0

@@ -154,7 +154,7 @@ func TestConcurrentSharedSession(t *testing.T) {
 // from the registry.
 func TestEndSessionFlushesAndUnregisters(t *testing.T) {
 	cfg := testConfig()
-	cfg.TelemetryMaxDelay = time.Hour // only explicit flushes in this test
+	cfg.telemetryMaxDelay = time.Hour // only explicit flushes in this test
 	p := newTestPlatform(t, cfg)
 	s := p.NewSession()
 	for i := 0; i < 3; i++ { // fewer than the batch size: stays buffered
@@ -183,8 +183,8 @@ func TestEndSessionFlushesAndUnregisters(t *testing.T) {
 // of buffered records triggers a broker publish without explicit flushing.
 func TestTelemetryBatchFlushesBySize(t *testing.T) {
 	cfg := testConfig()
-	cfg.TelemetryBatchSize = 4
-	cfg.TelemetryMaxDelay = time.Hour // isolate the size trigger
+	cfg.telemetryBatchSize = 4
+	cfg.telemetryMaxDelay = time.Hour // isolate the size trigger
 	p := newTestPlatform(t, cfg)
 	s := p.NewSession()
 	for i := 0; i < 3; i++ {
@@ -207,7 +207,7 @@ func TestTelemetryBatchFlushesBySize(t *testing.T) {
 // that never reach the size threshold.
 func TestTelemetryAgeFlush(t *testing.T) {
 	cfg := testConfig()
-	cfg.TelemetryMaxDelay = 5 * time.Millisecond
+	cfg.telemetryMaxDelay = 5 * time.Millisecond
 	p := newTestPlatform(t, cfg)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestTelemetryAgeFlush(t *testing.T) {
 // next enqueue on a *different* topic.
 func TestTelemetryAgeFlushCrossTopicWithoutStart(t *testing.T) {
 	cfg := testConfig()
-	cfg.TelemetryMaxDelay = 5 * time.Millisecond
+	cfg.telemetryMaxDelay = 5 * time.Millisecond
 	p := newTestPlatform(t, cfg) // note: Start is never called
 	s := p.NewSession()
 	if err := s.RecordInteraction(3, 1); err != nil {

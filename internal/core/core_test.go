@@ -96,12 +96,12 @@ func TestFrameProducesAnnotations(t *testing.T) {
 	}
 }
 
-// A MaxAnnotations of 1 halves to 0 under degradation: the frame must ask
+// A maxAnnotations of 1 halves to 0 under degradation: the frame must ask
 // the store for nothing (a query limit of 0 would mean "no limit") and come
 // out empty.
 func TestDegradedSingleAnnotationFrameIsEmpty(t *testing.T) {
 	cfg := testConfig()
-	cfg.MaxAnnotations = 1
+	cfg.maxAnnotations = 1
 	p := newTestPlatform(t, cfg)
 	s := p.NewSession()
 	s.OnIMU(sensor.IMUSample{Time: sim.Epoch, CompassDeg: 0})
@@ -271,7 +271,7 @@ func TestPrivacyBudgetSuppressesTelemetry(t *testing.T) {
 func TestTimelinessDegradationAndRecovery(t *testing.T) {
 	vc := sim.NewVirtualClock(time.Time{})
 	cfg := testConfig()
-	cfg.Clock = stepClock{vc: vc, step: 50 * time.Millisecond} // every frame overruns 33ms
+	cfg.clock = stepClock{vc: vc, step: 50 * time.Millisecond} // every frame overruns 33ms
 	p := newTestPlatform(t, cfg)
 	s := p.NewSession()
 	_ = s.OnGPS(sensor.GPSFix{Time: sim.Epoch, Position: center, AccuracyM: 3})
@@ -288,7 +288,7 @@ func TestTimelinessDegradationAndRecovery(t *testing.T) {
 	}
 	// Fast frames recover.
 	cfgFast := stepClock{vc: vc, step: 5 * time.Millisecond}
-	p.cfg.Clock = cfgFast
+	p.cfg.clock = cfgFast
 	for i := 0; i < 3; i++ {
 		if _, err := s.Frame(sim.Epoch); err != nil {
 			t.Fatal(err)

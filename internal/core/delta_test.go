@@ -147,3 +147,33 @@ func FuzzApplyFrameDelta(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeFrame: a client decodes every polled frame and every keyframe
+// from bytes a server sent. Decode must not panic, and decode → encode →
+// decode is a fixed point (compared as bytes: a hostile frame may carry NaN
+// geometry).
+func FuzzDecodeFrame(f *testing.F) {
+	prevAnns, cur := deltaFixture()
+	f.Add(EncodeFrame(&Frame{Annotations: prevAnns, Elapsed: 5 * time.Millisecond}))
+	f.Add(EncodeFrame(cur))
+	f.Add(EncodeFrame(&Frame{Level: DegradeInterp}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // implausible count
+	f.Add([]byte{2, 1, 1, 'x'})                 // count past the annotations present
+	encode := func(d *DecodedFrame) []byte {
+		return EncodeFrame(&Frame{Annotations: d.Annotations, Level: d.Level, Elapsed: time.Duration(d.ElapsedNs)})
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		d, err := DecodeFrame(p)
+		if err != nil {
+			return
+		}
+		first := encode(d)
+		again, err := DecodeFrame(first)
+		if err != nil {
+			t.Fatalf("re-encoded frame fails to decode: %v", err)
+		}
+		if !bytes.Equal(encode(again), first) {
+			t.Fatal("decode → encode is not a fixed point")
+		}
+	})
+}

@@ -29,7 +29,7 @@ func TestGoldenWalkDigest(t *testing.T) {
 	p := newTestPlatform(t, Config{
 		Seed:  1,
 		City:  geo.CityConfig{Center: center, RadiusM: 3000, NumPOIs: 5000, TallRatio: 0.2, Seed: 1},
-		Clock: sim.NewVirtualClock(sim.Epoch),
+		clock: sim.NewVirtualClock(sim.Epoch),
 	})
 	if err := p.Start(); err != nil {
 		t.Fatal(err)

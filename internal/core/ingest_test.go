@@ -161,7 +161,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	cfg := testConfig()
 	// A still platform clock keeps every record in one window, so the
 	// count covers the per-event path, not window turnover.
-	cfg.Clock = sim.NewVirtualClock(sim.Epoch)
+	cfg.clock = sim.NewVirtualClock(sim.Epoch)
 	p := newTestPlatform(t, cfg)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)

@@ -47,6 +47,28 @@ func TestLoadSignalRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeLoadSignal: a router decodes every MsgLoad a shard pushes.
+// Decode must not panic, and decode → encode → decode is a fixed point.
+func FuzzDecodeLoadSignal(f *testing.F) {
+	var seed wire.Buffer
+	EncodeLoadSignalInto(&seed, LoadSignal{FlushLatency: 250 * time.Microsecond, Backlog: 1 << 40})
+	f.Add(seed.Bytes())
+	f.Add([]byte{0x80})    // truncated latency
+	f.Add([]byte{5, 0x80}) // truncated backlog
+	f.Add([]byte{5, 1})    // negative backlog
+	f.Fuzz(func(t *testing.T, p []byte) {
+		sig, err := DecodeLoadSignal(p)
+		if err != nil {
+			return
+		}
+		var b wire.Buffer
+		EncodeLoadSignalInto(&b, sig)
+		if again, err := DecodeLoadSignal(b.Bytes()); err != nil || again != sig {
+			t.Fatalf("signal %+v re-decodes as %+v, %v", sig, again, err)
+		}
+	})
+}
+
 // TestSessionOrNew checks the shard-node get-or-create path: IDs are
 // honoured, lookups converge on one session, and platform-assigned IDs
 // never collide with externally minted ones.

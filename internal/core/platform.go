@@ -54,68 +54,58 @@ type Config struct {
 	Seed int64
 	// City describes the synthetic world; Center must be set.
 	City geo.CityConfig
-	// FrameDeadline is the per-frame latency budget (default 33 ms — 30 fps).
-	FrameDeadline time.Duration
-	// AnnotationRadiusM bounds the context query around the user
-	// (default 250 m).
-	AnnotationRadiusM float64
-	// MaxAnnotations caps the overlay size (default 20).
-	MaxAnnotations int
 	// LocationEpsilon enables the geo-indistinguishability gate on outgoing
 	// location telemetry (per-meter ε; 0 disables perturbation).
 	LocationEpsilon float64
 	// PrivacyBudget is the total ε each session may spend (default 100).
 	PrivacyBudget float64
-	// TelemetryBatchSize is how many telemetry records a session buffers
-	// per topic before publishing them to the broker in one batch
-	// (default 32; 1 publishes every record immediately). Buffered records
-	// become broker-visible on the size or age trigger, or explicitly via
-	// Session.FlushTelemetry / Platform.FlushTelemetry / EndSession.
-	TelemetryBatchSize int
-	// TelemetryMaxDelay bounds how long a buffered telemetry record may
-	// wait before it is published (default 50 ms). After Start, a
-	// background sweeper enforces it; without Start, the bound is enforced
-	// on the session's next enqueue.
-	TelemetryMaxDelay time.Duration
-	// TelemetryMaxBatchSize caps adaptive batch sizing: when observed flush
-	// latency rises, sessions batch more records per publish so each broker
-	// round-trip amortises better, never beyond this ceiling (default
-	// 8× TelemetryBatchSize). The age bound above still applies.
-	TelemetryMaxBatchSize int
-	// SessionShards is the session-registry shard count, rounded up to a
-	// power of two (default 32).
-	SessionShards int
-	// Clock defaults to the wall clock; tests inject a virtual one.
-	Clock sim.Clock
+
+	// Test hooks; zero takes the default named beside each.
+	maxAnnotations     int           // overlay size cap (defaultMaxAnnotations)
+	telemetryBatchSize int           // records per batched publish (defaultTelemetryBatch)
+	telemetryMaxDelay  time.Duration // age bound on a buffered record (defaultTelemetryMaxDelay)
+	clock              sim.Clock     // times frames and broker records (the wall clock)
 }
 
+// Frame and telemetry policy (§4.1).
+const (
+	// frameDeadline is the per-frame latency budget: 30 fps.
+	frameDeadline = 33 * time.Millisecond
+	// annotationRadiusM bounds the context query around the user.
+	annotationRadiusM = 250.0
+	// defaultMaxAnnotations caps the overlay size.
+	defaultMaxAnnotations = 20
+	// defaultTelemetryBatch is how many telemetry records a session buffers
+	// per topic before publishing them to the broker in one batch. Buffered
+	// records become broker-visible on the size or age trigger, or
+	// explicitly via Session.FlushTelemetry / Platform.FlushTelemetry /
+	// EndSession. When observed flush latency rises, sessions batch more
+	// records per publish so each broker round-trip amortises better, up to
+	// maxBatchGrowth times this size; the age bound still applies.
+	defaultTelemetryBatch = 32
+	maxBatchGrowth        = 8
+	// defaultTelemetryMaxDelay bounds how long a buffered telemetry record
+	// may wait before it is published. After Start, a background sweeper
+	// enforces it; without Start, the bound is enforced on the session's
+	// next enqueue.
+	defaultTelemetryMaxDelay = 50 * time.Millisecond
+)
+
 func (c *Config) defaults() {
-	if c.FrameDeadline <= 0 {
-		c.FrameDeadline = 33 * time.Millisecond
-	}
-	if c.AnnotationRadiusM <= 0 {
-		c.AnnotationRadiusM = 250
-	}
-	if c.MaxAnnotations <= 0 {
-		c.MaxAnnotations = 20
+	if c.maxAnnotations <= 0 {
+		c.maxAnnotations = defaultMaxAnnotations
 	}
 	if c.PrivacyBudget <= 0 {
 		c.PrivacyBudget = 100
 	}
-	if c.TelemetryBatchSize <= 0 {
-		c.TelemetryBatchSize = 32
+	if c.telemetryBatchSize <= 0 {
+		c.telemetryBatchSize = defaultTelemetryBatch
 	}
-	if c.TelemetryMaxDelay <= 0 {
-		c.TelemetryMaxDelay = 50 * time.Millisecond
+	if c.telemetryMaxDelay <= 0 {
+		c.telemetryMaxDelay = defaultTelemetryMaxDelay
 	}
-	if c.TelemetryMaxBatchSize <= 0 {
-		c.TelemetryMaxBatchSize = 8 * c.TelemetryBatchSize
-	}
-	if c.SessionShards <= 0 {
-		c.SessionShards = defaultRegistryShards
-	}
-	if c.Clock == nil {
-		c.Clock = sim.RealClock{}
+	if c.clock == nil {
+		c.clock = sim.RealClock{}
 	}
 	if c.City.NumPOIs <= 0 {
 		c.City.NumPOIs = 2000
@@ -201,13 +191,13 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		rng:      sim.NewRand(cfg.Seed).Child("platform"),
 		reg:      metrics.NewRegistry(),
 		pois:     pois,
-		broker:   mq.NewBroker(mq.WithClock(cfg.Clock)),
+		broker:   mq.NewBroker(mq.WithClock(cfg.clock)),
 		acct:     privacy.NewAccountant(cfg.PrivacyBudget),
 		crowd:    analytics.NewView(),
 		hot:      analytics.NewSpaceSaving(64),
 		interp:   arml.RetailVocabulary(),
-		load:     newLoadTracker(cfg.TelemetryBatchSize, cfg.TelemetryMaxBatchSize),
-		sessions: newSessionRegistry(cfg.SessionShards),
+		load:     newLoadTracker(cfg.telemetryBatchSize, maxBatchGrowth*cfg.telemetryBatchSize),
+		sessions: newSessionRegistry(defaultRegistryShards),
 	}
 	p.suppressedCtr = p.reg.Counter("core.privacy.suppressed")
 	p.flushErrs = p.reg.Counter("core.telemetry.flush_errors")

@@ -19,7 +19,7 @@ func newReusePlatform(t *testing.T) *Platform {
 	p, err := NewPlatform(Config{
 		Seed:  1,
 		City:  geo.CityConfig{Center: center, RadiusM: 1500, NumPOIs: 800, TallRatio: 0.2},
-		Clock: sim.NewVirtualClock(sim.Epoch),
+		clock: sim.NewVirtualClock(sim.Epoch),
 	})
 	if err != nil {
 		t.Fatal(err)

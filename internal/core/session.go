@@ -136,7 +136,7 @@ func (p *Platform) buildSession(id uint64) *Session {
 		ID:        id,
 		platform:  p,
 		rng:       p.rng.Child(principal),
-		telem:     newTelemetryBatcher(principal, p.load, p.cfg.TelemetryMaxDelay, &p.telemTopics),
+		telem:     newTelemetryBatcher(principal, p.load, p.cfg.telemetryMaxDelay, &p.telemTopics),
 		fuser:     tracking.NewFuser(p.cfg.City.Center, p.pois),
 		gaze:      make(map[uint64]float64),
 		camera:    render.DefaultCamera,
@@ -332,7 +332,7 @@ func (s *Session) FrameVisit(now time.Time, visit func(*Frame)) error {
 //
 //arbd:hotpath
 func (s *Session) frameLocked(now time.Time) (*Frame, error) {
-	start := s.platform.cfg.Clock.Now()
+	start := s.platform.cfg.clock.Now()
 	pose := s.fuser.Pose()
 	// Everything the frame measures, it measures from here: the query's
 	// distances ride with the POIs into the annotations and the layout.
@@ -343,8 +343,8 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 		sc = newFrameScratch() // the reference path: fresh buffers per frame
 	}
 
-	radius := s.platform.cfg.AnnotationRadiusM
-	maxAnn := s.platform.cfg.MaxAnnotations
+	radius := annotationRadiusM
+	maxAnn := s.platform.cfg.maxAnnotations
 	if s.level >= DegradeRadius {
 		radius /= 2
 		maxAnn /= 2
@@ -353,7 +353,7 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 	// 1. Geospatial context: the nearest 3×maxAnn POIs in radius. The cap
 	// is the query's limit, so a dense city costs what the frame keeps, not
 	// what the radius holds. A frame with no room for annotations (a
-	// MaxAnnotations of 1 halved by degradation) asks for nothing.
+	// maxAnnotations of 1 halved by degradation) asks for nothing.
 	pois, dists := sc.pois[:0], sc.dists[:0]
 	if maxAnn > 0 {
 		pois, dists = s.platform.pois.QueryNearestInto(pois, dists, &from, radius, 0, maxAnn*3)
@@ -417,7 +417,7 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 	sc.cur = next
 	s.lastLayout = laid
 
-	elapsed := s.platform.cfg.Clock.Since(start)
+	elapsed := s.platform.cfg.clock.Since(start)
 	s.frames++
 	s.adapt(elapsed)
 	s.platform.frameLat.Observe(elapsed)
@@ -445,14 +445,13 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 // adapt moves the degradation level: one step harsher on overrun, one step
 // back toward full quality when under half the budget.
 func (s *Session) adapt(elapsed time.Duration) {
-	deadline := s.platform.cfg.FrameDeadline
 	switch {
-	case elapsed > deadline:
+	case elapsed > frameDeadline:
 		s.overruns++
 		if s.level < DegradeInterp {
 			s.level++
 		}
-	case elapsed < deadline/2 && s.level > DegradeNone:
+	case elapsed < frameDeadline/2 && s.level > DegradeNone:
 		s.level--
 	}
 }

@@ -23,7 +23,7 @@ func snapshotTestPlatform(t testing.TB) *Platform {
 		// A tiny epsilon makes OnGPS draw privacy noise from the session
 		// RNG, so the round-trip exercises a non-trivial stream position.
 		LocationEpsilon:    0.05,
-		TelemetryBatchSize: 1024,
+		telemetryBatchSize: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -340,7 +340,7 @@ func (p *Platform) FlushTelemetry() error {
 // publishes buffers whose oldest record has waited at least the max delay.
 // It runs from Start until Stop.
 func (p *Platform) flushLoop(stop <-chan struct{}) {
-	interval := p.cfg.TelemetryMaxDelay / 2
+	interval := p.cfg.telemetryMaxDelay / 2
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
@@ -352,7 +352,7 @@ func (p *Platform) flushLoop(stop <-chan struct{}) {
 			return
 		case <-ticker.C:
 			now := time.Now()
-			cutoff, idleCutoff := now.Add(-p.cfg.TelemetryMaxDelay), now.Add(-idleBufferRelease)
+			cutoff, idleCutoff := now.Add(-p.cfg.telemetryMaxDelay), now.Add(-idleBufferRelease)
 			p.sessions.forEach(func(s *Session) bool {
 				if err := s.telem.flushOlderThan(cutoff, idleCutoff); err != nil {
 					p.flushErrs.Inc()

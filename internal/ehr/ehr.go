@@ -1,20 +1,20 @@
-// Package ehr implements the §3.3 healthcare substrate: an electronic
-// health record store over the storage engine, vitals ingestion into the
-// time-series store, and a streaming alert engine with hysteresis whose
-// output feeds AR overlays ("in-situ display of relevant information when
-// required"). Ground-truth anomaly labels from the sensor simulator let the
-// E8 experiment measure alert latency, precision, and recall.
+// Package ehr implements the §3.3 healthcare substrate: an in-memory
+// electronic health record store, per-patient vital-sign series, and a
+// streaming alert engine with hysteresis whose output feeds AR overlays
+// ("in-situ display of relevant information when required"). Ground-truth
+// anomaly labels from the sensor simulator let the E8 experiment measure
+// alert latency, precision, and recall.
 package ehr
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"arbd/internal/sensor"
-	"arbd/internal/storage"
 )
 
 // EHR errors.
@@ -22,68 +22,67 @@ var ErrNoPatient = errors.New("ehr: patient not found")
 
 // Patient is one health record.
 type Patient struct {
-	ID          uint64   `json:"id"`
-	Name        string   `json:"name"`
-	Age         int      `json:"age"`
-	Conditions  []string `json:"conditions,omitempty"`
-	Medications []string `json:"medications,omitempty"`
-	Allergies   []string `json:"allergies,omitempty"`
+	ID          uint64
+	Name        string
+	Age         int
+	Conditions  []string
+	Medications []string
+	Allergies   []string
 }
 
-// Store persists patients in the KV engine and vitals in the time-series
-// store. Safe for concurrent use.
+// clone returns p with slices of its own, so a stored record shares nothing
+// with its caller.
+func (p Patient) clone() Patient {
+	p.Conditions = slices.Clone(p.Conditions)
+	p.Medications = slices.Clone(p.Medications)
+	p.Allergies = slices.Clone(p.Allergies)
+	return p
+}
+
+// Point is one vital-sign sample.
+type Point struct {
+	Time  time.Time
+	Value float64
+}
+
+type seriesKey struct {
+	patient uint64
+	kind    sensor.VitalKind
+}
+
+// Store keeps patients and, per (patient, vital), a time-sorted series of
+// samples. Safe for concurrent use.
 type Store struct {
-	kv  *storage.KV
-	ts  *storage.TSDB
-	mu  sync.RWMutex
-	ids []uint64
+	mu       sync.RWMutex
+	patients map[uint64]Patient
+	ids      []uint64
+	vitals   map[seriesKey][]Point
 }
 
 // NewStore returns an empty EHR store.
 func NewStore() *Store {
-	return &Store{kv: storage.NewKV(), ts: storage.NewTSDB()}
-}
-
-func patientKey(id uint64) []byte {
-	return []byte(fmt.Sprintf("patient/%016d", id))
-}
-
-func seriesName(id uint64, kind sensor.VitalKind) string {
-	return fmt.Sprintf("vitals/%d/%s", id, kind)
+	return &Store{patients: make(map[uint64]Patient), vitals: make(map[seriesKey][]Point)}
 }
 
 // PutPatient stores or replaces a record.
-func (s *Store) PutPatient(p Patient) error {
-	data, err := json.Marshal(p)
-	if err != nil {
-		return fmt.Errorf("ehr: encoding patient: %w", err)
-	}
-	isNew := !s.kv.Has(patientKey(p.ID))
-	if err := s.kv.Put(patientKey(p.ID), data); err != nil {
-		return err
-	}
-	if isNew {
-		s.mu.Lock()
+func (s *Store) PutPatient(p Patient) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.patients[p.ID]; !ok {
 		s.ids = append(s.ids, p.ID)
-		s.mu.Unlock()
 	}
-	return nil
+	s.patients[p.ID] = p.clone()
 }
 
 // GetPatient fetches a record.
 func (s *Store) GetPatient(id uint64) (Patient, error) {
-	data, err := s.kv.Get(patientKey(id))
-	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) {
-			return Patient{}, fmt.Errorf("%w: %d", ErrNoPatient, id)
-		}
-		return Patient{}, err
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p, ok := s.patients[id]
+	if !ok {
+		return Patient{}, fmt.Errorf("%w: %d", ErrNoPatient, id)
 	}
-	var p Patient
-	if err := json.Unmarshal(data, &p); err != nil {
-		return Patient{}, fmt.Errorf("ehr: decoding patient %d: %w", id, err)
-	}
-	return p, nil
+	return p.clone(), nil
 }
 
 // PatientIDs returns all patient IDs in insertion order.
@@ -93,19 +92,44 @@ func (s *Store) PatientIDs() []uint64 {
 	return append([]uint64(nil), s.ids...)
 }
 
-// RecordVital appends a vitals sample for the patient.
+// RecordVital adds a vitals sample to the patient's series. Samples usually
+// arrive in time order and append; a late one is inserted after every sample
+// not later than it.
 func (s *Store) RecordVital(patientID uint64, v sensor.VitalSample) {
-	s.ts.Append(seriesName(patientID, v.Kind), storage.Point{Time: v.Time, Value: v.Value})
+	k := seriesKey{patientID, v.Kind}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pts := s.vitals[k]
+	i := len(pts)
+	if i > 0 && v.Time.Before(pts[i-1].Time) {
+		i = sort.Search(len(pts), func(j int) bool { return pts[j].Time.After(v.Time) })
+	}
+	s.vitals[k] = slices.Insert(pts, i, Point{Time: v.Time, Value: v.Value})
 }
 
-// VitalsWindow returns samples of one vital in [from, to].
-func (s *Store) VitalsWindow(patientID uint64, kind sensor.VitalKind, from, to time.Time) ([]storage.Point, error) {
-	return s.ts.Query(seriesName(patientID, kind), from, to)
+// VitalsWindow returns the samples of one vital in [from, to], in time order.
+func (s *Store) VitalsWindow(patientID uint64, kind sensor.VitalKind, from, to time.Time) []Point {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	pts := s.vitals[seriesKey{patientID, kind}]
+	lo := sort.Search(len(pts), func(i int) bool { return !pts[i].Time.Before(from) })
+	hi := sort.Search(len(pts), func(i int) bool { return pts[i].Time.After(to) })
+	if lo >= hi {
+		return nil
+	}
+	return slices.Clone(pts[lo:hi])
 }
 
-// LatestVital returns the most recent sample of one vital.
-func (s *Store) LatestVital(patientID uint64, kind sensor.VitalKind) (storage.Point, error) {
-	return s.ts.Latest(seriesName(patientID, kind))
+// LatestVital returns the most recent sample of one vital; ok is false when
+// none was recorded.
+func (s *Store) LatestVital(patientID uint64, kind sensor.VitalKind) (p Point, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	pts := s.vitals[seriesKey{patientID, kind}]
+	if len(pts) == 0 {
+		return Point{}, false
+	}
+	return pts[len(pts)-1], true
 }
 
 // AlertRule fires when the windowed mean of a vital crosses a bound.
@@ -165,8 +189,8 @@ func (e *AlertEngine) Ingest(patientID uint64, v sensor.VitalSample) []Alert {
 		if r.Kind != v.Kind {
 			continue
 		}
-		pts, err := e.store.VitalsWindow(patientID, r.Kind, v.Time.Add(-r.Window), v.Time)
-		if err != nil || len(pts) == 0 {
+		pts := e.store.VitalsWindow(patientID, r.Kind, v.Time.Add(-r.Window), v.Time)
+		if len(pts) == 0 {
 			continue
 		}
 		var sum float64
@@ -205,7 +229,7 @@ func (e *AlertEngine) Alerts() []Alert {
 func (s *Store) OverlayMetrics(patientID uint64) map[string]float64 {
 	out := make(map[string]float64, 3)
 	for _, kind := range []sensor.VitalKind{sensor.VitalHeartRate, sensor.VitalSpO2, sensor.VitalSystolicBP} {
-		if p, err := s.LatestVital(patientID, kind); err == nil {
+		if p, ok := s.LatestVital(patientID, kind); ok {
 			out[kind.String()] = p.Value
 		}
 	}

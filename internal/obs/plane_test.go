@@ -14,7 +14,7 @@ import (
 func planeFixture() (*Plane, *metrics.Registry, *Recorder) {
 	reg := metrics.NewRegistry()
 	reg.Counter("server.frames.done").Add(5)
-	rec := NewRecorder(reg, Options{RingSize: 16, SlowCapacity: 4})
+	rec := NewRecorder(reg)
 	at := time.Now()
 	fl := rec.Begin(11, at.Add(-5*time.Millisecond))
 	fl.SetSeq(2)

@@ -99,24 +99,18 @@ type slot struct {
 	_ [24]byte
 }
 
-// Recorder defaults.
+// Recorder sizes.
 const (
-	defaultRingSize = 4096
-	defaultSlowCap  = 64
+	// ringSize is the flight-record ring capacity, a power of two so the
+	// cursor masks instead of dividing.
+	ringSize = 4096
+	// slowCapacity bounds the slow-frame exemplar store.
+	slowCapacity = 64
 	// slowRefreshEvery bounds how often the rolling p99 threshold is
 	// recomputed from the totals histogram: a locked bucket scan at ~4 Hz
 	// instead of per frame.
 	slowRefreshEvery = 250 * time.Millisecond
 )
-
-// Options tunes a Recorder. Zero values take the defaults.
-type Options struct {
-	// RingSize is the flight-record ring capacity, rounded up to a power of
-	// two (default 4096).
-	RingSize int
-	// SlowCapacity bounds the slow-frame exemplar store (default 64).
-	SlowCapacity int
-}
 
 // Recorder is a per-engine frame flight recorder: a fixed-size ring of the
 // most recent FrameRecords plus a bounded exemplar store of slow outliers.
@@ -154,22 +148,15 @@ type Recorder struct {
 // NewRecorder builds a recorder. Its instruments (obs.frame.total,
 // obs.frames.recorded, obs.frames.slow, obs.frames.dropped) register in
 // reg; reg may be nil.
-func NewRecorder(reg *metrics.Registry, opts Options) *Recorder {
+func NewRecorder(reg *metrics.Registry) *Recorder {
+	return newRecorder(reg, ringSize, slowCapacity)
+}
+
+// newRecorder is NewRecorder with its ring of n slots (a power of two) and
+// an exemplar store of slowCap records; tests shrink both to wrap them.
+func newRecorder(reg *metrics.Registry, n, slowCap int) *Recorder {
 	if reg == nil {
 		reg = metrics.NewRegistry()
-	}
-	size := opts.RingSize
-	if size <= 0 {
-		size = defaultRingSize
-	}
-	// Round up to a power of two so the cursor masks instead of dividing.
-	n := 1
-	for n < size {
-		n <<= 1
-	}
-	slowCap := opts.SlowCapacity
-	if slowCap <= 0 {
-		slowCap = defaultSlowCap
 	}
 	r := &Recorder{
 		slots:    make([]slot, n),
@@ -251,7 +238,7 @@ func (r *Recorder) settleDelivered(rec *FrameRecord, now time.Time) {
 
 // Records copies the ring's current contents into out (newest last,
 // unordered across a wrap), skipping slots mid-write. Pass a slice with
-// capacity for RingSize records to avoid growth.
+// capacity for ringSize records to avoid growth.
 func (r *Recorder) Records(out []FrameRecord) []FrameRecord {
 	for i := range r.slots {
 		s := &r.slots[i]

@@ -25,7 +25,7 @@ func TestStageNames(t *testing.T) {
 // timestamps and checks the arithmetic exactly: the span sum equals Total,
 // each stage gets its window, and blame picks the widest stage.
 func TestFlightSpansDeterministic(t *testing.T) {
-	r := NewRecorder(metrics.NewRegistry(), Options{RingSize: 8})
+	r := NewRecorder(metrics.NewRegistry())
 	at := time.Now()
 	fl := r.Begin(7, at.Add(-20*time.Millisecond))
 	fl.SetSeq(3)
@@ -63,7 +63,7 @@ func TestFlightSpansDeterministic(t *testing.T) {
 // TestMarkSplit checks the externally-measured split: the second stage gets
 // the supplied share, the first the (clamped) remainder.
 func TestMarkSplit(t *testing.T) {
-	r := NewRecorder(metrics.NewRegistry(), Options{RingSize: 8})
+	r := NewRecorder(metrics.NewRegistry())
 	fl := r.Begin(1, time.Now())
 	fl.MarkSplit(StageQueue, StageRender, 5*time.Millisecond)
 	fl.FinishAt(time.Now())
@@ -81,7 +81,7 @@ func TestMarkSplit(t *testing.T) {
 // stage their wait folds into, and the dropped counter.
 func TestFinishOutcomes(t *testing.T) {
 	reg := metrics.NewRegistry()
-	r := NewRecorder(reg, Options{RingSize: 8})
+	r := NewRecorder(reg)
 
 	r.Begin(1, time.Now()).FinishShed()
 	r.Begin(2, time.Now()).FinishDropped()
@@ -118,7 +118,7 @@ func TestFinishOutcomes(t *testing.T) {
 // exemplar store stays bounded, and no commit was lost without being counted.
 func TestRecorderWraparoundConcurrent(t *testing.T) {
 	reg := metrics.NewRegistry()
-	r := NewRecorder(reg, Options{RingSize: 64, SlowCapacity: 8})
+	r := newRecorder(reg, 64, 8)
 	const writers = 8
 	const perWriter = 500
 
@@ -188,7 +188,7 @@ func TestRecorderWraparoundConcurrent(t *testing.T) {
 // Begin → mark → FinishAt cycle must not allocate in steady state (the
 // flight pool absorbs the only allocation at warmup).
 func TestRecorderZeroAlloc(t *testing.T) {
-	r := NewRecorder(metrics.NewRegistry(), Options{})
+	r := NewRecorder(metrics.NewRegistry())
 	// Warm the pool and the threshold cache.
 	for i := 0; i < 64; i++ {
 		fl := r.Begin(1, time.Now())
@@ -217,7 +217,7 @@ func TestRecorderZeroAlloc(t *testing.T) {
 // window passes, the cached threshold tracks the totals histogram instead of
 // staying at its cold-start zero.
 func TestSlowThresholdRefresh(t *testing.T) {
-	r := NewRecorder(metrics.NewRegistry(), Options{RingSize: 8})
+	r := NewRecorder(metrics.NewRegistry())
 	at := time.Now()
 	// First settle refreshes (refreshedAt starts at zero) and latches.
 	fl := r.Begin(1, at.Add(-time.Millisecond))

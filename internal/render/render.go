@@ -229,24 +229,16 @@ func (s sightOccluder) hides(altitudeM, dT, bT, heightM float64) bool {
 	return lineH < s.heightM
 }
 
-// LayoutOptions configures the anchored layout engine.
-type LayoutOptions struct {
-	BoxW, BoxH   float64 // label box size (default 140×36)
-	CullOccluded bool    // drop occluded anchors instead of X-ray styling
-	MaxLeaderPx  float64 // max displacement from anchor (default 120)
-}
+// Label geometry, shared by both layout engines.
+const (
+	boxW, boxH  = 140, 36 // label box size, px
+	maxLeaderPx = 120     // anchored layout: max box displacement from its anchor
+)
 
-func (o *LayoutOptions) defaults() {
-	if o.BoxW <= 0 {
-		o.BoxW = 140
-	}
-	if o.BoxH <= 0 {
-		o.BoxH = 36
-	}
-	if o.MaxLeaderPx <= 0 {
-		o.MaxLeaderPx = 120
-	}
-}
+// LayoutOptions configures the anchored layout engine. It has no field:
+// every layout uses the label geometry above and draws occluded anchors in
+// X-ray style.
+type LayoutOptions struct{}
 
 // LayoutBubbles is the baseline: every in-frustum annotation becomes a
 // bubble centred on its projection, ignoring collisions and occlusion —
@@ -260,7 +252,7 @@ func LayoutBubbles(cam Camera, pose sensor.Pose, anns []Annotation) []Annotation
 			continue
 		}
 		a.Pos = pos
-		a.W, a.H = 140, 36
+		a.W, a.H = boxW, boxH
 		a.X, a.Y = pos.X-a.W/2, pos.Y-a.H/2
 		a.Placed = true
 		out = append(out, a)
@@ -305,7 +297,7 @@ func (sc *LayoutScratch) Swap(i, j int) {
 }
 
 // LayoutAnchored places annotations priority-first, avoiding box collisions
-// and screen edges, culling or X-ray-marking occluded anchors, and keeping
+// and screen edges, X-ray-marking occluded anchors, and keeping
 // labels near their anchors with short leader lines.
 func LayoutAnchored(cam Camera, pose sensor.Pose, anns []Annotation, occluders []Occluder, opts LayoutOptions) []Annotation {
 	return LayoutAnchoredInto(nil, nil, cam, pose, anns, occluders, opts)
@@ -315,8 +307,7 @@ func LayoutAnchored(cam Camera, pose sensor.Pose, anns []Annotation, occluders [
 // intermediate buffers. dst and sc may both be nil (allocating fresh
 // buffers); results overwrite dst's contents from length zero and the
 // returned slice shares dst's storage when capacity allows.
-func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose sensor.Pose, anns []Annotation, occluders []Occluder, opts LayoutOptions) []Annotation {
-	opts.defaults()
+func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose sensor.Pose, anns []Annotation, occluders []Occluder, _ LayoutOptions) []Annotation {
 	if sc == nil {
 		sc = &LayoutScratch{}
 	}
@@ -331,11 +322,11 @@ func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose se
 			continue
 		}
 		a.Pos = pos
-		a.W, a.H = opts.BoxW, opts.BoxH
+		a.W, a.H = boxW, boxH
 		maxDepth = math.Max(maxDepth, pos.Depth)
 		visible = append(visible, visibleAnnotation{Annotation: a, bearing: bearing})
 	}
-	visible = sc.occlude(pose, &from, visible, maxDepth, occluders, opts.CullOccluded)
+	sc.occlude(pose, &from, visible, maxDepth, occluders)
 	sc.visible = visible
 	sort.Stable(sc)
 
@@ -346,7 +337,7 @@ func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose se
 	out = out[:0]
 	for i := range visible {
 		a := visible[i].Annotation
-		if tryPlace(cam, &a, out, opts) {
+		if tryPlace(cam, &a, out) {
 			a.Placed = true
 			out = append(out, a)
 		}
@@ -356,15 +347,15 @@ func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose se
 
 // occlude runs the occlusion test over visible — labels on screen, none
 // deeper than maxDepth, seen from the pose's position, which from stands at —
-// and marks the hidden ones X-ray or, with cull, drops them; it filters
-// visible in place. An occluder hides a label only from strictly in front of
-// it, so one at or beyond maxDepth-1 hides nothing this frame; the rest are
-// placed relative to the pose once, not once per label.
+// and marks the hidden ones occluded and X-ray. An occluder hides a label
+// only from strictly in front of it, so one at or beyond maxDepth-1 hides
+// nothing this frame; the rest are placed relative to the pose once, not
+// once per label.
 //
 //arbd:hotpath
-func (sc *LayoutScratch) occlude(pose sensor.Pose, from *geo.Origin, visible []visibleAnnotation, maxDepth float64, occluders []Occluder, cull bool) []visibleAnnotation {
+func (sc *LayoutScratch) occlude(pose sensor.Pose, from *geo.Origin, visible []visibleAnnotation, maxDepth float64, occluders []Occluder) {
 	if len(visible) == 0 {
-		return visible
+		return
 	}
 	// Room for a street's worth up front: a cold scratch then grows once,
 	// not once per doubling; a warm one already has it.
@@ -379,8 +370,8 @@ func (sc *LayoutScratch) occlude(pose sensor.Pose, from *geo.Origin, visible []v
 		}
 	}
 	sc.sight = sight
-	kept := visible[:0]
-	for _, a := range visible {
+	for j := range visible {
+		a := &visible[j]
 		// The projection measured what IsOccluded would measure again.
 		if dT := a.Pos.Depth; dT >= 1 {
 			for i := range sight {
@@ -391,24 +382,19 @@ func (sc *LayoutScratch) occlude(pose sensor.Pose, from *geo.Origin, visible []v
 			}
 		}
 		if a.Occluded {
-			if cull {
-				continue
-			}
 			a.XRay = true
 		}
-		kept = append(kept, a)
 	}
-	return kept
 }
 
 // tryPlace finds a's label a box clear of the screen edges and of placed,
 // the labels placed before it.
-func tryPlace(cam Camera, a *Annotation, placed []Annotation, opts LayoutOptions) bool {
+func tryPlace(cam Camera, a *Annotation, placed []Annotation) bool {
 	for _, off := range candidateOffsets {
 		x := a.Pos.X + off[0] - a.W/2
 		y := a.Pos.Y + off[1] - a.H/2
 		leader := math.Hypot(off[0], off[1])
-		if leader > opts.MaxLeaderPx {
+		if leader > maxLeaderPx {
 			continue
 		}
 		if x < 0 || y < 0 || x+a.W > float64(cam.Width) || y+a.H > float64(cam.Height) {

@@ -180,15 +180,10 @@ func TestLayoutOccludedHandling(t *testing.T) {
 	anns := []Annotation{{
 		ID: 1, Anchor: geo.Destination(origin, 0, 100), AnchorHM: 5, Priority: 1,
 	}}
-	// X-ray mode: drawn, marked.
+	// Anchored: drawn, marked X-ray.
 	laid := LayoutAnchored(cam, pose, anns, occluders, LayoutOptions{})
 	if len(laid) != 1 || !laid[0].XRay || !laid[0].Occluded {
 		t.Fatalf("x-ray handling: %+v", laid)
-	}
-	// Cull mode: dropped.
-	laid = LayoutAnchored(cam, pose, anns, occluders, LayoutOptions{CullOccluded: true})
-	if len(laid) != 0 {
-		t.Fatalf("cull mode drew %d", len(laid))
 	}
 	// Bubbles: drawn with a violation.
 	bl := LayoutBubbles(cam, pose, anns)

@@ -76,8 +76,7 @@ func TestIntoVariantsEquivalence(t *testing.T) {
 // layoutAnchoredReference is the anchored layout with the occlusion test
 // label-first: IsOccluded against every occluder of the city, once per
 // projected label. LayoutAnchoredInto must place exactly what this places.
-func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, occluders []Occluder, opts LayoutOptions) []Annotation {
-	opts.defaults()
+func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, occluders []Occluder) []Annotation {
 	var visible []Annotation
 	for _, a := range anns {
 		pos, ok := cam.Project(pose, a.Anchor, a.AnchorHM)
@@ -85,14 +84,9 @@ func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, oc
 			continue
 		}
 		a.Pos = pos
-		a.W, a.H = opts.BoxW, opts.BoxH
+		a.W, a.H = boxW, boxH
 		a.Occluded = IsOccluded(pose, a.Anchor, a.AnchorHM, occluders)
-		if a.Occluded {
-			if opts.CullOccluded {
-				continue
-			}
-			a.XRay = true
-		}
+		a.XRay = a.Occluded
 		visible = append(visible, a)
 	}
 	sort.SliceStable(visible, func(i, j int) bool {
@@ -103,7 +97,7 @@ func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, oc
 	})
 	out := make([]Annotation, 0, len(visible))
 	for _, a := range visible {
-		if tryPlace(cam, &a, out, opts) {
+		if tryPlace(cam, &a, out) {
 			a.Placed = true
 			out = append(out, a)
 		}
@@ -113,9 +107,9 @@ func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, oc
 
 // TestLayoutMatchesPerLabelOcclusion is the differential test of the
 // per-frame occluder list: over seeded poses in the dense 5,000-POI city
-// (~1,000 occluders), with X-ray styling and with culling, for the frame's
-// own working set (nearest 60 in 250 m) and for a deep one (everything in
-// 2 km, so the pruning rectangle is large), the layout equals the reference.
+// (~1,000 occluders), for the frame's own working set (nearest 60 in 250 m)
+// and for a deep one (everything in 2 km, so the pruning rectangle is
+// large), the layout equals the reference.
 // Poses pitched at the sky cover the frame with no label on screen.
 func TestLayoutMatchesPerLabelOcclusion(t *testing.T) {
 	city := geo.GenerateCity(geo.CityConfig{Center: origin, RadiusM: 3000, NumPOIs: 5000, TallRatio: 0.2, Seed: 1})
@@ -149,21 +143,18 @@ func TestLayoutMatchesPerLabelOcclusion(t *testing.T) {
 		from := geo.OriginAt(p.Position)
 		pois, dists := store.QueryNearestInto(nil, nil, &from, radius, 0, limit)
 		anns := AnnotationsMeasuredInto(nil, &from, pois, dists)
-		for _, cull := range []bool{false, true} {
-			opts := LayoutOptions{CullOccluded: cull}
-			want := layoutAnchoredReference(cam, p, anns, occl, opts)
-			laid = LayoutAnchoredInto(laid, &scratch, cam, p, anns, occl, opts)
-			requireSameLayout(t, fmt.Sprintf("pose %d cull=%v", i, cull), laid, want)
-			for k := range want {
-				if want[k].Occluded {
-					seen.occluded++
-				}
+		want := layoutAnchoredReference(cam, p, anns, occl)
+		laid = LayoutAnchoredInto(laid, &scratch, cam, p, anns, occl, LayoutOptions{})
+		requireSameLayout(t, fmt.Sprintf("pose %d", i), laid, want)
+		for k := range want {
+			if want[k].Occluded {
+				seen.occluded++
 			}
-			seen.frames++
-			seen.placed += len(want)
-			if len(want) == 0 {
-				seen.empty++
-			}
+		}
+		seen.frames++
+		seen.placed += len(want)
+		if len(want) == 0 {
+			seen.empty++
 		}
 	}
 	// The comparison is only worth its name if both outcomes occur.
@@ -273,7 +264,7 @@ func TestLayoutCarriedSightingsEquivalence(t *testing.T) {
 				t.Fatalf("pose %d: annotation %d carries %+v, want the query's %v from the pose", i, k, got, dists[k])
 			}
 		}
-		opts := LayoutOptions{CullOccluded: i%2 == 1}
+		var opts LayoutOptions
 
 		want := LayoutAnchored(cam, poseA, stripSightings(carrying), occl, opts)
 		got := LayoutAnchoredInto(nil, &scratch, cam, poseA, carrying, occl, opts)

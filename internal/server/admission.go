@@ -6,7 +6,7 @@ import (
 	"arbd/internal/core"
 )
 
-// Admission defaults, shared by every role so the standalone scheduler, the
+// Admission constants, shared by every role so the standalone scheduler, the
 // shard, and the router tighten deadlines at the same pressure levels — the
 // "same rule local or remote" invariant below depends on these having one
 // source of truth.
@@ -14,10 +14,10 @@ const (
 	// defaultFrameDeadline is generous: shedding should only trip under
 	// overload, not on a transient queue blip.
 	defaultFrameDeadline = 250 * time.Millisecond
-	// defaultFlushLatencyRef and defaultBacklogRef are the signal levels
-	// that alone halve the effective deadline.
-	defaultFlushLatencyRef = 5 * time.Millisecond
-	defaultBacklogRef      = 4096
+	// flushLatencyRef and backlogRef are the signal levels that alone halve
+	// the effective deadline.
+	flushLatencyRef = 5 * time.Millisecond
+	backlogRef      = 4096
 )
 
 // loadGate is the lag-aware admission rule shared by every role: it turns a
@@ -28,20 +28,15 @@ const (
 // each shard's MsgLoad-reported signal, so a frame is shed by the same rule
 // whether the pressure is local or a forward hop away.
 type loadGate struct {
-	deadline        time.Duration
-	flushLatencyRef time.Duration
-	backlogRef      int64
+	deadline time.Duration
 }
 
-// effective returns the admission deadline under sig. A non-positive
-// configured deadline disables shedding and is returned unchanged.
+// effective returns the admission deadline under sig; the configured
+// deadline must be positive.
 func (g loadGate) effective(sig core.LoadSignal) time.Duration {
 	d := g.deadline
-	if d <= 0 {
-		return d
-	}
-	pressure := float64(sig.FlushLatency)/float64(g.flushLatencyRef) +
-		float64(sig.Backlog)/float64(g.backlogRef)
+	pressure := float64(sig.FlushLatency)/float64(flushLatencyRef) +
+		float64(sig.Backlog)/float64(backlogRef)
 	if pressure <= 0 {
 		return d
 	}

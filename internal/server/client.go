@@ -41,20 +41,16 @@ type DialOptions struct {
 	Name string
 }
 
-// SubscribeOptions tunes a frame subscription.
+// SubscribeOptions tunes a frame subscription. The server bounds the
+// connection's push queue at 8 frames and drops the oldest when it is full;
+// the local channel holds as many, and when the consumer falls behind the
+// oldest buffered frame is evicted to make room and counted (PushesDropped)
+// — so a stalled consumer resumes on the freshest frames and a slow reader
+// costs itself, never anyone else.
 type SubscribeOptions struct {
 	// Interval is the target push cadence (default 33 ms ≈ 30 Hz; floor
 	// 1 ms). The server treats it as a ceiling and degrades under load.
 	Interval time.Duration
-	// Budget bounds the server-side push queue for this connection; when
-	// it is full the server drops the oldest frame (default 8).
-	Budget int
-	// Buffer is the local channel capacity (default Budget). When the
-	// consumer falls behind, the oldest buffered frame is evicted to make
-	// room and counted (PushesDropped) — the same drop-oldest policy as
-	// the server's outbox, so a stalled consumer resumes on the freshest
-	// frames and a slow reader costs itself, never anyone else.
-	Buffer int
 }
 
 // Client is a concurrency-safe protocol client: the load generator,
@@ -533,7 +529,7 @@ func (c *Client) PingContext(ctx context.Context) error {
 // until Unsubscribe, context cancellation, or connection close — after
 // which StreamErr reports why.
 func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (<-chan *core.DecodedFrame, error) {
-	// Reject out-of-range options instead of truncating them into a
+	// Reject an out-of-range interval instead of truncating it into a
 	// different cadence — the codec enforces the same rule on decode.
 	const maxU32 = 1<<32 - 1
 	sub := wire.Subscribe{}
@@ -552,18 +548,8 @@ func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (<-chan *
 		}
 		sub.IntervalMS = uint32(ms)
 	}
-	if opts.Budget > 0 {
-		if int64(opts.Budget) > maxU32 {
-			return nil, fmt.Errorf("client: subscribe budget %d overflows the wire field", opts.Budget)
-		}
-		sub.Budget = uint32(opts.Budget)
-	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = pushBudget(sub)
-	}
 
-	cs := &clientSub{ch: make(chan *core.DecodedFrame, buffer), stop: make(chan struct{})}
+	cs := &clientSub{ch: make(chan *core.DecodedFrame, defaultPushBudget), stop: make(chan struct{})}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err

@@ -572,7 +572,7 @@ func TestOutboxDropsOldestWhenFull(t *testing.T) {
 func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
 	srv := New(newTestPlatform(t), discardLogger())
 	t.Cleanup(func() { _ = srv.Close() })
-	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 1, nil, RouterOptions{})
 	acceptors := []struct {
 		name   string
 		serve  func(net.Conn)
@@ -638,8 +638,7 @@ func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
 // most one frame in flight) instead of piling jobs into the queue.
 func TestStreamSkipsTicksWhenBehind(t *testing.T) {
 	p := newTestPlatform(t)
-	srv := NewWithOptions(p, discardLogger(),
-		Options{Scheduler: SchedulerConfig{Workers: 1, Deadline: -1}})
+	srv := newServer(p, discardLogger(), 1)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -73,8 +73,8 @@ type node struct {
 	load      func() core.LoadSignal
 }
 
-func newNode(p *core.Platform, logger *log.Logger, opts Options, name string) *node {
-	n := &node{eng: NewEngine(p, opts), load: p.LoadSignal}
+func newNode(p *core.Platform, logger *log.Logger, workers int, name string) *node {
+	n := &node{eng: newEngine(p, workers), load: p.LoadSignal}
 	n.cs = newConnServer(logger, name, n.open)
 	return n
 }

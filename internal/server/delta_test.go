@@ -107,7 +107,7 @@ func TestV3PinnedClientStreamsFullFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, err := cl.Subscribe(context.Background(),
-		SubscribeOptions{Interval: 2 * time.Millisecond, Budget: 16})
+		SubscribeOptions{Interval: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,25 +45,16 @@ type Engine struct {
 	deliveries sync.Pool
 }
 
-// NewEngine builds an engine over the platform with the server's scheduler
-// defaults (250 ms shedding deadline unless overridden, lag-aware admission
-// from the platform's LoadSignal unless a Load source is given).
-func NewEngine(p *core.Platform, opts Options) *Engine {
-	switch {
-	case opts.Scheduler.Deadline < 0:
-		opts.Scheduler.Deadline = 0 // explicit: never shed
-	case opts.Scheduler.Deadline == 0:
-		opts.Scheduler.Deadline = defaultFrameDeadline
-	}
-	if opts.Scheduler.Load == nil {
-		// Lag-aware admission by default: frames shed earlier when the
-		// analytics plane falls behind the devices feeding it.
-		opts.Scheduler.Load = p.LoadSignal
-	}
+// newEngine builds an engine over the platform whose scheduler runs workers
+// renderers (zero: GOMAXPROCS), sheds at the 250 ms deadline and admits
+// lag-aware: frames shed earlier when the analytics plane falls behind the
+// devices feeding it.
+func newEngine(p *core.Platform, workers int) *Engine {
+	sched := SchedulerConfig{workers: workers, deadline: defaultFrameDeadline, load: p.LoadSignal}
 	e := &Engine{
 		platform: p,
-		sched:    NewFrameScheduler(opts.Scheduler, p.Metrics()),
-		rec:      obs.NewRecorder(p.Metrics(), obs.Options{}),
+		sched:    NewFrameScheduler(sched, p.Metrics()),
+		rec:      obs.NewRecorder(p.Metrics()),
 		live:     make(map[*frameStream]struct{}),
 
 		streamDropped: p.Metrics().Counter("server.stream.dropped"),

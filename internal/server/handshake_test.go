@@ -26,7 +26,7 @@ func TestHostileHandshakes(t *testing.T) {
 
 	srv, standalone := startServer(t)
 	shard, backend := newExtraShard(t, 7)
-	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 1, nil, RouterOptions{})
 	admin, err := tc.router.ListenAdmin("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

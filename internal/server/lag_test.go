@@ -14,49 +14,30 @@ import (
 // pressure leaves the configured deadline alone, pressure shrinks it
 // monotonically, and the floor holds.
 func TestEffectiveDeadlineTightensUnderLoad(t *testing.T) {
-	var sig core.LoadSignal
-	var mu sync.Mutex
-	load := func() core.LoadSignal {
-		mu.Lock()
-		defer mu.Unlock()
-		return sig
+	g := loadGate{deadline: 160 * time.Millisecond}
+	for _, tc := range []struct {
+		what string
+		sig  core.LoadSignal
+		want time.Duration
+	}{
+		{"no pressure", core.LoadSignal{}, 160 * time.Millisecond},
+		{"backlog at ref", core.LoadSignal{Backlog: backlogRef}, 80 * time.Millisecond},
+		{"backlog at 3× ref", core.LoadSignal{Backlog: 3 * backlogRef}, 40 * time.Millisecond},
+		{"extreme backlog: floor at deadline/16", core.LoadSignal{Backlog: 1 << 40}, 10 * time.Millisecond},
+		{"flush latency at ref", core.LoadSignal{FlushLatency: flushLatencyRef}, 80 * time.Millisecond},
+	} {
+		if got := g.effective(tc.sig); got != tc.want {
+			t.Fatalf("%s: deadline %v, want %v", tc.what, got, tc.want)
+		}
 	}
+	// The scheduler applies the same rule to its load source.
 	fs := NewFrameScheduler(SchedulerConfig{
-		Workers:       1,
-		Deadline:      160 * time.Millisecond,
-		Load:          load,
-		LoadPollEvery: time.Nanosecond, // poll every call: the test mutates sig
-		BacklogRef:    1000,
+		deadline: 160 * time.Millisecond,
+		load:     func() core.LoadSignal { return core.LoadSignal{Backlog: backlogRef} },
 	}, nil)
 	defer fs.Close()
-
-	set := func(s core.LoadSignal) {
-		mu.Lock()
-		sig = s
-		mu.Unlock()
-	}
-
-	if got := fs.EffectiveDeadline(); got != 160*time.Millisecond {
-		t.Fatalf("no pressure: deadline %v, want 160ms", got)
-	}
-	set(core.LoadSignal{Backlog: 1000}) // pressure 1 → half
-	half := fs.EffectiveDeadline()
-	if half != 80*time.Millisecond {
-		t.Fatalf("backlog at ref: deadline %v, want 80ms", half)
-	}
-	set(core.LoadSignal{Backlog: 3000}) // pressure 3 → quarter
-	quarter := fs.EffectiveDeadline()
-	if quarter != 40*time.Millisecond {
-		t.Fatalf("backlog at 3× ref: deadline %v, want 40ms", quarter)
-	}
-	set(core.LoadSignal{Backlog: 1 << 40}) // extreme: floor at Deadline/16
-	if got := fs.EffectiveDeadline(); got != 10*time.Millisecond {
-		t.Fatalf("extreme backlog: deadline %v, want floor 10ms", got)
-	}
-	// Flush latency contributes the same way (default ref 5 ms).
-	set(core.LoadSignal{FlushLatency: 5 * time.Millisecond})
 	if got := fs.EffectiveDeadline(); got != 80*time.Millisecond {
-		t.Fatalf("flush latency at ref: deadline %v, want 80ms", got)
+		t.Fatalf("scheduler under backlog at ref: deadline %v, want 80ms", got)
 	}
 }
 
@@ -73,13 +54,7 @@ func TestSchedulerShedsEarlierUnderBrokerLag(t *testing.T) {
 
 	run := func(load func() core.LoadSignal) (done, shed, shedLag int64) {
 		p := testPlatform(t)
-		fs := NewFrameScheduler(SchedulerConfig{
-			Workers:       1,
-			QueueDepth:    burst + 1,
-			Deadline:      deadline,
-			Load:          load,
-			LoadPollEvery: time.Nanosecond,
-		}, nil)
+		fs := NewFrameScheduler(SchedulerConfig{workers: 1, deadline: deadline, load: load}, nil)
 		defer fs.Close()
 		s := p.NewSession()
 		if err := s.OnGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {

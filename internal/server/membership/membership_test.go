@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -236,4 +237,70 @@ func TestMemberAndViewCodecsRoundTrip(t *testing.T) {
 	if _, err := DecodeView(buf.Bytes()[:2]); err == nil {
 		t.Fatal("truncated view accepted")
 	}
+}
+
+// FuzzDecodeMember: a join request's member comes from an admin peer.
+// Decode must not panic, and decode → encode → decode is a fixed point.
+func FuzzDecodeMember(f *testing.F) {
+	var seed wire.Buffer
+	EncodeMemberInto(&seed, Member{ID: 42, Addr: "127.0.0.1:7702"})
+	f.Add(seed.Bytes())
+	f.Add([]byte{42})                             // truncated: no address
+	f.Add([]byte{1, 0xFF, 0xFF, 0xFF, 0x0F, 'x'}) // address longer than the payload
+	f.Fuzz(func(t *testing.T, p []byte) {
+		m, err := DecodeMember(p)
+		if err != nil {
+			return
+		}
+		var b wire.Buffer
+		EncodeMemberInto(&b, m)
+		if again, err := DecodeMember(b.Bytes()); err != nil || again != m {
+			t.Fatalf("member %+v re-decodes as %+v, %v", m, again, err)
+		}
+	})
+}
+
+// encodeDecodedView is EncodeViewInto for a decoded view, which need not
+// make a valid ring (duplicate IDs decode fine).
+func encodeDecodedView(v DecodedView) []byte {
+	var b wire.Buffer
+	b.Uvarint(v.Epoch)
+	b.Uvarint(uint64(len(v.Members)))
+	for _, m := range v.Members {
+		EncodeMemberInto(&b, m)
+	}
+	return b.Bytes()
+}
+
+// FuzzDecodeView: a membership view comes from a router over the admin
+// connection. Decode must not panic or pre-allocate for a count the
+// payload cannot hold, and decode → encode → decode is a fixed point.
+func FuzzDecodeView(f *testing.F) {
+	d, err := NewDirectory(members(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seed wire.Buffer
+	EncodeViewInto(&seed, d.View())
+	if v, err := DecodeView(seed.Bytes()); err != nil || !bytes.Equal(encodeDecodedView(v), seed.Bytes()) {
+		f.Fatalf("encodeDecodedView disagrees with EncodeViewInto: %v", err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte{7, 0})                   // epoch 7, no members
+	f.Add([]byte{7, 3, 1, 1, 'a'})        // count past the members present
+	f.Add([]byte{7, 0xFF, 0xFF, 0xFF, 1}) // implausible count
+	f.Fuzz(func(t *testing.T, p []byte) {
+		v, err := DecodeView(p)
+		if err != nil {
+			return
+		}
+		first := encodeDecodedView(v)
+		again, err := DecodeView(first)
+		if err != nil {
+			t.Fatalf("re-encoded view fails to decode: %v", err)
+		}
+		if !bytes.Equal(encodeDecodedView(again), first) {
+			t.Fatalf("view %+v re-decodes as %+v", v, again)
+		}
+	})
 }

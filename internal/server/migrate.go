@@ -303,7 +303,7 @@ func (r *Router) resumeStream(id uint64, to *routerShard) {
 // awaitMigrate waits for the reply from one specific member, tolerating a
 // stale reply from the other phase's shard.
 func (r *Router) awaitMigrate(m *migration, from uint64) (migResult, error) {
-	timeout := time.NewTimer(r.opts.MigrateTimeout)
+	timeout := time.NewTimer(r.opts.migrateTimeout)
 	defer timeout.Stop()
 	for {
 		select {
@@ -313,7 +313,7 @@ func (r *Router) awaitMigrate(m *migration, from uint64) (migResult, error) {
 			}
 			return res, nil
 		case <-timeout.C:
-			return migResult{}, fmt.Errorf("timed out after %v", r.opts.MigrateTimeout)
+			return migResult{}, fmt.Errorf("timed out after %v", r.opts.migrateTimeout)
 		case <-r.done:
 			return migResult{}, errors.New("router closed")
 		}

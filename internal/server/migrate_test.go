@@ -23,9 +23,7 @@ func newExtraShard(t *testing.T, id uint64) (*Shard, string) {
 	t.Helper()
 	p := newTestPlatform(t)
 	sh := NewShard(p, discardLogger(), ShardOptions{
-		ID:        id,
-		Options:   Options{Scheduler: SchedulerConfig{Deadline: -1}},
-		LoadEvery: 5 * time.Millisecond,
+		ID: id,
 	})
 	addr, err := sh.Listen("127.0.0.1:0")
 	if err != nil {
@@ -61,7 +59,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	const shards = 4
 	const interval = 50 * time.Millisecond
 
-	tc := startCluster(t, shards, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, shards, nil, RouterOptions{})
 
 	type streamClient struct {
 		cl      *Client
@@ -86,7 +84,7 @@ func TestDrainUnderLoad(t *testing.T) {
 				errs <- fmt.Errorf("client %d gps: %w", c, err)
 				return
 			}
-			frames, err := cl.Subscribe(context.Background(), SubscribeOptions{Interval: interval, Budget: 16})
+			frames, err := cl.Subscribe(context.Background(), SubscribeOptions{Interval: interval})
 			if err != nil {
 				errs <- fmt.Errorf("client %d subscribe: %w", c, err)
 				return
@@ -205,7 +203,7 @@ func TestDrainUnderLoad(t *testing.T) {
 // state intact, and every session keeps answering frames from its
 // post-join owner.
 func TestJoinRebalancesLiveSessions(t *testing.T) {
-	tc := startCluster(t, 2, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 2, nil, RouterOptions{})
 	const clients = 24
 
 	conns := make([]*Client, clients)
@@ -286,7 +284,7 @@ func TestJoinRebalancesLiveSessions(t *testing.T) {
 // migration — the router rebases the new stream's restarted counter — and
 // no seq-0 error obituary appears.
 func TestDrainRebasesWireSeq(t *testing.T) {
-	tc := startCluster(t, 2, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 2, nil, RouterOptions{})
 	rc := dialRaw(t, tc.addr)
 	peer := rc.hello(t, "raw", wire.ProtoMax)
 	session := peer.ID
@@ -337,7 +335,7 @@ func TestDrainRebasesWireSeq(t *testing.T) {
 // TestAdminEndToEnd drives the admin protocol over TCP: query, join,
 // drain, the error paths, and a membership watch receiving epoch pushes.
 func TestAdminEndToEnd(t *testing.T) {
-	tc := startCluster(t, 2, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 2, nil, RouterOptions{})
 	adminAddr, err := tc.router.ListenAdmin("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +437,7 @@ func TestAdminEndToEnd(t *testing.T) {
 // mid-change must not wedge the router — moves fail, gates open, traffic
 // continues (with fresh state), and the failure is counted.
 func TestDrainMigrationFailureIsSoft(t *testing.T) {
-	tc := startCluster(t, 2, nil, RouterOptions{Deadline: -1, MigrateTimeout: 300 * time.Millisecond})
+	tc := startCluster(t, 2, nil, RouterOptions{migrateTimeout: 300 * time.Millisecond})
 	cl, err := Dial(tc.addr)
 	if err != nil {
 		t.Fatal(err)

@@ -56,8 +56,8 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 	tc := startCluster(t, 2, func(i int, o *ShardOptions) {
 		// One render worker per shard: a single wedged job stalls the queue,
 		// which is exactly the latency the recorder must attribute.
-		o.Scheduler.Workers = 1
-	}, RouterOptions{Deadline: -1})
+		o.workers = 1
+	}, RouterOptions{})
 
 	cl, err := Dial(tc.addr)
 	if err != nil {
@@ -238,7 +238,7 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 // instruments as a streaming one.
 func TestObsPolledFramesRecorded(t *testing.T) {
 	srv, standalone := startServer(t)
-	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 1, nil, RouterOptions{})
 	for _, role := range []struct {
 		name string
 		addr string

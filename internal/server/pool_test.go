@@ -77,7 +77,7 @@ func TestPolledReplyAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	srv := NewWithOptions(newTestPlatform(t), discardLogger(), Options{Scheduler: SchedulerConfig{Workers: 1, Deadline: -1}})
+	srv := newServer(newTestPlatform(t), discardLogger(), 1)
 	t.Cleanup(func() { _ = srv.Close() })
 	rc, _ := rawPipe(t, srv.cs.serve)
 	rc.hello(t, "poller", wire.ProtoMax)

@@ -37,79 +37,69 @@ var (
 // are bounded by replyWindow, like any accepted connection's.)
 const routerPushQueue = 32
 
-// RetryPolicy is the router's backend-reconnect budget: when a shard
+// retryPolicy is the router's backend-reconnect budget: when a shard
 // connection drops, the router redials with exponentially growing delays
-// (Base, 2·Base, … capped at Max) until the connection is back or Attempts
+// (base, 2·base, … capped at max) until the connection is back or attempts
 // are spent — only then do that shard's in-flight streams fail with
 // ErrShardDown.
-type RetryPolicy struct {
-	// Base is the delay before the first attempt (default 50 ms).
-	Base time.Duration
-	// Max caps the per-attempt delay (default 1 s).
-	Max time.Duration
-	// Attempts is the retry budget (default 6). Negative disables
-	// reconnecting entirely: the first disconnect is final.
-	Attempts int
+type retryPolicy struct {
+	base     time.Duration
+	max      time.Duration
+	attempts int
 }
 
-func (p *RetryPolicy) defaults() {
-	if p.Base <= 0 {
-		p.Base = 50 * time.Millisecond
-	}
-	if p.Max <= 0 {
-		p.Max = time.Second
-	}
-	if p.Attempts == 0 {
-		p.Attempts = 6
-	}
-}
+// defaultRetry is the reconnect budget every router runs with: 2.55 s of
+// backoff over six redials before a shard is given up.
+var defaultRetry = retryPolicy{base: 50 * time.Millisecond, max: time.Second, attempts: 6}
 
 // delay returns the backoff before the given 1-based attempt:
-// Base·2^(attempt-1), capped at Max. Doubling step by step (bailing at the
+// base·2^(attempt-1), capped at max. Doubling step by step (bailing at the
 // cap) keeps a huge attempt count from overflowing the shift.
-func (p RetryPolicy) delay(attempt int) time.Duration {
+func (p retryPolicy) delay(attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := p.Base
+	d := p.base
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= p.Max {
-			return p.Max
+		if d >= p.max {
+			return p.max
 		}
 	}
-	if d > p.Max {
-		return p.Max
+	if d > p.max {
+		return p.max
 	}
 	return d
 }
 
-// RouterOptions tunes a router.
+// RouterOptions tunes a router. It has no exported field: every router runs
+// the defaults below, which tests override through the unexported hooks.
 type RouterOptions struct {
-	// Deadline is the base frame admission budget, tightened by each
+	// deadline is the base frame admission budget, tightened by each
 	// shard's reported LoadSignal exactly as the FrameScheduler tightens
-	// its own (see loadGate). Zero takes the 250 ms server default;
-	// negative disables router-side shedding.
-	Deadline time.Duration
-	// Retry is the backend reconnect budget (see RetryPolicy).
-	Retry RetryPolicy
-	// MigrateTimeout bounds each phase (export, import) of one session's
+	// its own (see loadGate). Zero takes defaultFrameDeadline.
+	deadline time.Duration
+	// retry is the backend reconnect budget (zero: defaultRetry).
+	retry retryPolicy
+	// migrateTimeout bounds each phase (export, import) of one session's
 	// live migration; a shard that stops answering mid-drain costs that
-	// session its state, not the drain its liveness (default 5 s).
-	MigrateTimeout time.Duration
+	// session its state, not the drain its liveness (zero:
+	// defaultMigrateTimeout).
+	migrateTimeout time.Duration
 }
 
+const defaultMigrateTimeout = 5 * time.Second
+
 func (o *RouterOptions) defaults() {
-	switch {
-	case o.Deadline < 0:
-		o.Deadline = 0
-	case o.Deadline == 0:
-		o.Deadline = defaultFrameDeadline
+	if o.deadline <= 0 {
+		o.deadline = defaultFrameDeadline
 	}
-	if o.MigrateTimeout <= 0 {
-		o.MigrateTimeout = 5 * time.Second
+	if o.migrateTimeout <= 0 {
+		o.migrateTimeout = defaultMigrateTimeout
 	}
-	o.Retry.defaults()
+	if o.retry == (retryPolicy{}) {
+		o.retry = defaultRetry
+	}
 }
 
 // Router owns client connections for a multi-node frontend: it speaks the
@@ -363,7 +353,7 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 		done:       make(chan struct{}),
 		dir:        dir,
 		opts:       opts,
-		gate:       loadGate{deadline: opts.Deadline, flushLatencyRef: defaultFlushLatencyRef, backlogRef: defaultBacklogRef},
+		gate:       loadGate{deadline: opts.deadline},
 		reg:        reg,
 		shards:     make(map[uint64]*routerShard),
 		sessions:   make(map[uint64]*routerClient),
@@ -376,7 +366,7 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 		pushesDropped: reg.Counter("router.pushes.dropped"),
 		orphaned:      reg.Counter("router.replies.orphaned"),
 
-		rec: obs.NewRecorder(reg, obs.Options{}),
+		rec: obs.NewRecorder(reg),
 	}
 	r.bufs.New = func() any { return wire.NewBuffer(1024) }
 	r.cs = newConnServer(logger, "router", r.openClient)
@@ -530,11 +520,11 @@ func (r *Router) shardReader(ss *routerShard, bc *backendConn) {
 // they failed.
 func (r *Router) reconnectShard(ss *routerShard) *backendConn {
 	reconnects := r.reg.Counter("router.shard.reconnects")
-	for attempt := 1; attempt <= r.opts.Retry.Attempts; attempt++ {
+	for attempt := 1; attempt <= r.opts.retry.attempts; attempt++ {
 		select {
 		case <-r.done:
 			return nil
-		case <-time.After(r.opts.Retry.delay(attempt)):
+		case <-time.After(r.opts.retry.delay(attempt)):
 		}
 		if ss.removed.Load() {
 			return nil // drained while we backed off: the slot is gone for good
@@ -542,7 +532,7 @@ func (r *Router) reconnectShard(ss *routerShard) *backendConn {
 		bc, err := r.dialBackend(ss.member)
 		if err != nil {
 			r.logger.Printf("router: shard %d reconnect attempt %d/%d: %v",
-				ss.member.ID, attempt, r.opts.Retry.Attempts, err)
+				ss.member.ID, attempt, r.opts.retry.attempts, err)
 			continue
 		}
 		// Install under the conn lock with shutdown and removal re-checks:
@@ -568,7 +558,7 @@ func (r *Router) reconnectShard(ss *routerShard) *backendConn {
 	// ErrShardDown.
 	r.failStreams(ss)
 	r.logger.Printf("router: shard %d reconnect budget (%d attempts) spent; failing its streams",
-		ss.member.ID, r.opts.Retry.Attempts)
+		ss.member.ID, r.opts.retry.attempts)
 	return nil
 }
 
@@ -750,7 +740,7 @@ func (r *Router) Close() error {
 func (r *Router) EffectiveDeadline(memberID uint64) time.Duration {
 	ss := r.shard(memberID)
 	if ss == nil {
-		return r.opts.Deadline
+		return r.opts.deadline
 	}
 	return r.gate.effective(ss.loadSignal())
 }
@@ -923,11 +913,7 @@ func (r *Router) shedNow(ss *routerShard) bool {
 	if ss.down.Load() {
 		return false // let forward() report ErrShardDown, not a fake shed
 	}
-	d := r.gate.effective(ss.loadSignal())
-	if d <= 0 {
-		return false // shedding disabled
-	}
-	return ss.owed.headAge(time.Now()) > d
+	return ss.owed.headAge(time.Now()) > r.gate.effective(ss.loadSignal())
 }
 
 // pendKey identifies one forwarded request.
@@ -971,7 +957,7 @@ func (l *ledger) add(session, seq uint64, frame bool, at time.Time) bool {
 // done settles one request, reporting whether it was owed (a sensor error
 // or a replayed subscribe's ack was not). Compaction happens here as well
 // as in headAge so the frame FIFO stays bounded by the outstanding count
-// even when admission never reads it (shedding disabled, shard down).
+// even when admission never reads it (a shard that is down).
 func (l *ledger) done(session, seq uint64) bool {
 	k := pendKey{session, seq}
 	l.mu.Lock()

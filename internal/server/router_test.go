@@ -114,13 +114,7 @@ func startCluster(t *testing.T, n int, tune func(i int, o *ShardOptions), ropts 
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := ShardOptions{
-			ID: uint64(i + 1),
-			// Shedding off by default, as in startServer: integrity tests
-			// must not flake on slow CI boxes.
-			Options:   Options{Scheduler: SchedulerConfig{Deadline: -1}},
-			LoadEvery: 5 * time.Millisecond,
-		}
+		opts := ShardOptions{ID: uint64(i + 1)}
 		if tune != nil {
 			tune(i, &opts)
 		}
@@ -170,7 +164,7 @@ func (tc *testCluster) shardsOwning(id uint64) []int {
 // on exactly one shard, the shard the ring names — and the sessions end on
 // the shard when the clients disconnect.
 func TestRouterSessionAffinity(t *testing.T) {
-	tc := startCluster(t, 2, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 2, nil, RouterOptions{})
 	const clients = 12
 	const rounds = 6
 
@@ -222,8 +216,8 @@ func TestRouterSessionAffinity(t *testing.T) {
 	}
 
 	// Every frame was answered, so the outstanding-frame FIFO must be
-	// fully compacted even though shedding is disabled here and admission
-	// never reads it — the leak case for a long-running router.
+	// fully compacted although no later request made admission read it —
+	// the leak case for a long-running router.
 	for id, ss := range tc.router.shards {
 		ss.owed.mu.Lock()
 		n, owed := len(ss.owed.frames), len(ss.owed.owed)
@@ -258,7 +252,7 @@ func TestRouterSessionAffinity(t *testing.T) {
 // order, sessions pinned per connection and distinct across connections —
 // the reply stream must be indistinguishable through a forward hop.
 func TestRouterSeqIntegrity(t *testing.T) {
-	tc := startCluster(t, 2, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 2, nil, RouterOptions{})
 	const clients = 12
 	const rounds = 20
 
@@ -308,9 +302,9 @@ func TestRouterShedsOnRemoteLoad(t *testing.T) {
 			loadFn = func() core.LoadSignal { return core.LoadSignal{Backlog: 1 << 40} }
 		}
 		tc := startCluster(t, 1, func(i int, o *ShardOptions) {
-			o.Scheduler.Workers = 1
-			o.Load = loadFn
-		}, RouterOptions{Deadline: base})
+			o.workers = 1
+			o.load = loadFn
+		}, RouterOptions{deadline: base})
 
 		// Stall the shard's only worker from inside the process: callbacks
 		// run on the worker goroutine, so the scheduler renders nothing
@@ -459,7 +453,7 @@ func TestRouterEndToEndBurst(t *testing.T) {
 // the pushes anchored near the client's own reported position (session
 // affinity through the forward hop), ending with a clean unsubscribe.
 func TestRouterStreamE2E(t *testing.T) {
-	tc := startCluster(t, 2, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 2, nil, RouterOptions{})
 	const clients = 8
 	const wantFrames = 6
 	var wg sync.WaitGroup
@@ -533,10 +527,10 @@ func TestRouterStreamE2E(t *testing.T) {
 }
 
 // TestRetryPolicyDeterministicDelays pins the reconnect backoff clock:
-// doubling from Base, capped at Max, budgeted by Attempts — checked as
-// pure math, no time elapses.
+// doubling from base, capped at max — checked as pure math, no time
+// elapses.
 func TestRetryPolicyDeterministicDelays(t *testing.T) {
-	p := RetryPolicy{Base: 50 * time.Millisecond, Max: time.Second, Attempts: 6}
+	p := defaultRetry
 	want := []time.Duration{
 		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
 		400 * time.Millisecond, 800 * time.Millisecond, time.Second,
@@ -547,18 +541,13 @@ func TestRetryPolicyDeterministicDelays(t *testing.T) {
 			t.Fatalf("delay(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	if got := p.delay(0); got != p.Base {
-		t.Fatalf("delay(0) = %v, want clamped to Base", got)
+	if got := p.delay(0); got != p.base {
+		t.Fatalf("delay(0) = %v, want clamped to base", got)
 	}
-	var d RetryPolicy
-	d.defaults()
-	if d.Base != 50*time.Millisecond || d.Max != time.Second || d.Attempts != 6 {
-		t.Fatalf("defaults = %+v", d)
-	}
-	neg := RetryPolicy{Attempts: -1}
-	neg.defaults()
-	if neg.Attempts != -1 {
-		t.Fatalf("negative Attempts (retry disabled) clobbered to %d", neg.Attempts)
+	var o RouterOptions
+	o.defaults()
+	if o.retry != defaultRetry || o.retry.attempts != 6 {
+		t.Fatalf("router retry defaults = %+v", o.retry)
 	}
 }
 
@@ -568,8 +557,7 @@ func TestRetryPolicyDeterministicDelays(t *testing.T) {
 // pushes resume on the same client channel, no ErrShardDown in sight.
 func TestRouterReconnectsShardAndReplaysStreams(t *testing.T) {
 	tc := startCluster(t, 1, nil, RouterOptions{
-		Deadline: -1,
-		Retry:    RetryPolicy{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond, Attempts: 50},
+		retry: retryPolicy{base: 20 * time.Millisecond, max: 100 * time.Millisecond, attempts: 50},
 	})
 	cl, err := Dial(tc.addr)
 	if err != nil {
@@ -602,9 +590,7 @@ func TestRouterReconnectsShardAndReplaysStreams(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		sh2 = NewShard(p, discardLogger(), ShardOptions{
-			ID:        1,
-			Options:   Options{Scheduler: SchedulerConfig{Deadline: -1}},
-			LoadEvery: 5 * time.Millisecond,
+			ID: 1,
 		})
 		if _, err := sh2.Listen(addr); err == nil {
 			break
@@ -657,8 +643,7 @@ func TestRouterReconnectsShardAndReplaysStreams(t *testing.T) {
 // and only then — the stream ends with the typed ErrShardDown obituary.
 func TestRouterStreamFailsAfterRetryBudget(t *testing.T) {
 	tc := startCluster(t, 1, nil, RouterOptions{
-		Deadline: -1,
-		Retry:    RetryPolicy{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond, Attempts: 3},
+		retry: retryPolicy{base: 10 * time.Millisecond, max: 20 * time.Millisecond, attempts: 3},
 	})
 	cl, err := Dial(tc.addr)
 	if err != nil {
@@ -746,7 +731,7 @@ func TestShardPipelinedFrameRequestsSameSession(t *testing.T) {
 	}
 	sh := NewShard(p, discard, ShardOptions{
 		ID:      1,
-		Options: Options{Scheduler: SchedulerConfig{Workers: 4, Deadline: -1}},
+		workers: 4,
 	})
 	addr, err := sh.Listen("127.0.0.1:0")
 	if err != nil {
@@ -830,7 +815,7 @@ func TestRouterReportsShardDownNotShed(t *testing.T) {
 // ErrShardDown, each once, instead of waiting forever for a shard that will
 // never answer them.
 func TestShardLossAnswersInFlightRequests(t *testing.T) {
-	tc := startCluster(t, 1, func(i int, o *ShardOptions) { o.Scheduler.Workers = 1 }, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 1, func(i int, o *ShardOptions) { o.workers = 1 }, RouterOptions{})
 	// Wedge the shard's only worker: every frame forwarded now stays owed.
 	sh := tc.shards[0]
 	blocker := sh.Engine().Platform().SessionOrNew(1 << 60)
@@ -881,7 +866,7 @@ func TestShardLossAnswersInFlightRequests(t *testing.T) {
 // rather than forwarded. Spoken raw, since the Client API never sends
 // either.
 func TestRouterStripsControlPayloads(t *testing.T) {
-	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 1, nil, RouterOptions{})
 	rc := dialRaw(t, tc.addr)
 	_ = rc.c.SetDeadline(time.Now().Add(10 * time.Second))
 	rc.hello(t, "raw", wire.ProtoMax)

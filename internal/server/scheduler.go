@@ -21,58 +21,38 @@ var (
 	ErrFrameShed = errors.New("server: frame shed: queue delay exceeded deadline")
 )
 
-// SchedulerConfig parameterises a FrameScheduler.
+// SchedulerConfig parameterises a FrameScheduler. The zero value runs
+// GOMAXPROCS workers with no shedding; a serving node's engine adds the
+// shedding deadline and its platform's load signal.
 type SchedulerConfig struct {
-	// Workers is the worker-pool size (default GOMAXPROCS). Frame work is
-	// CPU-bound, so more workers than cores only adds contention.
-	Workers int
-	// QueueDepth bounds in-flight frame requests (default Workers*16).
-	// When the queue is full, SubmitVisit blocks — backpressure reaches the
-	// connection instead of growing an unbounded goroutine pile.
-	QueueDepth int
-	// Deadline is the maximum time a request may wait for a worker before
-	// being shed. Zero disables shedding for directly-constructed
-	// schedulers; server.NewWithOptions applies its own 250 ms default.
-	Deadline time.Duration
-	// Load reports backend pressure (telemetry flush latency and analytics
-	// backlog). When set alongside a Deadline, admission becomes lag-aware:
+	// workers is the worker-pool size (default GOMAXPROCS). Frame work is
+	// CPU-bound, so more workers than cores only adds contention. Tests set
+	// one to stall the pool on purpose.
+	workers int
+	// deadline is the maximum time a request may wait for a worker before
+	// being shed. Zero disables shedding.
+	deadline time.Duration
+	// load reports backend pressure (telemetry flush latency and analytics
+	// backlog). When set alongside a deadline, admission becomes lag-aware:
 	// the effective shedding deadline tightens as pressure grows, so the
 	// server sheds earlier when the big-data plane falls behind instead of
 	// rendering frames whose context analytics are already stale.
-	// Platform.LoadSignal is the intended source; server.NewWithOptions
-	// wires it by default.
-	Load func() core.LoadSignal
-	// LoadPollEvery bounds how often Load is consulted (default 10 ms) so
-	// admission stays cheap at frame rates.
-	LoadPollEvery time.Duration
-	// FlushLatencyRef and BacklogRef normalise pressure: each is the signal
-	// level that alone halves the effective deadline (defaults 5 ms and
-	// 4096 records). The effective deadline never drops below Deadline/16.
-	FlushLatencyRef time.Duration
-	BacklogRef      int64
+	load func() core.LoadSignal
 }
 
-func (c *SchedulerConfig) defaults() {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = c.Workers * 16
-	}
-	if c.LoadPollEvery <= 0 {
-		c.LoadPollEvery = 10 * time.Millisecond
-	}
-	if c.FlushLatencyRef <= 0 {
-		c.FlushLatencyRef = defaultFlushLatencyRef
-	}
-	if c.BacklogRef <= 0 {
-		c.BacklogRef = defaultBacklogRef
-	}
-}
+const (
+	// queuePerWorker sizes the job channel: when it is full, SubmitVisit
+	// blocks — backpressure reaches the connection instead of growing an
+	// unbounded goroutine pile.
+	queuePerWorker = 16
+	// loadPollEvery bounds how often the load source is consulted, so
+	// admission stays cheap at frame rates.
+	loadPollEvery = 10 * time.Millisecond
+)
 
 // FrameScheduler executes session frame jobs on a bounded worker pool with
 // per-frame deadlines. It decouples "how many devices are connected" from
-// "how many frames render at once": N connections share Workers renderers
+// "how many frames render at once": N connections share the pool's renderers
 // instead of each connection burning a core whenever it pleases.
 type FrameScheduler struct {
 	cfg  SchedulerConfig
@@ -88,8 +68,8 @@ type FrameScheduler struct {
 	framesShed  *metrics.Counter
 	framesShedL *metrics.Counter
 
-	// loadMu guards the cached backend-load sample; cfg.Load is polled at
-	// most every cfg.LoadPollEvery.
+	// loadMu guards the cached backend-load sample; cfg.load is polled at
+	// most every loadPollEvery.
 	loadMu  sync.Mutex
 	loadAt  time.Time
 	loadSig core.LoadSignal
@@ -131,15 +111,17 @@ type frameJob struct {
 
 // NewFrameScheduler starts the worker pool. reg may be nil.
 func NewFrameScheduler(cfg SchedulerConfig, reg *metrics.Registry) *FrameScheduler {
-	cfg.defaults()
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
+	}
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
 	fs := &FrameScheduler{
 		cfg:    cfg,
-		gate:   loadGate{deadline: cfg.Deadline, flushLatencyRef: cfg.FlushLatencyRef, backlogRef: cfg.BacklogRef},
+		gate:   loadGate{deadline: cfg.deadline},
 		reg:    reg,
-		jobs:   make(chan frameJob, cfg.QueueDepth),
+		jobs:   make(chan frameJob, cfg.workers*queuePerWorker),
 		ovKick: make(chan struct{}, 1),
 		quit:   make(chan struct{}),
 
@@ -149,7 +131,7 @@ func NewFrameScheduler(cfg SchedulerConfig, reg *metrics.Registry) *FrameSchedul
 		framesShed:  reg.Counter("server.frames.shed"),
 		framesShedL: reg.Counter("server.frames.shed_lag"),
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < cfg.workers; i++ {
 		fs.wg.Add(1)
 		go fs.worker()
 	}
@@ -201,12 +183,12 @@ func (fs *FrameScheduler) refillFromOverflow() {
 }
 
 // currentLoad returns the most recent backend-load sample, refreshing it
-// from cfg.Load at most every LoadPollEvery.
+// from cfg.load at most every loadPollEvery.
 func (fs *FrameScheduler) currentLoad() core.LoadSignal {
 	fs.loadMu.Lock()
 	defer fs.loadMu.Unlock()
-	if now := time.Now(); now.Sub(fs.loadAt) >= fs.cfg.LoadPollEvery {
-		fs.loadSig = fs.cfg.Load()
+	if now := time.Now(); now.Sub(fs.loadAt) >= loadPollEvery {
+		fs.loadSig = fs.cfg.load()
 		fs.loadAt = now
 	}
 	return fs.loadSig
@@ -217,8 +199,8 @@ func (fs *FrameScheduler) currentLoad() core.LoadSignal {
 // Load source is configured (see loadGate for the rule, which the Router
 // shares for remote shards).
 func (fs *FrameScheduler) EffectiveDeadline() time.Duration {
-	if fs.cfg.Deadline <= 0 || fs.cfg.Load == nil {
-		return fs.cfg.Deadline
+	if fs.cfg.deadline <= 0 || fs.cfg.load == nil {
+		return fs.cfg.deadline
 	}
 	return fs.gate.effective(fs.currentLoad())
 }
@@ -229,7 +211,7 @@ func (fs *FrameScheduler) run(job frameJob) {
 	fs.queueWait.Observe(wait)
 	if deadline := fs.EffectiveDeadline(); deadline > 0 && wait > deadline {
 		fs.framesShed.Inc()
-		if wait <= fs.cfg.Deadline {
+		if wait <= fs.cfg.deadline {
 			// Inside the base deadline: this frame was shed only because
 			// backend pressure tightened admission.
 			fs.framesShedL.Inc()

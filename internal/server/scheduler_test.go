@@ -25,7 +25,7 @@ func testPlatform(t *testing.T) *core.Platform {
 
 func TestSchedulerRendersFrames(t *testing.T) {
 	p := testPlatform(t)
-	fs := NewFrameScheduler(SchedulerConfig{Workers: 2}, p.Metrics())
+	fs := NewFrameScheduler(SchedulerConfig{}, p.Metrics())
 	defer fs.Close()
 	s := p.NewSession()
 	if err := s.OnGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
@@ -45,7 +45,7 @@ func TestSchedulerRendersFrames(t *testing.T) {
 
 func TestSchedulerFanOut(t *testing.T) {
 	p := testPlatform(t)
-	fs := NewFrameScheduler(SchedulerConfig{Workers: 4}, p.Metrics())
+	fs := NewFrameScheduler(SchedulerConfig{}, p.Metrics())
 	defer fs.Close()
 	const sessions = 32
 	const framesEach = 5
@@ -82,7 +82,7 @@ func TestSchedulerShedsStaleJobs(t *testing.T) {
 	p := testPlatform(t)
 	// One worker and a microscopic deadline: jobs queued behind a slow
 	// first frame must be shed, not rendered late.
-	fs := NewFrameScheduler(SchedulerConfig{Workers: 1, Deadline: time.Nanosecond}, p.Metrics())
+	fs := NewFrameScheduler(SchedulerConfig{workers: 1, deadline: time.Nanosecond}, p.Metrics())
 	defer fs.Close()
 	s := p.NewSession()
 	if err := s.OnGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
@@ -106,7 +106,7 @@ func TestSchedulerShedsStaleJobs(t *testing.T) {
 
 func TestSchedulerCloseUnblocksSubmitters(t *testing.T) {
 	p := testPlatform(t)
-	fs := NewFrameScheduler(SchedulerConfig{Workers: 1, QueueDepth: 1}, p.Metrics())
+	fs := NewFrameScheduler(SchedulerConfig{}, p.Metrics())
 	s := p.NewSession()
 	done := make(chan error, 1)
 	go func() {

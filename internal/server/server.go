@@ -25,24 +25,15 @@ const (
 // Server is the client-facing node: one session per client connection.
 type Server struct{ *node }
 
-// Options tunes the server beyond its defaults.
-type Options struct {
-	// Scheduler configures the frame worker pool; zero values take the
-	// SchedulerConfig defaults, except Deadline where the server applies
-	// its own 250 ms default — pass a negative Deadline to disable
-	// shedding entirely (render late frames rather than drop them).
-	Scheduler SchedulerConfig
-}
-
-// New returns a server for the platform (not yet listening) with default
-// options.
+// New returns a server for the platform (not yet listening).
 func New(p *core.Platform, logger *log.Logger) *Server {
-	return NewWithOptions(p, logger, Options{})
+	return newServer(p, logger, 0)
 }
 
-// NewWithOptions returns a server with explicit scheduler tuning.
-func NewWithOptions(p *core.Platform, logger *log.Logger, opts Options) *Server {
-	return &Server{newNode(p, logger, opts, "server")}
+// newServer is New with a scheduler of the given worker count (zero:
+// GOMAXPROCS); tests pass one to stall the only worker.
+func newServer(p *core.Platform, logger *log.Logger, workers int) *Server {
+	return &Server{newNode(p, logger, workers, "server")}
 }
 
 // Scheduler exposes the server's frame scheduler (for stats).

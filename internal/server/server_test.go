@@ -25,10 +25,7 @@ func startServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shedding off: these tests assert request/reply integrity, and a CI
-	// box slow enough to blow the 250 ms default would flake them.
-	srv := NewWithOptions(p, log.New(io.Discard, "", 0),
-		Options{Scheduler: SchedulerConfig{Deadline: -1}})
+	srv := New(p, log.New(io.Discard, "", 0))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -32,20 +32,21 @@ const (
 
 // ShardOptions tunes a shard node.
 type ShardOptions struct {
-	// Options carries the engine/scheduler tuning (same knobs as the
-	// standalone server).
-	Options
 	// ID is the shard's ring member identity, announced in the hello
 	// handshake so a router can detect a miswired address.
 	ID uint64
-	// LoadEvery is how often the shard pushes a MsgLoad envelope on every
-	// backend connection (default 25 ms). Zero takes the default; negative
-	// disables pushing (tests drive load reports by hand).
-	LoadEvery time.Duration
-	// Load overrides the reported load signal (default: the platform's
-	// LoadSignal). Tests inject synthetic pressure here.
-	Load func() core.LoadSignal
+
+	// Test hooks. workers sizes the scheduler (zero: GOMAXPROCS);
+	// loadEvery is how often the shard pushes a MsgLoad envelope on every
+	// backend connection (zero: loadReportEvery); load replaces the
+	// reported signal (nil: the platform's LoadSignal).
+	workers   int
+	loadEvery time.Duration
+	load      func() core.LoadSignal
 }
+
+// loadReportEvery is how often a shard reports its load to each router.
+const loadReportEvery = 25 * time.Millisecond
 
 // Shard is the backend node: it serves a partition of the session ID space
 // to routers (which assign IDs and own placement), and pushes its
@@ -55,13 +56,13 @@ type Shard struct{ *node }
 
 // NewShard returns a shard node over the platform (not yet listening).
 func NewShard(p *core.Platform, logger *log.Logger, opts ShardOptions) *Shard {
-	n := newNode(p, logger, opts.Options, fmt.Sprintf("shard-%d", opts.ID))
-	n.backend, n.id, n.loadEvery = true, opts.ID, opts.LoadEvery
+	n := newNode(p, logger, opts.workers, fmt.Sprintf("shard-%d", opts.ID))
+	n.backend, n.id, n.loadEvery = true, opts.ID, opts.loadEvery
 	if n.loadEvery == 0 {
-		n.loadEvery = 25 * time.Millisecond
+		n.loadEvery = loadReportEvery
 	}
-	if opts.Load != nil {
-		n.load = opts.Load
+	if opts.load != nil {
+		n.load = opts.load
 	}
 	return &Shard{n}
 }

@@ -58,7 +58,7 @@ func pollWithin(t *testing.T, cl *Client, limit time.Duration, blame string) {
 // an enqueue.
 func TestStalledPollerCostsOnlyItself(t *testing.T) {
 	p := newTestPlatform(t)
-	srv := NewWithOptions(p, discardLogger(), Options{Scheduler: SchedulerConfig{Workers: 1, Deadline: -1}})
+	srv := newServer(p, discardLogger(), 1)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestStalledPollerCostsOnlyItself(t *testing.T) {
 // shard; a reply written from it blocks them all once the stalled peer's
 // socket fills — at once, on a pipe.
 func TestStalledRoutedClientCostsOnlyItself(t *testing.T) {
-	tc := startCluster(t, 1, nil, RouterOptions{Deadline: -1})
+	tc := startCluster(t, 1, nil, RouterOptions{})
 	stalled, _ := rawPipe(t, tc.router.cs.serve)
 	stalled.hello(t, "stalled", wire.ProtoMax)
 	stalled.sendGPS(t, 0, center)
@@ -168,7 +168,7 @@ func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
 
 	goroutines := runtime.NumGoroutine()
 	members := []Member{{ID: 1, Addr: healthyAddr}, {ID: 2, Addr: "stalled"}}
-	rt, err := NewRouter(members, discardLogger(), nil, RouterOptions{Deadline: -1})
+	rt, err := NewRouter(members, discardLogger(), nil, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,8 @@ func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
 func TestLoadReportDropsAreNotFrameDrops(t *testing.T) {
 	p := newTestPlatform(t)
 	var reports atomic.Int64
-	sh := NewShard(p, discardLogger(), ShardOptions{ID: 1, LoadEvery: time.Millisecond,
-		Load: func() core.LoadSignal { reports.Add(1); return core.LoadSignal{} }})
+	sh := NewShard(p, discardLogger(), ShardOptions{ID: 1, loadEvery: time.Millisecond,
+		load: func() core.LoadSignal { reports.Add(1); return core.LoadSignal{} }})
 	t.Cleanup(func() { _ = sh.Close() })
 	rc, _ := rawPipe(t, sh.cs.serve)
 	rc.hello(t, "stalled-router", wire.ProtoMax)

@@ -92,6 +92,63 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// fixedPoint is the property every payload decoder's fuzz target checks:
+// on hostile bytes decode must not panic, and whatever it accepts must
+// re-encode to bytes that decode again to the same encoding — decode →
+// encode → decode is a fixed point.
+func fixedPoint[T any](t *testing.T, p []byte, decode func([]byte) (T, error), encode func(*Buffer, T)) {
+	v, err := decode(p)
+	if err != nil {
+		return
+	}
+	var first, second Buffer
+	encode(&first, v)
+	again, err := decode(first.Bytes())
+	if err != nil {
+		t.Fatalf("re-encoded %+v fails to decode: %v", v, err)
+	}
+	encode(&second, again)
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("decode → encode is not a fixed point: %x then %x", first.Bytes(), second.Bytes())
+	}
+}
+
+// FuzzDecodeSubscribe: a subscribe payload comes from any client.
+func FuzzDecodeSubscribe(f *testing.F) {
+	for _, s := range []Subscribe{{}, {IntervalMS: 33, Budget: 8, Flags: SubFlagDelta}, {IntervalMS: 1<<32 - 1, Budget: 1<<32 - 1}} {
+		var b Buffer
+		EncodeSubscribeInto(&b, s)
+		f.Add(b.Bytes())
+	}
+	f.Add([]byte{33, 8})                              // pre-v4 layout: no flags
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x10, 0, 0}) // interval past uint32
+	f.Fuzz(func(t *testing.T, p []byte) { fixedPoint(t, p, DecodeSubscribe, EncodeSubscribeInto) })
+}
+
+// FuzzDecodeFrameAck: a frame ack comes from any delta-streaming client.
+func FuzzDecodeFrameAck(f *testing.F) {
+	for _, a := range []FrameAck{{}, {AppliedSeq: 1<<64 - 1, WantKeyframe: true}} {
+		var b Buffer
+		EncodeFrameAckInto(&b, a)
+		f.Add(b.Bytes())
+	}
+	f.Add([]byte{0xFE, 7}) // unknown flag bits
+	f.Fuzz(func(t *testing.T, p []byte) { fixedPoint(t, p, DecodeFrameAck, EncodeFrameAckInto) })
+}
+
+// FuzzDecodeHello: a hello is the first thing any peer sends.
+func FuzzDecodeHello(f *testing.F) {
+	for _, h := range []Hello{{Name: "client", Version: ProtoMax}, {ID: 1<<64 - 1, Name: "shard-7", Version: ProtoMin}} {
+		var b Buffer
+		EncodeHelloInto(&b, h)
+		f.Add(b.Bytes())
+	}
+	f.Add([]byte{0, 2, 'h', 'i'})                     // truncated: no version
+	f.Add([]byte{0, 0, 0})                            // version 0
+	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1}) // name longer than the payload
+	f.Fuzz(func(t *testing.T, p []byte) { fixedPoint(t, p, DecodeHello, EncodeHelloInto) })
+}
+
 // TestFuzzSeedsAreWellFormed keeps the hand-built corrupt seeds honest:
 // the oversized-length seed must actually exceed MaxFrameSize and fail as
 // ErrTooLarge without allocating, mirroring TestFrameTooLarge.
