@@ -1,6 +1,7 @@
 // Command arbd-lint runs the repository's custom static-analysis suite:
 // hot-path allocation discipline, wire-protocol value pinning, lock-order
-// rules, and metrics-handle caching. See internal/lint for the analyzers
+// rules, metrics-handle caching, and exported code with no caller outside
+// the tests. See internal/lint for the analyzers
 // and the README "Static analysis" section for the annotation conventions.
 //
 // Usage:

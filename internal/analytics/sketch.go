@@ -1,16 +1,13 @@
 // Package analytics implements the approximate and incremental analytics the
 // paper's timeliness argument (§4.1) depends on: frequency and cardinality
 // sketches that answer volume-scale questions in constant memory, heavy-
-// hitter tracking, reservoir sampling, and incrementally-maintained
-// materialized views compared against full batch recomputation.
+// hitter tracking, and incrementally-maintained materialized views
+// compared against full batch recomputation.
 package analytics
 
 import (
 	"hash/fnv"
 	"math"
-	"sort"
-
-	"arbd/internal/sim"
 )
 
 // hash64 hashes s with FNV-1a and then applies a murmur3-style finalizer.
@@ -35,7 +32,6 @@ type CountMin struct {
 	width  int
 	depth  int
 	counts [][]uint64
-	total  uint64
 }
 
 // NewCountMin returns a sketch with the given error bound ε and failure
@@ -71,7 +67,6 @@ func (cm *CountMin) Add(key string, n uint64) {
 	for r := 0; r < cm.depth; r++ {
 		cm.counts[r][cm.rowHash(h, r)] += n
 	}
-	cm.total += n
 }
 
 // Count returns the (over-)estimated count for key.
@@ -85,9 +80,6 @@ func (cm *CountMin) Count(key string) uint64 {
 	}
 	return min
 }
-
-// Total returns the number of increments added.
-func (cm *CountMin) Total() uint64 { return cm.total }
 
 // MemoryBytes returns the sketch's table size in bytes.
 func (cm *CountMin) MemoryBytes() int { return cm.width * cm.depth * 8 }
@@ -145,20 +137,6 @@ func (h *HyperLogLog) Estimate() float64 {
 	return est
 }
 
-// Merge folds other into h. Both must have equal precision; Merge reports
-// whether it applied.
-func (h *HyperLogLog) Merge(other *HyperLogLog) bool {
-	if h.precision != other.precision {
-		return false
-	}
-	for i, r := range other.registers {
-		if r > h.registers[i] {
-			h.registers[i] = r
-		}
-	}
-	return true
-}
-
 // MemoryBytes returns the register array size.
 func (h *HyperLogLog) MemoryBytes() int { return len(h.registers) }
 
@@ -167,7 +145,6 @@ func (h *HyperLogLog) MemoryBytes() int { return len(h.registers) }
 type SpaceSaving struct {
 	capacity int
 	counts   map[string]*ssEntry
-	total    uint64
 }
 
 type ssEntry struct {
@@ -186,7 +163,6 @@ func NewSpaceSaving(capacity int) *SpaceSaving {
 
 // Add observes key.
 func (ss *SpaceSaving) Add(key string) {
-	ss.total++
 	if e, ok := ss.counts[key]; ok {
 		e.count++
 		return
@@ -260,68 +236,4 @@ func heavierHitter(a, b HeavyHitter) bool {
 		return a.Count > b.Count
 	}
 	return a.Key < b.Key
-}
-
-// Total returns the number of observations.
-func (ss *SpaceSaving) Total() uint64 { return ss.total }
-
-// Reservoir maintains a uniform random sample of fixed size over an
-// unbounded stream (algorithm R).
-type Reservoir struct {
-	capacity int
-	seen     int64
-	items    []float64
-	rng      *sim.Rand
-}
-
-// NewReservoir returns a reservoir of the given capacity, seeded for
-// reproducibility.
-func NewReservoir(capacity int, seed int64) *Reservoir {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Reservoir{capacity: capacity, rng: sim.NewRand(seed)}
-}
-
-// Add observes v.
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.items) < r.capacity {
-		r.items = append(r.items, v)
-		return
-	}
-	if j := r.rng.Int63() % r.seen; j < int64(r.capacity) {
-		r.items[j] = v
-	}
-}
-
-// Seen returns the number of observations.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Sample returns a copy of the current sample.
-func (r *Reservoir) Sample() []float64 {
-	return append([]float64(nil), r.items...)
-}
-
-// Quantile estimates the q-th quantile (q in [0,1]) from the sample. It
-// returns NaN when the reservoir is empty.
-func (r *Reservoir) Quantile(q float64) float64 {
-	if len(r.items) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), r.items...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	idx := q * float64(len(s)-1)
-	lo := int(idx)
-	frac := idx - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

@@ -1,9 +1,6 @@
 package analytics
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Row is one input record for materialized views: a group key and a numeric
 // measure (e.g. product -> spend, POI -> dwell seconds).
@@ -18,14 +15,6 @@ type GroupStats struct {
 	Sum   float64
 	Min   float64
 	Max   float64
-}
-
-// Mean returns Sum/Count (0 when empty).
-func (g GroupStats) Mean() float64 {
-	if g.Count == 0 {
-		return 0
-	}
-	return g.Sum / float64(g.Count)
 }
 
 // View maintains per-group aggregates incrementally: Apply folds one new row
@@ -76,20 +65,9 @@ func (v *View) ApplyBatch(rows []Row) {
 	}
 }
 
-// Get returns the stats for a group and whether it exists.
-func (v *View) Get(group string) (GroupStats, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	g, ok := v.groups[group]
-	if !ok {
-		return GroupStats{}, false
-	}
-	return *g, true
-}
-
-// GetKey is Get for a byte-slice key. The compiler elides the string
-// conversion for map lookups, so hot paths that render group keys into a
-// reusable byte buffer query the view without allocating.
+// GetKey returns the stats for a group and whether it exists. The compiler
+// elides the string conversion for map lookups, so hot paths that render
+// group keys into a reusable byte buffer query the view without allocating.
 func (v *View) GetKey(group []byte) (GroupStats, bool) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -98,49 +76,6 @@ func (v *View) GetKey(group []byte) (GroupStats, bool) {
 		return GroupStats{}, false
 	}
 	return *g, true
-}
-
-// Rows returns the number of rows folded in.
-func (v *View) Rows() int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.rows
-}
-
-// Groups returns the number of distinct groups.
-func (v *View) Groups() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.groups)
-}
-
-// TopBySum returns up to k groups ordered by Sum descending (ties by name).
-func (v *View) TopBySum(k int) []struct {
-	Group string
-	Stats GroupStats
-} {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]struct {
-		Group string
-		Stats GroupStats
-	}, 0, len(v.groups))
-	for name, g := range v.groups {
-		out = append(out, struct {
-			Group string
-			Stats GroupStats
-		}{name, *g})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stats.Sum != out[j].Stats.Sum {
-			return out[i].Stats.Sum > out[j].Stats.Sum
-		}
-		return out[i].Group < out[j].Group
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 // BatchCompute builds a fresh view from the complete row log — the
@@ -154,9 +89,9 @@ func BatchCompute(rows []Row) *View {
 	return v
 }
 
-// Equal reports whether two views hold identical aggregates; used by tests
-// and the E3 harness to check incremental == batch.
-func (v *View) Equal(o *View) bool {
+// equal reports whether two views hold identical aggregates: the tests'
+// check that incremental == batch.
+func (v *View) equal(o *View) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	o.mu.RLock()

@@ -26,18 +26,18 @@ func TestViewBasicAggregates(t *testing.T) {
 	v.Apply(Row{Group: "a", Value: 10})
 	v.Apply(Row{Group: "a", Value: 20})
 	v.Apply(Row{Group: "b", Value: 5})
-	g, ok := v.Get("a")
+	g, ok := v.GetKey([]byte("a"))
 	if !ok {
 		t.Fatal("group a missing")
 	}
-	if g.Count != 2 || g.Sum != 30 || g.Min != 10 || g.Max != 20 || g.Mean() != 15 {
+	if g.Count != 2 || g.Sum != 30 || g.Min != 10 || g.Max != 20 {
 		t.Fatalf("stats = %+v", g)
 	}
-	if _, ok := v.Get("missing"); ok {
+	if _, ok := v.GetKey([]byte("missing")); ok {
 		t.Fatal("phantom group")
 	}
-	if v.Rows() != 3 || v.Groups() != 2 {
-		t.Fatalf("rows=%d groups=%d", v.Rows(), v.Groups())
+	if v.rows != 3 || len(v.groups) != 2 {
+		t.Fatalf("rows=%d groups=%d", v.rows, len(v.groups))
 	}
 }
 
@@ -48,7 +48,7 @@ func TestIncrementalEqualsBatch(t *testing.T) {
 		inc.Apply(r)
 	}
 	batch := BatchCompute(rows)
-	if !inc.Equal(batch) {
+	if !inc.equal(batch) {
 		t.Fatal("incremental view diverged from batch recompute")
 	}
 }
@@ -65,30 +65,9 @@ func TestIncrementalEqualsBatchProperty(t *testing.T) {
 			inc.Apply(r)
 		}
 		inc.ApplyBatch(rows[half:])
-		return inc.Equal(BatchCompute(rows))
+		return inc.equal(BatchCompute(rows))
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestViewTopBySum(t *testing.T) {
-	v := NewView()
-	v.Apply(Row{Group: "small", Value: 1})
-	v.Apply(Row{Group: "big", Value: 100})
-	v.Apply(Row{Group: "mid", Value: 50})
-	top := v.TopBySum(2)
-	if len(top) != 2 || top[0].Group != "big" || top[1].Group != "mid" {
-		t.Fatalf("top = %v", top)
-	}
-}
-
-func TestViewTopBySumTieOrder(t *testing.T) {
-	v := NewView()
-	v.Apply(Row{Group: "zeta", Value: 10})
-	v.Apply(Row{Group: "alpha", Value: 10})
-	top := v.TopBySum(2)
-	if top[0].Group != "alpha" {
-		t.Fatalf("tie order = %v", top)
 	}
 }
 
@@ -105,12 +84,12 @@ func TestViewConcurrentApply(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if v.Rows() != 4000 {
-		t.Fatalf("rows = %d", v.Rows())
+	if v.rows != 4000 {
+		t.Fatalf("rows = %d", v.rows)
 	}
 	var total float64
-	for _, g := range v.TopBySum(100) {
-		total += g.Stats.Sum
+	for _, g := range v.groups {
+		total += g.Sum
 	}
 	if total != 4000 {
 		t.Fatalf("sum of sums = %v", total)
@@ -120,11 +99,11 @@ func TestViewConcurrentApply(t *testing.T) {
 func TestViewEqualDetectsDifferences(t *testing.T) {
 	a, b := NewView(), NewView()
 	a.Apply(Row{Group: "g", Value: 1})
-	if a.Equal(b) {
+	if a.equal(b) {
 		t.Fatal("different views equal")
 	}
 	b.Apply(Row{Group: "g", Value: 2})
-	if a.Equal(b) {
+	if a.equal(b) {
 		t.Fatal("different sums equal")
 	}
 }

@@ -161,7 +161,7 @@ func TestInterpreterDeterministicOrder(t *testing.T) {
 
 func TestBuiltinVocabularies(t *testing.T) {
 	retail := RetailVocabulary()
-	if retail.NumRules() == 0 {
+	if len(retail.rules) == 0 {
 		t.Fatal("retail vocabulary empty")
 	}
 	tags := retail.Interpret(map[string]float64{"crowding": 0.9, "stock": 1, "discount": 0.3})

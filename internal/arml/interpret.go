@@ -27,12 +27,6 @@ func NewInterpreter(rules []Rule) *Interpreter {
 	return &Interpreter{rules: append([]Rule(nil), rules...)}
 }
 
-// AddRule appends a rule.
-func (in *Interpreter) AddRule(r Rule) { in.rules = append(in.rules, r) }
-
-// NumRules returns the number of installed rules.
-func (in *Interpreter) NumRules() int { return len(in.rules) }
-
 // Interpret evaluates all rules against the metrics, returning the fired
 // tags sorted by key (deterministic output). Values render into Text where
 // requested.

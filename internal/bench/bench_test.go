@@ -18,7 +18,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 	}
 	// Sorted E1..E13.
 	if exps[0].ID != "E1" || exps[12].ID != "E13" {
-		t.Fatalf("order: first=%s last=%s", exps[0].ID, exps[19].ID)
+		t.Fatalf("order: first=%s last=%s", exps[0].ID, exps[len(exps)-1].ID)
 	}
 }
 
@@ -104,6 +104,48 @@ func TestE7ContextBeatsPopularity(t *testing.T) {
 	if hr["item-cf+context"] <= hr["popularity"] {
 		t.Fatalf("context HR %.3f not above popularity %.3f\n%s",
 			hr["item-cf+context"], hr["popularity"], out)
+	}
+}
+
+// TestE9SharedBeatsLineOfSight pins the x-ray vision result (§4): at every
+// penetration, vehicles sharing positions through the cloud detect more
+// conflict pairs than line-of-sight alone, and shared recall rises with
+// penetration. The run is seeded, so the table is fixed.
+func TestE9SharedBeatsLineOfSight(t *testing.T) {
+	out := E9Traffic().String()
+	detected := map[string]map[string]int{}
+	recall := map[string]float64{}
+	var penetrations []string
+	for _, l := range strings.Split(out, "\n") {
+		fields := strings.Fields(l)
+		if len(fields) != 6 || !strings.HasSuffix(fields[0], "%") {
+			continue
+		}
+		pen, mode := fields[0], fields[1]
+		n, err1 := strconv.Atoi(fields[3])
+		r, err2 := strconv.ParseFloat(fields[4], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsable row %q", l)
+		}
+		if detected[pen] == nil {
+			detected[pen] = map[string]int{}
+			penetrations = append(penetrations, pen)
+		}
+		detected[pen][mode] = n
+		if mode == "cloud-shared" {
+			recall[pen] = r
+		}
+	}
+	if len(penetrations) != 3 || penetrations[0] != "30%" || penetrations[1] != "60%" || penetrations[2] != "100%" {
+		t.Fatalf("penetration column = %v, want [30%% 60%% 100%%]\n%s", penetrations, out)
+	}
+	for _, pen := range penetrations {
+		if shared, los := detected[pen]["cloud-shared"], detected[pen]["line-of-sight"]; shared <= los {
+			t.Errorf("%s: cloud-shared detected %d, not above line-of-sight %d\n%s", pen, shared, los, out)
+		}
+	}
+	if !(recall["30%"] < recall["60%"] && recall["60%"] < recall["100%"]) {
+		t.Fatalf("cloud-shared recall %v does not rise with penetration\n%s", recall, out)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"arbd/internal/analytics"
-	"arbd/internal/cluster"
 	"arbd/internal/metrics"
 	"arbd/internal/mq"
 	"arbd/internal/offload"
@@ -179,15 +178,12 @@ func e3IncrementalVsBatch(logSizes []int) *metrics.Table {
 func E4Offload() *metrics.Table {
 	t := metrics.NewTable("E4: AR pipeline placement per network profile (per frame)",
 		"network", "placement", "latency", "energy mJ", "chosen")
-	device := cluster.Node{ID: "mobile", Class: cluster.ClassMobile, SpeedFactor: 1,
-		ActiveWatts: 2.5, IdleWatts: 0.8, TxWatts: 1.8}
-	edge := cluster.Node{ID: "edge", Class: cluster.ClassEdge, SpeedFactor: 6,
-		ActiveWatts: 65, IdleWatts: 20, TxWatts: 5}
-	cloud := cluster.Node{ID: "cloud", Class: cluster.ClassCloud, SpeedFactor: 32,
-		ActiveWatts: 250, IdleWatts: 80, TxWatts: 10}
+	device := offload.Node{ID: "mobile", SpeedFactor: 1, ActiveWatts: 2.5, IdleWatts: 0.8, TxWatts: 1.8}
+	edge := offload.Node{ID: "edge", SpeedFactor: 6, ActiveWatts: 65, IdleWatts: 20, TxWatts: 5}
+	cloud := offload.Node{ID: "cloud", SpeedFactor: 32, ActiveWatts: 250, IdleWatts: 80, TxWatts: 10}
 	stages := offload.ARPipeline(0, 0)
 
-	profiles := []cluster.Profile{cluster.ProfileLAN, cluster.ProfileWiFi, cluster.ProfileLTE, cluster.Profile3G}
+	profiles := []offload.Profile{offload.ProfileLAN, offload.ProfileWiFi, offload.ProfileLTE, offload.Profile3G}
 	for _, link := range profiles {
 		wan := link
 		wan.RTT += 40 * time.Millisecond
@@ -195,24 +191,21 @@ func E4Offload() *metrics.Table {
 			{Node: edge, Link: link},
 			{Node: cloud, Link: wan},
 		}
-		best, err := offload.Best(stages, device, remotes, offload.MinLatency, 0)
-		if err != nil {
-			panic(err)
-		}
+		best := offload.Best(stages, device, remotes)
 		candidates := []struct {
 			name string
 			est  func() (offload.Estimate, error)
 		}{
 			{"local", func() (offload.Estimate, error) {
-				return offload.Evaluate(stages, device, device, cluster.ProfileLoopback, offload.Local(), nil)
+				return offload.Evaluate(stages, device, device, offload.ProfileLoopback, offload.Local())
 			}},
 			{"edge[1:4]", func() (offload.Estimate, error) {
 				return offload.Evaluate(stages, device, edge, link,
-					offload.Placement{RemoteStart: 1, RemoteEnd: 4, RemoteNode: "edge"}, nil)
+					offload.Placement{RemoteStart: 1, RemoteEnd: 4, RemoteNode: "edge"})
 			}},
 			{"cloud[1:4]", func() (offload.Estimate, error) {
 				return offload.Evaluate(stages, device, cloud, wan,
-					offload.Placement{RemoteStart: 1, RemoteEnd: 4, RemoteNode: "cloud"}, nil)
+					offload.Placement{RemoteStart: 1, RemoteEnd: 4, RemoteNode: "cloud"})
 			}},
 		}
 		shown := false

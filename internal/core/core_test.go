@@ -173,7 +173,7 @@ func TestCrowdViewFilledAfterStop(t *testing.T) {
 	if err := p.Stop(); err != nil { // drain flushes open windows
 		t.Fatal(err)
 	}
-	stats, ok := p.CrowdView().Get(poiKey(7))
+	stats, ok := p.CrowdView().GetKey([]byte(poiKey(7)))
 	if !ok || stats.Sum != 50 {
 		t.Fatalf("crowd view = %+v, %v", stats, ok)
 	}
@@ -196,7 +196,7 @@ func TestPrivacyGatePerturbsLocations(t *testing.T) {
 	}
 	var values [][]byte
 	for pi := 0; pi < 4; pi++ {
-		rs, err := p.Broker().Fetch(TopicLocations, pi, 0, 100)
+		rs, err := fetch(p, TopicLocations, pi, 0, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestPrivacyBudgetSuppressesTelemetry(t *testing.T) {
 	}
 	total := 0
 	for pi := 0; pi < 4; pi++ {
-		rs, _ := p.Broker().Fetch(TopicLocations, pi, 0, 100)
+		rs, _ := fetch(p, TopicLocations, pi, 0, 100)
 		total += len(rs)
 	}
 	if total != 5 {
@@ -328,7 +328,7 @@ func TestGazeBecomesInteraction(t *testing.T) {
 	}
 	total := 0
 	for pi := 0; pi < 4; pi++ {
-		rs, _ := p.Broker().Fetch(TopicInteractions, pi, 0, 100)
+		rs, _ := fetch(p, TopicInteractions, pi, 0, 100)
 		total += len(rs)
 	}
 	if total != 1 {
@@ -386,7 +386,7 @@ func TestFrameWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := EncodeFrame(f)
+	data := encodeFrame(f)
 	got, err := DecodeFrame(data)
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func TestFrameDeltaApplyReproducesFullEncoding(t *testing.T) {
 		t.Fatalf("delta (%dB) not smaller than full (%dB)", len(delta.Bytes()), len(full.Bytes()))
 	}
 
-	base, err := DecodeFrame(EncodeFrame(&Frame{Annotations: prevAnns, Elapsed: 5 * time.Millisecond}))
+	base, err := DecodeFrame(encodeFrame(&Frame{Annotations: prevAnns, Elapsed: 5 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFrameDeltaKeyframeAndBaseErrors(t *testing.T) {
 // diff and keyframe payloads of TestFrameDeltaApplyReproducesFullEncoding.
 func FuzzApplyFrameDelta(f *testing.F) {
 	prevAnns, cur := deltaFixture()
-	base := EncodeFrame(&Frame{Annotations: prevAnns, Elapsed: 5 * time.Millisecond})
+	base := encodeFrame(&Frame{Annotations: prevAnns, Elapsed: 5 * time.Millisecond})
 	var diff, key wire.Buffer
 	EncodeFrameDeltaInto(&diff, cur, false)
 	EncodeFrameDeltaInto(&key, cur, true)
@@ -154,13 +154,13 @@ func FuzzApplyFrameDelta(f *testing.F) {
 // geometry).
 func FuzzDecodeFrame(f *testing.F) {
 	prevAnns, cur := deltaFixture()
-	f.Add(EncodeFrame(&Frame{Annotations: prevAnns, Elapsed: 5 * time.Millisecond}))
-	f.Add(EncodeFrame(cur))
-	f.Add(EncodeFrame(&Frame{Level: DegradeInterp}))
+	f.Add(encodeFrame(&Frame{Annotations: prevAnns, Elapsed: 5 * time.Millisecond}))
+	f.Add(encodeFrame(cur))
+	f.Add(encodeFrame(&Frame{Level: DegradeInterp}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // implausible count
 	f.Add([]byte{2, 1, 1, 'x'})                 // count past the annotations present
 	encode := func(d *DecodedFrame) []byte {
-		return EncodeFrame(&Frame{Annotations: d.Annotations, Level: d.Level, Elapsed: time.Duration(d.ElapsedNs)})
+		return encodeFrame(&Frame{Annotations: d.Annotations, Level: d.Level, Elapsed: time.Duration(d.ElapsedNs)})
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		d, err := DecodeFrame(p)

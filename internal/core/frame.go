@@ -36,21 +36,12 @@ func (f *Frame) ToARML() ([]byte, error) {
 	return arml.Encode(doc)
 }
 
-// EncodeFrame serialises the frame's overlay for the TCP server protocol:
-// count, then per annotation (id, label, box, anchor, flags). The caller
-// owns the returned slice (it is backed by a buffer allocated here, not
-// retained). Hot paths that reuse or pool encode buffers — the server's
-// frame-response path — use EncodeFrameInto instead.
-func EncodeFrame(f *Frame) []byte {
-	var b wire.Buffer
-	EncodeFrameInto(&b, f)
-	return b.Bytes()
-}
-
-// EncodeFrameInto appends the frame's wire encoding to buf. The encoded
-// bytes (buf.Bytes) alias buf's storage and are valid until buf is reset or
-// reused, which lets the server encode each response into a pooled buffer
-// and hand it to the framed writer without allocating per frame.
+// EncodeFrameInto appends the frame's overlay, encoded for the TCP server
+// protocol, to buf: count, then per annotation (id, label, box, anchor,
+// flags), then level and elapsed time. The encoded bytes (buf.Bytes) alias
+// buf's storage and are valid until buf is reset or reused, which lets the
+// server encode each response into a pooled buffer and hand it to the framed
+// writer without allocating per frame.
 //
 //arbd:hotpath
 func EncodeFrameInto(buf *wire.Buffer, f *Frame) {
@@ -320,7 +311,7 @@ type DecodedFrame struct {
 	Seq uint64
 }
 
-// DecodeFrame parses EncodeFrame output.
+// DecodeFrame parses EncodeFrameInto output.
 func DecodeFrame(p []byte) (*DecodedFrame, error) {
 	r := wire.NewReader(p)
 	n, err := r.Uvarint()

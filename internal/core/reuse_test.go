@@ -53,7 +53,7 @@ func TestFrameScratchEquivalence(t *testing.T) {
 		}
 		// Encode the pooled frame before the allocating session renders:
 		// its contents alias scratch the next sp.Frame call will reuse.
-		encP := EncodeFrame(fp)
+		encP := encodeFrame(fp)
 		jitterP := fp.JitterPx
 		recP := append([]uint64(nil), fp.Recommended...)
 
@@ -61,7 +61,7 @@ func TestFrameScratchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		encA := EncodeFrame(fa)
+		encA := encodeFrame(fa)
 		if !bytes.Equal(encP, encA) {
 			t.Fatalf("step %d: pooled and allocating frames encode differently (%d vs %d bytes)",
 				step, len(encP), len(encA))
@@ -73,6 +73,13 @@ func TestFrameScratchEquivalence(t *testing.T) {
 			t.Fatalf("step %d: recommended %d vs %d", step, len(recP), len(fa.Recommended))
 		}
 	}
+}
+
+// encodeFrame returns the frame's wire encoding in a buffer of its own.
+func encodeFrame(f *Frame) []byte {
+	var b wire.Buffer
+	EncodeFrameInto(&b, f)
+	return b.Bytes()
 }
 
 // TestEncodeFrameIntoMatchesEncodeFrame checks the Into form and the
@@ -91,12 +98,12 @@ func TestEncodeFrameIntoMatchesEncodeFrame(t *testing.T) {
 	if len(f.Annotations) == 0 {
 		t.Fatal("frame has no annotations")
 	}
-	want := EncodeFrame(f)
+	want := encodeFrame(f)
 
 	buf := wire.NewBuffer(64)
 	EncodeFrameInto(buf, f)
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("EncodeFrameInto differs from EncodeFrame")
+		t.Fatal("EncodeFrameInto differs from encodeFrame")
 	}
 	// Reuse after Reset must reproduce the same bytes — the pooled server
 	// path.

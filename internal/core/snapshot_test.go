@@ -183,11 +183,8 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	if src.cfg.City.Center != dst.cfg.City.Center {
 		t.Fatal("test platforms disagree on origin")
 	}
-	if gs, vs := s.fuser.UpdateCounts(); true {
-		gr, vr := r.fuser.UpdateCounts()
-		if gs != gr || vs != vr {
-			t.Fatalf("update counts (%d,%d) restored as (%d,%d)", gs, vs, gr, vr)
-		}
+	if ss, rs := s.fuser.ExportState(), r.fuser.ExportState(); ss.GPSUpdates != rs.GPSUpdates || ss.VisionUpdates != rs.VisionUpdates {
+		t.Fatalf("update counts (%d,%d) restored as (%d,%d)", ss.GPSUpdates, ss.VisionUpdates, rs.GPSUpdates, rs.VisionUpdates)
 	}
 
 	// RNG stream: both sessions must produce the same future sequence.

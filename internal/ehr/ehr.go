@@ -55,7 +55,6 @@ type seriesKey struct {
 type Store struct {
 	mu       sync.RWMutex
 	patients map[uint64]Patient
-	ids      []uint64
 	vitals   map[seriesKey][]Point
 }
 
@@ -68,9 +67,6 @@ func NewStore() *Store {
 func (s *Store) PutPatient(p Patient) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.patients[p.ID]; !ok {
-		s.ids = append(s.ids, p.ID)
-	}
 	s.patients[p.ID] = p.clone()
 }
 
@@ -83,13 +79,6 @@ func (s *Store) GetPatient(id uint64) (Patient, error) {
 		return Patient{}, fmt.Errorf("%w: %d", ErrNoPatient, id)
 	}
 	return p.clone(), nil
-}
-
-// PatientIDs returns all patient IDs in insertion order.
-func (s *Store) PatientIDs() []uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]uint64(nil), s.ids...)
 }
 
 // RecordVital adds a vitals sample to the patient's series. Samples usually

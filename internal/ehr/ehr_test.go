@@ -98,8 +98,8 @@ func TestPatientUpdateDoesNotDuplicateID(t *testing.T) {
 	s := NewStore()
 	s.PutPatient(Patient{ID: 1, Name: "v1"})
 	s.PutPatient(Patient{ID: 1, Name: "v2"})
-	if ids := s.PatientIDs(); len(ids) != 1 {
-		t.Fatalf("ids = %v", ids)
+	if len(s.patients) != 1 {
+		t.Fatalf("patients = %v", s.patients)
 	}
 	got, _ := s.GetPatient(1)
 	if got.Name != "v2" {

@@ -22,6 +22,15 @@
 //     inside loops or //arbd:hotpath functions are errors — handles must
 //     be resolved once at construction (PR 8's 52.6->6.0 ns audit).
 //     Escape hatch: //arbd:metrics-ok <reason>.
+//   - deadexport: every exported func, method, type and package-level var
+//     under internal/ has a reference from a non-test file somewhere in the
+//     program — the module plus nested modules loaded by import path
+//     (benchmark/), however the run's patterns narrow the report. Exempt:
+//     constants, struct fields, methods on unexported types, methods an
+//     interface in the program declares, and methods of types the root
+//     package re-exports. Code only tests use is deleted, or unexported
+//     when same-package tests need it. Escape hatch, for fakes tests in
+//     other packages need: //arbd:test-api <reason>.
 //
 // The suite is stdlib-only (go/ast, go/parser, go/types, go/token): no
 // network, no third-party analysis frameworks, so it runs anywhere the Go
@@ -33,6 +42,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -54,6 +64,7 @@ func (f Finding) String() string {
 // analyzer's finding on its own line or the line above.
 var escapeDirective = map[string]string{
 	"hotpath":      "alloc-ok",
+	"deadexport":   "test-api",
 	"lockorder":    "lock-ok",
 	"metricscache": "metrics-ok",
 	"wirepin":      "wirepin-ok",
@@ -68,19 +79,30 @@ func Run(root string, patterns []string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := l.loadAll(patterns)
+	pkgs, err := l.loadAll(patterns, false)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := l.loadAll(nil, true)
 	if err != nil {
 		return nil, err
 	}
 	var all []Finding
+	linted := make(map[string]bool)
 	for _, p := range pkgs {
+		linted[p.dir] = true
 		dirs := collectDirectives(l.fset, p)
 		all = append(all, analyzeHotpath(l.fset, p, dirs)...)
 		all = append(all, analyzeWirepin(l.fset, p)...)
 		all = append(all, analyzeLockorder(l.fset, p)...)
 		all = append(all, analyzeMetricscache(l.fset, p, dirs)...)
 	}
-	all = filterEscaped(all, l.fset, pkgs)
+	for _, f := range analyzeDeadexport(l.fset, prog, l.module) {
+		if linted[filepath.Dir(f.Pos.Filename)] {
+			all = append(all, f)
+		}
+	}
+	all = filterEscaped(all, l.fset, prog)
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Pos.Filename != all[j].Pos.Filename {
 			return all[i].Pos.Filename < all[j].Pos.Filename

@@ -150,6 +150,29 @@ func TestDispatchQuiet(t *testing.T) {
 	expectQuiet(t, "dispatch_clean")
 }
 
+func TestDeadexportFires(t *testing.T) {
+	expectFindings(t, "deadexport_bad", "deadexport", []string{
+		"exported func Unused has no caller outside tests",
+		"exported func Recurse has",
+		"exported type Orphan has",
+		"exported method Orphan.Grow has",
+		"exported var Stale has",
+	})
+}
+
+func TestDeadexportQuiet(t *testing.T) {
+	expectQuiet(t, "deadexport_clean")
+	// Linting one package still counts callers everywhere in the program,
+	// the nested module included.
+	findings, err := Run("testdata/mod", []string{"./internal/deadexport_clean"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("unexpected finding: %s", f)
+	}
+}
+
 func TestFindingString(t *testing.T) {
 	f := Finding{
 		Pos:      token.Position{Filename: "internal/wire/codec.go", Line: 42},

@@ -41,17 +41,9 @@ func newLoader(root string) (*loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	mod, err := os.ReadFile(filepath.Join(abs, "go.mod"))
+	module, err := modulePath(abs)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s is not a module root: %w", root, err)
-	}
-	module := ""
-	for _, line := range strings.Split(string(mod), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			module = strings.TrimSpace(rest)
-			break
-		}
 	}
 	if module == "" {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
@@ -65,6 +57,20 @@ func newLoader(root string) (*loader, error) {
 		loading: make(map[string]bool),
 		std:     importer.ForCompiler(fset, "source", nil),
 	}, nil
+}
+
+// modulePath returns the module directive of dir/go.mod ("" if it has none).
+func modulePath(dir string) (string, error) {
+	mod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(mod), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.TrimSpace(rest), nil
+		}
+	}
+	return "", nil
 }
 
 // Import implements types.Importer: module-internal paths load from the
@@ -144,8 +150,10 @@ func (l *loader) load(importPath string) (*pkgInfo, error) {
 // loadAll discovers and loads every package under the module root matching
 // the patterns. Patterns follow go tool shorthand: "./..." (everything),
 // "./internal/..." (subtree), or a plain package dir like "./cmd/arbd-lint".
-func (l *loader) loadAll(patterns []string) ([]*pkgInfo, error) {
-	dirs, err := l.packageDirs()
+// With nested set, packages of nested modules whose module path is their
+// import path under this module (benchmark/ is "arbd/benchmark") count too.
+func (l *loader) loadAll(patterns []string, nested bool) ([]*pkgInfo, error) {
+	dirs, err := l.packageDirs(nested)
 	if err != nil {
 		return nil, err
 	}
@@ -169,8 +177,9 @@ func (l *loader) loadAll(patterns []string) ([]*pkgInfo, error) {
 }
 
 // packageDirs walks the module tree for directories containing Go files,
-// skipping testdata, hidden dirs, and nested modules.
-func (l *loader) packageDirs() ([]string, error) {
+// skipping testdata, hidden dirs, and nested modules (unless nested is set
+// and the nested module's path is its import path under this module).
+func (l *loader) packageDirs(nested bool) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -185,7 +194,10 @@ func (l *loader) packageDirs() ([]string, error) {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir // nested module
+				rel, _ := filepath.Rel(l.root, path)
+				if mp, _ := modulePath(path); !nested || mp != l.module+"/"+filepath.ToSlash(rel) {
+					return filepath.SkipDir
+				}
 			}
 		}
 		entries, err := os.ReadDir(path)

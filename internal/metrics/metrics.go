@@ -6,11 +6,8 @@ package metrics
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,37 +99,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the arithmetic mean of observations, or 0 if empty.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
-}
-
-// Min returns the smallest observation, or 0 if empty.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest observation, or 0 if empty.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
 }
 
 // Quantile returns an estimate of the q-th quantile (q in [0,1]); it returns
@@ -260,24 +226,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Names returns the sorted names of all registered metrics.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Kind discriminates the instrument types a Registry holds.
 type Kind uint8
 
@@ -313,8 +261,8 @@ type Instrument struct {
 // Snapshot returns every registered instrument with its current value,
 // stable-sorted by name (then kind, for the unlikely case of one name
 // registered as two kinds). Consumers that render or export metrics — the
-// Prometheus encoder, arbd-top, Dump — read this typed form instead of
-// parsing strings. Instrument handles are captured under one registry lock,
+// Prometheus encoder, arbd-top — read this typed form instead of parsing
+// strings. Instrument handles are captured under one registry lock,
 // then values are read without it, so a snapshot never blocks writers for
 // longer than the map copy.
 //
@@ -362,25 +310,4 @@ func (r *Registry) Snapshot() []Instrument {
 		return cmp.Compare(a.Kind, b.Kind)
 	})
 	return out
-}
-
-// Dump renders every metric as "name value" lines, sorted by name. Intended
-// for debugging and log output; programs should consume Snapshot instead.
-func (r *Registry) Dump() string {
-	snap := r.Snapshot()
-	lines := make([]string, 0, len(snap))
-	for _, in := range snap {
-		switch in.Kind {
-		case KindCounter:
-			lines = append(lines, fmt.Sprintf("%s %d", in.Name, in.Counter))
-		case KindGauge:
-			lines = append(lines, fmt.Sprintf("%s %g", in.Name, in.Gauge))
-		case KindHistogram:
-			s := in.Hist
-			lines = append(lines, fmt.Sprintf("%s count=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-				in.Name, s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max))
-		}
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +51,7 @@ func TestGaugeSetGet(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Mean != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
 }
@@ -73,8 +74,8 @@ func TestHistogramSingleObservation(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Observe(-time.Second)
-	if h.Min() != 0 {
-		t.Fatalf("Min = %v, want 0", h.Min())
+	if got := h.Snapshot().Min; got != 0 {
+		t.Fatalf("Min = %v, want 0", got)
 	}
 }
 
@@ -92,7 +93,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	if p99 < 900*time.Millisecond || p99 > 1100*time.Millisecond {
 		t.Fatalf("P99 = %v, want ~990ms (±10%%)", p99)
 	}
-	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
+	if s := h.Snapshot(); h.Quantile(0) != s.Min || h.Quantile(1) != s.Max {
 		t.Fatal("quantile extremes do not match min/max")
 	}
 }
@@ -101,7 +102,7 @@ func TestHistogramMeanExact(t *testing.T) {
 	var h Histogram
 	h.Observe(10 * time.Millisecond)
 	h.Observe(30 * time.Millisecond)
-	if got := h.Mean(); got != 20*time.Millisecond {
+	if got := h.Snapshot().Mean; got != 20*time.Millisecond {
 		t.Fatalf("Mean = %v, want 20ms", got)
 	}
 }
@@ -141,7 +142,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 2000 {
+	if got := h.Snapshot().Count; got != 2000 {
 		t.Fatalf("Count = %d, want 2000", got)
 	}
 }
@@ -203,7 +204,7 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 	}
 	h1 := r.Histogram("lat")
 	h1.Observe(time.Millisecond)
-	if got := r.Histogram("lat").Count(); got != 1 {
+	if got := r.Histogram("lat").Snapshot().Count; got != 1 {
 		t.Fatalf("second histogram lookup fresh, count=%d", got)
 	}
 	g := r.Gauge("load")
@@ -218,22 +219,26 @@ func TestRegistryNamesSorted(t *testing.T) {
 	r.Counter("zz")
 	r.Gauge("aa")
 	r.Histogram("mm")
-	names := r.Names()
-	if len(names) != 3 || names[0] != "aa" || names[1] != "mm" || names[2] != "zz" {
-		t.Fatalf("Names = %v", names)
+	snap := r.Snapshot()
+	if len(snap) != 3 || snap[0].Name != "aa" || snap[1].Name != "mm" || snap[2].Name != "zz" {
+		t.Fatalf("Snapshot = %+v", snap)
 	}
 }
 
+// TestRegistryDump checks the registry's dump of every instrument — its
+// typed Snapshot — names, kinds and values, sorted by name.
 func TestRegistryDump(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(3)
 	r.Gauge("temp").Set(21.5)
 	r.Histogram("lat").Observe(time.Millisecond)
-	out := r.Dump()
-	for _, want := range []string{"hits 3", "temp 21.5", "lat count=1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Dump missing %q:\n%s", want, out)
-		}
+	want := []Instrument{
+		{Name: "hits", Kind: KindCounter, Counter: 3},
+		{Name: "lat", Kind: KindHistogram, Hist: r.Histogram("lat").Snapshot()},
+		{Name: "temp", Kind: KindGauge, Gauge: 21.5},
+	}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Snapshot = %+v, want %+v", got, want)
 	}
 }
 
@@ -272,16 +277,8 @@ func TestTableWideRowNoPanic(t *testing.T) {
 func TestTableTypedCells(t *testing.T) {
 	tb := NewTable("t", "name", "dur", "rate")
 	tb.AddRow("row0", 5*time.Millisecond, 12.5)
-	if got := tb.Headers(); len(got) != 3 || got[1] != "dur" {
-		t.Fatalf("Headers = %v", got)
-	}
-	if tb.Title() != "t" {
-		t.Fatalf("Title = %q", tb.Title())
-	}
-	// Mutating the returned headers must not affect the table.
-	tb.Headers()[0] = "mutated"
-	if got := tb.Headers()[0]; got != "name" {
-		t.Fatalf("Headers aliases table storage: %q", got)
+	if got := tb.rows[0]; len(got) != 3 || got[1] != "5ms" || got[2] != "12.5" {
+		t.Fatalf("row = %q", got)
 	}
 }
 

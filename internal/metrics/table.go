@@ -49,12 +49,6 @@ func trimFloat(v float64) string {
 // NumRows returns the number of data rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Title returns the table title.
-func (t *Table) Title() string { return t.title }
-
-// Headers returns a copy of the column headers.
-func (t *Table) Headers() []string { return append([]string(nil), t.headers...) }
-
 // String renders the table with a title line, a header row, a separator, and
 // aligned columns. Rows wider than the header row render their extra cells
 // unpadded rather than panicking.

@@ -31,7 +31,7 @@ func TestFetchedRecordsSurviveRetention(t *testing.T) {
 		}
 	}
 
-	held, err := b.Fetch("t", 0, 0, 10)
+	held, err := fetch(b, "t", 0, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFetchedRecordsSurviveRetention(t *testing.T) {
 	if oldest <= 9 {
 		t.Fatalf("oldest offset = %d; retention never dropped the held segment", oldest)
 	}
-	if _, err := b.Fetch("t", 0, 0, 1); err == nil {
+	if _, err := fetch(b, "t", 0, 0, 1); err == nil {
 		t.Fatal("offset 0 still fetchable; test set-up did not evict the segment")
 	}
 
@@ -84,7 +84,7 @@ func TestFetchedRecordAppendDoesNotClobberNeighbor(t *testing.T) {
 	if _, _, err := b.Produce("t", []byte("kb"), []byte("bbbb")); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := b.Fetch("t", 0, 0, 2)
+	recs, err := fetch(b, "t", 0, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFetchedRecordAppendDoesNotClobberNeighbor(t *testing.T) {
 	_ = append(recs[0].Key, []byte("XXXX")...)
 	_ = append(recs[0].Value, []byte("YYYY")...)
 
-	again, err := b.Fetch("t", 0, 0, 2)
+	again, err := fetch(b, "t", 0, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"arbd/internal/metrics"
 	"arbd/internal/sim"
 )
 
@@ -14,7 +13,6 @@ import (
 // concurrent use.
 type Broker struct {
 	clock sim.Clock
-	reg   *metrics.Registry
 
 	mu     sync.RWMutex
 	topics map[string]*topic
@@ -24,18 +22,12 @@ type Broker struct {
 	done   chan struct{} // closed by Close: releases every waiting poller
 }
 
-// topic holds a topic's partitions plus everything the produce/fetch hot
-// paths would otherwise resolve per call: the produced/fetched counters are
-// interned once at CreateTopic (a per-call Registry.Counter lookup costs a
-// string concat allocation plus a registry mutex acquisition), and rr is the
-// sticky round-robin cursor spreading unkeyed records across partitions.
+// topic holds a topic's partitions plus rr, the sticky round-robin cursor
+// spreading unkeyed records across partitions.
 type topic struct {
-	name     string
-	cfg      TopicConfig
-	parts    []*partition
-	produced *metrics.Counter
-	fetched  *metrics.Counter
-	rr       atomic.Uint64 // next unkeyed partition assignment
+	cfg   TopicConfig
+	parts []*partition
+	rr    atomic.Uint64 // next unkeyed partition assignment
 
 	// groups lists the topic's consumer groups, copied on write under
 	// groupsMu so produce and commit read it without a lock. Every group
@@ -108,16 +100,10 @@ func WithClock(c sim.Clock) Option {
 	return func(b *Broker) { b.clock = c }
 }
 
-// WithMetrics sets the registry the broker records into.
-func WithMetrics(r *metrics.Registry) Option {
-	return func(b *Broker) { b.reg = r }
-}
-
 // NewBroker returns an empty broker.
 func NewBroker(opts ...Option) *Broker {
 	b := &Broker{
 		clock:  sim.RealClock{},
-		reg:    metrics.NewRegistry(),
 		topics: make(map[string]*topic),
 		done:   make(chan struct{}),
 	}
@@ -126,9 +112,6 @@ func NewBroker(opts ...Option) *Broker {
 	}
 	return b
 }
-
-// Metrics returns the broker's metrics registry.
-func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 
 // CreateTopic registers a topic. It fails if the name is taken.
 func (b *Broker) CreateTopic(name string, cfg TopicConfig) error {
@@ -143,38 +126,12 @@ func (b *Broker) CreateTopic(name string, cfg TopicConfig) error {
 	if _, ok := b.topics[name]; ok {
 		return fmt.Errorf("%w: %q", ErrTopicExists, name)
 	}
-	t := &topic{
-		name:     name,
-		cfg:      cfg,
-		parts:    make([]*partition, cfg.Partitions),
-		produced: b.reg.Counter("mq.produced." + name),
-		fetched:  b.reg.Counter("mq.fetched." + name),
-	}
+	t := &topic{cfg: cfg, parts: make([]*partition, cfg.Partitions)}
 	for i := range t.parts {
 		t.parts[i] = newPartition()
 	}
 	b.topics[name] = t
 	return nil
-}
-
-// Topics returns the names of all topics.
-func (b *Broker) Topics() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	names := make([]string, 0, len(b.topics))
-	for n := range b.topics {
-		names = append(names, n)
-	}
-	return names
-}
-
-// Partitions returns the partition count of a topic.
-func (b *Broker) Partitions(topicName string) (int, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	return len(t.parts), nil
 }
 
 func (b *Broker) topic(name string) (*topic, error) {
@@ -202,9 +159,9 @@ func PartitionFor(key []byte, numPartitions int) int {
 }
 
 // Topic resolves a produce/fetch handle: the topic-map lookup under the
-// broker lock and the metric-counter resolution happen once, here, instead
-// of on every call. Handles are valid for the life of the broker and safe
-// for concurrent use; after Close their operations fail with ErrClosed.
+// broker lock happens once, here, instead of on every call. Handles are
+// valid for the life of the broker and safe for concurrent use; after Close
+// their operations fail with ErrClosed.
 func (b *Broker) Topic(name string) (*Topic, error) {
 	t, err := b.topic(name)
 	if err != nil {
@@ -220,36 +177,50 @@ type Topic struct {
 	t *topic
 }
 
-// Name returns the topic name.
-func (tp *Topic) Name() string { return tp.t.name }
-
-// Partitions returns the topic's partition count.
-func (tp *Topic) Partitions() int { return len(tp.t.parts) }
-
-// Produce appends one record through the handle.
-func (tp *Topic) Produce(key, value []byte) (partitionIdx int, offset int64, err error) {
-	if tp.b.closed.Load() {
-		return 0, 0, ErrClosed
-	}
-	return tp.b.produce(tp.t, key, value)
-}
-
-// ProduceBatch appends a batch through the handle; see Broker.ProduceBatch.
+// ProduceBatch appends several values with the same key routing rules under
+// one partition-lock acquisition, returning the offset of the first record
+// of the batch. The whole batch lands contiguously on one partition (unkeyed
+// batches stick to the round-robin cursor's current partition; the next
+// batch rotates onward).
+//
+//arbd:hotpath
 func (tp *Topic) ProduceBatch(key []byte, values [][]byte) (int64, error) {
 	if tp.b.closed.Load() {
 		return 0, ErrClosed
 	}
-	return tp.b.produceBatch(tp.t, key, values)
+	t := tp.t
+	if t.cfg.Keyed && len(key) == 0 {
+		return 0, ErrEmptyKey
+	}
+	pi := t.partitionFor(key)
+	first := t.parts[pi].appendBatch(tp.b.clock.Now(), key, values, t.cfg.RetentionBytes)
+	t.wake()
+	return first, nil
 }
 
 // FetchInto reads up to max records from one partition starting at offset,
 // appending them to dst — the reuse variant that keeps a hot consumer loop
 // from allocating a fresh slice per poll.
+//
+//arbd:hotpath
 func (tp *Topic) FetchInto(dst []Record, partitionIdx int, offset int64, max int) ([]Record, error) {
 	if tp.b.closed.Load() {
 		return dst, ErrClosed
 	}
-	return tp.b.fetchInto(tp.t, dst, partitionIdx, offset, max)
+	parts := tp.t.parts
+	if partitionIdx < 0 || partitionIdx >= len(parts) {
+		//arbd:alloc-ok caller-bug error path, never taken by the steady-state consumer
+		return dst, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(parts))
+	}
+	start := len(dst)
+	dst, err := parts[partitionIdx].readInto(dst, offset, max)
+	if err != nil {
+		return dst, err
+	}
+	for i := start; i < len(dst); i++ {
+		dst[i].Partition = partitionIdx
+	}
+	return dst, nil
 }
 
 // Offsets returns the oldest retained and next-to-assign offsets of a
@@ -272,79 +243,13 @@ func (b *Broker) Produce(topicName string, key, value []byte) (partitionIdx int,
 	if err != nil {
 		return 0, 0, err
 	}
-	return b.produce(t, key, value)
-}
-
-func (b *Broker) produce(t *topic, key, value []byte) (int, int64, error) {
 	if t.cfg.Keyed && len(key) == 0 {
 		return 0, 0, ErrEmptyKey
 	}
 	pi := t.partitionFor(key)
 	off := t.parts[pi].append(b.clock.Now(), key, value, t.cfg.RetentionBytes)
-	t.produced.Inc()
 	t.wake()
 	return pi, off, nil
-}
-
-// ProduceBatch appends several values with the same key routing rules under
-// one partition-lock acquisition, returning the offset of the first record
-// of the batch. The whole batch lands contiguously on one partition (unkeyed
-// batches stick to the round-robin cursor's current partition; the next
-// batch rotates onward).
-func (b *Broker) ProduceBatch(topicName string, key []byte, values [][]byte) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	return b.produceBatch(t, key, values)
-}
-
-//arbd:hotpath
-func (b *Broker) produceBatch(t *topic, key []byte, values [][]byte) (int64, error) {
-	if t.cfg.Keyed && len(key) == 0 {
-		return 0, ErrEmptyKey
-	}
-	pi := t.partitionFor(key)
-	first := t.parts[pi].appendBatch(b.clock.Now(), key, values, t.cfg.RetentionBytes)
-	t.produced.Add(int64(len(values)))
-	t.wake()
-	return first, nil
-}
-
-// Fetch reads up to max records from one partition starting at offset.
-func (b *Broker) Fetch(topicName string, partitionIdx int, offset int64, max int) ([]Record, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	return b.fetchInto(t, nil, partitionIdx, offset, max)
-}
-
-// FetchInto is Fetch appending into dst; see Topic.FetchInto.
-func (b *Broker) FetchInto(dst []Record, topicName string, partitionIdx int, offset int64, max int) ([]Record, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return dst, err
-	}
-	return b.fetchInto(t, dst, partitionIdx, offset, max)
-}
-
-//arbd:hotpath
-func (b *Broker) fetchInto(t *topic, dst []Record, partitionIdx int, offset int64, max int) ([]Record, error) {
-	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		//arbd:alloc-ok caller-bug error path, never taken by the steady-state consumer
-		return dst, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(t.parts))
-	}
-	start := len(dst)
-	dst, err := t.parts[partitionIdx].readInto(dst, offset, max)
-	if err != nil {
-		return dst, err
-	}
-	for i := start; i < len(dst); i++ {
-		dst[i].Partition = partitionIdx
-	}
-	t.fetched.Add(int64(len(dst) - start))
-	return dst, nil
 }
 
 // Offsets returns the oldest retained and next-to-assign offsets of a
@@ -368,19 +273,4 @@ func (b *Broker) Close() {
 		return
 	}
 	close(b.done)
-}
-
-// Lag returns the total number of records between committed group offsets
-// and the head across all partitions of the topic.
-func (b *Broker) Lag(topicName string, g *Group) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	var lag int64
-	for pi := range t.parts {
-		head := t.parts[pi].newest()
-		lag += head - g.Committed(pi)
-	}
-	return lag, nil
 }

@@ -21,6 +21,24 @@ func newTestBroker(t *testing.T, partitions int) *Broker {
 	return b
 }
 
+// fetch reads through a Topic handle, the broker's one fetch path.
+func fetch(b *Broker, topic string, partitionIdx int, offset int64, max int) ([]Record, error) {
+	tp, err := b.Topic(topic)
+	if err != nil {
+		return nil, err
+	}
+	return tp.FetchInto(nil, partitionIdx, offset, max)
+}
+
+// produceBatch produces through a Topic handle, the broker's one batch path.
+func produceBatch(b *Broker, topic string, key []byte, values [][]byte) (int64, error) {
+	tp, err := b.Topic(topic)
+	if err != nil {
+		return 0, err
+	}
+	return tp.ProduceBatch(key, values)
+}
+
 func TestCreateTopicDuplicate(t *testing.T) {
 	b := newTestBroker(t, 1)
 	if err := b.CreateTopic("events", TopicConfig{}); !errors.Is(err, ErrTopicExists) {
@@ -42,7 +60,7 @@ func TestProduceFetchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := b.Fetch("events", 0, 0, 100)
+	recs, err := fetch(b, "events", 0, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +121,17 @@ func TestKeyedTopicRejectsEmptyKey(t *testing.T) {
 	if _, _, err := b.Produce("k", nil, []byte("v")); !errors.Is(err, ErrEmptyKey) {
 		t.Fatalf("err = %v, want ErrEmptyKey", err)
 	}
-	if _, err := b.ProduceBatch("k", nil, [][]byte{[]byte("v")}); !errors.Is(err, ErrEmptyKey) {
+	if _, err := produceBatch(b, "k", nil, [][]byte{[]byte("v")}); !errors.Is(err, ErrEmptyKey) {
 		t.Fatalf("batch err = %v, want ErrEmptyKey", err)
 	}
 }
 
 func TestFetchBadPartition(t *testing.T) {
 	b := newTestBroker(t, 2)
-	if _, err := b.Fetch("events", 5, 0, 10); !errors.Is(err, ErrBadPartition) {
+	if _, err := fetch(b, "events", 5, 0, 10); !errors.Is(err, ErrBadPartition) {
 		t.Fatalf("err = %v, want ErrBadPartition", err)
 	}
-	if _, err := b.Fetch("events", -1, 0, 10); !errors.Is(err, ErrBadPartition) {
+	if _, err := fetch(b, "events", -1, 0, 10); !errors.Is(err, ErrBadPartition) {
 		t.Fatalf("err = %v, want ErrBadPartition", err)
 	}
 }
@@ -121,7 +139,7 @@ func TestFetchBadPartition(t *testing.T) {
 func TestFetchAtHeadReturnsEmpty(t *testing.T) {
 	b := newTestBroker(t, 1)
 	_, _, _ = b.Produce("events", nil, []byte("x"))
-	recs, err := b.Fetch("events", 0, 1, 10)
+	recs, err := fetch(b, "events", 0, 1, 10)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("fetch at head = %v, %v", recs, err)
 	}
@@ -136,7 +154,7 @@ func TestSegmentBoundaries(t *testing.T) {
 		}
 	}
 	// Read across a segment boundary.
-	recs, err := b.Fetch("events", 0, segmentSize-2, 5)
+	recs, err := fetch(b, "events", 0, segmentSize-2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +182,7 @@ func TestBatchStraddlesSegments(t *testing.T) {
 		for i := range values {
 			values[i] = []byte(fmt.Sprintf("r%d", produced+i))
 		}
-		first, err := b.ProduceBatch("events", nil, values)
+		first, err := produceBatch(b, "events", nil, values)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +194,7 @@ func TestBatchStraddlesSegments(t *testing.T) {
 	// Read in odd-sized pages so fetches also start mid-segment.
 	consumed := 0
 	for {
-		recs, err := b.Fetch("events", 0, int64(consumed), 97)
+		recs, err := fetch(b, "events", 0, int64(consumed), 97)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +236,7 @@ func TestRetentionTruncatesOldSegments(t *testing.T) {
 	if newest != segmentSize*5 {
 		t.Fatalf("newest = %d", newest)
 	}
-	if _, err := b.Fetch("small", 0, 0, 1); !errors.Is(err, ErrOffsetOutOfLog) {
+	if _, err := fetch(b, "small", 0, 0, 1); !errors.Is(err, ErrOffsetOutOfLog) {
 		t.Fatalf("fetch below horizon err = %v, want ErrOffsetOutOfLog", err)
 	}
 }
@@ -251,7 +269,7 @@ func TestGroupPollAndCommit(t *testing.T) {
 	if len(after) != 0 {
 		t.Fatalf("after commit polled %d, want 0", len(after))
 	}
-	lag, err := b.Lag("events", g)
+	lag, err := g.Lag()
 	if err != nil || lag != 0 {
 		t.Fatalf("lag = %d, %v", lag, err)
 	}
@@ -275,9 +293,9 @@ func TestPollWaitWakesOnProduce(t *testing.T) {
 
 	done := make(chan []Record, 1)
 	go func() {
-		recs, err := g.PollWait(ctx, 10)
+		recs, err := g.PollWaitInto(ctx, nil, 10)
 		if err != nil {
-			t.Errorf("PollWait: %v", err)
+			t.Errorf("PollWaitInto: %v", err)
 		}
 		done <- recs
 	}()
@@ -291,7 +309,7 @@ func TestPollWaitWakesOnProduce(t *testing.T) {
 			t.Fatalf("got %v", recs)
 		}
 	case <-ctx.Done():
-		t.Fatal("PollWait never woke")
+		t.Fatal("PollWaitInto never woke")
 	}
 }
 
@@ -300,7 +318,7 @@ func TestPollWaitHonoursContext(t *testing.T) {
 	g, _ := b.NewGroup("events")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := g.PollWait(ctx, 10); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := g.PollWaitInto(ctx, nil, 10); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -358,7 +376,7 @@ func TestBrokerCloseReleasesWaiters(t *testing.T) {
 	g, _ := b.NewGroup("events")
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := g.PollWait(context.Background(), 1)
+		_, err := g.PollWaitInto(context.Background(), nil, 1)
 		errCh <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -369,7 +387,7 @@ func TestBrokerCloseReleasesWaiters(t *testing.T) {
 			t.Fatalf("err = %v, want ErrClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("PollWait not released by Close")
+		t.Fatal("PollWaitInto not released by Close")
 	}
 	if _, _, err := b.Produce("events", nil, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("produce after close err = %v", err)
@@ -398,14 +416,14 @@ func TestGroupSkipsTruncatedRange(t *testing.T) {
 
 func TestProduceBatch(t *testing.T) {
 	b := newTestBroker(t, 1)
-	first, err := b.ProduceBatch("events", []byte("k"), [][]byte{[]byte("a"), []byte("b"), []byte("c")})
+	first, err := produceBatch(b, "events", []byte("k"), [][]byte{[]byte("a"), []byte("b"), []byte("c")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != 0 {
 		t.Fatalf("first offset = %d", first)
 	}
-	recs, _ := b.Fetch("events", 0, 0, 10)
+	recs, _ := fetch(b, "events", 0, 0, 10)
 	if len(recs) != 3 {
 		t.Fatalf("fetched %d", len(recs))
 	}
@@ -454,7 +472,7 @@ func TestRecordsAreCopies(t *testing.T) {
 	val := []byte("mutable")
 	_, _, _ = b.Produce("events", nil, val)
 	val[0] = 'X'
-	recs, _ := b.Fetch("events", 0, 0, 1)
+	recs, _ := fetch(b, "events", 0, 0, 1)
 	if string(recs[0].Value) != "mutable" {
 		t.Fatalf("broker aliased caller's buffer: %q", recs[0].Value)
 	}

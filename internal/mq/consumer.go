@@ -134,14 +134,9 @@ func (g *Group) PollInto(dst []Record, max int) ([]Record, error) {
 	return dst, nil
 }
 
-// PollWait behaves like Poll but blocks until at least one record is
-// available, the context is cancelled, or the broker closes.
-func (g *Group) PollWait(ctx context.Context, max int) ([]Record, error) {
-	return g.PollWaitInto(ctx, nil, max)
-}
-
-// PollWaitInto is PollWait appending into dst. A produce wakes one waiter
-// per group: a group is meant to be polled by one goroutine.
+// PollWaitInto is PollInto that blocks until at least one record is
+// available, the context is cancelled, or the broker closes. A produce wakes
+// one waiter per group: a group is meant to be polled by one goroutine.
 func (g *Group) PollWaitInto(ctx context.Context, dst []Record, max int) ([]Record, error) {
 	base := len(dst)
 	for {

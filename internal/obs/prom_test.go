@@ -223,7 +223,8 @@ func TestWritePrometheusCoversRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := sb.String()
-	for _, name := range reg.Names() {
+	for _, in := range reg.Snapshot() {
+		name := in.Name
 		if !strings.Contains(text, promName(name)) {
 			t.Fatalf("instrument %q (as %q) missing from exposition:\n%s", name, promName(name), text)
 		}

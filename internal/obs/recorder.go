@@ -66,15 +66,6 @@ type FrameRecord struct {
 	Err     bool             // render error; no push produced
 }
 
-// SpanSum returns the sum of all stage spans in nanoseconds.
-func (r *FrameRecord) SpanSum() int64 {
-	var sum int64
-	for _, s := range r.Spans {
-		sum += s
-	}
-	return sum
-}
-
 // Blame returns the stage with the largest span.
 func (r *FrameRecord) Blame() Stage {
 	best := Stage(0)
@@ -239,6 +230,8 @@ func (r *Recorder) settleDelivered(rec *FrameRecord, now time.Time) {
 // Records copies the ring's current contents into out (newest last,
 // unordered across a wrap), skipping slots mid-write. Pass a slice with
 // capacity for ringSize records to avoid growth.
+//
+//arbd:test-api the ring's only reader: server tests check every hop's flights through it
 func (r *Recorder) Records(out []FrameRecord) []FrameRecord {
 	for i := range r.slots {
 		s := &r.slots[i]

@@ -1,31 +1,96 @@
-// Package offload implements §4.1's computation-offloading architecture
-// (CloudRiDAR [13]): the AR frame pipeline as a stage graph, enumeration of
-// device/edge/cloud split placements, a latency+device-energy estimator
-// over the cluster package's node and link models, and an adaptive
-// scheduler that re-plans when the network changes.
+// Package offload implements §4.1's computation-offloading argument
+// (CloudRiDAR [13]): the AR frame pipeline as a stage graph, a node
+// speed/power model and network link profiles, and a latency+device-energy
+// estimator over every device/edge/cloud split placement.
 package offload
 
 import (
 	"errors"
 	"fmt"
 	"time"
-
-	"arbd/internal/cluster"
-	"arbd/internal/sim"
 )
 
 // Offload errors.
 var (
-	ErrLocalOnly   = errors.New("offload: placement moves a device-only stage off the device")
-	ErrBadSplit    = errors.New("offload: invalid split range")
-	ErrNoPlacement = errors.New("offload: no placement satisfies the constraints")
+	ErrLocalOnly = errors.New("offload: placement moves a device-only stage off the device")
+	ErrBadSplit  = errors.New("offload: invalid split range")
 )
+
+// Profile describes a network link class.
+type Profile struct {
+	Name          string
+	RTT           time.Duration // round-trip propagation latency
+	BandwidthMbps float64       // payload throughput
+}
+
+// Standard link profiles, parameterised from published mobile-network
+// measurements (order-of-magnitude, which is all the offload crossover
+// shapes need).
+var (
+	ProfileLoopback = Profile{Name: "loopback", RTT: 50 * time.Microsecond, BandwidthMbps: 10000}
+	ProfileLAN      = Profile{Name: "lan", RTT: 500 * time.Microsecond, BandwidthMbps: 1000}
+	ProfileWiFi     = Profile{Name: "wifi", RTT: 5 * time.Millisecond, BandwidthMbps: 100}
+	ProfileLTE      = Profile{Name: "lte", RTT: 35 * time.Millisecond, BandwidthMbps: 20}
+	Profile3G       = Profile{Name: "3g", RTT: 120 * time.Millisecond, BandwidthMbps: 2}
+)
+
+// OneWay returns the time to move payloadBytes across the link once: half
+// an RTT of propagation plus serialisation at the link bandwidth.
+func (p Profile) OneWay(payloadBytes int) time.Duration {
+	ser := time.Duration(float64(payloadBytes*8) / (p.BandwidthMbps * 1e6) * float64(time.Second))
+	return p.RTT/2 + ser
+}
+
+// baseOpsPerSecond is the throughput of a SpeedFactor-1.0 node. The absolute
+// value is arbitrary; ratios between node classes drive every result.
+const baseOpsPerSecond = 2e9
+
+// Node is one compute element.
+type Node struct {
+	ID string
+	// SpeedFactor scales compute throughput relative to the mobile
+	// baseline (mobile ≈ 1, edge ≈ 4-8, cloud ≈ 16-64).
+	SpeedFactor float64
+	// ActiveWatts and IdleWatts drive the device energy model (battery
+	// life is one of the paper's §4 practical barriers).
+	ActiveWatts float64
+	IdleWatts   float64
+	// TxWatts is radio transmit power draw during network transfers.
+	TxWatts float64
+}
+
+// ExecTime returns how long ops operations take on this node.
+func (n Node) ExecTime(ops float64) time.Duration {
+	if n.SpeedFactor <= 0 {
+		return time.Duration(math31)
+	}
+	return time.Duration(ops / (n.SpeedFactor * baseOpsPerSecond) * float64(time.Second))
+}
+
+const math31 = 1<<62 - 1 // effectively infinite duration for a dead node
+
+// ComputeEnergyJoules returns device energy burned computing for d at active
+// power.
+func (n Node) ComputeEnergyJoules(d time.Duration) float64 {
+	return n.ActiveWatts * d.Seconds()
+}
+
+// RadioEnergyJoules returns device energy burned transmitting/receiving for
+// d.
+func (n Node) RadioEnergyJoules(d time.Duration) float64 {
+	return n.TxWatts * d.Seconds()
+}
+
+// IdleEnergyJoules returns device energy burned waiting for d.
+func (n Node) IdleEnergyJoules(d time.Duration) float64 {
+	return n.IdleWatts * d.Seconds()
+}
 
 // Stage is one step of the AR frame pipeline.
 type Stage struct {
 	Name string
 	// Ops is the stage's compute cost in abstract operations (see
-	// cluster.Node.ExecTime).
+	// Node.ExecTime).
 	Ops float64
 	// OutBytes is the payload handed to the next stage (or back to the
 	// device from the last remote stage).
@@ -90,9 +155,8 @@ type Estimate struct {
 }
 
 // Evaluate predicts latency and device energy for one frame of the pipeline
-// under the placement. A nil rng gives deterministic mean estimates (used
-// by the planner); a seeded rng adds link jitter (used by the simulator).
-func Evaluate(stages []Stage, device, remote cluster.Node, link cluster.Profile, pl Placement, rng *sim.Rand) (Estimate, error) {
+// under the placement.
+func Evaluate(stages []Stage, device, remote Node, link Profile, pl Placement) (Estimate, error) {
 	var est Estimate
 	if pl.RemoteStart < 0 || pl.RemoteEnd > len(stages) || pl.RemoteStart > pl.RemoteEnd {
 		return est, fmt.Errorf("%w: [%d:%d) of %d", ErrBadSplit, pl.RemoteStart, pl.RemoteEnd, len(stages))
@@ -117,8 +181,8 @@ func Evaluate(stages []Stage, device, remote cluster.Node, link cluster.Profile,
 	if !pl.IsLocal() {
 		up := stages[pl.RemoteStart-1].OutBytes
 		down := stages[pl.RemoteEnd-1].OutBytes
-		upT := link.OneWay(up, rng)
-		downT := link.OneWay(down, rng)
+		upT := link.OneWay(up)
+		downT := link.OneWay(down)
 		est.Network = upT + downT
 		est.UplinkBytes = up
 		est.DownlinkBytes = down
@@ -128,15 +192,6 @@ func Evaluate(stages []Stage, device, remote cluster.Node, link cluster.Profile,
 	return est, nil
 }
 
-// Objective selects what Best optimises. Enums start at 1.
-type Objective int
-
-// Optimisation objectives.
-const (
-	MinLatency Objective = iota + 1
-	MinEnergy
-)
-
 // Decision is a chosen placement with its predicted cost.
 type Decision struct {
 	Placement Placement
@@ -145,92 +200,29 @@ type Decision struct {
 
 // RemoteOption is a candidate offload target with its link from the device.
 type RemoteOption struct {
-	Node cluster.Node
-	Link cluster.Profile
+	Node Node
+	Link Profile
 }
 
 // Best enumerates every valid placement (fully local plus every contiguous
-// offloadable range on every remote) and returns the one optimising the
-// objective. With MinEnergy, maxLatency (if > 0) is a hard SLA.
-func Best(stages []Stage, device cluster.Node, remotes []RemoteOption, obj Objective, maxLatency time.Duration) (Decision, error) {
-	var best Decision
-	found := false
-	consider := func(pl Placement, est Estimate) {
-		if maxLatency > 0 && est.Latency > maxLatency {
-			return
-		}
-		if !found {
-			best = Decision{Placement: pl, Estimate: est}
-			found = true
-			return
-		}
-		better := false
-		switch obj {
-		case MinEnergy:
-			better = est.DeviceEnergyJ < best.Estimate.DeviceEnergyJ
-		default:
-			better = est.Latency < best.Estimate.Latency
-		}
-		if better {
-			best = Decision{Placement: pl, Estimate: est}
-		}
-	}
-
-	localEst, err := Evaluate(stages, device, device, cluster.ProfileLoopback, Local(), nil)
-	if err != nil {
-		return Decision{}, err
-	}
-	consider(Local(), localEst)
-
+// offloadable range on every remote) and returns the one with the lowest
+// latency; the first found wins a tie.
+func Best(stages []Stage, device Node, remotes []RemoteOption) Decision {
+	localEst, _ := Evaluate(stages, device, device, ProfileLoopback, Local()) // a local placement is always valid
+	best := Decision{Placement: Local(), Estimate: localEst}
 	for _, r := range remotes {
 		for start := 1; start < len(stages); start++ {
 			for end := start + 1; end <= len(stages); end++ {
 				pl := Placement{RemoteStart: start, RemoteEnd: end, RemoteNode: r.Node.ID}
-				est, err := Evaluate(stages, device, r.Node, r.Link, pl, nil)
+				est, err := Evaluate(stages, device, r.Node, r.Link, pl)
 				if err != nil {
 					continue // placement covers a device-only stage
 				}
-				consider(pl, est)
+				if est.Latency < best.Estimate.Latency {
+					best = Decision{Placement: pl, Estimate: est}
+				}
 			}
 		}
 	}
-	if !found {
-		return Decision{}, ErrNoPlacement
-	}
-	return best, nil
+	return best
 }
-
-// Scheduler re-plans placements as network conditions change and tracks how
-// often the decision flips — the adaptivity §4.1 asks of cloud-backed AR.
-type Scheduler struct {
-	stages  []Stage
-	device  cluster.Node
-	obj     Objective
-	sla     time.Duration
-	current Decision
-	has     bool
-	flips   int
-}
-
-// NewScheduler returns a scheduler for the given pipeline and device.
-func NewScheduler(stages []Stage, device cluster.Node, obj Objective, sla time.Duration) *Scheduler {
-	return &Scheduler{stages: stages, device: device, obj: obj, sla: sla}
-}
-
-// Plan recomputes the best placement for the given remotes/links, returning
-// the decision and whether it changed from the previous plan.
-func (s *Scheduler) Plan(remotes []RemoteOption) (Decision, bool, error) {
-	d, err := Best(s.stages, s.device, remotes, s.obj, s.sla)
-	if err != nil {
-		return Decision{}, false, err
-	}
-	changed := s.has && d.Placement != s.current.Placement
-	if changed {
-		s.flips++
-	}
-	s.current, s.has = d, true
-	return d, changed, nil
-}
-
-// Flips returns how many times the placement changed.
-func (s *Scheduler) Flips() int { return s.flips }

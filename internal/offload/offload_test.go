@@ -4,17 +4,12 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"arbd/internal/cluster"
 )
 
 var (
-	device = cluster.Node{ID: "mobile", Class: cluster.ClassMobile, SpeedFactor: 1,
-		ActiveWatts: 2.5, IdleWatts: 0.8, TxWatts: 1.8}
-	edge = cluster.Node{ID: "edge", Class: cluster.ClassEdge, SpeedFactor: 6,
-		ActiveWatts: 65, IdleWatts: 20, TxWatts: 5}
-	cloud = cluster.Node{ID: "cloud", Class: cluster.ClassCloud, SpeedFactor: 32,
-		ActiveWatts: 250, IdleWatts: 80, TxWatts: 10}
+	device = Node{ID: "mobile", SpeedFactor: 1, ActiveWatts: 2.5, IdleWatts: 0.8, TxWatts: 1.8}
+	edge   = Node{ID: "edge", SpeedFactor: 6, ActiveWatts: 65, IdleWatts: 20, TxWatts: 5}
+	cloud  = Node{ID: "cloud", SpeedFactor: 32, ActiveWatts: 250, IdleWatts: 80, TxWatts: 10}
 )
 
 func stages() []Stage { return ARPipeline(0, 0) }
@@ -38,7 +33,7 @@ func TestARPipelineShape(t *testing.T) {
 }
 
 func TestEvaluateLocal(t *testing.T) {
-	est, err := Evaluate(stages(), device, device, cluster.ProfileLoopback, Local(), nil)
+	est, err := Evaluate(stages(), device, device, ProfileLoopback, Local())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +50,7 @@ func TestEvaluateLocal(t *testing.T) {
 
 func TestEvaluateRemoteMiddle(t *testing.T) {
 	pl := Placement{RemoteStart: 1, RemoteEnd: 4, RemoteNode: "cloud"}
-	est, err := Evaluate(stages(), device, cloud, cluster.ProfileWiFi, pl, nil)
+	est, err := Evaluate(stages(), device, cloud, ProfileWiFi, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +64,7 @@ func TestEvaluateRemoteMiddle(t *testing.T) {
 		t.Fatalf("estimate = %+v", est)
 	}
 	// Remote compute on a 32x node must be well under local.
-	localEst, _ := Evaluate(stages(), device, device, cluster.ProfileLoopback, Local(), nil)
+	localEst, _ := Evaluate(stages(), device, device, ProfileLoopback, Local())
 	if est.ComputeRemote >= localEst.ComputeLocal {
 		t.Fatal("cloud compute not faster than local")
 	}
@@ -77,38 +72,35 @@ func TestEvaluateRemoteMiddle(t *testing.T) {
 
 func TestEvaluateRejectsDeviceOnlyOffload(t *testing.T) {
 	pl := Placement{RemoteStart: 0, RemoteEnd: 2, RemoteNode: "cloud"} // includes capture
-	if _, err := Evaluate(stages(), device, cloud, cluster.ProfileWiFi, pl, nil); !errors.Is(err, ErrLocalOnly) {
+	if _, err := Evaluate(stages(), device, cloud, ProfileWiFi, pl); !errors.Is(err, ErrLocalOnly) {
 		t.Fatalf("err = %v", err)
 	}
 	pl = Placement{RemoteStart: 3, RemoteEnd: 5, RemoteNode: "cloud"} // includes render
-	if _, err := Evaluate(stages(), device, cloud, cluster.ProfileWiFi, pl, nil); !errors.Is(err, ErrLocalOnly) {
+	if _, err := Evaluate(stages(), device, cloud, ProfileWiFi, pl); !errors.Is(err, ErrLocalOnly) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestEvaluateRejectsBadSplit(t *testing.T) {
-	if _, err := Evaluate(stages(), device, cloud, cluster.ProfileWiFi,
-		Placement{RemoteStart: 3, RemoteEnd: 2}, nil); !errors.Is(err, ErrBadSplit) {
+	if _, err := Evaluate(stages(), device, cloud, ProfileWiFi,
+		Placement{RemoteStart: 3, RemoteEnd: 2}); !errors.Is(err, ErrBadSplit) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := Evaluate(stages(), device, cloud, cluster.ProfileWiFi,
-		Placement{RemoteStart: 0, RemoteEnd: 99}, nil); !errors.Is(err, ErrBadSplit) {
+	if _, err := Evaluate(stages(), device, cloud, ProfileWiFi,
+		Placement{RemoteStart: 0, RemoteEnd: 99}); !errors.Is(err, ErrBadSplit) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestBestPrefersEdgeOnFastLink(t *testing.T) {
 	remotes := []RemoteOption{
-		{Node: edge, Link: cluster.ProfileWiFi},
+		{Node: edge, Link: ProfileWiFi},
 	}
-	d, err := Best(stages(), device, remotes, MinLatency, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Best(stages(), device, remotes)
 	if d.Placement.IsLocal() {
 		t.Fatalf("WiFi+edge chose local (%v); offload should win", d.Estimate.Latency)
 	}
-	localEst, _ := Evaluate(stages(), device, device, cluster.ProfileLoopback, Local(), nil)
+	localEst, _ := Evaluate(stages(), device, device, ProfileLoopback, Local())
 	if d.Estimate.Latency >= localEst.Latency {
 		t.Fatalf("chosen placement %v slower than local %v", d.Estimate.Latency, localEst.Latency)
 	}
@@ -117,12 +109,9 @@ func TestBestPrefersEdgeOnFastLink(t *testing.T) {
 func TestBestPrefersLocalOn3G(t *testing.T) {
 	// Shipping a whole frame over 2 Mbps costs >1s; local 35 ms must win.
 	remotes := []RemoteOption{
-		{Node: cloud, Link: cluster.Profile3G},
+		{Node: cloud, Link: Profile3G},
 	}
-	d, err := Best(stages(), device, remotes, MinLatency, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Best(stages(), device, remotes)
 	if !d.Placement.IsLocal() {
 		t.Fatalf("3G chose %v (%v); local should win", d.Placement, d.Estimate.Latency)
 	}
@@ -131,84 +120,23 @@ func TestBestPrefersLocalOn3G(t *testing.T) {
 func TestBestCrossoverBetweenProfiles(t *testing.T) {
 	// The decision must flip somewhere between WiFi and 3G — the paper's
 	// offloading trade-off in one assertion.
-	wifi, err := Best(stages(), device, []RemoteOption{{Node: cloud, Link: cluster.ProfileWiFi}}, MinLatency, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	threeG, err := Best(stages(), device, []RemoteOption{{Node: cloud, Link: cluster.Profile3G}}, MinLatency, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wifi := Best(stages(), device, []RemoteOption{{Node: cloud, Link: ProfileWiFi}})
+	threeG := Best(stages(), device, []RemoteOption{{Node: cloud, Link: Profile3G}})
 	if wifi.Placement.IsLocal() || !threeG.Placement.IsLocal() {
 		t.Fatalf("no crossover: wifi=%v threeG=%v", wifi.Placement, threeG.Placement)
 	}
 }
 
-func TestBestMinEnergyRespectsSLA(t *testing.T) {
-	remotes := []RemoteOption{
-		{Node: edge, Link: cluster.ProfileWiFi},
-		{Node: cloud, Link: cluster.ProfileLTE},
-	}
-	d, err := Best(stages(), device, remotes, MinEnergy, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Estimate.Latency > 100*time.Millisecond {
-		t.Fatalf("SLA violated: %v", d.Estimate.Latency)
-	}
-	// Unbounded energy optimum must be <= constrained one.
-	dFree, err := Best(stages(), device, remotes, MinEnergy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dFree.Estimate.DeviceEnergyJ > d.Estimate.DeviceEnergyJ+1e-12 {
-		t.Fatal("unconstrained optimum worse than constrained")
-	}
-}
-
-func TestBestImpossibleSLA(t *testing.T) {
-	if _, err := Best(stages(), device, nil, MinLatency, time.Microsecond); !errors.Is(err, ErrNoPlacement) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestOffloadSavesEnergyOnGoodLink(t *testing.T) {
-	localEst, _ := Evaluate(stages(), device, device, cluster.ProfileLoopback, Local(), nil)
+	localEst, _ := Evaluate(stages(), device, device, ProfileLoopback, Local())
 	pl := Placement{RemoteStart: 1, RemoteEnd: 4, RemoteNode: "edge"}
-	offEst, err := Evaluate(stages(), device, edge, cluster.ProfileWiFi, pl, nil)
+	offEst, err := Evaluate(stages(), device, edge, ProfileWiFi, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if offEst.DeviceEnergyJ >= localEst.DeviceEnergyJ {
 		t.Fatalf("offload energy %.4f J not below local %.4f J",
 			offEst.DeviceEnergyJ, localEst.DeviceEnergyJ)
-	}
-}
-
-func TestSchedulerAdaptsToNetworkChange(t *testing.T) {
-	s := NewScheduler(stages(), device, MinLatency, 0)
-	wifi := []RemoteOption{{Node: cloud, Link: cluster.ProfileWiFi}}
-	threeG := []RemoteOption{{Node: cloud, Link: cluster.Profile3G}}
-
-	d1, changed, err := s.Plan(wifi)
-	if err != nil || changed {
-		t.Fatalf("first plan: %v changed=%v", err, changed)
-	}
-	if d1.Placement.IsLocal() {
-		t.Fatal("wifi plan local")
-	}
-	d2, changed, err := s.Plan(threeG)
-	if err != nil || !changed {
-		t.Fatalf("network change not detected: %v changed=%v", err, changed)
-	}
-	if !d2.Placement.IsLocal() {
-		t.Fatal("3g plan not local")
-	}
-	if _, changed, _ = s.Plan(threeG); changed {
-		t.Fatal("stable network reported change")
-	}
-	if s.Flips() != 1 {
-		t.Fatalf("flips = %d", s.Flips())
 	}
 }
 
@@ -219,5 +147,62 @@ func TestPlacementString(t *testing.T) {
 	pl := Placement{RemoteStart: 1, RemoteEnd: 4, RemoteNode: "edge"}
 	if pl.String() != "edge[1:4]" {
 		t.Fatalf("string = %q", pl.String())
+	}
+}
+
+func TestProfileOneWayScalesWithSize(t *testing.T) {
+	small := Profile3G.OneWay(100)
+	large := Profile3G.OneWay(1_000_000)
+	if large <= small {
+		t.Fatalf("transfer time not increasing: %v vs %v", small, large)
+	}
+	// 1 MB over 2 Mbps = 4 s serialisation + 60ms propagation.
+	if large < 3*time.Second || large > 6*time.Second {
+		t.Fatalf("1MB over 3G = %v, want ~4s", large)
+	}
+}
+
+func TestProfileOrdering(t *testing.T) {
+	// Same payload must be strictly slower on slower profiles.
+	const bytes = 200_000
+	profiles := []Profile{ProfileLoopback, ProfileLAN, ProfileWiFi, ProfileLTE, Profile3G}
+	prev := time.Duration(-1)
+	for _, p := range profiles {
+		d := p.OneWay(bytes)
+		if d <= prev {
+			t.Fatalf("%s (%v) not slower than previous (%v)", p.Name, d, prev)
+		}
+		prev = d
+	}
+}
+
+func TestNodeExecTimeScalesWithSpeed(t *testing.T) {
+	mobile := Node{SpeedFactor: 1}
+	cloud := Node{SpeedFactor: 32}
+	work := 2e9 // one second on mobile
+	tm := mobile.ExecTime(work)
+	tc := cloud.ExecTime(work)
+	if tm != time.Second {
+		t.Fatalf("mobile exec = %v, want 1s", tm)
+	}
+	if tc < tm/40 || tc > tm/25 {
+		t.Fatalf("cloud exec = %v, want ~1/32 of mobile", tc)
+	}
+	dead := Node{SpeedFactor: 0}
+	if dead.ExecTime(1) < time.Hour {
+		t.Fatal("zero-speed node finished work")
+	}
+}
+
+func TestEnergyModel(t *testing.T) {
+	n := Node{ActiveWatts: 2, IdleWatts: 0.5, TxWatts: 1.5}
+	if got := n.ComputeEnergyJoules(2 * time.Second); got != 4 {
+		t.Fatalf("compute energy = %v", got)
+	}
+	if got := n.IdleEnergyJoules(4 * time.Second); got != 2 {
+		t.Fatalf("idle energy = %v", got)
+	}
+	if got := n.RadioEnergyJoules(2 * time.Second); got != 3 {
+		t.Fatalf("radio energy = %v", got)
 	}
 }

@@ -1,5 +1,5 @@
 // Package privacy implements the §4.3 mechanisms: ε-differentially-private
-// numeric releases (Laplace and geometric mechanisms), geo-indistinguishable
+// numeric releases (the Laplace mechanism), geo-indistinguishable
 // location perturbation (planar Laplace), k-anonymous location
 // generalisation, and a privacy-budget accountant that bounds cumulative
 // disclosure per principal.
@@ -35,28 +35,6 @@ func Laplace(rng *sim.Rand, value, sensitivity, epsilon float64) (float64, error
 	u := rng.Float64() - 0.5
 	noise := -b * sign(u) * math.Log(1-2*math.Abs(u))
 	return value + noise, nil
-}
-
-// Geometric releases a noisy non-negative integer count using the two-sided
-// geometric mechanism (the discrete analogue of Laplace), clamped at zero.
-func Geometric(rng *sim.Rand, count int64, epsilon float64) (int64, error) {
-	if epsilon <= 0 {
-		return 0, ErrBadEpsilon
-	}
-	alpha := math.Exp(-epsilon)
-	// Sample two-sided geometric via difference of two geometrics.
-	g := func() int64 {
-		u := rng.Float64()
-		if u >= 1 {
-			u = math.Nextafter(1, 0)
-		}
-		return int64(math.Floor(math.Log(1-u) / math.Log(alpha)))
-	}
-	noisy := count + g() - g()
-	if noisy < 0 {
-		noisy = 0
-	}
-	return noisy, nil
 }
 
 func sign(v float64) float64 {
@@ -201,22 +179,4 @@ func (a *Accountant) Spend(principal string, epsilon float64) error {
 	}
 	a.spent[principal] += epsilon
 	return nil
-}
-
-// Spent returns the ε consumed by the principal so far.
-func (a *Accountant) Spent(principal string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spent[principal]
-}
-
-// Remaining returns the ε the principal may still spend.
-func (a *Accountant) Remaining(principal string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.budget - a.spent[principal]
-	if r < 0 {
-		return 0
-	}
-	return r
 }

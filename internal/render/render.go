@@ -37,19 +37,11 @@ func (c Camera) VFOVDeg() float64 {
 	return c.FOVDeg * float64(c.Height) / float64(c.Width)
 }
 
-// Project maps a world point (with a height above ground) onto the screen
-// for the given pose. ok is false when the point is outside the view
-// frustum.
-func (c Camera) Project(pose sensor.Pose, target geo.Point, heightM float64) (ScreenPos, bool) {
-	from := geo.OriginAt(pose.Position)
-	pos, _, ok := c.project(pose, &from, &Annotation{Anchor: target, AnchorHM: heightM})
-	return pos, ok
-}
-
-// project is Project for an annotation's anchor seen from the pose's
-// position, which from stands at: an annotation already measured from there
-// pays for the bearing only. The bearing is returned for the occlusion test,
-// which would otherwise measure it again.
+// project maps an annotation's anchor (with its height above ground) onto
+// the screen for the pose, whose position from stands at; ok is false when
+// the anchor is outside the view frustum. An annotation already measured
+// from there pays for the bearing only. The bearing is returned for the
+// occlusion test, which would otherwise measure it again.
 //
 //arbd:hotpath
 func (c Camera) project(pose sensor.Pose, from *geo.Origin, a *Annotation) (pos ScreenPos, bearing float64, ok bool) {

@@ -14,6 +14,14 @@ var (
 	cam    = DefaultCamera
 )
 
+// projectPoint maps a world point (with a height above ground) onto the
+// screen for the pose through the camera's per-annotation projection.
+func projectPoint(c Camera, pose sensor.Pose, target geo.Point, heightM float64) (ScreenPos, bool) {
+	from := geo.OriginAt(pose.Position)
+	pos, _, ok := c.project(pose, &from, &Annotation{Anchor: target, AnchorHM: heightM})
+	return pos, ok
+}
+
 func poiAt(id uint64, bearing, dist, height float64) geo.POI {
 	return geo.POI{
 		ID:           id,
@@ -25,7 +33,7 @@ func poiAt(id uint64, bearing, dist, height float64) geo.POI {
 
 func TestProjectCenterAhead(t *testing.T) {
 	target := geo.Destination(origin, 0, 50)
-	pos, ok := cam.Project(pose, target, 1.6)
+	pos, ok := projectPoint(cam, pose, target, 1.6)
 	if !ok {
 		t.Fatal("dead-ahead target not visible")
 	}
@@ -43,7 +51,7 @@ func TestProjectCenterAhead(t *testing.T) {
 func TestProjectHorizontalMapping(t *testing.T) {
 	// 15° right of axis on a 60° FOV, 1280 px screen → 640 + 15/60*1280 = 960.
 	target := geo.Destination(origin, 15, 50)
-	pos, ok := cam.Project(pose, target, 1.6)
+	pos, ok := projectPoint(cam, pose, target, 1.6)
 	if !ok {
 		t.Fatal("in-FOV target not visible")
 	}
@@ -53,25 +61,25 @@ func TestProjectHorizontalMapping(t *testing.T) {
 }
 
 func TestProjectRejectsOutsideFrustum(t *testing.T) {
-	if _, ok := cam.Project(pose, geo.Destination(origin, 90, 50), 1.6); ok {
+	if _, ok := projectPoint(cam, pose, geo.Destination(origin, 90, 50), 1.6); ok {
 		t.Fatal("target 90° off-axis visible")
 	}
-	if _, ok := cam.Project(pose, geo.Destination(origin, 180, 50), 1.6); ok {
+	if _, ok := projectPoint(cam, pose, geo.Destination(origin, 180, 50), 1.6); ok {
 		t.Fatal("target behind visible")
 	}
 	// Far above the vertical FOV at close range.
-	if _, ok := cam.Project(pose, geo.Destination(origin, 0, 10), 100); ok {
+	if _, ok := projectPoint(cam, pose, geo.Destination(origin, 0, 10), 100); ok {
 		t.Fatal("target far above VFOV visible")
 	}
 	// Too close.
-	if _, ok := cam.Project(pose, origin, 1.6); ok {
+	if _, ok := projectPoint(cam, pose, origin, 1.6); ok {
 		t.Fatal("zero-distance target visible")
 	}
 }
 
 func TestProjectHigherTargetsHigherOnScreen(t *testing.T) {
-	low, ok1 := cam.Project(pose, geo.Destination(origin, 0, 60), 2)
-	high, ok2 := cam.Project(pose, geo.Destination(origin, 0, 60), 12)
+	low, ok1 := projectPoint(cam, pose, geo.Destination(origin, 0, 60), 2)
+	high, ok2 := projectPoint(cam, pose, geo.Destination(origin, 0, 60), 12)
 	if !ok1 || !ok2 {
 		t.Fatal("targets not visible")
 	}

@@ -79,7 +79,7 @@ func TestIntoVariantsEquivalence(t *testing.T) {
 func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, occluders []Occluder) []Annotation {
 	var visible []Annotation
 	for _, a := range anns {
-		pos, ok := cam.Project(pose, a.Anchor, a.AnchorHM)
+		pos, ok := projectPoint(cam, pose, a.Anchor, a.AnchorHM)
 		if !ok {
 			continue
 		}
@@ -298,7 +298,7 @@ func TestProjectMatchesCarriedProjection(t *testing.T) {
 	}
 	from := geo.OriginAt(pose.Position)
 	for _, a := range AnnotationsFromPOIs(pose, pois) {
-		wantPos, wantOK := cam.Project(pose, a.Anchor, a.AnchorHM)
+		wantPos, wantOK := projectPoint(cam, pose, a.Anchor, a.AnchorHM)
 		pos, bearing, ok := cam.project(pose, &from, &a)
 		if ok != wantOK || pos != wantPos {
 			t.Fatalf("annotation %d: projected to %+v %v, Project gives %+v %v", a.ID, pos, ok, wantPos, wantOK)

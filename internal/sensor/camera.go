@@ -57,9 +57,6 @@ func NewCamera(cfg CameraConfig) *Camera {
 	}
 }
 
-// FOVDeg returns the camera's horizontal field of view.
-func (c *Camera) FOVDeg() float64 { return c.fovDeg }
-
 // Observe returns landmark observations for the POIs visible from the true
 // pose. Landmarks beyond range or outside the FOV are never observed;
 // in-view landmarks drop out with probability growing with distance.
@@ -231,46 +228,4 @@ func (v *Vitals) Sample(now time.Time) []VitalSample {
 		{Time: now, Kind: VitalSpO2, Value: sim.Clamp(spo2, 70, 100), Anomaly: anomaly},
 		{Time: now, Kind: VitalSystolicBP, Value: bp, Anomaly: anomaly},
 	}
-}
-
-// Battery models the device battery, the §4 "battery life" barrier.
-type Battery struct {
-	capacityJ float64
-	usedJ     float64
-}
-
-// NewBattery returns a battery with the given capacity in watt-hours
-// (a 2017-era phone is ~10 Wh).
-func NewBattery(wattHours float64) *Battery {
-	if wattHours <= 0 {
-		wattHours = 10
-	}
-	return &Battery{capacityJ: wattHours * 3600}
-}
-
-// Drain consumes joules (negative values are ignored) and reports whether
-// the battery still has charge.
-func (b *Battery) Drain(joules float64) bool {
-	if joules > 0 {
-		b.usedJ += joules
-	}
-	return b.usedJ < b.capacityJ
-}
-
-// Level returns remaining charge in [0, 1].
-func (b *Battery) Level() float64 {
-	l := 1 - b.usedJ/b.capacityJ
-	if l < 0 {
-		return 0
-	}
-	return l
-}
-
-// RuntimeAt returns how long the battery lasts from full at a constant power
-// draw.
-func (b *Battery) RuntimeAt(watts float64) time.Duration {
-	if watts <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(b.capacityJ / watts * float64(time.Second))
 }

@@ -114,9 +114,6 @@ func (w *Walker) Pose() Pose {
 	return Pose{Position: w.pos, HeadingDeg: w.heading, AltitudeM: 1.6}
 }
 
-// HeadingRateDegPerSec exposes the walker's turn limit (tests use it).
-func (w *Walker) HeadingRateDegPerSec() float64 { return w.turnRate }
-
 // angleDiff returns the signed smallest rotation from a to b in degrees,
 // in (-180, 180].
 func angleDiff(b, a float64) float64 {

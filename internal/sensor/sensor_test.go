@@ -46,7 +46,7 @@ func TestWalkerHeadingContinuous(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		p := w.Step(100 * time.Millisecond)
 		d := math.Abs(angleDiff(p.HeadingDeg, prev))
-		if d > w.HeadingRateDegPerSec()*0.1+1e-9 {
+		if d > w.turnRate*0.1+1e-9 {
 			t.Fatalf("heading jumped %.1f° in 100ms at step %d", d, i)
 		}
 		prev = p.HeadingDeg
@@ -266,28 +266,6 @@ func TestVitalsBaselineAndEpisode(t *testing.T) {
 		if s.Anomaly {
 			t.Fatal("anomaly label after episode end")
 		}
-	}
-}
-
-func TestBatteryDrainAndRuntime(t *testing.T) {
-	b := NewBattery(10) // 36 kJ
-	if b.Level() != 1 {
-		t.Fatalf("initial level = %v", b.Level())
-	}
-	if !b.Drain(18000) {
-		t.Fatal("half drain reported empty")
-	}
-	if math.Abs(b.Level()-0.5) > 1e-9 {
-		t.Fatalf("level = %v, want 0.5", b.Level())
-	}
-	if b.Drain(20000) {
-		t.Fatal("over-drain reported charge")
-	}
-	if b.Level() != 0 {
-		t.Fatalf("level = %v, want 0", b.Level())
-	}
-	if rt := NewBattery(10).RuntimeAt(2.5); rt != 4*time.Hour {
-		t.Fatalf("runtime = %v, want 4h", rt)
 	}
 }
 

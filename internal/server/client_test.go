@@ -222,7 +222,7 @@ func TestSubscribeStandalone(t *testing.T) {
 	// are built from integers so both fusers see identical intervals. Each
 	// step's overlay is recorded before the step is sent, so whichever
 	// state the server renders at, its reference is already there.
-	platform := srv.Engine().Platform()
+	platform := srv.eng.platform
 	mirror := platform.NewSession()
 	defer func() { _ = platform.EndSession(mirror.ID) }()
 	var refMu sync.Mutex
@@ -653,7 +653,7 @@ func TestStreamSkipsTicksWhenBehind(t *testing.T) {
 	release := make(chan struct{})
 	var blocked sync.WaitGroup
 	blocked.Add(1)
-	if err := srv.Scheduler().SubmitVisit(blocker, func(*core.Frame) {}, func(err error) {
+	if err := srv.eng.sched.SubmitVisit(blocker, func(*core.Frame) {}, func(err error) {
 		defer blocked.Done()
 		<-release
 	}); err != nil {
@@ -673,7 +673,7 @@ func TestStreamSkipsTicksWhenBehind(t *testing.T) {
 	if _, err := cl.Subscribe(context.Background(), SubscribeOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	skipped := srv.Scheduler().Metrics().Counter("server.stream.skipped")
+	skipped := srv.eng.sched.Metrics().Counter("server.stream.skipped")
 	deadline := time.Now().Add(10 * time.Second)
 	for skipped.Value() < 1 {
 		if time.Now().After(deadline) {
@@ -686,7 +686,7 @@ func TestStreamSkipsTicksWhenBehind(t *testing.T) {
 	// while the worker is wedged — the stream parks instead of piling jobs
 	// into the queue.
 	time.Sleep(20 * time.Millisecond)
-	if pushes := srv.Scheduler().Metrics().Counter("server.stream.pushes").Value(); pushes != 0 {
+	if pushes := srv.eng.sched.Metrics().Counter("server.stream.pushes").Value(); pushes != 0 {
 		t.Fatalf("pushes completed while the only worker was wedged: %d", pushes)
 	}
 	if got := skipped.Value(); got != 1 {

@@ -79,9 +79,6 @@ func newNode(p *core.Platform, logger *log.Logger, workers int, name string) *no
 	return n
 }
 
-// Engine exposes the node's frame-serving engine.
-func (n *node) Engine() *Engine { return n.eng }
-
 // Listen binds addr and starts accepting connections. It returns the bound
 // address (useful with ":0").
 func (n *node) Listen(addr string) (string, error) { return n.cs.listen(addr) }

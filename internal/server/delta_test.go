@@ -170,7 +170,7 @@ func TestSubscribePacersShareOneWheel(t *testing.T) {
 		}
 	}
 	// Every stream has pushed, so every stream is armed on the wheel.
-	if got := srv.Engine().Platform().Metrics().Gauge("server.stream.pacers").Value(); got != 1 {
+	if got := srv.eng.platform.Metrics().Gauge("server.stream.pacers").Value(); got != 1 {
 		t.Fatalf("server.stream.pacers = %v with %d live streams, want 1", got, streams)
 	}
 	// A stream is a wheel entry, not a goroutine: a few runtime goroutines

@@ -65,15 +65,6 @@ func newEngine(p *core.Platform, workers int) *Engine {
 	return e
 }
 
-// Recorder exposes the engine's frame flight recorder.
-func (e *Engine) Recorder() *obs.Recorder { return e.rec }
-
-// Platform exposes the engine's platform.
-func (e *Engine) Platform() *core.Platform { return e.platform }
-
-// Scheduler exposes the engine's frame scheduler (for stats).
-func (e *Engine) Scheduler() *FrameScheduler { return e.sched }
-
 // Close stops the pacing wheel and the frame scheduler. Roles close their
 // listeners (and stop their streams) first.
 func (e *Engine) Close() {

@@ -34,15 +34,15 @@ func TestHostileHandshakes(t *testing.T) {
 	routerSessions := func() int {
 		tc.router.sessMu.RLock()
 		defer tc.router.sessMu.RUnlock()
-		return len(tc.router.sessions) + tc.shards[0].Engine().Platform().NumSessions()
+		return len(tc.router.sessions) + tc.shards[0].eng.platform.NumSessions()
 	}
 	acceptors := []struct {
 		name     string
 		addr     string
 		sessions func() int
 	}{
-		{"standalone", standalone, srv.Engine().Platform().NumSessions},
-		{"shard", backend, shard.Engine().Platform().NumSessions},
+		{"standalone", standalone, srv.eng.platform.NumSessions},
+		{"shard", backend, shard.eng.platform.NumSessions},
 		{"router", tc.addr, routerSessions},
 		{"admin", admin, routerSessions},
 	}

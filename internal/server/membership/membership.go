@@ -79,9 +79,6 @@ func (r *Ring) Members() []Member {
 	return append([]Member(nil), r.members...)
 }
 
-// Len returns the member count without copying.
-func (r *Ring) Len() int { return len(r.members) }
-
 // Contains reports whether the ring has a member with the given ID.
 func (r *Ring) Contains(id uint64) bool {
 	for i := range r.members {

@@ -118,8 +118,8 @@ func TestDirectoryEpochsAndMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := d.View(); v.Epoch != 1 || v.Ring().Len() != 2 {
-		t.Fatalf("initial view epoch=%d len=%d", v.Epoch, v.Ring().Len())
+	if v := d.View(); v.Epoch != 1 || len(v.Ring().Members()) != 2 {
+		t.Fatalf("initial view epoch=%d len=%d", v.Epoch, len(v.Ring().Members()))
 	}
 	v, err := d.Join(Member{ID: 3, Addr: "c"})
 	if err != nil {

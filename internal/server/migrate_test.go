@@ -39,7 +39,7 @@ func liveSessionsByShard(t *testing.T, tc *testCluster) map[uint64]int {
 	t.Helper()
 	live := map[uint64]int{}
 	for i, sh := range tc.shards {
-		sh.Engine().Platform().ForEachSession(func(s *core.Session) bool {
+		sh.eng.platform.ForEachSession(func(s *core.Session) bool {
 			if prev, dup := live[s.ID]; dup {
 				t.Errorf("session %d live on shards %d and %d", s.ID, prev, i)
 			}
@@ -131,7 +131,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 	victimSessions := 0
 	for _, idx := range preLive {
-		if tc.shards[idx].ID() == victim {
+		if tc.shards[idx].id == victim {
 			victimSessions++
 		}
 	}
@@ -155,11 +155,11 @@ func TestDrainUnderLoad(t *testing.T) {
 		t.Fatalf("%d live sessions after drain, want %d", len(postLive), clients)
 	}
 	for id, idx := range postLive {
-		if tc.shards[idx].ID() == victim {
+		if tc.shards[idx].id == victim {
 			t.Fatalf("session %d still on drained shard", id)
 		}
-		if want := tc.router.Ring().Pick(id).ID; tc.shards[idx].ID() != want {
-			t.Fatalf("session %d on shard %d, new ring says %d", id, tc.shards[idx].ID(), want)
+		if want := tc.router.dir.View().Ring().Pick(id).ID; tc.shards[idx].id != want {
+			t.Fatalf("session %d on shard %d, new ring says %d", id, tc.shards[idx].id, want)
 		}
 	}
 
@@ -245,10 +245,10 @@ func TestJoinRebalancesLiveSessions(t *testing.T) {
 	}
 	gained := 0
 	for id, idx := range live {
-		if want := tc.router.Ring().Pick(id).ID; tc.shards[idx].ID() != want {
-			t.Fatalf("session %d on shard %d, grown ring says %d", id, tc.shards[idx].ID(), want)
+		if want := tc.router.dir.View().Ring().Pick(id).ID; tc.shards[idx].id != want {
+			t.Fatalf("session %d on shard %d, grown ring says %d", id, tc.shards[idx].id, want)
 		}
-		if tc.shards[idx].ID() == 9 {
+		if tc.shards[idx].id == 9 {
 			gained++
 		}
 	}
@@ -322,7 +322,7 @@ func TestDrainRebasesWireSeq(t *testing.T) {
 	}
 	readPushes(5, "pre-drain")
 
-	victim := tc.router.Ring().Pick(session).ID
+	victim := tc.router.dir.View().Ring().Pick(session).ID
 	if _, err := tc.router.Drain(victim); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -450,7 +450,7 @@ func TestDrainMigrationFailureIsSoft(t *testing.T) {
 		t.Fatal(err)
 	}
 	session := cl.SessionID()
-	from := tc.router.Ring().Pick(session).ID
+	from := tc.router.dir.View().Ring().Pick(session).ID
 	// Kill the destination-to-be: the shard that will own the session
 	// after the drain.
 	var to uint64 = 1
@@ -458,7 +458,7 @@ func TestDrainMigrationFailureIsSoft(t *testing.T) {
 		to = 2
 	}
 	for _, sh := range tc.shards {
-		if sh.ID() == to {
+		if sh.id == to {
 			if err := sh.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -86,7 +86,7 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 	owner := -1
 	for time.Now().Before(deadline) && sess == nil {
 		for i, sh := range tc.shards {
-			sh.Engine().Platform().ForEachSession(func(s *core.Session) bool {
+			sh.eng.platform.ForEachSession(func(s *core.Session) bool {
 				sess, owner = s, i
 				return false
 			})
@@ -104,7 +104,7 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 	// sleep and crosses the slow threshold by an order of magnitude.
 	time.Sleep(50 * time.Millisecond)
 	const wedge = 80 * time.Millisecond
-	if err := sh.Engine().sched.QueueVisit(sess,
+	if err := sh.eng.sched.QueueVisit(sess,
 		func(*core.Frame) { time.Sleep(wedge) },
 		func(error) {}); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 		if err := json.Unmarshal(scrape(t, plane, "/debug/arbd/slow?n=64").Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Role != "shard" || resp.Node != uint64(sh.ID()) {
+		if resp.Role != "shard" || resp.Node != uint64(sh.id) {
 			t.Fatalf("slow response identity = %s/%d", resp.Role, resp.Node)
 		}
 		for i := range resp.Records {
@@ -158,7 +158,8 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 		t.Fatalf("/metrics content type = %q", ct)
 	}
 	body := mw.Body.String()
-	for _, name := range sh.Engine().Platform().Metrics().Names() {
+	for _, in := range sh.eng.platform.Metrics().Snapshot() {
+		name := in.Name
 		if !strings.Contains(body, promify(name)) {
 			t.Fatalf("shard /metrics missing instrument %q", name)
 		}
@@ -201,7 +202,8 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 	// on the same (session, seq) space (router flights carry rebased seqs).
 	rplane := tc.router.ObsPlane()
 	rbody := scrape(t, rplane, "/metrics").Body.String()
-	for _, name := range tc.router.Metrics().Names() {
+	for _, in := range tc.router.Metrics().Snapshot() {
+		name := in.Name
 		if !strings.Contains(rbody, promify(name)) {
 			t.Fatalf("router /metrics missing instrument %q", name)
 		}
@@ -244,8 +246,8 @@ func TestObsPolledFramesRecorded(t *testing.T) {
 		addr string
 		recs []*obs.Recorder // every node a reply crosses, rendering node first
 	}{
-		{"standalone", standalone, []*obs.Recorder{srv.Engine().Recorder()}},
-		{"router→shard", tc.addr, []*obs.Recorder{tc.shards[0].Engine().Recorder(), tc.router.rec}},
+		{"standalone", standalone, []*obs.Recorder{srv.eng.rec}},
+		{"router→shard", tc.addr, []*obs.Recorder{tc.shards[0].eng.rec, tc.router.rec}},
 	} {
 		t.Run(role.name, func(t *testing.T) {
 			cl, err := Dial(role.addr)
@@ -287,8 +289,12 @@ func TestObsPolledFramesRecorded(t *testing.T) {
 					if rendered := r.Spans[obs.StageRender] > 0; rendered != (hop == 0) {
 						t.Fatalf("hop %d: polled frame record = %+v, want a render span on the rendering node only", hop, r)
 					}
-					if d := r.SpanSum() - r.Total; d > r.Total/100+1000 || d < -(r.Total/100+1000) {
-						t.Fatalf("hop %d: span sum %dns vs total %dns — stages do not account for the latency", hop, r.SpanSum(), r.Total)
+					var sum int64
+					for _, span := range r.Spans {
+						sum += span
+					}
+					if d := sum - r.Total; d > r.Total/100+1000 || d < -(r.Total/100+1000) {
+						t.Fatalf("hop %d: span sum %dns vs total %dns — stages do not account for the latency", hop, sum, r.Total)
 					}
 				}
 				if hop == 0 {

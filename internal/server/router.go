@@ -379,9 +379,6 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 // histogram router.migration.pause).
 func (r *Router) Metrics() *metrics.Registry { return r.reg }
 
-// Ring exposes the current epoch's placement ring.
-func (r *Router) Ring() *membership.Ring { return r.dir.View().Ring() }
-
 // Directory exposes the membership control plane (epoch, watch API).
 func (r *Router) Directory() *membership.Directory { return r.dir }
 
@@ -733,16 +730,6 @@ func (r *Router) Close() error {
 		r.wg.Wait()
 	})
 	return r.closeErr
-}
-
-// EffectiveDeadline reports the admission budget the router currently
-// applies to frame requests bound for the given shard member.
-func (r *Router) EffectiveDeadline(memberID uint64) time.Duration {
-	ss := r.shard(memberID)
-	if ss == nil {
-		return r.opts.deadline
-	}
-	return r.gate.effective(ss.loadSignal())
 }
 
 // trackSub records a live subscription for replay; untrackSub forgets it.

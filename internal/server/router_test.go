@@ -152,7 +152,7 @@ func startCluster(t *testing.T, n int, tune func(i int, o *ShardOptions), ropts 
 func (tc *testCluster) shardsOwning(id uint64) []int {
 	var owners []int
 	for i, sh := range tc.shards {
-		if _, ok := sh.Engine().Platform().Session(id); ok {
+		if _, ok := sh.eng.platform.Session(id); ok {
 			owners = append(owners, i)
 		}
 	}
@@ -194,7 +194,7 @@ func TestRouterSessionAffinity(t *testing.T) {
 	// per client, each on the shard the ring picked.
 	live := map[uint64]int{}
 	for i, sh := range tc.shards {
-		sh.Engine().Platform().ForEachSession(func(s *core.Session) bool {
+		sh.eng.platform.ForEachSession(func(s *core.Session) bool {
 			if owner, dup := live[s.ID]; dup {
 				t.Errorf("session %d live on shards %d and %d", s.ID, owner, i)
 			}
@@ -206,8 +206,8 @@ func TestRouterSessionAffinity(t *testing.T) {
 		t.Fatalf("%d live sessions across shards, want %d", len(live), clients)
 	}
 	for id, shardIdx := range live {
-		want := tc.router.Ring().Pick(id).ID
-		if got := tc.shards[shardIdx].ID(); got != want {
+		want := tc.router.dir.View().Ring().Pick(id).ID
+		if got := tc.shards[shardIdx].id; got != want {
 			t.Fatalf("session %d lives on shard %d, ring says %d", id, got, want)
 		}
 		if owners := tc.shardsOwning(id); len(owners) != 1 {
@@ -235,7 +235,7 @@ func TestRouterSessionAffinity(t *testing.T) {
 	for {
 		total := 0
 		for _, sh := range tc.shards {
-			total += sh.Engine().Platform().NumSessions()
+			total += sh.eng.platform.NumSessions()
 		}
 		if total == 0 {
 			break
@@ -310,7 +310,7 @@ func TestRouterShedsOnRemoteLoad(t *testing.T) {
 		// run on the worker goroutine, so the scheduler renders nothing
 		// until release — every forwarded frame request stays outstanding.
 		sh := tc.shards[0]
-		blocker := sh.Engine().Platform().SessionOrNew(1 << 60)
+		blocker := sh.eng.platform.SessionOrNew(1 << 60)
 		if err := blocker.OnGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestRouterShedsOnRemoteLoad(t *testing.T) {
 		rel := func() { releaseOnce.Do(func() { close(release) }) }
 		var blocked sync.WaitGroup
 		blocked.Add(1)
-		if err := sh.Engine().Scheduler().SubmitVisit(blocker, func(*core.Frame) {}, func(err error) {
+		if err := sh.eng.sched.SubmitVisit(blocker, func(*core.Frame) {}, func(err error) {
 			defer blocked.Done()
 			<-release
 		}); err != nil {
@@ -818,14 +818,14 @@ func TestShardLossAnswersInFlightRequests(t *testing.T) {
 	tc := startCluster(t, 1, func(i int, o *ShardOptions) { o.workers = 1 }, RouterOptions{})
 	// Wedge the shard's only worker: every frame forwarded now stays owed.
 	sh := tc.shards[0]
-	blocker := sh.Engine().Platform().SessionOrNew(1 << 60)
+	blocker := sh.eng.platform.SessionOrNew(1 << 60)
 	if err := blocker.OnGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
 	var blocked sync.WaitGroup
 	blocked.Add(1)
-	if err := sh.Engine().Scheduler().SubmitVisit(blocker, func(*core.Frame) {}, func(error) {
+	if err := sh.eng.sched.SubmitVisit(blocker, func(*core.Frame) {}, func(error) {
 		defer blocked.Done()
 		<-release
 	}); err != nil {
@@ -843,7 +843,7 @@ func TestShardLossAnswersInFlightRequests(t *testing.T) {
 	for i := 0; i < inFlight; i++ {
 		owed[rc.send(t, wire.MsgFrameRequest, 0, nil)] = true
 	}
-	ss := tc.router.shard(sh.ID())
+	ss := tc.router.shard(sh.id)
 	waitFor(t, "the frame requests to be forwarded", func() bool {
 		ss.owed.mu.Lock()
 		defer ss.owed.mu.Unlock()
@@ -876,7 +876,7 @@ func TestRouterStripsControlPayloads(t *testing.T) {
 	if env.Type != wire.MsgAnnotations || env.Seq != frameSeq {
 		t.Fatalf("frame reply = %v seq %d", env.Type, env.Seq)
 	}
-	if got := tc.shards[0].Engine().Platform().NumSessions(); got != 1 {
+	if got := tc.shards[0].eng.platform.NumSessions(); got != 1 {
 		t.Fatalf("live sessions = %d, want 1", got)
 	}
 	// A control with the internal end-session discriminator, sent by the
@@ -886,7 +886,7 @@ func TestRouterStripsControlPayloads(t *testing.T) {
 	if env.Type != wire.MsgAck || env.Seq != ctlSeq {
 		t.Fatalf("control reply = %v seq %d, want ack seq %d", env.Type, env.Seq, ctlSeq)
 	}
-	if got := tc.shards[0].Engine().Platform().NumSessions(); got != 1 {
+	if got := tc.shards[0].eng.platform.NumSessions(); got != 1 {
 		t.Fatalf("client control payload ended the session (live = %d)", got)
 	}
 	// An export request from a client would detach its session on the shard.
@@ -900,7 +900,7 @@ func TestRouterStripsControlPayloads(t *testing.T) {
 	if env = rc.read(t); env.Type != wire.MsgAnnotations {
 		t.Fatalf("post-control frame reply = %v", env.Type)
 	}
-	if got := tc.shards[0].Engine().Platform().NumSessions(); got != 1 {
+	if got := tc.shards[0].eng.platform.NumSessions(); got != 1 {
 		t.Fatalf("live sessions = %d after the refused export, want 1", got)
 	}
 }

@@ -35,6 +35,3 @@ func New(p *core.Platform, logger *log.Logger) *Server {
 func newServer(p *core.Platform, logger *log.Logger, workers int) *Server {
 	return &Server{newNode(p, logger, workers, "server")}
 }
-
-// Scheduler exposes the server's frame scheduler (for stats).
-func (s *Server) Scheduler() *FrameScheduler { return s.eng.sched }

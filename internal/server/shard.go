@@ -66,6 +66,3 @@ func NewShard(p *core.Platform, logger *log.Logger, opts ShardOptions) *Shard {
 	}
 	return &Shard{n}
 }
-
-// ID returns the shard's ring member identity.
-func (sh *Shard) ID() uint64 { return sh.id }

@@ -115,7 +115,7 @@ func TestStalledRoutedClientCostsOnlyItself(t *testing.T) {
 	}()
 	// Wait until the shard has nothing left to render for it: every reply
 	// the stalled client will be sent without reading is queued, or stuck.
-	done := tc.shards[0].Engine().Platform().Metrics().Counter("server.frames.done")
+	done := tc.shards[0].eng.platform.Metrics().Counter("server.frames.done")
 	var last int64
 	waitFor(t, "the stalled client's frames to stop", func() bool {
 		time.Sleep(100 * time.Millisecond)
@@ -189,7 +189,7 @@ func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
 	}
 	place := func(shard uint64) *Client {
 		id := rt.nextSess.Load() + 1
-		for rt.Ring().Pick(id).ID != shard || grown.Pick(id).ID != shard {
+		for rt.dir.View().Ring().Pick(id).ID != shard || grown.Pick(id).ID != shard {
 			id++
 		}
 		rt.nextSess.Store(id - 1)

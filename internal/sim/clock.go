@@ -1,6 +1,6 @@
 // Package sim provides the deterministic simulation substrate used by every
-// other package in the repository: a controllable clock, seeded random
-// streams, and a discrete-event scheduler.
+// other package in the repository: a controllable clock and seeded random
+// streams.
 //
 // All randomness and all notion of "now" in the platform flows through this
 // package so that tests, examples, and benchmarks are reproducible run to
@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -48,6 +47,8 @@ var Epoch = time.Date(2017, 6, 5, 0, 0, 0, 0, time.UTC)
 
 // NewVirtualClock returns a VirtualClock starting at the given instant. If
 // start is the zero time, the clock starts at Epoch.
+//
+//arbd:test-api the core and mq clock hooks take it in tests
 func NewVirtualClock(start time.Time) *VirtualClock {
 	if start.IsZero() {
 		start = Epoch
@@ -69,6 +70,8 @@ func (c *VirtualClock) Since(t time.Time) time.Duration {
 
 // Advance moves the clock forward by d and returns the new instant.
 // Advancing by a negative duration is a no-op.
+//
+//arbd:test-api core tests drive session time with it
 func (c *VirtualClock) Advance(d time.Duration) time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -76,163 +79,4 @@ func (c *VirtualClock) Advance(d time.Duration) time.Time {
 		c.now = c.now.Add(d)
 	}
 	return c.now
-}
-
-// SetNow jumps the clock to t if t is not before the current instant.
-// It reports whether the jump was applied.
-func (c *VirtualClock) SetNow(t time.Time) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.Before(c.now) {
-		return false
-	}
-	c.now = t
-	return true
-}
-
-// Event is a scheduled callback in a discrete-event simulation.
-type Event struct {
-	At  time.Time
-	Run func(now time.Time)
-
-	seq int64
-}
-
-// Scheduler is a discrete-event executor bound to a VirtualClock. Events run
-// in timestamp order (ties broken by scheduling order); running an event may
-// schedule further events. Scheduler is not safe for concurrent use: drive
-// it from a single goroutine, which is the point of discrete-event
-// simulation.
-type Scheduler struct {
-	clock  *VirtualClock
-	queue  []*Event
-	nextID int64
-}
-
-// NewScheduler returns a Scheduler driving the given clock.
-func NewScheduler(clock *VirtualClock) *Scheduler {
-	return &Scheduler{clock: clock}
-}
-
-// Clock returns the scheduler's clock.
-func (s *Scheduler) Clock() *VirtualClock { return s.clock }
-
-// At schedules fn to run at the absolute instant t. Events scheduled in the
-// past run immediately on the next Step at the current clock time.
-func (s *Scheduler) At(t time.Time, fn func(now time.Time)) {
-	s.nextID++
-	ev := &Event{At: t, Run: fn, seq: s.nextID}
-	s.queue = append(s.queue, ev)
-	s.siftUp(len(s.queue) - 1)
-}
-
-// After schedules fn to run d after the current clock instant.
-func (s *Scheduler) After(d time.Duration, fn func(now time.Time)) {
-	s.At(s.clock.Now().Add(d), fn)
-}
-
-// Len returns the number of pending events.
-func (s *Scheduler) Len() int { return len(s.queue) }
-
-// Step runs the earliest pending event, advancing the clock to its
-// timestamp. It reports whether an event ran.
-func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	ev := s.pop()
-	if ev.At.After(s.clock.Now()) {
-		s.clock.SetNow(ev.At)
-	}
-	ev.Run(s.clock.Now())
-	return true
-}
-
-// RunUntil executes events in order until the queue is empty or the next
-// event is after the deadline. It returns the number of events executed.
-func (s *Scheduler) RunUntil(deadline time.Time) int {
-	n := 0
-	for len(s.queue) > 0 && !s.queue[0].At.After(deadline) {
-		if !s.Step() {
-			break
-		}
-		n++
-	}
-	if s.clock.Now().Before(deadline) {
-		s.clock.SetNow(deadline)
-	}
-	return n
-}
-
-// Drain executes all pending events (including ones scheduled while
-// draining) up to a safety limit, returning the number executed. The limit
-// guards against runaway self-rescheduling loops in tests.
-func (s *Scheduler) Drain(limit int) int {
-	n := 0
-	for len(s.queue) > 0 && n < limit {
-		s.Step()
-		n++
-	}
-	return n
-}
-
-// pop removes and returns the earliest event (min-heap on At, then seq).
-func (s *Scheduler) pop() *Event {
-	top := s.queue[0]
-	last := len(s.queue) - 1
-	s.queue[0] = s.queue[last]
-	s.queue = s.queue[:last]
-	if len(s.queue) > 0 {
-		s.siftDown(0)
-	}
-	return top
-}
-
-func (s *Scheduler) less(i, j int) bool {
-	a, b := s.queue[i], s.queue[j]
-	if a.At.Equal(b.At) {
-		return a.seq < b.seq
-	}
-	return a.At.Before(b.At)
-}
-
-func (s *Scheduler) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			return
-		}
-		s.queue[i], s.queue[parent] = s.queue[parent], s.queue[i]
-		i = parent
-	}
-}
-
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.queue)
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && s.less(left, smallest) {
-			smallest = left
-		}
-		if right < n && s.less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		s.queue[i], s.queue[smallest] = s.queue[smallest], s.queue[i]
-		i = smallest
-	}
-}
-
-// Pending returns the timestamps of all queued events in ascending order.
-// It is intended for tests and debugging.
-func (s *Scheduler) Pending() []time.Time {
-	out := make([]time.Time, len(s.queue))
-	for i, ev := range s.queue {
-		out[i] = ev.At
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }

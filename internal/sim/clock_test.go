@@ -25,126 +25,12 @@ func TestVirtualClockAdvance(t *testing.T) {
 	}
 }
 
-func TestVirtualClockSetNowRejectsPast(t *testing.T) {
-	c := NewVirtualClock(Epoch)
-	if ok := c.SetNow(Epoch.Add(-time.Second)); ok {
-		t.Fatal("SetNow into the past reported success")
-	}
-	if ok := c.SetNow(Epoch.Add(time.Minute)); !ok {
-		t.Fatal("SetNow into the future reported failure")
-	}
-}
-
 func TestVirtualClockSince(t *testing.T) {
 	c := NewVirtualClock(Epoch)
 	start := c.Now()
 	c.Advance(42 * time.Millisecond)
 	if got := c.Since(start); got != 42*time.Millisecond {
 		t.Fatalf("Since = %v, want 42ms", got)
-	}
-}
-
-func TestSchedulerRunsInTimestampOrder(t *testing.T) {
-	c := NewVirtualClock(Epoch)
-	s := NewScheduler(c)
-	var order []int
-	s.After(30*time.Millisecond, func(time.Time) { order = append(order, 3) })
-	s.After(10*time.Millisecond, func(time.Time) { order = append(order, 1) })
-	s.After(20*time.Millisecond, func(time.Time) { order = append(order, 2) })
-	s.Drain(10)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("execution order = %v, want [1 2 3]", order)
-	}
-}
-
-func TestSchedulerTieBreaksByScheduleOrder(t *testing.T) {
-	c := NewVirtualClock(Epoch)
-	s := NewScheduler(c)
-	at := Epoch.Add(time.Second)
-	var order []string
-	s.At(at, func(time.Time) { order = append(order, "a") })
-	s.At(at, func(time.Time) { order = append(order, "b") })
-	s.At(at, func(time.Time) { order = append(order, "c") })
-	s.Drain(10)
-	if got := order[0] + order[1] + order[2]; got != "abc" {
-		t.Fatalf("tie order = %q, want abc", got)
-	}
-}
-
-func TestSchedulerStepAdvancesClock(t *testing.T) {
-	c := NewVirtualClock(Epoch)
-	s := NewScheduler(c)
-	s.After(time.Second, func(now time.Time) {
-		if !now.Equal(Epoch.Add(time.Second)) {
-			t.Errorf("event ran at %v, want %v", now, Epoch.Add(time.Second))
-		}
-	})
-	if !s.Step() {
-		t.Fatal("Step found no event")
-	}
-	if got := c.Now(); !got.Equal(Epoch.Add(time.Second)) {
-		t.Fatalf("clock = %v, want %v", got, Epoch.Add(time.Second))
-	}
-}
-
-func TestSchedulerRunUntil(t *testing.T) {
-	c := NewVirtualClock(Epoch)
-	s := NewScheduler(c)
-	ran := 0
-	for i := 1; i <= 5; i++ {
-		s.After(time.Duration(i)*time.Second, func(time.Time) { ran++ })
-	}
-	n := s.RunUntil(Epoch.Add(3 * time.Second))
-	if n != 3 || ran != 3 {
-		t.Fatalf("RunUntil executed %d (cb %d), want 3", n, ran)
-	}
-	if got := c.Now(); !got.Equal(Epoch.Add(3 * time.Second)) {
-		t.Fatalf("clock after RunUntil = %v, want deadline", got)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("pending = %d, want 2", s.Len())
-	}
-}
-
-func TestSchedulerEventsCanScheduleEvents(t *testing.T) {
-	c := NewVirtualClock(Epoch)
-	s := NewScheduler(c)
-	depth := 0
-	var recurse func(now time.Time)
-	recurse = func(now time.Time) {
-		depth++
-		if depth < 4 {
-			s.After(time.Millisecond, recurse)
-		}
-	}
-	s.After(time.Millisecond, recurse)
-	if n := s.Drain(100); n != 4 {
-		t.Fatalf("Drain executed %d, want 4", n)
-	}
-}
-
-func TestSchedulerDrainLimit(t *testing.T) {
-	c := NewVirtualClock(Epoch)
-	s := NewScheduler(c)
-	var loop func(time.Time)
-	loop = func(time.Time) { s.After(time.Millisecond, loop) }
-	s.After(time.Millisecond, loop)
-	if n := s.Drain(25); n != 25 {
-		t.Fatalf("Drain limit executed %d, want 25", n)
-	}
-}
-
-func TestSchedulerPendingSorted(t *testing.T) {
-	c := NewVirtualClock(Epoch)
-	s := NewScheduler(c)
-	s.After(3*time.Second, func(time.Time) {})
-	s.After(time.Second, func(time.Time) {})
-	s.After(2*time.Second, func(time.Time) {})
-	ts := s.Pending()
-	for i := 1; i < len(ts); i++ {
-		if ts[i].Before(ts[i-1]) {
-			t.Fatalf("Pending not sorted: %v", ts)
-		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Rand is a deterministic random stream. It wraps math/rand with helpers the
-// simulators need (gaussian noise, exponential inter-arrival, zipfian keys)
+// simulators need (gaussian noise, zipfian keys)
 // and supports deriving independent child streams so each component gets its
 // own sequence without global coupling. A stream's position is snapshotable
 // as (seed, draw count) — see Draws and RestoreRand — which is what lets a
@@ -43,7 +43,7 @@ func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
 func NewRand(seed int64) *Rand {
 	// rand.NewSource's result implements Source64 (documented); counting at
 	// the source level sees every state advance, including the variable
-	// number of draws behind Norm/Exp/Perm.
+	// number of draws behind Norm/Shuffle.
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
 	return &Rand{rng: rand.New(src), src: src, seed: seed}
 }
@@ -99,15 +99,6 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	return mean + stddev*r.rng.NormFloat64()
 }
 
-// Exp returns an exponential sample with the given rate (events per unit
-// time). Useful for Poisson inter-arrival times. It panics if rate <= 0.
-func (r *Rand) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("sim: Exp rate must be positive")
-	}
-	return r.rng.ExpFloat64() / rate
-}
-
 // Bool returns true with probability p (clamped to [0,1]).
 func (r *Rand) Bool(p float64) bool {
 	if p <= 0 {
@@ -119,9 +110,6 @@ func (r *Rand) Bool(p float64) bool {
 	return r.rng.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.rng.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.rng.Shuffle(n, swap) }
 
@@ -130,7 +118,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.rng.Shuffle(n, swap) }
 // construction of rand.Zipf is hidden behind a small cache keyed by (n, s).
 type Zipf struct {
 	z *rand.Zipf
-	n int
 }
 
 // NewZipf returns a zipfian sampler over [0, n) with skew s (must be > 1).
@@ -141,14 +128,11 @@ func (r *Rand) NewZipf(s float64, n int) *Zipf {
 	if s <= 1 {
 		s = 1.0001
 	}
-	return &Zipf{z: rand.NewZipf(r.rng, s, 1, uint64(n-1)), n: n}
+	return &Zipf{z: rand.NewZipf(r.rng, s, 1, uint64(n-1))}
 }
 
 // Next returns the next zipfian sample in [0, n).
 func (z *Zipf) Next() int { return int(z.z.Uint64()) }
-
-// N returns the domain size of the sampler.
-func (z *Zipf) N() int { return z.n }
 
 // Pick returns a uniformly chosen element of the non-empty slice values.
 func Pick[T any](r *Rand, values []T) T {

@@ -70,27 +70,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := NewRand(99)
-	const n = 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp(4) // mean 0.25
-	}
-	if mean := sum / n; math.Abs(mean-0.25) > 0.02 {
-		t.Fatalf("exp mean = %.4f, want ~0.25", mean)
-	}
-}
-
-func TestExpPanicsOnNonPositiveRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exp(0) did not panic")
-		}
-	}()
-	NewRand(1).Exp(0)
-}
-
 func TestBoolEdges(t *testing.T) {
 	r := NewRand(5)
 	if r.Bool(0) {
@@ -125,9 +104,6 @@ func TestZipfSkew(t *testing.T) {
 	}
 	if counts[0] <= counts[500]+counts[501]+counts[502] {
 		t.Fatalf("zipf not skewed: head=%d mid3=%d", counts[0], counts[500]+counts[501]+counts[502])
-	}
-	if z.N() != 1000 {
-		t.Fatalf("N = %d, want 1000", z.N())
 	}
 }
 
@@ -171,14 +147,6 @@ func TestClamp(t *testing.T) {
 
 func TestShuffleAndPermArePermutations(t *testing.T) {
 	r := NewRand(21)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm invalid at %d", v)
-		}
-		seen[v] = true
-	}
 	vals := make([]int, 20)
 	for i := range vals {
 		vals[i] = i
@@ -196,13 +164,13 @@ func TestShuffleAndPermArePermutations(t *testing.T) {
 // TestRestoreRandResumesStream pins the snapshot contract migration leans
 // on: (seed, Draws()) restores a stream whose future output is identical
 // to the original's, even after helpers that consume a variable number of
-// underlying draws (Norm, Exp, Perm, rejection-sampled Intn).
+// underlying draws (Norm, Shuffle, rejection-sampled Intn).
 func TestRestoreRandResumesStream(t *testing.T) {
 	r := NewRand(99)
 	_ = r.Float64()
 	_ = r.Norm(0, 2)
-	_ = r.Exp(3)
-	_ = r.Perm(17)
+	perm := make([]int, 17)
+	r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	_ = r.Intn(1000)
 	_ = r.Uniform(-5, 5)
 	draws := r.Draws()

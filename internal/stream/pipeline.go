@@ -12,7 +12,6 @@ import (
 var (
 	ErrStarted    = errors.New("stream: pipeline already started")
 	ErrNotStarted = errors.New("stream: pipeline not started")
-	ErrBadSpec    = errors.New("stream: invalid window spec")
 	ErrClosed     = errors.New("stream: pipeline closed")
 )
 
@@ -24,8 +23,8 @@ var (
 const defaultChannelSize = 256
 
 // Pipeline is a DAG of processing stages executed by goroutine pools. Build
-// the topology first (Source/Map/Filter/Window/.../Sink), then Start it, Push
-// events, and Drain to flush windows and stop cleanly.
+// the topology first (Source, Window, Sink), then Start it, Push events, and
+// Drain to flush windows and stop cleanly.
 type Pipeline struct {
 	name    string
 	reg     *metrics.Registry
@@ -72,36 +71,16 @@ func NewPipeline(name string, opts ...PipelineOption) *Pipeline {
 	return p
 }
 
-// Metrics returns the pipeline's registry.
-func (p *Pipeline) Metrics() *metrics.Registry { return p.reg }
-
 // stage is one node of the DAG.
 type stage struct {
-	p           *Pipeline
 	name        string
 	parallelism int
 	in          []chan Event
 	// run processes one worker's input; emit forwards downstream.
 	run  func(worker int, in <-chan Event, emit func(Event))
-	out  []edge
+	out  []*stage
 	inWG sync.WaitGroup // counts upstream producers; inputs close at zero
 	wkWG sync.WaitGroup // counts this stage's workers
-}
-
-// edge routes events from a stage to a downstream stage, optionally
-// transforming them in transit (used to tag join sides).
-type edge struct {
-	to        *stage
-	transform func(Event) Event
-}
-
-// send routes e to the destination worker by key hash, applying the edge
-// transform.
-func (ed edge) send(e Event) {
-	if ed.transform != nil {
-		e = ed.transform(e)
-	}
-	ed.to.in[partitionOf(e.Key, ed.to.parallelism)] <- e
 }
 
 // Stream is a handle to a stage's output used to chain operators.
@@ -114,7 +93,7 @@ func (p *Pipeline) addStage(name string, parallelism int, run func(int, <-chan E
 	if parallelism <= 0 {
 		parallelism = 1
 	}
-	st := &stage{p: p, name: name, parallelism: parallelism, run: run}
+	st := &stage{name: name, parallelism: parallelism, run: run}
 	st.in = make([]chan Event, parallelism)
 	for i := range st.in {
 		st.in[i] = make(chan Event, p.chanSz)
@@ -124,9 +103,14 @@ func (p *Pipeline) addStage(name string, parallelism int, run func(int, <-chan E
 }
 
 // connect wires from -> to and accounts the producer count.
-func connect(from, to *stage, transform func(Event) Event) {
-	from.out = append(from.out, edge{to: to, transform: transform})
+func connect(from, to *stage) {
+	from.out = append(from.out, to)
 	to.inWG.Add(from.parallelism)
+}
+
+// send routes e to the destination worker by key hash.
+func (st *stage) send(e Event) {
+	st.in[partitionOf(e.Key, st.parallelism)] <- e
 }
 
 // Source declares a named external input. Push delivers events to it.
@@ -139,41 +123,6 @@ func (p *Pipeline) Source(name string) *Stream {
 	st.inWG.Add(1) // the Push handle is the producer; Drain releases it
 	p.sources[name] = st
 	return &Stream{p: p, st: st}
-}
-
-// Map transforms each event. Stateless; runs with the given parallelism.
-func (s *Stream) Map(name string, parallelism int, fn func(Event) Event) *Stream {
-	st := s.p.addStage("map:"+name, parallelism, func(_ int, in <-chan Event, emit func(Event)) {
-		for e := range in {
-			emit(fn(e))
-		}
-	})
-	connect(s.st, st, nil)
-	return &Stream{p: s.p, st: st}
-}
-
-// Filter drops events for which fn returns false.
-func (s *Stream) Filter(name string, parallelism int, fn func(Event) bool) *Stream {
-	st := s.p.addStage("filter:"+name, parallelism, func(_ int, in <-chan Event, emit func(Event)) {
-		for e := range in {
-			if fn(e) {
-				emit(e)
-			}
-		}
-	})
-	connect(s.st, st, nil)
-	return &Stream{p: s.p, st: st}
-}
-
-// FlatMap maps one event to zero or more events via the out callback.
-func (s *Stream) FlatMap(name string, parallelism int, fn func(Event, func(Event))) *Stream {
-	st := s.p.addStage("flatmap:"+name, parallelism, func(_ int, in <-chan Event, emit func(Event)) {
-		for e := range in {
-			fn(e, emit)
-		}
-	})
-	connect(s.st, st, nil)
-	return &Stream{p: s.p, st: st}
 }
 
 // Window applies windowed aggregation per key. Events are partitioned by key
@@ -199,7 +148,7 @@ func (s *Stream) Window(name string, parallelism int, spec WindowSpec, agg Aggre
 			emit(r)
 		}
 	})
-	connect(s.st, st, nil)
+	connect(s.st, st)
 	return &Stream{p: s.p, st: st}
 }
 
@@ -211,43 +160,7 @@ func (s *Stream) Sink(name string, fn func(Event)) {
 			fn(e)
 		}
 	})
-	connect(s.st, st, nil)
-}
-
-// joinTag wraps events in transit to a join stage.
-type joinTag struct {
-	side  int
-	inner any
-}
-
-// JoinWindow joins s (left) with other (right) on key within tumbling
-// windows of the given size: when a window fires, fn receives all left and
-// right events of one key and returns the events to emit. Both inputs are
-// partitioned identically so a key's state lives on one worker.
-func (s *Stream) JoinWindow(name string, parallelism int, other *Stream, spec WindowSpec, fn func(key string, win Window, left, right []Event) []Event) *Stream {
-	if !spec.valid() || spec.kind == windowSession {
-		panic(fmt.Sprintf("stream: invalid window spec in join %q (session joins unsupported)", name))
-	}
-	st := s.p.addStage("join:"+name, parallelism, func(_ int, in <-chan Event, emit func(Event)) {
-		js := newJoinState(spec, fn)
-		for e := range in {
-			for _, out := range js.add(e) {
-				emit(out)
-			}
-		}
-		for _, out := range js.flush() {
-			emit(out)
-		}
-	})
-	connect(s.st, st, func(e Event) Event {
-		e.Payload = joinTag{side: 0, inner: e.Payload}
-		return e
-	})
-	connect(other.st, st, func(e Event) Event {
-		e.Payload = joinTag{side: 1, inner: e.Payload}
-		return e
-	})
-	return &Stream{p: s.p, st: st}
+	connect(s.st, st)
 }
 
 // Start launches every stage's workers. The topology is frozen afterwards.
@@ -266,8 +179,8 @@ func (p *Pipeline) Start() error {
 			go func() {
 				defer st.wkWG.Done()
 				emit := func(e Event) {
-					for _, ed := range st.out {
-						ed.send(e)
+					for _, to := range st.out {
+						to.send(e)
 					}
 				}
 				st.run(w, st.in[w], emit)
@@ -283,8 +196,8 @@ func (p *Pipeline) Start() error {
 		// Signal downstream when our workers are done.
 		go func() {
 			st.wkWG.Wait()
-			for _, ed := range st.out {
-				ed.to.inWG.Add(-st.parallelism)
+			for _, to := range st.out {
+				to.inWG.Add(-st.parallelism)
 			}
 		}()
 	}

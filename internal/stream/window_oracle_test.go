@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// scanWindowState is the tumbling/sliding window operator as it was before
-// windowState tracked the earliest close time: windows assigned by walking
-// back slide by slide, and every live (key, window) visited whenever the
-// watermark moved. It is kept as the oracle windowState must agree with,
-// result for result and in the same emit order.
+// scanWindowState is the tumbling window operator as it was before
+// windowState tracked the earliest close time: every live (key, window)
+// visited whenever the watermark moved. It is kept as the oracle
+// windowState must agree with, result for result and in the same emit
+// order.
 type scanWindowState struct {
 	spec      WindowSpec
 	agg       Aggregator
@@ -23,27 +23,16 @@ type scanWindowState struct {
 	lateDrops int
 }
 
-func (o *scanWindowState) assign(t time.Time) []Window {
-	if o.spec.kind == windowTumbling {
-		start := t.Truncate(o.spec.size)
-		return []Window{{Start: start, End: start.Add(o.spec.size)}}
-	}
-	var out []Window
-	for s := t.Truncate(o.spec.slide); t.Sub(s) < o.spec.size; s = s.Add(-o.spec.slide) {
-		out = append(out, Window{Start: s, End: s.Add(o.spec.size)})
-	}
-	return out
-}
-
 func (o *scanWindowState) add(e Event) []Event {
 	if e.Time.After(o.maxSeen) {
 		o.maxSeen = e.Time
 	}
-	if wm := o.maxSeen.Add(-o.spec.lateness); wm.After(o.watermark) {
-		o.watermark = wm
+	if o.maxSeen.After(o.watermark) {
+		o.watermark = o.maxSeen
 	}
-	wins := o.assign(e.Time)
-	if !e.Time.After(o.watermark) && !wins[0].End.After(o.watermark) {
+	start := e.Time.Truncate(o.spec.size)
+	win := Window{Start: start, End: start.Add(o.spec.size)}
+	if !e.Time.After(o.watermark) && !win.End.After(o.watermark) {
 		o.lateDrops++
 		return o.fire()
 	}
@@ -52,10 +41,7 @@ func (o *scanWindowState) add(e Event) []Event {
 		keyAccs = make(map[int64]*windowAcc)
 		o.accs[e.Key] = keyAccs
 	}
-	for _, win := range wins {
-		if !win.End.After(o.watermark) {
-			continue
-		}
+	if win.End.After(o.watermark) {
 		wa, ok := keyAccs[win.Start.UnixNano()]
 		if !ok {
 			wa = &windowAcc{win: win, acc: o.agg.New()}
@@ -94,18 +80,13 @@ func (o *scanWindowState) collect(ready func(*windowAcc) bool) []Event {
 }
 
 // TestWindowStateMatchesScanOracle drives the operator and the oracle with
-// the same randomised, out-of-order event sequences — tumbling and sliding,
-// with and without lateness — and requires the same results from every add,
+// the same randomised, out-of-order event sequences over two window sizes
+// and requires the same results from every add,
 // in the same order, the same late drops, and the same leftovers at flush.
 func TestWindowStateMatchesScanOracle(t *testing.T) {
 	specs := []WindowSpec{
 		Tumbling(10 * time.Second),
-		Tumbling(10 * time.Second).WithLateness(7 * time.Second),
-		Tumbling(time.Minute).WithLateness(90 * time.Second),
-		Sliding(30*time.Second, 10*time.Second),
-		Sliding(30*time.Second, 10*time.Second).WithLateness(25 * time.Second),
-		Sliding(25*time.Second, 10*time.Second).WithLateness(3 * time.Second), // size not a multiple of slide
-		Sliding(20*time.Second, 20*time.Second),
+		Tumbling(time.Minute),
 	}
 	for si, spec := range specs {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -116,8 +97,8 @@ func TestWindowStateMatchesScanOracle(t *testing.T) {
 			fired := 0
 			for i := 0; i < 3000; i++ {
 				// Event time drifts forward with jitter both ways: some events
-				// are late within the lateness, some hopelessly late, and
-				// some land exactly on a window boundary.
+				// are late but inside a live window, some hopelessly late,
+				// and some land exactly on a window boundary.
 				now += time.Duration(rng.Intn(400)) * time.Millisecond
 				at := now - time.Duration(rng.Intn(200_000))*time.Millisecond*time.Duration(rng.Intn(2))
 				if rng.Intn(10) == 0 {
@@ -145,7 +126,7 @@ func TestWindowStateMatchesScanOracle(t *testing.T) {
 }
 
 // TestTumblingWindowScansOnlyAtClose pins the cost the earliest-close
-// tracking is there for: with zero lateness every new timestamp moves the
+// tracking is there for: every new timestamp moves the
 // watermark, and none of the 10,000 events over 1,000 keys inside one window
 // may trigger a walk of the live keys. The first event past the window's end
 // triggers exactly one, which fires all 1,000.
@@ -177,7 +158,7 @@ func TestTumblingAssignDoesNotAllocate(t *testing.T) {
 	spec := Tumbling(time.Minute)
 	at := w0.Add(13 * time.Second)
 	var win Window
-	if allocs := testing.AllocsPerRun(100, func() { win, _ = spec.assign(at) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { win = spec.assign(at) }); allocs != 0 {
 		t.Fatalf("assign allocates %.1f objects per call, want 0", allocs)
 	}
 	if !win.Start.Equal(w0) {

@@ -110,17 +110,6 @@ func (f *Fuser) Pose() sensor.Pose {
 	}
 }
 
-// Confidence returns 1-sigma position (m) and heading (deg) uncertainty.
-func (f *Fuser) Confidence() (posM, headingDeg float64) {
-	return f.pos.Uncertainty(), f.hdg.Sigma()
-}
-
-// UpdateCounts reports how many GPS and vision corrections have been
-// applied (used by tests and ablations).
-func (f *Fuser) UpdateCounts() (gps, vision int) {
-	return f.gpsUpdates, f.visionUpdates
-}
-
 // FuserState is a fuser's complete mutable state, exportable so a session
 // migrating between nodes carries its registration solution instead of
 // re-converging from scratch. Positions are ENU meters relative to the

@@ -135,9 +135,6 @@ func (f *PositionFilter) UpdatePosition(z ENU, sigmaM float64) {
 // State returns the current position estimate.
 func (f *PositionFilter) State() ENU { return ENU{E: f.x[0], N: f.x[1]} }
 
-// Velocity returns the current velocity estimate in m/s.
-func (f *PositionFilter) Velocity() (ve, vn float64) { return f.x[2], f.x[3] }
-
 // Uncertainty returns the 1-sigma position uncertainty (circular
 // approximation).
 func (f *PositionFilter) Uncertainty() float64 {
@@ -183,8 +180,8 @@ func (h *HeadingFilter) Update(measuredDeg, sigmaDeg float64) {
 // Heading returns the current estimate in [0, 360).
 func (h *HeadingFilter) Heading() float64 { return h.deg }
 
-// Sigma returns the 1-sigma heading uncertainty in degrees.
-func (h *HeadingFilter) Sigma() float64 { return math.Sqrt(h.v) }
+// sigma returns the 1-sigma heading uncertainty in degrees.
+func (h *HeadingFilter) sigma() float64 { return math.Sqrt(h.v) }
 
 func norm360(d float64) float64 {
 	d = math.Mod(d, 360)

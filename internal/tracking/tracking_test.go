@@ -75,7 +75,7 @@ func TestPositionFilterTracksConstantVelocity(t *testing.T) {
 		truthE := 2 * float64(i)
 		f.UpdatePosition(ENU{E: truthE + rng.Norm(0, 5), N: rng.Norm(0, 5)}, 5)
 	}
-	ve, vn := f.Velocity()
+	ve, vn := f.x[2], f.x[3]
 	if math.Abs(ve-2) > 0.5 || math.Abs(vn) > 0.5 {
 		t.Fatalf("velocity = (%.2f, %.2f), want (2, 0)", ve, vn)
 	}
@@ -113,7 +113,7 @@ func TestHeadingFilterGyroIntegration(t *testing.T) {
 	if math.Abs(wrap180(h.Heading()-90)) > 0.5 {
 		t.Fatalf("integrated heading = %.1f, want 90", h.Heading())
 	}
-	if h.Sigma() <= NewHeadingFilter(0).Sigma()-1 {
+	if h.sigma() <= NewHeadingFilter(0).sigma()-1 {
 		t.Fatal("uncertainty should grow without corrections")
 	}
 }
@@ -128,8 +128,8 @@ func TestHeadingFilterCorrectionsShrinkError(t *testing.T) {
 	if err := math.Abs(wrap180(h.Heading() - 10)); err > 2 {
 		t.Fatalf("heading error %.2f after corrections", err)
 	}
-	if h.Sigma() > 3 {
-		t.Fatalf("sigma = %.2f", h.Sigma())
+	if h.sigma() > 3 {
+		t.Fatalf("sigma = %.2f", h.sigma())
 	}
 }
 
@@ -223,13 +223,13 @@ func TestFuserUpdateCounts(t *testing.T) {
 	_, store := buildWorld(12)
 	f := NewFuser(origin, store)
 	f.OnGPS(sensor.GPSFix{Time: t0, Position: origin, AccuracyM: 5})
-	gps, vision := f.UpdateCounts()
+	gps, vision := f.gpsUpdates, f.visionUpdates
 	if gps != 1 || vision != 0 {
 		t.Fatalf("counts = %d, %d", gps, vision)
 	}
 	// Vision against an unknown POI is ignored.
 	f.OnVision(t0.Add(time.Second), []sensor.LandmarkObservation{{POIID: 999999, Confidence: 1}})
-	if _, vision = f.UpdateCounts(); vision != 0 {
+	if f.visionUpdates != 0 {
 		t.Fatal("unknown landmark produced a vision update")
 	}
 }

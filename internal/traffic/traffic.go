@@ -110,9 +110,6 @@ func NewSim(cfg Config, start time.Time) *Sim {
 	return s
 }
 
-// Now returns the simulation time.
-func (s *Sim) Now() time.Time { return s.now }
-
 // Vehicles returns a snapshot of vehicle states.
 func (s *Sim) Vehicles() []Vehicle {
 	out := make([]Vehicle, len(s.vehicles))

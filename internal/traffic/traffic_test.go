@@ -41,8 +41,8 @@ func TestVehiclesMove(t *testing.T) {
 	if moved < len(before)/2 {
 		t.Fatalf("only %d/%d vehicles moved", moved, len(before))
 	}
-	if !s.Now().Equal(t0.Add(2 * time.Second)) {
-		t.Fatalf("sim time = %v", s.Now())
+	if !s.now.Equal(t0.Add(2 * time.Second)) {
+		t.Fatalf("sim time = %v", s.now)
 	}
 }
 

@@ -49,11 +49,6 @@ func (e *Buffer) Varint(v int64) {
 	e.b = binary.AppendVarint(e.b, v)
 }
 
-// Uint32 appends v in fixed 4-byte little-endian encoding.
-func (e *Buffer) Uint32(v uint32) {
-	e.b = binary.LittleEndian.AppendUint32(e.b, v)
-}
-
 // Uint64 appends v in fixed 8-byte little-endian encoding.
 func (e *Buffer) Uint64(v uint64) {
 	e.b = binary.LittleEndian.AppendUint64(e.b, v)
@@ -131,16 +126,6 @@ func (d *Reader) Varint() (int64, error) {
 		return 0, ErrOverflow
 	}
 	d.off += n
-	return v, nil
-}
-
-// Uint32 decodes a fixed 4-byte little-endian integer.
-func (d *Reader) Uint32() (uint32, error) {
-	if d.Remaining() < 4 {
-		return 0, ErrShortBuffer
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
 	return v, nil
 }
 

@@ -44,7 +44,7 @@ const (
 	// Acknowledged with MsgAck carrying the request's Seq.
 	MsgUnsubscribe
 	// MsgFramePush (protocol v2) is one server-pushed overlay frame: the
-	// payload is an encoded frame (core.EncodeFrame) and Seq is the stream's
+	// payload is an encoded frame (core.EncodeFrameInto) and Seq is the stream's
 	// own monotonically increasing push counter — gaps mean the server
 	// skipped ticks or dropped queued pushes under backpressure.
 	MsgFramePush
