@@ -82,6 +82,9 @@ func run() error {
 		obsScrape  = flag.String("obs-scrape", "", "server obs endpoint (arbd-server -obs) to sample /metrics across the run")
 	)
 	flag.Parse()
+	if *fps < 1 {
+		return fmt.Errorf("-fps %d: want at least 1 frame per second per client", *fps)
+	}
 
 	center := geo.Point{Lat: *lat, Lon: *lon}
 	if *churn > 0 {

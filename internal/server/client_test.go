@@ -565,32 +565,36 @@ func TestOutboxDropsOldestWhenFull(t *testing.T) {
 // TestReplyWindowBoundsNonReadingPeer pins the reply class's bound: replies
 // are never dropped, so what stops a peer that sends requests and never
 // reads from queueing without limit is its own read loop, which takes no
-// further envelope while replyWindow replies are unwritten. Through a
-// router the replies a shard still owes count too, so frame requests are
-// held to the window as exactly as pings. Nothing is lost either: once the
-// peer reads, every request is answered, pings in order.
+// further envelope while replyWindow replies are owed. A polled frame is
+// owed from the request's read — waiting for a worker, rendering or
+// unwritten — and through a router so is every reply a shard still owes, so
+// on every acceptor frame requests are held to the window as exactly as
+// pings. Nothing is lost either: once the peer reads, every request is
+// answered, pings in order.
 func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
 	srv := New(newTestPlatform(t), discardLogger())
 	t.Cleanup(func() { _ = srv.Close() })
 	tc := startCluster(t, 1, nil, RouterOptions{})
 	acceptors := []struct {
-		name   string
-		serve  func(net.Conn)
-		frames bool // every other request a frame request
+		name    string
+		serve   func(net.Conn)
+		session uint64 // what a shard's envelopes must address; ignored elsewhere
 	}{
-		{"standalone", srv.cs.serve, false},
-		{"router", tc.router.cs.serve, true},
+		{"standalone", srv.cs.serve, 0},
+		{"shard", tc.shards[0].cs.serve, 7},
+		{"router", tc.router.cs.serve, 0},
 	}
 	for _, a := range acceptors {
 		t.Run(a.name, func(t *testing.T) {
 			rc, _ := rawPipe(t, a.serve)
 			rc.hello(t, "pipeliner", wire.ProtoMax)
-			rc.sendGPS(t, 0, center)
+			rc.sendGPS(t, a.session, center)
 
 			const requests = 10000
 			base := rc.seq         // the requests carry the seqs after it
 			var taken atomic.Int64 // requests the read loop has consumed
-			isPing := func(seq uint64) bool { return !a.frames || (seq-base)%2 == 1 }
+			// Every other request is a frame request.
+			isPing := func(seq uint64) bool { return (seq-base)%2 == 1 }
 			go func() {
 				for seq := base + 1; seq <= base+requests; seq++ {
 					typ := wire.MsgFrameRequest
@@ -598,7 +602,7 @@ func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
 						typ = wire.MsgControl
 					}
 					// The pipe completes a write only when the peer has read it.
-					if rc.trySend(typ, 0, nil) != nil {
+					if rc.trySend(typ, a.session, nil) != nil {
 						return
 					}
 					taken.Add(1)
@@ -614,8 +618,11 @@ func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
 			}
 			lastAck := base
 			answered := make(map[uint64]bool, requests)
-			for i := 0; i < requests; i++ {
+			for len(answered) < requests {
 				env := rc.read(t)
+				if env.Type == wire.MsgLoad && env.Seq == 0 {
+					continue // a shard's load report: a push, not a reply
+				}
 				want := wire.MsgAnnotations
 				if isPing(env.Seq) {
 					want = wire.MsgAck
@@ -625,7 +632,7 @@ func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
 					lastAck = env.Seq
 				}
 				if env.Type != want || env.Seq <= base || env.Seq > base+requests || answered[env.Seq] {
-					t.Fatalf("reply %d = %v seq %d, want one %v per request", i, env.Type, env.Seq, want)
+					t.Fatalf("reply %d = %v seq %d, want one %v per request", len(answered), env.Type, env.Seq, want)
 				}
 				answered[env.Seq] = true
 			}
@@ -653,7 +660,7 @@ func TestStreamSkipsTicksWhenBehind(t *testing.T) {
 	release := make(chan struct{})
 	var blocked sync.WaitGroup
 	blocked.Add(1)
-	if err := srv.eng.sched.SubmitVisit(blocker, func(*core.Frame) {}, func(err error) {
+	if err := srv.eng.sched.Submit(blocker, func(*core.Frame) {}, func(err error) {
 		defer blocked.Done()
 		<-release
 	}); err != nil {

@@ -25,7 +25,7 @@
 // writer; what the loop, the scheduler workers and the load ticker enqueue
 // reaches the wire in queue order. A peer that stops reading costs itself:
 // its pushes drop oldest-first, and its own read loop parks once
-// replyWindow replies are unwritten.
+// replyWindow replies are owed — unwritten, or still waiting for a worker.
 package server
 
 import (
@@ -47,9 +47,11 @@ var helloTimeout = 5 * time.Second
 // outbox, which multiplexes many sessions' streams toward one router.
 const backendPushQueue = 64
 
-// replyWindow is how many replies an accepted connection may have unwritten
-// before its own read loop stops taking envelopes: the bound on what a peer
-// that sends requests and never reads can make a node queue for it.
+// replyWindow is how many replies an accepted connection may owe — queued,
+// unwritten, or a polled frame not yet rendered — before its own read loop
+// stops taking envelopes: the bound on what a peer that sends requests and
+// never reads can make a node queue for it, in the outbox and the frame
+// scheduler alike.
 const replyWindow = 64
 
 // Bounds on a router's backend connections: each dial plus hello, and each
@@ -194,7 +196,7 @@ func (cs *connServer) serve(conn net.Conn) {
 	var in wire.Envelope
 	for {
 		// The reply bound: no further envelope is taken while replyWindow
-		// replies to this connection are unwritten.
+		// replies to this connection are owed.
 		a.out.awaitReplies(replyWindow - 1)
 		if err := fr.ReadEnvelopeReuse(&in); err != nil {
 			return
@@ -422,7 +424,10 @@ func (c *sessConn) migrate(in *wire.Envelope) {
 // submitFrame schedules one polled frame. Its reply is staged and queued
 // from the worker (delivery), so the read loop keeps draining envelopes
 // while the frame renders; replies carry the request's seq and may overtake
-// one another. The frame's flight opens here, at the request's read.
+// one another. The reply is owed from here, the request's read, where the
+// frame's flight also opens: while it waits for a worker, renders or sits
+// unwritten it counts against replyWindow, which is what bounds the
+// scheduler's queue on a connection that keeps polling.
 //
 //arbd:hotpath
 func (c *sessConn) submitFrame(sess *core.Session, seq uint64) {
@@ -431,7 +436,8 @@ func (c *sessConn) submitFrame(sess *core.Session, seq uint64) {
 	d.eng, d.out, d.inflight, d.session, d.seq = eng, c.out, &c.inflight, sess.ID, seq
 	d.fl = eng.rec.Begin(sess.ID, time.Now())
 	c.inflight.Add(1)
-	if err := eng.sched.SubmitVisit(sess, d.visitFn, d.doneFn); err != nil {
+	c.out.expect(1)
+	if err := eng.sched.Submit(sess, d.visitFn, d.doneFn); err != nil {
 		d.done(err) // scheduler closed: the callbacks will not fire
 	}
 }

@@ -36,7 +36,7 @@ func TestEffectiveDeadlineTightensUnderLoad(t *testing.T) {
 		load:     func() core.LoadSignal { return core.LoadSignal{Backlog: backlogRef} },
 	}, nil)
 	defer fs.Close()
-	if got := fs.EffectiveDeadline(); got != 80*time.Millisecond {
+	if got := fs.effectiveDeadline(); got != 80*time.Millisecond {
 		t.Fatalf("scheduler under backlog at ref: deadline %v, want 80ms", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestSchedulerShedsEarlierUnderBrokerLag(t *testing.T) {
 		release := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
-		if err := fs.SubmitVisit(s, func(*core.Frame) {}, func(err error) {
+		if err := fs.Submit(s, func(*core.Frame) {}, func(err error) {
 			defer wg.Done()
 			if err != nil {
 				t.Errorf("stall frame: %v", err)
@@ -77,7 +77,7 @@ func TestSchedulerShedsEarlierUnderBrokerLag(t *testing.T) {
 		}
 		wg.Add(burst)
 		for i := 0; i < burst; i++ {
-			if err := fs.SubmitVisit(s, func(*core.Frame) {}, func(err error) {
+			if err := fs.Submit(s, func(*core.Frame) {}, func(err error) {
 				defer wg.Done()
 				if err != nil && !errors.Is(err, ErrFrameShed) {
 					t.Errorf("frame: %v", err)

@@ -104,7 +104,7 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 	// sleep and crosses the slow threshold by an order of magnitude.
 	time.Sleep(50 * time.Millisecond)
 	const wedge = 80 * time.Millisecond
-	if err := sh.eng.sched.QueueVisit(sess,
+	if err := sh.eng.sched.Submit(sess,
 		func(*core.Frame) { time.Sleep(wedge) },
 		func(error) {}); err != nil {
 		t.Fatal(err)

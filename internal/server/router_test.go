@@ -319,7 +319,7 @@ func TestRouterShedsOnRemoteLoad(t *testing.T) {
 		rel := func() { releaseOnce.Do(func() { close(release) }) }
 		var blocked sync.WaitGroup
 		blocked.Add(1)
-		if err := sh.eng.sched.SubmitVisit(blocker, func(*core.Frame) {}, func(err error) {
+		if err := sh.eng.sched.Submit(blocker, func(*core.Frame) {}, func(err error) {
 			defer blocked.Done()
 			<-release
 		}); err != nil {
@@ -825,7 +825,7 @@ func TestShardLossAnswersInFlightRequests(t *testing.T) {
 	release := make(chan struct{})
 	var blocked sync.WaitGroup
 	blocked.Add(1)
-	if err := sh.eng.sched.SubmitVisit(blocker, func(*core.Frame) {}, func(error) {
+	if err := sh.eng.sched.Submit(blocker, func(*core.Frame) {}, func(error) {
 		defer blocked.Done()
 		<-release
 	}); err != nil {

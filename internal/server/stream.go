@@ -118,9 +118,9 @@ func (m *outMsg) releaseBuf() {
 // stream obituaries) are bounded by dropping the oldest queued push when
 // the capacity is reached. Replies (and forwards) are never dropped; they
 // are bounded because the read loop producing them calls awaitReplies
-// before taking each envelope and parks while replyWindow of them are
-// unwritten — a peer that does not read stalls itself through TCP, and
-// nothing else.
+// before taking each envelope and parks while replyWindow of them are owed
+// (unwritten, or expected: not queued yet) — a peer that does not read
+// stalls itself through TCP, and nothing else.
 type outbox struct {
 	w     io.Writer          // the connection
 	batch wire.EnvelopeBatch // writer goroutine only
@@ -298,8 +298,9 @@ func (ob *outbox) fail(session, seq uint64, text string) {
 }
 
 // expect counts n replies owed to the connection but not queued yet, or
-// settles them (n < 0): a router expects each reply a shard owes its client,
-// so the client's read loop parks on its queued and owed replies together.
+// settles them (n < 0) once they are: a node expects each polled frame from
+// the request's read, a router each reply a shard owes its client, so the
+// read loop parks on its queued and owed replies together.
 func (ob *outbox) expect(n int) {
 	ob.mu.Lock()
 	ob.replies += n
@@ -730,7 +731,7 @@ type delivery struct {
 	out *outbox
 	// st is the stream a pushed frame belongs to. nil marks a polled frame:
 	// it is a reply, answers (session, seq) even when it fails, and settles
-	// its connection's inflight count.
+	// its owed reply and its connection's inflight count.
 	st           *frameStream
 	inflight     *sync.WaitGroup
 	session, seq uint64
@@ -794,9 +795,11 @@ func (d *delivery) done(err error) {
 		st.complete()
 		return
 	}
-	eng, inflight := d.eng, d.inflight
+	// The reply is queued (or the outbox closed): it stops being owed.
+	eng, out, inflight := d.eng, d.out, d.inflight
 	*d = delivery{visitFn: d.visitFn, doneFn: d.doneFn}
 	eng.deliveries.Put(d)
+	out.expect(-1)
 	inflight.Done()
 }
 
@@ -942,10 +945,10 @@ func settleUnsent(fl *obs.Flight, err error) (shed bool) {
 //
 //arbd:hotpath
 func (st *frameStream) submit() {
-	err := st.d.eng.sched.QueueVisit(st.sess, st.d.visitFn, st.d.doneFn)
+	err := st.d.eng.sched.Submit(st.sess, st.d.visitFn, st.d.doneFn)
 	if err != nil {
-		// Scheduler closed (QueueVisit admits everything else): the server
-		// is going down; stop pacing. done will not fire for this job.
+		// Scheduler closed (Submit admits everything else): the server is
+		// going down; stop pacing. done will not fire for this job.
 		st.d.fl.FinishError()
 		st.d.fl = nil
 		st.mu.Lock()
