@@ -82,8 +82,14 @@ func run() error {
 		obsScrape  = flag.String("obs-scrape", "", "server obs endpoint (arbd-server -obs) to sample /metrics across the run")
 	)
 	flag.Parse()
-	if *fps < 1 {
+	// A run that drives no load must not report success.
+	switch {
+	case *fps < 1:
 		return fmt.Errorf("-fps %d: want at least 1 frame per second per client", *fps)
+	case *clients < 1:
+		return fmt.Errorf("-clients %d: want at least 1 client", *clients)
+	case *duration <= 0:
+		return fmt.Errorf("-duration %v: want a positive run length", *duration)
 	}
 
 	center := geo.Point{Lat: *lat, Lon: *lon}

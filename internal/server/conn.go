@@ -325,8 +325,10 @@ func (c *sessConn) handle(in *wire.Envelope) {
 			c.out.fail(in.Session, in.Seq, err.Error())
 			return
 		}
-		// The ack is queued before the stream exists, so it precedes the
-		// first push on the wire.
+		// A re-subscribe replaces the stream: the old one stops — its last
+		// push queued — before the ack, and the new one starts after it, so
+		// on the wire the ack separates the two streams' pushes.
+		c.streams.remove(in.Session)
 		c.out.ack(in)
 		// Delta pushes only when the subscriber asked and this
 		// connection negotiated v4 (through a router: the flag rides the

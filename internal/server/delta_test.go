@@ -2,13 +2,16 @@ package server
 
 import (
 	"context"
+	"io"
 	"net"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
 	"arbd/internal/core"
 	"arbd/internal/geo"
+	"arbd/internal/obs"
 	"arbd/internal/sensor"
 	"arbd/internal/wire"
 )
@@ -143,10 +146,10 @@ func subscribeRaw(t *testing.T, addr string, version, flags uint32, pos geo.Poin
 	return rc
 }
 
-// TestSubscribePacersShareOneWheel pins the engine's pacing to one
+// TestSubscribePacersShareOnePacer pins the engine's pacing to one
 // goroutine however many streams it paces: 64 live subscriptions read the
 // server.stream.pacers gauge at 1 and add no goroutine per stream.
-func TestSubscribePacersShareOneWheel(t *testing.T) {
+func TestSubscribePacersShareOnePacer(t *testing.T) {
 	const streams = 64
 	srv, addr := startServer(t)
 	conns := make([]*rawConn, streams)
@@ -169,14 +172,55 @@ func TestSubscribePacersShareOneWheel(t *testing.T) {
 			t.Fatalf("stream %d: first push = %v", i, env.Type)
 		}
 	}
-	// Every stream has pushed, so every stream is armed on the wheel.
+	// Every stream has pushed, so every stream is armed on the pacer.
 	if got := srv.eng.platform.Metrics().Gauge("server.stream.pacers").Value(); got != 1 {
 		t.Fatalf("server.stream.pacers = %v with %d live streams, want 1", got, streams)
 	}
-	// A stream is a wheel entry, not a goroutine: a few runtime goroutines
+	// A stream is a pacer tick, not a goroutine: a few runtime goroutines
 	// may come and go, one per stream may not.
 	if grew := runtime.NumGoroutine() - before; grew >= streams/4 {
 		t.Fatalf("%d subscriptions added %d goroutines", streams, grew)
+	}
+}
+
+// TestSubscribeTicksNeverEarly pins the cadence contract: a stream pushes at
+// its requested interval or slower, never faster. A frame's flight opens at
+// the pacer's fire time — an owed, completion-paced tick's included — so in
+// push order one stream's flight starts are at least an interval apart. The
+// 600 ms stream is longer than any one pass of a coarse clock and must
+// still tick on time: twice inside 1.5 s.
+func TestSubscribeTicksNeverEarly(t *testing.T) {
+	srv, addr := startServer(t)
+	intervals := make(map[uint64]time.Duration)
+	for _, ms := range []uint32{5, 600} {
+		rc := dialRaw(t, addr)
+		id := rc.hello(t, "cadence", wire.ProtoMax).ID
+		rc.sendGPS(t, 0, center)
+		var sb wire.Buffer
+		wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: ms, Budget: 16})
+		rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
+		go func() { _, _ = io.Copy(io.Discard, rc.c) }() // ack and pushes, unread
+		intervals[id] = time.Duration(ms) * time.Millisecond
+	}
+	time.Sleep(1500 * time.Millisecond)
+	pushed := make(map[uint64][]obs.FrameRecord)
+	for _, rec := range srv.eng.rec.Records(nil) {
+		if _, ok := intervals[rec.Session]; ok && rec.Seq > 0 {
+			pushed[rec.Session] = append(pushed[rec.Session], rec)
+		}
+	}
+	for id, iv := range intervals {
+		recs := pushed[id]
+		if len(recs) < 2 {
+			t.Fatalf("stream every %v: %d pushes in 1.5 s, want at least 2", iv, len(recs))
+		}
+		sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+		for i := 1; i < len(recs); i++ {
+			if gap := time.Duration(recs[i].Start - recs[i-1].Start); gap < iv {
+				t.Fatalf("stream every %v: push %d started %v after push %d — early",
+					iv, recs[i].Seq, gap, recs[i-1].Seq)
+			}
+		}
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 type Engine struct {
 	platform *core.Platform
 	sched    *FrameScheduler
-	// wheel is the shared pacing clock for every subscription stream the
+	// pacer is the shared pacing clock for every subscription stream the
 	// engine serves: one goroutine regardless of subscriber count.
-	wheel *pacerWheel
+	pacer *pacer
 	// rec is the frame flight recorder: every frame's stage spans — polled
 	// or streamed (admission, queue, render, encode, outbox, write) — land
 	// in its ring, always on. Its instruments live in the platform registry.
@@ -59,16 +59,16 @@ func newEngine(p *core.Platform, workers int) *Engine {
 
 		streamDropped: p.Metrics().Counter("server.stream.dropped"),
 	}
-	e.wheel = newPacerWheel(p.Metrics().Gauge("server.stream.pacers"))
+	e.pacer = newPacer(p.Metrics().Gauge("server.stream.pacers"))
 	e.bufs.New = func() any { return wire.NewBuffer(1024) }
 	e.deliveries.New = newDelivery
 	return e
 }
 
-// Close stops the pacing wheel and the frame scheduler. Roles close their
+// Close stops the pacer and the frame scheduler. Roles close their
 // listeners (and stop their streams) first.
 func (e *Engine) Close() {
-	e.wheel.close()
+	e.pacer.close()
 	e.sched.Close()
 }
 

@@ -18,7 +18,7 @@ import (
 func TestManyClientsSeqIntegrity(t *testing.T) {
 	_, addr := startServer(t)
 	const clients = 16
-	const rounds = 25
+	const polls = 25
 
 	sessionCh := make(chan uint64, clients)
 	var wg sync.WaitGroup
@@ -27,7 +27,7 @@ func TestManyClientsSeqIntegrity(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			if err := runSeqClient(addr, c, rounds, sessionCh); err != nil {
+			if err := runSeqClient(addr, c, polls, sessionCh); err != nil {
 				errs <- fmt.Errorf("client %d: %w", c, err)
 			}
 		}(c)
@@ -52,7 +52,7 @@ func TestManyClientsSeqIntegrity(t *testing.T) {
 
 // runSeqClient speaks the wire protocol directly so the test can observe
 // raw envelope sequence numbers rather than the Client's matched replies.
-func runSeqClient(addr string, id, rounds int, sessionCh chan<- uint64) error {
+func runSeqClient(addr string, id, polls int, sessionCh chan<- uint64) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -80,7 +80,7 @@ func runSeqClient(addr string, id, rounds int, sessionCh chan<- uint64) error {
 	}
 
 	var session uint64
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < polls; r++ {
 		// GPS fix: one-way, no reply — the next reply on the wire must
 		// still be for the frame request that follows.
 		var b wire.Buffer

@@ -258,17 +258,6 @@ func (r *Router) migrateSession(id uint64, from, to *routerShard) error {
 		return nil
 	}
 
-	// Rebase before the import: it arms the straggler guard (deliver drops
-	// raw seqs above the old stream's high-water mark from here on), so an
-	// old-stream push that raced past the export reply cannot inflate the
-	// rebase state while the import is in flight. resumeStream's rebase is
-	// idempotent on top of this one.
-	r.subsMu.Lock()
-	if e := r.subs[id]; e != nil {
-		e.rebase()
-	}
-	r.subsMu.Unlock()
-
 	if err := r.forward(to, &wire.Envelope{Type: wire.MsgMigrateSession, Session: id, Payload: res.payload}); err != nil {
 		return fmt.Errorf("import request: %w", err)
 	}
@@ -285,7 +274,9 @@ func (r *Router) migrateSession(id uint64, from, to *routerShard) error {
 }
 
 // resumeStream replays the session's tracked subscription (if any) on the
-// shard now owning it.
+// shard now owning it, rebased at the send: after a successful export, the
+// export reply was queued behind the old stream's last push, and the
+// router has read it.
 func (r *Router) resumeStream(id uint64, to *routerShard) {
 	if to == nil {
 		return

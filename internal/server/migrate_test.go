@@ -489,13 +489,12 @@ func TestDrainMigrationFailureIsSoft(t *testing.T) {
 	}
 }
 
-// TestDeliverRebaseDropsStragglers pins the rebase rule in deliver(): after
-// a server-side stream replacement (re-subscribe, replay, migration), a
-// push from the replaced stream — raw counter ABOVE the old high-water
-// mark — must be dropped, or its rebased seq would leap past everything
-// the replacement stream will produce and blackhole it; the replacement
-// announces itself with a restarted (lower) raw counter and flows.
-func TestDeliverRebaseDropsStragglers(t *testing.T) {
+// TestDeliverRebasesAtSubscribeAck pins the rebase rule in deliver(): the
+// shard's ack of a re-subscribe follows the replaced stream's last push, so
+// reading it rebases the session's push seq — the replacement stream's
+// restarted raw counter maps above everything already delivered — and a
+// rebased value at or below the last delivered seq is a duplicate and drops.
+func TestDeliverRebasesAtSubscribeAck(t *testing.T) {
 	r, err := NewRouter([]Member{{ID: 1, Addr: "unused"}}, discardLogger(), nil, RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -511,6 +510,7 @@ func TestDeliverRebaseDropsStragglers(t *testing.T) {
 	const session = 7
 	r.sessions[session] = cl
 	r.subs[session] = &subEntry{payload: []byte{0, 0}}
+	ss := &routerShard{owed: ledger{owed: make(map[pendKey]wire.MsgType)}}
 
 	push := func(raw uint64) {
 		r.deliver(&wire.Envelope{Type: wire.MsgFramePush, Seq: raw, Session: session, Payload: []byte{1}}, false)
@@ -524,28 +524,29 @@ func TestDeliverRebaseDropsStragglers(t *testing.T) {
 	for raw := uint64(1); raw <= 3; raw++ {
 		push(raw)
 	}
-	if e := entry(); e.last != 3 || e.lastRaw != 3 {
-		t.Fatalf("steady state entry %+v, want last=3 lastRaw=3", e)
+	if e := entry(); e.last != 3 || e.base != 0 {
+		t.Fatalf("steady state entry %+v, want last=3 base=0", e)
 	}
 
-	// Stream replaced (cadence change / migration): rebase, then a
-	// straggler from the OLD stream trails in with the next raw counter.
-	r.subsMu.Lock()
-	r.subs[session].rebase()
-	r.subsMu.Unlock()
-	staleBefore := r.Metrics().Counter("router.pushes.stale").Value()
-	push(4) // old stream's counter continues: must be dropped
-	if e := entry(); e.last != 3 || !e.restart {
-		t.Fatalf("straggler mutated rebase state: %+v", e)
+	// An ack nobody owes (a replayed subscribe's, seq 0) does not rebase.
+	r.deliverReply(ss, &wire.Envelope{Type: wire.MsgAck, Session: session})
+	if e := entry(); e.base != 0 {
+		t.Fatalf("unowed ack rebased: %+v", e)
 	}
-	if got := r.Metrics().Counter("router.pushes.stale").Value(); got != staleBefore+1 {
-		t.Fatalf("straggler not counted stale (%d -> %d)", staleBefore, got)
+	// The ack of the owed re-subscribe does.
+	if !ss.owed.add(session, 9, wire.MsgSubscribe, time.Now()) {
+		t.Fatal("ledger refused the re-subscribe")
+	}
+	cl.out.expect(1)
+	r.deliverReply(ss, &wire.Envelope{Type: wire.MsgAck, Seq: 9, Session: session})
+	if e := entry(); e.base != 3 || e.last != 3 {
+		t.Fatalf("subscribe ack did not rebase: %+v", e)
 	}
 
 	// The replacement stream restarts at 1: delivered, rebased above the
 	// old stream's range, monotonic for the client.
 	push(1)
-	if e := entry(); e.last != 4 || e.lastRaw != 1 || e.restart {
+	if e := entry(); e.last != 4 {
 		t.Fatalf("replacement stream first push mishandled: %+v", e)
 	}
 	push(2)
@@ -554,23 +555,12 @@ func TestDeliverRebaseDropsStragglers(t *testing.T) {
 	}
 
 	// Duplicate raw counter maps at or below last: dropped.
+	staleBefore := r.Metrics().Counter("router.pushes.stale").Value()
 	push(2)
 	if e := entry(); e.last != 5 {
 		t.Fatalf("duplicate push advanced last: %+v", e)
 	}
-
-	// The straggler guard is time-bounded: raw counters can gap (the
-	// shard's drop-oldest outbox discards pushes after seq assignment),
-	// so a replacement stream whose early pushes were all dropped first
-	// appears ABOVE the old high-water mark. Once the window expires it
-	// must flow — a permanent blackhole would be worse than one stale
-	// frame.
-	r.subsMu.Lock()
-	r.subs[session].rebase()
-	r.subs[session].rebasedAt = time.Now().Add(-2 * stragglerWindow)
-	r.subsMu.Unlock()
-	push(9) // > lastRaw 2, but the window expired: accepted as the new stream
-	if e := entry(); e.restart || e.lastRaw != 9 || e.last != 5+9 {
-		t.Fatalf("post-window push mishandled: %+v", e)
+	if got := r.Metrics().Counter("router.pushes.stale").Value(); got != staleBefore+1 {
+		t.Fatalf("duplicate not counted stale (%d -> %d)", staleBefore, got)
 	}
 }

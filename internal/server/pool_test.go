@@ -21,7 +21,7 @@ import (
 func TestPooledFrameBuffersNoCrossTalk(t *testing.T) {
 	_, addr := startServer(t)
 	const clients = 24
-	const rounds = 15
+	const polls = 15
 	// Positions far enough apart that one client's query radius (250 m
 	// default) cannot reach another's POIs.
 	positions := make([]geo.Point, clients)
@@ -46,7 +46,7 @@ func TestPooledFrameBuffersNoCrossTalk(t *testing.T) {
 				errs <- err
 				return
 			}
-			for r := 0; r < rounds; r++ {
+			for r := 0; r < polls; r++ {
 				f, _, err := cl.RequestFrame()
 				if err != nil {
 					errs <- fmt.Errorf("client %d round %d: %w", c, r, err)
@@ -105,5 +105,43 @@ func TestPolledReplyAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, poll); allocs > 0 {
 		t.Fatalf("a polled frame allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestPushedFrameAllocatesNothing holds the server-clocked path to the same
+// budget: in steady state one pushed frame — paced, scheduled, rendered,
+// delta-encoded, queued on the outbox, written — allocates nothing on the
+// server, the pacer included.
+func TestPushedFrameAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	srv := newServer(newTestPlatform(t), discardLogger(), 1)
+	t.Cleanup(func() { _ = srv.Close() })
+	rc, _ := rawPipe(t, srv.cs.serve)
+	rc.hello(t, "subscriber", wire.ProtoMax)
+	rc.sendGPS(t, 0, center)
+	var sb wire.Buffer
+	wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: 1, Budget: 16, Flags: wire.SubFlagDelta})
+	subSeq := rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
+	if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != subSeq {
+		t.Fatalf("subscribe reply = %v seq %d", env.Type, env.Seq)
+	}
+
+	// Pushes are read into a fixed buffer (8-byte frame header, body).
+	push := make([]byte, 1<<20)
+	readOnePush := func() {
+		if _, err := io.ReadFull(rc.c, push[:8]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(rc.c, push[:binary.LittleEndian.Uint32(push)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		readOnePush() // warm the pools, the scratch and the pacer's heap
+	}
+	if allocs := testing.AllocsPerRun(300, readOnePush); allocs > 0 {
+		t.Fatalf("a pushed frame allocated %.2f times, want 0", allocs)
 	}
 }

@@ -188,44 +188,21 @@ type Router struct {
 
 // subEntry is one tracked subscription: the subscribe payload for replay,
 // plus the rebase state that keeps the client-visible push counter
-// strictly increasing across server-side stream restarts (shard reconnect
-// replay, re-subscribe, live migration). base is added to every raw push
-// counter; last is the highest rebased value delivered; lastRaw is the
-// highest raw counter delivered. restart marks a rebase whose replacement
-// stream hasn't pushed yet: until its counter visibly restarts (a raw seq
-// at or below lastRaw), any higher raw seq is a straggler from the
-// replaced stream and must be dropped — delivering it would inflate
-// `last` past everything the new stream will produce and silently
-// blackhole the stream for its whole replayed length.
+// strictly increasing across server-side stream restarts (re-subscribe,
+// shard reconnect replay, live migration). base is added to every raw push
+// counter; last is the highest rebased value delivered.
 type subEntry struct {
-	payload   []byte
-	base      uint64
-	last      uint64
-	lastRaw   uint64
-	restart   bool
-	rebasedAt time.Time
+	payload []byte
+	base    uint64
+	last    uint64
 }
-
-// stragglerWindow bounds how long after a rebase a too-high raw counter
-// is treated as a replaced-stream straggler. Stragglers are already in
-// flight at rebase time (one connection read plus queued outbox writes),
-// so they arrive promptly; after the window any push is accepted as the
-// replacement stream. The window matters because raw counters are not
-// gap-free — the shard's drop-oldest outbox discards pushes after their
-// seq is assigned — so a replacement stream whose first pushes were all
-// dropped can legitimately first appear ABOVE the old high-water mark,
-// and an unbounded guard would blackhole it forever.
-var stragglerWindow = time.Second
 
 // rebase marks a server-side stream replacement: future raw counters
-// restart at 1 and map above everything already delivered. Idempotent —
-// a second rebase before any push arrived only refreshes the straggler
-// window.
-func (e *subEntry) rebase() {
-	e.base = e.last
-	e.restart = true
-	e.rebasedAt = time.Now()
-}
+// restart at 1 and map above everything already delivered. It runs where
+// no push of the replaced stream can follow — at the shard's ack of a
+// re-subscribe, which the shard queues after the old stream's last push,
+// or when the router sends a replay or a migration resume.
+func (e *subEntry) rebase() { e.base = e.last }
 
 // backendConn is one dialled-and-handshaken shard connection.
 type backendConn struct {
@@ -420,7 +397,7 @@ func (r *Router) Connect() error {
 // attachShard installs a handshaken backend connection as the member's
 // slot and starts its reader.
 func (r *Router) attachShard(m Member, bc *backendConn) *routerShard {
-	ss := &routerShard{member: m, bc: bc, owed: ledger{owed: make(map[pendKey]struct{})}}
+	ss := &routerShard{member: m, bc: bc, owed: ledger{owed: make(map[pendKey]wire.MsgType)}}
 	r.shardsMu.Lock()
 	r.shards[m.ID] = ss
 	closing := r.closing() // Close swept the slots before this one joined
@@ -502,7 +479,7 @@ func (r *Router) shardReader(ss *routerShard, bc *backendConn) {
 			// migration waiting on this session.
 			r.migrateReply(ss, &env)
 		case wire.MsgAnnotations, wire.MsgError, wire.MsgAck:
-			r.deliver(&env, ss.owed.done(env.Session, env.Seq))
+			r.deliverReply(ss, &env)
 		default:
 			r.deliver(&env, false)
 		}
@@ -610,6 +587,22 @@ func (r *Router) failStreams(ss *routerShard) {
 	}
 }
 
+// deliverReply delivers one shard reply, settling its ledger entry. The ack
+// of a subscribe rebases the session's push seq: the shard stopped the
+// replaced stream before queuing it, so every push of that stream has been
+// delivered already and every push behind it is the new stream's.
+func (r *Router) deliverReply(ss *routerShard, env *wire.Envelope) {
+	t := ss.owed.done(env.Session, env.Seq)
+	if t == wire.MsgSubscribe && env.Type == wire.MsgAck {
+		r.subsMu.Lock()
+		if e := r.subs[env.Session]; e != nil {
+			e.rebase()
+		}
+		r.subsMu.Unlock()
+	}
+	r.deliver(env, t != 0)
+}
+
 // deliver routes one shard envelope to its client's outbox: copied into a
 // pooled buffer (the payload aliases the shard reader's buffer, which the
 // next read reuses) and queued, never written here — a slow client must
@@ -665,12 +658,8 @@ func (r *Router) deliver(env *wire.Envelope, owed bool) {
 // same path as full pushes, payload opaque: rebasing shifts every seq by
 // the same constant within an epoch, so the seq-contiguity rule delta
 // application depends on is preserved, and an epoch restart's first push is
-// always a keyframe (a fresh server-side stream keys its push 1). Two stale
-// cases drop: after a rebase, a raw seq above lastRaw is a straggler of the
-// replaced stream (the real replacement announces itself by restarting at
-// or below lastRaw — raw counters are per-stream contiguous, so only a
-// restart can move backwards); and a rebased value at or below `last` is a
-// duplicate.
+// always a keyframe (a fresh server-side stream keys its push 1). A rebased
+// value at or below `last` is a duplicate and drops.
 func (r *Router) rebasePush(session, raw uint64) (seq uint64, fresh bool) {
 	r.subsMu.Lock()
 	defer r.subsMu.Unlock()
@@ -678,15 +667,10 @@ func (r *Router) rebasePush(session, raw uint64) (seq uint64, fresh bool) {
 	if e == nil {
 		return raw, true
 	}
-	if e.restart && e.lastRaw > 0 && raw > e.lastRaw && time.Since(e.rebasedAt) < stragglerWindow {
-		return 0, false
-	}
 	seq = e.base + raw
 	if seq <= e.last {
 		return 0, false
 	}
-	e.restart = false
-	e.lastRaw = raw
 	e.last = seq
 	return seq, true
 }
@@ -734,12 +718,12 @@ func (r *Router) Close() error {
 
 // trackSub records a live subscription for replay; untrackSub forgets it.
 // A re-subscribe keeps the rebase state: the client's stream identity
-// survives a cadence change, so its seq contract must too.
+// survives a cadence change, so its seq contract must too. The rebase
+// itself waits for the shard's ack (deliverReply).
 func (r *Router) trackSub(session uint64, payload []byte) {
 	r.subsMu.Lock()
 	if e := r.subs[session]; e != nil {
 		e.payload = append([]byte(nil), payload...)
-		e.rebase() // the replacement server-side stream restarts at 1
 	} else {
 		r.subs[session] = &subEntry{payload: append([]byte(nil), payload...)}
 	}
@@ -851,19 +835,25 @@ func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) {
 	}
 	switch env.Type {
 	case wire.MsgSubscribe:
+		// A subscribe the shard would refuse is refused here: tracked, it
+		// would be replayed on every bounce and resume, and overwrite a
+		// live stream's good payload.
+		sub, err := wire.DecodeSubscribe(env.Payload)
+		if err != nil {
+			cl.out.fail(id, env.Seq, err.Error())
+			return
+		}
 		// Track before the forward: a shard bounce in the gap would
 		// otherwise snapshot r.subs without this stream — never
 		// replayed, never given an obituary, a silently dead channel.
 		// The forward-failure path below cleans up if the subscribe never
 		// actually took.
 		r.trackSub(id, env.Payload)
-		if sub, err := wire.DecodeSubscribe(env.Payload); err == nil {
-			// Honour the subscription's queue budget on this hop too —
-			// the shard grows its outbox per subscription, and capping
-			// here would silently undercut the knob in exactly the
-			// topology streaming was built for.
-			cl.out.grow(pushBudget(sub))
-		}
+		// Honour the subscription's queue budget on this hop too — the
+		// shard grows its outbox per subscription, and capping here would
+		// silently undercut the knob in exactly the topology streaming was
+		// built for.
+		cl.out.grow(pushBudget(sub))
 	case wire.MsgUnsubscribe:
 		// Untrack before the forward, sent or not: the client's intent
 		// stands, and a replay can only queue ahead of it (see
@@ -875,7 +865,7 @@ func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) {
 		cl.out.fail(id, env.Seq, ErrRouterShed.Error())
 		return
 	}
-	if owes = owes && ss.owed.add(id, env.Seq, env.Type == wire.MsgFrameRequest, time.Now()); owes {
+	if owes = owes && ss.owed.add(id, env.Seq, env.Type, time.Now()); owes {
 		cl.out.expect(1)
 	}
 	if err := r.forward(ss, env); err != nil {
@@ -884,7 +874,7 @@ func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) {
 			r.untrackSub(id) // an unsent subscribe must not be replayed
 		}
 		// Answer it, unless the dying connection's reader already did.
-		if owes && ss.owed.done(id, env.Seq) {
+		if owes && ss.owed.done(id, env.Seq) != 0 {
 			cl.out.fail(id, env.Seq, ErrShardDown.Error())
 			cl.out.expect(-1)
 		}
@@ -913,13 +903,14 @@ type pendEntry struct {
 	at  time.Time
 }
 
-// ledger is one shard's record of the forwarded requests it owes a reply.
-// Admission reads the age of its oldest frame request; each entry holds a
-// slot in its client's outbox (outbox.expect); and when the backend
-// connection dies, every entry is answered ErrShardDown.
+// ledger is one shard's record of the forwarded requests it owes a reply,
+// and of each one's type. Admission reads the age of its oldest frame
+// request; each entry holds a slot in its client's outbox (outbox.expect);
+// the ack of a subscribe rebases its stream (deliverReply); and when the
+// backend connection dies, every entry is answered ErrShardDown.
 type ledger struct {
 	mu   sync.Mutex
-	owed map[pendKey]struct{}
+	owed map[pendKey]wire.MsgType
 	// frames is the frame requests in forward order; answered ones are
 	// popped lazily from the head.
 	frames []pendEntry
@@ -927,34 +918,35 @@ type ledger struct {
 
 // add enters one forwarded request, reporting false for a (session, seq)
 // already owed: a reused seq's second reply arrives outside the ledger.
-func (l *ledger) add(session, seq uint64, frame bool, at time.Time) bool {
+func (l *ledger) add(session, seq uint64, t wire.MsgType, at time.Time) bool {
 	k := pendKey{session, seq}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, dup := l.owed[k]; dup {
 		return false
 	}
-	l.owed[k] = struct{}{}
-	if frame {
+	l.owed[k] = t
+	if t == wire.MsgFrameRequest {
 		l.frames = append(l.frames, pendEntry{key: k, at: at})
 	}
 	return true
 }
 
-// done settles one request, reporting whether it was owed (a sensor error
-// or a replayed subscribe's ack was not). Compaction happens here as well
-// as in headAge so the frame FIFO stays bounded by the outstanding count
-// even when admission never reads it (a shard that is down).
-func (l *ledger) done(session, seq uint64) bool {
+// done settles one request, returning its type, or zero if it was not owed
+// (a sensor error or a replayed subscribe's ack was not). Compaction happens
+// here as well as in headAge so the frame FIFO stays bounded by the
+// outstanding count even when admission never reads it (a shard that is
+// down).
+func (l *ledger) done(session, seq uint64) wire.MsgType {
 	k := pendKey{session, seq}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.owed[k]; !ok {
-		return false
+	t := l.owed[k]
+	if t != 0 {
+		delete(l.owed, k)
+		l.compactLocked()
 	}
-	delete(l.owed, k)
-	l.compactLocked()
-	return true
+	return t
 }
 
 // drain empties the ledger — the connection died — returning what it owed.

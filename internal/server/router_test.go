@@ -166,7 +166,7 @@ func (tc *testCluster) shardsOwning(id uint64) []int {
 func TestRouterSessionAffinity(t *testing.T) {
 	tc := startCluster(t, 2, nil, RouterOptions{})
 	const clients = 12
-	const rounds = 6
+	const polls = 6
 
 	conns := make([]*Client, clients)
 	for c := range conns {
@@ -178,7 +178,7 @@ func TestRouterSessionAffinity(t *testing.T) {
 		if err := cl.SendGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < rounds; r++ {
+		for r := 0; r < polls; r++ {
 			if _, _, err := cl.RequestFrame(); err != nil {
 				t.Fatalf("client %d round %d: %v", c, r, err)
 			}
@@ -254,7 +254,7 @@ func TestRouterSessionAffinity(t *testing.T) {
 func TestRouterSeqIntegrity(t *testing.T) {
 	tc := startCluster(t, 2, nil, RouterOptions{})
 	const clients = 12
-	const rounds = 20
+	const polls = 20
 
 	sessionCh := make(chan uint64, clients)
 	var wg sync.WaitGroup
@@ -263,7 +263,7 @@ func TestRouterSeqIntegrity(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			if err := runSeqClient(tc.addr, c, rounds, sessionCh); err != nil {
+			if err := runSeqClient(tc.addr, c, polls, sessionCh); err != nil {
 				errs <- fmt.Errorf("client %d: %w", c, err)
 			}
 		}(c)
@@ -399,7 +399,7 @@ func TestRouterShedsOnRemoteLoad(t *testing.T) {
 func TestRouterEndToEndBurst(t *testing.T) {
 	tc := startCluster(t, 2, nil, RouterOptions{})
 	const clients = 8
-	const rounds = 10
+	const polls = 10
 	var wg sync.WaitGroup
 	var frames, sheds int64
 	var mu sync.Mutex
@@ -419,7 +419,7 @@ func TestRouterEndToEndBurst(t *testing.T) {
 				errs <- err
 				return
 			}
-			for r := 0; r < rounds; r++ {
+			for r := 0; r < polls; r++ {
 				_, _, err := cl.RequestFrame()
 				switch {
 				case err == nil:
@@ -902,5 +902,173 @@ func TestRouterStripsControlPayloads(t *testing.T) {
 	}
 	if got := tc.shards[0].eng.platform.NumSessions(); got != 1 {
 		t.Fatalf("live sessions = %d after the refused export, want 1", got)
+	}
+}
+
+// TestRouterRefusesUndecodableSubscribe pins that a router answers a
+// subscribe it cannot decode itself, and neither tracks nor forwards it: a
+// tracked one would show as a phantom stream, be replayed on every shard
+// bounce and migration resume, and — as a re-subscribe — overwrite a live
+// stream's good payload.
+func TestRouterRefusesUndecodableSubscribe(t *testing.T) {
+	tc := startCluster(t, 1, nil, RouterOptions{})
+	rc := dialRaw(t, tc.addr)
+	_ = rc.c.SetDeadline(time.Now().Add(10 * time.Second))
+	session := rc.hello(t, "raw", wire.ProtoMax).ID
+	rc.sendGPS(t, 0, center)
+	tracked := func() []byte {
+		tc.router.subsMu.Lock()
+		defer tc.router.subsMu.Unlock()
+		if e := tc.router.subs[session]; e != nil {
+			return e.payload
+		}
+		return nil
+	}
+	// refused sends a malformed subscribe and reads up to its error reply,
+	// skipping the pushes of a live stream.
+	refused := func(what string) {
+		t.Helper()
+		seq := rc.send(t, wire.MsgSubscribe, 0, []byte{0xff})
+		for {
+			env := rc.read(t)
+			if env.Type == wire.MsgFramePush {
+				continue
+			}
+			if env.Type != wire.MsgError || env.Seq != seq || !strings.Contains(string(env.Payload), "subscribe") {
+				t.Fatalf("%s: reply = %v seq %d %q, want the decode error for seq %d", what, env.Type, env.Seq, env.Payload, seq)
+			}
+			return
+		}
+	}
+
+	refused("first subscribe")
+	if p := tracked(); p != nil {
+		t.Fatalf("first subscribe: the refused payload %x is tracked", p)
+	}
+
+	var sb wire.Buffer
+	wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: 5, Budget: 16})
+	good := sb.Bytes()
+	subSeq := rc.send(t, wire.MsgSubscribe, 0, good)
+	if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != subSeq {
+		t.Fatalf("subscribe reply = %v seq %d", env.Type, env.Seq)
+	}
+	refused("re-subscribe")
+	if p := tracked(); string(p) != string(good) {
+		t.Fatalf("re-subscribe: tracked payload %x, want the live stream's %x", p, good)
+	}
+	// The live stream carries on.
+	last := uint64(0)
+	for i := 0; i < 3; i++ {
+		env := rc.read(t)
+		if env.Type != wire.MsgFramePush || env.Seq <= last {
+			t.Fatalf("after the refusal: %v seq %d (last %d)", env.Type, env.Seq, last)
+		}
+		last = env.Seq
+	}
+}
+
+// gatedConn is a router's end of a shard connection whose reads block while
+// its gate is shut: the shard keeps writing, the router reads nothing until
+// the gate opens — a router reader that has fallen behind its shard.
+type gatedConn struct {
+	net.Conn
+	gate sync.RWMutex // write-locked: the gate is shut
+}
+
+func (g *gatedConn) Read(p []byte) (int, error) {
+	g.gate.RLock() // waits while the gate is shut
+	g.gate.RUnlock()
+	return g.Conn.Read(p)
+}
+
+// TestRouterStreamResubscribeBehindSlowShard is the regression test for a
+// re-subscribe read long after it was sent: with the router more than a
+// second behind its shard, the replaced stream's last pushes, the
+// re-subscribe's ack and the new stream's first pushes all reach it in one
+// burst. The rebase happens at the ack, so the wire seq stays strictly
+// increasing, the first push after the ack is the new stream's keyframe,
+// and no push is dropped as stale.
+func TestRouterStreamResubscribeBehindSlowShard(t *testing.T) {
+	_, shardAddr := newExtraShard(t, 1)
+	var gc *gatedConn
+	dial := dialShard
+	dialShard = func(addr string) (net.Conn, error) {
+		c, err := dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		gc = &gatedConn{Conn: c}
+		return gc, nil
+	}
+	t.Cleanup(func() { dialShard = dial })
+	rt, err := NewRouter([]Member{{ID: 1, Addr: shardAddr}}, discardLogger(), nil, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Close() })
+	if err := rt.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := rt.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rc := dialRaw(t, addr)
+	_ = rc.c.SetDeadline(time.Now().Add(20 * time.Second))
+	rc.hello(t, "raw-v4", wire.ProtoMax)
+	rc.sendGPS(t, 0, center)
+	// 50 ms keeps the backlog the gate builds (≈27 pushes) inside the
+	// router's per-client push queue, whose drop-oldest would otherwise
+	// shed the keyframe legitimately.
+	var sb wire.Buffer
+	wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: 50, Budget: 16, Flags: wire.SubFlagDelta})
+	subSeq := rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
+	if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != subSeq {
+		t.Fatalf("subscribe reply = %v seq %d", env.Type, env.Seq)
+	}
+	var last uint64
+	readPush := func() *wire.Envelope {
+		t.Helper()
+		env := rc.read(t)
+		if env.Type != wire.MsgFrameDelta {
+			t.Fatalf("read %v seq %d, want a delta push", env.Type, env.Seq)
+		}
+		if env.Seq <= last {
+			t.Fatalf("wire push seq went %d -> %d", last, env.Seq)
+		}
+		last = env.Seq
+		return env
+	}
+	for i := 0; i < 5; i++ {
+		readPush()
+	}
+
+	gc.gate.Lock()
+	time.Sleep(150 * time.Millisecond)
+	resubSeq := rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
+	time.Sleep(1200 * time.Millisecond)
+	gc.gate.Unlock()
+
+	// The replaced stream's pushes, then the ack, then the new stream.
+	for {
+		env := rc.read(t)
+		if env.Type == wire.MsgAck && env.Seq == resubSeq {
+			break
+		}
+		if env.Type != wire.MsgFrameDelta || env.Seq <= last {
+			t.Fatalf("before the re-subscribe ack: %v seq %d (last %d)", env.Type, env.Seq, last)
+		}
+		last = env.Seq
+	}
+	if env := readPush(); !core.FrameDeltaIsKeyframe(env.Payload) {
+		t.Fatalf("first push after the re-subscribe ack (seq %d) is not a keyframe", env.Seq)
+	}
+	for i := 0; i < 5; i++ {
+		readPush()
+	}
+	if n := rt.Metrics().Counter("router.pushes.stale").Value(); n != 0 {
+		t.Fatalf("router.pushes.stale = %d, want 0", n)
 	}
 }

@@ -5,7 +5,7 @@
 // writer and coalesces each wakeup's backlog into one write; a delivery
 // stages a rendered frame between the scheduler worker and that enqueue,
 // for polls and streams alike. A subscribing client hands the
-// frame clock to the server: the engine's shared pacing wheel drives frames
+// frame clock to the server: the engine's shared pacer drives frames
 // through the FrameScheduler, each encoded under the session lock via the
 // pooled encode path (a full MsgFramePush, or a MsgFrameDelta diff for v4
 // subscribers). Load degrades cadence before it sheds: a tick that fires
@@ -15,6 +15,7 @@ package server
 import (
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -229,7 +230,7 @@ func (ob *outbox) grow(capacity int) {
 // addReserve adjusts the capacity floor contributed by live streams
 // (negative on stream stop). A connection multiplexing many streams — a
 // shard's router link — needs room for the SUM of its streams' budgets:
-// the shared wheel fires same-cadence streams in the same bucket, and a
+// the shared pacer fires same-cadence streams in the same grain, and a
 // queue sized to the largest single budget would shed most of every
 // synchronized burst, starving whichever streams enqueue earliest.
 func (ob *outbox) addReserve(n int) {
@@ -461,42 +462,34 @@ func (ob *outbox) close() {
 	<-ob.done
 }
 
-// Pacing-wheel geometry: 500µs buckets over 1024 slots give a ~512ms
-// horizon per revolution; longer intervals ride the per-entry rounds
-// counter. The granularity sits well under the 1ms minimum push interval,
-// so quantisation error stays a fraction of the tightest cadence.
-const (
-	wheelTick  = 500 * time.Microsecond
-	wheelSlots = 1024
-)
+// pacerGrain is the pacer's quantum: a due time is rounded up to the next
+// multiple, so a stream never fires early and streams due within one grain
+// fire in one wakeup. It sits well under the 1ms minimum push interval, so
+// quantisation error stays a fraction of the tightest cadence.
+const pacerGrain = int64(500 * time.Microsecond)
 
-// wheelEntry is one armed tick: the stream to fire and how many more full
-// revolutions must pass first.
-type wheelEntry struct {
-	st     *frameStream
-	rounds int
+// pacerTick is one armed tick; at is in nanoseconds since the pacer's epoch.
+type pacerTick struct {
+	at int64
+	st *frameStream
 }
 
-// pacerWheel is the engine's shared pacing clock: a hashed timing wheel
-// walked by a single goroutine, replacing the goroutine-plus-timer every
-// subscription used to own. 512 streams previously meant 512 independent
-// pacer wakeups per interval; the wheel batches every stream due in the
-// same 500µs bucket into one wakeup, and the engine's pacer-goroutine
-// count stays O(1) regardless of subscription count (the
-// server.stream.pacers gauge, which TestSubscribePacersShareOneWheel
-// asserts on). Streams are armed one tick at a time — relative pacing, as
-// before: each tick schedules the next relative to when it actually ran,
-// so a late tick stretches the gap instead of snapping back and pairing
-// over/under gaps.
-type pacerWheel struct {
-	mu     sync.Mutex
-	slots  [][]wheelEntry
-	cur    int       // slot the walk last visited
-	base   time.Time // wall time of slot cur's tick
-	armed  int       // live entries across all slots
-	parked bool      // goroutine is waiting on wake, no timer armed
-	nextAt time.Time // deadline the goroutine's timer is armed for
-	fired  []*frameStream
+// pacer is the engine's shared pacing clock: a min-heap of armed ticks,
+// walked by one goroutine on one timer, in place of the goroutine-plus-timer
+// every subscription used to own. Streams due in the same grain fire in one
+// wakeup, and the engine's pacer-goroutine count stays O(1) regardless of
+// subscription count (the server.stream.pacers gauge, which
+// TestSubscribePacersShareOnePacer asserts on). Streams are armed one tick
+// at a time — relative pacing: each tick schedules the next relative to
+// when it actually ran, so a late tick stretches the gap instead of
+// snapping back and pairing over/under gaps.
+type pacer struct {
+	epoch time.Time // monotonic zero of every pacerTick.at
+
+	mu    sync.Mutex
+	heap  []pacerTick    // min-heap on at
+	next  int64          // deadline the goroutine is armed for; MaxInt64 while idle
+	fired []*frameStream // due's result, reused: the goroutine's only
 
 	wake     chan struct{} // 1-buffered: earlier-deadline (or unpark) nudge
 	stop     chan struct{}
@@ -505,181 +498,125 @@ type pacerWheel struct {
 	gauge    *metrics.Gauge // server.stream.pacers: 1 while running
 }
 
-func newPacerWheel(gauge *metrics.Gauge) *pacerWheel {
-	w := &pacerWheel{
-		slots: make([][]wheelEntry, wheelSlots),
-		base:  time.Now(),
+func newPacer(gauge *metrics.Gauge) *pacer {
+	p := &pacer{
+		epoch: time.Now(),
+		next:  math.MaxInt64,
 		wake:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 		gauge: gauge,
 	}
-	go w.run()
-	return w
+	go p.run()
+	return p
 }
 
-func (w *pacerWheel) close() {
-	w.stopOnce.Do(func() { close(w.stop) })
-	<-w.done
+func (p *pacer) close() {
+	p.stopOnce.Do(func() { close(p.stop) })
+	<-p.done
 }
 
-// schedule arms one tick for st, delay from now. Ticks round up to the
-// wheel granularity — a stream never fires early, preserving the "at the
-// requested rate or slower, never faster" cadence contract.
+// schedule arms one tick for st, delay from now, rounded up to the grain —
+// a stream never fires early, preserving the "at the requested rate or
+// slower, never faster" cadence contract. The heap is sifted by hand:
+// container/heap would box every entry through an interface.
 //
 //arbd:hotpath
-func (w *pacerWheel) schedule(st *frameStream, delay time.Duration) {
-	if delay < wheelTick {
-		delay = wheelTick
+func (p *pacer) schedule(st *frameStream, delay time.Duration) {
+	at := (int64(time.Since(p.epoch)+delay) + pacerGrain - 1) / pacerGrain * pacerGrain
+	p.mu.Lock()
+	p.heap = append(p.heap, pacerTick{})
+	i := len(p.heap) - 1
+	for i > 0 && p.heap[(i-1)/2].at > at {
+		p.heap[i] = p.heap[(i-1)/2]
+		i = (i - 1) / 2
 	}
-	w.mu.Lock()
-	now := time.Now()
-	if w.armed == 0 {
-		// Nothing in flight: base may be stale from an idle stretch.
-		w.base = now
-	}
-	target := now.Add(delay)
-	ticks := int((target.Sub(w.base) + wheelTick - 1) / wheelTick)
-	if ticks < 1 {
-		ticks = 1
-	}
-	idx := (w.cur + ticks) % wheelSlots
-	w.slots[idx] = append(w.slots[idx], wheelEntry{st: st, rounds: (ticks - 1) / wheelSlots})
-	w.armed++
-	// Nudge the walker only when this entry beats its armed deadline (or
-	// it is parked): the common case — a stream rescheduling its next
-	// interval — re-arms behind already-armed work and costs nothing.
-	nudge := w.parked || target.Before(w.nextAt)
-	w.mu.Unlock()
+	p.heap[i] = pacerTick{at: at, st: st}
+	// Nudge the goroutine only when this tick beats its armed deadline (or
+	// it is idle): the common case — a stream rescheduling its next
+	// interval — lands behind already-armed work and costs nothing.
+	nudge := at < p.next
+	p.mu.Unlock()
 	if nudge {
 		select {
-		case w.wake <- struct{}{}:
+		case p.wake <- struct{}{}:
 		default:
 		}
 	}
 }
 
-func (w *pacerWheel) run() {
-	defer close(w.done)
-	if w.gauge != nil {
-		w.gauge.Set(1)
-		defer w.gauge.Set(0)
+func (p *pacer) run() {
+	defer close(p.done)
+	if p.gauge != nil {
+		p.gauge.Set(1)
+		defer p.gauge.Set(0)
 	}
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
 		now := time.Now()
-		for _, st := range w.advance(now) {
+		for _, st := range p.due(now) {
 			st.tick(now)
 		}
-		w.mu.Lock()
-		d, any := w.nextDelayLocked(time.Now())
-		w.parked = !any
-		if any {
-			w.nextAt = time.Now().Add(d)
+		// Re-arm to the heap's head; an empty heap arms a timer centuries
+		// out, so only a schedule's nudge wakes the goroutine.
+		p.mu.Lock()
+		p.next = math.MaxInt64
+		if len(p.heap) > 0 {
+			p.next = p.heap[0].at
 		}
-		w.mu.Unlock()
-		if !any {
-			select {
-			case <-w.stop:
-				return
-			case <-w.wake:
-			}
-			continue
-		}
+		wait := time.Duration(p.next) - time.Since(p.epoch)
+		p.mu.Unlock()
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
 			default:
 			}
 		}
-		timer.Reset(d)
+		timer.Reset(wait)
 		select {
-		case <-w.stop:
+		case <-p.stop:
 			return
-		case <-w.wake:
+		case <-p.wake:
 		case <-timer.C:
 		}
 	}
 }
 
-// advance walks the wheel up to now, collecting every due stream. Entries
-// with rounds left are decremented in place and kept for a later pass.
+// due pops every tick due by now off the heap and returns their streams.
 //
 //arbd:hotpath
-func (w *pacerWheel) advance(now time.Time) []*frameStream {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.fired = w.fired[:0]
-	if w.armed == 0 {
-		w.base = now
-		return nil
-	}
-	steps := int(now.Sub(w.base) / wheelTick)
-	// Bound one sweep; after a clock jump the remainder is caught up by
-	// the next loop iteration instead of spinning here.
-	if steps > 4*wheelSlots {
-		steps = 4 * wheelSlots
-	}
-	for s := 0; s < steps; s++ {
-		w.base = w.base.Add(wheelTick)
-		w.cur++
-		if w.cur == wheelSlots {
-			w.cur = 0
-		}
-		slot := w.slots[w.cur]
-		if len(slot) == 0 {
-			continue
-		}
-		keep := slot[:0]
-		for i := range slot {
-			if slot[i].rounds > 0 {
-				slot[i].rounds--
-				keep = append(keep, slot[i])
-				continue
+func (p *pacer) due(now time.Time) []*frameStream {
+	cutoff := int64(now.Sub(p.epoch))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.fired = p.fired[:0]
+	for len(p.heap) > 0 && p.heap[0].at <= cutoff {
+		p.fired = append(p.fired, p.heap[0].st)
+		n := len(p.heap) - 1
+		last := p.heap[n]
+		p.heap[n] = pacerTick{} // don't retain the stream
+		p.heap = p.heap[:n]
+		i := 0
+		for c := 1; c < n; c = 2*i + 1 {
+			if c+1 < n && p.heap[c+1].at < p.heap[c].at {
+				c++
 			}
-			w.fired = append(w.fired, slot[i].st)
-			w.armed--
-		}
-		for i := len(keep); i < len(slot); i++ {
-			slot[i] = wheelEntry{} // don't retain stream pointers
-		}
-		w.slots[w.cur] = keep
-		if w.armed == 0 {
-			w.base = now
-			break
-		}
-	}
-	return w.fired
-}
-
-// nextDelayLocked returns how long until the nearest due slot; callers
-// hold mu. With only rounds-bearing entries left, one full revolution is
-// the answer (their rounds tick down as the walk passes them).
-func (w *pacerWheel) nextDelayLocked(now time.Time) (time.Duration, bool) {
-	if w.armed == 0 {
-		return 0, false
-	}
-	for k := 1; k <= wheelSlots; k++ {
-		i := w.cur + k
-		if i >= wheelSlots {
-			i -= wheelSlots
-		}
-		for j := range w.slots[i] {
-			if w.slots[i][j].rounds == 0 {
-				d := w.base.Add(time.Duration(k) * wheelTick).Sub(now)
-				if d < 0 {
-					d = 0
-				}
-				return d, true
+			if last.at <= p.heap[c].at {
+				break
 			}
+			p.heap[i] = p.heap[c]
+			i = c
+		}
+		if n > 0 {
+			p.heap[i] = last
 		}
 	}
-	return wheelSlots * wheelTick, true
+	return p.fired
 }
 
 // frameStream is one active subscription, paced by the engine's shared
-// wheel. At most one frame is in flight per stream — a tick that fires
+// pacer. At most one frame is in flight per stream — a tick that fires
 // while the previous frame is still rendering (or queued) marks the
 // stream awaiting instead of piling up jobs, and the frame's completion
 // submits the owed tick immediately. That keeps the degraded stream
@@ -825,14 +762,14 @@ func (e *Engine) startStream(sess *core.Session, sub wire.Subscribe, out *outbox
 	st.d.visitFn, st.d.doneFn = st.d.visit, st.d.done
 	out.addReserve(st.budget)
 	e.registerStream(st)
-	e.wheel.schedule(st, st.interval)
+	e.pacer.schedule(st, st.interval)
 	return st
 }
 
 // stopStream halts pacing and waits for any frame still in the scheduler,
 // so the caller may safely end the session afterwards. The last frame's
 // push lands in the outbox (or is released if the outbox has closed). A
-// wheel entry still armed for the stream fires as a no-op and is not
+// pacer tick still armed for the stream fires as a no-op and is not
 // waited for.
 func (st *frameStream) stopStream() {
 	st.mu.Lock()
@@ -855,9 +792,9 @@ func (st *frameStream) ack(a wire.FrameAck) {
 	}
 }
 
-// tick is the wheel's fire callback: submit a frame if the stream is
+// tick is the pacer's fire callback: submit a frame if the stream is
 // idle, otherwise mark the tick owed (cadence degradation). Runs on the
-// wheel goroutine — everything here is non-blocking.
+// pacer goroutine — everything here is non-blocking.
 //
 //arbd:hotpath
 func (st *frameStream) tick(now time.Time) {
@@ -881,21 +818,21 @@ func (st *frameStream) tick(now time.Time) {
 	st.inFlight = true
 	st.jobs.Add(1)
 	st.mu.Unlock()
-	// The flight opens at the tick: admission is the gap between the wheel
+	// The flight opens at the tick: admission is the gap between the pacer
 	// firing and the scheduler accepting the job.
 	st.d.fl = st.d.eng.rec.Begin(st.d.session, now)
 	st.submit()
 	st.scheduleNext(now)
 }
 
-// scheduleNext arms the next wheel tick relative to when the previous one
+// scheduleNext arms the next pacer tick relative to when the previous one
 // actually ran, clamped to the minimum interval.
 func (st *frameStream) scheduleNext(tickAt time.Time) {
 	d := st.interval - time.Since(tickAt)
 	if d < minPushInterval {
 		d = minPushInterval
 	}
-	st.d.eng.wheel.schedule(st, d)
+	st.d.eng.pacer.schedule(st, d)
 }
 
 // nextPush assigns the frame its push seq and decides how it is encoded.
@@ -995,19 +932,15 @@ type streamSet struct {
 	streams map[uint64]*frameStream
 }
 
-// add registers a stream for the session, replacing (and stopping) any
-// existing one — a re-subscribe is "change my cadence", not an error.
+// add registers the session's stream; the caller has removed any previous
+// one.
 func (ss *streamSet) add(session uint64, st *frameStream) {
 	ss.mu.Lock()
 	if ss.streams == nil {
 		ss.streams = make(map[uint64]*frameStream)
 	}
-	prev := ss.streams[session]
 	ss.streams[session] = st
 	ss.mu.Unlock()
-	if prev != nil {
-		prev.stopStream()
-	}
 }
 
 // get returns the session's live stream, if any.
