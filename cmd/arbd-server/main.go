@@ -102,6 +102,19 @@ func run() error {
 		obsAddr   = flag.String("obs", "", "serve the introspection plane (/metrics, /debug/arbd/*) on this address (empty = off)")
 	)
 	flag.Parse()
+	// A serving role must build the world its flags name: the platform
+	// would silently substitute its defaults for a zero count or radius,
+	// and the privacy gate only opens for a positive epsilon.
+	if *role == "standalone" || *role == "shard" {
+		switch {
+		case *pois < 1:
+			return fmt.Errorf("-pois %d: want at least 1 POI", *pois)
+		case !(*radius > 0):
+			return fmt.Errorf("-radius %v: want a positive city radius", *radius)
+		case !(*epsilon >= 0):
+			return fmt.Errorf("-epsilon %v: want 0 (off) or a positive privacy epsilon", *epsilon)
+		}
+	}
 
 	// Profiling applies to every role — bring it up before the role switch
 	// so routers and the one-shot admin client get it too. The handlers live

@@ -113,9 +113,9 @@ func TestDegradedSingleAnnotationFrameIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Annotations) != 0 || len(f.TagsFor) != 0 || len(s.scratch.pois) != 0 {
+	if len(f.Annotations) != 0 || len(f.TagsFor) != 0 || len(s.own.pois) != 0 {
 		t.Fatalf("degraded 1-annotation frame: %d annotations, %d tags, %d POIs queried",
-			len(f.Annotations), len(f.TagsFor), len(s.scratch.pois))
+			len(f.Annotations), len(f.TagsFor), len(s.own.pois))
 	}
 }
 

@@ -3,10 +3,16 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"arbd/internal/arml"
 	"arbd/internal/geo"
+	"arbd/internal/recommend"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"
 	"arbd/internal/wire"
@@ -27,16 +33,16 @@ func newReusePlatform(t *testing.T) *Platform {
 	return p
 }
 
-// TestFrameScratchEquivalence drives two identical platforms — one with the
-// per-session frame scratch, one fully allocating — through the same sensor
-// stream and requires byte-identical encoded frames at every step. This is
-// the round-trip guarantee that buffer reuse changes performance, not
-// output.
+// TestFrameScratchEquivalence drives two identical platforms — one reusing
+// the session's and the frame scratch's buffers, one fully allocating —
+// through the same sensor stream and requires byte-identical encoded frames
+// at every step. This is the round-trip guarantee that buffer reuse changes
+// performance, not output.
 func TestFrameScratchEquivalence(t *testing.T) {
 	pooled := newReusePlatform(t)
 	alloc := newReusePlatform(t)
 	sp, sa := pooled.NewSession(), alloc.NewSession()
-	sa.scratch = nil // the reference path: every frame freshly allocated
+	sa.kept = nil // the reference path: every frame freshly allocated
 
 	for step := 0; step < 12; step++ {
 		at := sim.Epoch.Add(time.Duration(step) * time.Second)
@@ -80,6 +86,135 @@ func encodeFrame(f *Frame) []byte {
 	var b wire.Buffer
 	EncodeFrameInto(&b, f)
 	return b.Bytes()
+}
+
+// frameCopy is everything a frame says, copied out of the buffers it
+// aliases.
+type frameCopy struct {
+	full, delta []byte
+	tags        map[uint64][]arml.Tag
+	rec         []uint64
+}
+
+func copyFrame(f *Frame) frameCopy {
+	var delta wire.Buffer
+	EncodeFrameDeltaInto(&delta, f, false)
+	return frameCopy{full: encodeFrame(f), delta: delta.Bytes(), tags: maps.Clone(f.TagsFor), rec: slices.Clone(f.Recommended)}
+}
+
+// TestWorkerScratchMatchesSolo renders three sessions interleaved through
+// one frame scratch, as a scheduler worker does, and requires each frame —
+// full and delta encoding, tags, recommendations — to equal the same
+// session's frame rendered alone with its own scratch. Session 0 stands
+// among crowded POIs, so its frames carry interpretation tags that must not
+// leak into the next session's frame; session 1 renders beside it at
+// DegradeRadius (half the radius and the cap); session 2 walks elsewhere.
+func TestWorkerScratchMatchesSolo(t *testing.T) {
+	shared, solo := newReusePlatform(t), newReusePlatform(t)
+	var crowded []uint64
+	for _, poi := range shared.POIs().Nearest(center, 8) {
+		crowded = append(crowded, poi.ID)
+	}
+	rec := recommend.NewPopularity([]recommend.Interaction{
+		{UserID: 999, ItemID: 1, Weight: 1},
+		{UserID: 998, ItemID: 2, Weight: 1},
+	})
+	for _, p := range []*Platform{shared, solo} {
+		seedAnalytics(p, crowded)
+		p.SetRecommender(rec)
+	}
+	starts := []geo.Point{center, center, geo.Destination(center, 120, 400)}
+	levels := []DegradeLevel{DegradeNone, DegradeRadius, DegradeNone}
+	var mates, alone []*Session
+	for range starts {
+		mates = append(mates, shared.NewSession())
+		alone = append(alone, solo.NewSession())
+	}
+
+	sc := NewFrameScratch()
+	tagged := false
+	for step := 0; step < 8; step++ {
+		at := sim.Epoch.Add(time.Duration(step) * time.Second)
+		for i, start := range starts {
+			pos := geo.Destination(start, float64(step*40), float64(step)*15)
+			for _, s := range []*Session{mates[i], alone[i]} {
+				if err := s.OnGPS(sensor.GPSFix{Time: at, Position: pos, AccuracyM: 4}); err != nil {
+					t.Fatal(err)
+				}
+				s.OnIMU(sensor.IMUSample{Time: at, CompassDeg: float64((step*25 + i*120) % 360)})
+				s.level = levels[i] // a fast frame recovers a level: set it every frame
+			}
+			var got frameCopy
+			if err := mates[i].FrameVisit(at, sc, func(f *Frame) { got = copyFrame(f) }); err != nil {
+				t.Fatal(err)
+			}
+			f, err := alone[i].Frame(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := copyFrame(f)
+			switch {
+			case !bytes.Equal(got.full, want.full):
+				t.Fatalf("step %d, session %d: full encodings differ (%d vs %d bytes)", step, i, len(got.full), len(want.full))
+			case !bytes.Equal(got.delta, want.delta):
+				t.Fatalf("step %d, session %d: delta encodings differ (%d vs %d bytes)", step, i, len(got.delta), len(want.delta))
+			case !reflect.DeepEqual(got.tags, want.tags):
+				t.Fatalf("step %d, session %d: tags %v, alone %v", step, i, got.tags, want.tags)
+			case !slices.Equal(got.rec, want.rec):
+				t.Fatalf("step %d, session %d: recommended %v, alone %v", step, i, got.rec, want.rec)
+			}
+			tagged = tagged || len(want.tags) > 0
+		}
+	}
+	if !tagged {
+		t.Fatal("no frame carried an interpretation tag: a leaking tags map goes unnoticed")
+	}
+}
+
+// TestSessionLiveBytes holds a streaming session's memory budget: on the
+// sparse benchmark city, a session that has tracked and rendered through a
+// worker's scratch keeps at most 4 KiB of live heap — tracking state,
+// telemetry batcher, layouts, gaze map and RNG stream included.
+func TestSessionLiveBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; heap budgets only hold without -race")
+	}
+	const sessions, budget = 512, 4 << 10
+	p := newTestPlatform(t, Config{
+		Seed: 1,
+		City: geo.CityConfig{Center: center, RadiusM: 2000, NumPOIs: 80, TallRatio: 0.2, Seed: 1},
+	})
+	sc := NewFrameScratch()
+	visit := func(*Frame) {}
+	now := time.Now()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sessions; i++ {
+		s := p.NewSession()
+		pos := geo.Destination(center, float64(i%360), float64(i%40))
+		if err := s.OnGPS(sensor.GPSFix{Time: now, Position: pos, AccuracyM: 5}); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3; k++ {
+			s.OnIMU(sensor.IMUSample{Time: now.Add(time.Duration(k) * 10 * time.Millisecond), CompassDeg: float64(i * 7 % 360)})
+		}
+		for k := 0; k < 3; k++ {
+			if err := s.FrameVisit(now, sc, visit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	perSession := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / sessions
+	t.Logf("%d B of live heap per session", perSession)
+	if perSession > budget {
+		t.Fatalf("a session keeps %d B of live heap, want ≤ %d", perSession, budget)
+	}
 }
 
 // TestEncodeFrameIntoMatchesEncodeFrame checks the Into form and the

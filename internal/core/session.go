@@ -66,37 +66,51 @@ type Session struct {
 	frames     uint64
 	overruns   uint64
 	principal  string
-	// scratch is nil only on the fully allocating reference path that
-	// TestFrameScratchEquivalence compares the pooled frames against.
-	scratch *frameScratch
+	// kept is nil only on the fully allocating reference path that
+	// TestFrameScratchEquivalence compares the reusing frames against.
+	kept *keptFrames
+	// own is the scratch Session.Frame renders with, made on its first
+	// call: frames the scheduler renders borrow their worker's instead.
+	own *FrameScratch
 }
 
-// frameScratch holds the per-session reusable buffers of the frame hot
-// path, so a session rendering at device rates allocates (nearly) nothing
-// per frame in steady state. All fields are guarded by Session.mu. Layouts
-// are double-buffered because jitter compares the previous frame's layout
-// against the new one before the old buffer can be recycled.
-type frameScratch struct {
+// keptFrames is what a session keeps of its frames between calls, guarded
+// by Session.mu. Layouts are double-buffered: the previous one is the
+// jitter input and the delta base, so the new layout cannot overwrite it.
+type keptFrames struct {
+	laid  [2][]render.Annotation
+	cur   int   // index into laid holding the most recent layout
+	frame Frame // the returned *Frame itself is reused
+}
+
+// FrameScratch holds the buffers one frame fills and drops, so a session
+// rendering at device rates allocates nothing per frame in steady state.
+// Nothing in it outlives the frame that filled it, so sessions whose frames
+// never overlap — those one scheduler worker renders — share one scratch.
+// It is not safe for concurrent use.
+type FrameScratch struct {
 	pois    []geo.POI
 	dists   []float64 // dists[i]: pois[i]'s distance from the pose, as the query measured it
 	anns    []render.Annotation
-	laid    [2][]render.Annotation
-	cur     int // index into laid holding the most recent layout
 	layout  render.LayoutScratch
 	tags    map[uint64][]arml.Tag
 	metrics map[string]float64
 	rec     []uint64
 	key     []byte                  // analytics key scratch (poi-<id>)
 	hot     []analytics.HeavyHitter // sketch TopK snapshot scratch
-	frame   Frame                   // the returned *Frame itself is reused
 }
 
-func newFrameScratch() *frameScratch {
-	return &frameScratch{
+// NewFrameScratch returns an empty frame scratch; its buffers grow to what
+// the largest frame rendered with it needs.
+func NewFrameScratch() *FrameScratch {
+	return &FrameScratch{
 		tags:    make(map[uint64][]arml.Tag),
 		metrics: make(map[string]float64, 4),
 	}
 }
+
+// freshScratch returns buffers no frame has touched: the reference path's.
+func freshScratch() (*FrameScratch, *keptFrames) { return NewFrameScratch(), new(keptFrames) }
 
 // NewSession opens a session for a device, registers it in the sharded
 // session registry, and returns it. The session owns the device's tracking
@@ -142,7 +156,7 @@ func (p *Platform) buildSession(id uint64) *Session {
 		camera:    render.DefaultCamera,
 		occl:      p.occluders,
 		principal: principal,
-		scratch:   newFrameScratch(),
+		kept:      new(keptFrames),
 	}
 }
 
@@ -266,10 +280,15 @@ func (s *Session) Stats() Stats {
 	return Stats{Frames: s.frames, Overruns: s.overruns, Level: s.level}
 }
 
-// Frame is one rendered overlay.
+// Frame is one rendered overlay. The struct, Annotations and
+// PrevAnnotations belong to the session and stay valid until its next
+// frame. TagsFor and Recommended belong to the scratch the frame was
+// rendered with: see Session.Frame and Session.FrameVisit for how long.
 type Frame struct {
-	Time        time.Time
-	Pose        sensor.Pose
+	Time time.Time
+	Pose sensor.Pose
+	// Annotations is the laid-out overlay, in the session's half of the
+	// layout double buffer.
 	Annotations []render.Annotation
 	// TagsFor maps annotation IDs to their semantic tags (when
 	// interpretation ran).
@@ -283,12 +302,11 @@ type Frame struct {
 	// Index counts the session's frames: the Nth rendered frame has Index N.
 	// Delta encoders key off it — two frames diff cleanly only when their
 	// indices are consecutive (an interleaved render for another consumer
-	// advances the scratch buffers and invalidates PrevAnnotations as a
-	// delta base).
+	// advances the double buffer and invalidates PrevAnnotations as a delta
+	// base).
 	Index uint64
 	// PrevAnnotations is the previous frame's laid-out overlay — the other
-	// half of the scratch double-buffer. Valid under the same aliasing rules
-	// as Annotations: consume before the session's next Frame call.
+	// half of the session's double buffer, valid as long as Annotations.
 	PrevAnnotations []render.Annotation
 }
 
@@ -296,31 +314,41 @@ type Frame struct {
 // overlay. It implements the timeliness loop: measure, and if over budget,
 // degrade the next frame; if comfortably under budget, recover.
 //
-// The returned *Frame — the struct itself as well as its slices and maps —
-// aliases per-session buffers that subsequent Frame calls on the same
-// session reuse: consume (or deep-copy) a frame before requesting the next
-// one.
+// Frame renders with a scratch the session makes on the first call and
+// keeps, so the whole returned *Frame — the struct itself, its slices and
+// its maps — stays valid until the session's next Frame call, and no
+// longer: consume (or deep-copy) a frame before requesting the next one.
+// A frame rendered through FrameVisit in between replaces it too.
 //
 //arbd:hotpath
 func (s *Session) Frame(now time.Time) (*Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.frameLocked(now)
+	if s.own == nil {
+		s.own = NewFrameScratch()
+	}
+	return s.frameLocked(now, s.own)
 }
 
-// FrameVisit renders one frame and invokes visit with it before releasing
-// the session lock, so visit observes the frame's scratch-backed contents
-// atomically with respect to the session's next Frame call. Asynchronous
+// FrameVisit renders one frame with the caller's scratch sc and invokes
+// visit with it before releasing the session lock, so visit observes the
+// frame atomically with respect to the session's next frame. Asynchronous
 // servers (the shard role) encode the wire response inside visit: without
-// the lock, a pipelined second frame request could re-enter Frame on
-// another worker and overwrite the shared scratch mid-encode. visit must
-// not call back into the session.
+// the lock, a pipelined second frame request could re-enter the session on
+// another worker and overwrite its layout mid-encode. visit must not call
+// back into the session.
+//
+// Inside visit every field of the frame is valid. After FrameVisit
+// returns, Annotations and PrevAnnotations stay valid until the session's
+// next frame; TagsFor and Recommended live in sc and are valid only inside
+// visit. sc must not render two frames at once: a scheduler worker lends
+// its one scratch to every frame it runs.
 //
 //arbd:hotpath
-func (s *Session) FrameVisit(now time.Time, visit func(*Frame)) error {
+func (s *Session) FrameVisit(now time.Time, sc *FrameScratch, visit func(*Frame)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := s.frameLocked(now)
+	f, err := s.frameLocked(now, sc)
 	if err != nil {
 		return err
 	}
@@ -328,19 +356,19 @@ func (s *Session) FrameVisit(now time.Time, visit func(*Frame)) error {
 	return nil
 }
 
-// frameLocked is the frame pipeline; callers hold s.mu.
+// frameLocked is the frame pipeline, filling sc; callers hold s.mu.
 //
 //arbd:hotpath
-func (s *Session) frameLocked(now time.Time) (*Frame, error) {
+func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 	start := s.platform.cfg.clock.Now()
 	pose := s.fuser.Pose()
 	// Everything the frame measures, it measures from here: the query's
 	// distances ride with the POIs into the annotations and the layout.
 	from := geo.OriginAt(pose.Position)
 
-	sc := s.scratch
-	if sc == nil {
-		sc = newFrameScratch() // the reference path: fresh buffers per frame
+	kept := s.kept
+	if kept == nil {
+		sc, kept = freshScratch() // the reference path: fresh buffers per frame
 	}
 
 	radius := annotationRadiusM
@@ -368,7 +396,7 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 		interp := s.platform.interpreter()
 		// One sketch snapshot per frame, not per POI: TopK copies and
 		// sorts the sketch under the hot lock. The snapshot lands in a
-		// per-session scratch slice so steady-state frames don't allocate.
+		// scratch slice so steady-state frames don't allocate.
 		hottest := s.platform.HotPOIsInto(sc.hot[:0], 1)
 		sc.hot = hottest
 		for i := range pois {
@@ -406,15 +434,15 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 			anns[i].Label = anns[i].Label + " [" + t[0].Value + "]"
 		}
 	}
-	next := sc.cur ^ 1
-	laid := render.LayoutAnchoredInto(sc.laid[next][:0], &sc.layout, s.camera, pose, anns, s.occl, render.LayoutOptions{})
+	next := kept.cur ^ 1
+	laid := render.LayoutAnchoredInto(kept.laid[next][:0], &sc.layout, s.camera, pose, anns, s.occl, render.LayoutOptions{})
 	if len(laid) > maxAnn {
 		laid = laid[:maxAnn]
 	}
 	prevLayout := s.lastLayout
 	jitter := render.Jitter(prevLayout, laid)
-	sc.laid[next] = laid
-	sc.cur = next
+	kept.laid[next] = laid
+	kept.cur = next
 	s.lastLayout = laid
 
 	elapsed := s.platform.cfg.clock.Since(start)
@@ -422,11 +450,10 @@ func (s *Session) frameLocked(now time.Time) (*Frame, error) {
 	s.adapt(elapsed)
 	s.platform.frameLat.Observe(elapsed)
 
-	// The Frame struct itself lives in scratch too: with the scratch
-	// enabled the same *Frame is returned every call (fresh per call on the
-	// reference path that allocated sc above), which removes the last
-	// steady-state heap allocation of the hot path.
-	f := &sc.frame
+	// The Frame struct itself is kept too: the same *Frame is returned
+	// every call (fresh per call on the reference path), which removes the
+	// last steady-state heap allocation of the hot path.
+	f := &kept.frame
 	*f = Frame{
 		Time:            now,
 		Pose:            pose,
@@ -462,7 +489,7 @@ func (s *Session) adapt(elapsed time.Duration) {
 // is valid until the next contextMetrics call on the same scratch.
 //
 //arbd:hotpath
-func (s *Session) contextMetrics(sc *frameScratch, poi *geo.POI, hottest []analytics.HeavyHitter) map[string]float64 {
+func (s *Session) contextMetrics(sc *FrameScratch, poi *geo.POI, hottest []analytics.HeavyHitter) map[string]float64 {
 	sc.key = appendPOIKey(sc.key[:0], poi.ID)
 	stats, ok := s.platform.crowd.GetKey(sc.key)
 	if !ok {

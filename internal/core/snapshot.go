@@ -24,11 +24,11 @@ import (
 const sessionSnapshotV1 = 1
 
 // Decode bounds: a corrupt count must not pre-allocate unbounded memory —
-// or, for the RNG draw count, spin unbounded CPU: restore replays the
-// stream draw by draw, so the bound caps replay at well under a second
-// while sitting orders of magnitude above any real session (privacy noise
-// draws a handful of values per GPS fix; a month-long session stays in
-// the tens of millions).
+// or, for the RNG draw count, spin unbounded CPU: a restored stream
+// replays draw by draw on its first draw, so the bound caps replay at well
+// under a second while sitting orders of magnitude above any real session
+// (privacy noise draws a handful of values per GPS fix; a month-long
+// session stays in the tens of millions).
 const (
 	maxSnapshotGazeEntries  = 1 << 20
 	maxSnapshotBatchRecords = 1 << 20

@@ -85,7 +85,7 @@ type FrameScheduler struct {
 // frameJob is the scheduler's one job shape: visit runs under the session
 // lock with the rendered frame (Session.FrameVisit) — reply paths encode
 // there, so a concurrent frame for the same session cannot clobber the
-// scratch the encoder is reading — and done then fires exactly once with
+// layout the encoder is reading — and done then fires exactly once with
 // the outcome, from the worker (or Close) that settled the job. A shed or
 // unanswered job skips visit.
 type frameJob struct {
@@ -128,6 +128,9 @@ func (fs *FrameScheduler) Metrics() *metrics.Registry { return fs.reg }
 
 func (fs *FrameScheduler) worker() {
 	defer fs.wg.Done()
+	// A worker runs one frame at a time, so every session it renders
+	// borrows the same scratch: the scheduler holds one per worker.
+	sc := core.NewFrameScratch()
 	for {
 		fs.mu.Lock()
 		for fs.head == len(fs.q) && !fs.closed {
@@ -144,7 +147,7 @@ func (fs *FrameScheduler) worker() {
 			fs.q, fs.head = fs.q[:0], 0
 		}
 		fs.mu.Unlock()
-		fs.run(job)
+		fs.run(job, sc)
 	}
 }
 
@@ -172,7 +175,7 @@ func (fs *FrameScheduler) effectiveDeadline() time.Duration {
 }
 
 //arbd:hotpath
-func (fs *FrameScheduler) run(job frameJob) {
+func (fs *FrameScheduler) run(job frameJob, sc *core.FrameScratch) {
 	wait := time.Since(job.enq)
 	fs.queueWait.Observe(wait)
 	if deadline := fs.effectiveDeadline(); deadline > 0 && wait > deadline {
@@ -186,7 +189,7 @@ func (fs *FrameScheduler) run(job frameJob) {
 		return
 	}
 	start := time.Now()
-	err := job.sess.FrameVisit(start, job.visit)
+	err := job.sess.FrameVisit(start, sc, job.visit)
 	fs.frameLat.Observe(time.Since(start))
 	fs.framesDone.Inc()
 	job.done(err)
@@ -221,10 +224,14 @@ func (fs *FrameScheduler) Submit(sess *core.Session, visit func(*core.Frame), do
 }
 
 // Frame schedules one frame for the session and blocks for the result. No
-// serving path uses it (connections Submit and reply from the worker); it
-// is the synchronous entry for in-process callers, who get the frame
-// Session.Frame would have returned: valid until the session's next frame.
-// Every queued job is answered (worker or Close), so the wait cannot leak.
+// serving path uses it (connections Submit and reply from the worker);
+// benchmark/layers.go calls it to time the scheduler and discards the
+// frame. The frame comes back after the worker's visit has ended, so only
+// the session's part of it holds: the struct, Annotations and
+// PrevAnnotations, valid until the session's next frame. TagsFor and
+// Recommended are the worker's scratch, which its next job reuses: do not
+// read them. Every queued job is answered (worker or Close), so the wait
+// cannot leak.
 func (fs *FrameScheduler) Frame(sess *core.Session) (*core.Frame, error) {
 	var frame *core.Frame
 	reply := make(chan error, 1)

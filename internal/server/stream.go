@@ -688,7 +688,7 @@ func newDelivery() any {
 // visit encodes the rendered frame into the staged reply. It runs under the
 // session lock: a client pipelining a second request for the same session —
 // or the session's own stream — re-enters the frame on another worker, and
-// without the lock that would overwrite the scratch the encoder is reading.
+// without the lock that would overwrite the layout the encoder is reading.
 //
 //arbd:hotpath
 func (d *delivery) visit(f *core.Frame) {

@@ -11,9 +11,13 @@ import (
 // own sequence without global coupling. A stream's position is snapshotable
 // as (seed, draw count) — see Draws and RestoreRand — which is what lets a
 // migrating session carry its RNG stream to another node byte-for-byte.
+//
+// The math/rand generator (≈5 KB of state) is built on the first draw, not
+// when the stream is made: a stream nobody draws from — a session's, unless
+// it adds privacy noise — costs a few words.
 type Rand struct {
-	rng  *rand.Rand
-	src  *countingSource
+	rng  *rand.Rand // nil until the first draw
+	src  countingSource
 	seed int64
 }
 
@@ -40,12 +44,26 @@ func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
 
 // NewRand returns a stream seeded with seed. Equal seeds yield equal
 // sequences.
-func NewRand(seed int64) *Rand {
-	// rand.NewSource's result implements Source64 (documented); counting at
-	// the source level sees every state advance, including the variable
-	// number of draws behind Norm/Shuffle.
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Rand{rng: rand.New(src), src: src, seed: seed}
+func NewRand(seed int64) *Rand { return &Rand{seed: seed} }
+
+// gen returns the stream's generator, building it on the first draw.
+func (r *Rand) gen() *rand.Rand {
+	if r.rng == nil {
+		r.build()
+	}
+	return r.rng
+}
+
+// build seeds the generator and replays the src.n draws the stream is
+// positioned after. rand.NewSource's result implements Source64
+// (documented); counting at the source level sees every state advance,
+// including the variable number of draws behind Norm/Shuffle.
+func (r *Rand) build() {
+	r.src.src = rand.NewSource(r.seed).(rand.Source64)
+	for i := uint64(0); i < r.src.n; i++ {
+		_ = r.src.src.Uint64() // advance the inner source without recounting
+	}
+	r.rng = rand.New(&r.src)
 }
 
 // Seed returns the seed this stream was created with.
@@ -57,16 +75,12 @@ func (r *Rand) Draws() uint64 { return r.src.n }
 
 // RestoreRand returns a stream positioned as if draws values had already
 // been consumed from NewRand(seed): the next value equals what the
-// original stream would produce next. Replay cost is O(draws) — cheap for
-// the per-session streams that snapshot (a session draws only for privacy
-// noise), and irrelevant for bulk simulation streams, which never do.
+// original stream would produce next. The first draw replays the stream,
+// O(draws) — cheap for the per-session streams that snapshot (a session
+// draws only for privacy noise), and irrelevant for bulk simulation
+// streams, which never do.
 func RestoreRand(seed int64, draws uint64) *Rand {
-	r := NewRand(seed)
-	for i := uint64(0); i < draws; i++ {
-		_ = r.src.src.Uint64() // advance the inner source without recounting
-	}
-	r.src.n = draws
-	return r
+	return &Rand{seed: seed, src: countingSource{n: draws}}
 }
 
 // Child derives an independent stream identified by name. The same
@@ -81,22 +95,22 @@ func (r *Rand) Child(name string) *Rand {
 }
 
 // Int63 returns a non-negative pseudo-random int64.
-func (r *Rand) Int63() int64 { return r.rng.Int63() }
+func (r *Rand) Int63() int64 { return r.gen().Int63() }
 
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
-func (r *Rand) Intn(n int) int { return r.rng.Intn(n) }
+func (r *Rand) Intn(n int) int { return r.gen().Intn(n) }
 
 // Float64 returns a pseudo-random float64 in [0, 1).
-func (r *Rand) Float64() float64 { return r.rng.Float64() }
+func (r *Rand) Float64() float64 { return r.gen().Float64() }
 
 // Uniform returns a pseudo-random float64 in [lo, hi).
 func (r *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.rng.Float64()
+	return lo + (hi-lo)*r.gen().Float64()
 }
 
 // Norm returns a gaussian sample with the given mean and standard deviation.
 func (r *Rand) Norm(mean, stddev float64) float64 {
-	return mean + stddev*r.rng.NormFloat64()
+	return mean + stddev*r.gen().NormFloat64()
 }
 
 // Bool returns true with probability p (clamped to [0,1]).
@@ -107,11 +121,11 @@ func (r *Rand) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.rng.Float64() < p
+	return r.gen().Float64() < p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.rng.Shuffle(n, swap) }
+func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.gen().Shuffle(n, swap) }
 
 // Zipf draws integers in [0, n) with a zipfian distribution of exponent s
 // (s > 1 for heavier skew toward small values). The zero-allocation
@@ -128,7 +142,7 @@ func (r *Rand) NewZipf(s float64, n int) *Zipf {
 	if s <= 1 {
 		s = 1.0001
 	}
-	return &Zipf{z: rand.NewZipf(r.rng, s, 1, uint64(n-1))}
+	return &Zipf{z: rand.NewZipf(r.gen(), s, 1, uint64(n-1))}
 }
 
 // Next returns the next zipfian sample in [0, n).

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -192,5 +193,53 @@ func TestRestoreRandResumesStream(t *testing.T) {
 	}
 	if r.Draws() != clone.Draws() {
 		t.Fatalf("draw counters diverged: %d vs %d", r.Draws(), clone.Draws())
+	}
+}
+
+// TestRandDefersGeneratorToFirstDraw pins the lazy generator: a stream from
+// NewRand, Child or RestoreRand(seed, 0) holds no math/rand state until its
+// first draw, answers Seed and Draws without building one, and once built
+// draws exactly what math/rand draws from the same seed. A stream restored
+// at n draws continues the original.
+func TestRandDefersGeneratorToFirstDraw(t *testing.T) {
+	const seed = 4242
+	for _, tc := range []struct {
+		name string
+		r    *Rand
+		seed int64
+	}{
+		{"NewRand", NewRand(seed), seed},
+		{"Child", NewRand(seed).Child("session-1"), NewRand(seed).Child("session-1").Seed()},
+		{"RestoreRand", RestoreRand(seed, 0), seed},
+	} {
+		if tc.r.Seed() != tc.seed || tc.r.Draws() != 0 {
+			t.Fatalf("%s: Seed %d, Draws %d; want %d, 0", tc.name, tc.r.Seed(), tc.r.Draws(), tc.seed)
+		}
+		if tc.r.rng != nil {
+			t.Fatalf("%s built its generator before the first draw", tc.name)
+		}
+		ref := rand.New(rand.NewSource(tc.seed))
+		for i := 0; i < 1000; i++ {
+			if got, want := tc.r.Int63(), ref.Int63(); got != want {
+				t.Fatalf("%s: draw %d = %d, math/rand draws %d", tc.name, i, got, want)
+			}
+		}
+		if tc.r.rng == nil || tc.r.Draws() != 1000 {
+			t.Fatalf("%s: after 1000 draws generator built %v, Draws %d", tc.name, tc.r.rng != nil, tc.r.Draws())
+		}
+	}
+
+	r := NewRand(seed)
+	for i := 0; i < 37; i++ {
+		_ = r.Norm(0, 1)
+	}
+	clone := RestoreRand(seed, r.Draws())
+	if clone.rng != nil || clone.Draws() != r.Draws() {
+		t.Fatalf("restored stream: generator built %v, Draws %d, want unbuilt at %d", clone.rng != nil, clone.Draws(), r.Draws())
+	}
+	for i := 0; i < 100; i++ {
+		if a, b := r.Int63(), clone.Int63(); a != b {
+			t.Fatalf("restored stream diverged at draw %d: %d vs %d", i, a, b)
+		}
 	}
 }
