@@ -140,6 +140,14 @@ func run() error {
 		slowN    = flag.Int("slow", 8, "slow-frame traces to show across all nodes")
 	)
 	flag.Parse()
+	switch {
+	case *slowN < 1:
+		return fmt.Errorf("-slow %d: want at least 1 trace (the plane refuses fewer)", *slowN)
+	case *iters < 0:
+		return fmt.Errorf("-n %d: want 0 (run until interrupted) or a positive count", *iters)
+	case *interval <= 0:
+		return fmt.Errorf("-interval %v: want a positive refresh interval", *interval)
+	}
 	targets := strings.Split(*addrs, ",")
 	for i := range targets {
 		targets[i] = strings.TrimSpace(targets[i])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +55,30 @@ func TestPlatformLifecycle(t *testing.T) {
 	}
 	if err := p.Stop(); err != nil {
 		t.Fatalf("double stop: %v", err)
+	}
+}
+
+// TestAnalyticsPlaneGoroutines: the analytics plane is two goroutines, the
+// interaction consumer and the telemetry flush loop; the crowd pipeline
+// runs on the consumer. Stop leaves none behind.
+func TestAnalyticsPlaneGoroutines(t *testing.T) {
+	p := newTestPlatform(t, testConfig())
+	baseline := runtime.NumGoroutine()
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if grew := runtime.NumGoroutine() - baseline; grew != 2 {
+		t.Fatalf("Start added %d goroutines, want 2", grew)
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	// Stop returns once both goroutines are past their last step; their
+	// exits follow.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, want %d", runtime.NumGoroutine(), baseline)
+		}
 	}
 }
 

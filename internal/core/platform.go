@@ -253,9 +253,11 @@ func (p *Platform) interpreter() *arml.Interpreter {
 	return p.interp
 }
 
-// Start launches the analytics plane: a consumer group over the interaction
-// topic feeding a stream pipeline whose windowed output updates the crowd
-// view. Frame serving works without Start, but context tags will be empty.
+// Start launches the analytics plane, two goroutines: a consumer group over
+// the interaction topic, which folds each record into the crowd pipeline's
+// windows inline (a closed window updates the crowd view before the next
+// record is folded), and the telemetry flush loop. Frame serving works
+// without Start, but context tags will be empty.
 func (p *Platform) Start() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -409,7 +411,9 @@ func (p *Platform) Stop() error {
 }
 
 // WaitAnalyticsIdle blocks until the consumer has caught up with the
-// interaction topic (used by tests and examples for determinism).
+// interaction topic: every record consumed is in its window state, and
+// every window it closed is in the crowd view (used by tests and examples
+// for determinism).
 func (p *Platform) WaitAnalyticsIdle(timeout time.Duration) error {
 	// Push buffered telemetry out first: "idle" means the consumer has
 	// seen everything sessions produced before this call, including what

@@ -1,9 +1,8 @@
 // Package stream implements the platform's stream-processing engine: keyed
 // event streams with event-time semantics, watermark-driven tumbling windows
-// with incremental aggregation, and a source → window → sink pipeline
-// executed by parallel workers with bounded-channel backpressure. It plays
-// the role Flink-class systems play in the big-data architectures the paper
-// assumes.
+// with incremental aggregation, and a source → window → sink pipeline that
+// runs on the goroutine pushing into it. It plays the role Flink-class
+// systems play in the big-data architectures the paper assumes.
 package stream
 
 import (
@@ -22,7 +21,7 @@ type Event struct {
 	Payload any
 }
 
-// partitionOf maps a key onto one of n worker partitions.
+// partitionOf maps a key onto one of a window's n partitions.
 func partitionOf(key string, n int) int {
 	if n <= 1 {
 		return 0
@@ -53,10 +52,10 @@ type WindowResult struct {
 
 // Aggregator builds incremental window aggregates: New creates an
 // accumulator, Add folds one event in, Result extracts the output value.
-// Accumulators never cross goroutines concurrently; the engine confines each
-// (key, window) accumulator to one worker. Sum keeps a pointer and folds in
-// place, so Add allocates nothing: returning a changed number as an any
-// would box it on every event.
+// The pipeline's lock serialises every call, so an accumulator needs no
+// locking of its own. Sum keeps a pointer and folds in place, so Add
+// allocates nothing: returning a changed number as an any would box it on
+// every event.
 type Aggregator struct {
 	Name   string
 	New    func() any

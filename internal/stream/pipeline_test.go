@@ -3,29 +3,23 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"arbd/internal/metrics"
 )
 
-// collectSink gathers sink output safely across the pipeline's goroutines.
+// collectSink gathers sink output. The pipeline calls a sink one event at a
+// time under its lock, so it needs none of its own.
 type collectSink struct {
-	mu     sync.Mutex
 	events []Event
 }
 
-func (c *collectSink) add(e Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = append(c.events, e)
-}
-
-func (c *collectSink) all() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
-}
+func (c *collectSink) add(e Event) { c.events = append(c.events, e) }
 
 func TestPipelineWindowEndToEnd(t *testing.T) {
 	p := NewPipeline("t")
@@ -44,7 +38,7 @@ func TestPipelineWindowEndToEnd(t *testing.T) {
 	if err := p.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	got := sink.all()
+	got := sink.events
 	totals := map[string]float64{}
 	for _, e := range got {
 		totals[e.Key] += e.Value
@@ -67,8 +61,8 @@ func TestPipelineFanOut(t *testing.T) {
 		_ = p.Push("in", ev("k", time.Duration(i)*time.Second, float64(i)))
 	}
 	_ = p.Drain()
-	if len(sinkA.all()) != 20 || len(sinkB.all()) != 20 {
-		t.Fatalf("fan-out lost events: %d, %d", len(sinkA.all()), len(sinkB.all()))
+	if len(sinkA.events) != 20 || len(sinkB.events) != 20 {
+		t.Fatalf("fan-out lost events: %d, %d", len(sinkA.events), len(sinkB.events))
 	}
 }
 
@@ -102,12 +96,12 @@ func TestPipelineLifecycleErrors(t *testing.T) {
 }
 
 // TestPushRacingDrainNeverPanics races pushers against Drain: a push either
-// lands before the source closes (and reaches the sink) or returns
-// ErrClosed — it never sends on a closed channel.
+// runs to the sink before Drain closes the pipeline or returns ErrClosed —
+// none is lost in between and none panics.
 func TestPushRacingDrainNeverPanics(t *testing.T) {
 	const rounds, pushers = 300, 4
 	for round := 0; round < rounds; round++ {
-		p := NewPipeline("t", WithChannelSize(1))
+		p := NewPipeline("t")
 		var pushing sync.WaitGroup
 		var delivered, accepted int64
 		var mu sync.Mutex
@@ -120,7 +114,7 @@ func TestPushRacingDrainNeverPanics(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Drain starts once every pusher is under way, so pushes are in
-		// flight — some blocked on the one-slot source channel — as it runs.
+		// flight — some waiting on the pipeline's lock — as it runs.
 		var running sync.WaitGroup
 		for w := 0; w < pushers; w++ {
 			pushing.Add(1)
@@ -167,8 +161,8 @@ func TestPipelineInvalidWindowPanics(t *testing.T) {
 }
 
 func TestPipelineKeyedDeterminism(t *testing.T) {
-	// Two identical runs must produce identical window results despite
-	// parallel workers, because keys are partitioned deterministically.
+	// Two identical runs must produce identical window results across
+	// partitions, because keys are partitioned deterministically.
 	run := func() []Event {
 		p := NewPipeline("t")
 		sink := &collectSink{}
@@ -180,7 +174,7 @@ func TestPipelineKeyedDeterminism(t *testing.T) {
 			_ = p.Push("in", ev(fmt.Sprintf("k%d", i%7), time.Duration(i)*100*time.Millisecond, 1))
 		}
 		_ = p.Drain()
-		events := sink.all()
+		events := sink.events
 		sort.Slice(events, func(i, j int) bool {
 			if !events[i].Time.Equal(events[j].Time) {
 				return events[i].Time.Before(events[j].Time)
@@ -201,27 +195,111 @@ func TestPipelineKeyedDeterminism(t *testing.T) {
 }
 
 func TestPipelineHighVolume(t *testing.T) {
-	p := NewPipeline("t", WithChannelSize(512))
-	var total struct {
-		mu  sync.Mutex
-		sum float64
-	}
+	p := NewPipeline("t")
+	var total float64
 	p.Source("in").
 		Window("sum", 4, Tumbling(time.Second), Sum()).
-		Sink("out", func(e Event) {
-			total.mu.Lock()
-			total.sum += e.Value
-			total.mu.Unlock()
-		})
+		Sink("out", func(e Event) { total += e.Value })
 	_ = p.Start()
 	const n = 20000
 	for i := 0; i < n; i++ {
 		_ = p.Push("in", ev(fmt.Sprintf("k%d", i%32), time.Duration(i)*time.Millisecond, 1))
 	}
 	_ = p.Drain()
-	total.mu.Lock()
-	defer total.mu.Unlock()
-	if total.sum != n {
-		t.Fatalf("sum = %v, want %d (events lost or duplicated)", total.sum, n)
+	if total != n {
+		t.Fatalf("sum = %v, want %d (events lost or duplicated)", total, n)
+	}
+}
+
+// TestPushFoldsBeforeReturning: a Push whose event moves the watermark past
+// a window's end returns only once the sink holds that window's result.
+func TestPushFoldsBeforeReturning(t *testing.T) {
+	p := NewPipeline("t")
+	sink := &collectSink{}
+	p.Source("in").
+		Window("sum1m", 4, Tumbling(time.Minute), Sum()).
+		Sink("out", sink.add)
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Event{ev("a", 10*time.Second, 2), ev("a", 20*time.Second, 3)} {
+		if err := p.Push("in", e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sink.events; len(got) != 0 {
+		t.Fatalf("open window emitted %v", got)
+	}
+	if err := p.Push("in", ev("a", 61*time.Second, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{{Key: "a", Time: w0.Add(time.Minute), Value: 5, Payload: WindowResult{
+		Window: Window{Start: w0, End: w0.Add(time.Minute)}, Key: "a", Count: 2,
+	}}}
+	if got := sink.events; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the closing push the sink holds %v, want %v", got, want)
+	}
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPipelineMatchesPartitionedWindows pins what a Window's partition count
+// means for its results: the pipeline emits exactly what partitionOf plus
+// one windowState per partition emit, result for result and in order, with
+// the late drops counted in the registry. The event times jitter back
+// across window boundaries, so some events arrive after their window fired.
+func TestPipelineMatchesPartitionedWindows(t *testing.T) {
+	for _, partitions := range []int{1, 4, 7} {
+		rng := rand.New(rand.NewSource(42))
+		events := make([]Event, 5000)
+		now := time.Duration(0)
+		for i := range events {
+			now += time.Duration(rng.Intn(40)) * time.Millisecond
+			at := now - time.Duration(rng.Intn(3000))*time.Millisecond
+			events[i] = ev(fmt.Sprintf("k%d", rng.Intn(20)), at, float64(rng.Intn(9)))
+		}
+
+		reg := metrics.NewRegistry()
+		p := NewPipeline("t", WithRegistry(reg))
+		sink := &collectSink{}
+		p.Source("in").
+			Window("sum10", partitions, Tumbling(10*time.Second), Sum()).
+			Sink("out", sink.add)
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range events {
+			if err := p.Push("in", e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Drain(); err != nil {
+			t.Fatal(err)
+		}
+
+		states := make([]*windowState, partitions)
+		for i := range states {
+			states[i] = newWindowState(Tumbling(10*time.Second), Sum())
+		}
+		var want []Event
+		for _, e := range events {
+			want = append(want, states[partitionOf(e.Key, partitions)].add(e)...)
+		}
+		lateDrops := 0
+		for _, ws := range states {
+			want = append(want, ws.flush()...)
+			lateDrops += ws.lateDrops
+		}
+
+		if got := sink.events; !reflect.DeepEqual(got, want) {
+			t.Fatalf("partitions %d: %d results differ from the oracle's %d", partitions, len(got), len(want))
+		}
+		if got := reg.Counter("stream.t.late_dropped.sum10").Value(); got != int64(lateDrops) {
+			t.Fatalf("partitions %d: late_dropped counter %d, oracle %d", partitions, got, lateDrops)
+		}
+		if len(want) == 0 || lateDrops == 0 {
+			t.Fatalf("partitions %d: degenerate run: %d results, %d late drops", partitions, len(want), lateDrops)
+		}
 	}
 }

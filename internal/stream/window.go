@@ -25,10 +25,10 @@ func (w WindowSpec) assign(t time.Time) Window {
 	return Window{Start: start, End: start.Add(w.size)}
 }
 
-// windowState is the per-worker state of a window operator: accumulators
-// keyed by (key, window), fired in watermark order. The watermark is the
-// newest event time seen, so a window fires on the first event past its end
-// and a later event for it is dropped.
+// windowState is the state of one partition of a window operator:
+// accumulators keyed by (key, window), fired in watermark order. The
+// watermark is the newest event time seen, so a window fires on the first
+// event past its end and a later event for it is dropped.
 type windowState struct {
 	spec WindowSpec
 	agg  Aggregator
