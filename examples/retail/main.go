@@ -34,8 +34,12 @@ func main() {
 	})
 	cf := recommend.NewItemCF(w.Log)
 	session := platform.NewSession()
+	// The re-ranker asks for the shopper's position while the session
+	// renders a frame, under the session's lock: it reads the last fix fed
+	// to the session, never the session itself.
+	here := center
 	ctxAware := recommend.NewContextAware(cf, w.Catalog, func(uint64) recommend.Context {
-		return recommend.Context{Location: session.Pose().Position}
+		return recommend.Context{Location: here}
 	})
 	platform.SetRecommender(ctxAware)
 
@@ -47,7 +51,9 @@ func main() {
 	for i := 0; i < 60; i++ {
 		now := start.Add(time.Duration(i) * time.Second)
 		truth := walker.Step(time.Second)
-		if err := session.OnGPS(gps.Fix(now, truth.Position)); err != nil {
+		fix := gps.Fix(now, truth.Position)
+		here = fix.Position
+		if err := session.OnGPS(fix); err != nil {
 			log.Fatal(err)
 		}
 		frame, err := session.Frame(now)

@@ -154,6 +154,9 @@ type Platform struct {
 	// observes frameLat, so neither may pay a registry lookup.
 	flushErrs *metrics.Counter
 	frameLat  *metrics.Histogram
+	// geoReused and geoSeeded count frames whose geo query re-measured
+	// the session's kept POI set and frames that walked the R-tree.
+	geoReused, geoSeeded *metrics.Counter
 
 	// sessions is the sharded live-session registry; nextSess hands out
 	// IDs without touching any lock.
@@ -202,6 +205,8 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	p.suppressedCtr = p.reg.Counter("core.privacy.suppressed")
 	p.flushErrs = p.reg.Counter("core.telemetry.flush_errors")
 	p.frameLat = p.reg.Histogram("core.frame.latency")
+	p.geoReused = p.reg.Counter("core.geo.reused")
+	p.geoSeeded = p.reg.Counter("core.geo.seeded")
 	p.occluders = render.OccludersFromPOIs(p.pois.All(), 30)
 	for i, topic := range telemetryTopicNames {
 		cfg := mq.TopicConfig{Partitions: 4}

@@ -34,19 +34,22 @@ func newReusePlatform(t *testing.T) *Platform {
 }
 
 // TestFrameScratchEquivalence drives two identical platforms — one reusing
-// the session's and the frame scratch's buffers, one fully allocating —
-// through the same sensor stream and requires byte-identical encoded frames
-// at every step. This is the round-trip guarantee that buffer reuse changes
-// performance, not output.
+// the session's and the frame scratch's buffers and the session's kept POI
+// set, one fully allocating and asking the index cold every frame — through
+// the same sensor stream and requires byte-identical encoded frames at every
+// step. This is the round-trip guarantee that reuse, of buffers and of the
+// geo query's answer, changes performance, not output. The walk takes short
+// steps the kept set answers and jumps that re-seed it; both must happen.
 func TestFrameScratchEquivalence(t *testing.T) {
 	pooled := newReusePlatform(t)
 	alloc := newReusePlatform(t)
 	sp, sa := pooled.NewSession(), alloc.NewSession()
 	sa.kept = nil // the reference path: every frame freshly allocated
 
-	for step := 0; step < 12; step++ {
+	pos := center
+	for step := 0; step < 48; step++ {
 		at := sim.Epoch.Add(time.Duration(step) * time.Second)
-		pos := geo.Destination(center, float64(step*30), float64(step)*40)
+		pos = geo.Destination(pos, float64(step*30), []float64{1.5, 1.5, 6, 60}[step%4])
 		for _, s := range []*Session{sp, sa} {
 			if err := s.OnGPS(sensor.GPSFix{Time: at, Position: pos, AccuracyM: 4}); err != nil {
 				t.Fatal(err)
@@ -77,6 +80,69 @@ func TestFrameScratchEquivalence(t *testing.T) {
 		}
 		if len(recP) != len(fa.Recommended) {
 			t.Fatalf("step %d: recommended %d vs %d", step, len(recP), len(fa.Recommended))
+		}
+	}
+	reused, seeded := pooled.geoReused.Value(), pooled.geoSeeded.Value()
+	if reused == 0 || seeded == 0 {
+		t.Fatalf("%d frames re-measured the kept set and %d seeded it: the walk must exercise both", reused, seeded)
+	}
+	if n := alloc.geoReused.Value() + alloc.geoSeeded.Value(); n != 0 {
+		t.Fatalf("the reference path counted %d reuse queries: it must ask the index cold", n)
+	}
+}
+
+// TestWalkReusesNearestSet walks a session through the dense benchmark city
+// as the benchmark's scripts do — 1.5 m a step, an IMU sample every step
+// and a GPS fix every 10th — and requires the frame's geo query to answer at
+// least 90 % of frames from the session's kept set, as /metrics counts them
+// (core.geo.reused against core.geo.seeded). A DegradeRadius frame asks a
+// different question, half the radius and the cap, so it re-seeds, and so
+// does the first frame back at full quality.
+func TestWalkReusesNearestSet(t *testing.T) {
+	const frames, dt = 600, 100 * time.Millisecond
+	p := newTestPlatform(t, Config{
+		Seed:  1,
+		City:  geo.CityConfig{Center: center, RadiusM: 3000, NumPOIs: 5000, TallRatio: 0.2, Seed: 1},
+		clock: sim.NewVirtualClock(sim.Epoch), // frames take no time: the level stays put
+	})
+	reused, seeded := p.Metrics().Counter("core.geo.reused"), p.Metrics().Counter("core.geo.seeded")
+	s := p.NewSession()
+	walker := sensor.NewWalker(sensor.WalkerConfig{Center: center, RadiusM: 40, SpeedMps: 15, Seed: 3})
+	gps, imu := sensor.NewGPS(3, 5), sensor.NewIMU(3)
+	frame := func(at time.Time) {
+		t.Helper()
+		if _, err := s.Frame(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var at time.Time
+	for k := 0; k < frames; k++ {
+		at = sim.Epoch.Add(time.Duration(k) * dt)
+		truth := walker.Step(dt)
+		if k%10 == 0 {
+			if err := s.OnGPS(gps.Fix(at, truth.Position)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.OnIMU(imu.Sample(at, truth, dt))
+		frame(at)
+	}
+	hits, seeds := reused.Value(), seeded.Value()
+	share := float64(hits) / float64(hits+seeds)
+	t.Logf("%d of %d frames re-measured the kept set (%.1f %%)", hits, hits+seeds, 100*share)
+	if hits+seeds != frames || share < 0.9 {
+		t.Fatalf("%d reused + %d seeded over %d frames: want every frame counted and ≥ 90 %% reused", hits, seeds, frames)
+	}
+
+	for _, step := range []struct {
+		level DegradeLevel
+		seeds int64 // seeds the frame adds
+	}{{DegradeRadius, 1}, {DegradeRadius, 0}, {DegradeNone, 1}, {DegradeNone, 0}} {
+		before := seeded.Value()
+		s.level = step.level
+		frame(at)
+		if got := seeded.Value() - before; got != step.seeds {
+			t.Fatalf("a frame at %v after the walk seeded %d times, want %d", step.level, got, step.seeds)
 		}
 	}
 }

@@ -81,6 +81,10 @@ type keptFrames struct {
 	laid  [2][]render.Annotation
 	cur   int   // index into laid holding the most recent layout
 	frame Frame // the returned *Frame itself is reused
+	// near is the POI set the geo query re-measures while the pose stays
+	// near where it was found. It is derived from the store and the pose,
+	// so a snapshot leaves it out and the restored session seeds afresh.
+	near geo.NearCache
 }
 
 // FrameScratch holds the buffers one frame fills and drops, so a session
@@ -91,6 +95,7 @@ type keptFrames struct {
 type FrameScratch struct {
 	pois    []geo.POI
 	dists   []float64 // dists[i]: pois[i]'s distance from the pose, as the query measured it
+	best    []int32   // best[i]: pois[i]'s index in the store
 	anns    []render.Annotation
 	layout  render.LayoutScratch
 	tags    map[uint64][]arml.Tag
@@ -366,8 +371,8 @@ func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 	// distances ride with the POIs into the annotations and the layout.
 	from := geo.OriginAt(pose.Position)
 
-	kept := s.kept
-	if kept == nil {
+	kept, ref := s.kept, s.kept == nil
+	if ref {
 		sc, kept = freshScratch() // the reference path: fresh buffers per frame
 	}
 
@@ -381,10 +386,22 @@ func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 	// 1. Geospatial context: the nearest 3×maxAnn POIs in radius. The cap
 	// is the query's limit, so a dense city costs what the frame keeps, not
 	// what the radius holds. A frame with no room for annotations (a
-	// maxAnnotations of 1 halved by degradation) asks for nothing.
+	// maxAnnotations of 1 halved by degradation) asks for nothing. The
+	// session re-measures the set it kept from an earlier frame while that
+	// provably holds the answer; the reference path asks the index cold.
 	pois, dists := sc.pois[:0], sc.dists[:0]
-	if maxAnn > 0 {
+	switch {
+	case maxAnn <= 0:
+	case ref:
 		pois, dists = s.platform.pois.QueryNearestInto(pois, dists, &from, radius, 0, maxAnn*3)
+	default:
+		var reused bool
+		pois, dists, reused = s.platform.pois.QueryNearestReuse(&kept.near, &sc.best, pois, dists, &from, radius, maxAnn*3)
+		if reused {
+			s.platform.geoReused.Inc()
+		} else {
+			s.platform.geoSeeded.Inc()
+		}
 	}
 	sc.pois, sc.dists = pois, dists
 

@@ -198,6 +198,14 @@ func rectOf(p Point) Rect {
 	return Rect{MinLat: p.Lat, MaxLat: p.Lat, MinLon: p.Lon, MaxLon: p.Lon}
 }
 
+// shaved lowers a computed distance (or a sum or difference of a few) by
+// more than haversine's rounding error at distances well short of the
+// antipode, so a bound on true distances derived from it also holds for the
+// distances the package computes.
+//
+//arbd:hotpath
+func shaved(d float64) float64 { return d*(1-1e-9) - 1e-6 }
+
 // boxLowerBoundMeters lower-bounds the haversine distance from p to anywhere
 // in r, given cos(p.Lat); it is the key the Store's walk orders R-tree nodes
 // by. The bound is a true one: inside the box's longitude span the nearest
@@ -207,10 +215,10 @@ func rectOf(p Point) Rect {
 // gap bounds the distance too.
 // (Clamping p into the box and taking the haversine to that corner is NOT a
 // lower bound away from the equator: the nearest point of a meridian lies
-// poleward of p's latitude.) The result is shaved by more than haversine's
-// rounding error so it never exceeds the computed distance of a point on the
-// box's edge (a point at distance 0 ties with its box: the walk breaks that
-// tie by expanding boxes before emitting points).
+// poleward of p's latitude.) The result is shaved so it never exceeds the
+// computed distance of a point on the box's edge (a point at distance 0 ties
+// with its box: the walk breaks that tie by expanding boxes before emitting
+// points).
 //
 //arbd:hotpath
 func boxLowerBoundMeters(p Point, cosLat float64, r Rect) float64 {
@@ -219,5 +227,5 @@ func boxLowerBoundMeters(p Point, cosLat float64, r Rect) float64 {
 	if dLon := math.Max(r.MinLon-p.Lon, p.Lon-r.MaxLon); dLon > 0 && dLon < 90 {
 		lb = math.Max(lb, math.Asin(cosLat*math.Sin(radians(dLon))))
 	}
-	return math.Max(0, lb*EarthRadiusMeters*(1-1e-9)-1e-6)
+	return math.Max(0, shaved(lb*EarthRadiusMeters))
 }

@@ -84,7 +84,7 @@ func LoadStore(pois []POI) (*Store, error) {
 		}
 		s.all[i] = p
 		s.byID[p.ID] = &s.all[i]
-		items[i] = item{ID: p.ID, Point: p.Location}
+		items[i] = item{ID: p.ID, Point: p.Location, idx: int32(i)}
 	}
 	s.root = packRTree(items)
 	return s, nil
@@ -114,7 +114,9 @@ func (s *Store) QueryRadius(center Point, radiusMeters float64, cat Category) []
 // query into the same buffer.
 func (s *Store) QueryRadiusInto(dst []POI, center Point, radiusMeters float64, cat Category) []POI {
 	from := OriginAt(center)
-	return s.walk(dst, nil, &from, radiusMeters, cat, 0)
+	dst = dst[:0]
+	s.walk(&dst, nil, nil, &from, radiusMeters, cat, 0)
+	return dst
 }
 
 // QueryNearestInto is QueryRadiusInto around an Origin the caller already
@@ -127,8 +129,8 @@ func (s *Store) QueryRadiusInto(dst []POI, center Point, radiusMeters float64, c
 //
 //arbd:hotpath
 func (s *Store) QueryNearestInto(dst []POI, dists []float64, from *Origin, radiusMeters float64, cat Category, limit int) ([]POI, []float64) {
-	dists = dists[:0]
-	dst = s.walk(dst, &dists, from, radiusMeters, cat, limit)
+	dst, dists = dst[:0], dists[:0]
+	s.walk(&dst, nil, &dists, from, radiusMeters, cat, limit)
 	return dst, dists
 }
 
@@ -139,7 +141,9 @@ func (s *Store) Nearest(p Point, k int) []POI {
 		return nil
 	}
 	from := OriginAt(p)
-	return s.walk(nil, nil, &from, math.Inf(1), 0, k)
+	var out []POI
+	s.walk(&out, nil, nil, &from, math.Inf(1), 0, k)
+	return out
 }
 
 // All returns a snapshot of every POI (copied), in load order.
@@ -152,6 +156,7 @@ func (s *Store) All() []POI { return slices.Clone(s.all) }
 type nearEntry struct {
 	dist float64
 	id   uint64 // POI ID, or index into radiusScratch.nodes when node is set
+	idx  int32  // the POI's index into Store.all
 	node bool
 }
 
@@ -241,7 +246,7 @@ func (rs *radiusScratch) expand(n *rnode, q *radiusQuery) {
 				continue
 			}
 			if d := q.from.Distance(it.Point); d <= q.radius {
-				rs.push(nearEntry{dist: d, id: it.ID})
+				rs.push(nearEntry{dist: d, id: it.ID, idx: it.idx})
 			}
 		}
 		return
@@ -262,12 +267,12 @@ var radiusScratchPool = sync.Pool{New: func() any { return new(radiusScratch) }}
 // walk is the one query. It feeds a min-heap best-first from the centre,
 // opening a node only when nothing nearer is pending, so candidates come off
 // in (distance, ID) order and a small limit touches a few leaves. It stops
-// once limit POIs (limit <= 0: no limit) have passed the category filter;
-// only those are resolved and copied, their distances appended to *dists
-// when the caller wants them (nil: not).
+// once limit POIs (limit <= 0: no limit) have passed the category filter and
+// appends each to what the caller asked for (nil: not wanted): the POI
+// itself to *dst, its index into s.all to *idx, its distance to *dists.
 //
 //arbd:hotpath
-func (s *Store) walk(dst []POI, dists *[]float64, from *Origin, radiusMeters float64, cat Category, limit int) []POI {
+func (s *Store) walk(dst *[]POI, idx *[]int32, dists *[]float64, from *Origin, radiusMeters float64, cat Category, limit int) {
 	rs := radiusScratchPool.Get().(*radiusScratch)
 	q := radiusQuery{
 		from:   from,
@@ -276,23 +281,35 @@ func (s *Store) walk(dst []POI, dists *[]float64, from *Origin, radiusMeters flo
 	}
 	rs.expand(s.root, &q)
 
-	out := dst[:0]
-	if dists != nil && limit > 0 {
-		// A float per result is cheap to reserve: a cold buffer then grows
-		// once, not once per doubling; a warm one already has the room.
-		*dists = slices.Grow(*dists, limit)
+	if limit > 0 {
+		// A result's index and distance are cheap to reserve: a cold buffer
+		// then grows once, not once per doubling; a warm one has the room.
+		if idx != nil {
+			*idx = slices.Grow(*idx, limit)
+		}
+		if dists != nil {
+			*dists = slices.Grow(*dists, limit)
+		}
 	}
-	for len(rs.heap) > 0 && (limit <= 0 || len(out) < limit) {
+	for n := 0; len(rs.heap) > 0 && (limit <= 0 || n < limit); {
 		e := rs.pop()
 		if e.node {
 			rs.expand(rs.nodes[e.id], &q)
 			continue
 		}
-		if p := s.byID[e.id]; cat == 0 || p.Category == cat {
-			out = append(out, *p)
-			if dists != nil {
-				*dists = append(*dists, e.dist)
-			}
+		p := &s.all[e.idx]
+		if cat != 0 && p.Category != cat {
+			continue
+		}
+		n++
+		if dst != nil {
+			*dst = append(*dst, *p)
+		}
+		if idx != nil {
+			*idx = append(*idx, e.idx)
+		}
+		if dists != nil {
+			*dists = append(*dists, e.dist)
 		}
 	}
 	// Drop the node pointers before pooling so the scratch does not pin a
@@ -301,7 +318,6 @@ func (s *Store) walk(dst []POI, dists *[]float64, from *Origin, radiusMeters flo
 	rs.nodes = rs.nodes[:0]
 	rs.heap = rs.heap[:0]
 	radiusScratchPool.Put(rs)
-	return out
 }
 
 // CityConfig parameterises the synthetic city generator.

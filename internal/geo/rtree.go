@@ -10,6 +10,7 @@ import (
 type item struct {
 	ID    uint64
 	Point Point
+	idx   int32 // index into Store.all
 }
 
 // rnode is one node of the Store's R-tree: a leaf holds points, an interior
