@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"arbd/internal/core"
-	"arbd/internal/geo"
 	"arbd/internal/sensor"
 	"arbd/internal/wire"
 )
@@ -27,15 +26,12 @@ var (
 	ErrAlreadySubscribed = errors.New("client: already subscribed")
 )
 
-// corePoint builds a geo.Point (helper shared with the server side).
-func corePoint(lat, lon float64) geo.Point { return geo.Point{Lat: lat, Lon: lon} }
-
 // DialOptions tunes the connection handshake.
 type DialOptions struct {
 	// MaxProto caps the version the client announces (default
-	// wire.ProtoMax). Benchmarks pin older versions here to compare wire
-	// formats — a v3-capped client subscribes without the delta flag and
-	// keeps receiving full MsgFramePush frames.
+	// wire.ProtoMax). arbd-loadgen -max-proto pins an older version here to
+	// compare wire formats — a v3-capped client subscribes without the
+	// delta flag and keeps receiving full MsgFramePush frames.
 	MaxProto uint32
 	// Name labels the client in the server's logs (default "client").
 	Name string
@@ -55,30 +51,20 @@ type SubscribeOptions struct {
 
 // Client is a concurrency-safe protocol client: the load generator,
 // examples, benchmarks, and the public arbd package all speak through it.
-// One goroutine owns the read side of the connection and demultiplexes —
-// request/reply traffic is matched to callers by sequence number, pushed
-// frames flow to the subscription channel — so any number of goroutines
-// may send sensors, request frames, and consume a stream concurrently.
+// It runs the dial side's read loop and outbox (dial.go): one goroutine
+// demultiplexes what the server sends — replies settle their round trips
+// by sequence number, pushed frames flow to the subscription channel — and
+// one writes what callers queue, in call order. So any number of goroutines
+// may send sensors, request frames, and consume a stream concurrently, and
+// a context bounds every call even when the server stops reading.
 type Client struct {
-	conn net.Conn
-	fr   *wire.FrameReader
-
-	wmu sync.Mutex // guards fw and buf
-	fw  *wire.FrameWriter
-	buf wire.Buffer // reusable payload encode buffer
-
-	seq atomic.Uint64
-
-	proto      uint32 // negotiated protocol version
-	sessionID  uint64 // session the server assigned
+	*dialConn
+	bufs       sync.Pool // one-way payloads, held until written
 	pushesDrop atomic.Int64
 
 	mu      sync.Mutex
-	pending map[uint64]chan *wire.Envelope
 	sub     *clientSub
 	lastSub error // why the last subscription ended, if abnormally
-	err     error // terminal connection error
-	done    chan struct{}
 
 	// subLifecycle serialises unsubscribe round-trips against each other
 	// and against new Subscribes: without it, a straggling unsubscribe
@@ -173,8 +159,10 @@ func DialContext(ctx context.Context, addr string, opts DialOptions) (*Client, e
 }
 
 // NewClient wraps an established connection (tests and benchmarks inject
-// byte-counting conns here), runs the hello handshake, and starts the
-// reader. The client owns conn from this point, success or failure.
+// byte-counting conns here), runs the hello handshake under the context's
+// deadline, and starts the reader. The client owns conn from this point,
+// success or failure. A server speaking no version this client can fails
+// the handshake with a *wire.VersionError.
 func NewClient(ctx context.Context, conn net.Conn, opts DialOptions) (*Client, error) {
 	if opts.MaxProto == 0 {
 		opts.MaxProto = wire.ProtoMax
@@ -182,27 +170,14 @@ func NewClient(ctx context.Context, conn net.Conn, opts DialOptions) (*Client, e
 	if opts.Name == "" {
 		opts.Name = "client"
 	}
-	c := &Client{
-		conn:    conn,
-		fr:      wire.NewFrameReader(conn),
-		fw:      wire.NewFrameWriter(conn),
-		pending: make(map[uint64]chan *wire.Envelope),
-		done:    make(chan struct{}),
-	}
-	// The dialer's hello, under the context's deadline. It runs before the
-	// reader goroutine exists, so it reads the connection directly; a server
-	// speaking no version this client can fails it with a *wire.VersionError.
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	peer, proto, err := dialHello(c.fr, c.fw, opts.Name, opts.MaxProto)
+	deadline, _ := ctx.Deadline()
+	dc, err := dialHandshake(conn, conn, deadline, opts.Name, opts.MaxProto)
 	if err != nil {
-		_ = conn.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
-	_ = conn.SetDeadline(time.Time{})
-	c.proto, c.sessionID = proto, peer.ID
-	go c.readLoop()
+	c := &Client{dialConn: dc}
+	c.bufs.New = func() any { return new(wire.Buffer) }
+	c.start(c.deliver, func() { c.endSub(nil, c.err) })
 	return c, nil
 }
 
@@ -210,7 +185,7 @@ func NewClient(ctx context.Context, conn net.Conn, opts DialOptions) (*Client, e
 func (c *Client) Proto() uint32 { return c.proto }
 
 // SessionID returns the session the server assigned this connection.
-func (c *Client) SessionID() uint64 { return c.sessionID }
+func (c *Client) SessionID() uint64 { return c.peer.ID }
 
 // PushesDropped counts frames discarded locally because the subscription
 // consumer fell behind its channel buffer.
@@ -219,63 +194,23 @@ func (c *Client) PushesDropped() int64 { return c.pushesDrop.Load() }
 // Close tears down the connection and unblocks every waiter: in-flight
 // round-trips fail with the terminal error and an active subscription's
 // channel closes.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	<-c.done // reader observed the close and failed all waiters
-	return err
-}
+func (c *Client) Close() error { return c.shutdown() }
 
-// fail records the terminal error and unblocks everything exactly once.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	pend := c.pending
-	c.pending = nil
-	sub := c.sub
-	c.sub = nil
-	if sub != nil && c.lastSub == nil {
-		c.lastSub = c.err
-	}
-	c.mu.Unlock()
-	for _, ch := range pend {
-		close(ch) // a closed reply channel means "terminal error, see c.err"
-	}
-	if sub != nil {
-		sub.finish()
-	}
-	close(c.done)
-}
-
-// readLoop owns the connection's read side: pushes to the subscription,
-// everything else matched to its caller by sequence number.
-func (c *Client) readLoop() {
-	for {
-		env, err := c.fr.ReadEnvelope() // payload copied: handed across goroutines
-		if err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrClientClosed, err))
-			return
-		}
-		switch {
-		case env.Type == wire.MsgFramePush, env.Type == wire.MsgFrameDelta:
-			c.deliverPush(env)
-		case env.Type == wire.MsgError && env.Seq == 0:
-			// Seq 0 is never a reply: it is the server's stream obituary
-			// (a shard died past its reconnect budget, say). The stream
-			// ends; request/reply keeps working.
-			c.endSub(fmt.Errorf("client: stream ended by server: %s", env.Payload))
-		default:
-			c.mu.Lock()
-			ch := c.pending[env.Seq]
-			delete(c.pending, env.Seq)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- env // buffered; never blocks
-			}
-			// Unmatched envelopes (acks for router-replayed subscribes,
-			// replies that lost their waiter to a context) are dropped.
-		}
+// deliver is the client's side of the read loop: pushes to the
+// subscription, everything else to the round trip owed it. Unmatched
+// envelopes (acks for router-replayed subscribes, replies that lost their
+// waiter to a context) are dropped.
+func (c *Client) deliver(env *wire.Envelope) {
+	switch {
+	case env.Type == wire.MsgFramePush, env.Type == wire.MsgFrameDelta:
+		c.deliverPush(env)
+	case env.Type == wire.MsgError && env.Seq == 0:
+		// Seq 0 is never a reply: it is the server's stream obituary (a
+		// shard died past its reconnect budget, say). The stream ends;
+		// request/reply keeps working.
+		c.endSub(nil, fmt.Errorf("client: stream ended by server: %s", env.Payload))
+	default:
+		c.settle(env)
 	}
 }
 
@@ -348,35 +283,24 @@ func (s *clientSub) requestKeyframe(c *Client) {
 	c.sendAck(wire.FrameAck{AppliedSeq: s.prevSeq, WantKeyframe: true})
 }
 
-// sendAck fire-and-forgets a frame-ack (protocol v4). Errors are ignored:
-// an ack lost to a dying connection is moot, and the read loop will learn
-// of the death first.
+// sendAck fire-and-forgets a frame-ack (protocol v4) as a push, so the read
+// loop never parks on it: a lost progress ack is harmless, and a lost
+// keyframe request is asked again (requestKeyframe).
 func (c *Client) sendAck(a wire.FrameAck) {
-	_ = c.send(wire.MsgAck, func(b *wire.Buffer) { wire.EncodeFrameAckInto(b, a) })
+	_ = c.send(wire.MsgAck, false, func(b *wire.Buffer) { wire.EncodeFrameAckInto(b, a) })
 }
 
-// endSub closes the active subscription, recording why. Without an active
-// subscription it is a no-op, so a late obituary cannot clobber the cause
-// an earlier teardown recorded.
-func (c *Client) endSub(cause error) {
+// endSub closes the subscription cs — with cs nil, whichever is active —
+// recording why. Without that subscription active it is a no-op: a late
+// obituary cannot clobber the cause an earlier teardown recorded, and a
+// stale caller (an old context watcher, a late Unsubscribe) cannot tear down
+// a newer stream that replaced the one it knew about.
+func (c *Client) endSub(cs *clientSub, cause error) {
 	c.mu.Lock()
-	sub := c.sub
-	if sub != nil {
-		c.sub = nil
-		c.lastSub = cause
+	if cs == nil {
+		cs = c.sub
 	}
-	c.mu.Unlock()
-	if sub != nil {
-		sub.finish()
-	}
-}
-
-// endSubIf is endSub scoped to one specific subscription: a stale caller
-// (an old context watcher, a late Unsubscribe) cannot tear down a newer
-// stream that replaced the one it knew about.
-func (c *Client) endSubIf(cs *clientSub, cause error) {
-	c.mu.Lock()
-	if c.sub != cs {
+	if cs == nil || c.sub != cs {
 		c.mu.Unlock()
 		return
 	}
@@ -395,70 +319,27 @@ func (c *Client) StreamErr() error {
 	return c.lastSub
 }
 
-// writeEnvelope frames, writes and flushes one envelope (any goroutine).
-func (c *Client) writeEnvelope(env *wire.Envelope) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return sendEnvelope(c.fw, env)
-}
-
-// send writes a fire-and-forget envelope built by fill (which encodes the
-// payload into the client's reusable buffer under the write lock).
-func (c *Client) send(t wire.MsgType, fill func(b *wire.Buffer)) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.buf.Reset()
-	if fill != nil {
-		fill(&c.buf)
+// send queues a one-way envelope whose payload fill encodes into a pooled
+// buffer, held until written. A reply-class message (a sensor sample) is
+// never dropped: the caller parks while replyWindow messages are unwritten,
+// until Close releases it. A push-class one (a frame ack) never parks.
+func (c *Client) send(t wire.MsgType, reply bool, fill func(b *wire.Buffer)) error {
+	if reply {
+		c.out.awaitReplies(replyWindow - 1)
 	}
-	return sendEnvelope(c.fw, &wire.Envelope{Type: t, Seq: c.seq.Add(1), Payload: c.buf.Bytes()})
-}
-
-// roundTrip sends one request and blocks for the reply carrying its exact
-// sequence number — an interleaved reply to some other request can never
-// be mistaken for this one. It unblocks on reply, context cancellation,
-// or connection death, whichever first.
-func (c *Client) roundTrip(ctx context.Context, t wire.MsgType, payload []byte) (*wire.Envelope, error) {
-	seq := c.seq.Add(1)
-	ch := make(chan *wire.Envelope, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
+	buf := c.bufs.Get().(*wire.Buffer)
+	buf.Reset()
+	fill(buf)
+	env := wire.Envelope{Type: t, Seq: c.seq.Add(1), Payload: buf.Bytes()}
+	if !c.out.enqueue(outMsg{env: env, reply: reply, buf: buf, pool: &c.bufs}) {
+		return ErrClientClosed
 	}
-	c.pending[seq] = ch
-	c.mu.Unlock()
-
-	if err := c.writeEnvelope(&wire.Envelope{Type: t, Seq: seq, Payload: payload}); err != nil {
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-		return nil, err
-	}
-	select {
-	case env, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return nil, err
-		}
-		if env.Type == wire.MsgError {
-			return nil, fmt.Errorf("client: server error: %s", env.Payload)
-		}
-		return env, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-		return nil, ctx.Err()
-	}
+	return nil
 }
 
 // SendGPS streams a GPS fix (no reply expected).
 func (c *Client) SendGPS(fix sensor.GPSFix) error {
-	return c.send(wire.MsgSensorEvent, func(b *wire.Buffer) {
+	return c.send(wire.MsgSensorEvent, true, func(b *wire.Buffer) {
 		b.Byte(SensorGPS)
 		b.Uvarint(uint64(fix.Time.UnixNano()))
 		b.Float64(fix.Position.Lat)
@@ -469,7 +350,7 @@ func (c *Client) SendGPS(fix sensor.GPSFix) error {
 
 // SendIMU streams an inertial sample.
 func (c *Client) SendIMU(s sensor.IMUSample) error {
-	return c.send(wire.MsgSensorEvent, func(b *wire.Buffer) {
+	return c.send(wire.MsgSensorEvent, true, func(b *wire.Buffer) {
 		b.Byte(SensorIMU)
 		b.Uvarint(uint64(s.Time.UnixNano()))
 		b.Float64(s.GyroZRad)
@@ -480,7 +361,7 @@ func (c *Client) SendIMU(s sensor.IMUSample) error {
 
 // SendGaze streams a gaze sample.
 func (c *Client) SendGaze(s sensor.GazeSample) error {
-	return c.send(wire.MsgSensorEvent, func(b *wire.Buffer) {
+	return c.send(wire.MsgSensorEvent, true, func(b *wire.Buffer) {
 		b.Byte(SensorGaze)
 		b.Uvarint(uint64(s.Time.UnixNano()))
 		b.Uvarint(s.TargetID)
@@ -498,15 +379,15 @@ func (c *Client) RequestFrame() (*core.DecodedFrame, time.Duration, error) {
 // RequestFrameContext is RequestFrame bounded by a context.
 func (c *Client) RequestFrameContext(ctx context.Context) (*core.DecodedFrame, time.Duration, error) {
 	start := time.Now()
-	env, err := c.roundTrip(ctx, wire.MsgFrameRequest, nil)
+	var f *core.DecodedFrame
+	err := c.roundTrip(ctx, wire.Envelope{Type: wire.MsgFrameRequest}, wire.MsgAnnotations, func(p []byte) (err error) {
+		f, err = core.DecodeFrame(p)
+		return err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	if env.Type != wire.MsgAnnotations {
-		return nil, 0, fmt.Errorf("client: expected annotations, got %v", env.Type)
-	}
-	f, err := core.DecodeFrame(env.Payload)
-	return f, time.Since(start), err
+	return f, time.Since(start), nil
 }
 
 // Ping round-trips a control message (connectivity check).
@@ -514,14 +395,7 @@ func (c *Client) Ping() error { return c.PingContext(context.Background()) }
 
 // PingContext is Ping bounded by a context.
 func (c *Client) PingContext(ctx context.Context) error {
-	env, err := c.roundTrip(ctx, wire.MsgControl, nil)
-	if err != nil {
-		return err
-	}
-	if env.Type != wire.MsgAck {
-		return fmt.Errorf("client: expected ack, got %v", env.Type)
-	}
-	return nil
+	return c.roundTrip(ctx, wire.Envelope{Type: wire.MsgControl}, wire.MsgAck, nil)
 }
 
 // Subscribe switches the session to server-pushed frames: the server owns
@@ -551,11 +425,6 @@ func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (<-chan *
 
 	cs := &clientSub{ch: make(chan *core.DecodedFrame, defaultPushBudget), stop: make(chan struct{})}
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	}
 	if c.sub != nil {
 		c.mu.Unlock()
 		return nil, ErrAlreadySubscribed
@@ -568,18 +437,14 @@ func (c *Client) Subscribe(ctx context.Context, opts SubscribeOptions) (<-chan *
 
 	var payload wire.Buffer
 	wire.EncodeSubscribeInto(&payload, sub)
-	env, err := c.roundTrip(ctx, wire.MsgSubscribe, payload.Bytes())
-	if err == nil && env.Type != wire.MsgAck {
-		err = fmt.Errorf("client: expected subscribe ack, got %v", env.Type)
-	}
-	if err != nil {
+	if err := c.roundTrip(ctx, wire.Envelope{Type: wire.MsgSubscribe, Payload: payload.Bytes()}, wire.MsgAck, nil); err != nil {
 		// The subscribe may already be on the wire with the server
 		// streaming toward us (the wait gave up, not the server): send a
 		// best-effort unsubscribe so an unobserved stream doesn't burn
 		// scheduler slots for the life of the connection. Its ack is
 		// unmatched and dropped by the demux.
-		_ = c.writeEnvelope(&wire.Envelope{Type: wire.MsgUnsubscribe, Seq: c.seq.Add(1)})
-		c.endSubIf(cs, err)
+		c.out.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgUnsubscribe, Seq: c.seq.Add(1)}, reply: true})
+		c.endSub(cs, err)
 		return nil, err
 	}
 	if ctx.Done() != nil {
@@ -623,8 +488,8 @@ func (c *Client) unsubscribe(cs *clientSub) error {
 	if !active {
 		return nil
 	}
-	_, err := c.roundTrip(context.Background(), wire.MsgUnsubscribe, nil)
+	err := c.roundTrip(context.Background(), wire.Envelope{Type: wire.MsgUnsubscribe}, wire.MsgAck, nil)
 	// Clean or not, the stream is over locally: late pushes are dropped.
-	c.endSubIf(cs, nil)
+	c.endSub(cs, nil)
 	return err
 }

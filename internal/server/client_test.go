@@ -153,11 +153,11 @@ func TestPipelinedRequestsMatchOutOfOrderReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The matching invariant is stronger than "no error": every caller saw
-	// the tag equal to a seq the server actually used, and the demux map
-	// drained fully.
-	cl.mu.Lock()
-	left := len(cl.pending)
-	cl.mu.Unlock()
+	// the tag equal to a seq the server actually used, and the ledger of
+	// owed replies drained fully.
+	cl.owedMu.Lock()
+	left := len(cl.owed)
+	cl.owedMu.Unlock()
 	if left != 0 {
 		t.Fatalf("%d pending entries leaked", left)
 	}

@@ -51,7 +51,7 @@ const backendPushQueue = 64
 // unwritten, or a polled frame not yet rendered — before its own read loop
 // stops taking envelopes: the bound on what a peer that sends requests and
 // never reads can make a node queue for it, in the outbox and the frame
-// scheduler alike.
+// scheduler alike. A dialer's sensor sender parks at the same bound.
 const replyWindow = 64
 
 // Bounds on a router's backend connections: each dial plus hello, and each
@@ -93,9 +93,9 @@ func (n *node) Close() error {
 	return err
 }
 
-// sendEnvelope frames, writes and flushes one envelope on a writer the
-// caller has to itself: a dialler's side of a connection, or an accepted
-// connection whose handshake is being refused.
+// sendEnvelope frames, writes and flushes one envelope on a connection no
+// outbox writes yet: the dialer's hello, or an accepted connection's
+// refusal of its handshake.
 func sendEnvelope(fw *wire.FrameWriter, env *wire.Envelope) error {
 	if err := fw.WriteEnvelope(env); err != nil {
 		return err
@@ -127,34 +127,6 @@ func acceptHello(conn net.Conn, fr *wire.FrameReader) (proto uint32, seq uint64,
 		_ = sendEnvelope(wire.NewFrameWriter(conn), &wire.Envelope{Type: wire.MsgError, Seq: env.Seq, Payload: []byte(err.Error())})
 	}
 	return proto, env.Seq, err
-}
-
-// dialHello runs the dialer's half of the handshake on a fresh connection:
-// announce name and maxProto, read the listener's hello, settle the
-// version. The caller owns the connection's deadline. A version mismatch
-// surfaces as a *wire.VersionError.
-func dialHello(fr *wire.FrameReader, fw *wire.FrameWriter, name string, maxProto uint32) (peer wire.Hello, proto uint32, err error) {
-	var buf wire.Buffer
-	wire.EncodeHelloInto(&buf, wire.Hello{Name: name, Version: maxProto})
-	if err = sendEnvelope(fw, &wire.Envelope{Type: wire.MsgHello, Payload: buf.Bytes()}); err != nil {
-		return peer, 0, fmt.Errorf("sending hello: %w", err)
-	}
-	env, err := fr.ReadEnvelope()
-	if err != nil {
-		return peer, 0, fmt.Errorf("reading hello: %w", err)
-	}
-	switch env.Type {
-	case wire.MsgHello:
-	case wire.MsgError:
-		return peer, 0, fmt.Errorf("hello rejected: %s", env.Payload)
-	default:
-		return peer, 0, fmt.Errorf("hello answered with %v", env.Type)
-	}
-	if peer, err = wire.DecodeHello(env.Payload); err != nil {
-		return peer, 0, err
-	}
-	proto, err = wire.Negotiate(maxProto, peer.Version, wire.ProtoMin)
-	return peer, proto, err
 }
 
 // accepted is a role's side of one connection, built once its hello

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"arbd/internal/core"
+	"arbd/internal/geo"
 	"arbd/internal/metrics"
 	"arbd/internal/obs"
 	"arbd/internal/sensor"
@@ -217,7 +218,7 @@ func applySensor(sess *core.Session, payload []byte) error {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return errors.New("server: truncated gps payload")
 		}
-		return sess.OnGPS(sensor.GPSFix{Time: ts, Position: corePoint(lat, lon), AccuracyM: acc})
+		return sess.OnGPS(sensor.GPSFix{Time: ts, Position: geo.Point{Lat: lat, Lon: lon}, AccuracyM: acc})
 	case SensorIMU:
 		gyro, err1 := r.Float64()
 		accel, err2 := r.Float64()

@@ -23,6 +23,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -44,38 +45,6 @@ const CtrlWatchMembership uint8 = 2
 // bounded so a drain of thousands of sessions doesn't stampede the
 // destination shards.
 const migrateConcurrency = 16
-
-// migration is one in-flight session move; shard readers route
-// MsgMigrateSession replies into resp (buffered, never blocking a reader).
-type migration struct {
-	resp chan migResult
-}
-
-type migResult struct {
-	from    uint64 // member that answered
-	status  uint8  // MigExported / MigImported / MigFailed
-	payload []byte // snapshot or error text (copied)
-}
-
-// migrateReply routes one MsgMigrateSession reply to its waiting move.
-func (r *Router) migrateReply(ss *routerShard, env *wire.Envelope) {
-	r.migMu.Lock()
-	m := r.migrations[env.Session]
-	r.migMu.Unlock()
-	if m == nil {
-		r.orphaned.Inc()
-		return
-	}
-	res := migResult{from: ss.member.ID}
-	if len(env.Payload) > 0 {
-		res.status = env.Payload[0]
-		res.payload = append([]byte(nil), env.Payload[1:]...)
-	}
-	select {
-	case m.resp <- res:
-	default: // duplicate reply; the mover stopped listening
-	}
-}
 
 // move is one planned session migration.
 type move struct {
@@ -220,16 +189,6 @@ func (r *Router) runMoves(moves []move, gates map[uint64]gateHandle) {
 // the new one, resume its subscription. The caller holds the session's
 // gate, so no client envelope races the move.
 func (r *Router) migrateSession(id uint64, from, to *routerShard) error {
-	m := &migration{resp: make(chan migResult, 2)}
-	r.migMu.Lock()
-	r.migrations[id] = m
-	r.migMu.Unlock()
-	defer func() {
-		r.migMu.Lock()
-		delete(r.migrations, id)
-		r.migMu.Unlock()
-	}()
-
 	// Export: the old owner freezes the stream, snapshots, detaches. The
 	// request is queued on the same backend outbox as all previously
 	// forwarded envelopes for this session — behind them, since the gate
@@ -240,37 +199,38 @@ func (r *Router) migrateSession(id uint64, from, to *routerShard) error {
 	// and replies after the snapshot, so its reply reaches the client but
 	// its pacing-counter bump stays behind — cosmetic, and documented at
 	// the shard's export handler.)
-	if err := r.forward(from, &wire.Envelope{Type: wire.MsgMigrateSession, Session: id}); err != nil {
-		return fmt.Errorf("export request: %w", err)
-	}
-	res, err := r.awaitMigrate(m, from.member.ID)
+	snapshot, err := r.migrateCall(from, id, nil, MigExported)
 	if err != nil {
 		return fmt.Errorf("export: %w", err)
 	}
-	if res.status != MigExported {
-		return fmt.Errorf("export failed: %s", res.payload)
+	// An empty snapshot: the source had no state for this session (it never
+	// sent traffic or already ended there), so there is nothing to import.
+	// The session simply follows the new ring, its stream resumed if it had
+	// one.
+	if len(snapshot) > 0 {
+		if _, err := r.migrateCall(to, id, snapshot, MigImported); err != nil {
+			return fmt.Errorf("import: %w", err)
+		}
 	}
-	if len(res.payload) == 0 {
-		// The source had no state for this session (it never sent traffic
-		// or already ended there): nothing to import. The session simply
-		// follows the new ring, its stream resumed if it had one.
-		r.resumeStream(id, to)
-		return nil
-	}
-
-	if err := r.forward(to, &wire.Envelope{Type: wire.MsgMigrateSession, Session: id, Payload: res.payload}); err != nil {
-		return fmt.Errorf("import request: %w", err)
-	}
-	res, err = r.awaitMigrate(m, to.member.ID)
-	if err != nil {
-		return fmt.Errorf("import: %w", err)
-	}
-	if res.status != MigImported {
-		return fmt.Errorf("import failed: %s", res.payload)
-	}
-
 	r.resumeStream(id, to)
 	return nil
+}
+
+// migrateCall runs one phase of a move as a round trip on the shard's
+// backend connection, bounded by migrateTimeout, and returns the body of a
+// reply whose status is want.
+func (r *Router) migrateCall(ss *routerShard, id uint64, payload []byte, want uint8) (body []byte, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), r.opts.migrateTimeout)
+	defer cancel()
+	req := wire.Envelope{Type: wire.MsgMigrateSession, Session: id, Payload: payload}
+	err = ss.backend().roundTrip(ctx, req, wire.MsgMigrateSession, func(p []byte) error {
+		if len(p) == 0 || p[0] != want {
+			return fmt.Errorf("failed: %q", p)
+		}
+		body = append([]byte(nil), p[1:]...)
+		return nil
+	})
+	return body, err
 }
 
 // resumeStream replays the session's tracked subscription (if any) on the
@@ -287,26 +247,6 @@ func (r *Router) resumeStream(id uint64, to *routerShard) {
 		e.rebase()
 		if err := r.forward(to, &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload}); err != nil {
 			r.logger.Printf("router: resuming subscription for session %d on shard %d: %v", id, to.member.ID, err)
-		}
-	}
-}
-
-// awaitMigrate waits for the reply from one specific member, tolerating a
-// stale reply from the other phase's shard.
-func (r *Router) awaitMigrate(m *migration, from uint64) (migResult, error) {
-	timeout := time.NewTimer(r.opts.migrateTimeout)
-	defer timeout.Stop()
-	for {
-		select {
-		case res := <-m.resp:
-			if res.from != from {
-				continue
-			}
-			return res, nil
-		case <-timeout.C:
-			return migResult{}, fmt.Errorf("timed out after %v", r.opts.migrateTimeout)
-		case <-r.done:
-			return migResult{}, errors.New("router closed")
 		}
 	}
 }
@@ -501,14 +441,10 @@ func (r *Router) openAdmin(conn net.Conn, _ uint32) accepted {
 
 // AdminClient speaks the router's admin protocol — the client side of
 // join/drain/query, shared by cmd/arbd-server (-join, -drain), loadgen's
-// churn mode, and the tests. Not safe for concurrent use: admin traffic is
-// strictly request/reply on one connection.
-type AdminClient struct {
-	conn net.Conn
-	fr   *wire.FrameReader
-	fw   *wire.FrameWriter
-	seq  uint64
-}
+// churn mode, and the tests. It runs the dial side's read loop and outbox
+// (dial.go), so its calls are safe for concurrent use: each waits for the
+// reply carrying its own seq, and watch pushes are dropped.
+type AdminClient struct{ *dialConn }
 
 // DialAdmin connects to a router's admin endpoint and runs the hello
 // handshake; timeout bounds both.
@@ -520,44 +456,26 @@ func DialAdmin(addr string, timeout time.Duration) (*AdminClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("admin: dial %s: %w", addr, err)
 	}
-	a := &AdminClient{conn: conn, fr: wire.NewFrameReader(conn), fw: wire.NewFrameWriter(conn)}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if _, _, err := dialHello(a.fr, a.fw, "admin", wire.ProtoMax); err != nil {
-		_ = conn.Close()
+	dc, err := dialHandshake(conn, conn, time.Now().Add(timeout), "admin", wire.ProtoMax)
+	if err != nil {
 		return nil, fmt.Errorf("admin: %s: %w", addr, err)
 	}
-	_ = conn.SetDeadline(time.Time{})
-	return a, nil
+	dc.start(dc.settle, nil)
+	return &AdminClient{dc}, nil
 }
 
-// Close tears the admin connection down.
-func (a *AdminClient) Close() error { return a.conn.Close() }
+// Close tears the admin connection down and waits out its read loop.
+func (a *AdminClient) Close() error { return a.shutdown() }
 
-// roundTrip sends one request and waits for the membership (or error)
-// reply carrying its seq, skipping seq-0 watch pushes.
-func (a *AdminClient) roundTrip(env *wire.Envelope) (membership.DecodedView, error) {
-	a.seq++
-	env.Seq = a.seq
-	if err := sendEnvelope(a.fw, env); err != nil {
-		return membership.DecodedView{}, err
-	}
-	for {
-		reply, err := a.fr.ReadEnvelope()
-		if err != nil {
-			return membership.DecodedView{}, err
-		}
-		if reply.Seq != env.Seq {
-			continue // watch push or stale reply
-		}
-		switch reply.Type {
-		case wire.MsgMembership:
-			return membership.DecodeView(reply.Payload)
-		case wire.MsgError:
-			return membership.DecodedView{}, fmt.Errorf("admin: %s", reply.Payload)
-		default:
-			return membership.DecodedView{}, fmt.Errorf("admin: unexpected reply %v", reply.Type)
-		}
-	}
+// roundTrip sends one request and decodes the membership view its reply
+// carries.
+func (a *AdminClient) roundTrip(t wire.MsgType, payload []byte) (view membership.DecodedView, err error) {
+	req := wire.Envelope{Type: t, Payload: payload}
+	err = a.dialConn.roundTrip(context.Background(), req, wire.MsgMembership, func(p []byte) (err error) {
+		view, err = membership.DecodeView(p)
+		return err
+	})
+	return view, err
 }
 
 // Join asks the router to add a shard and migrates the sessions the new
@@ -565,7 +483,7 @@ func (a *AdminClient) roundTrip(env *wire.Envelope) (membership.DecodedView, err
 func (a *AdminClient) Join(m Member) (membership.DecodedView, error) {
 	var buf wire.Buffer
 	membership.EncodeMemberInto(&buf, m)
-	return a.roundTrip(&wire.Envelope{Type: wire.MsgJoinShard, Payload: buf.Bytes()})
+	return a.roundTrip(wire.MsgJoinShard, buf.Bytes())
 }
 
 // Drain asks the router to migrate every session off a shard and remove
@@ -573,10 +491,10 @@ func (a *AdminClient) Join(m Member) (membership.DecodedView, error) {
 func (a *AdminClient) Drain(id uint64) (membership.DecodedView, error) {
 	var buf wire.Buffer
 	buf.Uvarint(id)
-	return a.roundTrip(&wire.Envelope{Type: wire.MsgLeaveShard, Payload: buf.Bytes()})
+	return a.roundTrip(wire.MsgLeaveShard, buf.Bytes())
 }
 
 // Membership queries the current epoch.
 func (a *AdminClient) Membership() (membership.DecodedView, error) {
-	return a.roundTrip(&wire.Envelope{Type: wire.MsgControl})
+	return a.roundTrip(wire.MsgControl, nil)
 }

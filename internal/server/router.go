@@ -167,11 +167,6 @@ type Router struct {
 	// microseconds of plan+gate and then resolve against the new epoch.
 	changeMu sync.RWMutex
 
-	// migrations tracks in-flight session exports/imports, keyed by
-	// session; shard readers route MsgMigrateSession replies here.
-	migMu      sync.Mutex
-	migrations map[uint64]*migration
-
 	// bufs stages payloads while they sit in outboxes: a client's frame
 	// buffer and a shard reader's cannot outlive one read.
 	bufs sync.Pool
@@ -204,19 +199,6 @@ type subEntry struct {
 // or when the router sends a replay or a migration resume.
 func (e *subEntry) rebase() { e.base = e.last }
 
-// backendConn is one dialled-and-handshaken shard connection.
-type backendConn struct {
-	conn net.Conn
-	out  *outbox
-	fr   *wire.FrameReader
-}
-
-// close closes the connection, then waits out its outbox writer.
-func (bc *backendConn) close() {
-	_ = bc.conn.Close()
-	bc.out.close()
-}
-
 // backendWriter is a backend outbox's writer: a batch that cannot reach a
 // partitioned shard in backendWriteTimeout closes the connection, so its
 // reader fails into the reconnect machinery.
@@ -240,7 +222,7 @@ type routerShard struct {
 	member Member
 
 	connMu sync.RWMutex
-	bc     *backendConn
+	bc     *dialConn
 
 	loadMu sync.RWMutex
 	load   core.LoadSignal
@@ -267,7 +249,7 @@ func (ss *routerShard) loadSignal() core.LoadSignal {
 }
 
 // backend returns the current connection slot.
-func (ss *routerShard) backend() *backendConn {
+func (ss *routerShard) backend() *dialConn {
 	ss.connMu.RLock()
 	defer ss.connMu.RUnlock()
 	return ss.bc
@@ -326,16 +308,15 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 	}
 	opts.defaults()
 	r := &Router{
-		logger:     logger,
-		done:       make(chan struct{}),
-		dir:        dir,
-		opts:       opts,
-		gate:       loadGate{deadline: opts.deadline},
-		reg:        reg,
-		shards:     make(map[uint64]*routerShard),
-		sessions:   make(map[uint64]*routerClient),
-		subs:       make(map[uint64]*subEntry),
-		migrations: make(map[uint64]*migration),
+		logger:   logger,
+		done:     make(chan struct{}),
+		dir:      dir,
+		opts:     opts,
+		gate:     loadGate{deadline: opts.deadline},
+		reg:      reg,
+		shards:   make(map[uint64]*routerShard),
+		sessions: make(map[uint64]*routerClient),
+		subs:     make(map[uint64]*subEntry),
 
 		framesShed:    reg.Counter("router.frames.shed"),
 		forwardErrs:   reg.Counter("router.forward.errors"),
@@ -396,7 +377,7 @@ func (r *Router) Connect() error {
 
 // attachShard installs a handshaken backend connection as the member's
 // slot and starts its reader.
-func (r *Router) attachShard(m Member, bc *backendConn) *routerShard {
+func (r *Router) attachShard(m Member, bc *dialConn) *routerShard {
 	ss := &routerShard{member: m, bc: bc, owed: ledger{owed: make(map[pendKey]wire.MsgType)}}
 	r.shardsMu.Lock()
 	r.shards[m.ID] = ss
@@ -418,71 +399,65 @@ var dialShard = func(addr string) (net.Conn, error) {
 
 // dialBackend dials one shard and runs the hello handshake, verifying the
 // peer announces the member ID the config claims.
-func (r *Router) dialBackend(m Member) (*backendConn, error) {
+func (r *Router) dialBackend(m Member) (*dialConn, error) {
 	conn, err := dialShard(m.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: dialing shard %d at %s: %w", m.ID, m.Addr, err)
 	}
-	fr := wire.NewFrameReader(conn)
-	fw := wire.NewFrameWriter(conn)
-	_ = conn.SetDeadline(time.Now().Add(backendDialTimeout))
-	hello, _, err := dialHello(fr, fw, "router", wire.ProtoMax)
-	if err == nil && hello.ID != m.ID {
-		err = fmt.Errorf("announced ID %d, config says %d — membership miswired", hello.ID, m.ID)
+	bc, err := dialHandshake(conn, backendWriter{conn}, time.Now().Add(backendDialTimeout), "router", wire.ProtoMax)
+	if err == nil && bc.peer.ID != m.ID {
+		bc.close()
+		err = fmt.Errorf("announced ID %d, config says %d — membership miswired", bc.peer.ID, m.ID)
 	}
 	if err != nil {
-		_ = conn.Close()
 		return nil, fmt.Errorf("server: shard %d at %s: %w", m.ID, m.Addr, err)
 	}
-	_ = conn.SetDeadline(time.Time{})
-	return &backendConn{conn: conn, out: newOutbox(backendWriter{conn}, 1, nil), fr: fr}, nil
+	return bc, nil
 }
 
-// shardReader drains a shard slot's backend connection: load reports update
-// admission, everything else routes back to the owning client by session
-// ID. When the connection dies the reader closes it, answers every request
-// the shard still owed, and redials.
-func (r *Router) shardReader(ss *routerShard, bc *backendConn) {
+// shardReader runs a shard slot's backend connection, redialling it each
+// time it dies: the read loop's deliver is fromShard, and when the
+// connection dies — its outbox closed by then, so a forward either fails
+// to enqueue (its route answers it) or is answered here — every request
+// the shard still owed is answered ErrShardDown.
+func (r *Router) shardReader(ss *routerShard, bc *dialConn) {
 	defer r.wg.Done()
-	var env wire.Envelope
-	for {
-		if err := bc.fr.ReadEnvelopeReuse(&env); err != nil {
-			// The outbox closes before the ledger drains: a forward either
-			// fails to enqueue (its route answers it) or is answered here.
-			ss.down.Store(true)
-			bc.close()
-			for _, k := range ss.owed.drain() {
-				r.sessMu.RLock()
-				cl := r.sessions[k.session]
-				r.sessMu.RUnlock()
-				if cl != nil {
-					cl.out.fail(k.session, k.seq, ErrShardDown.Error())
-					cl.out.expect(-1)
-				}
+	deliver := func(env *wire.Envelope) { r.fromShard(ss, env) }
+	for bc != nil {
+		err := bc.serve(deliver)
+		ss.down.Store(true)
+		for _, k := range ss.owed.drain() {
+			r.sessMu.RLock()
+			cl := r.sessions[k.session]
+			r.sessMu.RUnlock()
+			if cl != nil {
+				cl.out.fail(k.session, k.seq, ErrShardDown.Error())
+				cl.out.expect(-1)
 			}
-			if r.closing() || ss.removed.Load() {
-				return // closing, or drained on purpose: no reconnect, no obituaries
-			}
-			r.logger.Printf("router: shard %d connection lost: %v", ss.member.ID, err)
-			if bc = r.reconnectShard(ss); bc == nil {
-				return
-			}
-			continue
 		}
-		switch env.Type {
-		case wire.MsgLoad:
-			if sig, err := core.DecodeLoadSignal(env.Payload); err == nil {
-				ss.setLoad(sig)
-			}
-		case wire.MsgMigrateSession:
-			// Control plane, never client-bound: route to the in-flight
-			// migration waiting on this session.
-			r.migrateReply(ss, &env)
-		case wire.MsgAnnotations, wire.MsgError, wire.MsgAck:
-			r.deliverReply(ss, &env)
-		default:
-			r.deliver(&env, false)
+		if r.closing() || ss.removed.Load() {
+			return // closing, or drained on purpose: no reconnect, no obituaries
 		}
+		r.logger.Printf("router: shard %d connection lost: %v", ss.member.ID, err)
+		bc = r.reconnectShard(ss)
+	}
+}
+
+// fromShard takes one shard envelope: load reports update admission,
+// migrate replies settle the move waiting on them, and everything else
+// routes back to the owning client by session ID.
+func (r *Router) fromShard(ss *routerShard, env *wire.Envelope) {
+	switch env.Type {
+	case wire.MsgLoad:
+		if sig, err := core.DecodeLoadSignal(env.Payload); err == nil {
+			ss.setLoad(sig)
+		}
+	case wire.MsgMigrateSession:
+		ss.backend().settle(env) // a move's round trip: never client-bound
+	case wire.MsgAnnotations, wire.MsgError, wire.MsgAck:
+		r.deliverReply(ss, env)
+	default:
+		r.deliver(env, false)
 	}
 }
 
@@ -492,7 +467,7 @@ func (r *Router) shardReader(ss *routerShard, bc *backendConn) {
 // ErrShardDown but subscriptions stay tracked; on success the streams are
 // replayed on the new connection, and only once the budget is spent are
 // they failed.
-func (r *Router) reconnectShard(ss *routerShard) *backendConn {
+func (r *Router) reconnectShard(ss *routerShard) *dialConn {
 	reconnects := r.reg.Counter("router.shard.reconnects")
 	for attempt := 1; attempt <= r.opts.retry.attempts; attempt++ {
 		select {
