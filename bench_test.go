@@ -1,61 +1,18 @@
-// Package arbd's root benchmarks wrap the experiment harness: one testing.B
-// benchmark per derived experiment E1-E13, so `go test -bench=. -benchmem`
-// regenerates every experiment's table (README §Running).
-// The rendered tables themselves come from `go run ./cmd/arbd-bench`.
-// TestExperimentsSmoke additionally runs every experiment at tiny scale in
-// plain `go test`, so experiment regressions surface without -bench.
+// Package arbd's root benchmark measures the core per-frame pipeline in
+// process: `go test -run='^$' -bench=FrameLoop .`. The paper-reproduction
+// experiments live in internal/bench (tables from `go run ./cmd/arbd-bench`),
+// and serving-path performance is measured by the multi-process benchmark in
+// benchmark/.
 package arbd
 
 import (
 	"testing"
 	"time"
 
-	"arbd/internal/bench"
 	"arbd/internal/core"
 	"arbd/internal/geo"
 	"arbd/internal/sensor"
 )
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tbl := e.Run(); tbl.NumRows() == 0 {
-			b.Fatalf("%s produced an empty table", id)
-		}
-	}
-}
-
-func BenchmarkE1LogIngest(b *testing.B)          { runExperiment(b, "E1") }
-func BenchmarkE2StreamWindows(b *testing.B)      { runExperiment(b, "E2") }
-func BenchmarkE3IncrementalVsBatch(b *testing.B) { runExperiment(b, "E3") }
-func BenchmarkE4Offload(b *testing.B)            { runExperiment(b, "E4") }
-func BenchmarkE5GeoIndex(b *testing.B)           { runExperiment(b, "E5") }
-func BenchmarkE6Layout(b *testing.B)             { runExperiment(b, "E6") }
-func BenchmarkE7Recommend(b *testing.B)          { runExperiment(b, "E7") }
-func BenchmarkE8HealthAlerts(b *testing.B)       { runExperiment(b, "E8") }
-func BenchmarkE9Traffic(b *testing.B)            { runExperiment(b, "E9") }
-func BenchmarkE10Privacy(b *testing.B)           { runExperiment(b, "E10") }
-func BenchmarkE11Interpret(b *testing.B)         { runExperiment(b, "E11") }
-func BenchmarkE12Sketches(b *testing.B)          { runExperiment(b, "E12") }
-func BenchmarkE13Influence(b *testing.B)         { runExperiment(b, "E13") }
-
-// TestExperimentsSmoke runs every registered experiment once at smoke scale:
-// a broken experiment fails plain `go test` instead of hiding until the next
-// -bench run.
-func TestExperimentsSmoke(t *testing.T) {
-	for _, e := range bench.All() {
-		t.Run(e.ID, func(t *testing.T) {
-			if e.SmokeRun().NumRows() == 0 {
-				t.Fatalf("%s smoke run produced an empty table", e.ID)
-			}
-		})
-	}
-}
 
 // BenchmarkFrameLoop measures the end-to-end per-frame cost of the core
 // pipeline — the number the §4.1 timeliness budget is spent against — in

@@ -1,13 +1,12 @@
-// Command arbd-bench runs the derived experiment suite E1-E13 and prints
-// each experiment's result table. Serving-path performance is not measured
-// here: the multi-process benchmark in benchmark/ (see benchmark/README.md)
-// is the repository's one perf harness.
+// Command arbd-bench runs the paper-reproduction experiments (E4, E6-E10,
+// E13) and prints each experiment's result table. Serving-path performance
+// is not measured here: the multi-process benchmark in benchmark/ (see
+// benchmark/README.md) is the repository's one perf harness.
 //
 // Usage:
 //
 //	arbd-bench                  # run everything
-//	arbd-bench -exp E5          # one experiment
-//	arbd-bench -smoke           # tiny-parameter pass over every experiment
+//	arbd-bench -exp E13         # one experiment
 //	arbd-bench -list            # list experiments
 package main
 
@@ -29,9 +28,8 @@ func main() {
 
 func run() error {
 	var (
-		exp   = flag.String("exp", "", "run a single experiment (E1..E13)")
-		list  = flag.Bool("list", false, "list experiments and exit")
-		smoke = flag.Bool("smoke", false, "run tiny-parameter smoke variants")
+		exp  = flag.String("exp", "", "run a single experiment (see -list)")
+		list = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -52,11 +50,7 @@ func run() error {
 
 	for _, e := range exps {
 		start := time.Now()
-		tbl := e.Run
-		if *smoke {
-			tbl = e.SmokeRun
-		}
-		fmt.Println(tbl().String())
+		fmt.Println(e.Run().String())
 		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return nil

@@ -1,144 +1,7 @@
-// Package analytics implements the approximate and incremental analytics the
-// paper's timeliness argument (§4.1) depends on: frequency and cardinality
-// sketches that answer volume-scale questions in constant memory, heavy-
-// hitter tracking, and incrementally-maintained materialized views
-// compared against full batch recomputation.
+// Package analytics implements the incremental analytics the paper's
+// timeliness argument (§4.1) depends on: materialized views folded one row
+// at a time as data arrives, and heavy-hitter tracking in bounded memory.
 package analytics
-
-import (
-	"hash/fnv"
-	"math"
-)
-
-// hash64 hashes s with FNV-1a and then applies a murmur3-style finalizer.
-// Raw FNV leaves the high bits of short, similar keys nearly constant, which
-// would collapse HLL register indexes and count-min rows; the finalizer
-// restores avalanche across all 64 bits.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	x := h.Sum64()
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// CountMin is a count-min sketch: a fixed-size frequency table whose point
-// queries overestimate by at most εN with probability 1-δ.
-type CountMin struct {
-	width  int
-	depth  int
-	counts [][]uint64
-}
-
-// NewCountMin returns a sketch with the given error bound ε and failure
-// probability δ (both in (0,1)).
-func NewCountMin(epsilon, delta float64) *CountMin {
-	if epsilon <= 0 || epsilon >= 1 {
-		epsilon = 0.001
-	}
-	if delta <= 0 || delta >= 1 {
-		delta = 0.01
-	}
-	width := int(math.Ceil(math.E / epsilon))
-	depth := int(math.Ceil(math.Log(1 / delta)))
-	cm := &CountMin{width: width, depth: depth}
-	cm.counts = make([][]uint64, depth)
-	for i := range cm.counts {
-		cm.counts[i] = make([]uint64, width)
-	}
-	return cm
-}
-
-// rowHash derives the i-th row hash from two independent halves of one
-// 64-bit hash (Kirsch–Mitzenmacher double hashing).
-func (cm *CountMin) rowHash(h uint64, row int) int {
-	h1 := uint32(h)
-	h2 := uint32(h >> 32)
-	return int((h1 + uint32(row)*h2) % uint32(cm.width))
-}
-
-// Add increments key's count by n.
-func (cm *CountMin) Add(key string, n uint64) {
-	h := hash64(key)
-	for r := 0; r < cm.depth; r++ {
-		cm.counts[r][cm.rowHash(h, r)] += n
-	}
-}
-
-// Count returns the (over-)estimated count for key.
-func (cm *CountMin) Count(key string) uint64 {
-	h := hash64(key)
-	min := uint64(math.MaxUint64)
-	for r := 0; r < cm.depth; r++ {
-		if c := cm.counts[r][cm.rowHash(h, r)]; c < min {
-			min = c
-		}
-	}
-	return min
-}
-
-// MemoryBytes returns the sketch's table size in bytes.
-func (cm *CountMin) MemoryBytes() int { return cm.width * cm.depth * 8 }
-
-// HyperLogLog estimates set cardinality in fixed memory with ~1.04/√m
-// relative standard error.
-type HyperLogLog struct {
-	precision uint8 // number of index bits (4..16)
-	registers []uint8
-}
-
-// NewHyperLogLog returns an HLL with 2^precision registers.
-func NewHyperLogLog(precision uint8) *HyperLogLog {
-	if precision < 4 {
-		precision = 4
-	}
-	if precision > 16 {
-		precision = 16
-	}
-	return &HyperLogLog{precision: precision, registers: make([]uint8, 1<<precision)}
-}
-
-// Add observes key.
-func (h *HyperLogLog) Add(key string) {
-	x := hash64(key)
-	idx := x >> (64 - h.precision)
-	rest := x<<h.precision | 1<<(h.precision-1) // guarantee termination
-	rank := uint8(1)
-	for rest&(1<<63) == 0 {
-		rank++
-		rest <<= 1
-	}
-	if rank > h.registers[idx] {
-		h.registers[idx] = rank
-	}
-}
-
-// Estimate returns the estimated number of distinct keys added.
-func (h *HyperLogLog) Estimate() float64 {
-	m := float64(len(h.registers))
-	var sum float64
-	zeros := 0
-	for _, r := range h.registers {
-		sum += 1 / float64(uint64(1)<<r)
-		if r == 0 {
-			zeros++
-		}
-	}
-	alpha := 0.7213 / (1 + 1.079/m)
-	est := alpha * m * m / sum
-	// Small-range correction (linear counting).
-	if est <= 2.5*m && zeros > 0 {
-		est = m * math.Log(m/float64(zeros))
-	}
-	return est
-}
-
-// MemoryBytes returns the register array size.
-func (h *HyperLogLog) MemoryBytes() int { return len(h.registers) }
 
 // SpaceSaving tracks the k heaviest keys of a stream (Metwally et al.): any
 // key with true frequency > N/k is guaranteed to be present.

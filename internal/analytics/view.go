@@ -56,15 +56,6 @@ func (v *View) applyLocked(r Row) {
 	v.rows++
 }
 
-// ApplyBatch folds many rows under one lock acquisition.
-func (v *View) ApplyBatch(rows []Row) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, r := range rows {
-		v.applyLocked(r)
-	}
-}
-
 // GetKey returns the stats for a group and whether it exists. The compiler
 // elides the string conversion for map lookups, so hot paths that render
 // group keys into a reusable byte buffer query the view without allocating.
@@ -76,17 +67,6 @@ func (v *View) GetKey(group []byte) (GroupStats, bool) {
 		return GroupStats{}, false
 	}
 	return *g, true
-}
-
-// BatchCompute builds a fresh view from the complete row log — the
-// recompute-from-scratch baseline of experiment E3. Its cost grows with the
-// log while Apply stays O(1).
-func BatchCompute(rows []Row) *View {
-	v := NewView()
-	for _, r := range rows {
-		v.applyLocked(r) // single-threaded build: lock not needed but harmless to skip
-	}
-	return v
 }
 
 // equal reports whether two views hold identical aggregates: the tests'

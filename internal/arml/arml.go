@@ -85,6 +85,8 @@ func Encode(doc *Document) ([]byte, error) {
 }
 
 // Decode parses a document and validates it.
+//
+//arbd:test-api the reference decoder core tests check a frame's ARML against
 func Decode(data []byte) (*Document, error) {
 	var doc Document
 	if err := xml.Unmarshal(data, &doc); err != nil {
@@ -127,24 +129,4 @@ func (d *Document) Validate() error {
 		}
 	}
 	return nil
-}
-
-// FeatureFromPOI builds a Feature for a POI with a text label asset and the
-// given semantic tags.
-func FeatureFromPOI(p geo.POI, tags []Tag) Feature {
-	return Feature{
-		ID:      fmt.Sprintf("poi-%d", p.ID),
-		Name:    p.Name,
-		Enabled: true,
-		Tags:    append([]Tag{{Key: "category", Value: p.Category.String()}}, tags...),
-		Anchors: []Anchor{{
-			Lat:  p.Location.Lat,
-			Lon:  p.Location.Lon,
-			AltM: p.HeightMeters,
-			Assets: []VisualAsset{{
-				Kind: AssetText,
-				Text: p.Name,
-			}},
-		}},
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"arbd/internal/geo"
 )
 
 func sampleDoc() *Document {
@@ -98,27 +96,6 @@ func TestValidateErrors(t *testing.T) {
 		if err := doc.Validate(); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
-	}
-}
-
-func TestFeatureFromPOI(t *testing.T) {
-	p := geo.POI{
-		ID:           42,
-		Name:         "shop-0042",
-		Category:     geo.CatShop,
-		Location:     geo.Point{Lat: 22.3, Lon: 114.2},
-		HeightMeters: 25,
-	}
-	f := FeatureFromPOI(p, []Tag{{Key: "deal", Value: "sale"}})
-	if f.ID != "poi-42" || !f.Enabled {
-		t.Fatalf("feature = %+v", f)
-	}
-	if len(f.Tags) != 2 || f.Tags[0].Value != "shop" || f.Tags[1].Value != "sale" {
-		t.Fatalf("tags = %v", f.Tags)
-	}
-	doc := &Document{Features: []Feature{f}}
-	if err := doc.Validate(); err != nil {
-		t.Fatalf("generated feature invalid: %v", err)
 	}
 }
 

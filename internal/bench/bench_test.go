@@ -1,58 +1,60 @@
 package bench
 
 import (
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"arbd/internal/metrics"
 )
 
 func TestAllExperimentsRegistered(t *testing.T) {
-	exps := All()
-	if len(exps) != 13 {
-		t.Fatalf("registered %d experiments, want 13", len(exps))
-	}
-	for i, e := range exps {
-		if e.Run == nil || e.ID == "" || e.Title == "" {
-			t.Fatalf("experiment %d incomplete: %+v", i, e)
+	var ids []string
+	for _, e := range All() {
+		if e.Run == nil || e.Title == "" {
+			t.Fatalf("experiment %s incomplete: %+v", e.ID, e)
 		}
+		ids = append(ids, e.ID)
 	}
-	// Sorted E1..E13.
-	if exps[0].ID != "E1" || exps[12].ID != "E13" {
-		t.Fatalf("order: first=%s last=%s", exps[0].ID, exps[len(exps)-1].ID)
+	if want := []string{"E4", "E6", "E7", "E8", "E9", "E10", "E13"}; !slices.Equal(ids, want) {
+		t.Fatalf("registered %v, want %v", ids, want)
 	}
 }
 
 func TestByID(t *testing.T) {
-	if _, ok := ByID("E5"); !ok {
-		t.Fatal("E5 missing")
+	if _, ok := ByID("E13"); !ok {
+		t.Fatal("E13 missing")
 	}
 	if _, ok := ByID("E99"); ok {
 		t.Fatal("phantom experiment")
 	}
 }
 
-// TestLightExperimentsProduceTables executes the cheap experiments end to
-// end; the heavy ones (E1, E2, E5, E12) run in -short mode only via the
-// harness binary and root benchmarks.
-func TestLightExperimentsProduceTables(t *testing.T) {
-	light := []string{"E3", "E4", "E6", "E7", "E10", "E11"}
-	if testing.Short() {
-		light = []string{"E4", "E6"}
+// colGap separates a rendered table's columns; cells themselves hold at
+// most single spaces.
+var colGap = regexp.MustCompile(`\s{2,}`)
+
+// dataRows returns tbl's data rows split into cells: the rendered table
+// minus its title, header and separator lines.
+func dataRows(tbl *metrics.Table) [][]string {
+	lines := strings.Split(strings.TrimRight(tbl.String(), "\n"), "\n")
+	var rows [][]string
+	for _, l := range lines[3:] {
+		rows = append(rows, colGap.Split(strings.TrimSpace(l), -1))
 	}
-	for _, id := range light {
-		e, ok := ByID(id)
-		if !ok {
-			t.Fatalf("%s missing", id)
-		}
-		tbl := e.Run()
-		if tbl.NumRows() == 0 {
-			t.Fatalf("%s produced an empty table", id)
-		}
-		out := tbl.String()
-		if !strings.Contains(out, id) {
-			t.Errorf("%s table missing its id in the title:\n%s", id, out)
-		}
+	return rows
+}
+
+// atoi parses a table cell the test expects to be an integer.
+func atoi(t *testing.T, cell string) int {
+	t.Helper()
+	n, err := strconv.Atoi(cell)
+	if err != nil {
+		t.Fatalf("cell %q is not an integer", cell)
 	}
+	return n
 }
 
 func TestE4ShowsCrossover(t *testing.T) {
@@ -82,10 +84,54 @@ func TestE4ShowsCrossover(t *testing.T) {
 	}
 }
 
-func TestE7ContextBeatsPopularity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+// TestE6AnchoredBeatsBubbles pins the layout result (§2.1): at every
+// density the anchored engine draws without overlap or occlusion
+// violations, while floating bubbles violate occlusion at every density and
+// overlap more than anchored once the scene is crowded (100 and 400
+// annotations).
+func TestE6AnchoredBeatsBubbles(t *testing.T) {
+	tbl := E6Layout()
+	type clutter struct {
+		overlap    float64
+		violations int
 	}
+	got := map[string]map[string]clutter{}
+	var densities []string
+	for _, row := range dataRows(tbl) {
+		if len(row) != 5 {
+			t.Fatalf("row %q: want 5 cells\n%s", row, tbl)
+		}
+		overlap, err := strconv.ParseFloat(row[3], 64)
+		if err != nil {
+			t.Fatalf("unparsable overlap in %q", row)
+		}
+		if got[row[0]] == nil {
+			got[row[0]] = map[string]clutter{}
+			densities = append(densities, row[0])
+		}
+		got[row[0]][row[1]] = clutter{overlap, atoi(t, row[4])}
+	}
+	if !slices.Equal(densities, []string{"25", "100", "400"}) {
+		t.Fatalf("annotation column = %v, want [25 100 400]\n%s", densities, tbl)
+	}
+	for _, n := range densities {
+		a, b := got[n]["anchored"], got[n]["bubbles"]
+		if a.overlap != 0 || a.violations != 0 {
+			t.Errorf("%s annotations: anchored overlap %.1f%%, %d occlusion violations; want none", n, a.overlap, a.violations)
+		}
+		if b.violations == 0 {
+			t.Errorf("%s annotations: bubbles have no occlusion violations", n)
+		}
+		if n != "25" && b.overlap <= a.overlap {
+			t.Errorf("%s annotations: bubbles overlap %.1f%% not above anchored %.1f%%", n, b.overlap, a.overlap)
+		}
+	}
+	if t.Failed() {
+		t.Log(tbl)
+	}
+}
+
+func TestE7ContextBeatsPopularity(t *testing.T) {
 	tbl := E7Recommend()
 	out := tbl.String()
 	// Parse HR@10 per model from the table text.
@@ -104,6 +150,30 @@ func TestE7ContextBeatsPopularity(t *testing.T) {
 	if hr["item-cf+context"] <= hr["popularity"] {
 		t.Fatalf("context HR %.3f not above popularity %.3f\n%s",
 			hr["item-cf+context"], hr["popularity"], out)
+	}
+}
+
+// TestE8DetectsEpisodesWithoutFalseAlarms pins the health-alerting result
+// (§3.3): at every monitored population the alert engine raises no alarm
+// for a patient without an episode and detects at least 95% of episodes.
+func TestE8DetectsEpisodesWithoutFalseAlarms(t *testing.T) {
+	tbl := E8HealthAlerts()
+	var populations []string
+	for _, row := range dataRows(tbl) {
+		if len(row) != 5 {
+			t.Fatalf("row %q: want 5 cells\n%s", row, tbl)
+		}
+		populations = append(populations, row[0])
+		episodes, detected, falseAlarms := atoi(t, row[1]), atoi(t, row[2]), atoi(t, row[3])
+		if falseAlarms != 0 {
+			t.Errorf("%s patients: %d false alarms\n%s", row[0], falseAlarms, tbl)
+		}
+		if episodes == 0 || detected*100 < episodes*95 {
+			t.Errorf("%s patients: detected %d of %d episodes, want >= 95%%\n%s", row[0], detected, episodes, tbl)
+		}
+	}
+	if !slices.Equal(populations, []string{"10", "100", "500"}) {
+		t.Fatalf("patients column = %v, want [10 100 500]\n%s", populations, tbl)
 	}
 }
 
@@ -173,5 +243,35 @@ func TestE10RecallRisesWithEpsilon(t *testing.T) {
 	}
 	if !(recall[0] < recall[1] && recall[1] < recall[2]) {
 		t.Fatalf("10-NN recall %v does not rise strictly with ε %v\n%s", recall, eps, out)
+	}
+}
+
+// TestE13MatchesFigure5 compares the measured influence levels with the
+// paper's Figure 5. Retail, tourism and healthcare reach "very high", as in
+// the paper. Public services is a recorded finding: its x-ray recall gain
+// scores 1.23, "medium", where the paper says "high". The test pins that
+// mismatch, so a change that moves the score either way fails here and has
+// to be explained rather than passing silently.
+func TestE13MatchesFigure5(t *testing.T) {
+	tbl := E13Influence()
+	want := [][]string{ // field, score ("" = not pinned), measured level, paper level
+		{"retail", "", "very high", "very high"},
+		{"tourism", "", "very high", "very high"},
+		{"healthcare", "", "very high", "very high"},
+		{"public services", "1.23", "medium", "high"},
+	}
+	rows := dataRows(tbl)
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d\n%s", len(rows), len(want), tbl)
+	}
+	for i, w := range want {
+		r := rows[i]
+		if len(r) != 5 {
+			t.Fatalf("row %q: want 5 cells\n%s", r, tbl)
+		}
+		if r[0] != w[0] || (w[1] != "" && r[2] != w[1]) || r[3] != w[2] || r[4] != w[3] {
+			t.Errorf("row %q: want field %q, score %q, measured %q, paper %q\n%s",
+				r, w[0], w[1], w[2], w[3], tbl)
+		}
 	}
 }

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"cmp"
 	"fmt"
-	"math"
-	"slices"
 	"time"
 
 	"arbd/internal/ehr"
@@ -19,93 +16,11 @@ import (
 
 var benchCenter = geo.Point{Lat: 22.3364, Lon: 114.2655}
 
-// E5GeoIndex compares POI query latency between a full scan of the
-// catalogue and the R-tree store across dataset sizes (§3.2: every AR frame
-// is a geospatial context query). Range queries share result post-processing
-// between the two; 10-NN queries isolate the search structure, which is
-// where the tree wins by orders of magnitude.
-func E5GeoIndex() *metrics.Table {
-	return e5GeoIndex([]int{1_000, 10_000, 50_000, 200_000}, 40)
-}
-
-func e5GeoIndexSmoke() *metrics.Table {
-	return e5GeoIndex([]int{1_000, 5_000}, 8)
-}
-
-func e5GeoIndex(poiCounts []int, numQueries int) *metrics.Table {
-	t := metrics.NewTable("E5: POI queries, mean latency (150m range / 10-NN)",
-		"POIs", "range scan", "range rtree", "knn scan", "knn rtree", "knn speedup")
-	for _, n := range poiCounts {
-		city := geo.GenerateCity(geo.CityConfig{
-			Center: benchCenter, RadiusM: 5000, NumPOIs: n, TallRatio: 0.2, Seed: 5,
-		})
-		store, err := geo.LoadStore(city)
-		if err != nil {
-			panic(err)
-		}
-		rng := sim.NewRand(55)
-		centers := make([]geo.Point, numQueries)
-		for i := range centers {
-			centers[i] = geo.Destination(benchCenter, rng.Uniform(0, 360), rng.Float64()*3000)
-		}
-		mean := func(query func(c geo.Point)) time.Duration {
-			start := time.Now()
-			for _, c := range centers {
-				query(c)
-			}
-			return time.Since(start) / time.Duration(len(centers))
-		}
-		rangeScan := mean(func(c geo.Point) { scanQuery(city, c, 150, 0) })
-		rangeTree := mean(func(c geo.Point) { store.QueryRadius(c, 150, 0) })
-		knnScan := mean(func(c geo.Point) { scanQuery(city, c, math.Inf(1), 10) })
-		knnTree := mean(func(c geo.Point) { store.Nearest(c, 10) })
-		t.AddRow(n, us(rangeScan), us(rangeTree), us(knnScan), us(knnTree),
-			fmt.Sprintf("%.0fx", float64(knnScan)/float64(knnTree+1)))
-	}
-	return t
-}
-
-// scanQuery is the baseline the paper-era AR browsers effectively ran, and
-// what E5 and E13 measure the R-tree store against: filter the whole
-// catalogue by the circle's bounding box, measure what is left, sort it by
-// (distance, ID) and keep the limit nearest (limit <= 0: all) within
-// radiusM (+Inf: anywhere).
-func scanQuery(pois []geo.POI, center geo.Point, radiusM float64, limit int) []geo.POI {
-	type scored struct {
-		poi  *geo.POI
-		dist float64
-	}
-	bbox := geo.RectAround(center, radiusM)
-	var hits []scored
-	for i := range pois {
-		if !bbox.Contains(pois[i].Location) {
-			continue
-		}
-		if d := geo.DistanceMeters(center, pois[i].Location); d <= radiusM {
-			hits = append(hits, scored{&pois[i], d})
-		}
-	}
-	slices.SortFunc(hits, func(a, b scored) int {
-		if c := cmp.Compare(a.dist, b.dist); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.poi.ID, b.poi.ID)
-	})
-	if limit > 0 && len(hits) > limit {
-		hits = hits[:limit]
-	}
-	out := make([]geo.POI, len(hits))
-	for i, h := range hits {
-		out[i] = *h.poi
-	}
-	return out
-}
-
 // E6Layout compares the floating-bubble baseline against the anchored
-// engine on clutter metrics and cost as annotation density grows (§2.1).
+// engine on clutter metrics as annotation density grows (§2.1).
 func E6Layout() *metrics.Table {
 	t := metrics.NewTable("E6: layout quality, bubbles vs anchored",
-		"annotations", "engine", "drawn", "overlap%", "occl viol", "ms/frame")
+		"annotations", "engine", "drawn", "overlap%", "occl viol")
 	pose := sensor.Pose{Position: benchCenter, HeadingDeg: 0, AltitudeM: 1.6}
 	cam := render.DefaultCamera
 	for _, n := range []int{25, 100, 400} {
@@ -114,28 +29,13 @@ func E6Layout() *metrics.Table {
 		})
 		occl := render.OccludersFromPOIs(city, 30)
 		anns := render.AnnotationsFromPOIs(pose, city)
-
-		const frames = 30
-		start := time.Now()
-		var laidB []render.Annotation
-		for f := 0; f < frames; f++ {
-			laidB = render.LayoutBubbles(cam, pose, anns)
-		}
-		bubbleTime := time.Since(start) / frames
-		mB := render.MeasureClutter(cam, pose, laidB, occl)
-
-		start = time.Now()
-		var laidA []render.Annotation
-		for f := 0; f < frames; f++ {
-			laidA = render.LayoutAnchored(cam, pose, anns, occl, render.LayoutOptions{})
-		}
-		anchorTime := time.Since(start) / frames
-		mA := render.MeasureClutter(cam, pose, laidA, occl)
-
+		mB := render.MeasureClutter(cam, pose, render.LayoutBubbles(cam, pose, anns), occl)
+		mA := render.MeasureClutter(cam, pose,
+			render.LayoutAnchored(cam, pose, anns, occl, render.LayoutOptions{}), occl)
 		t.AddRow(n, "bubbles", mB.Drawn, fmt.Sprintf("%.1f", mB.OverlapFraction*100),
-			mB.OcclusionViolations, ms(bubbleTime))
+			mB.OcclusionViolations)
 		t.AddRow(n, "anchored", mA.Drawn, fmt.Sprintf("%.1f", mA.OverlapFraction*100),
-			mA.OcclusionViolations, ms(anchorTime))
+			mA.OcclusionViolations)
 	}
 	return t
 }
@@ -143,18 +43,10 @@ func E6Layout() *metrics.Table {
 // E7Recommend evaluates recommendation lift: popularity vs item-CF vs
 // context-aware, HR@10 and NDCG@10 on synthetic shoppers (§3.1).
 func E7Recommend() *metrics.Table {
-	return e7Recommend(400, 500, 30)
-}
-
-func e7RecommendSmoke() *metrics.Table {
-	return e7Recommend(60, 80, 12)
-}
-
-func e7Recommend(users, items, eventsPerUser int) *metrics.Table {
 	t := metrics.NewTable("E7: recommendation quality (leave-one-out, K=10)",
 		"model", "HR@10", "NDCG@10", "users")
 	w := recommend.GenerateShoppers(recommend.ShopperConfig{
-		Seed: 7, NumUsers: users, NumItems: items, EventsPerUser: eventsPerUser, Center: benchCenter,
+		Seed: 7, NumUsers: 400, NumItems: 500, EventsPerUser: 30, Center: benchCenter,
 	})
 	sp := recommend.LeaveOneOut(w.Log, 5)
 	pop := recommend.NewPopularity(sp.Train)
@@ -170,18 +62,11 @@ func e7Recommend(users, items, eventsPerUser int) *metrics.Table {
 // E8HealthAlerts measures alert detection latency and precision/recall as
 // the monitored population grows (§3.3).
 func E8HealthAlerts() *metrics.Table {
-	return e8HealthAlerts([]int{10, 100, 500}, 600)
-}
-
-func e8HealthAlertsSmoke() *metrics.Table {
-	return e8HealthAlerts([]int{10}, 180)
-}
-
-func e8HealthAlerts(patientCounts []int, duration int) *metrics.Table {
+	const duration = 600 // seconds
 	t := metrics.NewTable(
 		fmt.Sprintf("E8: vitals alerting, %d-minute episodes at 1Hz sampling", duration/60),
-		"patients", "episodes", "detected", "false alarms", "mean latency", "ingest k/s")
-	for _, patients := range patientCounts {
+		"patients", "episodes", "detected", "false alarms", "mean latency")
+	for _, patients := range []int{10, 100, 500} {
 		store := ehr.NewStore()
 		engine := ehr.NewAlertEngine(store, ehr.StandardRules())
 		rng := sim.NewRand(8)
@@ -195,8 +80,8 @@ func e8HealthAlerts(patientCounts []int, duration int) *metrics.Table {
 		episodes := 0
 		for i := range vitals {
 			if rng.Bool(0.33) {
-				// Episodes start in the first half of the run so even short
-				// (smoke) runs leave room to detect them.
+				// Episodes start in the first half of the run, leaving room
+				// to detect them.
 				at := sim.Epoch.Add(time.Duration(duration/10+rng.Intn(duration*2/5)) * time.Second)
 				vitals[i].StartEpisode(at, 2*time.Minute)
 				episodeAt[i] = at
@@ -205,14 +90,11 @@ func e8HealthAlerts(patientCounts []int, duration int) *metrics.Table {
 		}
 		firstAlert := make(map[uint64]time.Time)
 		falseAlarms := 0
-		samples := 0
-		start := time.Now()
 		for sec := 0; sec < duration; sec++ {
 			now := sim.Epoch.Add(time.Duration(sec) * time.Second)
 			for i, v := range vitals {
 				pid := uint64(i + 1)
 				for _, samp := range v.Sample(now) {
-					samples++
 					for _, a := range engine.Ingest(pid, samp) {
 						if episodeAt[i].IsZero() {
 							falseAlarms++
@@ -223,7 +105,6 @@ func e8HealthAlerts(patientCounts []int, duration int) *metrics.Table {
 				}
 			}
 		}
-		wall := time.Since(start)
 		detected := 0
 		var latSum time.Duration
 		for i := range vitals {
@@ -239,9 +120,7 @@ func e8HealthAlerts(patientCounts []int, duration int) *metrics.Table {
 		if detected > 0 {
 			meanLat = latSum / time.Duration(detected)
 		}
-		rate := float64(samples) / wall.Seconds() / 1e3
-		t.AddRow(patients, episodes, detected, falseAlarms, meanLat.Round(time.Second),
-			fmt.Sprintf("%.0f", rate))
+		t.AddRow(patients, episodes, detected, falseAlarms, meanLat.Round(time.Second))
 	}
 	return t
 }
@@ -249,21 +128,14 @@ func e8HealthAlerts(patientCounts []int, duration int) *metrics.Table {
 // E9Traffic measures collision-warning recall and the "x-ray vision"
 // benefit of cloud-shared beacons across penetration rates (§3.4).
 func E9Traffic() *metrics.Table {
-	return e9Traffic([]float64{0.3, 0.6, 1.0}, 60, 120)
-}
-
-func e9TrafficSmoke() *metrics.Table {
-	return e9Traffic([]float64{1.0}, 20, 30)
-}
-
-func e9Traffic(penetrations []float64, vehicles, steps int) *metrics.Table {
+	const steps = 120 // 500 ms each
 	t := metrics.NewTable(
 		fmt.Sprintf("E9: conflict detection recall over %.0fs urban sim", float64(steps)/2),
 		"penetration", "mode", "truth pairs", "detected", "recall", "mean TTC")
-	for _, pen := range penetrations {
+	for _, pen := range []float64{0.3, 0.6, 1.0} {
 		for _, shared := range []bool{false, true} {
 			s := traffic.NewSim(traffic.Config{
-				Seed: 9, GridN: 6, BlockM: 120, NumVehicles: vehicles, Penetration: pen,
+				Seed: 9, GridN: 6, BlockM: 120, NumVehicles: 60, Penetration: pen,
 			}, sim.Epoch)
 			var truth, det int
 			var ttcSum time.Duration

@@ -26,7 +26,7 @@ func TestFetchedRecordsSurviveRetention(t *testing.T) {
 	value := make([]byte, 100)
 	for i := 0; i < segmentSize+10; i++ {
 		copy(value, fmt.Sprintf("record-%04d", i))
-		if _, _, err := b.Produce("t", nil, value); err != nil {
+		if _, _, err := b.produce("t", nil, value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestFetchedRecordsSurviveRetention(t *testing.T) {
 	// Produce enough to roll two more segments; retention must drop the
 	// segment backing the held records.
 	for i := 0; i < 2*segmentSize; i++ {
-		if _, _, err := b.Produce("t", nil, value); err != nil {
+		if _, _, err := b.produce("t", nil, value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,10 +78,10 @@ func TestFetchedRecordAppendDoesNotClobberNeighbor(t *testing.T) {
 	if err := b.CreateTopic("t", TopicConfig{Partitions: 1, Keyed: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Produce("t", []byte("ka"), []byte("aaaa")); err != nil {
+	if _, _, err := b.produce("t", []byte("ka"), []byte("aaaa")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Produce("t", []byte("kb"), []byte("bbbb")); err != nil {
+	if _, _, err := b.produce("t", []byte("kb"), []byte("bbbb")); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := fetch(b, "t", 0, 0, 2)

@@ -235,10 +235,11 @@ func (tp *Topic) Offsets(partitionIdx int) (oldest, newest int64, err error) {
 	return tp.t.parts[partitionIdx].oldest(), tp.t.parts[partitionIdx].newest(), nil
 }
 
-// Produce appends a record to the topic: keyed records route by key hash,
+// produce appends one record to the topic: keyed records route by key hash,
 // unkeyed records round-robin across partitions. It returns the assigned
-// partition and offset.
-func (b *Broker) Produce(topicName string, key, value []byte) (partitionIdx int, offset int64, err error) {
+// partition and offset. Serving code produces through Topic handles in
+// batches; this by-name path is for the package's tests.
+func (b *Broker) produce(topicName string, key, value []byte) (partitionIdx int, offset int64, err error) {
 	t, err := b.topic(topicName)
 	if err != nil {
 		return 0, 0, err

@@ -48,7 +48,7 @@ func TestCreateTopicDuplicate(t *testing.T) {
 
 func TestProduceToMissingTopic(t *testing.T) {
 	b := NewBroker()
-	if _, _, err := b.Produce("nope", nil, []byte("x")); !errors.Is(err, ErrNoTopic) {
+	if _, _, err := b.produce("nope", nil, []byte("x")); !errors.Is(err, ErrNoTopic) {
 		t.Fatalf("err = %v, want ErrNoTopic", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestProduceToMissingTopic(t *testing.T) {
 func TestProduceFetchRoundTrip(t *testing.T) {
 	b := newTestBroker(t, 1)
 	for i := 0; i < 10; i++ {
-		if _, _, err := b.Produce("events", nil, []byte{byte(i)}); err != nil {
+		if _, _, err := b.produce("events", nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestOffsetsMonotonicPerPartition(t *testing.T) {
 	seen := make(map[int]int64)
 	for i := 0; i < 200; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i%17))
-		pi, off, err := b.Produce("events", key, []byte("v"))
+		pi, off, err := b.produce("events", key, []byte("v"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestKeyedTopicRejectsEmptyKey(t *testing.T) {
 	if err := b.CreateTopic("k", TopicConfig{Keyed: true}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Produce("k", nil, []byte("v")); !errors.Is(err, ErrEmptyKey) {
+	if _, _, err := b.produce("k", nil, []byte("v")); !errors.Is(err, ErrEmptyKey) {
 		t.Fatalf("err = %v, want ErrEmptyKey", err)
 	}
 	if _, err := produceBatch(b, "k", nil, [][]byte{[]byte("v")}); !errors.Is(err, ErrEmptyKey) {
@@ -138,7 +138,7 @@ func TestFetchBadPartition(t *testing.T) {
 
 func TestFetchAtHeadReturnsEmpty(t *testing.T) {
 	b := newTestBroker(t, 1)
-	_, _, _ = b.Produce("events", nil, []byte("x"))
+	_, _, _ = b.produce("events", nil, []byte("x"))
 	recs, err := fetch(b, "events", 0, 1, 10)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("fetch at head = %v, %v", recs, err)
@@ -149,7 +149,7 @@ func TestSegmentBoundaries(t *testing.T) {
 	b := newTestBroker(t, 1)
 	total := segmentSize*2 + segmentSize/2
 	for i := 0; i < total; i++ {
-		if _, _, err := b.Produce("events", nil, []byte("v")); err != nil {
+		if _, _, err := b.produce("events", nil, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func TestRetentionTruncatesOldSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < segmentSize*5; i++ {
-		if _, _, err := b.Produce("small", nil, []byte("x")); err != nil {
+		if _, _, err := b.produce("small", nil, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,13 +244,13 @@ func TestRetentionTruncatesOldSegments(t *testing.T) {
 func TestGroupPollAndCommit(t *testing.T) {
 	b := newTestBroker(t, 2)
 	for i := 0; i < 20; i++ {
-		_, _, _ = b.Produce("events", []byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		_, _, _ = b.produce("events", []byte(fmt.Sprintf("k%d", i)), []byte("v"))
 	}
 	g, err := b.NewGroup("events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := g.Poll(100)
+	recs, err := g.PollInto(nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +258,14 @@ func TestGroupPollAndCommit(t *testing.T) {
 		t.Fatalf("polled %d, want 20", len(recs))
 	}
 	// Without commit, poll redelivers (at-least-once).
-	again, _ := g.Poll(100)
+	again, _ := g.PollInto(nil, 100)
 	if len(again) != 20 {
 		t.Fatalf("redelivery polled %d, want 20", len(again))
 	}
 	for _, r := range recs {
 		g.Commit(r.Partition, r.Offset+1)
 	}
-	after, _ := g.Poll(100)
+	after, _ := g.PollInto(nil, 100)
 	if len(after) != 0 {
 		t.Fatalf("after commit polled %d, want 0", len(after))
 	}
@@ -300,7 +300,7 @@ func TestPollWaitWakesOnProduce(t *testing.T) {
 		done <- recs
 	}()
 	time.Sleep(10 * time.Millisecond) // let the poller block
-	if _, _, err := b.Produce("events", nil, []byte("wake")); err != nil {
+	if _, _, err := b.produce("events", nil, []byte("wake")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -328,7 +328,7 @@ func TestConsumeProcessesAndCommits(t *testing.T) {
 	g, _ := b.NewGroup("events")
 	const total = 50
 	for i := 0; i < total; i++ {
-		_, _, _ = b.Produce("events", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+		_, _, _ = b.produce("events", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
@@ -359,14 +359,14 @@ func TestConsumeProcessesAndCommits(t *testing.T) {
 func TestConsumeStopsOnHandlerError(t *testing.T) {
 	b := newTestBroker(t, 1)
 	g, _ := b.NewGroup("events")
-	_, _, _ = b.Produce("events", nil, []byte("x"))
+	_, _, _ = b.produce("events", nil, []byte("x"))
 	sentinel := errors.New("boom")
 	err := g.Consume(context.Background(), 10, func([]Record) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
 	// Batch was not committed.
-	if recs, _ := g.Poll(10); len(recs) != 1 {
+	if recs, _ := g.PollInto(nil, 10); len(recs) != 1 {
 		t.Fatalf("failed batch was committed; polled %d", len(recs))
 	}
 }
@@ -389,7 +389,7 @@ func TestBrokerCloseReleasesWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("PollWaitInto not released by Close")
 	}
-	if _, _, err := b.Produce("events", nil, []byte("x")); !errors.Is(err, ErrClosed) {
+	if _, _, err := b.produce("events", nil, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("produce after close err = %v", err)
 	}
 }
@@ -399,9 +399,9 @@ func TestGroupSkipsTruncatedRange(t *testing.T) {
 	_ = b.CreateTopic("small", TopicConfig{Partitions: 1, RetentionBytes: 33 * segmentSize})
 	g, _ := b.NewGroup("small")
 	for i := 0; i < segmentSize*4; i++ {
-		_, _, _ = b.Produce("small", nil, []byte("x"))
+		_, _, _ = b.produce("small", nil, []byte("x"))
 	}
-	recs, err := g.Poll(10)
+	recs, err := g.PollInto(nil, 10)
 	if err != nil {
 		t.Fatalf("poll after truncation: %v", err)
 	}
@@ -439,7 +439,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				key := []byte(fmt.Sprintf("p%d-%d", p, i))
-				if _, _, err := b.Produce("events", key, []byte("v")); err != nil {
+				if _, _, err := b.produce("events", key, []byte("v")); err != nil {
 					t.Errorf("produce: %v", err)
 					return
 				}
@@ -450,7 +450,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	g, _ := b.NewGroup("events")
 	total := 0
 	for {
-		recs, err := g.Poll(128)
+		recs, err := g.PollInto(nil, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +470,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 func TestRecordsAreCopies(t *testing.T) {
 	b := newTestBroker(t, 1)
 	val := []byte("mutable")
-	_, _, _ = b.Produce("events", nil, val)
+	_, _, _ = b.produce("events", nil, val)
 	val[0] = 'X'
 	recs, _ := fetch(b, "events", 0, 0, 1)
 	if string(recs[0].Value) != "mutable" {
@@ -504,13 +504,13 @@ func TestPollRotatesStartPartition(t *testing.T) {
 
 	// Backlog: a deep hot partition plus a few quiet records behind it.
 	for i := 0; i < 50; i++ {
-		if _, _, err := b.Produce("events", hot, []byte("h")); err != nil {
+		if _, _, err := b.produce("events", hot, []byte("h")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const quietRecords = 3
 	for i := 0; i < quietRecords; i++ {
-		if _, _, err := b.Produce("events", quiet, []byte("q")); err != nil {
+		if _, _, err := b.produce("events", quiet, []byte("q")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -524,7 +524,7 @@ func TestPollRotatesStartPartition(t *testing.T) {
 	// would return hot records forever.
 	seenQuiet := 0
 	for i := 0; i < 40 && seenQuiet < quietRecords; i++ {
-		recs, err := g.Poll(1)
+		recs, err := g.PollInto(nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,7 +536,7 @@ func TestPollRotatesStartPartition(t *testing.T) {
 			seenQuiet++
 		}
 		g.Commit(r.Partition, r.Offset+1)
-		if _, _, err := b.Produce("events", hot, []byte("h")); err != nil {
+		if _, _, err := b.produce("events", hot, []byte("h")); err != nil {
 			t.Fatal(err)
 		}
 	}

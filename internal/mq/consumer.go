@@ -15,7 +15,7 @@ type Group struct {
 	tp *Topic
 
 	committed []atomic.Int64
-	next      atomic.Uint64 // Poll's round-robin starting partition
+	next      atomic.Uint64 // PollInto's round-robin starting partition
 	// wake holds at most one pending "records produced" signal, so a
 	// waiting poller blocks on a channel made once, not one per wait.
 	wake chan struct{}
@@ -92,21 +92,17 @@ func (g *Group) Lag() (int64, error) {
 	return lag, nil
 }
 
-// Poll fetches up to max uncommitted records across all partitions, without
-// committing them. It returns nil when fully caught up.
+// PollInto appends up to max uncommitted records across all partitions to
+// dst, without committing them; pass a nil dst for a fresh slice, or reuse
+// one across polls to avoid allocating. Nothing is appended when fully
+// caught up. Appended records' Key/Value bytes alias the log's segment
+// arenas and are read-only. Each partition's records are appended as one
+// ascending run.
 //
 // The scan's starting partition rotates across calls: a fixed start at
 // partition 0 would let a hot partition fill every batch and starve
 // partitions 1..N-1 indefinitely under sustained load, so their lag never
 // drains and the Lag()-driven admission signal is skewed.
-func (g *Group) Poll(max int) ([]Record, error) {
-	return g.PollInto(nil, max)
-}
-
-// PollInto is Poll appending into dst — the reuse variant for consumer loops
-// that would otherwise allocate a fresh []Record per poll. Appended records'
-// Key/Value bytes alias the log's segment arenas and are read-only. Each
-// partition's records are appended as one ascending run.
 func (g *Group) PollInto(dst []Record, max int) ([]Record, error) {
 	if g.tp.b.closed.Load() {
 		return dst, ErrClosed

@@ -19,7 +19,7 @@ func TestUnkeyedProduceSpreadsPartitions(t *testing.T) {
 	b := newTestBroker(t, 4)
 	const total = 400
 	for i := 0; i < total; i++ {
-		if _, _, err := b.Produce("events", nil, []byte("v")); err != nil {
+		if _, _, err := b.produce("events", nil, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestTopicHandle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, off, err := b.Produce("events", []byte("k"), []byte("v1"))
+	pi, off, err := b.produce("events", []byte("k"), []byte("v1"))
 	if err != nil || off != 0 {
 		t.Fatalf("produce = %d,%d,%v", pi, off, err)
 	}
@@ -172,7 +172,7 @@ func TestTopicHandleFailsAfterClose(t *testing.T) {
 func TestPollIntoReusesBuffer(t *testing.T) {
 	b := newTestBroker(t, 1)
 	for i := 0; i < 10; i++ {
-		if _, _, err := b.Produce("events", nil, []byte{byte(i)}); err != nil {
+		if _, _, err := b.produce("events", nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +316,7 @@ func TestRecordTimeSurvivesStorage(t *testing.T) {
 	if err := b.CreateTopic("t", TopicConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Produce("t", nil, []byte("v")); err != nil {
+	if _, _, err := b.produce("t", nil, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := fetch(b, "t", 0, 0, 1)
@@ -489,7 +489,7 @@ func TestGroupLagAfterClose(t *testing.T) {
 	if _, err := g.Lag(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("lag err = %v, want ErrClosed", err)
 	}
-	if _, err := g.Poll(1); !errors.Is(err, ErrClosed) {
+	if _, err := g.PollInto(nil, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("poll err = %v, want ErrClosed", err)
 	}
 }
@@ -532,7 +532,7 @@ func BenchmarkProduceSingleByName(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := br.Produce("t", nil, value); err != nil {
+		if _, _, err := br.produce("t", nil, value); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -356,5 +356,5 @@ type TopicConfig struct {
 	// unlimited. It is what bounds a topic no consumer group reads; a
 	// consumed topic also releases what every group has committed.
 	RetentionBytes int64
-	Keyed          bool // if true, Produce requires a non-empty key
+	Keyed          bool // if true, producing requires a non-empty key
 }

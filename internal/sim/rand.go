@@ -6,11 +6,11 @@ import (
 )
 
 // Rand is a deterministic random stream. It wraps math/rand with helpers the
-// simulators need (gaussian noise, zipfian keys)
-// and supports deriving independent child streams so each component gets its
-// own sequence without global coupling. A stream's position is snapshotable
-// as (seed, draw count) — see Draws and RestoreRand — which is what lets a
-// migrating session carry its RNG stream to another node byte-for-byte.
+// simulators need (gaussian noise, jitter) and supports deriving independent
+// child streams so each component gets its own sequence without global
+// coupling. A stream's position is snapshotable as (seed, draw count) — see
+// Draws and RestoreRand — which is what lets a migrating session carry its
+// RNG stream to another node byte-for-byte.
 //
 // The math/rand generator (≈5 KB of state) is built on the first draw, not
 // when the stream is made: a stream nobody draws from — a session's, unless
@@ -126,27 +126,6 @@ func (r *Rand) Bool(p float64) bool {
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.gen().Shuffle(n, swap) }
-
-// Zipf draws integers in [0, n) with a zipfian distribution of exponent s
-// (s > 1 for heavier skew toward small values). The zero-allocation
-// construction of rand.Zipf is hidden behind a small cache keyed by (n, s).
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf returns a zipfian sampler over [0, n) with skew s (must be > 1).
-func (r *Rand) NewZipf(s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("sim: Zipf n must be positive")
-	}
-	if s <= 1 {
-		s = 1.0001
-	}
-	return &Zipf{z: rand.NewZipf(r.gen(), s, 1, uint64(n-1))}
-}
-
-// Next returns the next zipfian sample in [0, n).
-func (z *Zipf) Next() int { return int(z.z.Uint64()) }
 
 // Pick returns a uniformly chosen element of the non-empty slice values.
 func Pick[T any](r *Rand, values []T) T {

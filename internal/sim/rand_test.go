@@ -91,23 +91,6 @@ func TestBoolEdges(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := NewRand(11)
-	z := r.NewZipf(1.2, 1000)
-	counts := make([]int, 1000)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := z.Next()
-		if v < 0 || v >= 1000 {
-			t.Fatalf("zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[500]+counts[501]+counts[502] {
-		t.Fatalf("zipf not skewed: head=%d mid3=%d", counts[0], counts[500]+counts[501]+counts[502])
-	}
-}
-
 func TestPick(t *testing.T) {
 	r := NewRand(3)
 	vals := []string{"a", "b", "c"}
