@@ -1,6 +1,6 @@
 // Package arbd's root benchmark measures the core per-frame pipeline in
 // process: `go test -run='^$' -bench=FrameLoop .`. The paper-reproduction
-// experiments live in internal/bench (tables from `go run ./cmd/arbd-bench`),
+// experiments live in internal/repro (tables from `go run ./cmd/arbd-bench`),
 // and serving-path performance is measured by the multi-process benchmark in
 // benchmark/.
 package arbd

@@ -20,7 +20,7 @@ import (
 
 // maxKnobs is the ceiling on exported option-struct fields: raising it
 // needs a caller outside the tests that sets the new value.
-const maxKnobs = 8
+const maxKnobs = 7
 
 // TestKnobCensus holds README's Options table to the code: every exported
 // field of an option struct and every flag of a command has a row naming

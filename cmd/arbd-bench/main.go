@@ -16,7 +16,7 @@ import (
 	"os"
 	"time"
 
-	"arbd/internal/bench"
+	"arbd/internal/repro"
 )
 
 func main() {
@@ -34,18 +34,18 @@ func run() error {
 	flag.Parse()
 
 	if *list {
-		for _, e := range bench.All() {
+		for _, e := range repro.All() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
-	exps := bench.All()
+	exps := repro.All()
 	if *exp != "" {
-		e, ok := bench.ByID(*exp)
+		e, ok := repro.ByID(*exp)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try -list)", *exp)
 		}
-		exps = []bench.Experiment{e}
+		exps = []repro.Experiment{e}
 	}
 
 	for _, e := range exps {

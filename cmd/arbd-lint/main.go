@@ -1,8 +1,9 @@
 // Command arbd-lint runs the repository's custom static-analysis suite:
 // hot-path allocation discipline, wire-protocol value pinning, lock-order
-// rules, metrics-handle caching, and exported code with no caller outside
-// the tests. See internal/lint for the analyzers
-// and the README "Static analysis" section for the annotation conventions.
+// rules, metrics-handle caching, exported code with no caller outside the
+// tests, and the fence around paper reproduction. See internal/lint for the
+// analyzers and the README "Static analysis" section for the annotation
+// conventions.
 //
 // Usage:
 //

@@ -11,24 +11,20 @@
 //
 //	arbd-loadgen -addr 127.0.0.1:7600 -clients 16 -duration 10s -fps 10
 //	arbd-loadgen -addr 127.0.0.1:7600 -clients 16 -stream
-//	arbd-loadgen -addr 127.0.0.1:7600 -sweep 1,8,64,512 -duration 5s
 //	arbd-loadgen -addr 127.0.0.1:7600 -stream -clients 64 \
 //	    -churn 3s -admin 127.0.0.1:7650 -churn-shard 2=127.0.0.1:7702
 //	arbd-loadgen -addr 127.0.0.1:7600 -stream -obs-scrape 127.0.0.1:7660
 //
 // With -obs-scrape pointed at the server's -obs introspection endpoint, the
 // run also samples the server-side /metrics frame counters before and after
-// each load point and reports the server's frames/s next to the rate the
+// the run and reports the server's frames/s next to the rate the
 // clients observed — the quickest way to see whether a throughput gap is
 // loss in flight (outbox drops, shed pushes) or the server not producing.
 //
-// With -sweep, each listed client count runs against the live server for
-// -duration and the end-to-end frame throughput and latency percentiles
-// are reported per count. In -stream
-// mode the latency columns report inter-frame gaps (the cadence the
-// device actually experienced) instead of request round-trips, plus the
+// In -stream mode the latency line reports inter-frame gaps (the cadence
+// the device actually experienced) instead of request round-trips, plus the
 // received wire bytes per pushed frame — the number protocol v4's delta
-// encoding shrinks (compare against a -max-proto 3 run).
+// encoding shrinks.
 //
 // With -churn (router targets only), the load generator also exercises
 // dynamic membership while it drives traffic: every -churn interval it
@@ -69,16 +65,12 @@ func run() error {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7600", "server address")
 		clients    = flag.Int("clients", 8, "concurrent simulated devices")
-		duration   = flag.Duration("duration", 10*time.Second, "run length (per sweep point with -sweep)")
+		duration   = flag.Duration("duration", 10*time.Second, "run length")
 		fps        = flag.Int("fps", 10, "frame requests per second per client")
-		lat        = flag.Float64("lat", 22.3364, "city center latitude")
-		lon        = flag.Float64("lon", 114.2655, "city center longitude")
-		sweep      = flag.String("sweep", "", "comma-separated client counts to sweep (e.g. 1,8,64,512)")
 		stream     = flag.Bool("stream", false, "subscribe to pushed frames instead of polling")
 		churn      = flag.Duration("churn", 0, "drain/rejoin the -churn-shard on this interval while driving load (needs -admin)")
 		adminAddr  = flag.String("admin", "", "router admin endpoint for -churn")
 		churnShard = flag.String("churn-shard", "", "shard to cycle during -churn, as id=host:port")
-		maxProto   = flag.Uint("max-proto", 0, "cap the negotiated protocol version in -stream mode (0 = newest; 3 disables delta pushes)")
 		obsScrape  = flag.String("obs-scrape", "", "server obs endpoint (arbd-server -obs) to sample /metrics across the run")
 	)
 	flag.Parse()
@@ -92,7 +84,6 @@ func run() error {
 		return fmt.Errorf("-duration %v: want a positive run length", *duration)
 	}
 
-	center := geo.Point{Lat: *lat, Lon: *lon}
 	if *churn > 0 {
 		stopChurn, err := startChurn(*adminAddr, *churnShard, *churn)
 		if err != nil {
@@ -104,69 +95,26 @@ func run() error {
 	if *stream {
 		metric = "frame gap"
 	}
-	if *sweep == "" {
-		before, okBefore := scrapeObs(*obsScrape)
-		res := runLoad(*addr, *clients, *duration, *fps, center, *stream, uint32(*maxProto))
-		after, okAfter := scrapeObs(*obsScrape)
-		s := res.hist.Snapshot()
-		fmt.Printf("clients=%d duration=%v fps=%d stream=%v\n", *clients, *duration, *fps, *stream)
-		fmt.Printf("frames=%d shed=%d errors=%d\n", res.frames, res.shed, res.errors)
-		if *stream && res.frames > 0 {
-			fmt.Printf("rx bytes/frame=%.0f\n", float64(res.rxBytes)/float64(res.frames))
-		}
-		fmt.Printf("%s: p50=%v p95=%v p99=%v max=%v\n", metric, s.P50, s.P95, s.P99, s.Max)
-		if okBefore && okAfter {
-			// Two views of the same run: what devices saw arrive vs what the
-			// server's own counters say it produced. A gap points at loss
-			// between render and the device (outbox drops, shed pushes).
-			fmt.Printf("frames/s: client=%.1f server=%.1f (scraped %s)\n",
-				float64(res.frames)/res.elapsed.Seconds(),
-				(after-before)/res.elapsed.Seconds(), *obsScrape)
-		}
-		if res.errors > 0 {
-			return fmt.Errorf("%d client errors", res.errors)
-		}
-		return nil
+	before, okBefore := scrapeObs(*obsScrape)
+	res := runLoad(*addr, *clients, *duration, *fps, *stream)
+	after, okAfter := scrapeObs(*obsScrape)
+	s := res.hist.Snapshot()
+	fmt.Printf("clients=%d duration=%v fps=%d stream=%v\n", *clients, *duration, *fps, *stream)
+	fmt.Printf("frames=%d shed=%d errors=%d\n", res.frames, res.shed, res.errors)
+	if *stream && res.frames > 0 {
+		fmt.Printf("rx bytes/frame=%.0f\n", float64(res.rxBytes)/float64(res.frames))
 	}
-
-	counts, err := parseSweep(*sweep)
-	if err != nil {
-		return err
+	fmt.Printf("%s: p50=%v p95=%v p99=%v max=%v\n", metric, s.P50, s.P95, s.P99, s.Max)
+	if okBefore && okAfter {
+		// Two views of the same run: what devices saw arrive vs what the
+		// server's own counters say it produced. A gap points at loss
+		// between render and the device (outbox drops, shed pushes).
+		fmt.Printf("frames/s: client=%.1f server=%.1f (scraped %s)\n",
+			float64(res.frames)/res.elapsed.Seconds(),
+			(after-before)/res.elapsed.Seconds(), *obsScrape)
 	}
-	cols := []string{"clients", "frames", "frames/s", "p50", "p95", "p99", "B/frame", "shed", "errors"}
-	if *obsScrape != "" {
-		cols = append(cols, "srv f/s")
-	}
-	t := metrics.NewTable(
-		fmt.Sprintf("multi-session sweep against %s (%v per point, %d fps/client, %s)", *addr, *duration, *fps, metric),
-		cols...)
-	var totalErrs int64
-	for _, n := range counts {
-		before, okBefore := scrapeObs(*obsScrape)
-		res := runLoad(*addr, n, *duration, *fps, center, *stream, uint32(*maxProto))
-		after, okAfter := scrapeObs(*obsScrape)
-		s := res.hist.Snapshot()
-		bpf := "—" // polling replies aren't counted; only -stream wraps the conn
-		if *stream && res.frames > 0 {
-			bpf = fmt.Sprintf("%.0f", float64(res.rxBytes)/float64(res.frames))
-		}
-		// Divide by measured wall time, not the nominal -duration: at high
-		// client counts connection setup eats into the window.
-		row := []any{n, res.frames, fmt.Sprintf("%.0f", float64(res.frames)/res.elapsed.Seconds()),
-			s.P50, s.P95, s.P99, bpf, res.shed, res.errors}
-		if *obsScrape != "" {
-			srv := "—"
-			if okBefore && okAfter {
-				srv = fmt.Sprintf("%.0f", (after-before)/res.elapsed.Seconds())
-			}
-			row = append(row, srv)
-		}
-		t.AddRow(row...)
-		totalErrs += res.errors
-	}
-	fmt.Println(t.String())
-	if totalErrs > 0 {
-		return fmt.Errorf("%d client errors across sweep", totalErrs)
+	if res.errors > 0 {
+		return fmt.Errorf("%d client errors", res.errors)
 	}
 	return nil
 }
@@ -296,18 +244,6 @@ func obsFrames(addr string) (float64, error) {
 	return recorded, nil
 }
 
-func parseSweep(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad sweep count %q", part)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
-}
-
 type loadResult struct {
 	frames  int64
 	shed    int64
@@ -324,7 +260,7 @@ type loadResult struct {
 // holds inter-frame gaps rather than request round-trips, and every
 // connection is wrapped in a byte counter so the run reports received
 // wire bytes per pushed frame.
-func runLoad(addr string, n int, duration time.Duration, fps int, center geo.Point, streaming bool, maxProto uint32) loadResult {
+func runLoad(addr string, n int, duration time.Duration, fps int, streaming bool) loadResult {
 	var (
 		hist    metrics.Histogram
 		frames  metrics.Counter
@@ -342,7 +278,7 @@ func runLoad(addr string, n int, duration time.Duration, fps int, center geo.Poi
 			var cl *server.Client
 			var err error
 			if streaming {
-				cl, err = dialCounted(addr, maxProto, &rxBytes)
+				cl, err = dialCounted(addr, &rxBytes)
 			} else {
 				cl, err = server.Dial(addr)
 			}
@@ -351,7 +287,7 @@ func runLoad(addr string, n int, duration time.Duration, fps int, center geo.Poi
 				return
 			}
 			defer cl.Close()
-			walker := sensor.NewWalker(sensor.WalkerConfig{Center: center, RadiusM: 800, Seed: int64(c)})
+			walker := sensor.NewWalker(sensor.WalkerConfig{Center: geo.CityCenter, RadiusM: 800, Seed: int64(c)})
 			gps := sensor.NewGPS(int64(c), 5)
 			imu := sensor.NewIMU(int64(c))
 			tick := time.Second / time.Duration(fps)
@@ -409,16 +345,13 @@ func runLoad(addr string, n int, duration time.Duration, fps int, center geo.Poi
 }
 
 // dialCounted dials like server.Dial but wraps the connection in a byte
-// counter (and optionally caps the announced protocol version) so -stream
-// runs can report received wire bytes per pushed frame — full pushes when
-// capped at v3, delta pushes when v4 negotiates.
-func dialCounted(addr string, maxProto uint32, rx *atomic.Int64) (*server.Client, error) {
+// counter so -stream runs can report received wire bytes per pushed frame.
+func dialCounted(addr string, rx *atomic.Int64) (*server.Client, error) {
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return server.NewClient(context.Background(), &countingConn{Conn: raw, rx: rx},
-		server.DialOptions{MaxProto: maxProto})
+	return server.NewClient(context.Background(), &countingConn{Conn: raw, rx: rx}, server.DialOptions{})
 }
 
 // countingConn counts bytes read off the wire.

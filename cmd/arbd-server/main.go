@@ -95,8 +95,6 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "world seed")
 		pois      = flag.Int("pois", 5000, "synthetic city POI count")
 		radius    = flag.Float64("radius", 3000, "city radius, meters")
-		lat       = flag.Float64("lat", 22.3364, "city center latitude")
-		lon       = flag.Float64("lon", 114.2655, "city center longitude")
 		epsilon   = flag.Float64("epsilon", 0, "location privacy epsilon per fix (0 = off)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 		obsAddr   = flag.String("obs", "", "serve the introspection plane (/metrics, /debug/arbd/*) on this address (empty = off)")
@@ -114,6 +112,11 @@ func run() error {
 		case !(*epsilon >= 0):
 			return fmt.Errorf("-epsilon %v: want 0 (off) or a positive privacy epsilon", *epsilon)
 		}
+	}
+	// Member ID 0 names no shard (-drain 0 is "no drain"), so no flag may
+	// give a shard that ID.
+	if *role == "shard" && *shardID == 0 {
+		return fmt.Errorf("-shard-id 0: shard IDs start at 1")
 	}
 
 	// Profiling applies to every role — bring it up before the role switch
@@ -153,7 +156,7 @@ func run() error {
 	platform, err := core.NewPlatform(core.Config{
 		Seed: *seed,
 		City: geo.CityConfig{
-			Center:    geo.Point{Lat: *lat, Lon: *lon},
+			Center:    geo.CityCenter,
 			RadiusM:   *radius,
 			NumPOIs:   *pois,
 			TallRatio: 0.2,
@@ -218,7 +221,7 @@ func run() error {
 func runRouter(addr, adminAddr, shards string, serveObs func(*obs.Plane) error) error {
 	members, err := parseMembers(shards)
 	if err != nil {
-		return err
+		return fmt.Errorf("-shards: %w", err)
 	}
 	r, err := server.NewRouter(members, log.Default(), nil, server.RouterOptions{})
 	if err != nil {
@@ -249,6 +252,10 @@ func runRouter(addr, adminAddr, shards string, serveObs func(*obs.Plane) error) 
 
 // runAdmin is the one-shot control-plane client: join, drain, or query.
 func runAdmin(target, join string, drain uint64) error {
+	m, err := parseMember(join)
+	if join != "" && err != nil {
+		return fmt.Errorf("-join: %w", err)
+	}
 	if target == "" {
 		return fmt.Errorf("role=admin needs -admin (the router's admin endpoint)")
 	}
@@ -259,10 +266,6 @@ func runAdmin(target, join string, drain uint64) error {
 	defer ac.Close()
 	switch {
 	case join != "":
-		m, err := parseMember(join)
-		if err != nil {
-			return err
-		}
 		view, err := ac.Join(m)
 		if err != nil {
 			return err
@@ -316,6 +319,9 @@ func parseMember(s string) (server.Member, error) {
 	n, err := strconv.ParseUint(id, 10, 64)
 	if err != nil {
 		return server.Member{}, fmt.Errorf("bad shard id in %q: %w", s, err)
+	}
+	if n == 0 {
+		return server.Member{}, fmt.Errorf("bad shard id in %q: shard IDs start at 1", s)
 	}
 	return server.Member{ID: n, Addr: a}, nil
 }

@@ -12,7 +12,8 @@ import (
 // refused with an error naming the flag before anything binds, instead of
 // the platform substituting its defaults for the first two and the privacy
 // gate silently staying shut for the third. A router builds no world, so
-// the same flags do not stop it.
+// the same flags do not stop it. Member ID 0 names no shard (-drain 0 means
+// "no drain"), so -shard-id, -shards and -join refuse it the same way.
 func TestRejectsBadWorlds(t *testing.T) {
 	args := os.Args
 	t.Cleanup(func() { os.Args, flag.CommandLine = args, flag.NewFlagSet(args[0], flag.ExitOnError) })
@@ -21,6 +22,7 @@ func TestRejectsBadWorlds(t *testing.T) {
 		{"standalone", "-radius", "0"}, {"standalone", "-radius", "-100"}, {"standalone", "-radius", "NaN"},
 		{"standalone", "-epsilon", "-0.01"},
 		{"shard", "-pois", "0"}, {"shard", "-radius", "0"}, {"shard", "-epsilon", "-1"},
+		{"shard", "-shard-id", "0"}, {"router", "-shards", "0=127.0.0.1:1"}, {"admin", "-join", "0=127.0.0.1:7703"},
 	} {
 		// An address nothing can bind: a run that got past the checks fails
 		// with a listen error, not the flag's.

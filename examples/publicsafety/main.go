@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"time"
 
+	"arbd/internal/repro/traffic"
 	"arbd/internal/sim"
-	"arbd/internal/traffic"
 )
 
 func main() {

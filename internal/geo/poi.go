@@ -136,6 +136,8 @@ func (s *Store) QueryNearestInto(dst []POI, dists []float64, from *Origin, radiu
 
 // Nearest returns up to k POIs closest to p, nearest first (ties by
 // ascending ID).
+//
+//arbd:test-api unbounded k-NN: core tests pick the POIs nearest a pose with it
 func (s *Store) Nearest(p Point, k int) []POI {
 	if k <= 0 {
 		return nil
@@ -329,6 +331,11 @@ type CityConfig struct {
 	Seed       int64
 	Categories []Category // weights uniform over this set; nil = all
 }
+
+// CityCenter (HKUST) is the centre of the city arbd-server builds and the
+// point arbd-loadgen walks its devices from. The two commands must agree on
+// it, or the walkers start outside the city.
+var CityCenter = Point{Lat: 22.3364, Lon: 114.2655}
 
 // GenerateCity returns a deterministic synthetic city: POIs scattered with a
 // density gradient toward the centre (like real cities), with names, tags,

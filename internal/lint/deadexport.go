@@ -13,7 +13,9 @@ import (
 // program references. prog is the whole program — the module and every
 // nested module loaded by import path — because an identifier only a
 // benchmark names is still called. A use inside the identifier's own
-// declaration (recursion, a type's own methods) does not count.
+// declaration (recursion, a type's own methods) does not count, and a use
+// from internal/repro/... counts only for what is declared there: paper
+// reproduction does not keep serving code alive.
 //
 // Exempt: constants and struct fields (neither is reported), methods on
 // unexported types, methods some interface in the program asks for, and
@@ -22,10 +24,11 @@ import (
 // //arbd:test-api <reason> on its declaration line or the line above.
 func analyzeDeadexport(fset *token.FileSet, prog []*pkgInfo, module string) []Finding {
 	type candidate struct {
-		kind string
-		name string
-		pos  token.Pos
-		own  []posSpan
+		kind      string
+		name      string
+		pos       token.Pos
+		own       []posSpan
+		reproOnly bool // used from internal/repro, which does not count
 	}
 	cands := make(map[types.Object]*candidate)
 	var methods []*types.Func
@@ -88,6 +91,7 @@ func analyzeDeadexport(fset *token.FileSet, prog []*pkgInfo, module string) []Fi
 	}
 
 	for _, p := range prog {
+		fromRepro := inRepro(p.importPath, module)
 		for id, obj := range p.info.Uses {
 			switch o := obj.(type) {
 			case *types.Func:
@@ -95,7 +99,12 @@ func analyzeDeadexport(fset *token.FileSet, prog []*pkgInfo, module string) []Fi
 			case *types.Var:
 				obj = o.Origin()
 			}
-			if c := cands[obj]; c != nil && !within(c.own, id.Pos()) {
+			c := cands[obj]
+			switch {
+			case c == nil || within(c.own, id.Pos()):
+			case fromRepro && !inRepro(obj.Pkg().Path(), module):
+				c.reproOnly = true
+			default:
 				delete(cands, obj)
 			}
 		}
@@ -103,11 +112,16 @@ func analyzeDeadexport(fset *token.FileSet, prog []*pkgInfo, module string) []Fi
 
 	var out []Finding
 	for _, c := range cands {
+		msg := fmt.Sprintf("exported %s %s has no caller outside tests; delete it, unexport it, or mark it //arbd:test-api <reason>",
+			c.kind, c.name)
+		if c.reproOnly {
+			msg = fmt.Sprintf("exported %s %s has no caller outside tests and internal/repro; move it under internal/repro or delete it",
+				c.kind, c.name)
+		}
 		out = append(out, Finding{
 			Pos:      fset.Position(c.pos),
 			Analyzer: "deadexport",
-			Message: fmt.Sprintf("exported %s %s has no caller outside tests; delete it, unexport it, or mark it //arbd:test-api <reason>",
-				c.kind, c.name),
+			Message:  msg,
 		})
 	}
 	return out

@@ -29,8 +29,13 @@
 //     constants, struct fields, methods on unexported types, methods an
 //     interface in the program declares, and methods of types the root
 //     package re-exports. Code only tests use is deleted, or unexported
-//     when same-package tests need it. Escape hatch, for fakes tests in
-//     other packages need: //arbd:test-api <reason>.
+//     when same-package tests need it. A use from internal/repro/... keeps
+//     alive only what is declared there: a serving export that only paper
+//     reproduction reaches moves under internal/repro. Escape hatch, for
+//     fakes tests in other packages need: //arbd:test-api <reason>.
+//   - boundary: no non-test file outside internal/repro/...,
+//     cmd/arbd-bench and examples/... imports internal/repro/..., so paper
+//     reproduction stays out of the serving system. No escape hatch.
 //
 // The suite is stdlib-only (go/ast, go/parser, go/types, go/token): no
 // network, no third-party analysis frameworks, so it runs anywhere the Go
@@ -96,6 +101,7 @@ func Run(root string, patterns []string) ([]Finding, error) {
 		all = append(all, analyzeWirepin(l.fset, p)...)
 		all = append(all, analyzeLockorder(l.fset, p)...)
 		all = append(all, analyzeMetricscache(l.fset, p, dirs)...)
+		all = append(all, analyzeBoundary(l.fset, p, l.module)...)
 	}
 	for _, f := range analyzeDeadexport(l.fset, prog, l.module) {
 		if linted[filepath.Dir(f.Pos.Filename)] {

@@ -173,6 +173,28 @@ func TestDeadexportQuiet(t *testing.T) {
 	}
 }
 
+// TestDeadexportReproUseIsDead: a serving export that only internal/repro
+// calls is reported; one that a serving package calls too is not.
+func TestDeadexportReproUseIsDead(t *testing.T) {
+	expectFindings(t, "deadexport_repro", "deadexport", []string{
+		"exported func ReproOnly has no caller outside tests and internal/repro",
+	})
+}
+
+func TestBoundaryFires(t *testing.T) {
+	expectFindings(t, "boundary_bad", "boundary", []string{
+		"fixture/boundary_bad imports fixture/internal/repro/x",
+	})
+}
+
+// TestBoundaryQuiet: reproduction itself, cmd/arbd-bench and examples may
+// import internal/repro.
+func TestBoundaryQuiet(t *testing.T) {
+	for _, dir := range []string{"internal/repro/x", "cmd/arbd-bench", "examples/demo"} {
+		expectQuiet(t, dir)
+	}
+}
+
 func TestFindingString(t *testing.T) {
 	f := Finding{
 		Pos:      token.Position{Filename: "internal/wire/codec.go", Line: 42},

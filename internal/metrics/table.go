@@ -6,7 +6,7 @@ import (
 )
 
 // Table accumulates rows and renders an aligned plain-text table. The
-// experiment harness (internal/bench, cmd/arbd-bench) prints each
+// experiment harness (internal/repro, cmd/arbd-bench) prints each
 // experiment's result as one.
 type Table struct {
 	title   string

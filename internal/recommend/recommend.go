@@ -1,9 +1,8 @@
 // Package recommend implements the §3.1 retail brain: recommendation models
 // over implicit-feedback interaction logs — a popularity baseline, item-item
 // collaborative filtering, and the context-aware re-ranker that fuses CF
-// scores with the AR session's location and gaze signals — plus offline
-// evaluation (hit-rate@K, NDCG@K) and a synthetic shopper generator with
-// known ground-truth preferences.
+// scores with the AR session's location and gaze signals — and a synthetic
+// shopper generator with known ground-truth preferences.
 package recommend
 
 import (
@@ -62,6 +61,8 @@ type Popularity struct {
 var _ Recommender = (*Popularity)(nil)
 
 // NewPopularity trains on the log.
+//
+//arbd:test-api the deterministic recommender core tests install
 func NewPopularity(log []Interaction) *Popularity {
 	p := &Popularity{weights: make(map[uint64]float64), seen: make(map[uint64]map[uint64]bool)}
 	for _, it := range log {

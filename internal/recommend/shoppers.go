@@ -1,67 +1,9 @@
 package recommend
 
 import (
-	"math"
-
 	"arbd/internal/geo"
 	"arbd/internal/sim"
 )
-
-// Split holds a leave-one-out evaluation split: for each user, the held-out
-// item is the last (strongest) interaction; everything else trains.
-type Split struct {
-	Train   []Interaction
-	Holdout map[uint64]uint64 // user -> held-out item
-}
-
-// LeaveOneOut builds a split from a log ordered arbitrarily: the final
-// interaction of each user (in log order) is held out. Users with fewer
-// than minEvents interactions are not evaluated.
-func LeaveOneOut(log []Interaction, minEvents int) Split {
-	last := make(map[uint64]int)
-	count := make(map[uint64]int)
-	for i, it := range log {
-		last[it.UserID] = i
-		count[it.UserID]++
-	}
-	sp := Split{Holdout: make(map[uint64]uint64)}
-	for i, it := range log {
-		if last[it.UserID] == i && count[it.UserID] >= minEvents {
-			sp.Holdout[it.UserID] = it.ItemID
-			continue
-		}
-		sp.Train = append(sp.Train, it)
-	}
-	return sp
-}
-
-// Metrics summarises offline ranking quality.
-type Metrics struct {
-	HitRate float64 // fraction of users whose held-out item is in top-K
-	NDCG    float64 // discounted gain of its rank position
-	Users   int
-}
-
-// Evaluate scores a recommender on the split at cutoff k.
-func Evaluate(rec Recommender, sp Split, k int) Metrics {
-	var hits, ndcg float64
-	users := 0
-	for user, want := range sp.Holdout {
-		recs := rec.Recommend(user, k)
-		users++
-		for rank, s := range recs {
-			if s.ItemID == want {
-				hits++
-				ndcg += 1 / math.Log2(float64(rank)+2)
-				break
-			}
-		}
-	}
-	if users == 0 {
-		return Metrics{}
-	}
-	return Metrics{HitRate: hits / float64(users), NDCG: ndcg / float64(users), Users: users}
-}
 
 // ShopperConfig parameterises the synthetic retail workload.
 type ShopperConfig struct {
@@ -151,30 +93,4 @@ func GenerateShoppers(cfg ShopperConfig) Workload {
 		}
 	}
 	return w
-}
-
-// ContextFor derives the evaluation-time AR context for a user: standing at
-// home with gaze dwell concentrated on items of their preferred category
-// that they have already interacted with.
-func (w Workload) ContextFor(sp Split) func(uint64) Context {
-	itemsByID := make(map[uint64]Item, len(w.Catalog))
-	for _, it := range w.Catalog {
-		itemsByID[it.ID] = it
-	}
-	dwell := make(map[uint64]map[uint64]float64)
-	for _, it := range sp.Train {
-		item := itemsByID[it.ItemID]
-		if item.Category != w.PrefCat[it.UserID] {
-			continue
-		}
-		m, ok := dwell[it.UserID]
-		if !ok {
-			m = make(map[uint64]float64)
-			dwell[it.UserID] = m
-		}
-		m[it.ItemID] += 800 * it.Weight // plausible dwell milliseconds
-	}
-	return func(userID uint64) Context {
-		return Context{Location: w.HomeOf[userID], GazeDwellMS: dwell[userID]}
-	}
 }

@@ -1,9 +1,11 @@
 // Package render implements the AR annotation layer: screen-space projection
 // of geo-anchored content, occlusion testing against building geometry, and
-// two layout engines — the naive "floating bubbles" placement the paper
-// criticises (§2.1, citing MacIntyre's "POIs are pointless") and an
-// anchored, collision- and occlusion-aware layout — plus the clutter metrics
-// experiment E6 uses to compare them.
+// the anchored layout engine every frame runs. It places labels
+// priority-first next to their anchors, avoids box collisions and screen
+// edges, and draws occluded anchors in X-ray style, which answers the
+// clutter of floating bubbles the paper criticises (§2.1, citing MacIntyre's
+// "POIs are pointless"). Experiment E6 (internal/repro) scores it against
+// that bubble baseline.
 package render
 
 import (
@@ -37,14 +39,14 @@ func (c Camera) VFOVDeg() float64 {
 	return c.FOVDeg * float64(c.Height) / float64(c.Width)
 }
 
-// project maps an annotation's anchor (with its height above ground) onto
+// Project maps an annotation's anchor (with its height above ground) onto
 // the screen for the pose, whose position from stands at; ok is false when
 // the anchor is outside the view frustum. An annotation already measured
 // from there pays for the bearing only. The bearing is returned for the
 // occlusion test, which would otherwise measure it again.
 //
 //arbd:hotpath
-func (c Camera) project(pose sensor.Pose, from *geo.Origin, a *Annotation) (pos ScreenPos, bearing float64, ok bool) {
+func (c Camera) Project(pose sensor.Pose, from *geo.Origin, a *Annotation) (pos ScreenPos, bearing float64, ok bool) {
 	dist := a.distanceFrom(from)
 	if dist < 0.5 {
 		return ScreenPos{}, 0, false
@@ -123,16 +125,6 @@ func overlapsAt(a *Annotation, x, y float64, b *Annotation) bool {
 	return x < b.X+b.W && b.X < x+a.W && y < b.Y+b.H && b.Y < y+a.H
 }
 
-// overlapArea returns the intersection area of two boxes.
-func overlapArea(a, b *Annotation) float64 {
-	w := math.Min(a.X+a.W, b.X+b.W) - math.Max(a.X, b.X)
-	h := math.Min(a.Y+a.H, b.Y+b.H) - math.Max(a.Y, b.Y)
-	if w <= 0 || h <= 0 {
-		return 0
-	}
-	return w * h
-}
-
 // Occluder is a building-like obstacle: a vertical slab at a location.
 type Occluder struct {
 	Location geo.Point
@@ -161,6 +153,8 @@ func OccludersFromPOIsInto(dst []Occluder, pois []geo.POI, minHeightM float64) [
 // IsOccluded reports whether the sight line from the pose to the target
 // (top at heightM) passes behind any occluder. It is the per-target
 // reference; LayoutAnchoredInto runs the same test occluder-first.
+//
+//arbd:test-api per-target occlusion reference for render's layout tests and E6's clutter score
 func IsOccluded(pose sensor.Pose, target geo.Point, heightM float64, occluders []Occluder) bool {
 	from := geo.OriginAt(pose.Position)
 	dT := from.Distance(target)
@@ -221,36 +215,16 @@ func (s sightOccluder) hides(altitudeM, dT, bT, heightM float64) bool {
 	return lineH < s.heightM
 }
 
-// Label geometry, shared by both layout engines.
+// Label geometry.
 const (
-	boxW, boxH  = 140, 36 // label box size, px
-	maxLeaderPx = 120     // anchored layout: max box displacement from its anchor
+	LabelW, LabelH = 140, 36 // label box size, px
+	maxLeaderPx    = 120     // max box displacement from its anchor
 )
 
 // LayoutOptions configures the anchored layout engine. It has no field:
 // every layout uses the label geometry above and draws occluded anchors in
 // X-ray style.
 type LayoutOptions struct{}
-
-// LayoutBubbles is the baseline: every in-frustum annotation becomes a
-// bubble centred on its projection, ignoring collisions and occlusion —
-// the floating-bubble AR browsers of the paper's era.
-func LayoutBubbles(cam Camera, pose sensor.Pose, anns []Annotation) []Annotation {
-	out := make([]Annotation, 0, len(anns))
-	from := geo.OriginAt(pose.Position)
-	for _, a := range anns {
-		pos, _, ok := cam.project(pose, &from, &a)
-		if !ok {
-			continue
-		}
-		a.Pos = pos
-		a.W, a.H = boxW, boxH
-		a.X, a.Y = pos.X-a.W/2, pos.Y-a.H/2
-		a.Placed = true
-		out = append(out, a)
-	}
-	return out
-}
 
 // candidateOffsets are tried in order around the anchor: above, then sides,
 // then below, at increasing leader lengths.
@@ -288,17 +262,12 @@ func (sc *LayoutScratch) Swap(i, j int) {
 	sc.visible[i], sc.visible[j] = sc.visible[j], sc.visible[i]
 }
 
-// LayoutAnchored places annotations priority-first, avoiding box collisions
-// and screen edges, X-ray-marking occluded anchors, and keeping
-// labels near their anchors with short leader lines.
-func LayoutAnchored(cam Camera, pose sensor.Pose, anns []Annotation, occluders []Occluder, opts LayoutOptions) []Annotation {
-	return LayoutAnchoredInto(nil, nil, cam, pose, anns, occluders, opts)
-}
-
-// LayoutAnchoredInto is LayoutAnchored appending into dst with reusable
-// intermediate buffers. dst and sc may both be nil (allocating fresh
-// buffers); results overwrite dst's contents from length zero and the
-// returned slice shares dst's storage when capacity allows.
+// LayoutAnchoredInto places annotations priority-first, avoiding box
+// collisions and screen edges, X-ray-marking occluded anchors, and keeping
+// labels near their anchors with short leader lines. It appends into dst
+// with reusable intermediate buffers. dst and sc may both be nil
+// (allocating fresh buffers); results overwrite dst's contents from length
+// zero and the returned slice shares dst's storage when capacity allows.
 func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose sensor.Pose, anns []Annotation, occluders []Occluder, _ LayoutOptions) []Annotation {
 	if sc == nil {
 		sc = &LayoutScratch{}
@@ -309,12 +278,12 @@ func LayoutAnchoredInto(dst []Annotation, sc *LayoutScratch, cam Camera, pose se
 	visible := sc.visible[:0]
 	maxDepth := 0.0
 	for _, a := range anns {
-		pos, bearing, ok := cam.project(pose, &from, &a)
+		pos, bearing, ok := cam.Project(pose, &from, &a)
 		if !ok {
 			continue
 		}
 		a.Pos = pos
-		a.W, a.H = boxW, boxH
+		a.W, a.H = LabelW, LabelH
 		maxDepth = math.Max(maxDepth, pos.Depth)
 		visible = append(visible, visibleAnnotation{Annotation: a, bearing: bearing})
 	}
@@ -407,44 +376,6 @@ func tryPlace(cam Camera, a *Annotation, placed []Annotation) bool {
 	return false
 }
 
-// Clutter summarises layout quality; lower is better on every field.
-type Clutter struct {
-	Drawn               int
-	OverlapFraction     float64 // overlapped box area / total box area
-	OcclusionViolations int     // occluded anchors drawn as if visible
-	OffscreenBoxes      int     // boxes extending beyond screen edges
-	MeanLeaderPx        float64
-}
-
-// MeasureClutter computes layout-quality metrics for a set of laid-out
-// annotations. Occlusion is re-derived from the scene so the bubble
-// baseline (which never tests it) is scored fairly.
-func MeasureClutter(cam Camera, pose sensor.Pose, laid []Annotation, occluders []Occluder) Clutter {
-	var m Clutter
-	m.Drawn = len(laid)
-	if len(laid) == 0 {
-		return m
-	}
-	var overlap, total, leader float64
-	for i := range laid {
-		a := &laid[i]
-		total += a.W * a.H
-		leader += a.LeaderPx
-		if a.X < 0 || a.Y < 0 || a.X+a.W > float64(cam.Width) || a.Y+a.H > float64(cam.Height) {
-			m.OffscreenBoxes++
-		}
-		if !a.XRay && IsOccluded(pose, a.Anchor, a.AnchorHM, occluders) {
-			m.OcclusionViolations++
-		}
-		for j := i + 1; j < len(laid); j++ {
-			overlap += overlapArea(a, &laid[j])
-		}
-	}
-	m.OverlapFraction = overlap / total
-	m.MeanLeaderPx = leader / float64(len(laid))
-	return m
-}
-
 // Jitter measures mean label movement in pixels between two consecutive
 // layouts, matching annotations by ID. Stable layouts score low.
 func Jitter(prev, cur []Annotation) float64 {
@@ -486,15 +417,10 @@ func Jitter(prev, cur []Annotation) float64 {
 	return sum / float64(n)
 }
 
-// AnnotationsFromPOIs builds annotations for POIs, prioritised by inverse
-// distance from the viewer (nearer content matters more in AR). Labels
-// anchor at facade viewing height (2-8 m) rather than rooftops so nearby
-// content stays inside a phone camera's narrow vertical FOV.
-func AnnotationsFromPOIs(pose sensor.Pose, pois []geo.POI) []Annotation {
-	return AnnotationsFromPOIsInto(nil, pose, pois)
-}
-
-// AnnotationsFromPOIsInto is AnnotationsFromPOIs appending into dst. Results
+// AnnotationsFromPOIsInto builds annotations for POIs, prioritised by
+// inverse distance from the viewer (nearer content matters more in AR).
+// Labels anchor at facade viewing height (2-8 m) rather than rooftops so
+// nearby content stays inside a phone camera's narrow vertical FOV. Results
 // overwrite dst's contents from length zero; the returned slice shares dst's
 // storage when capacity allows.
 func AnnotationsFromPOIsInto(dst []Annotation, pose sensor.Pose, pois []geo.POI) []Annotation {

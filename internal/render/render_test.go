@@ -18,7 +18,7 @@ var (
 // screen for the pose through the camera's per-annotation projection.
 func projectPoint(c Camera, pose sensor.Pose, target geo.Point, heightM float64) (ScreenPos, bool) {
 	from := geo.OriginAt(pose.Position)
-	pos, _, ok := c.project(pose, &from, &Annotation{Anchor: target, AnchorHM: heightM})
+	pos, _, ok := c.Project(pose, &from, &Annotation{Anchor: target, AnchorHM: heightM})
 	return pos, ok
 }
 
@@ -137,39 +137,9 @@ func denseScene(n int) []Annotation {
 	return anns
 }
 
-func TestLayoutBubblesOverlapHeavily(t *testing.T) {
-	laid := LayoutBubbles(cam, pose, denseScene(60))
-	if len(laid) == 0 {
-		t.Fatal("nothing drawn")
-	}
-	m := MeasureClutter(cam, pose, laid, nil)
-	if m.OverlapFraction < 0.1 {
-		t.Fatalf("dense bubbles overlap = %.3f; expected heavy clutter", m.OverlapFraction)
-	}
-}
-
-func TestLayoutAnchoredAvoidsOverlap(t *testing.T) {
-	laid := LayoutAnchored(cam, pose, denseScene(60), nil, LayoutOptions{})
-	if len(laid) == 0 {
-		t.Fatal("nothing drawn")
-	}
-	m := MeasureClutter(cam, pose, laid, nil)
-	if m.OverlapFraction > 1e-9 {
-		t.Fatalf("anchored layout overlap = %.4f, want 0", m.OverlapFraction)
-	}
-	if m.OffscreenBoxes != 0 {
-		t.Fatalf("offscreen boxes = %d", m.OffscreenBoxes)
-	}
-	// It must draw less than the bubble engine (it culls what cannot fit)
-	// but a reasonable share.
-	if len(laid) < 10 {
-		t.Fatalf("anchored layout drew only %d", len(laid))
-	}
-}
-
 func TestLayoutAnchoredPrefersHighPriority(t *testing.T) {
 	anns := denseScene(100)
-	laid := LayoutAnchored(cam, pose, anns, nil, LayoutOptions{})
+	laid := LayoutAnchoredInto(nil, nil, cam, pose, anns, nil, LayoutOptions{})
 	if len(laid) == 0 {
 		t.Fatal("nothing drawn")
 	}
@@ -183,44 +153,10 @@ func TestLayoutAnchoredPrefersHighPriority(t *testing.T) {
 	}
 }
 
-func TestLayoutOccludedHandling(t *testing.T) {
-	occluders := []Occluder{{Location: geo.Destination(origin, 0, 20), HeightM: 60, WidthM: 40}}
-	anns := []Annotation{{
-		ID: 1, Anchor: geo.Destination(origin, 0, 100), AnchorHM: 5, Priority: 1,
-	}}
-	// Anchored: drawn, marked X-ray.
-	laid := LayoutAnchored(cam, pose, anns, occluders, LayoutOptions{})
-	if len(laid) != 1 || !laid[0].XRay || !laid[0].Occluded {
-		t.Fatalf("x-ray handling: %+v", laid)
-	}
-	// Bubbles: drawn with a violation.
-	bl := LayoutBubbles(cam, pose, anns)
-	m := MeasureClutter(cam, pose, bl, occluders)
-	if m.OcclusionViolations != 1 {
-		t.Fatalf("bubble occlusion violations = %d, want 1", m.OcclusionViolations)
-	}
-}
-
-func TestAnchoredBeatsBubblesOnClutter(t *testing.T) {
-	city := geo.GenerateCity(geo.CityConfig{Center: origin, RadiusM: 300, NumPOIs: 400, TallRatio: 0.3, Seed: 5})
-	occluders := OccludersFromPOIs(city, 30)
-	anns := AnnotationsFromPOIs(pose, city)
-	bubbles := MeasureClutter(cam, pose, LayoutBubbles(cam, pose, anns), occluders)
-	anchored := MeasureClutter(cam, pose, LayoutAnchored(cam, pose, anns, occluders, LayoutOptions{}), occluders)
-	if anchored.OverlapFraction >= bubbles.OverlapFraction {
-		t.Fatalf("anchored overlap %.3f not below bubbles %.3f",
-			anchored.OverlapFraction, bubbles.OverlapFraction)
-	}
-	if anchored.OcclusionViolations >= bubbles.OcclusionViolations && bubbles.OcclusionViolations > 0 {
-		t.Fatalf("anchored violations %d not below bubbles %d",
-			anchored.OcclusionViolations, bubbles.OcclusionViolations)
-	}
-}
-
 func TestJitterStableWhenStill(t *testing.T) {
 	anns := denseScene(30)
-	a := LayoutAnchored(cam, pose, anns, nil, LayoutOptions{})
-	b := LayoutAnchored(cam, pose, anns, nil, LayoutOptions{})
+	a := LayoutAnchoredInto(nil, nil, cam, pose, anns, nil, LayoutOptions{})
+	b := LayoutAnchoredInto(nil, nil, cam, pose, anns, nil, LayoutOptions{})
 	if j := Jitter(a, b); j != 0 {
 		t.Fatalf("jitter with identical pose = %.2f", j)
 	}
@@ -228,10 +164,10 @@ func TestJitterStableWhenStill(t *testing.T) {
 
 func TestJitterGrowsWithMotion(t *testing.T) {
 	anns := denseScene(30)
-	a := LayoutAnchored(cam, pose, anns, nil, LayoutOptions{})
+	a := LayoutAnchoredInto(nil, nil, cam, pose, anns, nil, LayoutOptions{})
 	moved := pose
 	moved.HeadingDeg += 2
-	b := LayoutAnchored(cam, moved, anns, nil, LayoutOptions{})
+	b := LayoutAnchoredInto(nil, nil, cam, moved, anns, nil, LayoutOptions{})
 	if j := Jitter(a, b); j <= 0 {
 		t.Fatalf("jitter after turn = %.2f, want > 0", j)
 	}
@@ -242,7 +178,7 @@ func TestJitterGrowsWithMotion(t *testing.T) {
 
 func TestAnnotationsFromPOIs(t *testing.T) {
 	pois := []geo.POI{poiAt(1, 0, 20, 50), poiAt(2, 0, 200, 50)}
-	anns := AnnotationsFromPOIs(pose, pois)
+	anns := AnnotationsFromPOIsInto(nil, pose, pois)
 	if len(anns) != 2 {
 		t.Fatalf("anns = %d", len(anns))
 	}

@@ -47,7 +47,7 @@ func TestIntoVariantsEquivalence(t *testing.T) {
 			}
 		}
 
-		wantAnns := AnnotationsFromPOIs(pose, pois)
+		wantAnns := AnnotationsFromPOIsInto(nil, pose, pois)
 		annBuf = AnnotationsFromPOIsInto(annBuf, pose, pois)
 		if len(annBuf) != len(wantAnns) {
 			t.Fatalf("scene %d: annotations %d, want %d", scene, len(annBuf), len(wantAnns))
@@ -59,7 +59,7 @@ func TestIntoVariantsEquivalence(t *testing.T) {
 			}
 		}
 
-		wantLaid := LayoutAnchored(cam, pose, wantAnns, wantOccl, LayoutOptions{})
+		wantLaid := LayoutAnchoredInto(nil, nil, cam, pose, wantAnns, wantOccl, LayoutOptions{})
 		laidBuf = LayoutAnchoredInto(laidBuf, &scratch, cam, pose, annBuf, occlBuf, LayoutOptions{})
 		if len(laidBuf) != len(wantLaid) {
 			t.Fatalf("scene %d: laid %d, want %d", scene, len(laidBuf), len(wantLaid))
@@ -84,7 +84,7 @@ func layoutAnchoredReference(cam Camera, pose sensor.Pose, anns []Annotation, oc
 			continue
 		}
 		a.Pos = pos
-		a.W, a.H = boxW, boxH
+		a.W, a.H = LabelW, LabelH
 		a.Occluded = IsOccluded(pose, a.Anchor, a.AnchorHM, occluders)
 		a.XRay = a.Occluded
 		visible = append(visible, a)
@@ -174,7 +174,7 @@ func TestLayoutAnchoredIntoSteadyStateAllocs(t *testing.T) {
 		pois = append(pois, poiAt(uint64(i+1), float64(i*5%360), 30+float64(i*11%350), 5+float64(i%35)))
 	}
 	occl := OccludersFromPOIs(pois, 30)
-	anns := AnnotationsFromPOIs(pose, pois)
+	anns := AnnotationsFromPOIsInto(nil, pose, pois)
 	var laid []Annotation
 	var sc LayoutScratch
 	for i := 0; i < 4; i++ {
@@ -266,22 +266,22 @@ func TestLayoutCarriedSightingsEquivalence(t *testing.T) {
 		}
 		var opts LayoutOptions
 
-		want := LayoutAnchored(cam, poseA, stripSightings(carrying), occl, opts)
+		want := LayoutAnchoredInto(nil, nil, cam, poseA, stripSightings(carrying), occl, opts)
 		got := LayoutAnchoredInto(nil, &scratch, cam, poseA, carrying, occl, opts)
 		requireSameLayout(t, "carried vs stripped", got, want)
 		placed += len(want)
 		// The measured-here builder carries too, and must agree as well.
-		requireSameLayout(t, "AnnotationsFromPOIs", LayoutAnchored(cam, poseA, AnnotationsFromPOIs(poseA, pois), occl, opts), want)
+		requireSameLayout(t, "AnnotationsFromPOIs", LayoutAnchoredInto(nil, nil, cam, poseA, AnnotationsFromPOIsInto(nil, poseA, pois), occl, opts), want)
 
 		// Stale carry: same annotations, viewer a few metres on and turned.
 		poseB := poseA
 		poseB.Position = geo.Destination(poseA.Position, rng.Uniform(0, 360), rng.Uniform(0.5, 40))
 		poseB.HeadingDeg = rng.Uniform(0, 360)
-		wantB := LayoutAnchored(cam, poseB, stripSightings(carrying), occl, opts)
+		wantB := LayoutAnchoredInto(nil, nil, cam, poseB, stripSightings(carrying), occl, opts)
 		requireSameLayout(t, "built at A, laid out at B", LayoutAnchoredInto(nil, &scratch, cam, poseB, carrying, occl, opts), wantB)
 		// Laid-out annotations still carry pose A's distance; feeding them back
 		// in at B must not reuse it either.
-		requireSameLayout(t, "laid out at A, then at B", LayoutAnchored(cam, poseB, got, occl, opts), LayoutAnchored(cam, poseB, stripSightings(got), occl, opts))
+		requireSameLayout(t, "laid out at A, then at B", LayoutAnchoredInto(nil, nil, cam, poseB, got, occl, opts), LayoutAnchoredInto(nil, nil, cam, poseB, stripSightings(got), occl, opts))
 	}
 	if placed == 0 {
 		t.Fatal("degenerate scene set: nothing placed")
@@ -297,9 +297,9 @@ func TestProjectMatchesCarriedProjection(t *testing.T) {
 		pois = append(pois, poiAt(uint64(i+1), float64(i*3%360), 0.2+float64(i*7%300), 5+float64(i%35)))
 	}
 	from := geo.OriginAt(pose.Position)
-	for _, a := range AnnotationsFromPOIs(pose, pois) {
+	for _, a := range AnnotationsFromPOIsInto(nil, pose, pois) {
 		wantPos, wantOK := projectPoint(cam, pose, a.Anchor, a.AnchorHM)
-		pos, bearing, ok := cam.project(pose, &from, &a)
+		pos, bearing, ok := cam.Project(pose, &from, &a)
 		if ok != wantOK || pos != wantPos {
 			t.Fatalf("annotation %d: projected to %+v %v, Project gives %+v %v", a.ID, pos, ok, wantPos, wantOK)
 		}

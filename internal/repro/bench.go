@@ -1,4 +1,4 @@
-// Package bench implements the paper-reproduction experiments. The paper is
+// Package repro implements the paper-reproduction experiments. The paper is
 // a vision paper whose one quantitative artefact is Figure 5, so each
 // experiment quantifies one of its qualitative claims and renders one result
 // table, and each has a test asserting that result:
@@ -10,7 +10,7 @@
 //
 // cmd/arbd-bench prints the tables. Serving-path performance is measured by
 // the multi-process benchmark in benchmark/.
-package bench
+package repro
 
 import (
 	"fmt"

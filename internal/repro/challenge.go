@@ -1,4 +1,4 @@
-package bench
+package repro
 
 import (
 	"cmp"
@@ -7,14 +7,14 @@ import (
 	"slices"
 	"time"
 
-	"arbd/internal/ehr"
 	"arbd/internal/geo"
 	"arbd/internal/metrics"
 	"arbd/internal/privacy"
 	"arbd/internal/recommend"
+	"arbd/internal/repro/ehr"
+	"arbd/internal/repro/traffic"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"
-	"arbd/internal/traffic"
 )
 
 // E10Privacy sweeps ε for the three §4.3 mechanisms, reporting utility loss:
@@ -30,7 +30,7 @@ func E10Privacy() *metrics.Table {
 		var mae float64
 		const n = 4000
 		for i := 0; i < n; i++ {
-			v, err := privacy.Laplace(rng, 1000, 1, eps)
+			v, err := laplace(rng, 1000, 1, eps)
 			if err != nil {
 				panic(err)
 			}
@@ -41,7 +41,7 @@ func E10Privacy() *metrics.Table {
 
 	// Planar Laplace: recall of the true 10 nearest POIs when querying from
 	// the perturbed location.
-	city := geo.GenerateCity(geo.CityConfig{Center: benchCenter, RadiusM: 2000, NumPOIs: 5000, Seed: 10})
+	city := geo.GenerateCity(geo.CityConfig{Center: geo.CityCenter, RadiusM: 2000, NumPOIs: 5000, Seed: 10})
 	store, err := geo.LoadStore(city)
 	if err != nil {
 		panic(err)
@@ -50,7 +50,7 @@ func E10Privacy() *metrics.Table {
 		var recall float64
 		const trials = 60
 		for i := 0; i < trials; i++ {
-			truthLoc := geo.Destination(benchCenter, rng.Uniform(0, 360), rng.Float64()*1000)
+			truthLoc := geo.Destination(geo.CityCenter, rng.Uniform(0, 360), rng.Float64()*1000)
 			want := store.Nearest(truthLoc, 10)
 			noisy, err := privacy.PlanarLaplace(rng, truthLoc, eps)
 			if err != nil {
@@ -70,17 +70,17 @@ func E10Privacy() *metrics.Table {
 			recall += float64(hits) / 10
 		}
 		t.AddRow("planar-laplace", eps,
-			fmt.Sprintf("10-NN recall (mean err %.0fm)", privacy.ExpectedPlanarError(eps)),
+			fmt.Sprintf("10-NN recall (mean err %.0fm)", expectedPlanarError(eps)),
 			fmt.Sprintf("%.2f", recall/trials))
 	}
 
 	// k-anonymity: mean released cell size for a downtown crowd.
 	var pts []geo.Point
 	for i := 0; i < 300; i++ {
-		pts = append(pts, geo.Destination(benchCenter, rng.Uniform(0, 360), rng.Float64()*rng.Float64()*2000))
+		pts = append(pts, geo.Destination(geo.CityCenter, rng.Uniform(0, 360), rng.Float64()*rng.Float64()*2000))
 	}
 	for _, k := range []int{5, 20, 50} {
-		_, sizes := privacy.KAnonymize(pts, k, nil)
+		_, sizes := kAnonymize(pts, k, nil)
 		var mean float64
 		for _, s := range sizes {
 			mean += s
@@ -88,6 +88,94 @@ func E10Privacy() *metrics.Table {
 		t.AddRow("k-anonymity", k, "mean cell size (m)", fmt.Sprintf("%.0f", mean/float64(len(sizes))))
 	}
 	return t
+}
+
+// laplace releases value + Lap(sensitivity/epsilon) noise: the standard
+// ε-differentially-private mechanism for numeric queries.
+func laplace(rng *sim.Rand, value, sensitivity, epsilon float64) (float64, error) {
+	if epsilon <= 0 {
+		return 0, privacy.ErrBadEpsilon
+	}
+	if sensitivity < 0 {
+		sensitivity = -sensitivity
+	}
+	b := sensitivity / epsilon
+	// Inverse CDF sampling: u uniform in (-1/2, 1/2).
+	u := rng.Float64() - 0.5
+	noise := -b * sign(u) * math.Log(1-2*math.Abs(u))
+	return value + noise, nil
+}
+
+func sign(v float64) float64 {
+	if v < 0 {
+		return -1
+	}
+	return 1
+}
+
+// expectedPlanarError returns the mean displacement of the planar Laplace
+// mechanism: 2/ε meters, the mean error E10 reports beside each ε.
+func expectedPlanarError(epsilon float64) float64 {
+	if epsilon <= 0 {
+		return math.Inf(1)
+	}
+	return 2 / epsilon
+}
+
+// snapToGrid generalises a location to the centre of a square grid cell of
+// the given size in meters — the building block of k-anonymous location
+// release. The grid is globally fixed: latitude bands are computed first and
+// the longitude cell width is derived from the band centre, so snapping is
+// idempotent and nearby points produce bitwise-identical cell centres.
+func snapToGrid(p geo.Point, cellMeters float64) geo.Point {
+	if cellMeters <= 0 {
+		return p
+	}
+	latCell := cellMeters / 111_320.0 // meters per degree latitude
+	latIdx := math.Floor(p.Lat / latCell)
+	latCenter := latIdx*latCell + latCell/2
+	lonScale := math.Cos(latCenter * math.Pi / 180)
+	if lonScale < 1e-6 {
+		lonScale = 1e-6
+	}
+	lonCell := cellMeters / (111_320.0 * lonScale)
+	lonIdx := math.Floor(p.Lon / lonCell)
+	return geo.Point{Lat: latCenter, Lon: lonIdx*lonCell + lonCell/2}
+}
+
+// kAnonymize generalises each point to the coarsest grid cell (from the
+// candidate cell sizes, ascending) that contains at least k of the input
+// points, guaranteeing each released cell covers ≥ k users. Points that
+// never reach k occupancy release at the coarsest candidate size.
+// It returns the released points and the per-point cell size used.
+func kAnonymize(points []geo.Point, k int, cellSizesMeters []float64) ([]geo.Point, []float64) {
+	if len(cellSizesMeters) == 0 {
+		cellSizesMeters = []float64{50, 100, 200, 400, 800, 1600, 3200}
+	}
+	released := make([]geo.Point, len(points))
+	sizes := make([]float64, len(points))
+	// Precompute occupancy per candidate size.
+	occupancy := make([]map[geo.Point]int, len(cellSizesMeters))
+	for si, size := range cellSizesMeters {
+		occ := make(map[geo.Point]int, len(points))
+		for _, p := range points {
+			occ[snapToGrid(p, size)]++
+		}
+		occupancy[si] = occ
+	}
+	for i, p := range points {
+		chosen := len(cellSizesMeters) - 1
+		for si := range cellSizesMeters {
+			cell := snapToGrid(p, cellSizesMeters[si])
+			if occupancy[si][cell] >= k {
+				chosen = si
+				break
+			}
+		}
+		sizes[i] = cellSizesMeters[chosen]
+		released[i] = snapToGrid(p, cellSizesMeters[chosen])
+	}
+	return released, sizes
 }
 
 // E13Influence recomputes Figure 5, the paper's qualitative "influence
@@ -153,12 +241,12 @@ type shopperScores struct{ popHR, ctxHR float64 }
 // context-aware hit rates.
 func analyticsShoppers() shopperScores {
 	w := recommend.GenerateShoppers(recommend.ShopperConfig{
-		Seed: 13, NumUsers: 150, NumItems: 200, EventsPerUser: 25, Center: benchCenter,
+		Seed: 13, NumUsers: 150, NumItems: 200, EventsPerUser: 25, Center: geo.CityCenter,
 	})
-	sp := recommend.LeaveOneOut(w.Log, 5)
-	pop := recommend.Evaluate(recommend.NewPopularity(sp.Train), sp, 10)
+	sp := leaveOneOut(w.Log, 5)
+	pop := evaluate(recommend.NewPopularity(sp.Train), sp, 10)
 	cf := recommend.NewItemCF(sp.Train)
-	ctx := recommend.Evaluate(recommend.NewContextAware(cf, w.Catalog, w.ContextFor(sp)), sp, 10)
+	ctx := evaluate(recommend.NewContextAware(cf, w.Catalog, contextFor(w, sp)), sp, 10)
 	return shopperScores{popHR: pop.HitRate, ctxHR: ctx.HitRate}
 }
 
@@ -166,7 +254,7 @@ func analyticsShoppers() shopperScores {
 // per-frame context lookup), capped so a single subsystem cannot dominate
 // the influence score.
 func geoSpeedup() float64 {
-	city := geo.GenerateCity(geo.CityConfig{Center: benchCenter, RadiusM: 5000, NumPOIs: 50_000, Seed: 13})
+	city := geo.GenerateCity(geo.CityConfig{Center: geo.CityCenter, RadiusM: 5000, NumPOIs: 50_000, Seed: 13})
 	rt, err := geo.LoadStore(city)
 	if err != nil {
 		panic(err)
@@ -175,7 +263,7 @@ func geoSpeedup() float64 {
 	rng := sim.NewRand(13)
 	var centers []geo.Point
 	for i := 0; i < queries; i++ {
-		centers = append(centers, geo.Destination(benchCenter, rng.Uniform(0, 360), rng.Float64()*3000))
+		centers = append(centers, geo.Destination(geo.CityCenter, rng.Uniform(0, 360), rng.Float64()*3000))
 	}
 	start := time.Now()
 	for _, c := range centers {

@@ -1,11 +1,11 @@
-package bench
+package repro
 
 import (
 	"fmt"
 	"time"
 
 	"arbd/internal/metrics"
-	"arbd/internal/offload"
+	"arbd/internal/repro/offload"
 )
 
 // E4Offload reproduces the CloudRiDAR-style crossover: per-frame latency and

@@ -85,7 +85,7 @@ func NewSim(cfg Config, start time.Time) *Sim {
 	for i := 0; i < cfg.NumVehicles; i++ {
 		v := &Vehicle{
 			ID:       uint64(i + 1),
-			SpeedMps: s.rng.Jitter(cfg.SpeedMps, 0.3),
+			SpeedMps: jitter(s.rng, cfg.SpeedMps, 0.3),
 			Equipped: s.rng.Bool(cfg.Penetration),
 		}
 		// Place on a random street: either a N-S avenue (x fixed) or an E-W
@@ -108,6 +108,15 @@ func NewSim(cfg Config, start time.Time) *Sim {
 		s.vehicles = append(s.vehicles, v)
 	}
 	return s
+}
+
+// jitter returns v multiplied by a uniform factor in [1-f, 1+f]. It
+// perturbs vehicle speeds so the simulated cars are not lockstep.
+func jitter(r *sim.Rand, v, f float64) float64 {
+	if f <= 0 {
+		return v
+	}
+	return v * r.Uniform(1-f, 1+f)
 }
 
 // Vehicles returns a snapshot of vehicle states.

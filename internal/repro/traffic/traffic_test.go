@@ -233,3 +233,16 @@ func TestSimDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func TestJitterBounds(t *testing.T) {
+	r := sim.NewRand(8)
+	for i := 0; i < 1000; i++ {
+		v := jitter(r, 100, 0.1)
+		if v < 90 || v > 110 {
+			t.Fatalf("Jitter out of bounds: %v", v)
+		}
+	}
+	if got := jitter(r, 100, 0); got != 100 {
+		t.Fatalf("Jitter with f=0 changed value: %v", got)
+	}
+}

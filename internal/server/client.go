@@ -28,13 +28,13 @@ var (
 
 // DialOptions tunes the connection handshake.
 type DialOptions struct {
-	// MaxProto caps the version the client announces (default
-	// wire.ProtoMax). arbd-loadgen -max-proto pins an older version here to
-	// compare wire formats — a v3-capped client subscribes without the
-	// delta flag and keeps receiving full MsgFramePush frames.
-	MaxProto uint32
 	// Name labels the client in the server's logs (default "client").
 	Name string
+	// maxProto caps the version the client announces (default
+	// wire.ProtoMax). Tests pin an older version here: a v3-capped client
+	// subscribes without the delta flag and keeps receiving full
+	// MsgFramePush frames.
+	maxProto uint32
 }
 
 // SubscribeOptions tunes a frame subscription. The server bounds the
@@ -164,14 +164,14 @@ func DialContext(ctx context.Context, addr string, opts DialOptions) (*Client, e
 // success or failure. A server speaking no version this client can fails
 // the handshake with a *wire.VersionError.
 func NewClient(ctx context.Context, conn net.Conn, opts DialOptions) (*Client, error) {
-	if opts.MaxProto == 0 {
-		opts.MaxProto = wire.ProtoMax
+	if opts.maxProto == 0 {
+		opts.maxProto = wire.ProtoMax
 	}
 	if opts.Name == "" {
 		opts.Name = "client"
 	}
 	deadline, _ := ctx.Deadline()
-	dc, err := dialHandshake(conn, conn, deadline, opts.Name, opts.MaxProto)
+	dc, err := dialHandshake(conn, conn, deadline, opts.Name, opts.maxProto)
 	if err != nil {
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}

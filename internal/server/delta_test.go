@@ -101,7 +101,7 @@ func TestV3PinnedClientStreamsFullFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewClient(context.Background(), raw, DialOptions{MaxProto: wire.ProtoV3})
+	cl, err := NewClient(context.Background(), raw, DialOptions{maxProto: wire.ProtoV3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,15 +132,6 @@ func Pick[T any](r *Rand, values []T) T {
 	return values[r.Intn(len(values))]
 }
 
-// Jitter returns v multiplied by a uniform factor in [1-f, 1+f]. It is used
-// to perturb model parameters so simulated components are not lockstep.
-func (r *Rand) Jitter(v, f float64) float64 {
-	if f <= 0 {
-		return v
-	}
-	return v * r.Uniform(1-f, 1+f)
-}
-
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	return math.Max(lo, math.Min(hi, v))

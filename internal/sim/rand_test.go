@@ -103,19 +103,6 @@ func TestPick(t *testing.T) {
 	}
 }
 
-func TestJitterBounds(t *testing.T) {
-	r := NewRand(8)
-	for i := 0; i < 1000; i++ {
-		v := r.Jitter(100, 0.1)
-		if v < 90 || v > 110 {
-			t.Fatalf("Jitter out of bounds: %v", v)
-		}
-	}
-	if got := r.Jitter(100, 0); got != 100 {
-		t.Fatalf("Jitter with f=0 changed value: %v", got)
-	}
-}
-
 func TestClamp(t *testing.T) {
 	cases := []struct{ v, lo, hi, want float64 }{
 		{5, 0, 10, 5},
