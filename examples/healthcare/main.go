@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"arbd/internal/arml"
-	"arbd/internal/repro/ehr"
+	"arbd/internal/ehr"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"
 )

@@ -7,11 +7,11 @@ import (
 	"slices"
 	"time"
 
+	"arbd/internal/ehr"
 	"arbd/internal/geo"
 	"arbd/internal/metrics"
 	"arbd/internal/privacy"
 	"arbd/internal/recommend"
-	"arbd/internal/repro/ehr"
 	"arbd/internal/repro/traffic"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"

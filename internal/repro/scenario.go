@@ -5,11 +5,11 @@ import (
 	"math"
 	"time"
 
+	"arbd/internal/ehr"
 	"arbd/internal/geo"
 	"arbd/internal/metrics"
 	"arbd/internal/recommend"
 	"arbd/internal/render"
-	"arbd/internal/repro/ehr"
 	"arbd/internal/repro/traffic"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"
