@@ -2,8 +2,11 @@
 // router's link to each shard, the AdminClient — as every listener runs
 // connServer.serve; each dialer plugs in only its deliver function. After the
 // handshake the outbox (stream.go) is the only writer and serve the only
-// reader, so no caller parks on a peer that stopped reading: a round trip
-// waits in the ledger for its reply, its context or the connection's end.
+// reader, so no caller parks on a peer that stopped reading. Every reply the
+// peer owes sits in the connection's one ledger: a round trip waits there for
+// its reply, its context or the connection's end, and a router's forward
+// holds its client's reply slot there until the shard answers or the
+// connection dies.
 package server
 
 import (
@@ -27,14 +30,29 @@ type dialConn struct {
 	proto uint32     // the version the handshake settled
 	seq   atomic.Uint64
 
-	// The ledger of owed replies: a slot per waiting round trip, keyed by
-	// its request's seq, reused rather than allocated per call.
+	// The ledger of owed replies. A round trip is keyed (0, its link seq),
+	// its call reused rather than allocated per call; a forward by its
+	// client's (session, seq), and router sessions start at 1, so the two
+	// never meet. frames is the forwarded frame requests in forward order,
+	// answered ones popped lazily from the head: admission reads its age.
 	owedMu sync.Mutex
-	owed   map[uint64]*call
+	owed   map[owedKey]owedEntry
+	frames []owedKey
 	free   []*call
 	err    error // terminal: set once serve has returned
 
 	done chan struct{} // closed once a started read loop has ended
+}
+
+type owedKey struct{ session, seq uint64 }
+
+// owedEntry is one owed reply: a round trip's call, or a forward's request
+// type, the client outbox holding a reply slot for it, and when it went out.
+type owedEntry struct {
+	c   *call
+	t   wire.MsgType
+	out *outbox
+	at  time.Time
 }
 
 // call is one round trip's ledger slot.
@@ -49,7 +67,7 @@ type call struct {
 // deadline (zero: unbounded), then starts the outbox over w — conn itself,
 // or a wrapper of it. It owns conn from here, success or failure.
 func dialHandshake(conn net.Conn, w io.Writer, deadline time.Time, name string, maxProto uint32) (*dialConn, error) {
-	dc := &dialConn{conn: conn, fr: wire.NewFrameReader(conn), owed: make(map[uint64]*call)}
+	dc := &dialConn{conn: conn, fr: wire.NewFrameReader(conn), owed: make(map[owedKey]owedEntry)}
 	_ = conn.SetDeadline(deadline)
 	var err error
 	if dc.peer, dc.proto, err = dialHello(dc.fr, wire.NewFrameWriter(conn), name, maxProto); err != nil {
@@ -92,8 +110,9 @@ func dialHello(fr *wire.FrameReader, fw *wire.FrameWriter, name string, maxProto
 // serve is the dial side's read loop: it hands deliver every envelope, in
 // arrival order, until a read fails. The envelope is reused — its payload
 // valid until deliver returns — and deliver must not block. On the way out
-// serve closes the connection and its outbox, settles every owed round trip
-// with the terminal error, and returns the read error.
+// serve closes the connection and its outbox, then settles every owed reply
+// once: a round trip with the terminal error, a forward with ErrShardDown
+// to its client and its reply slot returned. It returns the read error.
 func (dc *dialConn) serve(deliver func(*wire.Envelope)) error {
 	var in wire.Envelope
 	for {
@@ -101,11 +120,17 @@ func (dc *dialConn) serve(deliver func(*wire.Envelope)) error {
 			dc.close()
 			dc.owedMu.Lock()
 			dc.err = fmt.Errorf("%w: %v", ErrClientClosed, err)
-			for seq, c := range dc.owed {
-				delete(dc.owed, seq)
-				c.err = dc.err
-				c.done <- struct{}{}
+			for k, e := range dc.owed {
+				delete(dc.owed, k)
+				if e.c != nil {
+					e.c.err = dc.err
+					e.c.done <- struct{}{}
+				} else {
+					e.out.fail(k.session, k.seq, ErrShardDown.Error())
+					e.out.expect(-1)
+				}
 			}
+			dc.frames = dc.frames[:0]
 			dc.owedMu.Unlock()
 			return err
 		}
@@ -139,18 +164,81 @@ func (dc *dialConn) close() {
 	dc.out.close()
 }
 
-// settle hands a reply to the round trip owed it. One no round trip waits
-// for — a watch push, a reply whose waiter gave up — is dropped.
+// settle hands a reply to the round trip owed it, found by its seq alone.
+// One no round trip waits for — a watch push, a reply whose waiter gave up —
+// is dropped.
 func (dc *dialConn) settle(env *wire.Envelope) {
+	k := owedKey{0, env.Seq}
 	dc.owedMu.Lock()
-	if c := dc.owed[env.Seq]; c != nil {
-		delete(dc.owed, env.Seq)
+	if c := dc.owed[k].c; c != nil {
+		delete(dc.owed, k)
 		c.buf = append(c.buf[:0], env.Payload...)
 		c.reply = *env
 		c.reply.Payload = c.buf
 		c.done <- struct{}{}
 	}
 	dc.owedMu.Unlock()
+}
+
+// owe enters a forward of the client request (session, seq) of type t,
+// holding a reply slot in out until settleForward or the connection's end
+// gives it back. It reports false on a dead connection, which owes nothing.
+// A (session, seq) already owed is not entered again: a reused seq's second
+// reply arrives outside the ledger.
+func (dc *dialConn) owe(session, seq uint64, t wire.MsgType, out *outbox) bool {
+	k := owedKey{session, seq}
+	dc.owedMu.Lock()
+	defer dc.owedMu.Unlock()
+	if dc.err != nil {
+		return false
+	}
+	if _, dup := dc.owed[k]; dup {
+		return true
+	}
+	dc.owed[k] = owedEntry{t: t, out: out, at: time.Now()}
+	if t == wire.MsgFrameRequest {
+		dc.frames = append(dc.frames, k)
+	}
+	out.expect(1)
+	return true
+}
+
+// settleForward settles the forward of (session, seq), returning its type,
+// or zero if none was owed (a sensor error or a replayed subscribe's ack
+// was not). It pops answered entries off the frame FIFO's head, so the head
+// is always owed and the FIFO stays bounded by the outstanding count even
+// when admission never reads it.
+func (dc *dialConn) settleForward(session, seq uint64) wire.MsgType {
+	k := owedKey{session, seq}
+	dc.owedMu.Lock()
+	defer dc.owedMu.Unlock()
+	e := dc.owed[k]
+	if e.out == nil {
+		return 0
+	}
+	delete(dc.owed, k)
+	i := 0
+	for ; i < len(dc.frames); i++ {
+		if _, ok := dc.owed[dc.frames[i]]; ok {
+			break
+		}
+	}
+	if i > 0 {
+		n := copy(dc.frames, dc.frames[i:])
+		dc.frames = dc.frames[:n]
+	}
+	return e.t
+}
+
+// headAge returns how long the oldest frame request still owed has waited
+// (zero when none is, as on a dead connection).
+func (dc *dialConn) headAge(now time.Time) time.Duration {
+	dc.owedMu.Lock()
+	defer dc.owedMu.Unlock()
+	if len(dc.frames) == 0 {
+		return 0
+	}
+	return now.Sub(dc.owed[dc.frames[0]].at)
 }
 
 // roundTrip sends req under the next seq, as a reply-class message that never
@@ -169,10 +257,10 @@ func (dc *dialConn) roundTrip(ctx context.Context, req wire.Envelope, want wire.
 	} else {
 		c = &call{done: make(chan struct{}, 1)}
 	}
-	seq := dc.seq.Add(1)
-	dc.owed[seq] = c
+	k := owedKey{0, dc.seq.Add(1)}
+	dc.owed[k] = owedEntry{c: c}
 	dc.owedMu.Unlock()
-	req.Seq = seq
+	req.Seq = k.seq
 	if !dc.out.enqueue(outMsg{env: req, reply: true}) {
 		_ = dc.conn.Close() // the writer is dead: end serve, which settles the slot
 	}
@@ -180,9 +268,9 @@ func (dc *dialConn) roundTrip(ctx context.Context, req wire.Envelope, want wire.
 	case <-c.done:
 	case <-ctx.Done():
 		dc.owedMu.Lock()
-		abandoned := dc.owed[seq] == c
+		abandoned := dc.owed[k].c == c
 		if abandoned {
-			delete(dc.owed, seq)
+			delete(dc.owed, k)
 			dc.free = append(dc.free, c)
 		}
 		dc.owedMu.Unlock()

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -255,5 +256,53 @@ func TestClientRoundTripAllocs(t *testing.T) {
 	})
 	if allocs := testing.AllocsPerRun(500, poll); allocs > decode {
 		t.Fatalf("a polled frame allocated %.0f times, want at most the %.0f of decoding it", allocs, decode)
+	}
+}
+
+// TestLedgerKeySpacesStayApart pins the ledger's two key spaces: a round
+// trip is owed under (0, its link seq), a forward under its client's
+// (session, seq). On one connection a forward (7, 1) and a round trip for
+// session 7 that goes out as link seq 1 are both owed; the round trip's
+// reply, which carries session 7 and seq 1, settles only the round trip, and
+// the forward's settle only the forward.
+func TestLedgerKeySpacesStayApart(t *testing.T) {
+	sent := make(chan wire.Envelope, 1)
+	cl := pipeClient(t, func(fr *wire.FrameReader, fw *wire.FrameWriter) {
+		env, err := fr.ReadEnvelope()
+		if err != nil {
+			return
+		}
+		sent <- *env
+		_ = sendEnvelope(fw, &wire.Envelope{Type: wire.MsgAck, Seq: env.Seq, Session: env.Session})
+	})
+	t.Cleanup(func() { _ = cl.Close() })
+	out := newOutbox(io.Discard, 1, nil)
+	t.Cleanup(out.close)
+	owed := func() (entries, frames int) {
+		cl.owedMu.Lock()
+		defer cl.owedMu.Unlock()
+		return len(cl.owed), len(cl.frames)
+	}
+
+	if !cl.owe(7, 1, wire.MsgFrameRequest, out) {
+		t.Fatal("a live connection refused the forward")
+	}
+	if err := cl.roundTrip(context.Background(), wire.Envelope{Type: wire.MsgControl, Session: 7}, wire.MsgAck, nil); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	if env := <-sent; env.Seq != 1 || env.Session != 7 {
+		t.Fatalf("round trip went out as (session %d, seq %d), want (7, 1)", env.Session, env.Seq)
+	}
+	if n, f := owed(); n != 1 || f != 1 {
+		t.Fatalf("after the round trip's reply: %d entries, %d frames owed, want the forward alone", n, f)
+	}
+	if got := cl.settleForward(7, 1); got != wire.MsgFrameRequest {
+		t.Fatalf("forward settled as %v, want %v", got, wire.MsgFrameRequest)
+	}
+	if got := cl.settleForward(7, 1); got != 0 {
+		t.Fatalf("forward settled twice, second as %v", got)
+	}
+	if n, f := owed(); n != 0 || f != 0 {
+		t.Fatalf("ledger ends with %d entries, %d frames", n, f)
 	}
 }

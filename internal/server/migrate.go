@@ -155,7 +155,7 @@ func (r *Router) runMoves(moves []move, gates map[uint64]gateHandle) {
 			r.sessMu.RUnlock()
 			if !connected {
 				if from != nil {
-					_ = r.forward(from, &wire.Envelope{Type: wire.MsgControl, Session: mv.session,
+					_ = r.forward(from.backend(), &wire.Envelope{Type: wire.MsgControl, Session: mv.session,
 						Payload: []byte{CtrlEndSession}})
 				}
 				r.ungate(gates[mv.session])
@@ -245,7 +245,7 @@ func (r *Router) resumeStream(id uint64, to *routerShard) {
 	defer r.subsMu.Unlock()
 	if e := r.subs[id]; e != nil {
 		e.rebase()
-		if err := r.forward(to, &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload}); err != nil {
+		if err := r.forward(to.backend(), &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload}); err != nil {
 			r.logger.Printf("router: resuming subscription for session %d on shard %d: %v", id, to.member.ID, err)
 		}
 	}

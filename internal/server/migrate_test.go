@@ -466,9 +466,14 @@ func TestDrainMigrationFailureIsSoft(t *testing.T) {
 	}
 	// Wait for the router to notice the dead backend so the drain's
 	// forwards fail fast instead of racing the detection.
-	ss := tc.router.shard(to)
+	bc := tc.router.shard(to).backend()
 	deadline := time.Now().Add(5 * time.Second)
-	for !ss.down.Load() {
+	down := func() bool {
+		bc.owedMu.Lock()
+		defer bc.owedMu.Unlock()
+		return bc.err != nil
+	}
+	for !down() {
 		if time.Now().After(deadline) {
 			t.Fatal("router never observed the dead destination")
 		}
@@ -510,7 +515,7 @@ func TestDeliverRebasesAtSubscribeAck(t *testing.T) {
 	const session = 7
 	r.sessions[session] = cl
 	r.subs[session] = &subEntry{payload: []byte{0, 0}}
-	ss := &routerShard{owed: ledger{owed: make(map[pendKey]wire.MsgType)}}
+	bc := &dialConn{owed: make(map[owedKey]owedEntry)}
 
 	push := func(raw uint64) {
 		r.deliver(&wire.Envelope{Type: wire.MsgFramePush, Seq: raw, Session: session, Payload: []byte{1}}, false)
@@ -529,16 +534,15 @@ func TestDeliverRebasesAtSubscribeAck(t *testing.T) {
 	}
 
 	// An ack nobody owes (a replayed subscribe's, seq 0) does not rebase.
-	r.deliverReply(ss, &wire.Envelope{Type: wire.MsgAck, Session: session})
+	r.deliverReply(bc, &wire.Envelope{Type: wire.MsgAck, Session: session})
 	if e := entry(); e.base != 0 {
 		t.Fatalf("unowed ack rebased: %+v", e)
 	}
 	// The ack of the owed re-subscribe does.
-	if !ss.owed.add(session, 9, wire.MsgSubscribe, time.Now()) {
+	if !bc.owe(session, 9, wire.MsgSubscribe, cl.out) {
 		t.Fatal("ledger refused the re-subscribe")
 	}
-	cl.out.expect(1)
-	r.deliverReply(ss, &wire.Envelope{Type: wire.MsgAck, Seq: 9, Session: session})
+	r.deliverReply(bc, &wire.Envelope{Type: wire.MsgAck, Seq: 9, Session: session})
 	if e := entry(); e.base != 3 || e.last != 3 {
 		t.Fatalf("subscribe ack did not rebase: %+v", e)
 	}

@@ -176,6 +176,10 @@ type Router struct {
 	// (session, seq).
 	rec *obs.Recorder
 
+	// dial dials one backend: net.DialTimeout, or in tests a shard end that
+	// never reads.
+	dial func(addr string) (net.Conn, error)
+
 	connected bool
 	closeOnce sync.Once
 	closeErr  error
@@ -216,8 +220,8 @@ func (w backendWriter) Write(p []byte) (int, error) {
 }
 
 // routerShard is one shard's slot: the current backend connection (swapped
-// on reconnect), the shard's last reported load, and the ledger of replies
-// it owes.
+// on reconnect), whose ledger holds the replies the shard owes, and the
+// shard's last reported load.
 type routerShard struct {
 	member Member
 
@@ -227,12 +231,8 @@ type routerShard struct {
 	loadMu sync.RWMutex
 	load   core.LoadSignal
 
-	owed ledger
-
-	// down flips while the backend connection is lost; removed flips when a
-	// drain detaches the shard on purpose, telling the reader not to
-	// reconnect and not to write obituaries.
-	down    atomic.Bool
+	// removed flips when a drain detaches the shard on purpose, telling the
+	// reader not to reconnect and not to write obituaries.
 	removed atomic.Bool
 }
 
@@ -255,13 +255,10 @@ func (ss *routerShard) backend() *dialConn {
 	return ss.bc
 }
 
-// forward queues one envelope on the shard's backend outbox, its payload
-// copied (it may alias a frame reader's buffer). Forwards are replies:
-// never dropped.
-func (r *Router) forward(ss *routerShard, env *wire.Envelope) error {
-	if ss.down.Load() {
-		return ErrShardDown
-	}
+// forward queues one envelope on a backend outbox, its payload copied (it
+// may alias a frame reader's buffer). Forwards are replies: never dropped.
+// A dead connection's closed outbox refuses it: ErrShardDown.
+func (r *Router) forward(bc *dialConn, env *wire.Envelope) error {
 	msg := outMsg{env: *env, reply: true}
 	if len(env.Payload) > 0 {
 		buf := r.bufs.Get().(*wire.Buffer)
@@ -269,7 +266,7 @@ func (r *Router) forward(ss *routerShard, env *wire.Envelope) error {
 		buf.Append(env.Payload)
 		msg.env.Payload, msg.buf, msg.pool = buf.Bytes(), buf, &r.bufs
 	}
-	if !ss.backend().out.enqueue(msg) {
+	if !bc.out.enqueue(msg) {
 		return ErrShardDown
 	}
 	return nil
@@ -325,6 +322,9 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 		orphaned:      reg.Counter("router.replies.orphaned"),
 
 		rec: obs.NewRecorder(reg),
+		dial: func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, backendDialTimeout)
+		},
 	}
 	r.bufs.New = func() any { return wire.NewBuffer(1024) }
 	r.cs = newConnServer(logger, "router", r.openClient)
@@ -378,7 +378,7 @@ func (r *Router) Connect() error {
 // attachShard installs a handshaken backend connection as the member's
 // slot and starts its reader.
 func (r *Router) attachShard(m Member, bc *dialConn) *routerShard {
-	ss := &routerShard{member: m, bc: bc, owed: ledger{owed: make(map[pendKey]wire.MsgType)}}
+	ss := &routerShard{member: m, bc: bc}
 	r.shardsMu.Lock()
 	r.shards[m.ID] = ss
 	closing := r.closing() // Close swept the slots before this one joined
@@ -391,16 +391,10 @@ func (r *Router) attachShard(m Member, bc *dialConn) *routerShard {
 	return ss
 }
 
-// dialShard dials one backend. A variable so tests can hand the router a
-// shard end that never reads.
-var dialShard = func(addr string) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, backendDialTimeout)
-}
-
 // dialBackend dials one shard and runs the hello handshake, verifying the
 // peer announces the member ID the config claims.
 func (r *Router) dialBackend(m Member) (*dialConn, error) {
-	conn, err := dialShard(m.Addr)
+	conn, err := r.dial(m.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: dialing shard %d at %s: %w", m.ID, m.Addr, err)
 	}
@@ -416,25 +410,12 @@ func (r *Router) dialBackend(m Member) (*dialConn, error) {
 }
 
 // shardReader runs a shard slot's backend connection, redialling it each
-// time it dies: the read loop's deliver is fromShard, and when the
-// connection dies — its outbox closed by then, so a forward either fails
-// to enqueue (its route answers it) or is answered here — every request
-// the shard still owed is answered ErrShardDown.
+// time it dies: the read loop's deliver is fromShard, and the loop's end
+// answers every request the shard still owed ErrShardDown.
 func (r *Router) shardReader(ss *routerShard, bc *dialConn) {
 	defer r.wg.Done()
-	deliver := func(env *wire.Envelope) { r.fromShard(ss, env) }
 	for bc != nil {
-		err := bc.serve(deliver)
-		ss.down.Store(true)
-		for _, k := range ss.owed.drain() {
-			r.sessMu.RLock()
-			cl := r.sessions[k.session]
-			r.sessMu.RUnlock()
-			if cl != nil {
-				cl.out.fail(k.session, k.seq, ErrShardDown.Error())
-				cl.out.expect(-1)
-			}
-		}
+		err := bc.serve(func(env *wire.Envelope) { r.fromShard(ss, bc, env) })
 		if r.closing() || ss.removed.Load() {
 			return // closing, or drained on purpose: no reconnect, no obituaries
 		}
@@ -443,19 +424,19 @@ func (r *Router) shardReader(ss *routerShard, bc *dialConn) {
 	}
 }
 
-// fromShard takes one shard envelope: load reports update admission,
-// migrate replies settle the move waiting on them, and everything else
-// routes back to the owning client by session ID.
-func (r *Router) fromShard(ss *routerShard, env *wire.Envelope) {
+// fromShard takes one envelope read from ss's connection bc: load reports
+// update admission, migrate replies settle the move waiting on them, and
+// everything else routes back to the owning client by session ID.
+func (r *Router) fromShard(ss *routerShard, bc *dialConn, env *wire.Envelope) {
 	switch env.Type {
 	case wire.MsgLoad:
 		if sig, err := core.DecodeLoadSignal(env.Payload); err == nil {
 			ss.setLoad(sig)
 		}
 	case wire.MsgMigrateSession:
-		ss.backend().settle(env) // a move's round trip: never client-bound
+		bc.settle(env) // a move's round trip: never client-bound
 	case wire.MsgAnnotations, wire.MsgError, wire.MsgAck:
-		r.deliverReply(ss, env)
+		r.deliverReply(bc, env)
 	default:
 		r.deliver(env, false)
 	}
@@ -496,7 +477,6 @@ func (r *Router) reconnectShard(ss *routerShard) *dialConn {
 		}
 		ss.bc = bc
 		ss.connMu.Unlock()
-		ss.down.Store(false)
 		reconnects.Inc()
 		r.replaySubscriptions(ss)
 		r.logger.Printf("router: shard %d reconnected (attempt %d)", ss.member.ID, attempt)
@@ -530,7 +510,7 @@ func (r *Router) replaySubscriptions(ss *routerShard) {
 			// increasing through the bounce. A failed forward lost the
 			// connection again, whose reconnect replays anew.
 			e.rebase()
-			_ = r.forward(ss, &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload})
+			_ = r.forward(ss.backend(), &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload})
 		}
 	}
 }
@@ -562,12 +542,13 @@ func (r *Router) failStreams(ss *routerShard) {
 	}
 }
 
-// deliverReply delivers one shard reply, settling its ledger entry. The ack
-// of a subscribe rebases the session's push seq: the shard stopped the
-// replaced stream before queuing it, so every push of that stream has been
-// delivered already and every push behind it is the new stream's.
-func (r *Router) deliverReply(ss *routerShard, env *wire.Envelope) {
-	t := ss.owed.done(env.Session, env.Seq)
+// deliverReply delivers one reply read from bc, settling its forward's
+// ledger entry. The ack of a subscribe rebases the session's push seq: the
+// shard stopped the replaced stream before queuing it, so every push of
+// that stream has been delivered already and every push behind it is the
+// new stream's.
+func (r *Router) deliverReply(bc *dialConn, env *wire.Envelope) {
+	t := bc.settleForward(env.Session, env.Seq)
 	if t == wire.MsgSubscribe && env.Type == wire.MsgAck {
 		r.subsMu.Lock()
 		if e := r.subs[env.Session]; e != nil {
@@ -770,12 +751,13 @@ func (r *Router) fromClient(cl *routerClient, id uint64, env *wire.Envelope) {
 // the membership-change read lock. Nothing under those locks blocks: the
 // forward, and any reply the router makes itself (a shed, an unreachable
 // owner), is an enqueue. A forward the shard answers is entered in its
-// ledger, holding a slot in the client's outbox, first.
+// connection's ledger, holding a slot in the client's outbox, first.
 //
-// The locks span the whole decide-and-forward sequence so the shard
-// consulted for admission is the shard the envelope reaches: without
-// that, a migration between the ledger entry and the forward would strand
-// the entry on the old shard's ledger and poison its admission clock.
+// The locks span the whole decide-and-forward sequence, and it resolves
+// the owner's connection once, so the link consulted for admission is the
+// link that owes the reply and that the envelope reaches: without that, a
+// migration or reconnect between the ledger entry and the forward would
+// strand the entry on a link that never carries its reply.
 func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) {
 	for {
 		r.changeMu.RLock()
@@ -835,131 +817,34 @@ func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) {
 		// replaySubscriptions).
 		r.untrackSub(id)
 	}
-	if env.Type == wire.MsgFrameRequest && r.shedNow(ss) {
+	bc := ss.backend()
+	if env.Type == wire.MsgFrameRequest && r.shedNow(ss, bc) {
 		r.framesShed.Inc()
 		cl.out.fail(id, env.Seq, ErrRouterShed.Error())
 		return
 	}
-	if owes = owes && ss.owed.add(id, env.Seq, env.Type, time.Now()); owes {
-		cl.out.expect(1)
+	err := ErrShardDown
+	if !owes || bc.owe(id, env.Seq, env.Type, cl.out) {
+		// An owed forward the closed outbox refuses is answered by the
+		// dying connection's read loop.
+		err = r.forward(bc, env)
+	} else {
+		cl.out.fail(id, env.Seq, err.Error()) // a dead link owes nothing
 	}
-	if err := r.forward(ss, env); err != nil {
+	if err != nil {
 		r.forwardErrs.Inc()
 		if env.Type == wire.MsgSubscribe {
 			r.untrackSub(id) // an unsent subscribe must not be replayed
-		}
-		// Answer it, unless the dying connection's reader already did.
-		if owes && ss.owed.done(id, env.Seq) != 0 {
-			cl.out.fail(id, env.Seq, ErrShardDown.Error())
-			cl.out.expect(-1)
 		}
 	}
 }
 
 // shedNow applies lag-aware admission for one shard: the base deadline is
 // tightened by the shard's reported load, and compared against the age of
-// the shard's oldest outstanding frame request — if the shard hasn't kept
-// up with what it already has within the effective budget, a new frame
-// would wait at least as long, so shed it here instead of paying the hop.
-func (r *Router) shedNow(ss *routerShard) bool {
-	if ss.down.Load() {
-		return false // let forward() report ErrShardDown, not a fake shed
-	}
-	return ss.owed.headAge(time.Now()) > r.gate.effective(ss.loadSignal())
-}
-
-// pendKey identifies one forwarded request.
-type pendKey struct {
-	session, seq uint64
-}
-
-type pendEntry struct {
-	key pendKey
-	at  time.Time
-}
-
-// ledger is one shard's record of the forwarded requests it owes a reply,
-// and of each one's type. Admission reads the age of its oldest frame
-// request; each entry holds a slot in its client's outbox (outbox.expect);
-// the ack of a subscribe rebases its stream (deliverReply); and when the
-// backend connection dies, every entry is answered ErrShardDown.
-type ledger struct {
-	mu   sync.Mutex
-	owed map[pendKey]wire.MsgType
-	// frames is the frame requests in forward order; answered ones are
-	// popped lazily from the head.
-	frames []pendEntry
-}
-
-// add enters one forwarded request, reporting false for a (session, seq)
-// already owed: a reused seq's second reply arrives outside the ledger.
-func (l *ledger) add(session, seq uint64, t wire.MsgType, at time.Time) bool {
-	k := pendKey{session, seq}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, dup := l.owed[k]; dup {
-		return false
-	}
-	l.owed[k] = t
-	if t == wire.MsgFrameRequest {
-		l.frames = append(l.frames, pendEntry{key: k, at: at})
-	}
-	return true
-}
-
-// done settles one request, returning its type, or zero if it was not owed
-// (a sensor error or a replayed subscribe's ack was not). Compaction happens
-// here as well as in headAge so the frame FIFO stays bounded by the
-// outstanding count even when admission never reads it (a shard that is
-// down).
-func (l *ledger) done(session, seq uint64) wire.MsgType {
-	k := pendKey{session, seq}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	t := l.owed[k]
-	if t != 0 {
-		delete(l.owed, k)
-		l.compactLocked()
-	}
-	return t
-}
-
-// drain empties the ledger — the connection died — returning what it owed.
-func (l *ledger) drain() []pendKey {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	keys := make([]pendKey, 0, len(l.owed))
-	for k := range l.owed {
-		keys = append(keys, k)
-	}
-	clear(l.owed)
-	l.frames = l.frames[:0]
-	return keys
-}
-
-// compactLocked pops answered entries off the frame FIFO head; callers
-// hold mu.
-func (l *ledger) compactLocked() {
-	i := 0
-	for ; i < len(l.frames); i++ {
-		if _, ok := l.owed[l.frames[i].key]; ok {
-			break
-		}
-	}
-	if i > 0 {
-		n := copy(l.frames, l.frames[i:])
-		l.frames = l.frames[:n]
-	}
-}
-
-// headAge returns how long the oldest still-outstanding frame request has
-// waited (zero when nothing is outstanding).
-func (l *ledger) headAge(now time.Time) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.compactLocked()
-	if len(l.frames) == 0 {
-		return 0
-	}
-	return now.Sub(l.frames[0].at)
+// the oldest frame request its connection bc owes — if the shard hasn't
+// kept up with what it already has within the effective budget, a new
+// frame would wait at least as long, so shed it here instead of paying the
+// hop. A dead connection owes nothing, so it never fakes a shed.
+func (r *Router) shedNow(ss *routerShard, bc *dialConn) bool {
+	return bc.headAge(time.Now()) > r.gate.effective(ss.loadSignal())
 }

@@ -219,9 +219,10 @@ func TestRouterSessionAffinity(t *testing.T) {
 	// fully compacted although no later request made admission read it —
 	// the leak case for a long-running router.
 	for id, ss := range tc.router.shards {
-		ss.owed.mu.Lock()
-		n, owed := len(ss.owed.frames), len(ss.owed.owed)
-		ss.owed.mu.Unlock()
+		bc := ss.backend()
+		bc.owedMu.Lock()
+		n, owed := len(bc.frames), len(bc.owed)
+		bc.owedMu.Unlock()
 		if n != 0 || owed != 0 {
 			t.Fatalf("shard %d: %d pending-frame entries, %d owed replies left after all replies", id, n, owed)
 		}
@@ -812,8 +813,9 @@ func TestRouterReportsShardDownNotShed(t *testing.T) {
 
 // TestShardLossAnswersInFlightRequests pins the ledger's last job: requests
 // already forwarded when the backend connection dies are answered
-// ErrShardDown, each once, instead of waiting forever for a shard that will
-// never answer them.
+// ErrShardDown, each exactly once and with its client's reply-window slot
+// returned, instead of waiting forever for a shard that will never answer
+// them; and the dead connection's ledger ends empty.
 func TestShardLossAnswersInFlightRequests(t *testing.T) {
 	tc := startCluster(t, 1, func(i int, o *ShardOptions) { o.workers = 1 }, RouterOptions{})
 	// Wedge the shard's only worker: every frame forwarded now stays owed.
@@ -836,7 +838,7 @@ func TestShardLossAnswersInFlightRequests(t *testing.T) {
 
 	rc := dialRaw(t, tc.addr)
 	_ = rc.c.SetDeadline(time.Now().Add(10 * time.Second))
-	rc.hello(t, "raw", wire.ProtoMax)
+	id := rc.hello(t, "raw", wire.ProtoMax).ID
 	rc.sendGPS(t, 0, center)
 	const inFlight = 3
 	owed := make(map[uint64]bool)
@@ -844,18 +846,35 @@ func TestShardLossAnswersInFlightRequests(t *testing.T) {
 		owed[rc.send(t, wire.MsgFrameRequest, 0, nil)] = true
 	}
 	ss := tc.router.shard(sh.id)
+	bc := ss.backend()
 	waitFor(t, "the frame requests to be forwarded", func() bool {
-		ss.owed.mu.Lock()
-		defer ss.owed.mu.Unlock()
-		return len(ss.owed.frames) == inFlight
+		bc.owedMu.Lock()
+		defer bc.owedMu.Unlock()
+		return len(bc.frames) == inFlight
 	})
-	_ = ss.backend().conn.Close() // the backend connection dies under them
+	_ = bc.conn.Close() // the backend connection dies under them
 	for i := 0; i < inFlight; i++ {
 		env := rc.read(t)
 		if env.Type != wire.MsgError || !owed[env.Seq] || !strings.Contains(string(env.Payload), ErrShardDown.Error()) {
 			t.Fatalf("reply %d = %v seq %d %q, want ErrShardDown for one of %v", i, env.Type, env.Seq, env.Payload, owed)
 		}
 		delete(owed, env.Seq)
+	}
+	// Exactly once: a second answer would drive the client's reply count
+	// negative, a missed one would leave it positive.
+	tc.router.sessMu.RLock()
+	out := tc.router.sessions[id].out
+	tc.router.sessMu.RUnlock()
+	waitFor(t, "the client's reply window to be returned", func() bool {
+		out.mu.Lock()
+		defer out.mu.Unlock()
+		return out.replies == 0
+	})
+	bc.owedMu.Lock()
+	left, frames := len(bc.owed), len(bc.frames)
+	bc.owedMu.Unlock()
+	if left != 0 || frames != 0 {
+		t.Fatalf("dead connection's ledger holds %d entries, %d frames", left, frames)
 	}
 }
 
@@ -992,8 +1011,13 @@ func (g *gatedConn) Read(p []byte) (int, error) {
 func TestRouterStreamResubscribeBehindSlowShard(t *testing.T) {
 	_, shardAddr := newExtraShard(t, 1)
 	var gc *gatedConn
-	dial := dialShard
-	dialShard = func(addr string) (net.Conn, error) {
+	rt, err := NewRouter([]Member{{ID: 1, Addr: shardAddr}}, discardLogger(), nil, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Close() })
+	dial := rt.dial
+	rt.dial = func(addr string) (net.Conn, error) {
 		c, err := dial(addr)
 		if err != nil {
 			return nil, err
@@ -1001,12 +1025,6 @@ func TestRouterStreamResubscribeBehindSlowShard(t *testing.T) {
 		gc = &gatedConn{Conn: c}
 		return gc, nil
 	}
-	t.Cleanup(func() { dialShard = dial })
-	rt, err := NewRouter([]Member{{ID: 1, Addr: shardAddr}}, discardLogger(), nil, RouterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = rt.Close() })
 	if err := rt.Connect(); err != nil {
 		t.Fatal(err)
 	}

@@ -157,15 +157,6 @@ func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
 		wire.EncodeHelloInto(&hb, wire.Hello{ID: 2, Name: "stalled", Version: wire.ProtoMax})
 		_ = sendEnvelope(wire.NewFrameWriter(stalledEnd), &wire.Envelope{Type: wire.MsgHello, Seq: hello.Seq, Payload: hb.Bytes()})
 	}()
-	dial := dialShard
-	dialShard = func(addr string) (net.Conn, error) {
-		if addr == "stalled" {
-			return routerEnd, nil
-		}
-		return dial(addr)
-	}
-	t.Cleanup(func() { dialShard = dial })
-
 	goroutines := runtime.NumGoroutine()
 	members := []Member{{ID: 1, Addr: healthyAddr}, {ID: 2, Addr: "stalled"}}
 	rt, err := NewRouter(members, discardLogger(), nil, RouterOptions{})
@@ -173,6 +164,13 @@ func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = rt.Close() })
+	dial := rt.dial
+	rt.dial = func(addr string) (net.Conn, error) {
+		if addr == "stalled" {
+			return routerEnd, nil
+		}
+		return dial(addr)
+	}
 	if err := rt.Connect(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +207,11 @@ func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
 		_, _, err := stalled.RequestFrame()
 		pending <- err
 	}()
-	ss := rt.shard(2)
+	bc := rt.shard(2).backend()
 	waitFor(t, "the stalled client's frame request to be forwarded", func() bool {
-		ss.owed.mu.Lock()
-		defer ss.owed.mu.Unlock()
-		return len(ss.owed.frames) == 1
+		bc.owedMu.Lock()
+		defer bc.owedMu.Unlock()
+		return len(bc.frames) == 1
 	})
 
 	pollWithin(t, healthy, time.Second, "a forward to the stalled shard is holding the router")
