@@ -22,7 +22,7 @@
 //
 // Membership is dynamic (protocol v3): a router started with -admin exposes
 // a control endpoint; shards join a live router with -join, and draining a
-// shard migrates its live sessions (state, streams, buffered telemetry) to
+// shard migrates its live sessions (state and streams) to
 // the surviving shards before the shard detaches.
 //
 // Usage:

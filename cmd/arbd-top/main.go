@@ -1,6 +1,6 @@
 // Command arbd-top is a live terminal view over one or more arbd-server
 // introspection planes (the `-obs` endpoints): per-node frame and push
-// rates, shed and drop rates, p99 frame latency and backend flush pressure,
+// rates, shed and drop rates, p99 frame latency and analytics backlog,
 // plus the slowest recent frames with their stage blame — the flight
 // recorder's answer to "where did that frame's time go".
 //
@@ -176,7 +176,7 @@ func run() error {
 
 func render(targets []string, prev, cur []sample, slowN int) {
 	tbl := metrics.NewTable(fmt.Sprintf("arbd-top  %s", time.Now().Format("15:04:05")),
-		"node", "addr", "frames/s", "push/s", "shed/s", "drop/s", "frame p99", "flush p99", "backlog")
+		"node", "addr", "frames/s", "push/s", "shed/s", "drop/s", "frame p99", "backlog")
 	var slow []trace
 	slowNode := map[int]string{}
 	for i, a := range targets {
@@ -201,7 +201,6 @@ func render(targets []string, prev, cur []sample, slowN int) {
 			fmt.Sprintf("%.1f", rate(p, c, "server.frames.shed", "server.stream.shed", "router.frames.shed")),
 			fmt.Sprintf("%.1f", rate(p, c, "server.stream.dropped", "router.pushes.dropped")),
 			fmt.Sprintf("%.2fms", c.p99["obs.frame.total"]/1000),
-			fmt.Sprintf("%.2fms", c.gauges["core.load.flush_p99_seconds"]*1000),
 			fmt.Sprintf("%.0f", c.gauges["core.load.backlog"]))
 		for j := range c.slow.Records {
 			slowNode[len(slow)] = node

@@ -150,109 +150,6 @@ func TestConcurrentSharedSession(t *testing.T) {
 	}
 }
 
-// TestEndSessionFlushesAndUnregisters checks the server-facing session
-// lifecycle: EndSession drains buffered telemetry and drops the session
-// from the registry.
-func TestEndSessionFlushesAndUnregisters(t *testing.T) {
-	cfg := testConfig()
-	cfg.telemetryMaxDelay = time.Hour // only explicit flushes in this test
-	p := newTestPlatform(t, cfg)
-	s := p.NewSession()
-	for i := 0; i < 3; i++ { // fewer than the batch size: stays buffered
-		if err := s.RecordInteraction(9, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if total := countRecords(t, p, TopicInteractions); total != 0 {
-		t.Fatalf("%d records on broker before flush", total)
-	}
-	if err := p.EndSession(s.ID); err != nil {
-		t.Fatal(err)
-	}
-	if total := countRecords(t, p, TopicInteractions); total != 3 {
-		t.Fatalf("%d records on broker after EndSession, want 3", total)
-	}
-	if _, ok := p.Session(s.ID); ok {
-		t.Fatal("session still registered after EndSession")
-	}
-	if err := p.EndSession(s.ID); err != nil {
-		t.Fatalf("second EndSession: %v", err)
-	}
-}
-
-// TestTelemetryBatchFlushesBySize checks that exactly the batch-size worth
-// of buffered records triggers a broker publish without explicit flushing.
-func TestTelemetryBatchFlushesBySize(t *testing.T) {
-	cfg := testConfig()
-	cfg.telemetryBatchSize = 4
-	cfg.telemetryMaxDelay = time.Hour // isolate the size trigger
-	p := newTestPlatform(t, cfg)
-	s := p.NewSession()
-	for i := 0; i < 3; i++ {
-		if err := s.RecordInteraction(1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := countRecords(t, p, TopicInteractions); got != 0 {
-		t.Fatalf("%d records before the batch filled", got)
-	}
-	if err := s.RecordInteraction(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := countRecords(t, p, TopicInteractions); got != 4 {
-		t.Fatalf("%d records after the batch filled, want 4", got)
-	}
-}
-
-// TestTelemetryAgeFlush checks the background sweeper publishes records
-// that never reach the size threshold.
-func TestTelemetryAgeFlush(t *testing.T) {
-	cfg := testConfig()
-	cfg.telemetryMaxDelay = 5 * time.Millisecond
-	p := newTestPlatform(t, cfg)
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := p.Stop(); err != nil {
-			t.Error(err)
-		}
-	}()
-	s := p.NewSession()
-	if err := s.RecordInteraction(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for countRecords(t, p, TopicInteractions) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("age-based flush never published the record")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestTelemetryAgeFlushCrossTopicWithoutStart checks the no-Start delay
-// bound: an overdue record on a quiet topic is drained by the session's
-// next enqueue on a *different* topic.
-func TestTelemetryAgeFlushCrossTopicWithoutStart(t *testing.T) {
-	cfg := testConfig()
-	cfg.telemetryMaxDelay = 5 * time.Millisecond
-	p := newTestPlatform(t, cfg) // note: Start is never called
-	s := p.NewSession()
-	if err := s.RecordInteraction(3, 1); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if err := s.OnGPS(sensor.GPSFix{Time: sim.Epoch, Position: center, AccuracyM: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if got := countRecords(t, p, TopicInteractions); got != 1 {
-		t.Fatalf("interactions on broker = %d, want 1 (cross-topic age drain)", got)
-	}
-	// The GPS fix itself is also past due by its own enqueue's age check
-	// only on the *next* enqueue; it may legitimately still be buffered.
-}
-
 // fetch reads up to max records of one partition through a Topic handle.
 func fetch(p *Platform, topic string, partitionIdx int, offset int64, max int) ([]mq.Record, error) {
 	tp, err := p.Broker().Topic(topic)

@@ -58,23 +58,23 @@ func TestPlatformLifecycle(t *testing.T) {
 	}
 }
 
-// TestAnalyticsPlaneGoroutines: the analytics plane is two goroutines, the
-// interaction consumer and the telemetry flush loop; the crowd pipeline
-// runs on the consumer. Stop leaves none behind.
+// TestAnalyticsPlaneGoroutines: the analytics plane is one goroutine, the
+// interaction consumer, and the crowd pipeline runs on it. Stop leaves none
+// behind.
 func TestAnalyticsPlaneGoroutines(t *testing.T) {
 	p := newTestPlatform(t, testConfig())
 	baseline := runtime.NumGoroutine()
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if grew := runtime.NumGoroutine() - baseline; grew != 2 {
-		t.Fatalf("Start added %d goroutines, want 2", grew)
+	if grew := runtime.NumGoroutine() - baseline; grew != 1 {
+		t.Fatalf("Start added %d goroutines, want 1", grew)
 	}
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	// Stop returns once both goroutines are past their last step; their
-	// exits follow.
+	// Stop returns once the consumer is past its last step; its exit
+	// follows.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after Stop, want %d", runtime.NumGoroutine(), baseline)
@@ -216,9 +216,6 @@ func TestPrivacyGatePerturbsLocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.FlushTelemetry(); err != nil {
-		t.Fatal(err)
-	}
 	var values [][]byte
 	for pi := 0; pi < 4; pi++ {
 		rs, err := fetch(p, TopicLocations, pi, 0, 100)
@@ -272,9 +269,6 @@ func TestPrivacyBudgetSuppressesTelemetry(t *testing.T) {
 		if err := s.OnGPS(sensor.GPSFix{Time: sim.Epoch, Position: center, AccuracyM: 3}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.FlushTelemetry(); err != nil {
-		t.Fatal(err)
 	}
 	total := 0
 	for pi := 0; pi < 4; pi++ {
@@ -346,9 +340,6 @@ func TestGazeBecomesInteraction(t *testing.T) {
 	}
 	// Sustained dwell: telemetry.
 	if err := s.OnGaze(sensor.GazeSample{TargetID: 5, DwellMS: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.FlushTelemetry(); err != nil {
 		t.Fatal(err)
 	}
 	total := 0

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-	"sort"
 	"testing"
 	"time"
 
@@ -99,11 +97,14 @@ func TestSessionOrNew(t *testing.T) {
 	if len(f.Annotations) == 0 {
 		t.Fatal("router-minted session rendered an empty frame")
 	}
-	if err := p.EndSession(100); err != nil {
-		t.Fatal(err)
+	if !p.DetachSession(100) {
+		t.Fatal("DetachSession(100) found no live session")
 	}
 	if _, ok := p.Session(100); ok {
-		t.Fatal("session survived EndSession")
+		t.Fatal("session survived DetachSession")
+	}
+	if p.DetachSession(100) {
+		t.Fatal("second DetachSession(100) reported a live session")
 	}
 }
 
@@ -124,110 +125,6 @@ func TestMixSessionIDSpreads(t *testing.T) {
 		if n < 4096/parts/2 || n > 4096/parts*2 {
 			t.Fatalf("partition %d got %d of 4096 sessions — mix is not spreading", i, n)
 		}
-	}
-}
-
-// TestP2QuantileKnownStream drives the streaming estimator with streams
-// whose true quantiles are known and checks the estimate lands near them.
-func TestP2QuantileKnownStream(t *testing.T) {
-	// Shuffled 1..10000: true p99 = 9900.
-	rng := sim.NewRand(99)
-	vals := make([]float64, 10000)
-	for i := range vals {
-		vals[i] = float64(i + 1)
-	}
-	for i := len(vals) - 1; i > 0; i-- {
-		j := int(rng.Int63() % int64(i+1))
-		vals[i], vals[j] = vals[j], vals[i]
-	}
-	q := newP2Quantile(0.99)
-	for _, v := range vals {
-		q.observe(v)
-	}
-	est, ok := q.estimate()
-	if !ok {
-		t.Fatal("estimator not warm after 10000 samples")
-	}
-	if est < 9800 || est > 9999 {
-		t.Fatalf("p99 of shuffled 1..10000 estimated %v, want ≈9900", est)
-	}
-
-	// A bimodal stream — 99% fast, 1% slow — is the case the EWMA hides:
-	// the p99 estimate must land in the slow mode's neighbourhood, far
-	// above the ~1.1 mean.
-	q.reset()
-	for i := 0; i < 10000; i++ {
-		v := 1.0
-		if i%100 == 99 {
-			v = 50.0
-		}
-		q.observe(v)
-	}
-	est, _ = q.estimate()
-	if est < 10 {
-		t.Fatalf("bimodal p99 estimated %v, want deep into the slow mode (≥10)", est)
-	}
-
-	// Cold estimator reports not-ok.
-	q.reset()
-	q.observe(1)
-	if _, ok := q.estimate(); ok {
-		t.Fatal("estimator claims warm after one sample")
-	}
-}
-
-// TestP2QuantileMatchesExactOnUniform compares the estimator against the
-// exact quantile for a few targets on a seeded uniform stream.
-func TestP2QuantileMatchesExactOnUniform(t *testing.T) {
-	rng := sim.NewRand(7)
-	const n = 20000
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = rng.Float64() * 1000
-	}
-	for _, target := range []float64{0.5, 0.9, 0.99} {
-		q := newP2Quantile(target)
-		for _, v := range vals {
-			q.observe(v)
-		}
-		est, ok := q.estimate()
-		if !ok {
-			t.Fatalf("q=%v not warm", target)
-		}
-		s := append([]float64(nil), vals...)
-		sort.Float64s(s)
-		exact := s[int(target*float64(n-1))]
-		if math.Abs(est-exact) > 50 { // 5% of the range
-			t.Fatalf("q=%v: estimate %v vs exact %v", target, est, exact)
-		}
-	}
-}
-
-// TestFlushLatencySignalPrefersP99 checks admission sees the flush-latency
-// tail once the estimator is warm, and the EWMA before that.
-func TestFlushLatencySignalPrefersP99(t *testing.T) {
-	lt := newLoadTracker(32, 128)
-	// Cold: two samples are below the P² warm-up, so the EWMA answers.
-	lt.observeFlush(8*time.Millisecond, time.Now())
-	lt.observeFlush(8*time.Millisecond, time.Now())
-	if got := lt.flushLatency(time.Now()); got == 0 {
-		t.Fatal("cold tracker lost the EWMA fallback")
-	}
-	// Warm, bimodal: mostly 1 ms with a 1-in-50 tail of 100 ms. The EWMA
-	// settles near the mean (~3 ms); the p99 signal must sit well above it.
-	for i := 0; i < 500; i++ {
-		d := time.Millisecond
-		if i%50 == 49 {
-			d = 100 * time.Millisecond
-		}
-		lt.observeFlush(d, time.Now())
-	}
-	sig := lt.flushLatency(time.Now())
-	if sig < 10*time.Millisecond {
-		t.Fatalf("flush signal %v ignores the tail (EWMA-like), want p99-driven ≥10ms", sig)
-	}
-	if ew := lt.ewma(time.Now()); sig <= ew {
-		t.Fatalf("p99 signal %v not above EWMA %v for a tailed stream", sig, ew)
 	}
 }
 

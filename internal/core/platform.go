@@ -41,6 +41,18 @@ const (
 	TopicInteractions = "telemetry.interactions"
 )
 
+// Telemetry topic indexes into Platform.telemTopics.
+const (
+	telemetryLocations = iota
+	telemetryInteractions
+	numTelemetryTopics
+)
+
+var telemetryTopicNames = [numTelemetryTopics]string{
+	telemetryLocations:    TopicLocations,
+	telemetryInteractions: TopicInteractions,
+}
+
 // locationRetentionBytes bounds each partition of the location topic.
 // Nothing in the platform consumes locations, so no commit ever releases
 // them: the topic keeps the newest ~1 MiB per partition (about 15k fixes)
@@ -61,13 +73,11 @@ type Config struct {
 	PrivacyBudget float64
 
 	// Test hooks; zero takes the default named beside each.
-	maxAnnotations     int           // overlay size cap (defaultMaxAnnotations)
-	telemetryBatchSize int           // records per batched publish (defaultTelemetryBatch)
-	telemetryMaxDelay  time.Duration // age bound on a buffered record (defaultTelemetryMaxDelay)
-	clock              sim.Clock     // times frames and broker records (the wall clock)
+	maxAnnotations int       // overlay size cap (defaultMaxAnnotations)
+	clock          sim.Clock // times frames and broker records (the wall clock)
 }
 
-// Frame and telemetry policy (§4.1).
+// Frame policy (§4.1).
 const (
 	// frameDeadline is the per-frame latency budget: 30 fps.
 	frameDeadline = 33 * time.Millisecond
@@ -75,20 +85,6 @@ const (
 	annotationRadiusM = 250.0
 	// defaultMaxAnnotations caps the overlay size.
 	defaultMaxAnnotations = 20
-	// defaultTelemetryBatch is how many telemetry records a session buffers
-	// per topic before publishing them to the broker in one batch. Buffered
-	// records become broker-visible on the size or age trigger, or
-	// explicitly via Session.FlushTelemetry / Platform.FlushTelemetry /
-	// EndSession. When observed flush latency rises, sessions batch more
-	// records per publish so each broker round-trip amortises better, up to
-	// maxBatchGrowth times this size; the age bound still applies.
-	defaultTelemetryBatch = 32
-	maxBatchGrowth        = 8
-	// defaultTelemetryMaxDelay bounds how long a buffered telemetry record
-	// may wait before it is published. After Start, a background sweeper
-	// enforces it; without Start, the bound is enforced on the session's
-	// next enqueue.
-	defaultTelemetryMaxDelay = 50 * time.Millisecond
 )
 
 func (c *Config) defaults() {
@@ -97,12 +93,6 @@ func (c *Config) defaults() {
 	}
 	if c.PrivacyBudget <= 0 {
 		c.PrivacyBudget = 100
-	}
-	if c.telemetryBatchSize <= 0 {
-		c.telemetryBatchSize = defaultTelemetryBatch
-	}
-	if c.telemetryMaxDelay <= 0 {
-		c.telemetryMaxDelay = defaultTelemetryMaxDelay
 	}
 	if c.clock == nil {
 		c.clock = sim.RealClock{}
@@ -139,21 +129,15 @@ type Platform struct {
 	recMu    sync.RWMutex
 
 	pipe *stream.Pipeline
-	// load aggregates telemetry flush latency across sessions and derives
-	// the adaptive batch size; LoadSignal exposes it to frame admission.
-	load *loadTracker
 	// telemTopics holds cached broker handles for the telemetry topics,
-	// indexed by the telemetry* constants: every session's batcher flushes
-	// through them, skipping the broker's per-call topic and counter lookups.
+	// indexed by the telemetry* constants: every session publishes through
+	// them, skipping the broker's per-call topic and counter lookups.
 	telemTopics [numTelemetryTopics]*mq.Topic
-	// suppressedCtr is resolved once: OnGPS increments it per suppressed
-	// fix and must not pay a registry lookup on that path.
+	// suppressedCtr and frameLat are resolved once: OnGPS increments the
+	// counter per suppressed fix and every Frame call observes frameLat, so
+	// neither may pay a registry lookup.
 	suppressedCtr *metrics.Counter
-	// flushErrs and frameLat are likewise resolved once: the flush loop
-	// bumps flushErrs per failed session flush and every Frame call
-	// observes frameLat, so neither may pay a registry lookup.
-	flushErrs *metrics.Counter
-	frameLat  *metrics.Histogram
+	frameLat      *metrics.Histogram
 	// geoReused and geoSeeded count frames whose geo query re-measured
 	// the session's kept POI set and frames that walked the R-tree.
 	geoReused, geoSeeded *metrics.Counter
@@ -166,14 +150,12 @@ type Platform struct {
 	// so sessions reference one slice instead of rebuilding it each.
 	occluders []render.Occluder
 
-	mu        sync.Mutex
-	started   bool
-	stopped   bool
-	group     *mq.Group // analytics consumer group (set at Start)
-	cancel    context.CancelFunc
-	done      chan struct{}
-	flushStop chan struct{}
-	flushDone chan struct{}
+	mu      sync.Mutex
+	started bool
+	stopped bool
+	group   *mq.Group // analytics consumer group (set at Start)
+	cancel  context.CancelFunc
+	done    chan struct{}
 }
 
 // NewPlatform builds a platform over a generated synthetic city.
@@ -199,11 +181,9 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		crowd:    analytics.NewView(),
 		hot:      analytics.NewSpaceSaving(64),
 		interp:   arml.RetailVocabulary(),
-		load:     newLoadTracker(cfg.telemetryBatchSize, maxBatchGrowth*cfg.telemetryBatchSize),
 		sessions: newSessionRegistry(defaultRegistryShards),
 	}
 	p.suppressedCtr = p.reg.Counter("core.privacy.suppressed")
-	p.flushErrs = p.reg.Counter("core.telemetry.flush_errors")
 	p.frameLat = p.reg.Histogram("core.frame.latency")
 	p.geoReused = p.reg.Counter("core.geo.reused")
 	p.geoSeeded = p.reg.Counter("core.geo.seeded")
@@ -258,11 +238,11 @@ func (p *Platform) interpreter() *arml.Interpreter {
 	return p.interp
 }
 
-// Start launches the analytics plane, two goroutines: a consumer group over
+// Start launches the analytics plane, one goroutine: a consumer group over
 // the interaction topic, which folds each record into the crowd pipeline's
 // windows inline (a closed window updates the crowd view before the next
-// record is folded), and the telemetry flush loop. Frame serving works
-// without Start, but context tags will be empty.
+// record is folded). Frame serving works without Start, but context tags
+// will be empty.
 func (p *Platform) Start() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -298,13 +278,6 @@ func (p *Platform) Start() error {
 	go func() {
 		defer close(p.done)
 		_ = group.Consume(ctx, 256, c.handle)
-	}()
-
-	p.flushStop = make(chan struct{})
-	p.flushDone = make(chan struct{})
-	go func() {
-		defer close(p.flushDone)
-		p.flushLoop(p.flushStop)
 	}()
 	return nil
 }
@@ -403,13 +376,6 @@ func (p *Platform) Stop() error {
 	}
 	p.stopped = true
 	p.mu.Unlock()
-	close(p.flushStop)
-	<-p.flushDone
-	// Surface any still-buffered telemetry before the consumer goes away so
-	// shutdown does not silently drop the tail of every session's stream.
-	if err := p.FlushTelemetry(); err != nil {
-		p.flushErrs.Inc()
-	}
 	p.cancel()
 	<-p.done
 	return p.pipe.Drain()
@@ -420,13 +386,6 @@ func (p *Platform) Stop() error {
 // every window it closed is in the crowd view (used by tests and examples
 // for determinism).
 func (p *Platform) WaitAnalyticsIdle(timeout time.Duration) error {
-	// Push buffered telemetry out first: "idle" means the consumer has
-	// seen everything sessions produced before this call, including what
-	// was batched. Records produced during the wait are concurrent
-	// traffic that "idle" cannot meaningfully include.
-	if err := p.FlushTelemetry(); err != nil {
-		return err
-	}
 	deadline := time.Now().Add(timeout)
 	consumedCtr := p.reg.Counter("core.interactions.consumed")
 	for {
@@ -449,15 +408,15 @@ func (p *Platform) WaitAnalyticsIdle(timeout time.Duration) error {
 	}
 }
 
-// LoadSignal summarises backend pressure for admission control: how slow
-// telemetry flushes are running and how far the analytics consumer lags the
-// interaction topic. The frame scheduler polls it to shed frames earlier
-// when the big-data plane falls behind — a frame whose context analytics
-// are stale is the paper's timeliness failure even if it renders on time.
+// LoadSignal summarises backend pressure for admission control: how far the
+// analytics consumer lags the interaction topic. The frame scheduler polls
+// it to shed frames earlier when the big-data plane falls behind — a frame
+// whose context analytics are stale is the paper's timeliness failure even
+// if it renders on time.
 type LoadSignal struct {
-	// FlushLatency is a streaming p99 estimate (P² algorithm) of telemetry
-	// batch publish latency across all sessions, falling back to an EWMA
-	// until the estimator has seen enough flushes.
+	// FlushLatency is always 0: telemetry is published inside the sensor
+	// call, so there is no batch flush to time. The field keeps its MsgLoad
+	// slot, and admission ignores it.
 	FlushLatency time.Duration
 	// Backlog counts interaction records produced but not yet consumed by
 	// the analytics plane (0 before Start).
@@ -466,7 +425,7 @@ type LoadSignal struct {
 
 // LoadSignal reports the platform's current backend pressure.
 func (p *Platform) LoadSignal() LoadSignal {
-	sig := LoadSignal{FlushLatency: p.load.flushLatency(time.Now())}
+	var sig LoadSignal
 	p.mu.Lock()
 	g := p.group
 	p.mu.Unlock()

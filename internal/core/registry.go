@@ -139,13 +139,11 @@ func (p *Platform) NumSessions() int { return p.sessions.len() }
 // ForEachSession visits every live session; return false to stop early.
 func (p *Platform) ForEachSession(fn func(*Session) bool) { p.sessions.forEach(fn) }
 
-// EndSession flushes a session's buffered telemetry and removes it from the
-// registry. Servers call it when the device disconnects; without it sessions
-// accumulate for the life of the platform.
-func (p *Platform) EndSession(id uint64) error {
-	s, ok := p.sessions.remove(id)
-	if !ok {
-		return nil
-	}
-	return s.FlushTelemetry()
+// DetachSession removes a session from the registry and reports whether it
+// was live. Servers call it when the device disconnects and once a
+// migrating session's snapshot is taken; without it sessions accumulate for
+// the life of the platform. Its telemetry is already on the broker.
+func (p *Platform) DetachSession(id uint64) bool {
+	_, ok := p.sessions.remove(id)
+	return ok
 }

@@ -239,13 +239,15 @@ func TestWorkerScratchMatchesSolo(t *testing.T) {
 
 // TestSessionLiveBytes holds a streaming session's memory budget: on the
 // sparse benchmark city, a session that has tracked and rendered through a
-// worker's scratch keeps at most 4 KiB of live heap — tracking state,
-// telemetry batcher, layouts, gaze map and RNG stream included.
+// worker's scratch keeps at most budget bytes of live heap — tracking state,
+// layouts, gaze map, RNG stream and its location record on the broker
+// included. The budget is the 3,307 B this test measures (go1.24,
+// linux/amd64) plus a 128 B margin.
 func TestSessionLiveBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; heap budgets only hold without -race")
 	}
-	const sessions, budget = 512, 4 << 10
+	const sessions, budget = 512, 3307 + 128
 	p := newTestPlatform(t, Config{
 		Seed: 1,
 		City: geo.CityConfig{Center: center, RadiusM: 2000, NumPOIs: 80, TallRatio: 0.2, Seed: 1},
@@ -335,46 +337,12 @@ func TestPoiKeyMatchesSprintf(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchSize checks the load tracker grows the effective batch
-// size with flush latency and respects the ceiling.
-func TestAdaptiveBatchSize(t *testing.T) {
-	lt := newLoadTracker(32, 128)
-	if got := lt.batchSize(time.Now()); got != 32 {
-		t.Fatalf("cold batch size = %d, want base 32", got)
-	}
-	// Fast flushes: stay at base.
-	for i := 0; i < 20; i++ {
-		lt.observeFlush(100*time.Microsecond, time.Now())
-	}
-	if got := lt.batchSize(time.Now()); got != 32 {
-		t.Fatalf("fast-flush batch size = %d, want base 32", got)
-	}
-	// Slow flushes: the EWMA converges upward and the size grows…
-	for i := 0; i < 50; i++ {
-		lt.observeFlush(5*time.Millisecond, time.Now())
-	}
-	if got := lt.batchSize(time.Now()); got <= 32 {
-		t.Fatalf("slow-flush batch size = %d, want > base", got)
-	}
-	// …but never past the ceiling.
-	for i := 0; i < 50; i++ {
-		lt.observeFlush(5*time.Second, time.Now())
-	}
-	if got := lt.batchSize(time.Now()); got != 128 {
-		t.Fatalf("saturated batch size = %d, want ceiling 128", got)
-	}
-}
-
-// TestLoadSignalReportsPressure checks the platform surfaces flush latency
-// and analytics backlog to admission control.
+// TestLoadSignalReportsPressure checks the platform surfaces the analytics
+// backlog to admission control, and writes the flush-latency slot as 0.
 func TestLoadSignalReportsPressure(t *testing.T) {
 	p := newReusePlatform(t)
-	if sig := p.LoadSignal(); sig.FlushLatency < 0 || sig.Backlog != 0 {
+	if sig := p.LoadSignal(); sig != (LoadSignal{}) {
 		t.Fatalf("idle signal = %+v", sig)
-	}
-	p.load.observeFlush(10*time.Millisecond, time.Now())
-	if sig := p.LoadSignal(); sig.FlushLatency == 0 {
-		t.Fatal("flush latency not surfaced")
 	}
 	// Backlog: give the platform its consumer group without starting the
 	// consumer, then publish interactions nobody drains.
@@ -391,10 +359,7 @@ func TestLoadSignalReportsPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.FlushTelemetry(); err != nil {
-		t.Fatal(err)
-	}
-	if sig := p.LoadSignal(); sig.Backlog != 40 {
-		t.Fatalf("backlog = %d, want 40", sig.Backlog)
+	if sig := p.LoadSignal(); sig != (LoadSignal{Backlog: 40}) {
+		t.Fatalf("signal = %+v, want backlog 40 and no flush latency", sig)
 	}
 }

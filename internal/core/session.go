@@ -53,7 +53,7 @@ type Session struct {
 	ID       uint64
 	platform *Platform
 	rng      *sim.Rand // per-session stream: the platform rng is not shared
-	telem    *telemetryBatcher
+	key      []byte    // broker routing key of its telemetry: the principal
 
 	mu     sync.Mutex
 	fuser  *tracking.Fuser
@@ -155,7 +155,7 @@ func (p *Platform) buildSession(id uint64) *Session {
 		ID:        id,
 		platform:  p,
 		rng:       p.rng.Child(principal),
-		telem:     newTelemetryBatcher(principal, p.load, p.cfg.telemetryMaxDelay, &p.telemTopics),
+		key:       []byte(principal),
 		fuser:     tracking.NewFuser(p.cfg.City.Center, p.pois),
 		gaze:      make(map[uint64]float64),
 		camera:    render.DefaultCamera,
@@ -186,9 +186,9 @@ func (s *Session) OnGPS(fix sensor.GPSFix) error {
 		}
 		reported = noisy
 	}
-	// Encoded on the stack: the batcher copies the record.
+	// Encoded on the stack: the broker copies the record.
 	var b [locationRecordMax]byte
-	return s.telem.enqueue(telemetryLocations, appendLocation(b[:0], s.ID, reported))
+	return s.publish(telemetryLocations, appendLocation(b[:0], s.ID, reported))
 }
 
 // OnIMU feeds an inertial sample into tracking.
@@ -238,12 +238,26 @@ func (s *Session) RecordInteraction(poiID uint64, weight float64) error {
 }
 
 // recordInteraction publishes an interaction with a checked target. The
-// record is encoded on the stack: the batcher copies it.
+// record is encoded on the stack: the broker copies it.
 //
 //arbd:hotpath
 func (s *Session) recordInteraction(poiID uint64, weight float64) error {
 	var b [interactionRecordMax]byte
-	return s.telem.enqueue(telemetryInteractions, appendInteraction(b[:0], poiID, s.ID, weight))
+	return s.publish(telemetryInteractions, appendInteraction(b[:0], poiID, s.ID, weight))
+}
+
+// publish appends one telemetry record to the broker inside the sensor call
+// that produced it, keyed by the session principal, through the platform's
+// cached mq.Topic handle: no per-call topic-map lookup or counter
+// resolution. The broker copies value, so callers encode it on the stack.
+// Once the sensor call returns its record is on the broker, so a session
+// snapshot carries no telemetry.
+//
+//arbd:hotpath
+func (s *Session) publish(topic int, value []byte) error {
+	values := [1][]byte{value}
+	_, err := s.platform.telemTopics[topic].ProduceBatch(s.key, values[:])
+	return err
 }
 
 // checkTarget reports whether id names a POI of the store. Every gaze and

@@ -1,27 +1,29 @@
 // Session state snapshot/restore: the serialization layer under live
 // session migration. When a shard drains (or the ring remaps a session to
 // a new owner), the session's mutable state — tracking solution, gaze
-// dwell, degradation level, RNG stream position, and the telemetry records
-// still buffered for the broker — is exported as one payload, shipped
-// through the router inside a MsgMigrateSession envelope, and imported
-// into the destination platform's registry. The destination then serves
-// frames indistinguishable from the source's next frame: no sensor
-// re-warm, no telemetry loss, no RNG stream reset.
+// dwell, degradation level and RNG stream position — is exported as one
+// payload, shipped through the router inside a MsgMigrateSession envelope,
+// and imported into the destination platform's registry. The destination
+// then serves frames indistinguishable from the source's next frame: no
+// sensor re-warm, no RNG stream reset. Telemetry is not part of it: every
+// record is on the source's broker by the time its sensor call returned,
+// and the destination publishes what arrives after the import.
 package core
 
 import (
 	"fmt"
-	"time"
 
 	"arbd/internal/sim"
 	"arbd/internal/tracking"
 	"arbd/internal/wire"
 )
 
-// sessionSnapshotV1 is the snapshot format version byte. Bump on any
+// sessionSnapshotV2 is the snapshot format version byte. Bump on any
 // layout change; decoders reject versions they don't know (migrations run
-// between same-build nodes, so fail-closed beats best-effort).
-const sessionSnapshotV1 = 1
+// between same-build nodes, so fail-closed beats best-effort). Version 1
+// also carried buffered telemetry: refusing it keeps a mixed-build
+// migration from silently dropping those records.
+const sessionSnapshotV2 = 2
 
 // Decode bounds: a corrupt count must not pre-allocate unbounded memory —
 // or, for the RNG draw count, spin unbounded CPU: a restored stream
@@ -30,22 +32,18 @@ const sessionSnapshotV1 = 1
 // (privacy noise draws a handful of values per GPS fix; a month-long
 // session stays in the tens of millions).
 const (
-	maxSnapshotGazeEntries  = 1 << 20
-	maxSnapshotBatchRecords = 1 << 20
-	maxSnapshotRNGDraws     = 1 << 28
+	maxSnapshotGazeEntries = 1 << 20
+	maxSnapshotRNGDraws    = 1 << 28
 )
 
 // EncodeSnapshotInto appends the session's complete mutable state to buf.
-// Buffered telemetry is MOVED into the snapshot, not copied: the records
-// will be published by the importing node, and leaving them here too would
-// double-publish them if the source's background flusher ran in the gap
-// before the session detaches. Callers therefore treat a snapshotted
-// session as already retired — detach it without a final flush.
+// Callers treat a snapshotted session as retired and detach it: anything it
+// still accepted would be missing from the snapshot.
 func (s *Session) EncodeSnapshotInto(buf *wire.Buffer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	buf.Byte(sessionSnapshotV1)
+	buf.Byte(sessionSnapshotV2)
 	buf.Uvarint(s.ID)
 	buf.Uvarint(uint64(s.level))
 	buf.Uvarint(s.frames)
@@ -75,37 +73,6 @@ func (s *Session) EncodeSnapshotInto(buf *wire.Buffer) {
 	buf.Bool(st.Has)
 	buf.Uvarint(uint64(st.GPSUpdates))
 	buf.Uvarint(uint64(st.VisionUpdates))
-
-	s.telem.takeInto(buf)
-}
-
-// takeInto drains the batcher's buffered records into buf (move, not
-// copy — see EncodeSnapshotInto).
-func (tb *telemetryBatcher) takeInto(buf *wire.Buffer) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	for topic := range tb.buffers {
-		b := &tb.buffers[topic]
-		buf.Uvarint(uint64(b.records()))
-		for i := 0; i < b.records(); i++ {
-			buf.Bytes8(b.record(i))
-		}
-		b.reset()
-	}
-}
-
-// restore installs imported records as the batcher's buffered tail. Ages
-// restart at the import time: the max-delay bound is about how long a
-// record waits on *this* node.
-func (tb *telemetryBatcher) restore(topics *[numTelemetryTopics]topicBuffer) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	now := time.Now()
-	for topic := range tb.buffers {
-		tb.buffers[topic] = topics[topic]
-		tb.buffers[topic].oldestAt = now
-		tb.buffers[topic].lastAt = now
-	}
 }
 
 // RestoreSession decodes a session snapshot produced by EncodeSnapshotInto
@@ -125,7 +92,7 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 	if err != nil {
 		return fail(err, "version")
 	}
-	if version != sessionSnapshotV1 {
+	if version != sessionSnapshotV2 {
 		return nil, fmt.Errorf("core: unknown session snapshot version %d", version)
 	}
 	id, err := r.Uvarint()
@@ -214,26 +181,6 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 	}
 	st.GPSUpdates, st.VisionUpdates = int(gps), int(vision)
 
-	var topics [numTelemetryTopics]topicBuffer
-	for topic := range topics {
-		n, err := r.Uvarint()
-		if err != nil {
-			return fail(err, "telemetry count")
-		}
-		if n > maxSnapshotBatchRecords {
-			return nil, fmt.Errorf("core: implausible telemetry record count %d", n)
-		}
-		for i := uint64(0); i < n; i++ {
-			v, err := r.Bytes8()
-			if err != nil {
-				return fail(err, "telemetry record")
-			}
-			// The reader aliases the caller's payload buffer; the batcher
-			// retains records until flush, so add copies.
-			topics[topic].add(v)
-		}
-	}
-
 	// Keep platform-assigned IDs ahead of imported ones, exactly as
 	// SessionOrNew does for router-minted IDs.
 	for {
@@ -250,19 +197,9 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 	s.overruns = overruns
 	s.gaze = gaze
 	s.fuser.RestoreState(st)
-	s.telem.restore(&topics)
 
 	if _, existed := p.sessions.addIfAbsent(s); existed {
 		return nil, fmt.Errorf("core: session %d already live; refusing snapshot import", id)
 	}
 	return s, nil
-}
-
-// DetachSession removes a session from the registry WITHOUT flushing its
-// telemetry — the counterpart of EncodeSnapshotInto, which moved the
-// buffered records into the snapshot. EndSession (flush + remove) remains
-// the path for sessions that end rather than migrate.
-func (p *Platform) DetachSession(id uint64) bool {
-	_, ok := p.sessions.remove(id)
-	return ok
 }

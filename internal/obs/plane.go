@@ -40,10 +40,10 @@ type PlaneConfig struct {
 	// Sessions and Streams supply the JSON summaries; nil means none.
 	Sessions func() []SessionSummary
 	Streams  func() []StreamSummary
-	// Load, when set, reports backend pressure (p99 telemetry flush latency
-	// and analytics backlog); the plane republishes it as gauges in the
-	// registry at scrape time so it exports everywhere uniformly.
-	Load func() (flushP99 time.Duration, backlog int64)
+	// Load, when set, reports backend pressure (the analytics backlog); the
+	// plane republishes it as a gauge in the registry at scrape time so it
+	// exports everywhere uniformly.
+	Load func() (backlog int64)
 }
 
 // Plane serves one node's introspection endpoints:
@@ -76,15 +76,13 @@ func NewPlane(cfg PlaneConfig) *Plane {
 // handlers (pprof) onto the same listener.
 func (p *Plane) Mux() *http.ServeMux { return p.mux }
 
-// refreshLoad republishes the node's load signal as registry gauges so a
+// refreshLoad republishes the node's load signal as a registry gauge so a
 // scrape sees pressure the moment it asks, without a background sampler.
 func (p *Plane) refreshLoad() {
 	if p.cfg.Load == nil {
 		return
 	}
-	flush, backlog := p.cfg.Load()
-	p.cfg.Registry.Gauge("core.load.flush_p99_seconds").Set(flush.Seconds())
-	p.cfg.Registry.Gauge("core.load.backlog").Set(float64(backlog))
+	p.cfg.Registry.Gauge("core.load.backlog").Set(float64(p.cfg.Load()))
 }
 
 func (p *Plane) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -14,16 +14,15 @@ const (
 	// defaultFrameDeadline is generous: shedding should only trip under
 	// overload, not on a transient queue blip.
 	defaultFrameDeadline = 250 * time.Millisecond
-	// flushLatencyRef and backlogRef are the signal levels that alone halve
-	// the effective deadline.
-	flushLatencyRef = 5 * time.Millisecond
-	backlogRef      = 4096
+	// backlogRef is the analytics backlog that halves the effective
+	// deadline.
+	backlogRef = 4096
 )
 
 // loadGate is the lag-aware admission rule shared by every role: it turns a
-// backend LoadSignal into an effective queue-wait deadline. Pressure 1 —
-// flush latency at flushLatencyRef, or backlog at backlogRef — halves the
-// configured deadline; contributions add; the floor is deadline/16. The
+// backend LoadSignal's consumer backlog into an effective queue-wait
+// deadline. Pressure 1 — backlog at backlogRef — halves the configured
+// deadline, pressure k divides it by 1+k, and the floor is deadline/16. The
 // FrameScheduler applies it to its own platform's signal, the Router to
 // each shard's MsgLoad-reported signal, so a frame is shed by the same rule
 // whether the pressure is local or a forward hop away.
@@ -35,8 +34,7 @@ type loadGate struct {
 // deadline must be positive.
 func (g loadGate) effective(sig core.LoadSignal) time.Duration {
 	d := g.deadline
-	pressure := float64(sig.FlushLatency)/float64(flushLatencyRef) +
-		float64(sig.Backlog)/float64(backlogRef)
+	pressure := float64(sig.Backlog) / float64(backlogRef)
 	if pressure <= 0 {
 		return d
 	}

@@ -224,7 +224,7 @@ func TestSubscribeStandalone(t *testing.T) {
 	// state the server renders at, its reference is already there.
 	platform := srv.eng.platform
 	mirror := platform.NewSession()
-	defer func() { _ = platform.EndSession(mirror.ID) }()
+	defer platform.DetachSession(mirror.ID)
 	var refMu sync.Mutex
 	refs := make(map[string]bool)
 	base := time.Now().UnixNano()

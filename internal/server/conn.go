@@ -223,9 +223,7 @@ func (c *sessConn) session(id uint64) *core.Session {
 func (c *sessConn) endSession(id uint64) {
 	delete(c.owned, id)
 	c.streams.remove(id) // the stream must not outlive its session
-	if err := c.n.eng.platform.EndSession(id); err != nil {
-		c.n.cs.logger.Printf("%s: ending session %d: %v", c.n.cs.name, id, err)
-	}
+	c.n.eng.platform.DetachSession(id)
 }
 
 // open builds a session-serving connection once its hello succeeded.

@@ -24,7 +24,7 @@ func TestEffectiveDeadlineTightensUnderLoad(t *testing.T) {
 		{"backlog at ref", core.LoadSignal{Backlog: backlogRef}, 80 * time.Millisecond},
 		{"backlog at 3× ref", core.LoadSignal{Backlog: 3 * backlogRef}, 40 * time.Millisecond},
 		{"extreme backlog: floor at deadline/16", core.LoadSignal{Backlog: 1 << 40}, 10 * time.Millisecond},
-		{"flush latency at ref", core.LoadSignal{FlushLatency: flushLatencyRef}, 80 * time.Millisecond},
+		{"flush-latency slot ignored", core.LoadSignal{FlushLatency: time.Second}, 160 * time.Millisecond},
 	} {
 		if got := g.effective(tc.sig); got != tc.want {
 			t.Fatalf("%s: deadline %v, want %v", tc.what, got, tc.want)

@@ -147,9 +147,8 @@ func (r *Router) runMoves(moves []move, gates map[uint64]gateHandle) {
 			// planning deletes the session from r.sessions, and its
 			// deferred CtrlEndSession will resolve against the NEW ring —
 			// migrating the orphan would strand it on the destination with
-			// nothing left to end it. End it at its old owner instead
-			// (flushes its telemetry), exactly as a normal disconnect would
-			// have.
+			// nothing left to end it. End it at its old owner instead,
+			// exactly as a normal disconnect would have.
 			r.sessMu.RLock()
 			_, connected := r.sessions[mv.session]
 			r.sessMu.RUnlock()

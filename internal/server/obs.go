@@ -77,10 +77,7 @@ func (n *node) ObsPlane() *obs.Plane {
 		Recorder: n.eng.rec,
 		Sessions: func() []obs.SessionSummary { return sessionSummaries(n.eng.platform) },
 		Streams:  n.eng.StreamSummaries,
-		Load: func() (time.Duration, int64) {
-			s := n.load()
-			return s.FlushLatency, s.Backlog
-		},
+		Load:     func() int64 { return n.load().Backlog },
 	})
 }
 
@@ -95,20 +92,14 @@ func (r *Router) ObsPlane() *obs.Plane {
 		Recorder: r.rec,
 		Sessions: r.clientSummaries,
 		Streams:  r.subSummaries,
-		Load: func() (time.Duration, int64) {
-			var sig core.LoadSignal
+		Load: func() int64 {
+			var backlog int64
 			r.shardsMu.RLock()
 			for _, ss := range r.shards {
-				s := ss.loadSignal()
-				if s.FlushLatency > sig.FlushLatency {
-					sig.FlushLatency = s.FlushLatency
-				}
-				if s.Backlog > sig.Backlog {
-					sig.Backlog = s.Backlog
-				}
+				backlog = max(backlog, ss.loadSignal().Backlog)
 			}
 			r.shardsMu.RUnlock()
-			return sig.FlushLatency, sig.Backlog
+			return backlog
 		},
 	})
 }

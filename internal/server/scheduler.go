@@ -32,11 +32,11 @@ type SchedulerConfig struct {
 	// deadline is the maximum time a request may wait for a worker before
 	// being shed. Zero disables shedding.
 	deadline time.Duration
-	// load reports backend pressure (telemetry flush latency and analytics
-	// backlog). When set alongside a deadline, admission becomes lag-aware:
-	// the effective shedding deadline tightens as pressure grows, so the
-	// server sheds earlier when the big-data plane falls behind instead of
-	// rendering frames whose context analytics are already stale.
+	// load reports backend pressure (the analytics backlog). When set
+	// alongside a deadline, admission becomes lag-aware: the effective
+	// shedding deadline tightens as pressure grows, so the server sheds
+	// earlier when the big-data plane falls behind instead of rendering
+	// frames whose context analytics are already stale.
 	load func() core.LoadSignal
 }
 

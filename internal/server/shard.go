@@ -12,8 +12,8 @@ import (
 // control payload is a ping (replied to with MsgAck); routers use
 // CtrlEndSession to tell a shard a client disconnected.
 const (
-	// CtrlEndSession ends the envelope's session on the receiving shard:
-	// buffered telemetry is flushed and the session leaves the registry.
+	// CtrlEndSession ends the envelope's session on the receiving shard: the
+	// session leaves the registry.
 	// One-way — no reply, since the client it belonged to is gone.
 	CtrlEndSession uint8 = 1
 )

