@@ -159,11 +159,11 @@ func fetch(p *Platform, topic string, partitionIdx int, offset int64, max int) (
 	return tp.FetchInto(nil, partitionIdx, offset, max)
 }
 
-// countRecords counts the records retained on the topic's four partitions.
+// countRecords counts the records retained on the topic's partitions.
 func countRecords(t *testing.T, p *Platform, topic string) int {
 	t.Helper()
 	total := 0
-	for pi := 0; pi < 4; pi++ {
+	for pi := 0; pi < telemetryPartitions; pi++ {
 		rs, err := fetch(p, topic, pi, 0, 10_000)
 		if err != nil {
 			t.Fatal(err)

@@ -217,7 +217,7 @@ func TestPrivacyGatePerturbsLocations(t *testing.T) {
 		}
 	}
 	var values [][]byte
-	for pi := 0; pi < 4; pi++ {
+	for pi := 0; pi < telemetryPartitions; pi++ {
 		rs, err := fetch(p, TopicLocations, pi, 0, 100)
 		if err != nil {
 			t.Fatal(err)
@@ -271,7 +271,7 @@ func TestPrivacyBudgetSuppressesTelemetry(t *testing.T) {
 		}
 	}
 	total := 0
-	for pi := 0; pi < 4; pi++ {
+	for pi := 0; pi < telemetryPartitions; pi++ {
 		rs, _ := fetch(p, TopicLocations, pi, 0, 100)
 		total += len(rs)
 	}
@@ -343,7 +343,7 @@ func TestGazeBecomesInteraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for pi := 0; pi < 4; pi++ {
+	for pi := 0; pi < telemetryPartitions; pi++ {
 		rs, _ := fetch(p, TopicInteractions, pi, 0, 100)
 		total += len(rs)
 	}

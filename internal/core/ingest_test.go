@@ -130,7 +130,7 @@ func TestPublishOnlyTopicBounded(t *testing.T) {
 	perRecord := len(s.principal) + len(appendLocation(nil, s.ID, center))
 	bound := int64(locationRetentionBytes/perRecord + segmentRecords)
 	var produced int64
-	for pi := 0; pi < 4; pi++ {
+	for pi := 0; pi < telemetryPartitions; pi++ {
 		oldest, newest, err := p.Broker().Offsets(TopicLocations, pi)
 		if err != nil {
 			t.Fatal(err)

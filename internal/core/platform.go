@@ -61,6 +61,9 @@ var telemetryTopicNames = [numTelemetryTopics]string{
 // consumer into silently lost records.
 const locationRetentionBytes = 1 << 20
 
+// telemetryPartitions is the partition count of each telemetry topic.
+const telemetryPartitions = 4
+
 // Config parameterises a Platform.
 type Config struct {
 	Seed int64
@@ -189,7 +192,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	p.geoSeeded = p.reg.Counter("core.geo.seeded")
 	p.occluders = render.OccludersFromPOIs(p.pois.All(), 30)
 	for i, topic := range telemetryTopicNames {
-		cfg := mq.TopicConfig{Partitions: 4}
+		cfg := mq.TopicConfig{Partitions: telemetryPartitions}
 		if i == telemetryLocations {
 			cfg.RetentionBytes = locationRetentionBytes
 		}
@@ -390,7 +393,7 @@ func (p *Platform) WaitAnalyticsIdle(timeout time.Duration) error {
 	consumedCtr := p.reg.Counter("core.interactions.consumed")
 	for {
 		lag := int64(0)
-		for pi := 0; pi < 4; pi++ {
+		for pi := 0; pi < telemetryPartitions; pi++ {
 			_, newest, err := p.broker.Offsets(TopicInteractions, pi)
 			if err != nil {
 				return err

@@ -51,7 +51,6 @@ type POI struct {
 	Name     string
 	Category Category
 	Location Point
-	Tags     map[string]string
 	// HeightMeters lets the render layer treat tall POIs (buildings) as
 	// occluders.
 	HeightMeters float64
@@ -372,9 +371,6 @@ func GenerateCity(cfg CityConfig) []POI {
 			Category:     cat,
 			Location:     loc,
 			HeightMeters: height,
-			Tags: map[string]string{
-				"district": fmt.Sprintf("d%d", int(brg)/45),
-			},
 		})
 	}
 	return pois

@@ -305,7 +305,12 @@ func (c *sessConn) handle(in *wire.Envelope) {
 		// forwarded payload, and the router↔shard link must speak v4 for
 		// MsgFrameDelta to be legal on it).
 		delta := c.proto >= wire.ProtoV4 && sub.Flags&wire.SubFlagDelta != 0
-		c.streams.add(in.Session, n.eng.startStream(c.session(in.Session), sub, c.out, delta))
+		// The stream is in the set before its first push exists, so the
+		// outbox's drop hook finds it to key the next push if that one
+		// is dropped; the first tick then pushes at once.
+		st := n.eng.newStream(c.session(in.Session), sub, c.out, delta)
+		c.streams.add(in.Session, st)
+		st.tick(time.Now())
 	case wire.MsgUnsubscribe:
 		// Never resolves the session: unsubscribing one that never
 		// subscribed must not materialise it. Idempotent.

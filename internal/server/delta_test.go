@@ -183,21 +183,25 @@ func TestSubscribePacersShareOnePacer(t *testing.T) {
 	}
 }
 
-// TestSubscribeTicksNeverEarly pins the cadence contract: a stream pushes at
-// its requested interval or slower, never faster. A frame's flight opens at
-// the pacer's fire time — an owed, completion-paced tick's included — so in
-// push order one stream's flight starts are at least an interval apart. The
-// 600 ms stream is longer than any one pass of a coarse clock and must
-// still tick on time: twice inside 1.5 s.
+// TestSubscribeTicksNeverEarly pins the cadence contract: a stream pushes
+// its first frame when it starts, then at its requested interval or
+// slower, never faster. A frame's flight opens at the pacer's fire time —
+// an owed, completion-paced tick's included — so in push order one
+// stream's flight starts are at least an interval apart, and push 1's
+// starts within 50 ms of its subscribe, not an interval later. The 600 ms
+// stream is longer than any one pass of a coarse clock and must still tick
+// on time: twice inside 1.5 s.
 func TestSubscribeTicksNeverEarly(t *testing.T) {
 	srv, addr := startServer(t)
 	intervals := make(map[uint64]time.Duration)
+	subscribed := make(map[uint64]time.Time)
 	for _, ms := range []uint32{5, 600} {
 		rc := dialRaw(t, addr)
 		id := rc.hello(t, "cadence", wire.ProtoMax).ID
 		rc.sendGPS(t, 0, center)
 		var sb wire.Buffer
 		wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: ms, Budget: 16})
+		subscribed[id] = time.Now()
 		rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
 		go func() { _, _ = io.Copy(io.Discard, rc.c) }() // ack and pushes, unread
 		intervals[id] = time.Duration(ms) * time.Millisecond
@@ -215,6 +219,10 @@ func TestSubscribeTicksNeverEarly(t *testing.T) {
 			t.Fatalf("stream every %v: %d pushes in 1.5 s, want at least 2", iv, len(recs))
 		}
 		sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+		if wait := time.Duration(recs[0].Start - subscribed[id].UnixNano()); recs[0].Seq != 1 || wait > 50*time.Millisecond {
+			t.Fatalf("stream every %v: push %d started %v after its subscribe, want push 1 within 50ms",
+				iv, recs[0].Seq, wait)
+		}
 		for i := 1; i < len(recs); i++ {
 			if gap := time.Duration(recs[i].Start - recs[i-1].Start); gap < iv {
 				t.Fatalf("stream every %v: push %d started %v after push %d — early",

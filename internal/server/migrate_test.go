@@ -332,6 +332,56 @@ func TestDrainRebasesWireSeq(t *testing.T) {
 	}
 }
 
+// TestDrainResumesStreamAtOnce pins that a migrated stream pushes as soon
+// as the migration ends: a routed 10 s stream gets a push within 2 s of
+// Router.Drain returning — the replayed subscribe renders at once on the
+// destination — and its wire seq keeps rising across the move.
+func TestDrainResumesStreamAtOnce(t *testing.T) {
+	const interval = 10 * time.Second
+	tc := startCluster(t, 2, nil, RouterOptions{})
+	rc := dialRaw(t, tc.addr)
+	session := rc.hello(t, "raw", wire.ProtoMax).ID
+	rc.sendGPS(t, 0, center)
+	var sb wire.Buffer
+	wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: uint32(interval / time.Millisecond), Budget: 16})
+	subSeq := rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
+	// Push 1's own timing is TestRouterStreamFirstPushAtOnce's; here only
+	// the resume is timed.
+	_ = rc.c.SetDeadline(time.Now().Add(interval + 2*time.Second))
+	if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != subSeq {
+		t.Fatalf("subscribe reply = %v seq %d", env.Type, env.Seq)
+	}
+	first := rc.read(t)
+	if first.Type != wire.MsgFramePush {
+		t.Fatalf("first push = %v", first.Type)
+	}
+
+	victim := tc.router.dir.View().Ring().Pick(session).ID
+	if _, err := tc.router.Drain(victim); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	_ = rc.c.SetDeadline(time.Now().Add(2 * time.Second))
+	for {
+		env := rc.read(t)
+		if env.Type == wire.MsgAck && env.Seq == 0 {
+			continue // the router's replayed subscribe
+		}
+		if env.Type != wire.MsgFramePush {
+			t.Fatalf("after the drain: %v seq %d, want a push", env.Type, env.Seq)
+		}
+		if env.Seq <= first.Seq {
+			t.Fatalf("wire push seq went %d -> %d across the drain", first.Seq, env.Seq)
+		}
+		break
+	}
+	if owners := tc.shardsOwning(session); len(owners) != 1 || tc.shards[owners[0]].id == victim {
+		t.Fatalf("session on shard indexes %v after draining member %d", owners, victim)
+	}
+	if n := tc.router.Metrics().Counter("router.migrations.failed").Value(); n != 0 {
+		t.Fatalf("%d migrations failed", n)
+	}
+}
+
 // TestAdminEndToEnd drives the admin protocol over TCP: query, join,
 // drain, the error paths, and a membership watch receiving epoch pushes.
 func TestAdminEndToEnd(t *testing.T) {

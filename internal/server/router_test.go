@@ -527,6 +527,26 @@ func TestRouterStreamE2E(t *testing.T) {
 	}
 }
 
+// TestRouterStreamFirstPushAtOnce pins the first overlay at subscribe
+// through a router: a 10 s stream answers its subscribe with the ack and
+// then push 1 at once, not one interval later.
+func TestRouterStreamFirstPushAtOnce(t *testing.T) {
+	tc := startCluster(t, 2, nil, RouterOptions{})
+	rc := dialRaw(t, tc.addr)
+	rc.hello(t, "raw", wire.ProtoMax)
+	rc.sendGPS(t, 0, center)
+	var sb wire.Buffer
+	wire.EncodeSubscribeInto(&sb, wire.Subscribe{IntervalMS: 10_000, Budget: 16})
+	subSeq := rc.send(t, wire.MsgSubscribe, 0, sb.Bytes())
+	_ = rc.c.SetDeadline(time.Now().Add(2 * time.Second))
+	if env := rc.read(t); env.Type != wire.MsgAck || env.Seq != subSeq {
+		t.Fatalf("subscribe reply = %v seq %d, want ack seq %d", env.Type, env.Seq, subSeq)
+	}
+	if env := rc.read(t); env.Type != wire.MsgFramePush || env.Seq != 1 {
+		t.Fatalf("after the ack: %v seq %d, want frame_push seq 1", env.Type, env.Seq)
+	}
+}
+
 // TestRetryPolicyDeterministicDelays pins the reconnect backoff clock:
 // doubling from base, capped at max — checked as pure math, no time
 // elapses.

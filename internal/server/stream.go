@@ -740,12 +740,14 @@ func (d *delivery) done(err error) {
 	inflight.Done()
 }
 
-// startStream begins pushing frames for sess on out at the subscription's
-// cadence. delta selects MsgFrameDelta encoding (the caller has verified
-// the subscriber negotiated protocol v4 and asked for it). The caller owns
-// the stream and must stopStream it when the subscription ends or the
+// newStream builds a stream that pushes frames for sess on out at the
+// subscription's cadence. delta selects MsgFrameDelta encoding (the caller
+// has verified the subscriber negotiated protocol v4 and asked for it).
+// The stream pushes nothing until the caller ticks it: the first tick
+// renders a frame at once and arms the next one interval later. The caller
+// owns the stream and must stopStream it when the subscription ends or the
 // connection dies.
-func (e *Engine) startStream(sess *core.Session, sub wire.Subscribe, out *outbox, delta bool) *frameStream {
+func (e *Engine) newStream(sess *core.Session, sub wire.Subscribe, out *outbox, delta bool) *frameStream {
 	reg := e.sched.Metrics()
 	st := &frameStream{
 		sess:       sess,
@@ -762,7 +764,6 @@ func (e *Engine) startStream(sess *core.Session, sub wire.Subscribe, out *outbox
 	st.d.visitFn, st.d.doneFn = st.d.visit, st.d.done
 	out.addReserve(st.budget)
 	e.registerStream(st)
-	e.pacer.schedule(st, st.interval)
 	return st
 }
 
@@ -794,7 +795,8 @@ func (st *frameStream) ack(a wire.FrameAck) {
 
 // tick is the pacer's fire callback: submit a frame if the stream is
 // idle, otherwise mark the tick owed (cadence degradation). Runs on the
-// pacer goroutine — everything here is non-blocking.
+// pacer goroutine, or for a stream's first frame on the subscribing
+// connection's read loop — everything here is non-blocking.
 //
 //arbd:hotpath
 func (st *frameStream) tick(now time.Time) {
