@@ -23,7 +23,13 @@
 // Membership is dynamic (protocol v3): a router started with -admin exposes
 // a control endpoint; shards join a live router with -join, and draining a
 // shard migrates its live sessions (state and streams) to
-// the surviving shards before the shard detaches.
+// the surviving shards before the shard detaches. The endpoint answers
+// requests and pushes nothing: a router's -obs plane exports the current
+// epoch as the router.membership.epoch gauge. Each membership flag belongs
+// to the roles that use it (-shard-id: shard; -shards: router; -admin:
+// router, admin; -join: shard, admin; -drain: admin; -advertise: shard
+// with -join), and one the role would ignore is refused before anything
+// binds, as is -join with -drain on role admin.
 //
 // Usage:
 //
@@ -64,6 +70,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -117,6 +124,9 @@ func run() error {
 	// give a shard that ID.
 	if *role == "shard" && *shardID == 0 {
 		return fmt.Errorf("-shard-id 0: shard IDs start at 1")
+	}
+	if err := checkMembershipFlags(*role, *join != "", *drain != 0); err != nil {
+		return err
 	}
 
 	// Profiling applies to every role — bring it up before the role switch
@@ -244,10 +254,38 @@ func runRouter(addr, adminAddr, shards string, serveObs func(*obs.Plane) error) 
 		}
 		log.Printf("arbd-server router admin endpoint on %s", adminBound)
 	}
-	log.Printf("arbd-server router listening on %s (%d shards, epoch %d)",
-		bound, len(members), r.Directory().View().Epoch)
+	log.Printf("arbd-server router listening on %s (%d shards)", bound, len(members))
 	awaitSignal()
 	return r.Close()
+}
+
+// membershipRoles names the roles each membership flag applies to.
+var membershipRoles = map[string][]string{
+	"shard-id": {"shard"},
+	"shards":   {"router"},
+	"admin":    {"router", "admin"},
+	"join":     {"shard", "admin"},
+	"drain":    {"admin"},
+}
+
+// checkMembershipFlags refuses a membership flag the role would ignore —
+// a shard given -admin instead of -join would start and never join — and
+// the one-shot admin asked to do two changes at once.
+func checkMembershipFlags(role string, join, drain bool) error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		roles, ok := membershipRoles[f.Name]
+		if err == nil && ok && !slices.Contains(roles, role) {
+			err = fmt.Errorf("-%s: applies to role %s, not %s", f.Name, strings.Join(roles, " or "), role)
+		}
+		if err == nil && f.Name == "advertise" && (role != "shard" || !join) {
+			err = fmt.Errorf("-advertise: applies to role shard with -join")
+		}
+	})
+	if err == nil && role == "admin" && join && drain {
+		err = fmt.Errorf("-drain: role admin runs one change; -join and -drain are exclusive")
+	}
+	return err
 }
 
 // runAdmin is the one-shot control-plane client: join, drain, or query.

@@ -75,7 +75,7 @@ func TestFetchedRecordsSurviveRetention(t *testing.T) {
 func TestFetchedRecordAppendDoesNotClobberNeighbor(t *testing.T) {
 	b := NewBroker(WithClock(sim.NewVirtualClock(time.Time{})))
 	defer b.Close()
-	if err := b.CreateTopic("t", TopicConfig{Partitions: 1, Keyed: true}); err != nil {
+	if err := b.CreateTopic("t", TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := b.produce("t", []byte("ka"), []byte("aaaa")); err != nil {

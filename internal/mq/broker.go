@@ -89,7 +89,7 @@ func (t *topic) partitionFor(key []byte) int {
 	if len(key) == 0 {
 		return int((t.rr.Add(1) - 1) % uint64(len(t.parts)))
 	}
-	return PartitionFor(key, len(t.parts))
+	return keyPartition(key, len(t.parts))
 }
 
 // Option configures a Broker.
@@ -147,9 +147,9 @@ func (b *Broker) topic(name string) (*topic, error) {
 	return t, nil
 }
 
-// PartitionFor returns the partition a non-empty key routes to. Unkeyed
+// keyPartition returns the partition a non-empty key routes to. Unkeyed
 // records do not use key hashing: the broker assigns them round-robin.
-func PartitionFor(key []byte, numPartitions int) int {
+func keyPartition(key []byte, numPartitions int) int {
 	if numPartitions <= 1 {
 		return 0
 	}
@@ -189,9 +189,6 @@ func (tp *Topic) ProduceBatch(key []byte, values [][]byte) (int64, error) {
 		return 0, ErrClosed
 	}
 	t := tp.t
-	if t.cfg.Keyed && len(key) == 0 {
-		return 0, ErrEmptyKey
-	}
 	pi := t.partitionFor(key)
 	first := t.parts[pi].appendBatch(tp.b.clock.Now(), key, values, t.cfg.RetentionBytes)
 	t.wake()
@@ -243,9 +240,6 @@ func (b *Broker) produce(topicName string, key, value []byte) (partitionIdx int,
 	t, err := b.topic(topicName)
 	if err != nil {
 		return 0, 0, err
-	}
-	if t.cfg.Keyed && len(key) == 0 {
-		return 0, 0, ErrEmptyKey
 	}
 	pi := t.partitionFor(key)
 	off := t.parts[pi].append(b.clock.Now(), key, value, t.cfg.RetentionBytes)

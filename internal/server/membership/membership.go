@@ -1,34 +1,23 @@
-// Package membership is the control plane of the multi-node frontend: who
-// the shards are, which epoch of that knowledge the data plane is acting
-// on, and how the answer changes at runtime. The data plane (PRs 1-4)
-// assumed a static shard set fixed at process start; this package makes
-// the shard set a first-class, versioned object so routers can add and
-// drain shards under live AR traffic — the elasticity the paper's
-// scalability argument (§4.1, CloudRiDAR-style offload) takes for granted.
+// Package membership is the control plane's vocabulary for the
+// multi-node frontend: who the shards are, which epoch of that knowledge
+// the data plane is acting on, and the wire forms both travel in. The
+// data plane (PRs 1-4) assumed a static shard set fixed at process start;
+// this package makes the shard set a first-class, versioned object so
+// routers can add and drain shards under live AR traffic — the elasticity
+// the paper's scalability argument (§4.1, CloudRiDAR-style offload) takes
+// for granted.
 //
-// The model is deliberately small:
-//
-//   - A View is an immutable epoch: a sorted member set plus the
-//     rendezvous Ring built over it. Data-plane code holds a *View and
-//     routes against it without locks.
-//   - A Directory is the single mutable cell holding the current View.
-//     Join/Leave build the next epoch and publish it atomically; readers
-//     always see a complete epoch, never a half-applied change.
-//   - Watch delivers views to subscribers with latest-wins coalescing:
-//     a slow watcher skips intermediate epochs but always learns the
-//     newest one, which is the only one that matters for routing.
-//
-// Admin mutations are single-writer by construction (the Directory
-// serialises them), matching the deployment model: one router process
-// owns placement; a future multi-router deployment shares a directory
-// rather than electing writers per change.
+// A View is an immutable epoch: a sorted member set plus the rendezvous
+// Ring built over it. Data-plane code holds a *View and routes against it
+// without locks. The router that owns placement is the one writer of the
+// epoch: it builds each next View with NewView and publishes it
+// atomically, so readers always see a complete epoch, never a
+// half-applied change.
 package membership
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"arbd/internal/core"
 	"arbd/internal/wire"
@@ -80,6 +69,8 @@ func (r *Ring) Members() []Member {
 }
 
 // Contains reports whether the ring has a member with the given ID.
+//
+//arbd:test-api server tests check which members an epoch placed with it
 func (r *Ring) Contains(id uint64) bool {
 	for i := range r.members {
 		if r.members[i].ID == id {
@@ -124,126 +115,21 @@ type View struct {
 	ring  *Ring
 }
 
+// NewView returns the membership epoch over members, validated as NewRing
+// validates them.
+func NewView(epoch uint64, members []Member) (*View, error) {
+	ring, err := NewRing(members)
+	if err != nil {
+		return nil, err
+	}
+	return &View{Epoch: epoch, ring: ring}, nil
+}
+
 // Ring returns the epoch's placement ring.
 func (v *View) Ring() *Ring { return v.ring }
 
 // Members returns a copy of the epoch's member set in ID order.
 func (v *View) Members() []Member { return v.ring.Members() }
-
-// Directory is the single-writer membership cell: it owns the current
-// View and publishes a new epoch on every Join/Leave. Reads are an atomic
-// pointer load; mutations serialise on the directory's lock, making admin
-// operations single-writer without the callers coordinating.
-type Directory struct {
-	mu   sync.Mutex
-	cur  atomic.Pointer[View]
-	next uint64 // next watcher key
-
-	watchers map[uint64]chan *View
-}
-
-// NewDirectory returns a directory at epoch 1 over the initial members.
-func NewDirectory(members []Member) (*Directory, error) {
-	ring, err := NewRing(members)
-	if err != nil {
-		return nil, err
-	}
-	d := &Directory{watchers: make(map[uint64]chan *View)}
-	d.cur.Store(&View{Epoch: 1, ring: ring})
-	return d, nil
-}
-
-// View returns the current epoch. The result is immutable and safe to
-// hold across the caller's whole routing decision.
-func (d *Directory) View() *View { return d.cur.Load() }
-
-// Join adds a member and publishes the next epoch. It fails if the ID is
-// already present — member identity is the unit of placement, so reusing
-// a live ID would silently split one shard's sessions across two nodes.
-func (d *Directory) Join(m Member) (*View, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.cur.Load()
-	if old.ring.Contains(m.ID) {
-		return nil, fmt.Errorf("membership: member %d already present at epoch %d", m.ID, old.Epoch)
-	}
-	ring, err := NewRing(append(old.ring.Members(), m))
-	if err != nil {
-		return nil, err
-	}
-	return d.publishLocked(&View{Epoch: old.Epoch + 1, ring: ring}), nil
-}
-
-// Leave removes a member and publishes the next epoch. The last member
-// cannot leave: an empty ring routes nothing, and the error is clearer at
-// the admin boundary than a nil-member panic deep in the data plane.
-func (d *Directory) Leave(id uint64) (*View, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.cur.Load()
-	if !old.ring.Contains(id) {
-		return nil, fmt.Errorf("membership: member %d not present at epoch %d", id, old.Epoch)
-	}
-	members := old.ring.Members()
-	if len(members) == 1 {
-		return nil, fmt.Errorf("membership: refusing to remove the last member %d", id)
-	}
-	kept := members[:0]
-	for _, m := range members {
-		if m.ID != id {
-			kept = append(kept, m)
-		}
-	}
-	ring, err := NewRing(kept)
-	if err != nil {
-		return nil, err
-	}
-	return d.publishLocked(&View{Epoch: old.Epoch + 1, ring: ring}), nil
-}
-
-// publishLocked stores the new view and notifies watchers; callers hold mu.
-func (d *Directory) publishLocked(v *View) *View {
-	d.cur.Store(v)
-	for _, ch := range d.watchers {
-		// Latest-wins coalescing: if the watcher hasn't drained the last
-		// view, replace it — stale epochs are worse than skipped ones.
-		select {
-		case ch <- v:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- v:
-			default:
-			}
-		}
-	}
-	return v
-}
-
-// Watch subscribes to epoch changes. The channel is 1-buffered and
-// coalescing (latest view wins); the current view is delivered
-// immediately so a subscriber never starts blind. cancel unregisters and
-// closes the channel.
-func (d *Directory) Watch() (views <-chan *View, cancel func()) {
-	ch := make(chan *View, 1)
-	d.mu.Lock()
-	key := d.next
-	d.next++
-	d.watchers[key] = ch
-	ch <- d.cur.Load()
-	d.mu.Unlock()
-	return ch, func() {
-		d.mu.Lock()
-		if _, ok := d.watchers[key]; ok {
-			delete(d.watchers, key)
-			close(ch)
-		}
-		d.mu.Unlock()
-	}
-}
 
 // EncodeMemberInto appends a member's wire form (uvarint ID, string addr)
 // to buf — the payload of a MsgJoinShard envelope.
@@ -279,8 +165,8 @@ func EncodeViewInto(buf *wire.Buffer, v *View) {
 }
 
 // DecodedView is the wire-level form of a membership epoch, for peers
-// (admin clients, future routers sharing a directory) that consume
-// announcements without building a routing ring.
+// (admin clients) that read a router's replies without building a routing
+// ring.
 type DecodedView struct {
 	Epoch   uint64
 	Members []Member

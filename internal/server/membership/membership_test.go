@@ -113,88 +113,22 @@ func TestRingRemapMinimality(t *testing.T) {
 	}
 }
 
-func TestDirectoryEpochsAndMutations(t *testing.T) {
-	d, err := NewDirectory(members(2))
+// TestNewViewValidates: a view is built through NewRing's validation, at
+// the epoch it is given.
+func TestNewViewValidates(t *testing.T) {
+	v, err := NewView(3, members(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := d.View(); v.Epoch != 1 || len(v.Ring().Members()) != 2 {
-		t.Fatalf("initial view epoch=%d len=%d", v.Epoch, len(v.Ring().Members()))
+	if v.Epoch != 3 || len(v.Members()) != 2 || !v.Ring().Contains(2) {
+		t.Fatalf("view epoch=%d members=%v", v.Epoch, v.Members())
 	}
-	v, err := d.Join(Member{ID: 3, Addr: "c"})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewView(1, nil); err == nil {
+		t.Fatal("empty view accepted")
 	}
-	if v.Epoch != 2 || !v.Ring().Contains(3) {
-		t.Fatalf("join view epoch=%d members=%v", v.Epoch, v.Members())
+	if _, err := NewView(1, append(members(2), Member{ID: 2, Addr: "dup"})); err == nil {
+		t.Fatal("view with a duplicate member accepted")
 	}
-	if _, err := d.Join(Member{ID: 3, Addr: "dup"}); err == nil {
-		t.Fatal("duplicate join accepted")
-	}
-	if _, err := d.Leave(99); err == nil {
-		t.Fatal("leave of unknown member accepted")
-	}
-	v, err = d.Leave(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Epoch != 3 || v.Ring().Contains(1) {
-		t.Fatalf("leave view epoch=%d members=%v", v.Epoch, v.Members())
-	}
-	if _, err = d.Leave(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Leave(3); err == nil {
-		t.Fatal("last member allowed to leave")
-	}
-	if got := d.View().Epoch; got != 4 {
-		t.Fatalf("epoch after 3 mutations = %d, want 4", got)
-	}
-}
-
-// TestDirectoryWatchCoalesces checks the watch contract: the current view
-// arrives immediately, and a slow watcher skips intermediate epochs but
-// always ends on the latest.
-func TestDirectoryWatchCoalesces(t *testing.T) {
-	d, err := NewDirectory(members(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, cancel := d.Watch()
-	defer cancel()
-	if v := <-ch; v.Epoch != 1 {
-		t.Fatalf("first watched view epoch=%d, want 1 (current view delivered immediately)", v.Epoch)
-	}
-	// Without draining, push several epochs; the watcher must see the last.
-	for i := 2; i <= 5; i++ {
-		if _, err := d.Join(Member{ID: uint64(i), Addr: "x"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v := <-ch
-	for {
-		select {
-		case nv, ok := <-ch:
-			if !ok {
-				t.Fatal("watch channel closed early")
-			}
-			if nv.Epoch < v.Epoch {
-				t.Fatalf("watch went backwards: %d after %d", nv.Epoch, v.Epoch)
-			}
-			v = nv
-			continue
-		default:
-		}
-		break
-	}
-	if v.Epoch != 5 {
-		t.Fatalf("latest watched epoch=%d, want 5", v.Epoch)
-	}
-	cancel()
-	if _, ok := <-ch; ok {
-		t.Fatal("watch channel not closed by cancel")
-	}
-	cancel() // idempotent
 }
 
 func TestMemberAndViewCodecsRoundTrip(t *testing.T) {
@@ -212,11 +146,7 @@ func TestMemberAndViewCodecsRoundTrip(t *testing.T) {
 		t.Fatal("truncated member accepted")
 	}
 
-	d, err := NewDirectory(members(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := d.Join(Member{ID: 9, Addr: "far:1"})
+	v, err := NewView(2, append(members(3), Member{ID: 9, Addr: "far:1"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +206,12 @@ func encodeDecodedView(v DecodedView) []byte {
 // connection. Decode must not panic or pre-allocate for a count the
 // payload cannot hold, and decode → encode → decode is a fixed point.
 func FuzzDecodeView(f *testing.F) {
-	d, err := NewDirectory(members(3))
+	v, err := NewView(1, members(3))
 	if err != nil {
 		f.Fatal(err)
 	}
 	var seed wire.Buffer
-	EncodeViewInto(&seed, d.View())
+	EncodeViewInto(&seed, v)
 	if v, err := DecodeView(seed.Bytes()); err != nil || !bytes.Equal(encodeDecodedView(v), seed.Bytes()) {
 		f.Fatalf("encodeDecodedView disagrees with EncodeViewInto: %v", err)
 	}

@@ -3,7 +3,8 @@
 // control plane; the epoch bookkeeping lives in internal/server/membership
 // and the session serialization in internal/core (snapshot.go).
 //
-// A membership change runs in four steps, single-writer under adminMu:
+// A membership change runs in four steps, single-writer under adminMu,
+// and Join and Drain take them through one path (Router.change):
 //
 //  1. Plan: diff the current ring against the next one over the live
 //     session set. Rendezvous hashing keeps the diff minimal — only the
@@ -11,8 +12,8 @@
 //  2. Gate: each moving session's client forwards pause (routerClient.fwdMu
 //     + migrating channel), so no envelope can race its own state across
 //     nodes. Un-gated sessions stream on, untouched.
-//  3. Publish: the directory bumps the epoch; every routing decision from
-//     here resolves against the new ring atomically.
+//  3. Publish: the router stores the next epoch's View; every routing
+//     decision from here resolves against the new ring atomically.
 //  4. Move: for each gated session — export the snapshot from the old
 //     owner, import it on the new one, replay its subscription with the
 //     push counter rebased, un-gate. Clients observe a pause and a bounded
@@ -33,12 +34,6 @@ import (
 	"arbd/internal/server/membership"
 	"arbd/internal/wire"
 )
-
-// CtrlWatchMembership, inside a MsgControl envelope on an admin
-// connection, subscribes the connection to membership pushes: every epoch
-// bump is announced with a seq-0 MsgMembership until the connection
-// closes.
-const CtrlWatchMembership uint8 = 2
 
 // migrateConcurrency bounds how many sessions migrate at once during one
 // membership change: enough to pipeline the per-session round-trips,
@@ -113,13 +108,6 @@ func (r *Router) ungate(g gateHandle) {
 	}
 	g.cl.fwdMu.Unlock()
 	close(g.ch)
-}
-
-// ungateAll opens every gate (error-path rollback).
-func (r *Router) ungateAll(gates map[uint64]gateHandle) {
-	for _, g := range gates {
-		r.ungate(g)
-	}
 }
 
 // runMoves migrates every planned session with bounded concurrency,
@@ -267,30 +255,13 @@ func (r *Router) Join(m Member) (*membership.View, error) {
 		return nil, err
 	}
 	ss := r.attachShard(m, bc)
-
-	// Plan, gate, and publish under the change lock (writer side): no
-	// forward happens in between, so a session connecting mid-change
-	// cannot build state against the old ring after the plan was drawn.
-	r.changeMu.Lock()
-	old := r.dir.View()
-	nextRing, err := membership.NewRing(append(old.Members(), m))
+	view, moved, err := r.change(append(r.view.Load().Members(), m))
 	if err != nil {
-		r.changeMu.Unlock()
 		r.detachShard(ss)
 		return nil, err
 	}
-	moves := r.planMoves(old.Ring(), nextRing)
-	gates := r.gateAll(moves)
-	view, err := r.dir.Join(m)
-	r.changeMu.Unlock()
-	if err != nil {
-		r.ungateAll(gates)
-		r.detachShard(ss)
-		return nil, err
-	}
-	r.runMoves(moves, gates)
 	r.logger.Printf("router: epoch %d: shard %d joined at %s (%d sessions rebalanced)",
-		view.Epoch, m.ID, m.Addr, len(moves))
+		view.Epoch, m.ID, m.Addr, moved)
 	return view, nil
 }
 
@@ -308,37 +279,51 @@ func (r *Router) Drain(id uint64) (*membership.View, error) {
 	if ss == nil {
 		return nil, fmt.Errorf("server: unknown shard %d", id)
 	}
-	// Same plan/gate/publish critical section as Join — see there.
-	r.changeMu.Lock()
-	old := r.dir.View()
 	var kept []Member
-	for _, m := range old.Members() {
+	for _, m := range r.view.Load().Members() {
 		if m.ID != id {
 			kept = append(kept, m)
 		}
 	}
 	if len(kept) == 0 {
-		r.changeMu.Unlock()
 		return nil, fmt.Errorf("server: refusing to drain the last shard %d", id)
 	}
-	nextRing, err := membership.NewRing(kept)
+	view, moved, err := r.change(kept)
 	if err != nil {
-		r.changeMu.Unlock()
 		return nil, err
 	}
-	moves := r.planMoves(old.Ring(), nextRing)
-	gates := r.gateAll(moves)
-	view, err := r.dir.Leave(id)
-	r.changeMu.Unlock()
-	if err != nil {
-		r.ungateAll(gates)
-		return nil, err
-	}
-	r.runMoves(moves, gates)
 	r.detachShard(ss)
 	r.logger.Printf("router: epoch %d: shard %d drained (%d sessions migrated)",
-		view.Epoch, id, len(moves))
+		view.Epoch, id, moved)
 	return view, nil
+}
+
+// change is the one path that builds and publishes the next epoch, over
+// members; the caller holds adminMu. Plan, gate and publish run under the
+// change lock's writer side: no forward happens in between, so a session
+// connecting mid-change cannot build state against the old ring after the
+// plan was drawn. The planned moves run after the lock is released; change
+// returns once they all finished, with how many sessions moved.
+func (r *Router) change(members []Member) (*membership.View, int, error) {
+	r.changeMu.Lock()
+	old := r.view.Load()
+	next, err := membership.NewView(old.Epoch+1, members)
+	if err != nil {
+		r.changeMu.Unlock()
+		return nil, 0, err
+	}
+	moves := r.planMoves(old.Ring(), next.Ring())
+	gates := r.gateAll(moves)
+	r.publish(next)
+	r.changeMu.Unlock()
+	r.runMoves(moves, gates)
+	return next, len(moves), nil
+}
+
+// publish makes v the epoch every routing decision resolves against.
+func (r *Router) publish(v *membership.View) {
+	r.view.Store(v)
+	r.epoch.Set(float64(v.Epoch))
 }
 
 // detachShard removes a slot and closes its connection without obituaries:
@@ -352,10 +337,10 @@ func (r *Router) detachShard(ss *routerShard) {
 }
 
 // ListenAdmin binds the router's admin endpoint: MsgJoinShard /
-// MsgLeaveShard mutate the membership, a MsgControl queries it (or, with
-// CtrlWatchMembership, subscribes to epoch pushes). Replies carry
-// MsgMembership with the resulting epoch. Optional — a router without an
-// admin listener simply has static membership, exactly as before.
+// MsgLeaveShard mutate the membership, a MsgControl with an empty payload
+// queries it. Replies carry MsgMembership with the resulting epoch.
+// Optional — a router without an admin listener simply has static
+// membership, exactly as before.
 func (r *Router) ListenAdmin(addr string) (string, error) {
 	if !r.connected {
 		return "", errors.New("server: admin listener before Connect")
@@ -366,28 +351,19 @@ func (r *Router) ListenAdmin(addr string) (string, error) {
 	return r.admin.listen(addr)
 }
 
-// membershipMsg builds one MsgMembership envelope carrying the view: the
-// reply to the admin request seq, or (seq 0) a watch push.
-func membershipMsg(seq uint64, v *membership.View) outMsg {
-	var buf wire.Buffer
-	membership.EncodeViewInto(&buf, v)
-	return outMsg{env: wire.Envelope{Type: wire.MsgMembership, Seq: seq, Payload: buf.Bytes()}, reply: seq != 0}
-}
-
 // openAdmin builds an admin connection's handler once its hello succeeded:
-// membership changes and queries are answered through its outbox, and a
-// watch pushes every epoch there.
+// membership changes and queries are answered through its outbox.
 func (r *Router) openAdmin(conn net.Conn, _ uint32) accepted {
 	out := newOutbox(conn, routerPushQueue, nil)
-	var watchCancel func()
-	var watchDone chan struct{}
 	// answer queues the outcome of one membership change or query.
 	answer := func(seq uint64, view *membership.View, err error) {
 		if err != nil {
 			out.fail(0, seq, err.Error())
 			return
 		}
-		out.enqueue(membershipMsg(seq, view))
+		var buf wire.Buffer
+		membership.EncodeViewInto(&buf, view)
+		out.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgMembership, Seq: seq, Payload: buf.Bytes()}, reply: true})
 	}
 	handle := func(env *wire.Envelope) {
 		switch env.Type {
@@ -406,43 +382,25 @@ func (r *Router) openAdmin(conn net.Conn, _ uint32) accepted {
 			}
 			answer(env.Seq, view, err)
 		case wire.MsgControl:
-			if len(env.Payload) > 0 && env.Payload[0] == CtrlWatchMembership {
-				if watchCancel == nil {
-					views, cancel := r.dir.Watch()
-					watchCancel = cancel
-					watchDone = make(chan struct{})
-					go func() {
-						defer close(watchDone)
-						for v := range views {
-							if !out.enqueue(membershipMsg(0, v)) {
-								_ = conn.Close() // writer dead: end the admin loop too
-								return
-							}
-						}
-					}()
-				}
-				out.ack(env)
+			if len(env.Payload) > 0 {
+				out.fail(0, env.Seq, fmt.Sprintf("server: unsupported admin control verb %d", env.Payload[0]))
 				return
 			}
-			answer(env.Seq, r.dir.View(), nil)
+			answer(env.Seq, r.view.Load(), nil)
 		default:
 			out.fail(0, env.Seq, fmt.Sprintf("server: unsupported admin message %v", env.Type))
 		}
 	}
-	closed := func() {
-		if watchCancel != nil {
-			watchCancel()
-			<-watchDone
-		}
-	}
-	return accepted{out: out, handle: handle, closed: closed}
+	return accepted{out: out, handle: handle, closed: func() {}}
 }
 
 // AdminClient speaks the router's admin protocol — the client side of
 // join/drain/query, shared by cmd/arbd-server (-join, -drain), loadgen's
 // churn mode, and the tests. It runs the dial side's read loop and outbox
 // (dial.go), so its calls are safe for concurrent use: each waits for the
-// reply carrying its own seq, and watch pushes are dropped.
+// reply carrying its own seq. The admin protocol is request/reply only: the
+// router pushes nothing, and an epoch is learnt from a reply or from the
+// router's router.membership.epoch gauge.
 type AdminClient struct{ *dialConn }
 
 // DialAdmin connects to a router's admin endpoint and runs the hello

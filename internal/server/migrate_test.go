@@ -158,7 +158,7 @@ func TestDrainUnderLoad(t *testing.T) {
 		if tc.shards[idx].id == victim {
 			t.Fatalf("session %d still on drained shard", id)
 		}
-		if want := tc.router.dir.View().Ring().Pick(id).ID; tc.shards[idx].id != want {
+		if want := tc.router.view.Load().Ring().Pick(id).ID; tc.shards[idx].id != want {
 			t.Fatalf("session %d on shard %d, new ring says %d", id, tc.shards[idx].id, want)
 		}
 	}
@@ -245,7 +245,7 @@ func TestJoinRebalancesLiveSessions(t *testing.T) {
 	}
 	gained := 0
 	for id, idx := range live {
-		if want := tc.router.dir.View().Ring().Pick(id).ID; tc.shards[idx].id != want {
+		if want := tc.router.view.Load().Ring().Pick(id).ID; tc.shards[idx].id != want {
 			t.Fatalf("session %d on shard %d, grown ring says %d", id, tc.shards[idx].id, want)
 		}
 		if tc.shards[idx].id == 9 {
@@ -322,7 +322,7 @@ func TestDrainRebasesWireSeq(t *testing.T) {
 	}
 	readPushes(5, "pre-drain")
 
-	victim := tc.router.dir.View().Ring().Pick(session).ID
+	victim := tc.router.view.Load().Ring().Pick(session).ID
 	if _, err := tc.router.Drain(victim); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -356,7 +356,7 @@ func TestDrainResumesStreamAtOnce(t *testing.T) {
 		t.Fatalf("first push = %v", first.Type)
 	}
 
-	victim := tc.router.dir.View().Ring().Pick(session).ID
+	victim := tc.router.view.Load().Ring().Pick(session).ID
 	if _, err := tc.router.Drain(victim); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -383,36 +383,26 @@ func TestDrainResumesStreamAtOnce(t *testing.T) {
 }
 
 // TestAdminEndToEnd drives the admin protocol over TCP: query, join,
-// drain, the error paths, and a membership watch receiving epoch pushes.
+// drain, the error paths, the epoch gauge following every publish, and a
+// control verb the admin endpoint does not serve refused with an error.
 func TestAdminEndToEnd(t *testing.T) {
 	tc := startCluster(t, 2, nil, RouterOptions{})
 	adminAddr, err := tc.router.ListenAdmin("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	epoch := tc.router.Metrics().Gauge("router.membership.epoch")
+	if got := epoch.Value(); got != 1 {
+		t.Fatalf("epoch gauge %v at start, want 1", got)
+	}
 
-	// A watcher sees the current epoch immediately.
+	// A control with a payload (the old watch verb was byte 2) is refused,
+	// not answered as a query a client would wait on for pushes.
 	wc := dialRaw(t, adminAddr)
 	wc.hello(t, "watcher", wire.ProtoMax)
-	watchSeq := wc.send(t, wire.MsgControl, 0, []byte{CtrlWatchMembership})
-	sawAck := false
-	var first *wire.Envelope
-	for i := 0; i < 2; i++ {
-		env := wc.read(t)
-		switch env.Type {
-		case wire.MsgAck:
-			if env.Seq != watchSeq {
-				t.Fatalf("watch ack seq %d, want %d", env.Seq, watchSeq)
-			}
-			sawAck = true
-		case wire.MsgMembership:
-			first = env
-		default:
-			t.Fatalf("unexpected watch reply %v", env.Type)
-		}
-	}
-	if !sawAck || first == nil {
-		t.Fatal("watch did not deliver ack + initial membership")
+	watchSeq := wc.send(t, wire.MsgControl, 0, []byte{2})
+	if env := wc.read(t); env.Type != wire.MsgError || env.Seq != watchSeq {
+		t.Fatalf("non-empty admin control answered %v seq %d, want error seq %d", env.Type, env.Seq, watchSeq)
 	}
 
 	ac, err := DialAdmin(adminAddr, time.Second)
@@ -438,6 +428,9 @@ func TestAdminEndToEnd(t *testing.T) {
 	if v.Epoch != 2 || len(v.Members) != 3 {
 		t.Fatalf("post-join membership epoch=%d members=%d", v.Epoch, len(v.Members))
 	}
+	if got := epoch.Value(); got != 2 {
+		t.Fatalf("epoch gauge %v after the join, want 2", got)
+	}
 	if _, err := ac.Join(Member{ID: 7, Addr: extraAddr}); err == nil {
 		t.Fatal("duplicate admin join accepted")
 	}
@@ -451,27 +444,8 @@ func TestAdminEndToEnd(t *testing.T) {
 	if v.Epoch != 3 || len(v.Members) != 2 {
 		t.Fatalf("post-drain membership epoch=%d members=%d", v.Epoch, len(v.Members))
 	}
-
-	// The watcher saw the join and drain epochs (coalescing tolerated: the
-	// last observed epoch must be the final one).
-	deadline := time.Now().Add(5 * time.Second)
-	lastEpoch := uint64(0)
-	for time.Now().Before(deadline) && lastEpoch < 3 {
-		env := wc.read(t)
-		if env.Type != wire.MsgMembership {
-			t.Fatalf("watch push type %v", env.Type)
-		}
-		dv, err := membership.DecodeView(env.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dv.Epoch < lastEpoch {
-			t.Fatalf("watch epochs went backwards: %d after %d", dv.Epoch, lastEpoch)
-		}
-		lastEpoch = dv.Epoch
-	}
-	if lastEpoch != 3 {
-		t.Fatalf("watcher's final epoch %d, want 3", lastEpoch)
+	if got := epoch.Value(); got != 3 {
+		t.Fatalf("epoch gauge %v after the drain, want 3", got)
 	}
 
 	// Draining down to one shard, then past it, fails loudly.
@@ -480,6 +454,83 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 	if _, err := ac.Drain(2); err == nil {
 		t.Fatal("drain of last shard accepted")
+	}
+}
+
+// TestConcurrentAdminChangesSerialise races two admin clients against one
+// router: a join, a duplicate of it and a drain. The router is the one
+// writer of the epoch, so exactly one join lands, the two changes that
+// succeed publish epochs 2 and 3 in some order, and the final membership
+// holds both of them.
+func TestConcurrentAdminChangesSerialise(t *testing.T) {
+	tc := startCluster(t, 3, nil, RouterOptions{})
+	adminAddr, err := tc.router.ListenAdmin("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, extraAddr := newExtraShard(t, 7)
+	tc.shards = append(tc.shards, extra)
+	var acs [2]*AdminClient
+	for i := range acs {
+		if acs[i], err = DialAdmin(adminAddr, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		defer acs[i].Close()
+	}
+
+	type result struct {
+		op    string
+		epoch uint64
+		err   error
+	}
+	results := make(chan result, 3)
+	start := make(chan struct{})
+	run := func(op string, call func() (membership.DecodedView, error)) {
+		<-start
+		v, err := call()
+		results <- result{op, v.Epoch, err}
+	}
+	join := func(ac *AdminClient) func() (membership.DecodedView, error) {
+		return func() (membership.DecodedView, error) { return ac.Join(Member{ID: 7, Addr: extraAddr}) }
+	}
+	go run("join", join(acs[0]))
+	go run("join", join(acs[1]))
+	go run("drain", func() (membership.DecodedView, error) { return acs[0].Drain(2) })
+	close(start)
+
+	joins, drains := 0, 0
+	epochs := map[uint64]bool{}
+	for i := 0; i < 3; i++ {
+		res := <-results
+		if res.err != nil {
+			if res.op == "drain" {
+				t.Fatalf("drain failed: %v", res.err)
+			}
+			continue
+		}
+		if res.op == "join" {
+			joins++
+		} else {
+			drains++
+		}
+		epochs[res.epoch] = true
+	}
+	if joins != 1 || drains != 1 {
+		t.Fatalf("%d joins and %d drains succeeded, want exactly 1 of each", joins, drains)
+	}
+	if len(epochs) != 2 || !epochs[2] || !epochs[3] {
+		t.Fatalf("successful replies carried epochs %v, want {2, 3}", epochs)
+	}
+	v, err := acs[1].Membership()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for _, m := range v.Members {
+		ids = append(ids, m.ID)
+	}
+	if v.Epoch != 3 || fmt.Sprint(ids) != "[1 3 7]" {
+		t.Fatalf("final membership epoch %d members %v, want epoch 3 members [1 3 7]", v.Epoch, ids)
 	}
 }
 
@@ -500,7 +551,7 @@ func TestDrainMigrationFailureIsSoft(t *testing.T) {
 		t.Fatal(err)
 	}
 	session := cl.SessionID()
-	from := tc.router.dir.View().Ring().Pick(session).ID
+	from := tc.router.view.Load().Ring().Pick(session).ID
 	// Kill the destination-to-be: the shard that will own the session
 	// after the drain.
 	var to uint64 = 1

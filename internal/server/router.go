@@ -121,14 +121,16 @@ type Router struct {
 	// done closes when Close begins; wg counts the shard readers Close waits.
 	done chan struct{}
 	wg   sync.WaitGroup
-	// dir is the membership control plane: the current epoch's member set
-	// and ring. Routing decisions load the current view atomically; Join
-	// and Drain publish new epochs, and the router swaps rings by placing
-	// each decision against whatever view is current at that instant.
-	dir  *membership.Directory
-	opts RouterOptions
-	gate loadGate
-	reg  *metrics.Registry
+	// view is the current membership epoch: its member set and ring.
+	// Routing decisions load it atomically; Join and Drain publish each
+	// next epoch through one path (Router.change), and the router swaps
+	// rings by placing each decision against whatever view is current at
+	// that instant.
+	view  atomic.Pointer[membership.View]
+	epoch *metrics.Gauge // router.membership.epoch, set at every publish
+	opts  RouterOptions
+	gate  loadGate
+	reg   *metrics.Registry
 
 	// Per-message instruments, resolved once at construction: the forward
 	// and push hot paths must not pay a registry map lookup per envelope.
@@ -154,8 +156,8 @@ type Router struct {
 	subsMu sync.Mutex
 	subs   map[uint64]*subEntry
 
-	// adminMu makes membership mutations single-writer: one Join or Drain
-	// (with all its migrations) runs at a time.
+	// adminMu makes the router the one writer of the membership epoch: one
+	// Join or Drain (with all its migrations) runs at a time.
 	adminMu sync.Mutex
 	admin   *connServer
 
@@ -293,7 +295,7 @@ type Member = membership.Member
 // NewRouter returns a router over the membership (not yet connected or
 // listening). reg may be nil.
 func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts RouterOptions) (*Router, error) {
-	dir, err := membership.NewDirectory(members)
+	view, err := membership.NewView(1, members)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +309,7 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 	r := &Router{
 		logger:   logger,
 		done:     make(chan struct{}),
-		dir:      dir,
+		epoch:    reg.Gauge("router.membership.epoch"),
 		opts:     opts,
 		gate:     loadGate{deadline: opts.deadline},
 		reg:      reg,
@@ -326,6 +328,7 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 			return net.DialTimeout("tcp", addr, backendDialTimeout)
 		},
 	}
+	r.publish(view)
 	r.bufs.New = func() any { return wire.NewBuffer(1024) }
 	r.cs = newConnServer(logger, "router", r.openClient)
 	return r, nil
@@ -334,11 +337,8 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 // Metrics returns the registry the router records into (router.frames.shed,
 // router.replies.orphaned, router.forward.errors, router.pushes.dropped,
 // router.shard.reconnects, router.sessions.migrated, router.migrations.failed,
-// histogram router.migration.pause).
+// gauge router.membership.epoch, histogram router.migration.pause).
 func (r *Router) Metrics() *metrics.Registry { return r.reg }
-
-// Directory exposes the membership control plane (epoch, watch API).
-func (r *Router) Directory() *membership.Directory { return r.dir }
 
 // shard returns the slot for a member ID, nil if unknown.
 func (r *Router) shard(id uint64) *routerShard {
@@ -352,7 +352,7 @@ func (r *Router) shard(id uint64) *routerShard {
 // It can return nil only in the short window where an epoch named a member
 // whose slot is already detached (router shutting down).
 func (r *Router) shardFor(session uint64) *routerShard {
-	return r.shard(r.dir.View().Ring().Pick(session).ID)
+	return r.shard(r.view.Load().Ring().Pick(session).ID)
 }
 
 // Connect dials every shard and completes the hello handshake, verifying
@@ -360,7 +360,7 @@ func (r *Router) shardFor(session uint64) *routerShard {
 // protocol version. It must succeed before Listen.
 func (r *Router) Connect() error {
 	var attached []*routerShard
-	for _, m := range r.dir.View().Members() {
+	for _, m := range r.view.Load().Members() {
 		bc, err := r.dialBackend(m)
 		if err != nil {
 			// Detach what already connected; Connect is all-or-nothing.
@@ -500,7 +500,7 @@ func (r *Router) reconnectShard(ss *routerShard) *dialConn {
 // concurrently is either not replayed or replayed ahead of its end, never
 // resurrected behind it.
 func (r *Router) replaySubscriptions(ss *routerShard) {
-	ring := r.dir.View().Ring()
+	ring := r.view.Load().Ring()
 	r.subsMu.Lock()
 	defer r.subsMu.Unlock()
 	for id, e := range r.subs {
@@ -520,7 +520,7 @@ func (r *Router) replaySubscriptions(ss *routerShard) {
 // the slot request/reply traffic never uses — so clients recognise it as
 // the stream's obituary rather than a reply.
 func (r *Router) failStreams(ss *routerShard) {
-	ring := r.dir.View().Ring()
+	ring := r.view.Load().Ring()
 	r.subsMu.Lock()
 	var ids []uint64
 	for id := range r.subs {

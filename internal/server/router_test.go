@@ -206,7 +206,7 @@ func TestRouterSessionAffinity(t *testing.T) {
 		t.Fatalf("%d live sessions across shards, want %d", len(live), clients)
 	}
 	for id, shardIdx := range live {
-		want := tc.router.dir.View().Ring().Pick(id).ID
+		want := tc.router.view.Load().Ring().Pick(id).ID
 		if got := tc.shards[shardIdx].id; got != want {
 			t.Fatalf("session %d lives on shard %d, ring says %d", id, got, want)
 		}

@@ -187,7 +187,7 @@ func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
 	}
 	place := func(shard uint64) *Client {
 		id := rt.nextSess.Load() + 1
-		for rt.dir.View().Ring().Pick(id).ID != shard || grown.Pick(id).ID != shard {
+		for rt.view.Load().Ring().Pick(id).ID != shard || grown.Pick(id).ID != shard {
 			id++
 		}
 		rt.nextSess.Store(id - 1)

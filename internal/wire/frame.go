@@ -58,10 +58,9 @@ const (
 	// member ID. The reply (MsgMembership or MsgError) arrives only after
 	// the drain — snapshotting and re-homing every live session — finished.
 	MsgLeaveShard
-	// MsgMembership (protocol v3, control plane) announces a membership
+	// MsgMembership (protocol v3, control plane) carries a membership
 	// epoch: uvarint epoch, uvarint member count, then each member. Sent as
-	// the reply to join/leave/query and pushed to admin watchers on every
-	// epoch bump.
+	// the reply to join/leave/query.
 	MsgMembership
 	// MsgMigrateSession (protocol v3, router↔shard) moves one live session.
 	// Router→shard with an empty payload exports: the shard freezes the
