@@ -131,7 +131,7 @@ func TestPublishOnlyTopicBounded(t *testing.T) {
 	bound := int64(locationRetentionBytes/perRecord + segmentRecords)
 	var produced int64
 	for pi := 0; pi < telemetryPartitions; pi++ {
-		oldest, newest, err := p.Broker().Offsets(TopicLocations, pi)
+		oldest, newest, err := p.telemTopics[telemetryLocations].Offsets(pi)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -394,7 +394,7 @@ func (p *Platform) WaitAnalyticsIdle(timeout time.Duration) error {
 	for {
 		lag := int64(0)
 		for pi := 0; pi < telemetryPartitions; pi++ {
-			_, newest, err := p.broker.Offsets(TopicInteractions, pi)
+			_, newest, err := p.telemTopics[telemetryInteractions].Offsets(pi)
 			if err != nil {
 				return err
 			}

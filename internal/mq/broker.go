@@ -177,11 +177,11 @@ type Topic struct {
 	t *topic
 }
 
-// ProduceBatch appends several values with the same key routing rules under
-// one partition-lock acquisition, returning the offset of the first record
-// of the batch. The whole batch lands contiguously on one partition (unkeyed
-// batches stick to the round-robin cursor's current partition; the next
-// batch rotates onward).
+// ProduceBatch is the broker's one produce path: it appends values under
+// one key, with one partition-lock acquisition, returning the offset of the
+// first record of the batch. The whole batch lands contiguously on one
+// partition (unkeyed batches stick to the round-robin cursor's current
+// partition; the next batch rotates onward).
 //
 //arbd:hotpath
 func (tp *Topic) ProduceBatch(key []byte, values [][]byte) (int64, error) {
@@ -230,34 +230,6 @@ func (tp *Topic) Offsets(partitionIdx int) (oldest, newest int64, err error) {
 		return 0, 0, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(tp.t.parts))
 	}
 	return tp.t.parts[partitionIdx].oldest(), tp.t.parts[partitionIdx].newest(), nil
-}
-
-// produce appends one record to the topic: keyed records route by key hash,
-// unkeyed records round-robin across partitions. It returns the assigned
-// partition and offset. Serving code produces through Topic handles in
-// batches; this by-name path is for the package's tests.
-func (b *Broker) produce(topicName string, key, value []byte) (partitionIdx int, offset int64, err error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, 0, err
-	}
-	pi := t.partitionFor(key)
-	off := t.parts[pi].append(b.clock.Now(), key, value, t.cfg.RetentionBytes)
-	t.wake()
-	return pi, off, nil
-}
-
-// Offsets returns the oldest retained and next-to-assign offsets of a
-// partition.
-func (b *Broker) Offsets(topicName string, partitionIdx int) (oldest, newest int64, err error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, 0, err
-	}
-	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
-		return 0, 0, fmt.Errorf("%w: %d of %d", ErrBadPartition, partitionIdx, len(t.parts))
-	}
-	return t.parts[partitionIdx].oldest(), t.parts[partitionIdx].newest(), nil
 }
 
 // Close shuts the broker; subsequent operations fail with ErrClosed.

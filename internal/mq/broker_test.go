@@ -30,13 +30,28 @@ func fetch(b *Broker, topic string, partitionIdx int, offset int64, max int) ([]
 	return tp.FetchInto(nil, partitionIdx, offset, max)
 }
 
-// produceBatch produces through a Topic handle, the broker's one batch path.
+// produceBatch produces through a Topic handle, the broker's one produce
+// path.
 func produceBatch(b *Broker, topic string, key []byte, values [][]byte) (int64, error) {
 	tp, err := b.Topic(topic)
 	if err != nil {
 		return 0, err
 	}
 	return tp.ProduceBatch(key, values)
+}
+
+// produce appends one value, the shape every serving producer sends.
+func produce(b *Broker, topic string, key, value []byte) (int64, error) {
+	return produceBatch(b, topic, key, [][]byte{value})
+}
+
+// offsets reads a partition's offsets through a Topic handle.
+func offsets(b *Broker, topic string, partitionIdx int) (oldest, newest int64, err error) {
+	tp, err := b.Topic(topic)
+	if err != nil {
+		return 0, 0, err
+	}
+	return tp.Offsets(partitionIdx)
 }
 
 func TestCreateTopicDuplicate(t *testing.T) {
@@ -48,7 +63,7 @@ func TestCreateTopicDuplicate(t *testing.T) {
 
 func TestProduceToMissingTopic(t *testing.T) {
 	b := NewBroker()
-	if _, _, err := b.produce("nope", nil, []byte("x")); !errors.Is(err, ErrNoTopic) {
+	if _, err := produce(b, "nope", nil, []byte("x")); !errors.Is(err, ErrNoTopic) {
 		t.Fatalf("err = %v, want ErrNoTopic", err)
 	}
 }
@@ -56,7 +71,7 @@ func TestProduceToMissingTopic(t *testing.T) {
 func TestProduceFetchRoundTrip(t *testing.T) {
 	b := newTestBroker(t, 1)
 	for i := 0; i < 10; i++ {
-		if _, _, err := b.produce("events", nil, []byte{byte(i)}); err != nil {
+		if _, err := produce(b, "events", nil, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +94,8 @@ func TestOffsetsMonotonicPerPartition(t *testing.T) {
 	seen := make(map[int]int64)
 	for i := 0; i < 200; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i%17))
-		pi, off, err := b.produce("events", key, []byte("v"))
+		pi := keyPartition(key, 4)
+		off, err := produce(b, "events", key, []byte("v"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +141,7 @@ func TestFetchBadPartition(t *testing.T) {
 
 func TestFetchAtHeadReturnsEmpty(t *testing.T) {
 	b := newTestBroker(t, 1)
-	_, _, _ = b.produce("events", nil, []byte("x"))
+	_, _ = produce(b, "events", nil, []byte("x"))
 	recs, err := fetch(b, "events", 0, 1, 10)
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("fetch at head = %v, %v", recs, err)
@@ -136,7 +152,7 @@ func TestSegmentBoundaries(t *testing.T) {
 	b := newTestBroker(t, 1)
 	total := segmentSize*2 + segmentSize/2
 	for i := 0; i < total; i++ {
-		if _, _, err := b.produce("events", nil, []byte("v")); err != nil {
+		if _, err := produce(b, "events", nil, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +164,7 @@ func TestSegmentBoundaries(t *testing.T) {
 	if len(recs) != 5 || recs[0].Offset != segmentSize-2 || recs[4].Offset != segmentSize+2 {
 		t.Fatalf("cross-segment read wrong: %v..%v (%d recs)", recs[0].Offset, recs[len(recs)-1].Offset, len(recs))
 	}
-	oldest, newest, err := b.Offsets("events", 0)
+	oldest, newest, err := offsets(b, "events", 0)
 	if err != nil || oldest != 0 || newest != int64(total) {
 		t.Fatalf("offsets = %d..%d, %v", oldest, newest, err)
 	}
@@ -209,11 +225,11 @@ func TestRetentionTruncatesOldSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < segmentSize*5; i++ {
-		if _, _, err := b.produce("small", nil, []byte("x")); err != nil {
+		if _, err := produce(b, "small", nil, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	oldest, newest, err := b.Offsets("small", 0)
+	oldest, newest, err := offsets(b, "small", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +247,7 @@ func TestRetentionTruncatesOldSegments(t *testing.T) {
 func TestGroupPollAndCommit(t *testing.T) {
 	b := newTestBroker(t, 2)
 	for i := 0; i < 20; i++ {
-		_, _, _ = b.produce("events", []byte(fmt.Sprintf("k%d", i)), []byte("v"))
+		_, _ = produce(b, "events", []byte(fmt.Sprintf("k%d", i)), []byte("v"))
 	}
 	g, err := b.NewGroup("events")
 	if err != nil {
@@ -287,7 +303,7 @@ func TestPollWaitWakesOnProduce(t *testing.T) {
 		done <- recs
 	}()
 	time.Sleep(10 * time.Millisecond) // let the poller block
-	if _, _, err := b.produce("events", nil, []byte("wake")); err != nil {
+	if _, err := produce(b, "events", nil, []byte("wake")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -315,7 +331,7 @@ func TestConsumeProcessesAndCommits(t *testing.T) {
 	g, _ := b.NewGroup("events")
 	const total = 50
 	for i := 0; i < total; i++ {
-		_, _, _ = b.produce("events", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
+		_, _ = produce(b, "events", []byte(fmt.Sprintf("k%d", i)), []byte{byte(i)})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
@@ -346,7 +362,7 @@ func TestConsumeProcessesAndCommits(t *testing.T) {
 func TestConsumeStopsOnHandlerError(t *testing.T) {
 	b := newTestBroker(t, 1)
 	g, _ := b.NewGroup("events")
-	_, _, _ = b.produce("events", nil, []byte("x"))
+	_, _ = produce(b, "events", nil, []byte("x"))
 	sentinel := errors.New("boom")
 	err := g.Consume(context.Background(), 10, func([]Record) error { return sentinel })
 	if !errors.Is(err, sentinel) {
@@ -376,7 +392,7 @@ func TestBrokerCloseReleasesWaiters(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("PollWaitInto not released by Close")
 	}
-	if _, _, err := b.produce("events", nil, []byte("x")); !errors.Is(err, ErrClosed) {
+	if _, err := produce(b, "events", nil, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("produce after close err = %v", err)
 	}
 }
@@ -386,7 +402,7 @@ func TestGroupSkipsTruncatedRange(t *testing.T) {
 	_ = b.CreateTopic("small", TopicConfig{Partitions: 1, RetentionBytes: 33 * segmentSize})
 	g, _ := b.NewGroup("small")
 	for i := 0; i < segmentSize*4; i++ {
-		_, _, _ = b.produce("small", nil, []byte("x"))
+		_, _ = produce(b, "small", nil, []byte("x"))
 	}
 	recs, err := g.PollInto(nil, 10)
 	if err != nil {
@@ -395,7 +411,7 @@ func TestGroupSkipsTruncatedRange(t *testing.T) {
 	if len(recs) == 0 {
 		t.Fatal("poll returned nothing after truncation")
 	}
-	oldest, _, _ := b.Offsets("small", 0)
+	oldest, _, _ := offsets(b, "small", 0)
 	if recs[0].Offset != oldest {
 		t.Fatalf("poll did not resume at horizon: %d vs %d", recs[0].Offset, oldest)
 	}
@@ -426,7 +442,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				key := []byte(fmt.Sprintf("p%d-%d", p, i))
-				if _, _, err := b.produce("events", key, []byte("v")); err != nil {
+				if _, err := produce(b, "events", key, []byte("v")); err != nil {
 					t.Errorf("produce: %v", err)
 					return
 				}
@@ -457,7 +473,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 func TestRecordsAreCopies(t *testing.T) {
 	b := newTestBroker(t, 1)
 	val := []byte("mutable")
-	_, _, _ = b.produce("events", nil, val)
+	_, _ = produce(b, "events", nil, val)
 	val[0] = 'X'
 	recs, _ := fetch(b, "events", 0, 0, 1)
 	if string(recs[0].Value) != "mutable" {
@@ -491,13 +507,13 @@ func TestPollRotatesStartPartition(t *testing.T) {
 
 	// Backlog: a deep hot partition plus a few quiet records behind it.
 	for i := 0; i < 50; i++ {
-		if _, _, err := b.produce("events", hot, []byte("h")); err != nil {
+		if _, err := produce(b, "events", hot, []byte("h")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const quietRecords = 3
 	for i := 0; i < quietRecords; i++ {
-		if _, _, err := b.produce("events", quiet, []byte("q")); err != nil {
+		if _, err := produce(b, "events", quiet, []byte("q")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -523,7 +539,7 @@ func TestPollRotatesStartPartition(t *testing.T) {
 			seenQuiet++
 		}
 		g.Commit(r.Partition, r.Offset+1)
-		if _, _, err := b.produce("events", hot, []byte("h")); err != nil {
+		if _, err := produce(b, "events", hot, []byte("h")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -531,7 +547,7 @@ func TestPollRotatesStartPartition(t *testing.T) {
 		t.Fatalf("quiet partition starved: delivered %d of %d records", seenQuiet, quietRecords)
 	}
 	// The quiet partition's lag is fully drained.
-	oldest, newest, err := b.Offsets("events", 1)
+	oldest, newest, err := offsets(b, "events", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

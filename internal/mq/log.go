@@ -156,12 +156,14 @@ func (p *partition) tailLocked(payload int) *segment {
 	return seg
 }
 
-// appendLocked adds one record to the tail segment. The timestamp arrives
-// pre-split so batch appends pay the time.Time decomposition once, not per
-// record. p.mu must be held.
+// appendLocked adds one record to the tail segment, which tailLocked rolls
+// wherever a segment fills or its arena would outgrow uint32 addressing. It
+// is the only writer of a recMeta. The timestamp arrives pre-split so a
+// batch pays the time.Time decomposition once, not per record. p.mu must be
+// held.
 //
 //arbd:hotpath
-func (p *partition) appendLocked(sec int64, nsec int32, key, value []byte) int64 {
+func (p *partition) appendLocked(sec int64, nsec int32, key, value []byte) {
 	seg := p.tailLocked(len(key) + len(value))
 	pos := uint32(len(seg.data))
 	seg.data = append(seg.data, key...)
@@ -176,35 +178,17 @@ func (p *partition) appendLocked(sec int64, nsec int32, key, value []byte) int64
 	cost := int64(len(key)+len(value)) + recordOverhead
 	seg.bytes += cost
 	p.bytes += cost
-	off := p.next
 	p.next++
-	return off
 }
 
-// append adds one record and applies retention under a single lock
-// acquisition.
-func (p *partition) append(now time.Time, key, value []byte, retention int64) int64 {
-	sec, nsec := now.Unix(), int32(now.Nanosecond())
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	off := p.appendLocked(sec, nsec, key, value)
-	if retention > 0 {
-		p.truncateLocked(retention)
-	}
-	return off
-}
-
-// appendBatch adds every value under ONE lock acquisition and runs retention
-// truncation once at the end — a batch's records are always contiguous, and
-// concurrent batch producers interleave at batch granularity, not record
-// granularity. Returns the offset of the batch's first record (-1 for an
-// empty batch).
-//
-// The fast path reserves each segment's meta slots up front and fills them
-// by index, so the per-record cost is the payload copy plus one struct
-// store — no per-record function calls, capacity checks, or bookkeeping.
-// Batches big enough to threaten uint32 arena addressing (≥4 GiB) take the
-// per-record path, which rolls segments as needed.
+// appendBatch is the one way records enter a partition: it appends every
+// value, one appendLocked each, under ONE lock acquisition and runs
+// retention truncation once at the end. A batch's records are contiguous,
+// and concurrent producers interleave at batch granularity, not record
+// granularity. Every serving producer appends one record per call (a
+// session publishes each telemetry record inside the sensor call that made
+// it), so a bulk path for large batches would serve traffic nobody sends.
+// Returns the offset of the batch's first record (-1 for an empty batch).
 //
 //arbd:hotpath
 func (p *partition) appendBatch(now time.Time, key []byte, values [][]byte, retention int64) int64 {
@@ -212,51 +196,11 @@ func (p *partition) appendBatch(now time.Time, key []byte, values [][]byte, rete
 		return -1
 	}
 	sec, nsec := now.Unix(), int32(now.Nanosecond())
-	kl := uint32(len(key))
-	total := int64(0)
-	for _, v := range values {
-		total += int64(len(key) + len(v))
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	first := p.next
-	tailLen := 0
-	if n := len(p.segments); n > 0 {
-		tailLen = len(p.segments[n-1].data)
-	}
-	if int64(tailLen)+total > maxArenaBytes {
-		for _, v := range values {
-			p.appendLocked(sec, nsec, key, v)
-		}
-	} else {
-		i := 0
-		for i < len(values) {
-			seg := p.tailLocked(0)
-			chunk := segmentSize - len(seg.meta)
-			if rem := len(values) - i; chunk > rem {
-				chunk = rem
-			}
-			m := len(seg.meta)
-			seg.meta = seg.meta[:m+chunk]
-			data := seg.data
-			payload := int64(0)
-			for k := 0; k < chunk; k++ {
-				v := values[i+k]
-				pos := uint32(len(data))
-				data = append(data, key...)
-				data = append(data, v...)
-				seg.meta[m+k] = recMeta{sec: sec, nsec: nsec, pos: pos, keyLen: kl, valLen: uint32(len(v))}
-				payload += int64(len(v))
-			}
-			cost := payload + int64(chunk)*(int64(len(key))+recordOverhead)
-			seg.data = data
-			seg.bytes += cost
-			p.bytes += cost
-			// Advance per chunk: a segment rolled by the next iteration
-			// takes its base from p.next.
-			p.next += int64(chunk)
-			i += chunk
-		}
+	for _, v := range values {
+		p.appendLocked(sec, nsec, key, v)
 	}
 	if retention > 0 {
 		p.truncateLocked(retention)

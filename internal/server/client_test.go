@@ -680,7 +680,7 @@ func TestStreamSkipsTicksWhenBehind(t *testing.T) {
 	if _, err := cl.Subscribe(context.Background(), SubscribeOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	skipped := srv.eng.sched.Metrics().Counter("server.stream.skipped")
+	skipped := srv.eng.sched.reg.Counter("server.stream.skipped")
 	deadline := time.Now().Add(10 * time.Second)
 	for skipped.Value() < 1 {
 		if time.Now().After(deadline) {
@@ -693,11 +693,37 @@ func TestStreamSkipsTicksWhenBehind(t *testing.T) {
 	// while the worker is wedged — the stream parks instead of piling jobs
 	// into the queue.
 	time.Sleep(20 * time.Millisecond)
-	if pushes := srv.eng.sched.Metrics().Counter("server.stream.pushes").Value(); pushes != 0 {
+	if pushes := srv.eng.sched.reg.Counter("server.stream.pushes").Value(); pushes != 0 {
 		t.Fatalf("pushes completed while the only worker was wedged: %d", pushes)
 	}
 	if got := skipped.Value(); got != 1 {
 		t.Fatalf("skipped = %d ticks, want exactly 1 (the stream parks on the in-flight frame)", got)
+	}
+}
+
+// TestStreamStoppedByClosedSchedulerIsReleased: a stream whose frame the
+// closed scheduler refused stops pacing on its own, and ending its
+// subscription still releases its outbox reserve and takes it off the
+// stream summaries. A stop that skipped a stream already marked stopped
+// once left both behind.
+func TestStreamStoppedByClosedSchedulerIsReleased(t *testing.T) {
+	p := newTestPlatform(t)
+	eng := newEngine(p, 1)
+	defer eng.Close()
+	out := newOutbox(io.Discard, 1, nil)
+	defer out.close()
+	eng.sched.Close()
+	sess := p.NewSession()
+	eng.newStream(sess, wire.Subscribe{Budget: 16}, out, false).tick(time.Now())
+	eng.stopStream(out, sess.ID)
+	out.mu.Lock()
+	reserve := out.reserve
+	out.mu.Unlock()
+	if reserve != 0 {
+		t.Fatalf("outbox reserve = %d after the stream stopped, want 0", reserve)
+	}
+	if got := eng.StreamSummaries(); len(got) != 0 {
+		t.Fatalf("stopped stream still summarised: %+v", got)
 	}
 }
 

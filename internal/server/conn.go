@@ -199,10 +199,10 @@ type sessConn struct {
 	own   *core.Session
 	owned map[uint64]struct{}
 	// inflight lets teardown wait for outstanding frame callbacks before
-	// the owned sessions end.
+	// the owned sessions end. The connection's streams, one per subscribed
+	// session and all multiplexed onto out, live in the engine's registry
+	// under out.
 	inflight sync.WaitGroup
-	// One stream per subscribed session, all multiplexed onto out.
-	streams streamSet
 }
 
 // session resolves the session an envelope addresses, materialising it on a
@@ -222,7 +222,7 @@ func (c *sessConn) session(id uint64) *core.Session {
 // endSession ends one owned session, stream first.
 func (c *sessConn) endSession(id uint64) {
 	delete(c.owned, id)
-	c.streams.remove(id) // the stream must not outlive its session
+	c.n.eng.stopStream(c.out, id) // the stream must not outlive its session
 	c.n.eng.platform.DetachSession(id)
 }
 
@@ -256,14 +256,16 @@ func (n *node) open(conn net.Conn, proto uint32) accepted {
 func (c *sessConn) dropped(t wire.MsgType, session uint64) {
 	if t == wire.MsgFramePush || t == wire.MsgFrameDelta {
 		c.n.eng.streamDropped.Inc()
-		c.streams.forceKeyframe(session)
+		if st := c.n.eng.stream(c.out, session); st != nil && st.delta {
+			st.forceKey.Store(true)
+		}
 	}
 }
 
 // closed stops the streams and waits out their frames and the polled ones;
 // only then does it end the sessions they rendered.
 func (c *sessConn) closed() {
-	c.streams.stopAll()
+	c.n.eng.stopStreams(c.out)
 	c.inflight.Wait()
 	for id := range c.owned {
 		c.endSession(id)
@@ -298,30 +300,30 @@ func (c *sessConn) handle(in *wire.Envelope) {
 		// A re-subscribe replaces the stream: the old one stops — its last
 		// push queued — before the ack, and the new one starts after it, so
 		// on the wire the ack separates the two streams' pushes.
-		c.streams.remove(in.Session)
+		n.eng.stopStream(c.out, in.Session)
 		c.out.ack(in)
 		// Delta pushes only when the subscriber asked and this
 		// connection negotiated v4 (through a router: the flag rides the
 		// forwarded payload, and the router↔shard link must speak v4 for
 		// MsgFrameDelta to be legal on it).
 		delta := c.proto >= wire.ProtoV4 && sub.Flags&wire.SubFlagDelta != 0
-		// The stream is in the set before its first push exists, so the
+		// The stream is registered before its first push exists, so the
 		// outbox's drop hook finds it to key the next push if that one
 		// is dropped; the first tick then pushes at once.
-		st := n.eng.newStream(c.session(in.Session), sub, c.out, delta)
-		c.streams.add(in.Session, st)
-		st.tick(time.Now())
+		n.eng.newStream(c.session(in.Session), sub, c.out, delta).tick(time.Now())
 	case wire.MsgUnsubscribe:
 		// Never resolves the session: unsubscribing one that never
 		// subscribed must not materialise it. Idempotent.
-		c.streams.remove(in.Session)
+		n.eng.stopStream(c.out, in.Session)
 		c.out.ack(in)
 	case wire.MsgAck:
 		// Client frame-ack (protocol v4): fire-and-forget progress and
 		// resync requests. Never answered, and never resolves the
 		// session — an ack racing its stream's teardown is a no-op.
 		if a, err := wire.DecodeFrameAck(in.Payload); err == nil {
-			c.streams.ack(in.Session, a)
+			if st := n.eng.stream(c.out, in.Session); st != nil {
+				st.ack(a)
+			}
 		}
 	case wire.MsgControl:
 		if n.backend && len(in.Payload) > 0 && in.Payload[0] == CtrlEndSession {
@@ -380,7 +382,7 @@ func (c *sessConn) migrate(in *wire.Envelope) {
 		reply()
 		return
 	}
-	// Stop the stream first: stopStream waits out the in-flight frame, so
+	// Stop the stream first: stopping waits out the in-flight frame, so
 	// its push is enqueued (and then purged) before the snapshot is taken,
 	// and the reply, queued last, cannot be overtaken by one.
 	// Pipelined MsgFrameRequests still queued on the scheduler are NOT
@@ -390,7 +392,7 @@ func (c *sessConn) migrate(in *wire.Envelope) {
 	// snapshot, its frames/overruns counter bump staying on this side.
 	// Waiting would couple the export to every other session's queue depth
 	// for a cosmetic counter.
-	c.streams.remove(in.Session)
+	c.n.eng.stopStream(c.out, in.Session)
 	c.out.purge(in.Session)
 	sess.EncodeSnapshotInto(&buf)
 	delete(c.owned, in.Session)

@@ -31,13 +31,17 @@ type Engine struct {
 	// or streamed (admission, queue, render, encode, outbox, write) — land
 	// in its ring, always on. Its instruments live in the platform registry.
 	rec *obs.Recorder
-	// streamDropped counts pushes shed by connection outboxes, resolved
-	// here so no connection pays a registry lookup.
-	streamDropped *metrics.Counter
-	// live tracks the engine's running subscription streams for the
-	// introspection plane's /debug/arbd/streams summary.
-	liveMu sync.Mutex
-	live   map[*frameStream]struct{}
+	// The stream counters, resolved here so no subscribe or connection
+	// pays a registry lookup. streamDropped counts pushes shed by
+	// connection outboxes.
+	streamPushes, streamSkipped, streamSheds, streamRenderErrs, streamKeyframes, streamDropped *metrics.Counter
+	// streams registers every live subscription stream under the outbox
+	// it pushes on and its session. Subscribe, unsubscribe, acks, the
+	// outbox drop hook, migration export, teardown and the introspection
+	// plane's /debug/arbd/streams all go through it, and taking a stream
+	// out of it (stopStream, stopStreams) is the one way a stream stops.
+	streamsMu sync.Mutex
+	streams   map[streamKey]*frameStream
 	// bufs pools frame-response encode buffers: a frame is encoded once
 	// into a pooled wire.Buffer handed to the framed writer, then the
 	// buffer returns to the pool — no per-response allocations.
@@ -52,15 +56,21 @@ type Engine struct {
 // devices feeding it.
 func newEngine(p *core.Platform, workers int) *Engine {
 	sched := SchedulerConfig{workers: workers, deadline: defaultFrameDeadline, load: p.LoadSignal}
+	reg := p.Metrics()
 	e := &Engine{
 		platform: p,
-		sched:    NewFrameScheduler(sched, p.Metrics()),
-		rec:      obs.NewRecorder(p.Metrics()),
-		live:     make(map[*frameStream]struct{}),
+		sched:    NewFrameScheduler(sched, reg),
+		rec:      obs.NewRecorder(reg),
+		streams:  make(map[streamKey]*frameStream),
 
-		streamDropped: p.Metrics().Counter("server.stream.dropped"),
+		streamPushes:     reg.Counter("server.stream.pushes"),
+		streamSkipped:    reg.Counter("server.stream.skipped"),
+		streamSheds:      reg.Counter("server.stream.shed"),
+		streamRenderErrs: reg.Counter("server.stream.render_errors"),
+		streamKeyframes:  reg.Counter("server.stream.keyframes"),
+		streamDropped:    reg.Counter("server.stream.dropped"),
 	}
-	e.pacer = newPacer(p.Metrics().Gauge("server.stream.pacers"))
+	e.pacer = newPacer(reg.Gauge("server.stream.pacers"))
 	e.bufs.New = func() any { return wire.NewBuffer(1024) }
 	e.deliveries.New = newDelivery
 	return e

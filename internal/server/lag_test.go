@@ -89,9 +89,9 @@ func TestSchedulerShedsEarlierUnderBrokerLag(t *testing.T) {
 		time.Sleep(stall)
 		close(release)
 		wg.Wait()
-		return fs.Metrics().Counter("server.frames.done").Value(),
-			fs.Metrics().Counter("server.frames.shed").Value(),
-			fs.Metrics().Counter("server.frames.shed_lag").Value()
+		return fs.reg.Counter("server.frames.done").Value(),
+			fs.reg.Counter("server.frames.shed").Value(),
+			fs.reg.Counter("server.frames.shed_lag").Value()
 	}
 
 	// Healthy backend: a 150 ms wait is far inside the 1 s deadline.

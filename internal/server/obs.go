@@ -13,25 +13,12 @@ import (
 	"arbd/internal/wire"
 )
 
-// registerStream tracks a live subscription stream for /debug/arbd/streams.
-func (e *Engine) registerStream(st *frameStream) {
-	e.liveMu.Lock()
-	e.live[st] = struct{}{}
-	e.liveMu.Unlock()
-}
-
-func (e *Engine) unregisterStream(st *frameStream) {
-	e.liveMu.Lock()
-	delete(e.live, st)
-	e.liveMu.Unlock()
-}
-
 // StreamSummaries snapshots the engine's live subscription streams, sorted
 // by session ID.
 func (e *Engine) StreamSummaries() []obs.StreamSummary {
-	e.liveMu.Lock()
-	out := make([]obs.StreamSummary, 0, len(e.live))
-	for st := range e.live {
+	e.streamsMu.Lock()
+	out := make([]obs.StreamSummary, 0, len(e.streams))
+	for _, st := range e.streams {
 		out = append(out, obs.StreamSummary{
 			Session:    st.d.session,
 			IntervalMS: float64(st.interval) / float64(time.Millisecond),
@@ -40,7 +27,7 @@ func (e *Engine) StreamSummaries() []obs.StreamSummary {
 			AckedSeq:   st.ackedSeq.Load(),
 		})
 	}
-	e.liveMu.Unlock()
+	e.streamsMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Session < out[j].Session })
 	return out
 }

@@ -122,10 +122,6 @@ func NewFrameScheduler(cfg SchedulerConfig, reg *metrics.Registry) *FrameSchedul
 	return fs
 }
 
-// Metrics returns the registry the scheduler records into
-// (server.frame.latency, server.frame.queue_wait, server.frames.*).
-func (fs *FrameScheduler) Metrics() *metrics.Registry { return fs.reg }
-
 func (fs *FrameScheduler) worker() {
 	defer fs.wg.Done()
 	// A worker runs one frame at a time, so every session it renders

@@ -633,8 +633,6 @@ type frameStream struct {
 	budget   int  // outbox slots reserved for this stream (released on stop)
 	delta    bool // v4 subscriber: push MsgFrameDelta instead of MsgFramePush
 
-	pushes, skipped, sheds, renderErrs, keyframes *metrics.Counter
-
 	// forceKey schedules a keyframe for the next push: set by client acks
 	// requesting resync, and by the outbox when it drops one of this
 	// session's pushes (the client never saw that seq, so the next diff
@@ -713,19 +711,19 @@ func (d *delivery) done(err error) {
 	switch {
 	case err == nil:
 		if st != nil {
-			st.pushes.Inc()
+			d.eng.streamPushes.Inc()
 		}
 		d.out.enqueue(outMsg{env: d.reply, reply: st == nil, buf: d.pooled, pool: &d.eng.bufs, flight: d.fl})
 	case st == nil:
 		d.out.fail(d.session, d.seq, err.Error())
 	case shed:
-		st.sheds.Inc()
+		d.eng.streamSheds.Inc()
 	default:
 		// Render errors (no pose yet, session ended) are not pushed: an
 		// AR stream with nothing to show stays silent until the
 		// device's sensors give it something. Counted so a persistently
 		// failing stream is visible in metrics.
-		st.renderErrs.Inc()
+		d.eng.streamRenderErrs.Inc()
 	}
 	if st != nil {
 		d.pooled, d.fl = nil, nil
@@ -743,44 +741,39 @@ func (d *delivery) done(err error) {
 // newStream builds a stream that pushes frames for sess on out at the
 // subscription's cadence. delta selects MsgFrameDelta encoding (the caller
 // has verified the subscriber negotiated protocol v4 and asked for it).
-// The stream pushes nothing until the caller ticks it: the first tick
-// renders a frame at once and arms the next one interval later. The caller
-// owns the stream and must stopStream it when the subscription ends or the
-// connection dies.
+// The stream is registered under (out, session) before it returns, so the
+// outbox's drop hook finds it from its first push on; the caller has
+// stopped any previous stream under that key. The stream pushes nothing
+// until the caller ticks it: the first tick renders a frame at once and
+// arms the next one interval later.
 func (e *Engine) newStream(sess *core.Session, sub wire.Subscribe, out *outbox, delta bool) *frameStream {
-	reg := e.sched.Metrics()
 	st := &frameStream{
-		sess:       sess,
-		interval:   pushInterval(sub),
-		budget:     pushBudget(sub),
-		delta:      delta,
-		pushes:     reg.Counter("server.stream.pushes"),
-		skipped:    reg.Counter("server.stream.skipped"),
-		sheds:      reg.Counter("server.stream.shed"),
-		renderErrs: reg.Counter("server.stream.render_errors"),
-		keyframes:  reg.Counter("server.stream.keyframes"),
+		sess:     sess,
+		interval: pushInterval(sub),
+		budget:   pushBudget(sub),
+		delta:    delta,
 	}
 	st.d = delivery{eng: e, out: out, st: st, session: sess.ID}
 	st.d.visitFn, st.d.doneFn = st.d.visit, st.d.done
 	out.addReserve(st.budget)
-	e.registerStream(st)
+	e.streamsMu.Lock()
+	e.streams[streamKey{out, sess.ID}] = st
+	e.streamsMu.Unlock()
 	return st
 }
 
-// stopStream halts pacing and waits for any frame still in the scheduler,
-// so the caller may safely end the session afterwards. The last frame's
-// push lands in the outbox (or is released if the outbox has closed). A
-// pacer tick still armed for the stream fires as a no-op and is not
-// waited for.
-func (st *frameStream) stopStream() {
+// stop halts pacing, releases the stream's outbox reserve and waits for any
+// frame still in the scheduler, so the caller may safely end the session
+// afterwards. The last frame's push lands in the outbox (or is released if
+// the outbox has closed). A pacer tick still armed for the stream fires as
+// a no-op and is not waited for. Only the registry calls it, as it takes
+// the stream out, so it runs once per stream — also for a stream that
+// stopped pacing itself when the scheduler closed.
+func (st *frameStream) stop() {
 	st.mu.Lock()
-	already := st.stopped
 	st.stopped = true
 	st.mu.Unlock()
-	if !already {
-		st.d.out.addReserve(-st.budget)
-		st.d.eng.unregisterStream(st)
-	}
+	st.d.out.addReserve(-st.budget)
 	st.jobs.Wait()
 }
 
@@ -812,7 +805,7 @@ func (st *frameStream) tick(now time.Time) {
 		if !st.awaiting {
 			st.awaiting = true
 			st.awaitAt = now
-			st.skipped.Inc()
+			st.d.eng.streamSkipped.Inc()
 		}
 		st.mu.Unlock()
 		return
@@ -855,7 +848,7 @@ func (st *frameStream) nextPush(f *core.Frame) (seq uint64, t wire.MsgType, key 
 			st.sinceKey >= keyframeEvery-1 || f.Index != st.lastIndex+1
 		if key {
 			st.sinceKey = 0
-			st.keyframes.Inc()
+			st.d.eng.streamKeyframes.Inc()
 		} else {
 			st.sinceKey++
 		}
@@ -926,69 +919,49 @@ func (st *frameStream) complete() {
 	st.jobs.Done()
 }
 
-// streamSet tracks the live subscriptions on one connection, keyed by wire
-// session ID (the standalone server has exactly one; a shard's backend
-// connection multiplexes many).
-type streamSet struct {
-	mu      sync.Mutex
-	streams map[uint64]*frameStream
+// streamKey names a live stream in the engine's registry: the connection
+// outbox it pushes on, and its wire session (a standalone connection has
+// exactly one; a shard's backend connection multiplexes many).
+type streamKey struct {
+	out     *outbox
+	session uint64
 }
 
-// add registers the session's stream; the caller has removed any previous
-// one.
-func (ss *streamSet) add(session uint64, st *frameStream) {
-	ss.mu.Lock()
-	if ss.streams == nil {
-		ss.streams = make(map[uint64]*frameStream)
-	}
-	ss.streams[session] = st
-	ss.mu.Unlock()
-}
-
-// get returns the session's live stream, if any.
-func (ss *streamSet) get(session uint64) *frameStream {
-	ss.mu.Lock()
-	st := ss.streams[session]
-	ss.mu.Unlock()
+// stream returns the session's live stream on out, if any.
+func (e *Engine) stream(out *outbox, session uint64) *frameStream {
+	e.streamsMu.Lock()
+	st := e.streams[streamKey{out, session}]
+	e.streamsMu.Unlock()
 	return st
 }
 
-// ack routes a client frame-ack to the session's live stream. Acks are
-// fire-and-forget and race teardown, so a missing stream is a no-op.
-func (ss *streamSet) ack(session uint64, a wire.FrameAck) {
-	if st := ss.get(session); st != nil {
-		st.ack(a)
+// stopStream takes the session's stream on out, if any, out of the
+// registry and stops it.
+func (e *Engine) stopStream(out *outbox, session uint64) {
+	k := streamKey{out, session}
+	e.streamsMu.Lock()
+	st := e.streams[k]
+	delete(e.streams, k)
+	e.streamsMu.Unlock()
+	if st != nil {
+		st.stop()
 	}
 }
 
-// forceKeyframe keys the session's next push (outbox-drop self-heal).
-func (ss *streamSet) forceKeyframe(session uint64) {
-	if st := ss.get(session); st != nil && st.delta {
-		st.forceKey.Store(true)
+// stopStreams stops every stream pushing on out (connection teardown).
+// Streams stop outside the registry lock: a stop waits out a frame whose
+// push may run the drop hook, which looks the registry up.
+func (e *Engine) stopStreams(out *outbox) {
+	var stopping []*frameStream
+	e.streamsMu.Lock()
+	for k, st := range e.streams {
+		if k.out == out {
+			stopping = append(stopping, st)
+			delete(e.streams, k)
+		}
 	}
-}
-
-// remove stops and forgets the session's stream, reporting whether one
-// existed.
-func (ss *streamSet) remove(session uint64) bool {
-	ss.mu.Lock()
-	st := ss.streams[session]
-	delete(ss.streams, session)
-	ss.mu.Unlock()
-	if st == nil {
-		return false
-	}
-	st.stopStream()
-	return true
-}
-
-// stopAll stops every stream (connection teardown).
-func (ss *streamSet) stopAll() {
-	ss.mu.Lock()
-	streams := ss.streams
-	ss.streams = nil
-	ss.mu.Unlock()
-	for _, st := range streams {
-		st.stopStream()
+	e.streamsMu.Unlock()
+	for _, st := range stopping {
+		st.stop()
 	}
 }

@@ -13,12 +13,12 @@ import (
 
 // Event is one element of a stream. Key selects the logical partition;
 // Time is event time (not processing time); Value carries the numeric
-// measure windows aggregate; Payload carries a window's WindowResult.
+// measure windows aggregate. A window emits its result as an Event too:
+// the key, the window's end, and the aggregate.
 type Event struct {
-	Key     string
-	Time    time.Time
-	Value   float64
-	Payload any
+	Key   string
+	Time  time.Time
+	Value float64
 }
 
 // partitionOf maps a key onto one of a window's n partitions.
@@ -40,14 +40,6 @@ type Window struct {
 // String renders the window compactly for logs and test failures.
 func (w Window) String() string {
 	return fmt.Sprintf("[%s,%s)", w.Start.Format("15:04:05.000"), w.End.Format("15:04:05.000"))
-}
-
-// WindowResult is the payload attached to events emitted by window
-// operators.
-type WindowResult struct {
-	Window Window
-	Key    string
-	Count  int
 }
 
 // Aggregator builds incremental window aggregates: New creates an

@@ -45,9 +45,8 @@ type windowState struct {
 }
 
 type windowAcc struct {
-	win   Window
-	acc   any
-	count int
+	win Window
+	acc any
 }
 
 func newWindowState(spec WindowSpec, agg Aggregator) *windowState {
@@ -80,7 +79,6 @@ func (ws *windowState) add(e Event) []Event {
 		}
 	}
 	wa.acc = ws.agg.Add(wa.acc, e)
-	wa.count++
 	return ws.fire()
 }
 
@@ -147,16 +145,7 @@ func (ws *windowState) emit(ready []*windowAcc, keys []string) []Event {
 	out := make([]Event, 0, len(ready))
 	for _, i := range idx {
 		wa := ready[i]
-		out = append(out, Event{
-			Key:   keys[i],
-			Time:  wa.win.End,
-			Value: ws.agg.Result(wa.acc),
-			Payload: WindowResult{
-				Window: wa.win,
-				Key:    keys[i],
-				Count:  wa.count,
-			},
-		})
+		out = append(out, Event{Key: keys[i], Time: wa.win.End, Value: ws.agg.Result(wa.acc)})
 	}
 	return out
 }

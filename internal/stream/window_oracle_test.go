@@ -48,7 +48,6 @@ func (o *scanWindowState) add(e Event) []Event {
 			keyAccs[win.Start.UnixNano()] = wa
 		}
 		wa.acc = o.agg.Add(wa.acc, e)
-		wa.count++
 	}
 	return o.fire()
 }

@@ -51,9 +51,8 @@ func TestTumblingWindowStateFiresOnWatermark(t *testing.T) {
 	if fired[0].Value != 3 {
 		t.Fatalf("sum = %v, want 3", fired[0].Value)
 	}
-	wr := fired[0].Payload.(WindowResult)
-	if wr.Count != 2 || !wr.Window.Start.Equal(w0) {
-		t.Fatalf("result payload = %+v", wr)
+	if fired[0].Key != "a" || !fired[0].Time.Equal(w0.Add(10*time.Second)) {
+		t.Fatalf("result = %+v, want key a at the window end", fired[0])
 	}
 }
 
