@@ -52,8 +52,9 @@
 //	# surface cmd/arbd-top and Prometheus scrape
 //	arbd-server -addr :7600 -obs 127.0.0.1:7660
 //
-//	# any role: expose net/http/pprof for live profiling; pointing -pprof
-//	# at the -obs address folds both onto one listener
+//	# any role: expose the profiling endpoints (/debug/pprof/...) that
+//	# go tool pprof reads; pointing -pprof at the -obs address folds both
+//	# onto one listener
 //	arbd-server -addr :7600 -pprof 127.0.0.1:6060
 //
 // A router process hosts no platform: world flags (-pois, -seed, ...) apply
@@ -66,8 +67,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"slices"
@@ -103,7 +102,7 @@ func run() error {
 		pois      = flag.Int("pois", 5000, "synthetic city POI count")
 		radius    = flag.Float64("radius", 3000, "city radius, meters")
 		epsilon   = flag.Float64("epsilon", 0, "location privacy epsilon per fix (0 = off)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
+		pprofAddr = flag.String("pprof", "", "serve the profiling endpoints (/debug/pprof/...) on this address (e.g. 127.0.0.1:6060; empty = off)")
 		obsAddr   = flag.String("obs", "", "serve the introspection plane (/metrics, /debug/arbd/*) on this address (empty = off)")
 	)
 	flag.Parse()
@@ -130,16 +129,13 @@ func run() error {
 	}
 
 	// Profiling applies to every role — bring it up before the role switch
-	// so routers and the one-shot admin client get it too. The handlers live
-	// on a dedicated mux, never http.DefaultServeMux, so nothing any import
-	// registers globally can leak onto the profiling port. When -pprof and
-	// -obs name the same address, pprof folds onto the plane's mux instead
-	// of binding twice.
+	// so routers and the one-shot admin client get it too. Its listener
+	// serves /debug/pprof/... and nothing else. When -pprof and -obs name
+	// the same address, the plane's listener serves both instead of binding
+	// twice.
 	foldPprof := *pprofAddr != "" && *pprofAddr == *obsAddr
 	if *pprofAddr != "" && !foldPprof {
-		mux := http.NewServeMux()
-		registerPprof(mux)
-		if err := serveHTTP(*pprofAddr, "pprof", mux); err != nil {
+		if err := serveHTTP(*pprofAddr, "pprof", obs.ServePprof); err != nil {
 			return err
 		}
 	}
@@ -149,11 +145,7 @@ func run() error {
 		if *obsAddr == "" {
 			return nil
 		}
-		mux := plane.Mux()
-		if foldPprof {
-			registerPprof(mux)
-		}
-		return serveHTTP(*obsAddr, "obs", mux)
+		return serveHTTP(*obsAddr, "obs", func(ln net.Listener) error { return plane.Serve(ln, foldPprof) })
 	}
 
 	switch *role {
@@ -380,27 +372,16 @@ func parseMembers(s string) ([]server.Member, error) {
 	return members, nil
 }
 
-// registerPprof installs the net/http/pprof handlers on an explicit mux —
-// the same set the package's init registers on http.DefaultServeMux, minus
-// the default mux.
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
 // serveHTTP binds addr synchronously (a bad address fails startup loudly)
-// and serves mux for the life of the process.
-func serveHTTP(addr, what string, mux *http.ServeMux) error {
+// and runs serve on the listener for the life of the process.
+func serveHTTP(addr, what string, serve func(net.Listener) error) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("%s listen: %w", what, err)
 	}
 	log.Printf("arbd-server %s on http://%s/", what, ln.Addr())
 	go func() {
-		if err := http.Serve(ln, mux); err != nil {
+		if err := serve(ln); err != nil {
 			log.Printf("%s server: %v", what, err)
 		}
 	}()

@@ -6,13 +6,8 @@ package analytics
 // SpaceSaving tracks the k heaviest keys of a stream (Metwally et al.): any
 // key with true frequency > N/k is guaranteed to be present.
 type SpaceSaving struct {
-	capacity int
-	counts   map[string]*ssEntry
-}
-
-type ssEntry struct {
-	count uint64
-	err   uint64 // overestimation bound inherited on eviction
+	slot    map[string]int // key → its index in tracked
+	tracked []HeavyHitter  // capacity: the monitored-key count
 }
 
 // NewSpaceSaving returns a tracker with the given capacity (number of
@@ -21,33 +16,34 @@ func NewSpaceSaving(capacity int) *SpaceSaving {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &SpaceSaving{capacity: capacity, counts: make(map[string]*ssEntry, capacity)}
+	return &SpaceSaving{slot: make(map[string]int, capacity), tracked: make([]HeavyHitter, 0, capacity)}
 }
 
 // Add observes key.
 func (ss *SpaceSaving) Add(key string) {
-	if e, ok := ss.counts[key]; ok {
-		e.count++
+	if i, ok := ss.slot[key]; ok {
+		ss.tracked[i].Count++
 		return
 	}
-	if len(ss.counts) < ss.capacity {
-		ss.counts[key] = &ssEntry{count: 1}
+	if len(ss.tracked) < cap(ss.tracked) {
+		ss.slot[key] = len(ss.tracked)
+		ss.tracked = append(ss.tracked, HeavyHitter{Key: key, Count: 1})
 		return
 	}
-	// Evict the minimum and inherit its count as error bound. The evicted
-	// entry is reused for the newcomer, so a sketch at capacity observes
-	// without allocating.
-	var minKey string
-	var minEntry *ssEntry
-	for k, e := range ss.counts {
-		if minEntry == nil || e.count < minEntry.count {
-			minKey, minEntry = k, e
+	// Evict the minimum — the smallest key among equal counts, so the
+	// sketch is a function of its input alone — and inherit its count as
+	// error bound. The newcomer takes the evicted slot, so a sketch at
+	// capacity observes without allocating.
+	m := 0
+	for i := 1; i < len(ss.tracked); i++ {
+		if e, low := &ss.tracked[i], &ss.tracked[m]; e.Count < low.Count || e.Count == low.Count && e.Key < low.Key {
+			m = i
 		}
 	}
-	delete(ss.counts, minKey)
-	minEntry.err = minEntry.count
-	minEntry.count++
-	ss.counts[key] = minEntry
+	e := &ss.tracked[m]
+	delete(ss.slot, e.Key)
+	ss.slot[key] = m
+	*e = HeavyHitter{Key: key, Count: e.Count + 1, Err: e.Count}
 }
 
 // HeavyHitter is one tracked key with its estimated count and error bound.
@@ -60,7 +56,7 @@ type HeavyHitter struct {
 // TopK returns up to k tracked keys sorted by estimated count descending
 // (ties by key for determinism).
 func (ss *SpaceSaving) TopK(k int) []HeavyHitter {
-	return ss.TopKInto(make([]HeavyHitter, 0, max(0, min(k, len(ss.counts)))), k)
+	return ss.TopKInto(make([]HeavyHitter, 0, max(0, min(k, len(ss.tracked)))), k)
 }
 
 // TopKInto is TopK appending into dst (overwriting its contents), so a
@@ -75,8 +71,7 @@ func (ss *SpaceSaving) TopKInto(dst []HeavyHitter, k int) []HeavyHitter {
 	if k <= 0 {
 		return out
 	}
-	for key, e := range ss.counts {
-		h := HeavyHitter{Key: key, Count: e.count, Err: e.err}
+	for _, h := range ss.tracked {
 		switch {
 		case len(out) < k:
 			out = append(out, h)

@@ -72,6 +72,26 @@ func TestSpaceSavingDeterministicTies(t *testing.T) {
 	}
 }
 
+// TestSpaceSavingDeterministicEviction feeds one sequence, many keys over
+// a small capacity, into two sketches: eviction breaks ties among minimum
+// counts by key, so both track the same keys with the same counts.
+func TestSpaceSavingDeterministicEviction(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]string, 20000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", rng.Intn(300))
+	}
+	const capacity = 64
+	a, b := NewSpaceSaving(capacity), NewSpaceSaving(capacity)
+	for _, k := range keys {
+		a.Add(k)
+		b.Add(k)
+	}
+	if ta, tb := a.TopK(capacity), b.TopK(capacity); !slices.Equal(ta, tb) {
+		t.Fatalf("one input, two sketches:\n%v\n%v", ta, tb)
+	}
+}
+
 // TestTopKIntoMatchesTopK checks the buffer-reusing snapshot returns
 // exactly what the allocating form returns, with the destination reused
 // (dirty) across sketches of different sizes.
@@ -133,10 +153,7 @@ func TestTopKIntoIsHeadOfFullSort(t *testing.T) {
 			ss.Add(key)
 		}
 	}
-	var full []HeavyHitter
-	for key, e := range ss.counts {
-		full = append(full, HeavyHitter{Key: key, Count: e.count, Err: e.err})
-	}
+	full := slices.Clone(ss.tracked)
 	sort.Slice(full, func(i, j int) bool { return heavierHitter(full[i], full[j]) })
 	dst := make([]HeavyHitter, 0, 4)
 	for _, k := range []int{1, 3, len(full), len(full) + 7} {

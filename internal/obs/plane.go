@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"net/http"
+	"maps"
+	"net"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -54,27 +56,45 @@ type PlaneConfig struct {
 //	/debug/arbd/streams   live subscription stream summaries
 //	/debug/arbd/slow?n=K  last K slow-frame exemplar traces, newest first
 type Plane struct {
-	cfg PlaneConfig
-	mux *http.ServeMux
+	cfg    PlaneConfig
+	routes routes
 }
 
-// NewPlane builds the plane and its mux.
+// NewPlane builds the plane and its routes.
 func NewPlane(cfg PlaneConfig) *Plane {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
-	p := &Plane{cfg: cfg, mux: http.NewServeMux()}
-	p.mux.HandleFunc("/metrics", p.handleMetrics)
-	p.mux.HandleFunc("/debug/arbd/metrics", p.handleMetricsJSON)
-	p.mux.HandleFunc("/debug/arbd/sessions", p.handleSessions)
-	p.mux.HandleFunc("/debug/arbd/streams", p.handleStreams)
-	p.mux.HandleFunc("/debug/arbd/slow", p.handleSlow)
+	p := &Plane{cfg: cfg}
+	p.routes = routes{
+		"/metrics":             p.handleMetrics,
+		"/debug/arbd/metrics":  p.handleMetricsJSON,
+		"/debug/arbd/sessions": p.handleSessions,
+		"/debug/arbd/streams":  p.handleStreams,
+		"/debug/arbd/slow":     p.handleSlow,
+	}
 	return p
 }
 
-// Mux returns the plane's request mux, for serving and for folding extra
-// handlers (pprof) onto the same listener.
-func (p *Plane) Mux() *http.ServeMux { return p.mux }
+// Serve answers the plane's endpoints on ln until ln is closed; with pprof
+// it answers the profiling endpoints (/debug/pprof/...) on the same
+// listener too.
+func (p *Plane) Serve(ln net.Listener, pprof bool) error {
+	rs := p.routes
+	if pprof {
+		rs = maps.Clone(rs)
+		addPprof(rs)
+	}
+	return newResponder(rs).serve(ln)
+}
+
+// ServePprof answers the profiling endpoints alone on ln until ln is
+// closed.
+func ServePprof(ln net.Listener) error {
+	rs := routes{}
+	addPprof(rs)
+	return newResponder(rs).serve(ln)
+}
 
 // refreshLoad republishes the node's load signal as a registry gauge so a
 // scrape sees pressure the moment it asks, without a background sampler.
@@ -85,9 +105,9 @@ func (p *Plane) refreshLoad() {
 	p.cfg.Registry.Gauge("core.load.backlog").Set(float64(p.cfg.Load()))
 }
 
-func (p *Plane) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (p *Plane) handleMetrics(w *response, _ url.Values) {
 	p.refreshLoad()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.ctype = "text/plain; version=0.0.4; charset=utf-8"
 	_ = WritePrometheus(w, p.cfg.Registry)
 }
 
@@ -107,7 +127,7 @@ type instrumentJSON struct {
 
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-func (p *Plane) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
+func (p *Plane) handleMetricsJSON(w *response, _ url.Values) {
 	p.refreshLoad()
 	snap := p.cfg.Registry.Snapshot()
 	out := struct {
@@ -133,7 +153,7 @@ func (p *Plane) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
-func (p *Plane) handleSessions(w http.ResponseWriter, _ *http.Request) {
+func (p *Plane) handleSessions(w *response, _ url.Values) {
 	var sessions []SessionSummary
 	if p.cfg.Sessions != nil {
 		sessions = p.cfg.Sessions()
@@ -146,7 +166,7 @@ func (p *Plane) handleSessions(w http.ResponseWriter, _ *http.Request) {
 	}{p.cfg.Role, p.cfg.Node, len(sessions), sessions})
 }
 
-func (p *Plane) handleStreams(w http.ResponseWriter, _ *http.Request) {
+func (p *Plane) handleStreams(w *response, _ url.Values) {
 	var streams []StreamSummary
 	if p.cfg.Streams != nil {
 		streams = p.cfg.Streams()
@@ -192,12 +212,12 @@ func traceJSON(rec *FrameRecord) TraceJSON {
 	return t
 }
 
-func (p *Plane) handleSlow(w http.ResponseWriter, r *http.Request) {
+func (p *Plane) handleSlow(w *response, q url.Values) {
 	n := 16
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
+	if s := q.Get("n"); s != "" {
+		v, err := strconv.Atoi(s)
 		if err != nil || v < 1 {
-			http.Error(w, "bad n", http.StatusBadRequest)
+			w.error(400, "bad n")
 			return
 		}
 		n = v
@@ -221,8 +241,8 @@ func (p *Plane) handleSlow(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+func writeJSON(w *response, v any) {
+	w.ctype = "application/json"
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

@@ -36,12 +36,11 @@ func planeFixture() (*Plane, *metrics.Registry, *Recorder) {
 	return p, reg, rec
 }
 
+// get serves p on a fresh listener and GETs path from it.
 func get(t *testing.T, p *Plane, path string) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, path, nil)
-	w := httptest.NewRecorder()
-	p.Mux().ServeHTTP(w, req)
-	return w
+	base, client := servePlane(t, p, false)
+	return fetch(t, client, "GET", base+path)
 }
 
 // TestPlaneMetricsEndpoint checks /metrics: content type, the registry's

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,13 +17,41 @@ import (
 	"arbd/internal/sensor"
 )
 
-// scrape drives one request through a plane's mux without a listener.
-func scrape(t *testing.T, p *obs.Plane, path string) *httptest.ResponseRecorder {
+// servePlane serves p on a loopback listener for the rest of the test and
+// returns its address.
+func servePlane(t *testing.T, p *obs.Plane) string {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go p.Serve(ln, false)
+	t.Cleanup(func() { ln.Close() })
+	return ln.Addr().String()
+}
+
+// scrape GETs path from a plane served at addr and records the response.
+func scrape(t *testing.T, addr, path string) *httptest.ResponseRecorder {
+	t.Helper()
+	resp, err := scrapeClient.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
 	w := httptest.NewRecorder()
-	p.Mux().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	for k, v := range resp.Header {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(resp.StatusCode)
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		t.Fatal(err)
+	}
 	return w
 }
+
+// scrapeClient keeps no idle connection, so a scrape leaves no goroutine
+// behind on either side.
+var scrapeClient = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 10 * time.Second}
 
 // promify mirrors the exporter's name sanitation, so the test can assert
 // registry coverage without reaching into the obs package's internals.
@@ -97,7 +127,7 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 		t.Fatal("no session appeared on any shard")
 	}
 	sh := tc.shards[owner]
-	plane := sh.ObsPlane()
+	plane := servePlane(t, sh.ObsPlane())
 
 	// Give the recorder a few settled frames so the rolling threshold warms,
 	// then wedge the single worker: the next paced frame queues behind the
@@ -200,7 +230,7 @@ func TestObsSlowFrameTraceE2E(t *testing.T) {
 	// The router's plane serves the same surfaces for its own half: every
 	// router instrument exported, and its slow store holds traces joinable
 	// on the same (session, seq) space (router flights carry rebased seqs).
-	rplane := tc.router.ObsPlane()
+	rplane := servePlane(t, tc.router.ObsPlane())
 	rbody := scrape(t, rplane, "/metrics").Body.String()
 	for _, in := range tc.router.Metrics().Snapshot() {
 		name := in.Name
