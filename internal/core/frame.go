@@ -96,7 +96,7 @@ func FrameDeltaIsKeyframe(p []byte) bool {
 // v4, MsgFrameDelta payload) to buf. With keyframe set — or when the frame
 // carries no usable base — the payload is a flagged full frame. Otherwise
 // it diffs f.Annotations against f.PrevAnnotations, the session's previous
-// layout still resident in the frame-scratch double-buffer: per annotation
+// layout, which it keeps until this frame's visit has ended: per annotation
 // a field mask selects only the values that moved, and annotations absent
 // from the new frame are dropped implicitly by the walk. Applying the delta
 // to the base reproduces the full encoding byte for byte (the walk

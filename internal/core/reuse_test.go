@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -240,14 +241,36 @@ func TestWorkerScratchMatchesSolo(t *testing.T) {
 // TestSessionLiveBytes holds a streaming session's memory budget: on the
 // sparse benchmark city, a session that has tracked and rendered through a
 // worker's scratch keeps at most budget bytes of live heap — tracking state,
-// layouts, gaze map, RNG stream and its location record on the broker
-// included. The budget is the 3,307 B this test measures (go1.24,
+// its one kept layout, gaze map, RNG stream and its location record on the
+// broker included. The budget is the 2,330 B this test measures (go1.24,
 // linux/amd64) plus a 128 B margin.
 func TestSessionLiveBytes(t *testing.T) {
+	if got, budget := sessionLiveBytes(t, 3, 0), int64(2330+128); got > budget {
+		t.Fatalf("a session keeps %d B of live heap, want ≤ %d", got, budget)
+	}
+}
+
+// TestSessionLiveBytesSweep holds the budget of a long-lived session: 72
+// frames each, the compass turning 5° a frame, so a session's layouts
+// grow and shrink as its view turns. A session keeps one layout, grown to
+// fit its largest, so its memory does not grow with how long it has run. The budget is the 3,073 B this test measures (go1.24,
+// linux/amd64) plus a 128 B margin.
+func TestSessionLiveBytesSweep(t *testing.T) {
+	if got, budget := sessionLiveBytes(t, 72, 5), int64(3073+128); got > budget {
+		t.Fatalf("a session keeps %d B of live heap after a sweep, want ≤ %d", got, budget)
+	}
+}
+
+// sessionLiveBytes opens 512 sessions on the sparse benchmark city, renders
+// frames frames each through one shared scratch, as a scheduler worker
+// does, with the compass turning turnDeg before each, and returns the live
+// heap each session keeps.
+func sessionLiveBytes(t *testing.T, frames int, turnDeg float64) int64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; heap budgets only hold without -race")
 	}
-	const sessions, budget = 512, 3307 + 128
+	const sessions = 512
 	p := newTestPlatform(t, Config{
 		Seed: 1,
 		City: geo.CityConfig{Center: center, RadiusM: 2000, NumPOIs: 80, TallRatio: 0.2, Seed: 1},
@@ -268,7 +291,11 @@ func TestSessionLiveBytes(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			s.OnIMU(sensor.IMUSample{Time: now.Add(time.Duration(k) * 10 * time.Millisecond), CompassDeg: float64(i * 7 % 360)})
 		}
-		for k := 0; k < 3; k++ {
+		for k := 0; k < frames; k++ {
+			if turnDeg != 0 {
+				at := now.Add(time.Duration(3+k) * 10 * time.Millisecond)
+				s.OnIMU(sensor.IMUSample{Time: at, CompassDeg: math.Mod(float64(i*7)+turnDeg*float64(k+1), 360)})
+			}
 			if err := s.FrameVisit(now, sc, visit); err != nil {
 				t.Fatal(err)
 			}
@@ -280,9 +307,7 @@ func TestSessionLiveBytes(t *testing.T) {
 	runtime.KeepAlive(p)
 	perSession := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / sessions
 	t.Logf("%d B of live heap per session", perSession)
-	if perSession > budget {
-		t.Fatalf("a session keeps %d B of live heap, want ≤ %d", perSession, budget)
-	}
+	return perSession
 }
 
 // TestEncodeFrameIntoMatchesEncodeFrame checks the Into form and the

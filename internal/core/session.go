@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -61,7 +62,10 @@ type Session struct {
 	camera render.Camera
 	occl   []render.Occluder // shared, read-only platform slice
 
-	level      DegradeLevel
+	level DegradeLevel
+	// lastLayout is the one layout the session keeps between frames
+	// (keepLayout): the jitter input and delta base of its next frame. It
+	// stays nil until a frame lays out an annotation.
 	lastLayout []render.Annotation
 	frames     uint64
 	overruns   uint64
@@ -74,12 +78,9 @@ type Session struct {
 	own *FrameScratch
 }
 
-// keptFrames is what a session keeps of its frames between calls, guarded
-// by Session.mu. Layouts are double-buffered: the previous one is the
-// jitter input and the delta base, so the new layout cannot overwrite it.
+// keptFrames is what a session keeps of its frames between calls besides
+// its layout (Session.lastLayout), guarded by Session.mu.
 type keptFrames struct {
-	laid  [2][]render.Annotation
-	cur   int   // index into laid holding the most recent layout
 	frame Frame // the returned *Frame itself is reused
 	// near is the POI set the geo query re-measures while the pose stays
 	// near where it was found. It is derived from the store and the pose,
@@ -97,12 +98,16 @@ type FrameScratch struct {
 	dists   []float64 // dists[i]: pois[i]'s distance from the pose, as the query measured it
 	best    []int32   // best[i]: pois[i]'s index in the store
 	anns    []render.Annotation
+	laid    []render.Annotation // the frame's layout, Frame.Annotations
 	layout  render.LayoutScratch
 	tags    map[uint64][]arml.Tag
 	metrics map[string]float64
 	rec     []uint64
 	key     []byte                  // analytics key scratch (poi-<id>)
 	hot     []analytics.HeavyHitter // sketch TopK snapshot scratch
+	// prev is Session.Frame's copy of the previous layout, which the
+	// session's own copy no longer holds once the frame is kept.
+	prev []render.Annotation
 }
 
 // NewFrameScratch returns an empty frame scratch; its buffers grow to what
@@ -299,15 +304,14 @@ func (s *Session) Stats() Stats {
 	return Stats{Frames: s.frames, Overruns: s.overruns, Level: s.level}
 }
 
-// Frame is one rendered overlay. The struct, Annotations and
-// PrevAnnotations belong to the session and stay valid until its next
-// frame. TagsFor and Recommended belong to the scratch the frame was
-// rendered with: see Session.Frame and Session.FrameVisit for how long.
+// Frame is one rendered overlay. The struct belongs to the session and
+// stays valid until its next frame. Its slices and maps belong to the
+// scratch the frame was rendered with, or to the session's kept layout:
+// see Session.Frame and Session.FrameVisit for how long each holds.
 type Frame struct {
 	Time time.Time
 	Pose sensor.Pose
-	// Annotations is the laid-out overlay, in the session's half of the
-	// layout double buffer.
+	// Annotations is the laid-out overlay, at most maxAnnotations long.
 	Annotations []render.Annotation
 	// TagsFor maps annotation IDs to their semantic tags (when
 	// interpretation ran).
@@ -321,11 +325,12 @@ type Frame struct {
 	// Index counts the session's frames: the Nth rendered frame has Index N.
 	// Delta encoders key off it — two frames diff cleanly only when their
 	// indices are consecutive (an interleaved render for another consumer
-	// advances the double buffer and invalidates PrevAnnotations as a delta
-	// base).
+	// replaces the session's kept layout and invalidates PrevAnnotations as
+	// a delta base).
 	Index uint64
-	// PrevAnnotations is the previous frame's laid-out overlay — the other
-	// half of the session's double buffer, valid as long as Annotations.
+	// PrevAnnotations is the previous frame's laid-out overlay, the layout
+	// the session kept: the frame's jitter input and delta base. It is nil
+	// until the session has laid out an annotation.
 	PrevAnnotations []render.Annotation
 }
 
@@ -334,10 +339,11 @@ type Frame struct {
 // degrade the next frame; if comfortably under budget, recover.
 //
 // Frame renders with a scratch the session makes on the first call and
-// keeps, so the whole returned *Frame — the struct itself, its slices and
-// its maps — stays valid until the session's next Frame call, and no
+// keeps, and copies PrevAnnotations into it before the session keeps the
+// new layout, so the whole returned *Frame — the struct itself, its slices
+// and its maps — stays valid until the session's next Frame call, and no
 // longer: consume (or deep-copy) a frame before requesting the next one.
-// A frame rendered through FrameVisit in between replaces it too.
+// A frame rendered through FrameVisit in between replaces the struct too.
 //
 //arbd:hotpath
 func (s *Session) Frame(now time.Time) (*Frame, error) {
@@ -346,7 +352,18 @@ func (s *Session) Frame(now time.Time) (*Frame, error) {
 	if s.own == nil {
 		s.own = NewFrameScratch()
 	}
-	return s.frameLocked(now, s.own)
+	f, err := s.frameLocked(now, s.own)
+	if err != nil {
+		return nil, err
+	}
+	// Keeping the new layout overwrites the previous one, which the caller
+	// still reads. An empty one has nothing to overwrite.
+	if len(f.PrevAnnotations) > 0 {
+		s.own.prev = append(s.own.prev[:0], f.PrevAnnotations...)
+		f.PrevAnnotations = s.own.prev
+	}
+	s.keepLayout(f.Annotations)
+	return f, nil
 }
 
 // FrameVisit renders one frame with the caller's scratch sc and invokes
@@ -357,11 +374,13 @@ func (s *Session) Frame(now time.Time) (*Frame, error) {
 // another worker and overwrite its layout mid-encode. visit must not call
 // back into the session.
 //
-// Inside visit every field of the frame is valid. After FrameVisit
-// returns, Annotations and PrevAnnotations stay valid until the session's
-// next frame; TagsFor and Recommended live in sc and are valid only inside
-// visit. sc must not render two frames at once: a scheduler worker lends
-// its one scratch to every frame it runs.
+// Inside visit every field of the frame is valid. Once visit returns, the
+// session keeps a copy of the layout, which overwrites PrevAnnotations.
+// After FrameVisit returns, the struct stays valid until the session's
+// next frame, with Annotations pointing at the session's copy and
+// PrevAnnotations nil; TagsFor and Recommended live in sc and are valid
+// only inside visit. sc must not render two frames at once: a scheduler
+// worker lends its one scratch to every frame it runs.
 //
 //arbd:hotpath
 func (s *Session) FrameVisit(now time.Time, sc *FrameScratch, visit func(*Frame)) error {
@@ -372,10 +391,27 @@ func (s *Session) FrameVisit(now time.Time, sc *FrameScratch, visit func(*Frame)
 		return err
 	}
 	visit(f)
+	s.keepLayout(f.Annotations)
+	f.Annotations, f.PrevAnnotations = s.lastLayout, nil
 	return nil
 }
 
-// frameLocked is the frame pipeline, filling sc; callers hold s.mu.
+// keepLayout copies a frame's layout into the session's one kept copy,
+// the next frame's jitter input and delta base. The copy grows to fit,
+// never doubled: its length never exceeds maxAnnotations. Callers hold
+// s.mu, and nothing reads the frame's PrevAnnotations any more.
+//
+//arbd:hotpath
+func (s *Session) keepLayout(laid []render.Annotation) {
+	if cap(s.lastLayout) < len(laid) {
+		// Grow to fit, not to double: the copy outlives the frame.
+		s.lastLayout = slices.Grow(s.lastLayout[:0:0], len(laid))
+	}
+	s.lastLayout = append(s.lastLayout[:0], laid...)
+}
+
+// frameLocked is the frame pipeline, filling sc; callers hold s.mu and
+// keep the frame's layout (keepLayout) once nothing reads PrevAnnotations.
 //
 //arbd:hotpath
 func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
@@ -453,9 +489,8 @@ func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 	}
 	sc.rec = recommended
 
-	// 4. Layout, double-buffered: the new layout lands in the buffer the
-	// frame before last used, leaving lastLayout intact for the jitter
-	// comparison.
+	// 4. Layout, into the scratch: the session's kept layout stays intact
+	// as the jitter input and delta base until the caller keeps this one.
 	anns := render.AnnotationsMeasuredInto(sc.anns[:0], &from, pois, dists)
 	sc.anns = anns
 	for i := range anns {
@@ -465,16 +500,12 @@ func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 			anns[i].Label = anns[i].Label + " [" + t[0].Value + "]"
 		}
 	}
-	next := kept.cur ^ 1
-	laid := render.LayoutAnchoredInto(kept.laid[next][:0], &sc.layout, s.camera, pose, anns, s.occl, render.LayoutOptions{})
+	laid := render.LayoutAnchoredInto(sc.laid[:0], &sc.layout, s.camera, pose, anns, s.occl, render.LayoutOptions{})
 	if len(laid) > maxAnn {
 		laid = laid[:maxAnn]
 	}
-	prevLayout := s.lastLayout
-	jitter := render.Jitter(prevLayout, laid)
-	kept.laid[next] = laid
-	kept.cur = next
-	s.lastLayout = laid
+	sc.laid = laid
+	jitter := render.Jitter(s.lastLayout, laid)
 
 	elapsed := s.platform.cfg.clock.Since(start)
 	s.frames++
@@ -495,7 +526,7 @@ func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 		Level:           s.level,
 		JitterPx:        jitter,
 		Index:           s.frames,
-		PrevAnnotations: prevLayout,
+		PrevAnnotations: s.lastLayout,
 	}
 	return f, nil
 }

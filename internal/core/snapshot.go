@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"arbd/internal/sim"
 	"arbd/internal/tracking"
@@ -52,10 +53,17 @@ func (s *Session) EncodeSnapshotInto(buf *wire.Buffer) {
 	buf.Varint(s.rng.Seed())
 	buf.Uvarint(s.rng.Draws())
 
-	buf.Uvarint(uint64(len(s.gaze)))
-	for id, dwell := range s.gaze {
+	// Gaze entries go in ascending ID, so the bytes are a function of the
+	// session's state, not of map order.
+	ids := make([]uint64, 0, len(s.gaze))
+	for id := range s.gaze {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	buf.Uvarint(uint64(len(ids)))
+	for _, id := range ids {
 		buf.Uvarint(id)
-		buf.Float64(dwell)
+		buf.Float64(s.gaze[id])
 	}
 
 	st := s.fuser.ExportState()

@@ -192,6 +192,49 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSessionSnapshotBytesAreDeterministic: a snapshot's bytes are a
+// function of the session's state. One unchanged session with many gaze
+// entries encodes identically call after call, and a restored session
+// re-encodes to the bytes it was restored from.
+func TestSessionSnapshotBytesAreDeterministic(t *testing.T) {
+	src := snapshotTestPlatform(t)
+	dst := snapshotTestPlatform(t)
+	s := src.NewSession()
+	driveSession(t, s)
+	at := time.Unix(1700000000, 0)
+	for id := uint64(100); id < 132; id++ {
+		// Under 1,500 ms a gaze is dwell only, not telemetry.
+		if err := s.OnGaze(sensor.GazeSample{Time: at, TargetID: id * 7, DwellMS: float64(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.gaze); n < 20 {
+		t.Fatalf("session holds %d gaze entries, want ≥ 20", n)
+	}
+
+	var buf wire.Buffer
+	s.EncodeSnapshotInto(&buf)
+	want := bytes.Clone(buf.Bytes())
+	for i := 0; i < 20; i++ {
+		buf.Reset()
+		s.EncodeSnapshotInto(&buf)
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("encoding %d of an unchanged session differs from the first", i+2)
+		}
+	}
+
+	src.DetachSession(s.ID)
+	r, err := dst.RestoreSession(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	r.EncodeSnapshotInto(&buf)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("encode → restore → encode changed the snapshot's bytes")
+	}
+}
+
 // TestMigrationPublishesTelemetryOnce: a migrating session's telemetry is
 // published exactly once. Gazes sent before the export land on the source's
 // interaction topic, gazes sent after the import on the destination's, the

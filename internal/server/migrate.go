@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -49,7 +50,8 @@ type move struct {
 
 // planMoves diffs two rings over the live session set: every session whose
 // owner changes must migrate before its traffic may resolve against the
-// new ring.
+// new ring. Moves are in ascending session ID, so which sessions migrate
+// first under the concurrency bound does not follow map order.
 func (r *Router) planMoves(old, next *membership.Ring) []move {
 	r.sessMu.RLock()
 	ids := make([]uint64, 0, len(r.sessions))
@@ -57,6 +59,7 @@ func (r *Router) planMoves(old, next *membership.Ring) []move {
 		ids = append(ids, id)
 	}
 	r.sessMu.RUnlock()
+	slices.Sort(ids)
 	var moves []move
 	for _, id := range ids {
 		before, after := old.Pick(id), next.Pick(id)

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -667,5 +669,85 @@ func TestDeliverRebasesAtSubscribeAck(t *testing.T) {
 	}
 	if got := r.Metrics().Counter("router.pushes.stale").Value(); got != staleBefore+1 {
 		t.Fatalf("duplicate not counted stale (%d -> %d)", staleBefore, got)
+	}
+}
+
+// scatteredSessionIDs returns n distinct session IDs in no sorted order.
+func scatteredSessionIDs(n int) []uint64 {
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = uint64(i*7919%1009 + 1)
+	}
+	return ids
+}
+
+// TestPlanMovesInSessionOrder: a membership change over a fixed session
+// set plans the same moves in the same ascending session order every time,
+// so which sessions migrate first under the concurrency bound does not
+// follow map order.
+func TestPlanMovesInSessionOrder(t *testing.T) {
+	r, err := NewRouter([]Member{{ID: 1, Addr: "unused"}}, discardLogger(), nil, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range scatteredSessionIDs(64) {
+		r.sessions[id] = &routerClient{}
+	}
+	old, err := membership.NewRing([]Member{{ID: 1, Addr: "a"}, {ID: 2, Addr: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := membership.NewRing([]Member{{ID: 1, Addr: "a"}, {ID: 2, Addr: "b"}, {ID: 3, Addr: "c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := r.planMoves(old, next)
+	if len(first) < 20 {
+		t.Fatalf("the join moves %d sessions, want ≥ 20 to pin an order", len(first))
+	}
+	if !slices.IsSortedFunc(first, func(a, b move) int { return cmp.Compare(a.session, b.session) }) {
+		t.Fatalf("moves not in ascending session order: %v", first)
+	}
+	for i := 0; i < 20; i++ {
+		if got := r.planMoves(old, next); !slices.Equal(got, first) {
+			t.Fatalf("plan %d differs from the first: %v, then %v", i+2, first, got)
+		}
+	}
+}
+
+// TestReplaySubscriptionsInSessionOrder: a reconnected shard gets its
+// streams' subscribes replayed in ascending session ID, every time.
+func TestReplaySubscriptionsInSessionOrder(t *testing.T) {
+	r, err := NewRouter([]Member{{ID: 1, Addr: "unused"}}, discardLogger(), nil, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := scatteredSessionIDs(32)
+	for _, id := range ids {
+		r.subs[id] = &subEntry{payload: []byte{0, 0}}
+	}
+	want := slices.Clone(ids)
+	slices.Sort(want)
+	for round := 0; round < 20; round++ {
+		shardEnd, routerEnd := net.Pipe()
+		out := newOutbox(routerEnd, 1, nil)
+		r.replaySubscriptions(&routerShard{member: Member{ID: 1}, bc: &dialConn{out: out}})
+		fr := wire.NewFrameReader(shardEnd)
+		got := make([]uint64, 0, len(ids))
+		for range ids {
+			env, err := fr.ReadEnvelope()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env.Type != wire.MsgSubscribe {
+				t.Fatalf("replayed %v, want a subscribe", env.Type)
+			}
+			got = append(got, env.Session)
+		}
+		out.close()
+		_ = shardEnd.Close()
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d replayed sessions %v, want %v", round, got, want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -498,20 +499,27 @@ func (r *Router) reconnectShard(ss *routerShard) *dialConn {
 // They are queued under subsMu, which an unsubscribe or a session's end
 // takes to untrack the stream before its own forward: a stream that ends
 // concurrently is either not replayed or replayed ahead of its end, never
-// resurrected behind it.
+// resurrected behind it. Streams replay in ascending session ID, not in
+// map order.
 func (r *Router) replaySubscriptions(ss *routerShard) {
 	ring := r.view.Load().Ring()
 	r.subsMu.Lock()
 	defer r.subsMu.Unlock()
-	for id, e := range r.subs {
+	var ids []uint64
+	for id := range r.subs {
 		if ring.Pick(id).ID == ss.member.ID {
-			// The replayed server-side stream restarts its push counter at
-			// 1; shift the rebase base so the wire seq stays strictly
-			// increasing through the bounce. A failed forward lost the
-			// connection again, whose reconnect replays anew.
-			e.rebase()
-			_ = r.forward(ss.backend(), &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload})
+			ids = append(ids, id)
 		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		// The replayed server-side stream restarts its push counter at 1;
+		// shift the rebase base so the wire seq stays strictly increasing
+		// through the bounce. A failed forward lost the connection again,
+		// whose reconnect replays anew.
+		e := r.subs[id]
+		e.rebase()
+		_ = r.forward(ss.backend(), &wire.Envelope{Type: wire.MsgSubscribe, Session: id, Payload: e.payload})
 	}
 }
 
@@ -530,6 +538,7 @@ func (r *Router) failStreams(ss *routerShard) {
 		}
 	}
 	r.subsMu.Unlock()
+	slices.Sort(ids)
 	for _, id := range ids {
 		r.sessMu.RLock()
 		cl := r.sessions[id]

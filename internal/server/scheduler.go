@@ -223,11 +223,12 @@ func (fs *FrameScheduler) Submit(sess *core.Session, visit func(*core.Frame), do
 // serving path uses it (connections Submit and reply from the worker);
 // benchmark/layers.go calls it to time the scheduler and discards the
 // frame. The frame comes back after the worker's visit has ended, so only
-// the session's part of it holds: the struct, Annotations and
-// PrevAnnotations, valid until the session's next frame. TagsFor and
-// Recommended are the worker's scratch, which its next job reuses: do not
-// read them. Every queued job is answered (worker or Close), so the wait
-// cannot leak.
+// the session's part of it holds: the struct and Annotations (the
+// session's kept copy of the layout), valid until the session's next
+// frame. PrevAnnotations is nil by then: it held only inside the visit.
+// TagsFor and Recommended are the worker's scratch, which its next job
+// reuses: do not read them. Every queued job is answered (worker or
+// Close), so the wait cannot leak.
 func (fs *FrameScheduler) Frame(sess *core.Session) (*core.Frame, error) {
 	var frame *core.Frame
 	reply := make(chan error, 1)
