@@ -33,7 +33,7 @@
 //
 // Usage:
 //
-//	arbd-server -addr :7600 -pois 5000 -seed 1 [-epsilon 0.01]
+//	arbd-server -addr :7600 -pois 5000 -seed 1
 //	arbd-server -role shard -shard-id 1 -addr :7701
 //	arbd-server -role shard -shard-id 2 -addr :7702
 //	arbd-server -role router -addr :7600 -admin :7650 -shards 1=127.0.0.1:7701,2=127.0.0.1:7702
@@ -101,22 +101,18 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "world seed")
 		pois      = flag.Int("pois", 5000, "synthetic city POI count")
 		radius    = flag.Float64("radius", 3000, "city radius, meters")
-		epsilon   = flag.Float64("epsilon", 0, "location privacy epsilon per fix (0 = off)")
 		pprofAddr = flag.String("pprof", "", "serve the profiling endpoints (/debug/pprof/...) on this address (e.g. 127.0.0.1:6060; empty = off)")
 		obsAddr   = flag.String("obs", "", "serve the introspection plane (/metrics, /debug/arbd/*) on this address (empty = off)")
 	)
 	flag.Parse()
 	// A serving role must build the world its flags name: the platform
-	// would silently substitute its defaults for a zero count or radius,
-	// and the privacy gate only opens for a positive epsilon.
+	// would silently substitute its defaults for a zero count or radius.
 	if *role == "standalone" || *role == "shard" {
 		switch {
 		case *pois < 1:
 			return fmt.Errorf("-pois %d: want at least 1 POI", *pois)
 		case !(*radius > 0):
 			return fmt.Errorf("-radius %v: want a positive city radius", *radius)
-		case !(*epsilon >= 0):
-			return fmt.Errorf("-epsilon %v: want 0 (off) or a positive privacy epsilon", *epsilon)
 		}
 	}
 	// Member ID 0 names no shard (-drain 0 is "no drain"), so no flag may
@@ -163,7 +159,6 @@ func run() error {
 			NumPOIs:   *pois,
 			TallRatio: 0.2,
 		},
-		LocationEpsilon: *epsilon,
 	})
 	if err != nil {
 		return err

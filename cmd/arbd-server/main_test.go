@@ -8,10 +8,9 @@ import (
 )
 
 // TestRejectsBadWorlds pins the world checks of the serving roles: a POI
-// count below one, a radius that is not positive and a negative epsilon are
-// refused with an error naming the flag before anything binds, instead of
-// the platform substituting its defaults for the first two and the privacy
-// gate silently staying shut for the third. A router builds no world, so
+// count below one and a radius that is not positive are refused with an
+// error naming the flag before anything binds, instead of the platform
+// substituting its defaults. A router builds no world, so
 // the same flags do not stop it. Member ID 0 names no shard (-drain 0 means
 // "no drain"), so -shard-id, -shards and -join refuse it the same way. A
 // membership flag the role would ignore is refused too, and so is role
@@ -25,8 +24,7 @@ func TestRejectsBadWorlds(t *testing.T) {
 	}{
 		{"standalone", "-pois", "0", nil}, {"standalone", "-pois", "-5", nil},
 		{"standalone", "-radius", "0", nil}, {"standalone", "-radius", "-100", nil}, {"standalone", "-radius", "NaN", nil},
-		{"standalone", "-epsilon", "-0.01", nil},
-		{"shard", "-pois", "0", nil}, {"shard", "-radius", "0", nil}, {"shard", "-epsilon", "-1", nil},
+		{"shard", "-pois", "0", nil}, {"shard", "-radius", "0", nil},
 		{"shard", "-shard-id", "0", nil}, {"router", "-shards", "0=127.0.0.1:1", nil}, {"admin", "-join", "0=127.0.0.1:7703", nil},
 		// Membership flags the role does not use.
 		{"shard", "-admin", "127.0.0.1:7650", nil},

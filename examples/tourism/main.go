@@ -1,7 +1,7 @@
 // Tourism (§3.2): a tourist explores an unfamiliar city; the platform fuses
-// GPS+IMU+vision for registration, labels landmarks through walls with
-// x-ray styling, and the privacy gate releases only geo-indistinguishable
-// locations to the backend.
+// GPS+IMU+vision for registration and labels landmarks through walls with
+// x-ray styling. GPS fixes only move the tourist's tracking: the backend
+// keeps no log of the route.
 package main
 
 import (
@@ -17,10 +17,8 @@ import (
 func main() {
 	center := arbd.Point{Lat: 22.3364, Lon: 114.2655}
 	platform, err := arbd.New(arbd.Config{
-		Seed:            21,
-		City:            arbd.CityConfig{Center: center, RadiusM: 2500, NumPOIs: 2000, TallRatio: 0.25},
-		LocationEpsilon: 0.02, // geo-indistinguishability: ~100 m expected noise
-		PrivacyBudget:   50,
+		Seed: 21,
+		City: arbd.CityConfig{Center: center, RadiusM: 2500, NumPOIs: 2000, TallRatio: 0.25},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -74,10 +72,6 @@ func main() {
 	fmt.Printf("mean registration error: %.1f m position, %.1f° heading\n",
 		regErr.PositionM/float64(frames), regErr.HeadingDeg/float64(frames))
 	fmt.Printf("x-ray (see-through) annotations shown: %d\n", xray)
-
-	// What did the backend actually learn about the tourist's route?
-	suppressed := platform.Metrics().Counter("core.privacy.suppressed").Value()
-	fmt.Printf("privacy: ε=0.02/fix, budget 50 — %d fixes suppressed after budget\n", suppressed)
 
 	final, err := session.Frame(start.Add(time.Minute))
 	if err != nil {

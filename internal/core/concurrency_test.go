@@ -15,10 +15,7 @@ import (
 // running its own session through the full device loop — the workload the
 // sharded registry and per-session locking exist for. Run with -race.
 func TestConcurrentSessionsRace(t *testing.T) {
-	cfg := testConfig()
-	cfg.LocationEpsilon = 0.02 // exercise the per-session rng path
-	cfg.PrivacyBudget = 1e9
-	p := newTestPlatform(t, cfg)
+	p := newTestPlatform(t, testConfig())
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,21 +147,17 @@ func TestConcurrentSharedSession(t *testing.T) {
 	}
 }
 
-// fetch reads up to max records of one partition through a Topic handle.
-func fetch(p *Platform, topic string, partitionIdx int, offset int64, max int) ([]mq.Record, error) {
-	tp, err := p.Broker().Topic(topic)
-	if err != nil {
-		return nil, err
-	}
-	return tp.FetchInto(nil, partitionIdx, offset, max)
+// fetch reads up to max records of one partition of the interaction topic.
+func fetch(p *Platform, partitionIdx int, offset int64, max int) ([]mq.Record, error) {
+	return p.interactions.FetchInto(nil, partitionIdx, offset, max)
 }
 
-// countRecords counts the records retained on the topic's partitions.
-func countRecords(t *testing.T, p *Platform, topic string) int {
+// countRecords counts the records retained on the interaction topic.
+func countRecords(t *testing.T, p *Platform) int {
 	t.Helper()
 	total := 0
 	for pi := 0; pi < telemetryPartitions; pi++ {
-		rs, err := fetch(p, topic, pi, 0, 10_000)
+		rs, err := fetch(p, pi, 0, 10_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@ import (
 	"arbd/internal/recommend"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"
-	"arbd/internal/wire"
 )
 
 var center = geo.Point{Lat: 22.3364, Lon: 114.2655}
@@ -204,89 +203,6 @@ func TestCrowdViewFilledAfterStop(t *testing.T) {
 	}
 }
 
-func TestPrivacyGatePerturbsLocations(t *testing.T) {
-	cfg := testConfig()
-	cfg.LocationEpsilon = 0.02 // expected error 100 m
-	cfg.PrivacyBudget = 1000
-	p := newTestPlatform(t, cfg)
-	s := p.NewSession()
-	for i := 0; i < 20; i++ {
-		if err := s.OnGPS(sensor.GPSFix{Time: sim.Epoch.Add(time.Duration(i) * time.Second),
-			Position: center, AccuracyM: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var values [][]byte
-	for pi := 0; pi < telemetryPartitions; pi++ {
-		rs, err := fetch(p, TopicLocations, pi, 0, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rs {
-			values = append(values, r.Value)
-		}
-	}
-	if len(values) != 20 {
-		t.Fatalf("published %d location records", len(values))
-	}
-	displaced := 0
-	for _, v := range values {
-		lat, lon := decodeLocation(t, v)
-		d := geo.DistanceMeters(center, geo.Point{Lat: lat, Lon: lon})
-		if d > 1 {
-			displaced++
-		}
-	}
-	if displaced < 18 {
-		t.Fatalf("only %d/20 locations perturbed", displaced)
-	}
-}
-
-func decodeLocation(t *testing.T, p []byte) (lat, lon float64) {
-	t.Helper()
-	r := wire.NewReader(p)
-	if _, err := r.Uvarint(); err != nil { // session id
-		t.Fatal(err)
-	}
-	lat, err := r.Float64()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lon, err = r.Float64()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return lat, lon
-}
-
-func TestPrivacyBudgetSuppressesTelemetry(t *testing.T) {
-	cfg := testConfig()
-	cfg.LocationEpsilon = 1
-	cfg.PrivacyBudget = 5 // five fixes worth
-	p := newTestPlatform(t, cfg)
-	s := p.NewSession()
-	for i := 0; i < 20; i++ {
-		if err := s.OnGPS(sensor.GPSFix{Time: sim.Epoch, Position: center, AccuracyM: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := 0
-	for pi := 0; pi < telemetryPartitions; pi++ {
-		rs, _ := fetch(p, TopicLocations, pi, 0, 100)
-		total += len(rs)
-	}
-	if total != 5 {
-		t.Fatalf("published %d records with budget for 5", total)
-	}
-	if got := p.Metrics().Counter("core.privacy.suppressed").Value(); got != 15 {
-		t.Fatalf("suppressed = %d", got)
-	}
-	// Tracking still works.
-	if !s.Pose().Position.Valid() {
-		t.Fatal("pose lost after suppression")
-	}
-}
-
 func TestTimelinessDegradationAndRecovery(t *testing.T) {
 	vc := sim.NewVirtualClock(time.Time{})
 	cfg := testConfig()
@@ -344,7 +260,7 @@ func TestGazeBecomesInteraction(t *testing.T) {
 	}
 	total := 0
 	for pi := 0; pi < telemetryPartitions; pi++ {
-		rs, _ := fetch(p, TopicInteractions, pi, 0, 100)
+		rs, _ := fetch(p, pi, 0, 100)
 		total += len(rs)
 	}
 	if total != 1 {

@@ -16,22 +16,10 @@ import (
 	"arbd/internal/wire"
 )
 
-// TestTelemetryRecordsMatchWireBuffer pins the stack encoders to the
-// wire.Buffer encoding the records have always had on the broker.
+// TestTelemetryRecordsMatchWireBuffer pins the stack encoder to the
+// wire.Buffer encoding interaction records have always had on the broker.
 func TestTelemetryRecordsMatchWireBuffer(t *testing.T) {
 	for _, id := range []uint64{0, 1, 127, 128, 1 << 40, math.MaxUint64} {
-		at := geo.Point{Lat: 22.3364 + float64(id%7), Lon: -114.2655}
-		var loc wire.Buffer
-		loc.Uvarint(id)
-		loc.Float64(at.Lat)
-		loc.Float64(at.Lon)
-		if got := appendLocation(nil, id, at); !bytes.Equal(got, loc.Bytes()) {
-			t.Fatalf("location record for %d = %x, want %x", id, got, loc.Bytes())
-		}
-		if n := len(loc.Bytes()); n > locationRecordMax {
-			t.Fatalf("location record %d bytes > locationRecordMax %d", n, locationRecordMax)
-		}
-
 		var in wire.Buffer
 		in.String("poi-" + strconv.FormatUint(id, 10))
 		in.Uvarint(id ^ 0xfff)
@@ -77,14 +65,14 @@ func TestUnknownGazeTarget(t *testing.T) {
 	if gazed != 0 {
 		t.Fatalf("gaze map holds %d targets after refused samples", gazed)
 	}
-	if n := countRecords(t, p, TopicInteractions); n != 0 {
+	if n := countRecords(t, p); n != 0 {
 		t.Fatalf("%d interaction records published for refused targets", n)
 	}
 	// A real POI still counts.
 	if err := s.OnGaze(sensor.GazeSample{TargetID: 5, DwellMS: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	if n := countRecords(t, p, TopicInteractions); n != 1 {
+	if n := countRecords(t, p); n != 1 {
 		t.Fatalf("%d interaction records published for a real target, want 1", n)
 	}
 }
@@ -107,41 +95,6 @@ func TestConsumerKeyTableHoldsOnlyPOIs(t *testing.T) {
 	}
 	if len(c.keys) != 1 {
 		t.Fatalf("key table holds %d keys, want 1 (only the real POI)", len(c.keys))
-	}
-}
-
-// TestPublishOnlyTopicBounded: nothing consumes the location topic, so its
-// byte budget is all that bounds it. One session's fixes land on one
-// partition; that partition keeps at most the budget plus one segment.
-func TestPublishOnlyTopicBounded(t *testing.T) {
-	p := newTestPlatform(t, testConfig())
-	s := p.NewSession()
-	const fixes = 80_000
-	base := sim.Epoch
-	for i := 0; i < fixes; i++ {
-		at := base.Add(time.Duration(i) * time.Second)
-		if err := s.OnGPS(sensor.GPSFix{Time: at, Position: center, AccuracyM: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The broker charges each record its key and value and some bookkeeping
-	// on top, so budget / (key + value) over-counts what the budget holds.
-	const segmentRecords = 1024
-	perRecord := len(s.principal) + len(appendLocation(nil, s.ID, center))
-	bound := int64(locationRetentionBytes/perRecord + segmentRecords)
-	var produced int64
-	for pi := 0; pi < telemetryPartitions; pi++ {
-		oldest, newest, err := p.telemTopics[telemetryLocations].Offsets(pi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		produced += newest
-		if kept := newest - oldest; kept > bound {
-			t.Fatalf("partition %d keeps %d location records, want <= %d (budget + one segment)", pi, kept, bound)
-		}
-	}
-	if produced != fixes {
-		t.Fatalf("%d location records produced, want %d", produced, fixes)
 	}
 }
 
@@ -222,5 +175,48 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.4f allocations, %.1f bytes per event", perEvent, float64(after.TotalAlloc-before.TotalAlloc)/measured)
 	if perEvent > 0.05 {
 		t.Fatalf("ingest allocates %.4f objects per event, want <= 0.05", perEvent)
+	}
+}
+
+// TestGPSFixesAddNoLiveBytes: a GPS fix moves the session's tracking and
+// nothing else, so 200,000 fixes over 64 sessions leave the live heap
+// within 64 KiB of where they found it.
+func TestGPSFixesAddNoLiveBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; heap budgets only hold without -race")
+	}
+	p := newTestPlatform(t, testConfig())
+	sessions := make([]*Session, 64)
+	for i := range sessions {
+		sessions[i] = p.NewSession()
+	}
+	fixes := func(from, n int) {
+		for k := from; k < from+n; k++ {
+			fix := sensor.GPSFix{
+				Time:      sim.Epoch.Add(time.Duration(k) * time.Millisecond),
+				Position:  geo.Destination(center, float64(k%360), float64(k%50)),
+				AccuracyM: 3,
+			}
+			if err := sessions[k%len(sessions)].OnGPS(fix); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fixes(0, 1024) // every session's tracking state meets its first fixes
+	const measured = 200_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fixes(1024, measured)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(sessions)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d fixes over %d sessions: live heap %+d B", measured, len(sessions), growth)
+	if growth > 64<<10 {
+		t.Fatalf("%d GPS fixes grew the live heap by %d B, want ≤ %d", measured, growth, 64<<10)
 	}
 }

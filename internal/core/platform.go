@@ -1,10 +1,11 @@
 // Package core implements the paper's primary contribution: the convergence
 // platform that feeds AR front-ends from big-data backends. A Platform owns
 // the substrates — POI store, message broker, stream analytics, recommender,
-// semantic interpreter, privacy accountant — and Sessions run the per-frame
-// loop: fuse sensors → privacy-gate location telemetry → query geospatial
-// and analytic context → interpret it into semantic tags → lay out the AR
-// overlay, all under a frame deadline with graceful degradation (§4.1).
+// semantic interpreter — and Sessions run the per-frame loop: fuse sensors →
+// query geospatial and analytic context → interpret it into semantic tags →
+// lay out the AR overlay, all under a frame deadline with graceful
+// degradation (§4.1). Interactions are the one telemetry a session
+// publishes; a GPS fix only moves its tracking.
 package core
 
 import (
@@ -22,7 +23,6 @@ import (
 	"arbd/internal/geo"
 	"arbd/internal/metrics"
 	"arbd/internal/mq"
-	"arbd/internal/privacy"
 	"arbd/internal/recommend"
 	"arbd/internal/render"
 	"arbd/internal/sim"
@@ -35,33 +35,12 @@ var (
 	ErrNotStarted = errors.New("core: platform not started")
 )
 
-// Topic names on the platform broker.
-const (
-	TopicLocations    = "telemetry.locations"
-	TopicInteractions = "telemetry.interactions"
-)
+// TopicInteractions is the platform broker's one topic: the telemetry
+// sessions publish. Its consumer group releases what it commits, so the
+// topic holds only what the analytics plane has not yet folded.
+const TopicInteractions = "telemetry.interactions"
 
-// Telemetry topic indexes into Platform.telemTopics.
-const (
-	telemetryLocations = iota
-	telemetryInteractions
-	numTelemetryTopics
-)
-
-var telemetryTopicNames = [numTelemetryTopics]string{
-	telemetryLocations:    TopicLocations,
-	telemetryInteractions: TopicInteractions,
-}
-
-// locationRetentionBytes bounds each partition of the location topic.
-// Nothing in the platform consumes locations, so no commit ever releases
-// them: the topic keeps the newest ~1 MiB per partition (about 15k fixes)
-// for whoever fetches it. The interaction topic has no such budget — its
-// consumer releases what it commits, and a budget would turn a stalled
-// consumer into silently lost records.
-const locationRetentionBytes = 1 << 20
-
-// telemetryPartitions is the partition count of each telemetry topic.
+// telemetryPartitions is the partition count of the interaction topic.
 const telemetryPartitions = 4
 
 // Config parameterises a Platform.
@@ -69,11 +48,6 @@ type Config struct {
 	Seed int64
 	// City describes the synthetic world; Center must be set.
 	City geo.CityConfig
-	// LocationEpsilon enables the geo-indistinguishability gate on outgoing
-	// location telemetry (per-meter ε; 0 disables perturbation).
-	LocationEpsilon float64
-	// PrivacyBudget is the total ε each session may spend (default 100).
-	PrivacyBudget float64
 
 	// Test hooks; zero takes the default named beside each.
 	maxAnnotations int       // overlay size cap (defaultMaxAnnotations)
@@ -94,9 +68,6 @@ func (c *Config) defaults() {
 	if c.maxAnnotations <= 0 {
 		c.maxAnnotations = defaultMaxAnnotations
 	}
-	if c.PrivacyBudget <= 0 {
-		c.PrivacyBudget = 100
-	}
 	if c.clock == nil {
 		c.clock = sim.RealClock{}
 	}
@@ -115,7 +86,6 @@ type Platform struct {
 	reg    *metrics.Registry
 	pois   *geo.Store
 	broker *mq.Broker
-	acct   *privacy.Accountant
 
 	// crowd maintains per-POI interaction aggregates incrementally — the
 	// context analytics overlays draw on.
@@ -132,15 +102,13 @@ type Platform struct {
 	recMu    sync.RWMutex
 
 	pipe *stream.Pipeline
-	// telemTopics holds cached broker handles for the telemetry topics,
-	// indexed by the telemetry* constants: every session publishes through
-	// them, skipping the broker's per-call topic and counter lookups.
-	telemTopics [numTelemetryTopics]*mq.Topic
-	// suppressedCtr and frameLat are resolved once: OnGPS increments the
-	// counter per suppressed fix and every Frame call observes frameLat, so
-	// neither may pay a registry lookup.
-	suppressedCtr *metrics.Counter
-	frameLat      *metrics.Histogram
+	// interactions is the cached broker handle of the interaction topic:
+	// every session publishes through it, skipping the broker's per-call
+	// topic lookup.
+	interactions *mq.Topic
+	// frameLat is resolved once: every Frame call observes it, so none
+	// pays a registry lookup.
+	frameLat *metrics.Histogram
 	// geoReused and geoSeeded count frames whose geo query re-measured
 	// the session's kept POI set and frames that walked the R-tree.
 	geoReused, geoSeeded *metrics.Counter
@@ -180,39 +148,26 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		reg:      metrics.NewRegistry(),
 		pois:     pois,
 		broker:   mq.NewBroker(mq.WithClock(cfg.clock)),
-		acct:     privacy.NewAccountant(cfg.PrivacyBudget),
 		crowd:    analytics.NewView(),
 		hot:      analytics.NewSpaceSaving(64),
 		interp:   arml.RetailVocabulary(),
 		sessions: newSessionRegistry(defaultRegistryShards),
 	}
-	p.suppressedCtr = p.reg.Counter("core.privacy.suppressed")
 	p.frameLat = p.reg.Histogram("core.frame.latency")
 	p.geoReused = p.reg.Counter("core.geo.reused")
 	p.geoSeeded = p.reg.Counter("core.geo.seeded")
 	p.occluders = render.OccludersFromPOIs(p.pois.All(), 30)
-	for i, topic := range telemetryTopicNames {
-		cfg := mq.TopicConfig{Partitions: telemetryPartitions}
-		if i == telemetryLocations {
-			cfg.RetentionBytes = locationRetentionBytes
-		}
-		if err := p.broker.CreateTopic(topic, cfg); err != nil {
-			return nil, err
-		}
-		tp, err := p.broker.Topic(topic)
-		if err != nil {
-			return nil, err
-		}
-		p.telemTopics[i] = tp
+	if err := p.broker.CreateTopic(TopicInteractions, mq.TopicConfig{Partitions: telemetryPartitions}); err != nil {
+		return nil, err
+	}
+	if p.interactions, err = p.broker.Topic(TopicInteractions); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
 // POIs exposes the platform's POI store.
 func (p *Platform) POIs() *geo.Store { return p.pois }
-
-// Broker exposes the ingestion broker.
-func (p *Platform) Broker() *mq.Broker { return p.broker }
 
 // Metrics exposes the platform registry.
 func (p *Platform) Metrics() *metrics.Registry { return p.reg }
@@ -394,7 +349,7 @@ func (p *Platform) WaitAnalyticsIdle(timeout time.Duration) error {
 	for {
 		lag := int64(0)
 		for pi := 0; pi < telemetryPartitions; pi++ {
-			_, newest, err := p.telemTopics[telemetryInteractions].Offsets(pi)
+			_, newest, err := p.interactions.Offsets(pi)
 			if err != nil {
 				return err
 			}

@@ -241,11 +241,11 @@ func TestWorkerScratchMatchesSolo(t *testing.T) {
 // TestSessionLiveBytes holds a streaming session's memory budget: on the
 // sparse benchmark city, a session that has tracked and rendered through a
 // worker's scratch keeps at most budget bytes of live heap — tracking state,
-// its one kept layout, gaze map, RNG stream and its location record on the
-// broker included. The budget is the 2,330 B this test measures (go1.24,
-// linux/amd64) plus a 128 B margin.
+// its one kept layout, gaze map and RNG stream included; a GPS fix leaves
+// nothing on the broker. The budget is the 2,074 B this test measures
+// (go1.24, linux/amd64) plus a 128 B margin.
 func TestSessionLiveBytes(t *testing.T) {
-	if got, budget := sessionLiveBytes(t, 3, 0), int64(2330+128); got > budget {
+	if got, budget := sessionLiveBytes(t, 3, 0), int64(2074+128); got > budget {
 		t.Fatalf("a session keeps %d B of live heap, want ≤ %d", got, budget)
 	}
 }
@@ -253,10 +253,11 @@ func TestSessionLiveBytes(t *testing.T) {
 // TestSessionLiveBytesSweep holds the budget of a long-lived session: 72
 // frames each, the compass turning 5° a frame, so a session's layouts
 // grow and shrink as its view turns. A session keeps one layout, grown to
-// fit its largest, so its memory does not grow with how long it has run. The budget is the 3,073 B this test measures (go1.24,
-// linux/amd64) plus a 128 B margin.
+// fit its largest, so its memory does not grow with how long it has run.
+// The budget is the 2,816 B this test measures (go1.24, linux/amd64) plus a
+// 128 B margin.
 func TestSessionLiveBytesSweep(t *testing.T) {
-	if got, budget := sessionLiveBytes(t, 72, 5), int64(3073+128); got > budget {
+	if got, budget := sessionLiveBytes(t, 72, 5), int64(2816+128); got > budget {
 		t.Fatalf("a session keeps %d B of live heap after a sweep, want ≤ %d", got, budget)
 	}
 }

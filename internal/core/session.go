@@ -12,7 +12,6 @@ import (
 	"arbd/internal/analytics"
 	"arbd/internal/arml"
 	"arbd/internal/geo"
-	"arbd/internal/privacy"
 	"arbd/internal/render"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"
@@ -53,8 +52,10 @@ func (d DegradeLevel) String() string {
 type Session struct {
 	ID       uint64
 	platform *Platform
-	rng      *sim.Rand // per-session stream: the platform rng is not shared
-	key      []byte    // broker routing key of its telemetry: the principal
+	// rng is the session's own random stream, carried in its snapshot.
+	// Nothing in the node draws from it.
+	rng *sim.Rand
+	key []byte // broker routing key of its telemetry: session-<id>
 
 	mu     sync.Mutex
 	fuser  *tracking.Fuser
@@ -69,7 +70,6 @@ type Session struct {
 	lastLayout []render.Annotation
 	frames     uint64
 	overruns   uint64
-	principal  string
 	// kept is nil only on the fully allocating reference path that
 	// TestFrameScratchEquivalence compares the reusing frames against.
 	kept *keptFrames
@@ -124,7 +124,7 @@ func freshScratch() (*FrameScratch, *keptFrames) { return NewFrameScratch(), new
 
 // NewSession opens a session for a device, registers it in the sharded
 // session registry, and returns it. The session owns the device's tracking
-// state and privacy principal.
+// state.
 func (p *Platform) NewSession() *Session {
 	s := p.buildSession(p.nextSess.Add(1))
 	p.sessions.add(s)
@@ -155,45 +155,29 @@ func (p *Platform) SessionOrNew(id uint64) *Session {
 
 // buildSession constructs (but does not register) a session with the ID.
 func (p *Platform) buildSession(id uint64) *Session {
-	principal := fmt.Sprintf("session-%d", id)
+	key := fmt.Sprintf("session-%d", id)
 	return &Session{
-		ID:        id,
-		platform:  p,
-		rng:       p.rng.Child(principal),
-		key:       []byte(principal),
-		fuser:     tracking.NewFuser(p.cfg.City.Center, p.pois),
-		gaze:      make(map[uint64]float64),
-		camera:    render.DefaultCamera,
-		occl:      p.occluders,
-		principal: principal,
-		kept:      new(keptFrames),
+		ID:       id,
+		platform: p,
+		rng:      p.rng.Child(key),
+		key:      []byte(key),
+		fuser:    tracking.NewFuser(p.cfg.City.Center, p.pois),
+		gaze:     make(map[uint64]float64),
+		camera:   render.DefaultCamera,
+		occl:     p.occluders,
+		kept:     new(keptFrames),
 	}
 }
 
-// OnGPS feeds a position fix: it updates tracking and publishes a
-// privacy-gated location record to the telemetry topic. If the session's
-// privacy budget is exhausted, telemetry stops but tracking continues —
-// privacy never degrades the user's own experience.
+// OnGPS feeds a position fix into tracking. The fix leaves the session only
+// as its fused pose: nothing is published, so a node keeps no log of where
+// its users have been. It never fails; the error result is kept for
+// callers that treat every sensor call alike.
 func (s *Session) OnGPS(fix sensor.GPSFix) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fuser.OnGPS(fix)
-	reported := fix.Position
-	p := s.platform
-	if p.cfg.LocationEpsilon > 0 {
-		if err := p.acct.Spend(s.principal, p.cfg.LocationEpsilon); err != nil {
-			p.suppressedCtr.Inc()
-			return nil //nolint:nilerr // suppression is the intended behaviour
-		}
-		noisy, err := privacy.PlanarLaplace(s.rng, fix.Position, p.cfg.LocationEpsilon)
-		if err != nil {
-			return err
-		}
-		reported = noisy
-	}
-	// Encoded on the stack: the broker copies the record.
-	var b [locationRecordMax]byte
-	return s.publish(telemetryLocations, appendLocation(b[:0], s.ID, reported))
+	return nil
 }
 
 // OnIMU feeds an inertial sample into tracking.
@@ -242,26 +226,18 @@ func (s *Session) RecordInteraction(poiID uint64, weight float64) error {
 	return s.recordInteraction(poiID, weight)
 }
 
-// recordInteraction publishes an interaction with a checked target. The
-// record is encoded on the stack: the broker copies it.
+// recordInteraction publishes an interaction with a checked target to the
+// broker inside the sensor call that produced it, keyed by the session,
+// through the platform's cached mq.Topic handle: no per-call topic-map
+// lookup. The record is encoded on the stack: the broker copies it. Once
+// the sensor call returns its record is on the broker, so a session
+// snapshot carries no telemetry.
 //
 //arbd:hotpath
 func (s *Session) recordInteraction(poiID uint64, weight float64) error {
 	var b [interactionRecordMax]byte
-	return s.publish(telemetryInteractions, appendInteraction(b[:0], poiID, s.ID, weight))
-}
-
-// publish appends one telemetry record to the broker inside the sensor call
-// that produced it, keyed by the session principal, through the platform's
-// cached mq.Topic handle: no per-call topic-map lookup or counter
-// resolution. The broker copies value, so callers encode it on the stack.
-// Once the sensor call returns its record is on the broker, so a session
-// snapshot carries no telemetry.
-//
-//arbd:hotpath
-func (s *Session) publish(topic int, value []byte) error {
-	values := [1][]byte{value}
-	_, err := s.platform.telemTopics[topic].ProduceBatch(s.key, values[:])
+	values := [1][]byte{appendInteraction(b[:0], poiID, s.ID, weight)}
+	_, err := s.platform.interactions.ProduceBatch(s.key, values[:])
 	return err
 }
 
@@ -593,27 +569,13 @@ func appendPOIKey(dst []byte, id uint64) []byte {
 	return strconv.AppendUint(dst, id, 10)
 }
 
-// Telemetry records. Both are encoded field by field as a wire.Buffer
-// would encode them — uvarints, little-endian float64 bits, a
-// length-prefixed key — so the bytes on the broker do not depend on which
-// encoder wrote them. The Max constants size the stack buffers they are
-// encoded into.
-const (
-	// location: session ID, latitude, longitude.
-	locationRecordMax = binary.MaxVarintLen64 + 2*8
-	// interaction: poi-<id> key (one length byte: the key is under 128
-	// bytes), user ID, weight.
-	interactionRecordMax = 1 + poiKeyMax + binary.MaxVarintLen64 + 8
-)
-
-// appendLocation appends a location telemetry record to dst.
-//
-//arbd:hotpath
-func appendLocation(dst []byte, session uint64, at geo.Point) []byte {
-	dst = binary.AppendUvarint(dst, session)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(at.Lat))
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(at.Lon))
-}
+// interactionRecordMax sizes the stack buffer an interaction record is
+// encoded into: the poi-<id> key (one length byte: the key is under 128
+// bytes), the user ID and the weight. The record is encoded field by field
+// as a wire.Buffer would encode it — a length-prefixed key, a uvarint,
+// little-endian float64 bits — so the bytes on the broker do not depend on
+// which encoder wrote them.
+const interactionRecordMax = 1 + poiKeyMax + binary.MaxVarintLen64 + 8
 
 // appendInteraction appends an interaction telemetry record to dst.
 //

@@ -30,8 +30,7 @@ const sessionSnapshotV2 = 2
 // or, for the RNG draw count, spin unbounded CPU: a restored stream
 // replays draw by draw on its first draw, so the bound caps replay at well
 // under a second while sitting orders of magnitude above any real session
-// (privacy noise draws a handful of values per GPS fix; a month-long
-// session stays in the tens of millions).
+// (the serving node draws nothing from a session's stream).
 const (
 	maxSnapshotGazeEntries = 1 << 20
 	maxSnapshotRNGDraws    = 1 << 28

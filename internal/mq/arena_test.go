@@ -10,17 +10,18 @@ import (
 )
 
 // TestFetchedRecordsSurviveRetention proves the arena-aliasing contract:
-// records handed out by Fetch keep their bytes even after retention drops
-// the segment (and its backing arena) they were read from. The segment
-// arena is only unreferenced, never recycled, so fetched subslices stay
-// valid for as long as the caller holds them.
+// records handed out by Fetch keep their bytes even after a group commit
+// releases the segment (and its backing arena) they were read from. The
+// segment arena is only unreferenced, never recycled, so fetched subslices
+// stay valid for as long as the caller holds them.
 func TestFetchedRecordsSurviveRetention(t *testing.T) {
 	b := NewBroker(WithClock(sim.NewVirtualClock(time.Time{})))
 	defer b.Close()
-	// ~132 bytes/record (100 value + 32 overhead): one 1024-record segment
-	// costs ~135KB, so a 200KB budget keeps at most one full segment plus
-	// the open tail.
-	if err := b.CreateTopic("t", TopicConfig{Partitions: 1, RetentionBytes: 200_000}); err != nil {
+	if err := b.CreateTopic("t", TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.NewGroup("t")
+	if err != nil {
 		t.Fatal(err)
 	}
 	value := make([]byte, 100)
@@ -43,19 +44,20 @@ func TestFetchedRecordsSurviveRetention(t *testing.T) {
 		want[i] = append([]byte(nil), r.Value...)
 	}
 
-	// Produce enough to roll two more segments; retention must drop the
-	// segment backing the held records.
+	// Produce enough to roll two more segments, then commit past the first
+	// two: the release must drop the segment backing the held records.
 	for i := 0; i < 2*segmentSize; i++ {
 		if _, err := produce(b, "t", nil, value); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g.Commit(0, 2*segmentSize+1)
 	oldest, _, err := offsets(b, "t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oldest <= 9 {
-		t.Fatalf("oldest offset = %d; retention never dropped the held segment", oldest)
+		t.Fatalf("oldest offset = %d; the commit never released the held segment", oldest)
 	}
 	if _, err := fetch(b, "t", 0, 0, 1); err == nil {
 		t.Fatal("offset 0 still fetchable; test set-up did not evict the segment")
@@ -63,7 +65,7 @@ func TestFetchedRecordsSurviveRetention(t *testing.T) {
 
 	for i, r := range held {
 		if !bytes.Equal(r.Value, want[i]) {
-			t.Fatalf("record %d mutated after retention: %q != %q", i, r.Value, want[i])
+			t.Fatalf("record %d mutated after release: %q != %q", i, r.Value, want[i])
 		}
 	}
 }

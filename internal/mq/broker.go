@@ -25,7 +25,6 @@ type Broker struct {
 // topic holds a topic's partitions plus rr, the sticky round-robin cursor
 // spreading unkeyed records across partitions.
 type topic struct {
-	cfg   TopicConfig
 	parts []*partition
 	rr    atomic.Uint64 // next unkeyed partition assignment
 
@@ -126,7 +125,7 @@ func (b *Broker) CreateTopic(name string, cfg TopicConfig) error {
 	if _, ok := b.topics[name]; ok {
 		return fmt.Errorf("%w: %q", ErrTopicExists, name)
 	}
-	t := &topic{cfg: cfg, parts: make([]*partition, cfg.Partitions)}
+	t := &topic{parts: make([]*partition, cfg.Partitions)}
 	for i := range t.parts {
 		t.parts[i] = newPartition()
 	}
@@ -190,7 +189,7 @@ func (tp *Topic) ProduceBatch(key []byte, values [][]byte) (int64, error) {
 	}
 	t := tp.t
 	pi := t.partitionFor(key)
-	first := t.parts[pi].appendBatch(tp.b.clock.Now(), key, values, t.cfg.RetentionBytes)
+	first := t.parts[pi].appendBatch(tp.b.clock.Now(), key, values)
 	t.wake()
 	return first, nil
 }

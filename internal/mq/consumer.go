@@ -113,7 +113,9 @@ func (g *Group) PollInto(dst []Record, max int) ([]Record, error) {
 	for k := 0; k < n && len(dst)-base < max; k++ {
 		pi := (start + k) % n
 		from := g.Committed(pi)
-		// Skip forward if retention truncated below our committed position.
+		// Skip forward if the log released below our committed position:
+		// another group's commit can release segments between NewGroup
+		// reading the oldest offset and registering the group.
 		oldest, _, err := g.tp.Offsets(pi)
 		if err != nil {
 			return dst, err

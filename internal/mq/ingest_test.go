@@ -219,7 +219,7 @@ func TestProduceSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := NewBroker()
-			if err := b.CreateTopic("t", TopicConfig{Partitions: 4, RetentionBytes: 32 << 20}); err != nil {
+			if err := b.CreateTopic("t", TopicConfig{Partitions: 4}); err != nil {
 				t.Fatal(err)
 			}
 			tp, err := b.Topic("t")
@@ -518,15 +518,34 @@ func benchProduceBatchValues(n, size int) [][]byte {
 	return values
 }
 
-func BenchmarkProduceBatchHandle(b *testing.B) {
+// benchTopic returns a handle to a fresh 4-partition topic and a release
+// func that commits one consumer group to the head of every partition, off
+// the clock. Commits are what bound a topic, so a benchmark calls release
+// every few segments to hold the log at a few segments, whatever b.N is.
+func benchTopic(b *testing.B) (tp *Topic, release func()) {
 	br := NewBroker()
-	if err := br.CreateTopic("t", TopicConfig{Partitions: 4, RetentionBytes: 32 << 20}); err != nil {
+	if err := br.CreateTopic("t", TopicConfig{Partitions: 4}); err != nil {
 		b.Fatal(err)
 	}
 	tp, err := br.Topic("t")
 	if err != nil {
 		b.Fatal(err)
 	}
+	g, err := br.NewGroup("t")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tp, func() {
+		b.StopTimer()
+		for pi := range tp.t.parts {
+			g.Commit(pi, tp.t.parts[pi].newest())
+		}
+		b.StartTimer()
+	}
+}
+
+func BenchmarkProduceBatchHandle(b *testing.B) {
+	tp, release := benchTopic(b)
 	values := benchProduceBatchValues(256, 24)
 	b.ReportAllocs()
 	b.SetBytes(256 * 24)
@@ -535,20 +554,16 @@ func BenchmarkProduceBatchHandle(b *testing.B) {
 		if _, err := tp.ProduceBatch(nil, values); err != nil {
 			b.Fatal(err)
 		}
+		if i%64 == 63 {
+			release()
+		}
 	}
 }
 
 // BenchmarkProduceKeyedSingle times the production shape: one keyed value
 // per call through a cached handle, as Session.publish sends telemetry.
 func BenchmarkProduceKeyedSingle(b *testing.B) {
-	br := NewBroker()
-	if err := br.CreateTopic("t", TopicConfig{Partitions: 4, RetentionBytes: 32 << 20}); err != nil {
-		b.Fatal(err)
-	}
-	tp, err := br.Topic("t")
-	if err != nil {
-		b.Fatal(err)
-	}
+	tp, release := benchTopic(b)
 	key := []byte("principal-42")
 	values := [][]byte{bytes.Repeat([]byte{7}, 24)}
 	b.ReportAllocs()
@@ -556,6 +571,9 @@ func BenchmarkProduceKeyedSingle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := tp.ProduceBatch(key, values); err != nil {
 			b.Fatal(err)
+		}
+		if i%(4*segmentSize) == 4*segmentSize-1 {
+			release()
 		}
 	}
 }

@@ -3,8 +3,8 @@
 // at-least-once delivery — the role Kafka plays in the stream architectures
 // the paper assumes. A log holds only what it still owes a reader: once
 // every consumer group of a topic has committed past a partition's oldest
-// segments, those segments are released; a topic nobody consumes keeps its
-// size-based retention budget instead.
+// segments, those segments are released. Commits are a topic's one bound:
+// a topic no group reads keeps everything produced to it.
 //
 // Storage layout: each partition is a sequence of fixed-record-count
 // segments, and each segment owns a byte arena — one backing array holding
@@ -15,9 +15,8 @@
 // mark work regardless of how many records it holds. Record structs are
 // materialized at read time, with Key/Value subslicing the arena. A
 // segment's arena lives exactly as long as the segment (the unit of
-// release and retention), and fetched records keep the arena reachable, so
-// records handed to consumers stay valid after their segment leaves the
-// log.
+// release), and fetched records keep the arena reachable, so records
+// handed to consumers stay valid after their segment leaves the log.
 package mq
 
 import (
@@ -49,14 +48,9 @@ type Record struct {
 }
 
 // segmentSize is the number of records per log segment. Segments are the
-// unit of release and retention: the oldest whole segments are dropped once
-// every consumer group has committed past them, or when a partition exceeds
-// its retention budget.
+// unit of release: the oldest whole segments are dropped once every consumer
+// group has committed past them.
 const segmentSize = 1024
-
-// recordOverhead is the per-record bookkeeping cost charged against the
-// retention budget on top of key+value bytes.
-const recordOverhead = 32
 
 // minArenaBytes seeds a fresh segment's arena capacity; subsequent segments
 // inherit the previous segment's final arena size so a steady workload
@@ -82,10 +76,9 @@ type recMeta struct {
 // segment is a fixed-capacity run of consecutive records plus the arena
 // backing their payload bytes. Record i has offset base+i.
 type segment struct {
-	base  int64
-	meta  []recMeta
-	data  []byte // arena: every record's Key and Value bytes, in append order
-	bytes int64  // retention-accounted bytes of this segment
+	base int64
+	meta []recMeta
+	data []byte // arena: every record's Key and Value bytes, in append order
 }
 
 // record materializes record i. The full slice expressions pin capacity so
@@ -114,7 +107,6 @@ type partition struct {
 	mu       sync.RWMutex
 	segments []*segment
 	next     int64
-	bytes    int64
 
 	// releaseAt is the commit offset past which the oldest segment may be
 	// fully consumed: its base + segmentSize + 1. A commit above that offset
@@ -175,23 +167,19 @@ func (p *partition) appendLocked(sec int64, nsec int32, key, value []byte) {
 		keyLen: uint32(len(key)),
 		valLen: uint32(len(value)),
 	})
-	cost := int64(len(key)+len(value)) + recordOverhead
-	seg.bytes += cost
-	p.bytes += cost
 	p.next++
 }
 
 // appendBatch is the one way records enter a partition: it appends every
-// value, one appendLocked each, under ONE lock acquisition and runs
-// retention truncation once at the end. A batch's records are contiguous,
-// and concurrent producers interleave at batch granularity, not record
-// granularity. Every serving producer appends one record per call (a
+// value, one appendLocked each, under ONE lock acquisition. A batch's
+// records are contiguous, and concurrent producers interleave at batch
+// granularity, not record granularity. Every serving producer appends one record per call (a
 // session publishes each telemetry record inside the sensor call that made
 // it), so a bulk path for large batches would serve traffic nobody sends.
 // Returns the offset of the batch's first record (-1 for an empty batch).
 //
 //arbd:hotpath
-func (p *partition) appendBatch(now time.Time, key []byte, values [][]byte, retention int64) int64 {
+func (p *partition) appendBatch(now time.Time, key []byte, values [][]byte) int64 {
 	if len(values) == 0 {
 		return -1
 	}
@@ -201,9 +189,6 @@ func (p *partition) appendBatch(now time.Time, key []byte, values [][]byte, rete
 	first := p.next
 	for _, v := range values {
 		p.appendLocked(sec, nsec, key, v)
-	}
-	if retention > 0 {
-		p.truncateLocked(retention)
 	}
 	return first
 }
@@ -263,15 +248,6 @@ func (p *partition) readInto(dst []Record, offset int64, max int) ([]Record, err
 	return dst, nil
 }
 
-// truncateLocked drops whole segments until retained bytes <= budget, always
-// keeping the newest segment. Per-segment byte totals make this O(dropped
-// segments), not O(dropped records). p.mu must be held.
-func (p *partition) truncateLocked(budget int64) {
-	for len(p.segments) > 1 && p.bytes > budget {
-		p.dropOldestLocked()
-	}
-}
-
 // release drops every segment all of whose records lie below committed —
 // the lowest offset every consumer group has committed — always keeping
 // the newest segment.
@@ -279,24 +255,13 @@ func (p *partition) release(committed int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.segments) > 1 && p.segments[1].base <= committed {
-		p.dropOldestLocked()
+		p.segments[0] = nil // release the segment (and its arena) promptly
+		p.segments = p.segments[1:]
+		p.releaseAt.Store(p.segments[0].base + segmentSize + 1)
 	}
-}
-
-// dropOldestLocked removes the oldest segment; there must be at least two.
-// p.mu must be held.
-func (p *partition) dropOldestLocked() {
-	p.bytes -= p.segments[0].bytes
-	p.segments[0] = nil // release the segment (and its arena) promptly
-	p.segments = p.segments[1:]
-	p.releaseAt.Store(p.segments[0].base + segmentSize + 1)
 }
 
 // TopicConfig configures a topic at creation.
 type TopicConfig struct {
 	Partitions int // number of partitions; default 1
-	// RetentionBytes is the per-partition retention budget; <=0 means
-	// unlimited. It is what bounds a topic no consumer group reads; a
-	// consumed topic also releases what every group has committed.
-	RetentionBytes int64
 }

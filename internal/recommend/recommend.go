@@ -6,7 +6,9 @@
 package recommend
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"arbd/internal/geo"
@@ -97,12 +99,23 @@ func (p *Popularity) Recommend(userID uint64, k int) []Scored {
 }
 
 // ItemCF is item-item collaborative filtering with cosine similarity over
-// the implicit user-item matrix.
+// the implicit user-item matrix. Every sum it takes walks users and items in
+// ascending ID: float addition is not associative, so a walk in map order
+// would train a different model from one log, and rank differently from
+// one model, every time.
 type ItemCF struct {
-	sim     map[uint64]map[uint64]float64 // item -> item -> cosine
-	userVec map[uint64]map[uint64]float64 // user -> item -> weight
-	items   []uint64
+	sim   map[uint64][]weighted // item -> co-owned items and their cosine, ascending ID
+	owned map[uint64][]weighted // user -> items and summed weight, ascending ID
 }
+
+// weighted is an item with a weight: a user's summed interaction weight, or
+// a neighbour's cosine similarity.
+type weighted struct {
+	id uint64
+	w  float64
+}
+
+func byID(a, b weighted) int { return cmp.Compare(a.id, b.id) }
 
 var _ Recommender = (*ItemCF)(nil)
 
@@ -110,65 +123,50 @@ var _ Recommender = (*ItemCF)(nil)
 // a user), fine at the simulated scales.
 func NewItemCF(log []Interaction) *ItemCF {
 	cf := &ItemCF{
-		sim:     make(map[uint64]map[uint64]float64),
-		userVec: make(map[uint64]map[uint64]float64),
+		sim:   make(map[uint64][]weighted),
+		owned: make(map[uint64][]weighted),
 	}
-	norms := make(map[uint64]float64)
+	byUser := make(map[uint64]map[uint64]float64)
 	for _, it := range log {
-		uv, ok := cf.userVec[it.UserID]
+		uv, ok := byUser[it.UserID]
 		if !ok {
 			uv = make(map[uint64]float64)
-			cf.userVec[it.UserID] = uv
+			byUser[it.UserID] = uv
 		}
 		uv[it.ItemID] += it.Weight
 	}
-	dot := make(map[uint64]map[uint64]float64)
-	for _, uv := range cf.userVec {
-		ids := make([]uint64, 0, len(uv))
-		for id := range uv {
-			ids = append(ids, id)
+	users := make([]uint64, 0, len(byUser))
+	for user, uv := range byUser {
+		users = append(users, user)
+		vec := make([]weighted, 0, len(uv))
+		for id, w := range uv {
+			vec = append(vec, weighted{id, w})
 		}
-		for _, id := range ids {
-			norms[id] += uv[id] * uv[id]
-		}
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				a, b := ids[i], ids[j]
-				if a > b {
-					a, b = b, a
-				}
-				m, ok := dot[a]
-				if !ok {
-					m = make(map[uint64]float64)
-					dot[a] = m
-				}
-				m[b] += uv[ids[i]] * uv[ids[j]]
+		slices.SortFunc(vec, byID)
+		cf.owned[user] = vec
+	}
+	slices.Sort(users)
+	norms := make(map[uint64]float64)
+	dot := make(map[[2]uint64]float64) // {a, b} with a < b
+	for _, user := range users {
+		vec := cf.owned[user]
+		for i, a := range vec {
+			norms[a.id] += a.w * a.w
+			for _, b := range vec[i+1:] {
+				dot[[2]uint64{a.id, b.id}] += a.w * b.w
 			}
 		}
 	}
-	itemSet := make(map[uint64]bool)
-	for id := range norms {
-		itemSet[id] = true
-		cf.items = append(cf.items, id)
+	for pair, d := range dot {
+		a, b := pair[0], pair[1]
+		s := d / (math.Sqrt(norms[a])*math.Sqrt(norms[b]) + 1e-12)
+		cf.sim[a] = append(cf.sim[a], weighted{b, s})
+		cf.sim[b] = append(cf.sim[b], weighted{a, s})
 	}
-	sort.Slice(cf.items, func(i, j int) bool { return cf.items[i] < cf.items[j] })
-	for a, m := range dot {
-		for b, d := range m {
-			s := d / (math.Sqrt(norms[a])*math.Sqrt(norms[b]) + 1e-12)
-			addSim(cf.sim, a, b, s)
-			addSim(cf.sim, b, a, s)
-		}
+	for _, near := range cf.sim {
+		slices.SortFunc(near, byID)
 	}
 	return cf
-}
-
-func addSim(sim map[uint64]map[uint64]float64, a, b uint64, s float64) {
-	m, ok := sim[a]
-	if !ok {
-		m = make(map[uint64]float64)
-		sim[a] = m
-	}
-	m[b] = s
 }
 
 // Name implements Recommender.
@@ -176,14 +174,14 @@ func (cf *ItemCF) Name() string { return "item-cf" }
 
 // Recommend implements Recommender.
 func (cf *ItemCF) Recommend(userID uint64, k int) []Scored {
-	uv := cf.userVec[userID]
+	owned := cf.owned[userID]
 	scores := make(map[uint64]float64)
-	for owned, w := range uv {
-		for other, s := range cf.sim[owned] {
-			if _, has := uv[other]; has {
+	for _, o := range owned {
+		for _, n := range cf.sim[o.id] {
+			if _, has := slices.BinarySearchFunc(owned, n, byID); has {
 				continue
 			}
-			scores[other] += w * s
+			scores[n.id] += o.w * n.w
 		}
 	}
 	out := make([]Scored, 0, len(scores))

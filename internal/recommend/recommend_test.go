@@ -1,6 +1,8 @@
 package recommend
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"arbd/internal/geo"
@@ -61,12 +63,65 @@ func TestItemCFSymmetricSimilarity(t *testing.T) {
 		{UserID: 1, ItemID: 1, Weight: 1}, {UserID: 1, ItemID: 2, Weight: 1},
 	}
 	cf := NewItemCF(log)
-	if cf.sim[1][2] != cf.sim[2][1] {
-		t.Fatalf("similarity asymmetric: %v vs %v", cf.sim[1][2], cf.sim[2][1])
+	if similarity(cf, 1, 2) != similarity(cf, 2, 1) {
+		t.Fatalf("similarity asymmetric: %v vs %v", similarity(cf, 1, 2), similarity(cf, 2, 1))
 	}
-	if cf.sim[1][2] <= 0.99 { // identical vectors → cosine 1
-		t.Fatalf("co-owned similarity = %v, want ~1", cf.sim[1][2])
+	if similarity(cf, 1, 2) <= 0.99 { // identical vectors → cosine 1
+		t.Fatalf("co-owned similarity = %v, want ~1", similarity(cf, 1, 2))
 	}
+}
+
+// similarity reads the trained cosine of items a and b (0 if never co-owned).
+func similarity(cf *ItemCF, a, b uint64) float64 {
+	near := cf.sim[a]
+	if i, ok := slices.BinarySearchFunc(near, weighted{id: b}, byID); ok {
+		return near[i].w
+	}
+	return 0
+}
+
+// TestItemCFIsDeterministic: one log trains one model, bit for bit, and one
+// model ranks every user one way, call after call. Sums taken in map order
+// differ in their last bits from run to run, and so do the rankings.
+func TestItemCFIsDeterministic(t *testing.T) {
+	w := GenerateShoppers(ShopperConfig{Seed: 5, NumUsers: 200, NumItems: 300, EventsPerUser: 12, Center: center})
+	if len(w.Log) != 2400 {
+		t.Fatalf("log holds %d interactions, want 2400", len(w.Log))
+	}
+	first := NewItemCF(w.Log)
+	want := simBits(first)
+	for i := 0; i < 20; i++ {
+		cf := NewItemCF(w.Log)
+		got := simBits(cf)
+		differ := len(got) - len(want)
+		for pair, bits := range want {
+			if got[pair] != bits {
+				differ++
+			}
+		}
+		if differ != 0 {
+			t.Fatalf("retraining %d: %d similarities differ from the first model's", i+1, differ)
+		}
+		for u := uint64(1); u <= 200; u++ {
+			if a, b := first.Recommend(u, 10), cf.Recommend(u, 10); !slices.Equal(a, b) {
+				t.Fatalf("retraining %d, user %d: %v, first model %v", i+1, u, b, a)
+			}
+			if a, b := first.Recommend(u, 10), first.Recommend(u, 10); !slices.Equal(a, b) {
+				t.Fatalf("user %d: one model ranked %v, then %v", u, a, b)
+			}
+		}
+	}
+}
+
+// simBits maps every trained (item, item) pair to its cosine's bits.
+func simBits(cf *ItemCF) map[[2]uint64]uint64 {
+	out := make(map[[2]uint64]uint64)
+	for a, near := range cf.sim {
+		for _, n := range near {
+			out[[2]uint64{a, n.id}] = math.Float64bits(n.w)
+		}
+	}
+	return out
 }
 
 func TestItemCFColdUser(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 	"arbd/internal/ehr"
 	"arbd/internal/geo"
 	"arbd/internal/metrics"
-	"arbd/internal/privacy"
 	"arbd/internal/recommend"
+	"arbd/internal/repro/privacy"
 	"arbd/internal/repro/traffic"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"

@@ -51,33 +51,3 @@ func TestPlanarLaplaceBadEpsilon(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-func TestAccountantEnforcesBudget(t *testing.T) {
-	a := NewAccountant(1.0)
-	if err := a.Spend("alice", 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend("alice", 0.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend("alice", 0.01); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("over-budget spend: %v", err)
-	}
-	if got := a.spent["alice"]; math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("spent = %v", got)
-	}
-	// Other principals unaffected.
-	if err := a.Spend("bob", 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend("bob", 0.09); err != nil {
-		t.Fatalf("bob's remaining budget refused: %v", err)
-	}
-}
-
-func TestAccountantRejectsNonPositive(t *testing.T) {
-	a := NewAccountant(1)
-	if err := a.Spend("x", 0); !errors.Is(err, ErrBadEpsilon) {
-		t.Fatalf("err = %v", err)
-	}
-}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"arbd/internal/geo"
-	"arbd/internal/privacy"
+	"arbd/internal/repro/privacy"
 	"arbd/internal/sim"
 )
 
