@@ -19,6 +19,13 @@ func deltaAnn(id uint64, label string, x, y float64) render.Annotation {
 	}
 }
 
+// keptBase is what a session keeps of a layout as its delta base.
+func keptBase(laid []render.Annotation) []keptAnnotation {
+	s := &Session{}
+	s.keepLayout(laid)
+	return s.base
+}
+
 // deltaFixture is a frame and the annotations of the frame before it,
 // differing by moved fields, a label rewrite, annotation churn (one added,
 // one dropped) and reordering.
@@ -34,10 +41,10 @@ func deltaFixture() ([]render.Annotation, *Frame) {
 	return prevAnns, &Frame{
 		// Annotation 3 dropped; 2 now leads — order and membership both
 		// changed, so the diff walk's cursor has to handle a reorder.
-		Annotations:     []render.Annotation{moved, prevAnns[0], tower},
-		PrevAnnotations: prevAnns,
-		Level:           1,
-		Elapsed:         7 * time.Millisecond,
+		Annotations: []render.Annotation{moved, prevAnns[0], tower},
+		base:        keptBase(prevAnns),
+		Level:       1,
+		Elapsed:     7 * time.Millisecond,
 	}
 }
 
@@ -81,13 +88,13 @@ func TestFrameDeltaApplyReproducesFullEncoding(t *testing.T) {
 // TestFrameDeltaKeyframeAndBaseErrors pins the resync contract: keyframe
 // payloads decode with no base, diff payloads against a missing base fail
 // typed with ErrDeltaBase (the signal that drives WantKeyframe acks), and
-// a frame without PrevAnnotations encodes as a keyframe regardless of what
+// a frame without a delta base encodes as a keyframe regardless of what
 // the caller asked for.
 func TestFrameDeltaKeyframeAndBaseErrors(t *testing.T) {
 	cur := &Frame{
-		Annotations:     []render.Annotation{deltaAnn(7, "pier", 30, 60)},
-		PrevAnnotations: []render.Annotation{deltaAnn(7, "pier", 28, 60)},
-		Elapsed:         3 * time.Millisecond,
+		Annotations: []render.Annotation{deltaAnn(7, "pier", 30, 60)},
+		base:        keptBase([]render.Annotation{deltaAnn(7, "pier", 28, 60)}),
+		Elapsed:     3 * time.Millisecond,
 	}
 	var key, diff, full wire.Buffer
 	EncodeFrameDeltaInto(&key, cur, true)
@@ -115,7 +122,7 @@ func TestFrameDeltaKeyframeAndBaseErrors(t *testing.T) {
 		t.Fatalf("diff with nil base: err = %v, want ErrDeltaBase", err)
 	}
 
-	first := &Frame{Annotations: cur.Annotations, Elapsed: cur.Elapsed} // no PrevAnnotations
+	first := &Frame{Annotations: cur.Annotations, Elapsed: cur.Elapsed} // no base
 	var forced wire.Buffer
 	EncodeFrameDeltaInto(&forced, first, false)
 	if !FrameDeltaIsKeyframe(forced.Bytes()) {

@@ -95,20 +95,20 @@ func FrameDeltaIsKeyframe(p []byte) bool {
 // EncodeFrameDeltaInto appends the frame's delta wire encoding (protocol
 // v4, MsgFrameDelta payload) to buf. With keyframe set — or when the frame
 // carries no usable base — the payload is a flagged full frame. Otherwise
-// it diffs f.Annotations against f.PrevAnnotations, the session's previous
-// layout, which it keeps until this frame's visit has ended: per annotation
-// a field mask selects only the values that moved, and annotations absent
-// from the new frame are dropped implicitly by the walk. Applying the delta
-// to the base reproduces the full encoding byte for byte (the walk
-// preserves annotation order), which is what keeps keyframes and deltas
-// interchangeable downstream.
+// it diffs f.Annotations against the frame's delta base, the encoded
+// fields the session kept of its previous layout, which hold until this
+// frame's visit has ended: per annotation a field mask selects only the
+// values that moved, and annotations absent from the new frame are dropped
+// implicitly by the walk. Applying the delta to the base reproduces the
+// full encoding byte for byte (the walk preserves annotation order), which
+// is what keeps keyframes and deltas interchangeable downstream.
 //
 // The caller decides keyframe cadence; the encoder only forces one when
-// f.PrevAnnotations is nil — a session's first frame, or scratch disabled.
+// the frame has no base — until the session has laid out an annotation.
 //
 //arbd:hotpath
 func EncodeFrameDeltaInto(buf *wire.Buffer, f *Frame, keyframe bool) {
-	if keyframe || f.PrevAnnotations == nil {
+	if keyframe || f.base == nil {
 		buf.Byte(frameDeltaKey)
 		EncodeFrameInto(buf, f)
 		return
@@ -120,7 +120,7 @@ func EncodeFrameDeltaInto(buf *wire.Buffer, f *Frame, keyframe bool) {
 		a := &f.Annotations[i]
 		buf.Uvarint(a.ID)
 		var mask byte
-		p, ok := findAnn(f.PrevAnnotations, &cursor, a.ID)
+		p, ok := findKept(f.base, &cursor, a.ID)
 		if !ok {
 			mask = deltaAll
 		} else {
@@ -177,6 +177,23 @@ func EncodeFrameDeltaInto(buf *wire.Buffer, f *Frame, keyframe bool) {
 	}
 	buf.Uvarint(uint64(f.Level))
 	buf.Uvarint(uint64(f.Elapsed.Nanoseconds()))
+}
+
+// findKept locates the annotation with the given ID in a session's delta
+// base, scanning from a rolling cursor as findAnn does.
+func findKept(base []keptAnnotation, cursor *int, id uint64) (*keptAnnotation, bool) {
+	n := len(base)
+	for k := 0; k < n; k++ {
+		i := *cursor + k
+		if i >= n {
+			i -= n
+		}
+		if base[i].ID == id {
+			*cursor = i + 1
+			return &base[i], true
+		}
+	}
+	return nil, false
 }
 
 // findAnn locates the annotation with the given ID in prev, scanning from a

@@ -82,7 +82,6 @@ func (c *Config) defaults() {
 // Platform is the ARBD convergence system.
 type Platform struct {
 	cfg    Config
-	rng    *sim.Rand
 	reg    *metrics.Registry
 	pois   *geo.Store
 	broker *mq.Broker
@@ -144,7 +143,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 	p := &Platform{
 		cfg:      cfg,
-		rng:      sim.NewRand(cfg.Seed).Child("platform"),
 		reg:      metrics.NewRegistry(),
 		pois:     pois,
 		broker:   mq.NewBroker(mq.WithClock(cfg.clock)),

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"arbd/internal/arml"
 	"arbd/internal/geo"
@@ -64,7 +65,6 @@ func TestFrameScratchEquivalence(t *testing.T) {
 		// Encode the pooled frame before the allocating session renders:
 		// its contents alias scratch the next sp.Frame call will reuse.
 		encP := encodeFrame(fp)
-		jitterP := fp.JitterPx
 		recP := append([]uint64(nil), fp.Recommended...)
 
 		fa, err := sa.Frame(at)
@@ -75,9 +75,6 @@ func TestFrameScratchEquivalence(t *testing.T) {
 		if !bytes.Equal(encP, encA) {
 			t.Fatalf("step %d: pooled and allocating frames encode differently (%d vs %d bytes)",
 				step, len(encP), len(encA))
-		}
-		if jitterP != fa.JitterPx {
-			t.Fatalf("step %d: jitter %v vs %v", step, jitterP, fa.JitterPx)
 		}
 		if len(recP) != len(fa.Recommended) {
 			t.Fatalf("step %d: recommended %d vs %d", step, len(recP), len(fa.Recommended))
@@ -241,24 +238,33 @@ func TestWorkerScratchMatchesSolo(t *testing.T) {
 // TestSessionLiveBytes holds a streaming session's memory budget: on the
 // sparse benchmark city, a session that has tracked and rendered through a
 // worker's scratch keeps at most budget bytes of live heap — tracking state,
-// its one kept layout, gaze map and RNG stream included; a GPS fix leaves
-// nothing on the broker. The budget is the 2,074 B this test measures
-// (go1.24, linux/amd64) plus a 128 B margin.
+// its delta base and gaze map included; a GPS fix leaves nothing on the
+// broker. The budget is the 1,595 B this test measures (go1.24,
+// linux/amd64) plus a 128 B margin.
 func TestSessionLiveBytes(t *testing.T) {
-	if got, budget := sessionLiveBytes(t, 3, 0), int64(2074+128); got > budget {
+	if got, budget := sessionLiveBytes(t, 3, 0), int64(1595+128); got > budget {
 		t.Fatalf("a session keeps %d B of live heap, want ≤ %d", got, budget)
 	}
 }
 
 // TestSessionLiveBytesSweep holds the budget of a long-lived session: 72
 // frames each, the compass turning 5° a frame, so a session's layouts
-// grow and shrink as its view turns. A session keeps one layout, grown to
-// fit its largest, so its memory does not grow with how long it has run.
-// The budget is the 2,816 B this test measures (go1.24, linux/amd64) plus a
-// 128 B margin.
+// grow and shrink as its view turns. A session keeps one delta base, grown
+// to fit its largest layout, so its memory does not grow with how long it
+// has run. The budget is the 1,985 B this test measures (go1.24,
+// linux/amd64) plus a 128 B margin.
 func TestSessionLiveBytesSweep(t *testing.T) {
-	if got, budget := sessionLiveBytes(t, 72, 5), int64(2816+128); got > budget {
+	if got, budget := sessionLiveBytes(t, 72, 5), int64(1985+128); got > budget {
 		t.Fatalf("a session keeps %d B of live heap after a sweep, want ≤ %d", got, budget)
+	}
+}
+
+// TestKeptAnnotationCompact holds the delta base a session keeps between
+// frames to the fields a frame encodes: at most 80 B per annotation, where
+// a kept render.Annotation costs 152 B.
+func TestKeptAnnotationCompact(t *testing.T) {
+	if got := unsafe.Sizeof(keptAnnotation{}); got > 80 {
+		t.Fatalf("a kept annotation is %d B, want ≤ 80", got)
 	}
 }
 

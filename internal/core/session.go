@@ -14,7 +14,6 @@ import (
 	"arbd/internal/geo"
 	"arbd/internal/render"
 	"arbd/internal/sensor"
-	"arbd/internal/sim"
 	"arbd/internal/tracking"
 	"arbd/internal/wire"
 )
@@ -52,10 +51,7 @@ func (d DegradeLevel) String() string {
 type Session struct {
 	ID       uint64
 	platform *Platform
-	// rng is the session's own random stream, carried in its snapshot.
-	// Nothing in the node draws from it.
-	rng *sim.Rand
-	key []byte // broker routing key of its telemetry: session-<id>
+	key      []byte // broker routing key of its telemetry: session-<id>
 
 	mu     sync.Mutex
 	fuser  *tracking.Fuser
@@ -64,12 +60,12 @@ type Session struct {
 	occl   []render.Occluder // shared, read-only platform slice
 
 	level DegradeLevel
-	// lastLayout is the one layout the session keeps between frames
-	// (keepLayout): the jitter input and delta base of its next frame. It
-	// stays nil until a frame lays out an annotation.
-	lastLayout []render.Annotation
-	frames     uint64
-	overruns   uint64
+	// base is what the session keeps of its last layout between frames
+	// (keepLayout): the delta base of its next frame. It stays nil until a
+	// frame lays out an annotation.
+	base     []keptAnnotation
+	frames   uint64
+	overruns uint64
 	// kept is nil only on the fully allocating reference path that
 	// TestFrameScratchEquivalence compares the reusing frames against.
 	kept *keptFrames
@@ -79,7 +75,7 @@ type Session struct {
 }
 
 // keptFrames is what a session keeps of its frames between calls besides
-// its layout (Session.lastLayout), guarded by Session.mu.
+// its delta base (Session.base), guarded by Session.mu.
 type keptFrames struct {
 	frame Frame // the returned *Frame itself is reused
 	// near is the POI set the geo query re-measures while the pose stays
@@ -105,9 +101,22 @@ type FrameScratch struct {
 	rec     []uint64
 	key     []byte                  // analytics key scratch (poi-<id>)
 	hot     []analytics.HeavyHitter // sketch TopK snapshot scratch
-	// prev is Session.Frame's copy of the previous layout, which the
-	// session's own copy no longer holds once the frame is kept.
-	prev []render.Annotation
+	// prev is Session.Frame's copy of the previous frame's delta base,
+	// which the session's own no longer holds once the frame is kept.
+	prev []keptAnnotation
+}
+
+// keptAnnotation is what a session keeps of one laid-out annotation between
+// frames: the fields EncodeFrameInto writes, which are the ones a delta
+// diffs, and nothing the layout only needed on the way (80 bytes against
+// render.Annotation's 152).
+type keptAnnotation struct {
+	ID     uint64
+	Label  string
+	X, Y   float64
+	W, H   float64
+	Anchor geo.Point
+	XRay   bool
 }
 
 // NewFrameScratch returns an empty frame scratch; its buffers grow to what
@@ -159,7 +168,6 @@ func (p *Platform) buildSession(id uint64) *Session {
 	return &Session{
 		ID:       id,
 		platform: p,
-		rng:      p.rng.Child(key),
 		key:      []byte(key),
 		fuser:    tracking.NewFuser(p.cfg.City.Center, p.pois),
 		gaze:     make(map[uint64]float64),
@@ -282,8 +290,8 @@ func (s *Session) Stats() Stats {
 
 // Frame is one rendered overlay. The struct belongs to the session and
 // stays valid until its next frame. Its slices and maps belong to the
-// scratch the frame was rendered with, or to the session's kept layout:
-// see Session.Frame and Session.FrameVisit for how long each holds.
+// scratch the frame was rendered with: see Session.Frame and
+// Session.FrameVisit for how long each holds.
 type Frame struct {
 	Time time.Time
 	Pose sensor.Pose
@@ -297,17 +305,15 @@ type Frame struct {
 	Recommended []uint64
 	Elapsed     time.Duration
 	Level       DegradeLevel
-	JitterPx    float64
 	// Index counts the session's frames: the Nth rendered frame has Index N.
 	// Delta encoders key off it — two frames diff cleanly only when their
 	// indices are consecutive (an interleaved render for another consumer
-	// replaces the session's kept layout and invalidates PrevAnnotations as
-	// a delta base).
+	// replaces the session's delta base).
 	Index uint64
-	// PrevAnnotations is the previous frame's laid-out overlay, the layout
-	// the session kept: the frame's jitter input and delta base. It is nil
-	// until the session has laid out an annotation.
-	PrevAnnotations []render.Annotation
+	// base is the previous frame's layout as the session kept it: the
+	// frame's delta base. It is nil until the session has laid out an
+	// annotation.
+	base []keptAnnotation
 }
 
 // Frame runs the per-frame pipeline at the fused pose and returns the
@@ -315,8 +321,8 @@ type Frame struct {
 // degrade the next frame; if comfortably under budget, recover.
 //
 // Frame renders with a scratch the session makes on the first call and
-// keeps, and copies PrevAnnotations into it before the session keeps the
-// new layout, so the whole returned *Frame — the struct itself, its slices
+// keeps, and copies the frame's delta base into it before the session keeps
+// the new one, so the whole returned *Frame — the struct itself, its slices
 // and its maps — stays valid until the session's next Frame call, and no
 // longer: consume (or deep-copy) a frame before requesting the next one.
 // A frame rendered through FrameVisit in between replaces the struct too.
@@ -332,11 +338,11 @@ func (s *Session) Frame(now time.Time) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Keeping the new layout overwrites the previous one, which the caller
+	// Keeping the new layout overwrites the delta base, which the caller
 	// still reads. An empty one has nothing to overwrite.
-	if len(f.PrevAnnotations) > 0 {
-		s.own.prev = append(s.own.prev[:0], f.PrevAnnotations...)
-		f.PrevAnnotations = s.own.prev
+	if len(f.base) > 0 {
+		s.own.prev = append(s.own.prev[:0], f.base...)
+		f.base = s.own.prev
 	}
 	s.keepLayout(f.Annotations)
 	return f, nil
@@ -351,12 +357,13 @@ func (s *Session) Frame(now time.Time) (*Frame, error) {
 // back into the session.
 //
 // Inside visit every field of the frame is valid. Once visit returns, the
-// session keeps a copy of the layout, which overwrites PrevAnnotations.
-// After FrameVisit returns, the struct stays valid until the session's
-// next frame, with Annotations pointing at the session's copy and
-// PrevAnnotations nil; TagsFor and Recommended live in sc and are valid
-// only inside visit. sc must not render two frames at once: a scheduler
-// worker lends its one scratch to every frame it runs.
+// session keeps the layout's encoded fields as its next delta base, which
+// overwrites this frame's. After FrameVisit returns, the struct stays valid
+// until the session's next frame, but Annotations is nil: the layout lived
+// in sc, as TagsFor and Recommended do, and is valid only inside visit. A
+// caller that wants the layout afterwards copies it inside visit. sc must
+// not render two frames at once: a scheduler worker lends its one scratch
+// to every frame it runs.
 //
 //arbd:hotpath
 func (s *Session) FrameVisit(now time.Time, sc *FrameScratch, visit func(*Frame)) error {
@@ -368,26 +375,30 @@ func (s *Session) FrameVisit(now time.Time, sc *FrameScratch, visit func(*Frame)
 	}
 	visit(f)
 	s.keepLayout(f.Annotations)
-	f.Annotations, f.PrevAnnotations = s.lastLayout, nil
+	f.Annotations, f.base = nil, nil
 	return nil
 }
 
-// keepLayout copies a frame's layout into the session's one kept copy,
-// the next frame's jitter input and delta base. The copy grows to fit,
-// never doubled: its length never exceeds maxAnnotations. Callers hold
-// s.mu, and nothing reads the frame's PrevAnnotations any more.
+// keepLayout copies the encoded fields of a frame's layout into the
+// session's delta base. The base grows to fit, never doubled: its length
+// never exceeds maxAnnotations. Callers hold s.mu, and nothing reads the
+// frame's base any more.
 //
 //arbd:hotpath
 func (s *Session) keepLayout(laid []render.Annotation) {
-	if cap(s.lastLayout) < len(laid) {
-		// Grow to fit, not to double: the copy outlives the frame.
-		s.lastLayout = slices.Grow(s.lastLayout[:0:0], len(laid))
+	if cap(s.base) < len(laid) {
+		// Grow to fit, not to double: the base outlives the frame.
+		s.base = slices.Grow(s.base[:0:0], len(laid))
 	}
-	s.lastLayout = append(s.lastLayout[:0], laid...)
+	s.base = s.base[:len(laid)]
+	for i := range laid {
+		a := &laid[i]
+		s.base[i] = keptAnnotation{ID: a.ID, Label: a.Label, X: a.X, Y: a.Y, W: a.W, H: a.H, Anchor: a.Anchor, XRay: a.XRay}
+	}
 }
 
 // frameLocked is the frame pipeline, filling sc; callers hold s.mu and
-// keep the frame's layout (keepLayout) once nothing reads PrevAnnotations.
+// keep the frame's layout (keepLayout) once nothing reads its base.
 //
 //arbd:hotpath
 func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
@@ -465,8 +476,8 @@ func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 	}
 	sc.rec = recommended
 
-	// 4. Layout, into the scratch: the session's kept layout stays intact
-	// as the jitter input and delta base until the caller keeps this one.
+	// 4. Layout, into the scratch: the session's delta base stays intact
+	// until the caller keeps this layout.
 	anns := render.AnnotationsMeasuredInto(sc.anns[:0], &from, pois, dists)
 	sc.anns = anns
 	for i := range anns {
@@ -481,7 +492,6 @@ func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 		laid = laid[:maxAnn]
 	}
 	sc.laid = laid
-	jitter := render.Jitter(s.lastLayout, laid)
 
 	elapsed := s.platform.cfg.clock.Since(start)
 	s.frames++
@@ -493,16 +503,15 @@ func (s *Session) frameLocked(now time.Time, sc *FrameScratch) (*Frame, error) {
 	// last steady-state heap allocation of the hot path.
 	f := &kept.frame
 	*f = Frame{
-		Time:            now,
-		Pose:            pose,
-		Annotations:     laid,
-		TagsFor:         tags,
-		Recommended:     recommended,
-		Elapsed:         elapsed,
-		Level:           s.level,
-		JitterPx:        jitter,
-		Index:           s.frames,
-		PrevAnnotations: s.lastLayout,
+		Time:        now,
+		Pose:        pose,
+		Annotations: laid,
+		TagsFor:     tags,
+		Recommended: recommended,
+		Elapsed:     elapsed,
+		Level:       s.level,
+		Index:       s.frames,
+		base:        s.base,
 	}
 	return f, nil
 }
@@ -548,8 +557,8 @@ func (s *Session) contextMetrics(sc *FrameScratch, poi *geo.POI, hottest []analy
 func (s *Session) GazeTargets() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]uint64, 0, len(s.lastLayout))
-	for _, a := range s.lastLayout {
+	out := make([]uint64, 0, len(s.base))
+	for _, a := range s.base {
 		out = append(out, a.ID)
 	}
 	return out

@@ -1,11 +1,11 @@
 // Session state snapshot/restore: the serialization layer under live
 // session migration. When a shard drains (or the ring remaps a session to
 // a new owner), the session's mutable state — tracking solution, gaze
-// dwell, degradation level and RNG stream position — is exported as one
-// payload, shipped through the router inside a MsgMigrateSession envelope,
-// and imported into the destination platform's registry. The destination
-// then serves frames indistinguishable from the source's next frame: no
-// sensor re-warm, no RNG stream reset. Telemetry is not part of it: every
+// dwell and degradation level — is exported as one payload, shipped
+// through the router inside a MsgMigrateSession envelope, and imported
+// into the destination platform's registry. The destination then serves
+// frames indistinguishable from the source's next frame: no sensor
+// re-warm. Telemetry is not part of it: every
 // record is on the source's broker by the time its sensor call returned,
 // and the destination publishes what arrives after the import.
 package core
@@ -14,27 +14,21 @@ import (
 	"fmt"
 	"slices"
 
-	"arbd/internal/sim"
 	"arbd/internal/tracking"
 	"arbd/internal/wire"
 )
 
-// sessionSnapshotV2 is the snapshot format version byte. Bump on any
+// sessionSnapshotV3 is the snapshot format version byte. Bump on any
 // layout change; decoders reject versions they don't know (migrations run
 // between same-build nodes, so fail-closed beats best-effort). Version 1
-// also carried buffered telemetry: refusing it keeps a mixed-build
-// migration from silently dropping those records.
-const sessionSnapshotV2 = 2
+// also carried buffered telemetry and version 2 a session RNG stream
+// position: refusing them keeps a mixed-build migration from misreading
+// either.
+const sessionSnapshotV3 = 3
 
-// Decode bounds: a corrupt count must not pre-allocate unbounded memory —
-// or, for the RNG draw count, spin unbounded CPU: a restored stream
-// replays draw by draw on its first draw, so the bound caps replay at well
-// under a second while sitting orders of magnitude above any real session
-// (the serving node draws nothing from a session's stream).
-const (
-	maxSnapshotGazeEntries = 1 << 20
-	maxSnapshotRNGDraws    = 1 << 28
-)
+// maxSnapshotGazeEntries bounds a decoded gaze count: a corrupt count must
+// not pre-allocate unbounded memory.
+const maxSnapshotGazeEntries = 1 << 20
 
 // EncodeSnapshotInto appends the session's complete mutable state to buf.
 // Callers treat a snapshotted session as retired and detach it: anything it
@@ -43,14 +37,11 @@ func (s *Session) EncodeSnapshotInto(buf *wire.Buffer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	buf.Byte(sessionSnapshotV2)
+	buf.Byte(sessionSnapshotV3)
 	buf.Uvarint(s.ID)
 	buf.Uvarint(uint64(s.level))
 	buf.Uvarint(s.frames)
 	buf.Uvarint(s.overruns)
-
-	buf.Varint(s.rng.Seed())
-	buf.Uvarint(s.rng.Draws())
 
 	// Gaze entries go in ascending ID, so the bytes are a function of the
 	// session's state, not of map order.
@@ -99,7 +90,7 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 	if err != nil {
 		return fail(err, "version")
 	}
-	if version != sessionSnapshotV2 {
+	if version != sessionSnapshotV3 {
 		return nil, fmt.Errorf("core: unknown session snapshot version %d", version)
 	}
 	id, err := r.Uvarint()
@@ -120,17 +111,6 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 	overruns, err := r.Uvarint()
 	if err != nil {
 		return fail(err, "overruns")
-	}
-	rngSeed, err := r.Varint()
-	if err != nil {
-		return fail(err, "rng seed")
-	}
-	rngDraws, err := r.Uvarint()
-	if err != nil {
-		return fail(err, "rng draws")
-	}
-	if rngDraws > maxSnapshotRNGDraws {
-		return nil, fmt.Errorf("core: implausible RNG draw count %d", rngDraws)
 	}
 
 	nGaze, err := r.Uvarint()
@@ -198,7 +178,6 @@ func (p *Platform) RestoreSession(payload []byte) (*Session, error) {
 	}
 
 	s := p.buildSession(id)
-	s.rng = sim.RestoreRand(rngSeed, rngDraws)
 	s.level = DegradeLevel(level)
 	s.frames = frames
 	s.overruns = overruns

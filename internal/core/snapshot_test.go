@@ -41,13 +41,6 @@ func driveSession(t testing.TB, s *Session) {
 		}
 		s.OnIMU(sensor.IMUSample{Time: now.Add(50 * time.Millisecond), GyroZRad: 0.1, AccelMps2: 0.3, CompassDeg: 80})
 	}
-	// Nothing in the node draws from the session's stream: draw here, so
-	// the round-trip carries a non-trivial stream position.
-	s.mu.Lock()
-	for i := 0; i < 30; i++ {
-		s.rng.Float64()
-	}
-	s.mu.Unlock()
 	if err := s.OnGaze(sensor.GazeSample{Time: base.Add(time.Second), TargetID: 12, DwellMS: 2000}); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +74,7 @@ func seedAnalytics(p *Platform, ids []uint64) {
 }
 
 // TestSessionSnapshotRoundTrip pins the migration serialization contract:
-// export → import preserves the RNG stream position, gaze dwell, tracking
-// state, and counters — and
+// export → import preserves gaze dwell, tracking state and counters — and
 // the restored session's next frame is byte-identical to the frame the
 // source would have rendered against the same analytics state (including
 // the sketch-TopK-derived tags).
@@ -151,13 +143,6 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	}
 	if ss, rs := s.fuser.ExportState(), r.fuser.ExportState(); ss.GPSUpdates != rs.GPSUpdates || ss.VisionUpdates != rs.VisionUpdates {
 		t.Fatalf("update counts (%d,%d) restored as (%d,%d)", ss.GPSUpdates, ss.VisionUpdates, rs.GPSUpdates, rs.VisionUpdates)
-	}
-
-	// RNG stream: both sessions must produce the same future sequence.
-	for i := 0; i < 50; i++ {
-		if a, b := s.rng.Float64(), r.rng.Float64(); a != b {
-			t.Fatalf("RNG stream diverged at draw %d: %v vs %v", i, a, b)
-		}
 	}
 
 	// Frame equivalence: against identical analytics state, the restored
@@ -315,8 +300,9 @@ func TestSessionSnapshotRestoredFrameAllocs(t *testing.T) {
 }
 
 // TestSessionSnapshotRejectsCorruptPayloads: truncations and an unknown
-// version — version 1, which carried buffered telemetry, included — must
-// fail typed, never panic or half-import.
+// version — version 1, which carried buffered telemetry, and version 2,
+// which carried an RNG stream position, included — must fail typed, never
+// panic or half-import.
 func TestSessionSnapshotRejectsCorruptPayloads(t *testing.T) {
 	src := snapshotTestPlatform(t)
 	dst := snapshotTestPlatform(t)
@@ -334,7 +320,7 @@ func TestSessionSnapshotRejectsCorruptPayloads(t *testing.T) {
 			t.Fatalf("failed import leaked %d sessions into the registry", got)
 		}
 	}
-	for _, version := range []byte{1, 99} {
+	for _, version := range []byte{1, 2, 99} {
 		bad := append([]byte(nil), full...)
 		bad[0] = version
 		want := fmt.Sprintf("unknown session snapshot version %d", version)
@@ -343,18 +329,17 @@ func TestSessionSnapshotRejectsCorruptPayloads(t *testing.T) {
 		}
 	}
 
-	// An implausible RNG draw count must be rejected before restore spins
-	// replaying it: rebuild the snapshot prefix with a huge draws field.
+	// An implausible gaze count must be rejected before restore allocates
+	// for it: rebuild the snapshot prefix with a huge count field.
 	var forged wire.Buffer
-	forged.Byte(sessionSnapshotV2)
+	forged.Byte(sessionSnapshotV3)
 	forged.Uvarint(s.ID + 1000) // fresh ID
 	forged.Uvarint(0)           // level
 	forged.Uvarint(0)           // frames
 	forged.Uvarint(0)           // overruns
-	forged.Varint(1)            // rng seed
-	forged.Uvarint(1 << 50)     // rng draws: would replay for years
-	if _, err := dst.RestoreSession(forged.Bytes()); err == nil || !strings.Contains(err.Error(), "RNG draw count") {
-		t.Fatalf("implausible RNG draw count not rejected: %v", err)
+	forged.Uvarint(1 << 50)     // gaze entries
+	if _, err := dst.RestoreSession(forged.Bytes()); err == nil || !strings.Contains(err.Error(), "gaze entry count") {
+		t.Fatalf("implausible gaze entry count not rejected: %v", err)
 	}
 }
 
@@ -369,7 +354,7 @@ func FuzzRestoreSession(f *testing.F) {
 	s.EncodeSnapshotInto(&buf)
 	p.DetachSession(s.ID)
 	f.Add(append([]byte(nil), buf.Bytes()...))
-	f.Add([]byte{sessionSnapshotV2})
+	f.Add([]byte{sessionSnapshotV3})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		s, err := p.RestoreSession(payload)
 		if err != nil {

@@ -65,11 +65,15 @@ const (
 	bucketFloor = float64(time.Microsecond)
 )
 
+// logBucketBase is math.Log(bucketBase), computed once rather than on every
+// Observe.
+var logBucketBase = math.Log(bucketBase)
+
 func bucketFor(d time.Duration) int {
 	if d < time.Microsecond {
 		return 0
 	}
-	idx := int(math.Log(float64(d)/bucketFloor) / math.Log(bucketBase))
+	idx := int(math.Log(float64(d)/bucketFloor) / logBucketBase)
 	if idx < 0 {
 		return 0
 	}
@@ -175,6 +179,18 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	// all lists every instrument in registration order. It is only ever
+	// appended to, so a snapshot reads the entries it captured under mu
+	// without holding it.
+	all []registered
+}
+
+// registered is one instrument of a registry; exactly one handle is set.
+type registered struct {
+	name string
+	c    *Counter
+	g    *Gauge
+	h    *Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -191,6 +207,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
+		r.all = append(r.all, registered{name: name, c: c})
 	}
 	return c
 }
@@ -206,6 +223,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
+		r.all = append(r.all, registered{name: name, g: g})
 	}
 	return g
 }
@@ -222,6 +240,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if !ok {
 		h = &Histogram{}
 		r.histograms[name] = h
+		r.all = append(r.all, registered{name: name, h: h})
 	}
 	return h
 }
@@ -262,52 +281,37 @@ type Instrument struct {
 // stable-sorted by name (then kind, for the unlikely case of one name
 // registered as two kinds). Consumers that render or export metrics — the
 // Prometheus encoder, arbd-top — read this typed form instead of parsing
-// strings. Instrument handles are captured under one registry lock,
-// then values are read without it, so a snapshot never blocks writers for
-// longer than the map copy.
-//
-// A snapshot costs two allocations whatever the registry holds: the result
-// and the captured handles.
-func (r *Registry) Snapshot() []Instrument {
-	// handle is one captured instrument; exactly one field is set.
-	type handle struct {
-		c *Counter
-		g *Gauge
-		h *Histogram
-	}
+// strings. It costs one allocation, the result: callers that snapshot
+// repeatedly keep a buffer and call SnapshotInto.
+func (r *Registry) Snapshot() []Instrument { return r.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot writing into dst's storage from length zero: it
+// allocates only when dst is too short for the registry. The instrument
+// list is captured under the registry lock and values are read without
+// it, so a snapshot never blocks writers for longer than a slice copy.
+func (r *Registry) SnapshotInto(dst []Instrument) []Instrument {
 	r.mu.Lock()
-	n := len(r.counters) + len(r.gauges) + len(r.histograms)
-	out := make([]Instrument, 0, n)
-	handles := make([]handle, 0, n)
-	for name, c := range r.counters {
-		out = append(out, Instrument{Name: name, Kind: KindCounter})
-		handles = append(handles, handle{c: c})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Instrument{Name: name, Kind: KindGauge})
-		handles = append(handles, handle{g: g})
-	}
-	for name, h := range r.histograms {
-		out = append(out, Instrument{Name: name, Kind: KindHistogram})
-		handles = append(handles, handle{h: h})
-	}
+	all := r.all
 	r.mu.Unlock()
 
-	for i, hd := range handles {
-		switch {
+	dst = slices.Grow(dst[:0], len(all))
+	for i := range all {
+		in := Instrument{Name: all[i].name}
+		switch hd := &all[i]; {
 		case hd.c != nil:
-			out[i].Counter = hd.c.Value()
+			in.Kind, in.Counter = KindCounter, hd.c.Value()
 		case hd.g != nil:
-			out[i].Gauge = hd.g.Value()
+			in.Kind, in.Gauge = KindGauge, hd.g.Value()
 		default:
-			out[i].Hist = hd.h.Snapshot()
+			in.Kind, in.Hist = KindHistogram, hd.h.Snapshot()
 		}
+		dst = append(dst, in)
 	}
-	slices.SortFunc(out, func(a, b Instrument) int {
+	slices.SortFunc(dst, func(a, b Instrument) int {
 		if c := cmp.Compare(a.Name, b.Name); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Kind, b.Kind)
 	})
-	return out
+	return dst
 }

@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -129,6 +132,41 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
+// TestBucketForMatchesFormula pins bucketFor, which divides by a logarithm
+// computed once, to the formula that computes it per call: every duration
+// of a sweep, and every bucket edge and its neighbours a nanosecond either
+// side, must land in the same bucket.
+func TestBucketForMatchesFormula(t *testing.T) {
+	formula := func(d time.Duration) int {
+		if d < time.Microsecond {
+			return 0
+		}
+		idx := int(math.Log(float64(d)/bucketFloor) / math.Log(bucketBase))
+		return max(0, min(idx, numBuckets))
+	}
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := bucketFor(d), formula(d); got != want {
+			t.Fatalf("bucketFor(%d ns) = %d, formula gives %d", int64(d), got, want)
+		}
+	}
+	for i := -1; i <= numBuckets; i++ {
+		edge := time.Duration(bucketFloor)
+		if i >= 0 {
+			edge = bucketUpper(i)
+		}
+		for _, d := range []time.Duration{edge - 1, edge, edge + 1} {
+			check(d)
+		}
+	}
+	for d := time.Duration(0); d < 10*time.Microsecond; d++ {
+		check(d)
+	}
+	for d := 10 * time.Microsecond; d < 2*time.Hour; d += d/97 + 1 {
+		check(d)
+	}
+}
+
 func TestHistogramConcurrentObserve(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
@@ -239,6 +277,54 @@ func TestRegistryDump(t *testing.T) {
 	}
 	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Snapshot = %+v, want %+v", got, want)
+	}
+}
+
+// TestRegistrySnapshotWhileRegistering snapshots a registry into one
+// reused buffer while other goroutines register and update instruments:
+// every snapshot is sorted, never loses an instrument an earlier snapshot
+// held, and the last one holds them all. Run it under -race.
+func TestRegistrySnapshotWhileRegistering(t *testing.T) {
+	const writers, each = 4, 200
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				name := "w" + strconv.Itoa(w) + "." + strconv.Itoa(i)
+				switch i % 3 {
+				case 0:
+					r.Counter(name).Inc()
+				case 1:
+					r.Gauge(name).Set(float64(i))
+				default:
+					r.Histogram(name).Observe(time.Duration(i) * time.Microsecond)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var snap []Instrument
+	for seen, finished := 0, false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		snap = r.SnapshotInto(snap)
+		if len(snap) < seen {
+			t.Fatalf("snapshot holds %d instruments after one held %d", len(snap), seen)
+		}
+		seen = len(snap)
+		if !slices.IsSortedFunc(snap, func(a, b Instrument) int { return strings.Compare(a.Name, b.Name) }) {
+			t.Fatal("snapshot not sorted by name")
+		}
+	}
+	if len(snap) != writers*each {
+		t.Fatalf("final snapshot holds %d instruments, want %d", len(snap), writers*each)
 	}
 }
 

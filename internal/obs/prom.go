@@ -38,10 +38,11 @@ func appendSeconds(dst []byte, d time.Duration) []byte {
 	return strconv.AppendFloat(dst, d.Seconds(), 'g', -1, 64)
 }
 
-// promScratch is one scrape's output buffer plus the sanitized name of the
-// instrument being written. Scrapes reuse them through promBuffers, so a
-// scrape allocates only the registry snapshot.
+// promScratch is one scrape's registry snapshot and output buffer, plus the
+// sanitized name of the instrument being written. Scrapes reuse them
+// through promBuffers, so a steady-state scrape allocates nothing.
 type promScratch struct {
+	snap      []metrics.Instrument
 	out, name []byte
 }
 
@@ -52,12 +53,15 @@ var promBuffers = sync.Pool{New: func() any { return new(promScratch) }}
 // samples, histograms as summaries with 0.5/0.95/0.99 quantile labels plus
 // _sum and _count series. Histogram values are durations and export in
 // seconds with a _seconds name suffix. Instruments come from the typed
-// Registry.Snapshot — nothing here parses Dump output.
+// registry snapshot (Registry.SnapshotInto) — nothing here parses Dump
+// output.
 func WritePrometheus(w io.Writer, reg *metrics.Registry) error {
 	sc := promBuffers.Get().(*promScratch)
 	defer promBuffers.Put(sc)
+	sc.snap = reg.SnapshotInto(sc.snap)
 	b := sc.out[:0]
-	for _, in := range reg.Snapshot() {
+	for i := range sc.snap {
+		in := &sc.snap[i]
 		// Each name is sanitized once and copied into every line it heads.
 		sc.name = appendPromName(sc.name[:0], in.Name)
 		if in.Kind == metrics.KindHistogram {

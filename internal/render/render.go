@@ -376,47 +376,6 @@ func tryPlace(cam Camera, a *Annotation, placed []Annotation) bool {
 	return false
 }
 
-// Jitter measures mean label movement in pixels between two consecutive
-// layouts, matching annotations by ID. Stable layouts score low.
-func Jitter(prev, cur []Annotation) float64 {
-	if len(prev) == 0 || len(cur) == 0 {
-		return 0
-	}
-	var sum float64
-	n := 0
-	// Typical AR overlays hold a few dozen labels at most: a quadratic ID
-	// match is both faster there and allocation-free, which matters on the
-	// frame hot path. Large layouts fall back to the map.
-	if len(prev) <= 64 {
-		for i := range cur {
-			for j := range prev {
-				if prev[j].ID == cur[i].ID {
-					sum += math.Hypot(cur[i].X-prev[j].X, cur[i].Y-prev[j].Y)
-					n++
-					break
-				}
-			}
-		}
-	} else {
-		prevByID := make(map[uint64]*Annotation, len(prev))
-		for i := range prev {
-			prevByID[prev[i].ID] = &prev[i]
-		}
-		for i := range cur {
-			p, ok := prevByID[cur[i].ID]
-			if !ok {
-				continue
-			}
-			sum += math.Hypot(cur[i].X-p.X, cur[i].Y-p.Y)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // AnnotationsFromPOIsInto builds annotations for POIs, prioritised by
 // inverse distance from the viewer (nearer content matters more in AR).
 // Labels anchor at facade viewing height (2-8 m) rather than rooftops so

@@ -153,29 +153,6 @@ func TestLayoutAnchoredPrefersHighPriority(t *testing.T) {
 	}
 }
 
-func TestJitterStableWhenStill(t *testing.T) {
-	anns := denseScene(30)
-	a := LayoutAnchoredInto(nil, nil, cam, pose, anns, nil, LayoutOptions{})
-	b := LayoutAnchoredInto(nil, nil, cam, pose, anns, nil, LayoutOptions{})
-	if j := Jitter(a, b); j != 0 {
-		t.Fatalf("jitter with identical pose = %.2f", j)
-	}
-}
-
-func TestJitterGrowsWithMotion(t *testing.T) {
-	anns := denseScene(30)
-	a := LayoutAnchoredInto(nil, nil, cam, pose, anns, nil, LayoutOptions{})
-	moved := pose
-	moved.HeadingDeg += 2
-	b := LayoutAnchoredInto(nil, nil, cam, moved, anns, nil, LayoutOptions{})
-	if j := Jitter(a, b); j <= 0 {
-		t.Fatalf("jitter after turn = %.2f, want > 0", j)
-	}
-	if j := Jitter(nil, b); j != 0 {
-		t.Fatal("jitter against empty prev not 0")
-	}
-}
-
 func TestAnnotationsFromPOIs(t *testing.T) {
 	pois := []geo.POI{poiAt(1, 0, 20, 50), poiAt(2, 0, 200, 50)}
 	anns := AnnotationsFromPOIsInto(nil, pose, pois)

@@ -188,27 +188,6 @@ func TestLayoutAnchoredIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestJitterSmallAndLargePathsAgree pins the allocation-free quadratic
-// path to the map-based fallback.
-func TestJitterSmallAndLargePathsAgree(t *testing.T) {
-	mk := func(n int, dx float64) []Annotation {
-		out := make([]Annotation, n)
-		for i := range out {
-			out[i] = Annotation{ID: uint64(i + 1), X: float64(i)*10 + dx, Y: float64(i) * 5}
-		}
-		return out
-	}
-	// 100 annotations exercises the map path; its 64-element prefix the
-	// quadratic path. Matching IDs move by exactly (3,0) in both.
-	prev, cur := mk(100, 0), mk(100, 3)
-	if got := Jitter(prev, cur); got < 2.99 || got > 3.01 {
-		t.Fatalf("map-path jitter = %v, want 3", got)
-	}
-	if got := Jitter(prev[:40], cur[:40]); got < 2.99 || got > 3.01 {
-		t.Fatalf("quadratic-path jitter = %v, want 3", got)
-	}
-}
-
 // stripSightings returns anns as hand-built annotations have them: nothing
 // carried, everything measured by the layout itself.
 func stripSightings(anns []Annotation) []Annotation {

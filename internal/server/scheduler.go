@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -222,17 +223,25 @@ func (fs *FrameScheduler) Submit(sess *core.Session, visit func(*core.Frame), do
 // Frame schedules one frame for the session and blocks for the result. No
 // serving path uses it (connections Submit and reply from the worker);
 // benchmark/layers.go calls it to time the scheduler and discards the
-// frame. The frame comes back after the worker's visit has ended, so only
-// the session's part of it holds: the struct and Annotations (the
-// session's kept copy of the layout), valid until the session's next
-// frame. PrevAnnotations is nil by then: it held only inside the visit.
-// TagsFor and Recommended are the worker's scratch, which its next job
-// reuses: do not read them. Every queued job is answered (worker or
-// Close), so the wait cannot leak.
+// frame. The layout lives in the worker's scratch, which its next job
+// reuses, so Frame copies the struct and its Annotations inside the visit:
+// the returned frame is the caller's. TagsFor and Recommended are left
+// nil, and the frame carries no delta base. Every queued job is answered
+// (worker or Close), so the wait cannot leak.
 func (fs *FrameScheduler) Frame(sess *core.Session) (*core.Frame, error) {
 	var frame *core.Frame
 	reply := make(chan error, 1)
-	if err := fs.Submit(sess, func(f *core.Frame) { frame = f }, func(err error) { reply <- err }); err != nil {
+	visit := func(f *core.Frame) {
+		frame = &core.Frame{
+			Time:        f.Time,
+			Pose:        f.Pose,
+			Annotations: slices.Clone(f.Annotations),
+			Elapsed:     f.Elapsed,
+			Level:       f.Level,
+			Index:       f.Index,
+		}
+	}
+	if err := fs.Submit(sess, visit, func(err error) { reply <- err }); err != nil {
 		return nil, err
 	}
 	err := <-reply

@@ -841,8 +841,8 @@ func (st *frameStream) nextPush(f *core.Frame) (seq uint64, t wire.MsgType, key 
 	if st.delta {
 		// Keyframe on the first push, on request (ack resync, outbox
 		// drop), every Nth push, and whenever the session rendered for
-		// someone else in between — f.PrevAnnotations is then not the
-		// frame this stream last pushed, so a diff would corrupt.
+		// someone else in between — the frame's delta base is then not
+		// the frame this stream last pushed, so a diff would corrupt.
 		t = wire.MsgFrameDelta
 		key = st.forceKey.Swap(false) || seq == 1 ||
 			st.sinceKey >= keyframeEvery-1 || f.Index != st.lastIndex+1

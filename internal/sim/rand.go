@@ -8,39 +8,14 @@ import (
 // Rand is a deterministic random stream. It wraps math/rand with helpers the
 // simulators need (gaussian noise, jitter) and supports deriving independent
 // child streams so each component gets its own sequence without global
-// coupling. A stream's position is snapshotable as (seed, draw count) — see
-// Draws and RestoreRand — which is what lets a migrating session carry its
-// RNG stream to another node byte-for-byte.
+// coupling.
 //
 // The math/rand generator (≈5 KB of state) is built on the first draw, not
-// when the stream is made: a stream nobody draws from — a session's, unless
-// it adds privacy noise — costs a few words.
+// when the stream is made: a stream nobody draws from costs a few words.
 type Rand struct {
 	rng  *rand.Rand // nil until the first draw
-	src  countingSource
 	seed int64
 }
-
-// countingSource wraps the math/rand source and counts state advances.
-// Both Int63 and Uint64 advance the underlying generator by exactly one
-// step, so the count alone (with the seed) pins the stream position: a
-// restore replays count steps regardless of which methods consumed them.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
 
 // NewRand returns a stream seeded with seed. Equal seeds yield equal
 // sequences.
@@ -49,38 +24,9 @@ func NewRand(seed int64) *Rand { return &Rand{seed: seed} }
 // gen returns the stream's generator, building it on the first draw.
 func (r *Rand) gen() *rand.Rand {
 	if r.rng == nil {
-		r.build()
+		r.rng = rand.New(rand.NewSource(r.seed))
 	}
 	return r.rng
-}
-
-// build seeds the generator and replays the src.n draws the stream is
-// positioned after. rand.NewSource's result implements Source64
-// (documented); counting at the source level sees every state advance,
-// including the variable number of draws behind Norm/Shuffle.
-func (r *Rand) build() {
-	r.src.src = rand.NewSource(r.seed).(rand.Source64)
-	for i := uint64(0); i < r.src.n; i++ {
-		_ = r.src.src.Uint64() // advance the inner source without recounting
-	}
-	r.rng = rand.New(&r.src)
-}
-
-// Seed returns the seed this stream was created with.
-func (r *Rand) Seed() int64 { return r.seed }
-
-// Draws returns how many times the underlying generator has advanced.
-// (seed, draws) identifies the stream position exactly.
-func (r *Rand) Draws() uint64 { return r.src.n }
-
-// RestoreRand returns a stream positioned as if draws values had already
-// been consumed from NewRand(seed): the next value equals what the
-// original stream would produce next. The first draw replays the stream,
-// O(draws) — cheap for the per-session streams that snapshot (a session
-// draws only for privacy noise), and irrelevant for bulk simulation
-// streams, which never do.
-func RestoreRand(seed int64, draws uint64) *Rand {
-	return &Rand{seed: seed, src: countingSource{n: draws}}
 }
 
 // Child derives an independent stream identified by name. The same

@@ -37,7 +37,7 @@ func TestChildStreamsIndependentAndStable(t *testing.T) {
 	if c1.Int63() != c1b.Int63() {
 		t.Fatal("same (seed, name) child produced different sequences")
 	}
-	if c1.Seed() == c2.Seed() {
+	if c1.seed == c2.seed {
 		t.Fatal("different child names produced equal seeds")
 	}
 }
@@ -132,45 +132,9 @@ func TestShuffleAndPermArePermutations(t *testing.T) {
 	}
 }
 
-// TestRestoreRandResumesStream pins the snapshot contract migration leans
-// on: (seed, Draws()) restores a stream whose future output is identical
-// to the original's, even after helpers that consume a variable number of
-// underlying draws (Norm, Shuffle, rejection-sampled Intn).
-func TestRestoreRandResumesStream(t *testing.T) {
-	r := NewRand(99)
-	_ = r.Float64()
-	_ = r.Norm(0, 2)
-	perm := make([]int, 17)
-	r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	_ = r.Intn(1000)
-	_ = r.Uniform(-5, 5)
-	draws := r.Draws()
-	if draws == 0 {
-		t.Fatal("no draws counted")
-	}
-
-	clone := RestoreRand(99, draws)
-	if clone.Draws() != draws {
-		t.Fatalf("restored Draws() = %d, want %d", clone.Draws(), draws)
-	}
-	for i := 0; i < 100; i++ {
-		if a, b := r.Float64(), clone.Float64(); a != b {
-			t.Fatalf("stream diverged at %d: %v vs %v", i, a, b)
-		}
-		if a, b := r.Norm(1, 3), clone.Norm(1, 3); a != b {
-			t.Fatalf("norm diverged at %d: %v vs %v", i, a, b)
-		}
-	}
-	if r.Draws() != clone.Draws() {
-		t.Fatalf("draw counters diverged: %d vs %d", r.Draws(), clone.Draws())
-	}
-}
-
 // TestRandDefersGeneratorToFirstDraw pins the lazy generator: a stream from
-// NewRand, Child or RestoreRand(seed, 0) holds no math/rand state until its
-// first draw, answers Seed and Draws without building one, and once built
-// draws exactly what math/rand draws from the same seed. A stream restored
-// at n draws continues the original.
+// NewRand or Child holds no math/rand state until its first draw, and once
+// built draws exactly what math/rand draws from the same seed.
 func TestRandDefersGeneratorToFirstDraw(t *testing.T) {
 	const seed = 4242
 	for _, tc := range []struct {
@@ -179,12 +143,8 @@ func TestRandDefersGeneratorToFirstDraw(t *testing.T) {
 		seed int64
 	}{
 		{"NewRand", NewRand(seed), seed},
-		{"Child", NewRand(seed).Child("session-1"), NewRand(seed).Child("session-1").Seed()},
-		{"RestoreRand", RestoreRand(seed, 0), seed},
+		{"Child", NewRand(seed).Child("session-1"), NewRand(seed).Child("session-1").seed},
 	} {
-		if tc.r.Seed() != tc.seed || tc.r.Draws() != 0 {
-			t.Fatalf("%s: Seed %d, Draws %d; want %d, 0", tc.name, tc.r.Seed(), tc.r.Draws(), tc.seed)
-		}
 		if tc.r.rng != nil {
 			t.Fatalf("%s built its generator before the first draw", tc.name)
 		}
@@ -194,22 +154,8 @@ func TestRandDefersGeneratorToFirstDraw(t *testing.T) {
 				t.Fatalf("%s: draw %d = %d, math/rand draws %d", tc.name, i, got, want)
 			}
 		}
-		if tc.r.rng == nil || tc.r.Draws() != 1000 {
-			t.Fatalf("%s: after 1000 draws generator built %v, Draws %d", tc.name, tc.r.rng != nil, tc.r.Draws())
-		}
-	}
-
-	r := NewRand(seed)
-	for i := 0; i < 37; i++ {
-		_ = r.Norm(0, 1)
-	}
-	clone := RestoreRand(seed, r.Draws())
-	if clone.rng != nil || clone.Draws() != r.Draws() {
-		t.Fatalf("restored stream: generator built %v, Draws %d, want unbuilt at %d", clone.rng != nil, clone.Draws(), r.Draws())
-	}
-	for i := 0; i < 100; i++ {
-		if a, b := r.Int63(), clone.Int63(); a != b {
-			t.Fatalf("restored stream diverged at draw %d: %d vs %d", i, a, b)
+		if tc.r.rng == nil {
+			t.Fatalf("%s: generator not built after 1000 draws", tc.name)
 		}
 	}
 }
