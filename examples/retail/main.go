@@ -73,9 +73,6 @@ func main() {
 			}
 		}
 	}
-	if err := platform.WaitAnalyticsIdle(5 * time.Second); err != nil {
-		log.Fatal(err)
-	}
 
 	frame, err := session.Frame(start.Add(time.Minute))
 	if err != nil {

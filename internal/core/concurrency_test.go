@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"arbd/internal/mq"
 	"arbd/internal/recommend"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"
@@ -99,20 +98,19 @@ func TestConcurrentSessionsRace(t *testing.T) {
 	close(stop)
 	obs.Wait()
 
-	if err := p.WaitAnalyticsIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.NumSessions(); got != workers {
 		t.Fatalf("NumSessions = %d, want %d", got, workers)
 	}
-	// Every interaction the workers produced must have reached the
-	// analytics plane: at-least workers*iters explicit ones.
+	// Every interaction the workers produced was folded before its call
+	// returned: workers*iters explicit ones and a sustained gaze every
+	// fifth step.
+	const want = workers * (iters + (iters+4)/5)
 	hot := p.HotPOIs(1)
-	if len(hot) == 0 || hot[0].Count < workers*iters {
-		t.Fatalf("hot POIs = %v, want >= %d interactions", hot, workers*iters)
+	if len(hot) == 0 || hot[0].Count != want {
+		t.Fatalf("hot POIs = %v, want %d interactions", hot, want)
 	}
 }
 
@@ -147,21 +145,68 @@ func TestConcurrentSharedSession(t *testing.T) {
 	}
 }
 
-// fetch reads up to max records of one partition of the interaction topic.
-func fetch(p *Platform, partitionIdx int, offset int64, max int) ([]mq.Record, error) {
-	return p.interactions.FetchInto(nil, partitionIdx, offset, max)
-}
-
-// countRecords counts the records retained on the interaction topic.
-func countRecords(t *testing.T, p *Platform) int {
-	t.Helper()
-	total := 0
-	for pi := 0; pi < telemetryPartitions; pi++ {
-		rs, err := fetch(p, pi, 0, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(rs)
+// TestFoldsRaceFrames: four goroutines fold interactions while four render
+// frames that draw the same POIs' context, under -race. Every fold lands
+// exactly once: the view's sums, the sketch's counts and
+// core.interactions.consumed each equal what was sent.
+func TestFoldsRaceFrames(t *testing.T) {
+	p := newTestPlatform(t, testConfig())
+	near := p.POIs().QueryRadius(center, 200, 0)
+	if len(near) < 8 {
+		t.Fatalf("%d POIs near center, want >= 8", len(near))
 	}
-	return total
+	targets := make([]uint64, 8) // fewer than the sketch's 64 slots: its counts are exact
+	for i := range targets {
+		targets[i] = near[i].ID
+	}
+
+	const folders, renderers = 4, 4
+	const foldsEach, framesEach = 500, 50
+	var wg sync.WaitGroup
+	for w := 0; w < folders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := p.NewSession()
+			for i := 0; i < foldsEach; i++ {
+				if err := s.RecordInteraction(targets[(w+i)%len(targets)], 1); err != nil {
+					t.Errorf("folder %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < renderers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := p.NewSession()
+			if err := s.OnGPS(sensor.GPSFix{Time: sim.Epoch, Position: center, AccuracyM: 3}); err != nil {
+				t.Errorf("renderer %d: %v", w, err)
+				return
+			}
+			for i := 0; i < framesEach; i++ {
+				if _, err := s.Frame(sim.Epoch); err != nil {
+					t.Errorf("renderer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	const sent = folders * foldsEach
+	var sum float64
+	for _, id := range targets {
+		if stats, ok := p.CrowdView().GetKey([]byte(poiKey(id))); ok {
+			sum += stats.Sum
+		}
+	}
+	var counted uint64
+	for _, h := range p.HotPOIs(64) {
+		counted += h.Count
+	}
+	if consumed := p.consumed.Value(); sum != sent || counted != sent || consumed != sent {
+		t.Fatalf("view sum %v, sketch count %d, consumed %d; want %d each", sum, counted, consumed, sent)
+	}
 }

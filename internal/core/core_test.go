@@ -57,27 +57,23 @@ func TestPlatformLifecycle(t *testing.T) {
 	}
 }
 
-// TestAnalyticsPlaneGoroutines: the analytics plane is one goroutine, the
-// interaction consumer, and the crowd pipeline runs on it. Stop leaves none
-// behind.
+// TestAnalyticsPlaneGoroutines: the analytics plane runs no goroutine of
+// its own — every interaction is folded inside its sensor call — so Start
+// adds none and Stop leaves none behind.
 func TestAnalyticsPlaneGoroutines(t *testing.T) {
 	p := newTestPlatform(t, testConfig())
 	baseline := runtime.NumGoroutine()
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if grew := runtime.NumGoroutine() - baseline; grew != 1 {
-		t.Fatalf("Start added %d goroutines, want 1", grew)
+	if grew := runtime.NumGoroutine() - baseline; grew != 0 {
+		t.Fatalf("Start added %d goroutines, want 0", grew)
 	}
 	if err := p.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	// Stop returns once the consumer is past its last step; its exit
-	// follows.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Stop, want %d", runtime.NumGoroutine(), baseline)
-		}
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Fatalf("%d goroutines after Stop, want %d", n, baseline)
 	}
 }
 
@@ -167,16 +163,60 @@ func TestAnalyticsPlaneTagsCrowdedPOIs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.WaitAnalyticsIdle(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// The windowed sum only lands in the view when the window closes; push
-	// one event an hour later to advance the watermark... but broker
-	// timestamps come from the platform clock, so instead verify via the
-	// hot-POI sketch (updated per event) and the crowd view after drain.
 	hot := p.HotPOIs(3)
 	if len(hot) == 0 || hot[0].Key != poiKey(target) {
 		t.Fatalf("hot POIs = %v, want %s first", hot, poiKey(target))
+	}
+}
+
+// TestInteractionFreshInNextFrame: on a still virtual clock, an interaction
+// recorded between two frames shows in the very next frame's context: its
+// "visits" in contextMetrics, and the crowd tag it fires. Nothing waits for
+// a window to close or for a later record.
+func TestInteractionFreshInNextFrame(t *testing.T) {
+	cfg := testConfig()
+	cfg.clock = sim.NewVirtualClock(sim.Epoch)
+	p := newTestPlatform(t, cfg)
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := p.Stop(); err != nil {
+			t.Error(err)
+		}
+	}()
+	s := p.NewSession()
+	if err := s.OnGPS(sensor.GPSFix{Time: sim.Epoch, Position: center, AccuracyM: 3}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.Frame(sim.Epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Annotations) == 0 || len(f.TagsFor) != 0 {
+		t.Fatalf("first frame: %d annotations, %d tagged POIs; want some, none tagged", len(f.Annotations), len(f.TagsFor))
+	}
+	target := f.Annotations[0].ID
+	if err := s.RecordInteraction(target, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	if f, err = s.Frame(sim.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	if tags := f.TagsFor[target]; len(tags) == 0 || tags[0] != (arml.Tag{Key: "crowd", Value: "busy"}) {
+		t.Fatalf("next frame tags POI %d with %v, want crowd=busy", target, tags)
+	}
+	poi, err := p.POIs().Get(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	m := s.contextMetrics(s.own, &poi, p.HotPOIs(1))
+	visits := m["visits"]
+	s.mu.Unlock()
+	if visits != 1 {
+		t.Fatalf("contextMetrics(POI %d) = %v, want 1 visit", target, m)
 	}
 }
 
@@ -191,10 +231,7 @@ func TestCrowdViewFilledAfterStop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.WaitAnalyticsIdle(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Stop(); err != nil { // drain flushes open windows
+	if err := p.Stop(); err != nil { // nothing to drain: the view was filled by each call
 		t.Fatal(err)
 	}
 	stats, ok := p.CrowdView().GetKey([]byte(poiKey(7)))
@@ -247,6 +284,9 @@ func (c stepClock) Since(t time.Time) time.Duration {
 	return c.vc.Now().Sub(t)
 }
 
+// TestGazeBecomesInteraction: a short glance folds nothing, and one
+// sustained gaze is folded once — one sketch count, one view row of the
+// gaze weight, one consumed interaction.
 func TestGazeBecomesInteraction(t *testing.T) {
 	p := newTestPlatform(t, testConfig())
 	s := p.NewSession()
@@ -254,17 +294,22 @@ func TestGazeBecomesInteraction(t *testing.T) {
 	if err := s.OnGaze(sensor.GazeSample{TargetID: 5, DwellMS: 200}); err != nil {
 		t.Fatal(err)
 	}
+	if n := p.consumed.Value(); n != 0 {
+		t.Fatalf("a glance folded %d interactions, want 0", n)
+	}
 	// Sustained dwell: telemetry.
 	if err := s.OnGaze(sensor.GazeSample{TargetID: 5, DwellMS: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for pi := 0; pi < telemetryPartitions; pi++ {
-		rs, _ := fetch(p, pi, 0, 100)
-		total += len(rs)
+	if n := p.consumed.Value(); n != 1 {
+		t.Fatalf("interactions = %d, want 1", n)
 	}
-	if total != 1 {
-		t.Fatalf("interactions = %d, want 1", total)
+	stats, ok := p.CrowdView().GetKey([]byte(poiKey(5)))
+	if !ok || stats.Count != 1 || stats.Sum != 0.3 {
+		t.Fatalf("crowd view = %+v, %v; want one row of 0.3", stats, ok)
+	}
+	if hot := p.HotPOIs(64); len(hot) != 1 || hot[0].Key != poiKey(5) || hot[0].Count != 1 {
+		t.Fatalf("sketch = %v, want %s once", hot, poiKey(5))
 	}
 }
 

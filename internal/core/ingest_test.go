@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"errors"
-	"math"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 	"unsafe"
@@ -13,39 +10,11 @@ import (
 	"arbd/internal/geo"
 	"arbd/internal/sensor"
 	"arbd/internal/sim"
-	"arbd/internal/wire"
 )
 
-// TestTelemetryRecordsMatchWireBuffer pins the stack encoder to the
-// wire.Buffer encoding interaction records have always had on the broker.
-func TestTelemetryRecordsMatchWireBuffer(t *testing.T) {
-	for _, id := range []uint64{0, 1, 127, 128, 1 << 40, math.MaxUint64} {
-		var in wire.Buffer
-		in.String("poi-" + strconv.FormatUint(id, 10))
-		in.Uvarint(id ^ 0xfff)
-		in.Float64(0.3)
-		got := appendInteraction(nil, id, id^0xfff, 0.3)
-		if !bytes.Equal(got, in.Bytes()) {
-			t.Fatalf("interaction record for %d = %x, want %x", id, got, in.Bytes())
-		}
-		if n := len(got); n > interactionRecordMax {
-			t.Fatalf("interaction record %d bytes > interactionRecordMax %d", n, interactionRecordMax)
-		}
-		key, weight, err := decodeInteraction(got)
-		if err != nil || weight != 0.3 {
-			t.Fatalf("decode = %q, %v, %v", key, weight, err)
-		}
-		if string(key) != "poi-"+strconv.FormatUint(id, 10) {
-			t.Fatalf("decoded key %q for POI %d", key, id)
-		}
-	}
-	if _, _, err := decodeInteraction([]byte{5, 'p'}); err == nil {
-		t.Fatal("truncated interaction record decoded")
-	}
-}
-
 // TestUnknownGazeTarget: a gaze or interaction at an ID that names no POI
-// is refused before it reaches any state keyed by target.
+// is refused before it reaches any state keyed by target, and folds
+// nothing.
 func TestUnknownGazeTarget(t *testing.T) {
 	p := newTestPlatform(t, testConfig())
 	s := p.NewSession()
@@ -65,53 +34,69 @@ func TestUnknownGazeTarget(t *testing.T) {
 	if gazed != 0 {
 		t.Fatalf("gaze map holds %d targets after refused samples", gazed)
 	}
-	if n := countRecords(t, p); n != 0 {
-		t.Fatalf("%d interaction records published for refused targets", n)
+	if n := p.consumed.Value(); n != 0 {
+		t.Fatalf("%d interactions folded for refused targets", n)
+	}
+	if hot := p.HotPOIs(64); len(hot) != 0 {
+		t.Fatalf("sketch holds %v after refused targets", hot)
+	}
+	if _, ok := p.CrowdView().GetKey(appendPOIKey(nil, unknown)); ok {
+		t.Fatal("crowd view holds the unknown target")
+	}
+	p.hotMu.RLock()
+	keys := len(p.keys)
+	p.hotMu.RUnlock()
+	if keys != 0 {
+		t.Fatalf("key table holds %d keys after refused targets", keys)
 	}
 	// A real POI still counts.
 	if err := s.OnGaze(sensor.GazeSample{TargetID: 5, DwellMS: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	if n := countRecords(t, p); n != 1 {
-		t.Fatalf("%d interaction records published for a real target, want 1", n)
+	if n := p.consumed.Value(); n != 1 {
+		t.Fatalf("%d interactions folded for a real target, want 1", n)
 	}
 }
 
-// TestConsumerKeyTableHoldsOnlyPOIs: the consumer interns the key of a POI
-// once and hands the same string back; a key naming no POI — a record that
-// arrived with a migrated session — is copied and never enters the table.
+// TestConsumerKeyTableHoldsOnlyPOIs: the fold makes a POI's key once, on
+// its first interaction, and the sketch and the view share that string; a
+// target naming no POI is refused and never enters the table.
 func TestConsumerKeyTableHoldsOnlyPOIs(t *testing.T) {
 	p := newTestPlatform(t, testConfig())
-	c := &crowdConsumer{p: p, keys: make(map[string]string)}
-	first := c.intern([]byte("poi-7"))
-	second := c.intern([]byte("poi-7"))
-	if first != "poi-7" || unsafe.StringData(first) != unsafe.StringData(second) {
-		t.Fatalf("poi-7 interned as %q then %q, want one shared string", first, second)
-	}
-	for _, key := range []string{"poi-1099511627776", "poi-007", "poi-+7", "7", "not-a-poi"} {
-		if got := c.intern([]byte(key)); got != key {
-			t.Fatalf("intern(%q) = %q", key, got)
+	s := p.NewSession()
+	for i := 0; i < 3; i++ {
+		if err := s.RecordInteraction(7, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(c.keys) != 1 {
-		t.Fatalf("key table holds %d keys, want 1 (only the real POI)", len(c.keys))
+	for _, id := range []uint64{0, 1 << 40, uint64(testConfig().City.NumPOIs) + 1} {
+		if err := s.RecordInteraction(id, 1); !errors.Is(err, geo.ErrPOINotFound) {
+			t.Fatalf("RecordInteraction(%d): err = %v, want ErrPOINotFound", id, err)
+		}
+	}
+	p.hotMu.RLock()
+	key, ok := p.keys[7]
+	n := len(p.keys)
+	p.hotMu.RUnlock()
+	if !ok || key != "poi-7" || n != 1 {
+		t.Fatalf("key table holds %d keys, poi 7 as %q (%v); want only poi-7", n, key, ok)
+	}
+	hot := p.HotPOIs(1)
+	if len(hot) != 1 || unsafe.StringData(hot[0].Key) != unsafe.StringData(key) {
+		t.Fatalf("sketch holds %v, want the key table's poi-7 string", hot)
 	}
 }
 
 // TestIngestSteadyStateAllocs drives a started platform with the
 // sensor_flood mix — 50 % IMU, 48 % gaze dwells that become interactions,
 // 2 % GPS — over 64 sessions and counts every allocation the process makes
-// between the sensor calls and the crowd view: the publish, the broker, the
-// consumer, the sketch and the window. Segment rolls in the broker are
-// the one steady cost, amortised over 1,024 records.
+// between the sensor calls and the crowd view: tracking, the gaze map, the
+// key table, the sketch and the view. Once every key is warm, none.
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	cfg := testConfig()
-	// A still platform clock keeps every record in one window, so the
-	// count covers the per-event path, not window turnover.
-	cfg.clock = sim.NewVirtualClock(sim.Epoch)
 	p := newTestPlatform(t, cfg)
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
@@ -159,12 +144,9 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 			}
 			events++
 		}
-		if err := p.WaitAnalyticsIdle(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
 	}
 	// Warm up: every session's gaze map, the key table, the sketch and the
-	// window state meet every POI; buffers reach their working size.
+	// view meet every POI; buffers reach their working size.
 	run(200_000)
 	const measured = 200_000
 	var before, after runtime.MemStats
@@ -173,8 +155,8 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.Mallocs-before.Mallocs) / measured
 	t.Logf("%.4f allocations, %.1f bytes per event", perEvent, float64(after.TotalAlloc-before.TotalAlloc)/measured)
-	if perEvent > 0.05 {
-		t.Fatalf("ingest allocates %.4f objects per event, want <= 0.05", perEvent)
+	if perEvent > 0 {
+		t.Fatalf("ingest allocates %.4f objects per event, want 0", perEvent)
 	}
 }
 

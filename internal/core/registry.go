@@ -142,7 +142,7 @@ func (p *Platform) ForEachSession(fn func(*Session) bool) { p.sessions.forEach(f
 // DetachSession removes a session from the registry and reports whether it
 // was live. Servers call it when the device disconnects and once a
 // migrating session's snapshot is taken; without it sessions accumulate for
-// the life of the platform. Its telemetry is already on the broker.
+// the life of the platform. Its telemetry is already folded.
 func (p *Platform) DetachSession(id uint64) bool {
 	_, ok := p.sessions.remove(id)
 	return ok

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -15,7 +13,6 @@ import (
 	"arbd/internal/render"
 	"arbd/internal/sensor"
 	"arbd/internal/tracking"
-	"arbd/internal/wire"
 )
 
 // DegradeLevel is the timeliness controller's state: when frames blow the
@@ -51,7 +48,6 @@ func (d DegradeLevel) String() string {
 type Session struct {
 	ID       uint64
 	platform *Platform
-	key      []byte // broker routing key of its telemetry: session-<id>
 
 	mu     sync.Mutex
 	fuser  *tracking.Fuser
@@ -164,11 +160,9 @@ func (p *Platform) SessionOrNew(id uint64) *Session {
 
 // buildSession constructs (but does not register) a session with the ID.
 func (p *Platform) buildSession(id uint64) *Session {
-	key := fmt.Sprintf("session-%d", id)
 	return &Session{
 		ID:       id,
 		platform: p,
-		key:      []byte(key),
 		fuser:    tracking.NewFuser(p.cfg.City.Center, p.pois),
 		gaze:     make(map[uint64]float64),
 		camera:   render.DefaultCamera,
@@ -178,7 +172,7 @@ func (p *Platform) buildSession(id uint64) *Session {
 }
 
 // OnGPS feeds a position fix into tracking. The fix leaves the session only
-// as its fused pose: nothing is published, so a node keeps no log of where
+// as its fused pose: nothing is recorded, so a node keeps no log of where
 // its users have been. It never fails; the error result is kept for
 // callers that treat every sensor call alike.
 func (s *Session) OnGPS(fix sensor.GPSFix) error {
@@ -219,40 +213,54 @@ func (s *Session) OnGaze(sample sensor.GazeSample) error {
 	if sample.DwellMS < 1500 {
 		return nil // only sustained attention becomes telemetry
 	}
-	return s.recordInteraction(sample.TargetID, 0.3)
+	s.recordInteraction(sample.TargetID, 0.3)
+	return nil
 }
 
-// RecordInteraction publishes an explicit user-POI interaction (purchase,
-// check-in, tap) to the analytics plane. A poiID that names no POI is
-// refused with an error wrapping geo.ErrPOINotFound.
+// RecordInteraction folds an explicit user-POI interaction (purchase,
+// check-in, tap) into the analytics the next frame draws. A poiID that
+// names no POI is refused with an error wrapping geo.ErrPOINotFound.
 //
 //arbd:hotpath
 func (s *Session) RecordInteraction(poiID uint64, weight float64) error {
 	if err := s.platform.checkTarget(poiID); err != nil {
 		return err
 	}
-	return s.recordInteraction(poiID, weight)
+	s.recordInteraction(poiID, weight)
+	return nil
 }
 
-// recordInteraction publishes an interaction with a checked target to the
-// broker inside the sensor call that produced it, keyed by the session,
-// through the platform's cached mq.Topic handle: no per-call topic-map
-// lookup. The record is encoded on the stack: the broker copies it. Once
-// the sensor call returns its record is on the broker, so a session
-// snapshot carries no telemetry.
+// recordInteraction folds an interaction with a checked target inside the
+// sensor call that produced it: the POI's key into the trending sketch, one
+// row into the crowd view, then the count. Once the call returns the next
+// frame draws it, so a session snapshot carries no telemetry. It allocates
+// only on the POI's first interaction, for its key.
 //
 //arbd:hotpath
-func (s *Session) recordInteraction(poiID uint64, weight float64) error {
-	var b [interactionRecordMax]byte
-	values := [1][]byte{appendInteraction(b[:0], poiID, s.ID, weight)}
-	_, err := s.platform.interactions.ProduceBatch(s.key, values[:])
-	return err
+func (s *Session) recordInteraction(poiID uint64, weight float64) {
+	p := s.platform
+	p.hotMu.Lock()
+	key := p.keyLocked(poiID)
+	p.hot.Add(key)
+	p.hotMu.Unlock()
+	p.crowd.Apply(analytics.Row{Group: key, Value: weight})
+	p.consumed.Inc()
+}
+
+// keyLocked returns the analytics key of a checked target from the key
+// table, entering it on the POI's first interaction. Callers hold hotMu.
+func (p *Platform) keyLocked(id uint64) string {
+	if key, ok := p.keys[id]; ok {
+		return key
+	}
+	key := string(appendPOIKey(nil, id))
+	p.keys[id] = key
+	return key
 }
 
 // checkTarget reports whether id names a POI of the store. Every gaze and
 // interaction target is checked, so nothing keyed by target — a session's
-// gaze map, the interaction topic, the window state, the crowd view, the
-// consumer's key table — grows past the store.
+// gaze map, the crowd view, the sketch's key table — grows past the store.
 func (p *Platform) checkTarget(id uint64) error {
 	if _, err := p.pois.Get(id); err != nil {
 		return fmt.Errorf("core: interaction target: %w", err)
@@ -567,50 +575,10 @@ func (s *Session) GazeTargets() []uint64 {
 // poiKeyPrefix starts every analytics key: POI 42 groups as "poi-42".
 const poiKeyPrefix = "poi-"
 
-// poiKeyMax is the longest poi-<id> key: the prefix and 20 digits.
-const poiKeyMax = len(poiKeyPrefix) + 20
-
 // appendPOIKey appends the poi-<id> analytics key to dst.
 //
 //arbd:hotpath
 func appendPOIKey(dst []byte, id uint64) []byte {
 	dst = append(dst, poiKeyPrefix...)
 	return strconv.AppendUint(dst, id, 10)
-}
-
-// interactionRecordMax sizes the stack buffer an interaction record is
-// encoded into: the poi-<id> key (one length byte: the key is under 128
-// bytes), the user ID and the weight. The record is encoded field by field
-// as a wire.Buffer would encode it — a length-prefixed key, a uvarint,
-// little-endian float64 bits — so the bytes on the broker do not depend on
-// which encoder wrote them.
-const interactionRecordMax = 1 + poiKeyMax + binary.MaxVarintLen64 + 8
-
-// appendInteraction appends an interaction telemetry record to dst.
-//
-//arbd:hotpath
-func appendInteraction(dst []byte, poiID, user uint64, weight float64) []byte {
-	lenAt := len(dst)
-	dst = appendPOIKey(append(dst, 0), poiID)
-	dst[lenAt] = byte(len(dst) - lenAt - 1)
-	dst = binary.AppendUvarint(dst, user)
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(weight))
-}
-
-// decodeInteraction reads an interaction record's key and weight. The key
-// aliases p.
-//
-//arbd:hotpath
-func decodeInteraction(p []byte) (key []byte, weight float64, err error) {
-	r := wire.NewReader(p)
-	if key, err = r.Bytes8(); err != nil {
-		return nil, 0, r.Err(err, "poi key")
-	}
-	if _, err = r.Uvarint(); err != nil {
-		return nil, 0, r.Err(err, "user")
-	}
-	if weight, err = r.Float64(); err != nil {
-		return nil, 0, r.Err(err, "weight")
-	}
-	return key, weight, nil
 }

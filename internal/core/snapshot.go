@@ -5,9 +5,9 @@
 // through the router inside a MsgMigrateSession envelope, and imported
 // into the destination platform's registry. The destination then serves
 // frames indistinguishable from the source's next frame: no sensor
-// re-warm. Telemetry is not part of it: every
-// record is on the source's broker by the time its sensor call returned,
-// and the destination publishes what arrives after the import.
+// re-warm. Telemetry is not part of it: every interaction is folded into
+// the source's analytics by the time its sensor call returned, and the
+// destination folds what arrives after the import.
 package core
 
 import (

@@ -15,7 +15,7 @@ import (
 // segment arena is only unreferenced, never recycled, so fetched subslices
 // stay valid for as long as the caller holds them.
 func TestFetchedRecordsSurviveRetention(t *testing.T) {
-	b := NewBroker(WithClock(sim.NewVirtualClock(time.Time{})))
+	b := NewBroker(withClock(sim.NewVirtualClock(time.Time{})))
 	defer b.Close()
 	if err := b.CreateTopic("t", TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestFetchedRecordsSurviveRetention(t *testing.T) {
 // reallocates rather than overwriting the neighbouring record's bytes in
 // the shared segment arena.
 func TestFetchedRecordAppendDoesNotClobberNeighbor(t *testing.T) {
-	b := NewBroker(WithClock(sim.NewVirtualClock(time.Time{})))
+	b := NewBroker(withClock(sim.NewVirtualClock(time.Time{})))
 	defer b.Close()
 	if err := b.CreateTopic("t", TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)

@@ -94,8 +94,8 @@ func (t *topic) partitionFor(key []byte) int {
 // Option configures a Broker.
 type Option func(*Broker)
 
-// WithClock sets the clock used to timestamp records (default: wall clock).
-func WithClock(c sim.Clock) Option {
+// withClock sets the clock used to timestamp records (default: wall clock).
+func withClock(c sim.Clock) Option {
 	return func(b *Broker) { b.clock = c }
 }
 

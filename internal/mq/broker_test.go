@@ -14,7 +14,7 @@ import (
 
 func newTestBroker(t *testing.T, partitions int) *Broker {
 	t.Helper()
-	b := NewBroker(WithClock(sim.NewVirtualClock(time.Time{})))
+	b := NewBroker(withClock(sim.NewVirtualClock(time.Time{})))
 	if err := b.CreateTopic("events", TopicConfig{Partitions: partitions}); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestGroupPollAndCommit(t *testing.T) {
 	if len(after) != 0 {
 		t.Fatalf("after commit polled %d, want 0", len(after))
 	}
-	lag, err := g.Lag()
+	lag, err := g.lag()
 	if err != nil || lag != 0 {
 		t.Fatalf("lag = %d, %v", lag, err)
 	}
@@ -309,7 +309,7 @@ func TestConsumeProcessesAndCommits(t *testing.T) {
 	var mu sync.Mutex
 	got := 0
 	go func() {
-		_ = g.Consume(ctx, 7, func(recs []Record) error {
+		_ = g.consume(ctx, 7, func(recs []Record) error {
 			mu.Lock()
 			got += len(recs)
 			if got >= total {
@@ -336,7 +336,7 @@ func TestConsumeStopsOnHandlerError(t *testing.T) {
 	g, _ := b.NewGroup("events")
 	_, _ = produce(b, "events", nil, []byte("x"))
 	sentinel := errors.New("boom")
-	err := g.Consume(context.Background(), 10, func([]Record) error { return sentinel })
+	err := g.consume(context.Background(), 10, func([]Record) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
@@ -374,7 +374,7 @@ func TestBrokerCloseReleasesWaiters(t *testing.T) {
 // oldest offset just before another group's commit releases segments; the
 // test sets that committed offset directly.
 func TestGroupSkipsTruncatedRange(t *testing.T) {
-	b := NewBroker(WithClock(sim.NewVirtualClock(time.Time{})))
+	b := NewBroker(withClock(sim.NewVirtualClock(time.Time{})))
 	_ = b.CreateTopic("small", TopicConfig{Partitions: 1})
 	first, _ := b.NewGroup("small")
 	for i := 0; i < segmentSize*4; i++ {

@@ -78,10 +78,9 @@ func (g *Group) Commit(partitionIdx int, offset int64) {
 	}
 }
 
-// Lag returns the total number of records between this group's committed
-// offsets and the topic head across all partitions — the backlog signal
-// lag-aware admission control watches.
-func (g *Group) Lag() (int64, error) {
+// lag returns the total number of records between this group's committed
+// offsets and the topic head across all partitions.
+func (g *Group) lag() (int64, error) {
 	if g.tp.b.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -102,7 +101,7 @@ func (g *Group) Lag() (int64, error) {
 // The scan's starting partition rotates across calls: a fixed start at
 // partition 0 would let a hot partition fill every batch and starve
 // partitions 1..N-1 indefinitely under sustained load, so their lag never
-// drains and the Lag()-driven admission signal is skewed.
+// drains.
 func (g *Group) PollInto(dst []Record, max int) ([]Record, error) {
 	if g.tp.b.closed.Load() {
 		return dst, ErrClosed
@@ -154,14 +153,14 @@ func (g *Group) PollWaitInto(ctx context.Context, dst []Record, max int) ([]Reco
 	}
 }
 
-// Consume runs fn over batches of records until ctx is cancelled or the
+// consume runs fn over batches of records until ctx is cancelled or the
 // broker closes, committing after each successful batch — once per
 // partition the batch touched. If fn returns an error the batch is not
-// committed and Consume returns the error.
+// committed and consume returns the error.
 //
 // The batch slice is reused across iterations: fn must finish with it (or
 // copy what it keeps) before returning.
-func (g *Group) Consume(ctx context.Context, batch int, fn func([]Record) error) error {
+func (g *Group) consume(ctx context.Context, batch int, fn func([]Record) error) error {
 	buf := make([]Record, 0, batch)
 	for {
 		recs, err := g.PollWaitInto(ctx, buf[:0], batch)

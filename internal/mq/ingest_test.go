@@ -327,7 +327,7 @@ func TestProduceBatchEmpty(t *testing.T) {
 func TestRecordTimeSurvivesStorage(t *testing.T) {
 	at := time.Date(2026, 8, 8, 12, 34, 56, 789012345, time.UTC)
 	clk := sim.NewVirtualClock(at)
-	b := NewBroker(WithClock(clk))
+	b := NewBroker(withClock(clk))
 	if err := b.CreateTopic("t", TopicConfig{}); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestConsumedSegmentsReleased(t *testing.T) {
 			wg.Add(1)
 			go func(i int, g *Group) {
 				defer wg.Done()
-				_ = g.Consume(ctx, 128, func(recs []Record) error {
+				_ = g.consume(ctx, 128, func(recs []Record) error {
 					mu.Lock()
 					consumed[i] += len(recs)
 					mu.Unlock()
@@ -468,8 +468,8 @@ func TestConsumedSegmentsReleased(t *testing.T) {
 		produceSegments(t, b, partitions, segs)
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			lagA, _ := groups[0].Lag()
-			lagB, _ := groups[1].Lag()
+			lagA, _ := groups[0].lag()
+			lagB, _ := groups[1].lag()
 			if lagA == 0 && lagB == 0 {
 				break
 			}
@@ -501,7 +501,7 @@ func TestGroupLagAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close()
-	if _, err := g.Lag(); !errors.Is(err, ErrClosed) {
+	if _, err := g.lag(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("lag err = %v, want ErrClosed", err)
 	}
 	if _, err := g.PollInto(nil, 1); !errors.Is(err, ErrClosed) {

@@ -1,7 +1,8 @@
-// Package mq implements the platform's ingestion substrate: an in-memory,
-// partitioned, segmented commit log with topics, consumer groups, and
-// at-least-once delivery — the role Kafka plays in the stream architectures
-// the paper assumes. A log holds only what it still owes a reader: once
+// Package mq is an in-memory, partitioned, segmented commit log with
+// topics, consumer groups, and at-least-once delivery — the role Kafka plays
+// in the stream architectures the paper assumes. The serving node no longer
+// uses it (interactions are folded inside the sensor call); only the
+// benchmark's mq probe does, and the package goes with that probe. A log holds only what it still owes a reader: once
 // every consumer group of a topic has committed past a partition's oldest
 // segments, those segments are released. Commits are a topic's one bound:
 // a topic no group reads keeps everything produced to it.

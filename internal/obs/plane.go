@@ -57,6 +57,7 @@ type PlaneConfig struct {
 //	/debug/arbd/slow?n=K  last K slow-frame exemplar traces, newest first
 type Plane struct {
 	cfg    PlaneConfig
+	rt     *runtimeCollector
 	routes routes
 }
 
@@ -65,7 +66,7 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	if cfg.Registry == nil {
 		cfg.Registry = metrics.NewRegistry()
 	}
-	p := &Plane{cfg: cfg}
+	p := &Plane{cfg: cfg, rt: newRuntimeCollector(cfg.Registry)}
 	p.routes = routes{
 		"/metrics":             p.handleMetrics,
 		"/debug/arbd/metrics":  p.handleMetricsJSON,
@@ -96,9 +97,11 @@ func ServePprof(ln net.Listener) error {
 	return newResponder(rs).serve(ln)
 }
 
-// refreshLoad republishes the node's load signal as a registry gauge so a
-// scrape sees pressure the moment it asks, without a background sampler.
-func (p *Plane) refreshLoad() {
+// refresh republishes the node's load signal and the Go runtime's metrics
+// as registry gauges so a scrape sees them the moment it asks, without a
+// background sampler.
+func (p *Plane) refresh() {
+	p.rt.collect()
 	if p.cfg.Load == nil {
 		return
 	}
@@ -106,7 +109,7 @@ func (p *Plane) refreshLoad() {
 }
 
 func (p *Plane) handleMetrics(w *response, _ url.Values) {
-	p.refreshLoad()
+	p.refresh()
 	w.ctype = "text/plain; version=0.0.4; charset=utf-8"
 	_ = WritePrometheus(w, p.cfg.Registry)
 }
@@ -128,7 +131,7 @@ type instrumentJSON struct {
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 func (p *Plane) handleMetricsJSON(w *response, _ url.Values) {
-	p.refreshLoad()
+	p.refresh()
 	snap := p.cfg.Registry.Snapshot()
 	out := struct {
 		Role        string           `json:"role"`

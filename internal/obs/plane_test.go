@@ -33,6 +33,11 @@ func planeFixture() (*Plane, *metrics.Registry, *Recorder) {
 		},
 		Load: func() int64 { return 123 },
 	})
+	// The fixture's instruments hold still between scrapes, so two serving
+	// paths can be compared byte for byte: its runtime reads land in a
+	// registry nothing serves, and its own runtime gauges stay 0
+	// (TestRuntimeGauges reads them).
+	p.rt = newRuntimeCollector(metrics.NewRegistry())
 	return p, reg, rec
 }
 

@@ -20,7 +20,8 @@ const (
 )
 
 // loadGate is the lag-aware admission rule shared by every role: it turns a
-// backend LoadSignal's consumer backlog into an effective queue-wait
+// backend LoadSignal's backlog (0 from a core platform, which folds each
+// interaction inside its sensor call) into an effective queue-wait
 // deadline. Pressure 1 — backlog at backlogRef — halves the configured
 // deadline, pressure k divides it by 1+k, and the floor is deadline/16. The
 // FrameScheduler applies it to its own platform's signal, the Router to

@@ -1,8 +1,10 @@
-// Package stream implements the platform's stream-processing engine: keyed
-// event streams with event-time semantics, watermark-driven tumbling windows
-// with incremental aggregation, and a source → window → sink pipeline that
-// runs on the goroutine pushing into it. It plays the role Flink-class
-// systems play in the big-data architectures the paper assumes.
+// Package stream is a stream-processing engine: keyed event streams with
+// event-time semantics, watermark-driven tumbling windows with incremental
+// aggregation, and a source → window → sink pipeline that runs on the
+// goroutine pushing into it. It plays the role Flink-class systems play in
+// the big-data architectures the paper assumes. The serving node no longer
+// uses it (the crowd view is folded per interaction); only the benchmark's
+// window probe does, and the package goes with that probe.
 package stream
 
 import (

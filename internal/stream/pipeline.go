@@ -34,8 +34,8 @@ type Pipeline struct {
 // PipelineOption configures a pipeline.
 type PipelineOption func(*Pipeline)
 
-// WithRegistry points the pipeline's metrics at an external registry.
-func WithRegistry(r *metrics.Registry) PipelineOption {
+// withRegistry points the pipeline's metrics at an external registry.
+func withRegistry(r *metrics.Registry) PipelineOption {
 	return func(p *Pipeline) { p.reg = r }
 }
 

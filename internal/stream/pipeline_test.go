@@ -259,7 +259,7 @@ func TestPipelineMatchesPartitionedWindows(t *testing.T) {
 		}
 
 		reg := metrics.NewRegistry()
-		p := NewPipeline("t", WithRegistry(reg))
+		p := NewPipeline("t", withRegistry(reg))
 		sink := &collectSink{}
 		p.Source("in").
 			Window("sum10", partitions, Tumbling(10*time.Second), Sum()).
