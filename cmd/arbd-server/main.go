@@ -15,8 +15,9 @@
 // and two more sit in front of them:
 //
 //	router     — owns client connections; places sessions on shards by a
-//	             rendezvous ring and forwards envelopes, shedding frames
-//	             early when a shard's pushed LoadSignal reports pressure
+//	             rendezvous ring and forwards envelopes, shedding a frame
+//	             request before the hop once its shard has fallen a whole
+//	             admission deadline behind
 //	admin      — one-shot control-plane client: join/drain shards against
 //	             a router's admin endpoint, or print the membership
 //

@@ -1,8 +1,8 @@
 // Command arbd-top is a live terminal view over one or more arbd-server
 // introspection planes (the `-obs` endpoints): per-node frame and push
-// rates, shed and drop rates, p99 frame latency and analytics backlog,
-// plus the slowest recent frames with their stage blame — the flight
-// recorder's answer to "where did that frame's time go".
+// rates, shed and drop rates and p99 frame latency, plus the slowest
+// recent frames with their stage blame — the flight recorder's answer to
+// "where did that frame's time go".
 //
 // Usage:
 //
@@ -76,14 +76,13 @@ type sample struct {
 	role     string
 	node     uint64
 	counters map[string]float64
-	gauges   map[string]float64
 	p99      map[string]float64 // histogram p99, microseconds
 	slow     slowResponse
 	err      error
 }
 
 func scrape(client *http.Client, addr string, slowN int) sample {
-	s := sample{at: time.Now(), counters: map[string]float64{}, gauges: map[string]float64{}, p99: map[string]float64{}}
+	s := sample{at: time.Now(), counters: map[string]float64{}, p99: map[string]float64{}}
 	var mr metricsResponse
 	if s.err = getJSON(client, "http://"+addr+"/debug/arbd/metrics", &mr); s.err != nil {
 		return s
@@ -93,8 +92,6 @@ func scrape(client *http.Client, addr string, slowN int) sample {
 		switch in.Kind {
 		case "counter":
 			s.counters[in.Name] += in.Value
-		case "gauge":
-			s.gauges[in.Name] = in.Value
 		case "histogram":
 			s.p99[in.Name] = in.P99US
 		}
@@ -176,13 +173,13 @@ func run() error {
 
 func render(targets []string, prev, cur []sample, slowN int) {
 	tbl := metrics.NewTable(fmt.Sprintf("arbd-top  %s", time.Now().Format("15:04:05")),
-		"node", "addr", "frames/s", "push/s", "shed/s", "drop/s", "frame p99", "backlog")
+		"node", "addr", "frames/s", "push/s", "shed/s", "drop/s", "frame p99")
 	var slow []trace
 	slowNode := map[int]string{}
 	for i, a := range targets {
 		p, c := prev[i], cur[i]
 		if c.err != nil {
-			tbl.AddRow("-", a, "-", "-", "-", "-", "-", "-", fmt.Sprintf("unreachable: %v", c.err))
+			tbl.AddRow("-", a, "-", "-", "-", "-", "-", fmt.Sprintf("unreachable: %v", c.err))
 			continue
 		}
 		node := c.role
@@ -200,8 +197,7 @@ func render(targets []string, prev, cur []sample, slowN int) {
 			fmt.Sprintf("%.1f", rate(p, c, "server.stream.pushes")),
 			fmt.Sprintf("%.1f", rate(p, c, "server.frames.shed", "server.stream.shed", "router.frames.shed")),
 			fmt.Sprintf("%.1f", rate(p, c, "server.stream.dropped", "router.pushes.dropped")),
-			fmt.Sprintf("%.2fms", c.p99["obs.frame.total"]/1000),
-			fmt.Sprintf("%.0f", c.gauges["core.load.backlog"]))
+			fmt.Sprintf("%.2fms", c.p99["obs.frame.total"]/1000))
 		for j := range c.slow.Records {
 			slowNode[len(slow)] = node
 			slow = append(slow, c.slow.Records[j])

@@ -6,16 +6,19 @@ import (
 	"arbd/internal/wire"
 )
 
-// EncodeLoadSignalInto appends sig's wire form to buf — the payload of a
-// wire.MsgLoad envelope. Shard nodes push it periodically over backend
-// connections so a router can run the same lag-aware admission it would run
-// in-process, against remote pressure.
-func EncodeLoadSignalInto(buf *wire.Buffer, sig LoadSignal) {
-	buf.Uvarint(uint64(sig.FlushLatency))
-	buf.Varint(sig.Backlog)
+// LoadSignal is the payload of a retired wire.MsgLoad envelope, the
+// backend-pressure report shards once pushed to routers. No node sends it
+// any more: telemetry is folded inside the sensor call, so there is no
+// backlog and no batch flush to report. Only the benchmark generator still
+// decodes it; it goes with DecodeLoadSignal and the message type's name in
+// the benchmark change that stops reading it (ROADMAP item 1).
+type LoadSignal struct {
+	FlushLatency time.Duration
+	Backlog      int64
 }
 
-// DecodeLoadSignal parses an encoded LoadSignal.
+// DecodeLoadSignal parses a retired wire.MsgLoad payload (see LoadSignal):
+// no node sends one, and only the benchmark generator still calls it.
 func DecodeLoadSignal(p []byte) (LoadSignal, error) {
 	r := wire.NewReader(p)
 	var sig LoadSignal

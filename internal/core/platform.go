@@ -206,24 +206,6 @@ func (p *Platform) Stop() error {
 // wait on it.
 func (p *Platform) WaitAnalyticsIdle(time.Duration) error { return nil }
 
-// LoadSignal summarises backend pressure for admission control. The frame
-// scheduler polls it to shed frames earlier when the big-data plane falls
-// behind — a frame whose context analytics are stale is the paper's
-// timeliness failure even if it renders on time.
-type LoadSignal struct {
-	// FlushLatency is always 0: telemetry is folded inside the sensor
-	// call, so there is no batch flush to time. The field keeps its MsgLoad
-	// slot, and admission ignores it.
-	FlushLatency time.Duration
-	// Backlog is always 0: interactions are folded where they are sensed,
-	// so none waits to be. The field keeps its MsgLoad slot.
-	Backlog int64
-}
-
-// LoadSignal reports the platform's current backend pressure: none, since
-// nothing queues between a sensor call and the analytics.
-func (p *Platform) LoadSignal() LoadSignal { return LoadSignal{} }
-
 // HotPOIs returns the trending POI keys.
 func (p *Platform) HotPOIs(k int) []analytics.HeavyHitter {
 	p.hotMu.RLock()

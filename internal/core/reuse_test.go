@@ -367,25 +367,3 @@ func TestPoiKeyMatchesSprintf(t *testing.T) {
 		}
 	}
 }
-
-// TestLoadSignalReportsPressure: nothing queues between a sensor call and
-// the analytics, so the signal admission control reads is zero — no
-// backlog, no flush latency — however many interactions are recorded.
-func TestLoadSignalReportsPressure(t *testing.T) {
-	p := newReusePlatform(t)
-	if sig := p.LoadSignal(); sig != (LoadSignal{}) {
-		t.Fatalf("idle signal = %+v", sig)
-	}
-	s := p.NewSession()
-	for i := 0; i < 40; i++ {
-		if err := s.RecordInteraction(uint64(i%5+1), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := p.consumed.Value(); n != 40 {
-		t.Fatalf("%d interactions folded, want 40", n)
-	}
-	if sig := p.LoadSignal(); sig != (LoadSignal{}) {
-		t.Fatalf("signal = %+v after 40 folded interactions, want zero", sig)
-	}
-}

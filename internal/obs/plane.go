@@ -42,10 +42,6 @@ type PlaneConfig struct {
 	// Sessions and Streams supply the JSON summaries; nil means none.
 	Sessions func() []SessionSummary
 	Streams  func() []StreamSummary
-	// Load, when set, reports backend pressure (the analytics backlog); the
-	// plane republishes it as a gauge in the registry at scrape time so it
-	// exports everywhere uniformly.
-	Load func() (backlog int64)
 }
 
 // Plane serves one node's introspection endpoints:
@@ -97,19 +93,8 @@ func ServePprof(ln net.Listener) error {
 	return newResponder(rs).serve(ln)
 }
 
-// refresh republishes the node's load signal and the Go runtime's metrics
-// as registry gauges so a scrape sees them the moment it asks, without a
-// background sampler.
-func (p *Plane) refresh() {
-	p.rt.collect()
-	if p.cfg.Load == nil {
-		return
-	}
-	p.cfg.Registry.Gauge("core.load.backlog").Set(float64(p.cfg.Load()))
-}
-
 func (p *Plane) handleMetrics(w *response, _ url.Values) {
-	p.refresh()
+	p.rt.collect()
 	w.ctype = "text/plain; version=0.0.4; charset=utf-8"
 	_ = WritePrometheus(w, p.cfg.Registry)
 }
@@ -131,7 +116,7 @@ type instrumentJSON struct {
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 func (p *Plane) handleMetricsJSON(w *response, _ url.Values) {
-	p.refresh()
+	p.rt.collect()
 	snap := p.cfg.Registry.Snapshot()
 	out := struct {
 		Role        string           `json:"role"`

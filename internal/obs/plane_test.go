@@ -31,7 +31,6 @@ func planeFixture() (*Plane, *metrics.Registry, *Recorder) {
 		Streams: func() []StreamSummary {
 			return []StreamSummary{{Session: 11, IntervalMS: 33, Delta: true, Pushes: 2}}
 		},
-		Load: func() int64 { return 123 },
 	})
 	// The fixture's instruments hold still between scrapes, so two serving
 	// paths can be compared byte for byte: its runtime reads land in a
@@ -48,9 +47,9 @@ func get(t *testing.T, p *Plane, path string) *httptest.ResponseRecorder {
 	return fetch(t, client, "GET", base+path)
 }
 
-// TestPlaneMetricsEndpoint checks /metrics: content type, the registry's
-// instruments present, and the load signal republished as a gauge at
-// scrape time.
+// TestPlaneMetricsEndpoint checks /metrics: content type and the registry's
+// instruments present. No node has a backlog to report, so the plane
+// exports no backlog gauge.
 func TestPlaneMetricsEndpoint(t *testing.T) {
 	p, _, _ := planeFixture()
 	w := get(t, p, "/metrics")
@@ -64,12 +63,14 @@ func TestPlaneMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"arbd_server_frames_done 5",
 		"arbd_obs_frames_recorded 1",
-		"arbd_core_load_backlog 123",
 		`arbd_obs_frame_total_seconds{quantile="0.99"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "arbd_core_load_backlog") {
+		t.Fatalf("/metrics exports a backlog gauge:\n%s", body)
 	}
 }
 

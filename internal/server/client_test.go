@@ -620,9 +620,6 @@ func TestReplyWindowBoundsNonReadingPeer(t *testing.T) {
 			answered := make(map[uint64]bool, requests)
 			for len(answered) < requests {
 				env := rc.read(t)
-				if env.Type == wire.MsgLoad && env.Seq == 0 {
-					continue // a shard's load report: a push, not a reply
-				}
 				want := wire.MsgAnnotations
 				if isPing(env.Seq) {
 					want = wire.MsgAck

@@ -9,8 +9,8 @@
 //     vocabulary is not spoken.
 //   - backend (the Shard): a router's connection multiplexes many sessions,
 //     each envelope addressed by Session; the connection owns the sessions
-//     it materialised, understands CtrlEndSession and MsgMigrateSession,
-//     and pushes the node's load signal.
+//     it materialised, and understands CtrlEndSession and
+//     MsgMigrateSession.
 //
 // The role is the handler's only parameter. On both, sensor envelopes are
 // applied inline on the connection goroutine (cheap state updates) and
@@ -20,10 +20,9 @@
 //
 // The loop only reads. Once the handshake has succeeded, everything the
 // connection is sent — the hello reply, acks, errors, polled frames,
-// pushed frames, migrate replies, load reports — is enqueued on the
-// connection's outbox (stream.go), whose writer goroutine is the only
-// writer; what the loop, the scheduler workers and the load ticker enqueue
-// reaches the wire in queue order. A peer that stops reading costs itself:
+// pushed frames, migrate replies — is enqueued on the connection's outbox
+// (stream.go), whose writer goroutine is the only writer; what the loop
+// and the scheduler workers enqueue reaches the wire in queue order. A peer that stops reading costs itself:
 // its pushes drop oldest-first, and its own read loop parks once
 // replyWindow replies are owed — unwritten, or still waiting for a worker.
 package server
@@ -70,13 +69,10 @@ type node struct {
 	// node announces the connection's session ID instead).
 	backend bool
 	id      uint64
-	// loadEvery > 0 pushes load() on every connection at that interval.
-	loadEvery time.Duration
-	load      func() core.LoadSignal
 }
 
 func newNode(p *core.Platform, logger *log.Logger, workers int, name string) *node {
-	n := &node{eng: newEngine(p, workers), load: p.LoadSignal}
+	n := &node{eng: newEngine(p, workers)}
 	n.cs = newConnServer(logger, name, n.open)
 	return n
 }
@@ -231,8 +227,8 @@ func (n *node) open(conn net.Conn, proto uint32) accepted {
 	c := &sessConn{n: n, proto: proto, owned: make(map[uint64]struct{})}
 	// The push capacity starts at one slot and follows the live
 	// subscriptions' budgets (addReserve). A backend connection multiplexes
-	// many sessions' streams and carries the load reports: its floor keeps
-	// one session's tiny budget from bounding everyone.
+	// many sessions' streams: its floor keeps one session's tiny budget from
+	// bounding everyone.
 	capacity, helloID := 1, n.id
 	if n.backend {
 		capacity = backendPushQueue
@@ -242,17 +238,11 @@ func (n *node) open(conn net.Conn, proto uint32) accepted {
 		helloID = c.own.ID
 	}
 	c.out = newOutbox(conn, capacity, c.dropped)
-	// The load reporter starts before the hello reply is queued: once the
-	// dialer has read the reply, every goroutine serving this connection
-	// exists. Its first report is a full loadEvery away, behind the reply.
-	if n.loadEvery > 0 {
-		go n.loadLoop(c.out)
-	}
 	return accepted{out: c.out, id: helloID, handle: c.handle, closed: c.closed}
 }
 
 // dropped is the outbox's drop hook: a dropped frame push counts as a stream
-// drop and keys the session's next push; a dropped load report is neither.
+// drop and keys the session's next push.
 func (c *sessConn) dropped(t wire.MsgType, session uint64) {
 	if t == wire.MsgFramePush || t == wire.MsgFrameDelta {
 		c.n.eng.streamDropped.Inc()
@@ -418,27 +408,5 @@ func (c *sessConn) submitFrame(sess *core.Session, seq uint64) {
 	c.out.expect(1)
 	if err := eng.sched.Submit(sess, d.visitFn, d.doneFn); err != nil {
 		d.done(err) // scheduler closed: the callbacks will not fire
-	}
-}
-
-// loadLoop pushes the node's LoadSignal on the connection until its outbox
-// closes, so the router's view of this shard's pressure stays fresh. A
-// report is a push: one the router has not read by the time newer ones
-// queue behind it is the first to go.
-func (n *node) loadLoop(out *outbox) {
-	ticker := time.NewTicker(n.loadEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-out.done:
-			return
-		case <-ticker.C:
-			buf := n.eng.bufs.Get().(*wire.Buffer)
-			buf.Reset()
-			core.EncodeLoadSignalInto(buf, n.load())
-			if !out.enqueue(outMsg{env: wire.Envelope{Type: wire.MsgLoad, Payload: buf.Bytes()}, buf: buf, pool: &n.eng.bufs}) {
-				return
-			}
-		}
 	}
 }

@@ -51,11 +51,10 @@ type Engine struct {
 }
 
 // newEngine builds an engine over the platform whose scheduler runs workers
-// renderers (zero: GOMAXPROCS), sheds at the 250 ms deadline and admits
-// lag-aware: frames shed earlier when the analytics plane falls behind the
-// devices feeding it.
+// renderers (zero: GOMAXPROCS) and sheds a frame that waited past
+// defaultFrameDeadline for one.
 func newEngine(p *core.Platform, workers int) *Engine {
-	sched := SchedulerConfig{workers: workers, deadline: defaultFrameDeadline, load: p.LoadSignal}
+	sched := SchedulerConfig{workers: workers, deadline: defaultFrameDeadline}
 	reg := p.Metrics()
 	e := &Engine{
 		platform: p,

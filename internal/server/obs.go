@@ -64,14 +64,12 @@ func (n *node) ObsPlane() *obs.Plane {
 		Recorder: n.eng.rec,
 		Sessions: func() []obs.SessionSummary { return sessionSummaries(n.eng.platform) },
 		Streams:  n.eng.StreamSummaries,
-		Load:     func() int64 { return n.load().Backlog },
 	})
 }
 
 // ObsPlane builds the router's introspection plane. The router owns no core
 // sessions — its session list is the connected-client map, its streams the
-// tracked subscriptions (interval/delta decoded from the replay payload),
-// and its load the maximum any shard last reported.
+// tracked subscriptions (interval/delta decoded from the replay payload).
 func (r *Router) ObsPlane() *obs.Plane {
 	return obs.NewPlane(obs.PlaneConfig{
 		Role:     "router",
@@ -79,15 +77,6 @@ func (r *Router) ObsPlane() *obs.Plane {
 		Recorder: r.rec,
 		Sessions: r.clientSummaries,
 		Streams:  r.subSummaries,
-		Load: func() int64 {
-			var backlog int64
-			r.shardsMu.RLock()
-			for _, ss := range r.shards {
-				backlog = max(backlog, ss.loadSignal().Backlog)
-			}
-			r.shardsMu.RUnlock()
-			return backlog
-		},
 	})
 }
 

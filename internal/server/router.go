@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arbd/internal/core"
 	"arbd/internal/metrics"
 	"arbd/internal/obs"
 	"arbd/internal/server/membership"
@@ -76,9 +75,10 @@ func (p retryPolicy) delay(attempt int) time.Duration {
 // RouterOptions tunes a router. It has no exported field: every router runs
 // the defaults below, which tests override through the unexported hooks.
 type RouterOptions struct {
-	// deadline is the base frame admission budget, tightened by each
-	// shard's reported LoadSignal exactly as the FrameScheduler tightens
-	// its own (see loadGate). Zero takes defaultFrameDeadline.
+	// deadline is the frame admission budget: a frame request is shed at
+	// the router once the oldest frame its shard owes is older than this,
+	// the budget the FrameScheduler applies to its own queue. Zero takes
+	// defaultFrameDeadline.
 	deadline time.Duration
 	// retry is the backend reconnect budget (zero: defaultRetry).
 	retry retryPolicy
@@ -106,16 +106,16 @@ func (o *RouterOptions) defaults() {
 // Router owns client connections for a multi-node frontend: it speaks the
 // same wire protocol as the standalone server, assigns each connection a
 // session ID, places the session on a shard via the rendezvous ring, and
-// forwards envelopes over persistent backend connections. Shards push
-// MsgLoad; the router runs the standalone server's lag-aware admission
-// against that remote pressure and sheds frame requests before wasting a
-// forward hop on an overlay that would arrive stale. Frame subscriptions
-// forward with session affinity. Everything bound for a client — a shard's
-// replies and pushes, the router's own sheds and errors — is enqueued on
-// that client connection's outbox, and everything bound for a shard on that
-// backend connection's outbox (stream.go): a stalled client cannot stall the
-// shard reader serving everyone else, and a stalled shard parks only the
-// clients forwarding to it, never a lock.
+// forwards envelopes over persistent backend connections. It sheds a frame
+// request before the forward hop once the shard has fallen a whole
+// admission deadline behind, rather than forward an overlay that would
+// arrive stale. Frame subscriptions forward with session affinity.
+// Everything bound for a client — a shard's replies and pushes, the
+// router's own sheds and errors — is enqueued on that client connection's
+// outbox, and everything bound for a shard on that backend connection's
+// outbox (stream.go): a stalled client cannot stall the shard reader
+// serving everyone else, and a stalled shard parks only the clients
+// forwarding to it, never a lock.
 type Router struct {
 	cs     *connServer
 	logger *log.Logger
@@ -130,7 +130,6 @@ type Router struct {
 	view  atomic.Pointer[membership.View]
 	epoch *metrics.Gauge // router.membership.epoch, set at every publish
 	opts  RouterOptions
-	gate  loadGate
 	reg   *metrics.Registry
 
 	// Per-message instruments, resolved once at construction: the forward
@@ -223,32 +222,16 @@ func (w backendWriter) Write(p []byte) (int, error) {
 }
 
 // routerShard is one shard's slot: the current backend connection (swapped
-// on reconnect), whose ledger holds the replies the shard owes, and the
-// shard's last reported load.
+// on reconnect), whose ledger holds the replies the shard owes.
 type routerShard struct {
 	member Member
 
 	connMu sync.RWMutex
 	bc     *dialConn
 
-	loadMu sync.RWMutex
-	load   core.LoadSignal
-
 	// removed flips when a drain detaches the shard on purpose, telling the
 	// reader not to reconnect and not to write obituaries.
 	removed atomic.Bool
-}
-
-func (ss *routerShard) setLoad(sig core.LoadSignal) {
-	ss.loadMu.Lock()
-	ss.load = sig
-	ss.loadMu.Unlock()
-}
-
-func (ss *routerShard) loadSignal() core.LoadSignal {
-	ss.loadMu.RLock()
-	defer ss.loadMu.RUnlock()
-	return ss.load
 }
 
 // backend returns the current connection slot.
@@ -312,7 +295,6 @@ func NewRouter(members []Member, logger *log.Logger, reg *metrics.Registry, opts
 		done:     make(chan struct{}),
 		epoch:    reg.Gauge("router.membership.epoch"),
 		opts:     opts,
-		gate:     loadGate{deadline: opts.deadline},
 		reg:      reg,
 		shards:   make(map[uint64]*routerShard),
 		sessions: make(map[uint64]*routerClient),
@@ -416,7 +398,7 @@ func (r *Router) dialBackend(m Member) (*dialConn, error) {
 func (r *Router) shardReader(ss *routerShard, bc *dialConn) {
 	defer r.wg.Done()
 	for bc != nil {
-		err := bc.serve(func(env *wire.Envelope) { r.fromShard(ss, bc, env) })
+		err := bc.serve(func(env *wire.Envelope) { r.fromShard(bc, env) })
 		if r.closing() || ss.removed.Load() {
 			return // closing, or drained on purpose: no reconnect, no obituaries
 		}
@@ -425,15 +407,11 @@ func (r *Router) shardReader(ss *routerShard, bc *dialConn) {
 	}
 }
 
-// fromShard takes one envelope read from ss's connection bc: load reports
-// update admission, migrate replies settle the move waiting on them, and
-// everything else routes back to the owning client by session ID.
-func (r *Router) fromShard(ss *routerShard, bc *dialConn, env *wire.Envelope) {
+// fromShard takes one envelope read from connection bc: migrate replies
+// settle the move waiting on them, and everything else routes back to the
+// owning client by session ID.
+func (r *Router) fromShard(bc *dialConn, env *wire.Envelope) {
 	switch env.Type {
-	case wire.MsgLoad:
-		if sig, err := core.DecodeLoadSignal(env.Payload); err == nil {
-			ss.setLoad(sig)
-		}
 	case wire.MsgMigrateSession:
 		bc.settle(env) // a move's round trip: never client-bound
 	case wire.MsgAnnotations, wire.MsgError, wire.MsgAck:
@@ -827,7 +805,11 @@ func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) {
 		r.untrackSub(id)
 	}
 	bc := ss.backend()
-	if env.Type == wire.MsgFrameRequest && r.shedNow(ss, bc) {
+	// Admission: if the oldest frame request the shard owes has waited past
+	// the deadline, a new one would wait at least as long, so shed it here
+	// instead of paying the hop. A dead connection owes nothing, so it never
+	// fakes a shed.
+	if env.Type == wire.MsgFrameRequest && bc.headAge(time.Now()) > r.opts.deadline {
 		r.framesShed.Inc()
 		cl.out.fail(id, env.Seq, ErrRouterShed.Error())
 		return
@@ -846,14 +828,4 @@ func (r *Router) route(cl *routerClient, id uint64, env *wire.Envelope) {
 			r.untrackSub(id) // an unsent subscribe must not be replayed
 		}
 	}
-}
-
-// shedNow applies lag-aware admission for one shard: the base deadline is
-// tightened by the shard's reported load, and compared against the age of
-// the oldest frame request its connection bc owes — if the shard hasn't
-// kept up with what it already has within the effective budget, a new
-// frame would wait at least as long, so shed it here instead of paying the
-// hop. A dead connection owes nothing, so it never fakes a shed.
-func (r *Router) shedNow(ss *routerShard, bc *dialConn) bool {
-	return bc.headAge(time.Now()) > r.gate.effective(ss.loadSignal())
 }

@@ -289,23 +289,17 @@ func TestRouterSeqIntegrity(t *testing.T) {
 
 // TestRouterShedsOnRemoteLoad is the multi-node admission check: with the
 // target shard's only worker deterministically stalled and a frame request
-// outstanding, a healthy load report leaves the follow-up request inside
-// the base deadline (forwarded), while an inflated shard backlog — reported
-// over the wire via MsgLoad — collapses the effective deadline to its floor
-// and the router sheds the follow-up before the forward hop.
+// outstanding, a follow-up request that arrives while the outstanding one
+// is younger than the router's deadline is forwarded, and one that arrives
+// after it has aged past the deadline is shed at the router, before the
+// forward hop.
 func TestRouterShedsOnRemoteLoad(t *testing.T) {
-	const base = 4 * time.Second // floor = base/16 = 250ms
-	const stall = 600 * time.Millisecond
+	const deadline = 350 * time.Millisecond
 
-	run := func(lagged bool) (shed int64, err error) {
-		var loadFn func() core.LoadSignal
-		if lagged {
-			loadFn = func() core.LoadSignal { return core.LoadSignal{Backlog: 1 << 40} }
-		}
+	run := func(stall time.Duration) (shed int64, err error) {
 		tc := startCluster(t, 1, func(i int, o *ShardOptions) {
 			o.workers = 1
-			o.load = loadFn
-		}, RouterOptions{deadline: base})
+		}, RouterOptions{deadline: deadline})
 
 		// Stall the shard's only worker from inside the process: callbacks
 		// run on the worker goroutine, so the scheduler renders nothing
@@ -337,9 +331,6 @@ func TestRouterShedsOnRemoteLoad(t *testing.T) {
 		if err := cl.SendGPS(sensor.GPSFix{Time: time.Now(), Position: center, AccuracyM: 3}); err != nil {
 			t.Fatal(err)
 		}
-		// Let the shard's load pusher reach the router before admission
-		// decisions matter.
-		time.Sleep(50 * time.Millisecond)
 
 		// First request: always forwarded (nothing outstanding yet), then
 		// held behind the stalled worker.
@@ -374,15 +365,15 @@ func TestRouterShedsOnRemoteLoad(t *testing.T) {
 		return shed, <-second
 	}
 
-	shed, err := run(false)
+	shed, err := run(50 * time.Millisecond)
 	if err != nil {
 		t.Fatalf("healthy shard: follow-up request failed: %v", err)
 	}
 	if shed != 0 {
-		t.Fatalf("healthy shard: router shed %d frames inside the base deadline", shed)
+		t.Fatalf("healthy shard: router shed %d frames inside the deadline", shed)
 	}
 
-	shed, err = run(true)
+	shed, err = run(2 * deadline)
 	if err == nil {
 		t.Fatal("lagged shard: follow-up request succeeded, want router shed")
 	}
@@ -773,10 +764,6 @@ func TestShardPipelinedFrameRequestsSameSession(t *testing.T) {
 	seqs := make(map[uint64]bool)
 	for i := 0; i < burst; i++ {
 		env := conn.read(t)
-		if env.Type == wire.MsgLoad {
-			i-- // load pushes interleave with replies; not a frame reply
-			continue
-		}
 		if env.Type != wire.MsgAnnotations {
 			t.Fatalf("reply %d: type %v payload %q", i, env.Type, env.Payload)
 		}

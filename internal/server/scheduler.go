@@ -22,9 +22,15 @@ var (
 	ErrFrameShed = errors.New("server: frame shed: queue delay exceeded deadline")
 )
 
+// defaultFrameDeadline is the queue-wait budget every role admits frames
+// against: the engine's scheduler and the router's per-shard shedding. It is
+// generous: shedding should only trip under overload, not on a transient
+// queue blip.
+const defaultFrameDeadline = 250 * time.Millisecond
+
 // SchedulerConfig parameterises a FrameScheduler. The zero value runs
 // GOMAXPROCS workers with no shedding; a serving node's engine adds the
-// shedding deadline and its platform's load signal.
+// shedding deadline.
 type SchedulerConfig struct {
 	// workers is the worker-pool size (default GOMAXPROCS). Frame work is
 	// CPU-bound, so more workers than cores only adds contention. Tests set
@@ -33,17 +39,7 @@ type SchedulerConfig struct {
 	// deadline is the maximum time a request may wait for a worker before
 	// being shed. Zero disables shedding.
 	deadline time.Duration
-	// load reports backend pressure (the analytics backlog). When set
-	// alongside a deadline, admission becomes lag-aware: the effective
-	// shedding deadline tightens as pressure grows, so the server sheds
-	// earlier when the big-data plane falls behind instead of rendering
-	// frames whose context analytics are already stale.
-	load func() core.LoadSignal
 }
-
-// loadPollEvery bounds how often the load source is consulted, so admission
-// stays cheap at frame rates.
-const loadPollEvery = 10 * time.Millisecond
 
 // FrameScheduler executes session frame jobs on a bounded worker pool with
 // per-frame deadlines. It decouples "how many devices are connected" from
@@ -55,23 +51,15 @@ const loadPollEvery = 10 * time.Millisecond
 // frame in flight, and a connection's read loop parks once replyWindow
 // replies are owed to it, counting polled frames from the request's read.
 type FrameScheduler struct {
-	cfg  SchedulerConfig
-	gate loadGate
-	reg  *metrics.Registry
+	cfg SchedulerConfig
+	reg *metrics.Registry
 
 	// Per-frame instruments, resolved once at construction: the run hot
 	// path must not pay a name concat + registry map lookup per frame.
-	queueWait   *metrics.Histogram
-	frameLat    *metrics.Histogram
-	framesDone  *metrics.Counter
-	framesShed  *metrics.Counter
-	framesShedL *metrics.Counter
-
-	// loadMu guards the cached backend-load sample; cfg.load is polled at
-	// most every loadPollEvery.
-	loadMu  sync.Mutex
-	loadAt  time.Time
-	loadSig core.LoadSignal
+	queueWait  *metrics.Histogram
+	frameLat   *metrics.Histogram
+	framesDone *metrics.Counter
+	framesShed *metrics.Counter
 
 	mu     sync.Mutex
 	q      []frameJob // FIFO; queued jobs are q[head:]
@@ -105,15 +93,13 @@ func NewFrameScheduler(cfg SchedulerConfig, reg *metrics.Registry) *FrameSchedul
 		reg = metrics.NewRegistry()
 	}
 	fs := &FrameScheduler{
-		cfg:  cfg,
-		gate: loadGate{deadline: cfg.deadline},
-		reg:  reg,
+		cfg: cfg,
+		reg: reg,
 
-		queueWait:   reg.Histogram("server.frame.queue_wait"),
-		frameLat:    reg.Histogram("server.frame.latency"),
-		framesDone:  reg.Counter("server.frames.done"),
-		framesShed:  reg.Counter("server.frames.shed"),
-		framesShedL: reg.Counter("server.frames.shed_lag"),
+		queueWait:  reg.Histogram("server.frame.queue_wait"),
+		frameLat:   reg.Histogram("server.frame.latency"),
+		framesDone: reg.Counter("server.frames.done"),
+		framesShed: reg.Counter("server.frames.shed"),
 	}
 	fs.ready.L = &fs.mu
 	for i := 0; i < cfg.workers; i++ {
@@ -148,40 +134,12 @@ func (fs *FrameScheduler) worker() {
 	}
 }
 
-// currentLoad returns the most recent backend-load sample, refreshing it
-// from cfg.load at most every loadPollEvery.
-func (fs *FrameScheduler) currentLoad() core.LoadSignal {
-	fs.loadMu.Lock()
-	defer fs.loadMu.Unlock()
-	if now := time.Now(); now.Sub(fs.loadAt) >= loadPollEvery {
-		fs.loadSig = fs.cfg.load()
-		fs.loadAt = now
-	}
-	return fs.loadSig
-}
-
-// effectiveDeadline returns the queue-wait budget currently applied to
-// frame jobs: the configured deadline, tightened by backend pressure when a
-// load source is configured (see loadGate for the rule, which the Router
-// shares for remote shards).
-func (fs *FrameScheduler) effectiveDeadline() time.Duration {
-	if fs.cfg.deadline <= 0 || fs.cfg.load == nil {
-		return fs.cfg.deadline
-	}
-	return fs.gate.effective(fs.currentLoad())
-}
-
 //arbd:hotpath
 func (fs *FrameScheduler) run(job frameJob, sc *core.FrameScratch) {
 	wait := time.Since(job.enq)
 	fs.queueWait.Observe(wait)
-	if deadline := fs.effectiveDeadline(); deadline > 0 && wait > deadline {
+	if fs.cfg.deadline > 0 && wait > fs.cfg.deadline {
 		fs.framesShed.Inc()
-		if wait <= fs.cfg.deadline {
-			// Inside the base deadline: this frame was shed only because
-			// backend pressure tightened admission.
-			fs.framesShedL.Inc()
-		}
 		job.done(ErrFrameShed)
 		return
 	}
@@ -194,7 +152,7 @@ func (fs *FrameScheduler) run(job frameJob, sc *core.FrameScratch) {
 
 // Submit queues a frame job whose visit callback runs under the session
 // lock with the rendered frame (see Session.FrameVisit); done then fires
-// exactly once with the render error. A job that waits past the effective
+// exactly once with the render error. A job that waits past the configured
 // deadline is shed: visit is skipped and done gets ErrFrameShed. Both
 // callbacks run on a worker goroutine (or in Close), visit strictly before
 // done — no per-job goroutine is spawned. Submit never blocks; after Close

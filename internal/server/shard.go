@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"arbd/internal/core"
 )
@@ -36,33 +35,17 @@ type ShardOptions struct {
 	// handshake so a router can detect a miswired address.
 	ID uint64
 
-	// Test hooks. workers sizes the scheduler (zero: GOMAXPROCS);
-	// loadEvery is how often the shard pushes a MsgLoad envelope on every
-	// backend connection (zero: loadReportEvery); load replaces the
-	// reported signal (nil: the platform's LoadSignal).
-	workers   int
-	loadEvery time.Duration
-	load      func() core.LoadSignal
+	// workers sizes the scheduler (zero: GOMAXPROCS); a test hook.
+	workers int
 }
 
-// loadReportEvery is how often a shard reports its load to each router.
-const loadReportEvery = 25 * time.Millisecond
-
 // Shard is the backend node: it serves a partition of the session ID space
-// to routers (which assign IDs and own placement), and pushes its
-// LoadSignal so they shed for this shard's pressure before spending a
-// forward hop.
+// to routers (which assign IDs and own placement).
 type Shard struct{ *node }
 
 // NewShard returns a shard node over the platform (not yet listening).
 func NewShard(p *core.Platform, logger *log.Logger, opts ShardOptions) *Shard {
 	n := newNode(p, logger, opts.workers, fmt.Sprintf("shard-%d", opts.ID))
-	n.backend, n.id, n.loadEvery = true, opts.ID, opts.loadEvery
-	if n.loadEvery == 0 {
-		n.loadEvery = loadReportEvery
-	}
-	if opts.load != nil {
-		n.load = opts.load
-	}
+	n.backend, n.id = true, opts.ID
 	return &Shard{n}
 }

@@ -1,14 +1,14 @@
 package server
 
 import (
+	"errors"
 	"net"
+	"os"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"arbd/internal/core"
 	"arbd/internal/sensor"
 	"arbd/internal/server/membership"
 	"arbd/internal/wire"
@@ -253,21 +253,32 @@ func TestStalledShardCostsOnlyItsOwnClients(t *testing.T) {
 	waitFor(t, "connection goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
 }
 
-// TestLoadReportDropsAreNotFrameDrops pins what server.stream.dropped counts:
-// frame pushes a peer never received. A router that stops reading a backend
-// connection with no subscriptions loses only load reports, each superseded
-// by the next, and the shard must not report them as lost frames.
-func TestLoadReportDropsAreNotFrameDrops(t *testing.T) {
+// TestBackendLinkCarriesNoPeriodicTraffic: a shard sends a router only
+// replies and the pushes of subscribed streams. A backend connection with
+// neither stays silent after the hello reply, drops nothing, and runs no
+// goroutine beyond its read loop and its outbox writer.
+func TestBackendLinkCarriesNoPeriodicTraffic(t *testing.T) {
 	p := newTestPlatform(t)
-	var reports atomic.Int64
-	sh := NewShard(p, discardLogger(), ShardOptions{ID: 1, loadEvery: time.Millisecond,
-		load: func() core.LoadSignal { reports.Add(1); return core.LoadSignal{} }})
+	sh := NewShard(p, discardLogger(), ShardOptions{ID: 1})
 	t.Cleanup(func() { _ = sh.Close() })
+	before := runtime.NumGoroutine()
 	rc, _ := rawPipe(t, sh.cs.serve)
-	rc.hello(t, "stalled-router", wire.ProtoMax)
-	// Twice the backend outbox's push capacity, none of it read.
-	waitFor(t, "the load reports to overflow the outbox", func() bool { return reports.Load() > 2*backendPushQueue })
+	rc.hello(t, "quiet-router", wire.ProtoMax)
+	// Every goroutine serving the connection exists once the hello reply
+	// is read: the read loop (rawPipe's) and the outbox writer.
+	if grew := runtime.NumGoroutine() - before; grew > 2 {
+		t.Fatalf("a backend connection runs %d goroutines, want its read loop and writer only", grew)
+	}
+	// Ten times the 25 ms interval at which shards once pushed load reports.
+	if err := rc.c.SetReadDeadline(time.Now().Add(250 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := rc.fr.ReadEnvelope(); err == nil {
+		t.Fatalf("idle backend link carried %v seq %d", env.Type, env.Seq)
+	} else if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal(err)
+	}
 	if n := p.Metrics().Counter("server.stream.dropped").Value(); n != 0 {
-		t.Fatalf("server.stream.dropped = %d with no stream on the connection: load reports counted as frames", n)
+		t.Fatalf("server.stream.dropped = %d with no stream on the connection", n)
 	}
 }

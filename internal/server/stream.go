@@ -1,6 +1,6 @@
 // Frame delivery and subscription streaming. Everything a connection is
 // sent after its handshake — polled replies, pushed frames, acks, errors,
-// migrate replies, load reports, a router's forwards — is enqueued on the
+// migrate replies, a router's forwards — is enqueued on the
 // connection's outbox, whose writer goroutine is the connection's only
 // writer and coalesces each wakeup's backlog into one write; a delivery
 // stages a rendered frame between the scheduler worker and that enqueue,
@@ -115,8 +115,8 @@ func (m *outMsg) releaseBuf() {
 // Each writer wakeup drains the whole backlog into a single write: a burst
 // costs one syscall, not one per message.
 //
-// The queue carries two classes. Pushes (streamed frames, load reports,
-// stream obituaries) are bounded by dropping the oldest queued push when
+// The queue carries two classes. Pushes (streamed frames, stream
+// obituaries) are bounded by dropping the oldest queued push when
 // the capacity is reached. Replies (and forwards) are never dropped; they
 // are bounded because the read loop producing them calls awaitReplies
 // before taking each envelope and parks while replyWindow of them are owed

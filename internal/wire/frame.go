@@ -27,9 +27,10 @@ const (
 	MsgControl
 	MsgAck
 	MsgError
-	// MsgLoad carries a node's backend-pressure signal (core.LoadSignal):
-	// shard nodes push it periodically over backend connections so routers
-	// can run lag-aware admission against remote pressure.
+	// MsgLoad is retired: shards once pushed their backend pressure
+	// (core.LoadSignal) in it, and no node sends it any more. Its value
+	// stays pinned so no later type reuses it; the name goes with the
+	// benchmark change that stops reading it (ROADMAP item 1).
 	MsgLoad
 	// MsgHello opens a connection: each side identifies itself (see Hello)
 	// and announces its protocol version before envelopes flow, so a router
